@@ -8,7 +8,6 @@ Run from the root of a checkout. The first run configures and builds
 the library, camj_serve and the benchmark runner from source into
 $CARGO_TARGET_DIR (default .bench_build); later runs only re-check the
 build. The runner's last line of standard output is the result JSON.
-Extra arguments (--jobs N, --corrupt-check) pass through to the runner.
 """
 
 import argparse
@@ -52,7 +51,7 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    args, extra = parser.parse_known_args()
+    args = parser.parse_args()
 
     out = build_dir()
     try:
@@ -65,7 +64,7 @@ def main():
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--root", ROOT,
            "--tmp-dir", os.path.join(out, "tmp"),
-           "--spans-dir", os.path.join(out, "spans")] + extra
+           "--spans-dir", os.path.join(out, "spans")]
     # The runner and every daemon it starts share one process group, so
     # nothing outlives the run even if the runner dies.
     runner = subprocess.Popen(cmd, start_new_session=True)

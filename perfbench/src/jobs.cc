@@ -113,21 +113,23 @@ detectorVariant(const json::Value &canonical, Rng &rng, size_t rates)
     return doc.dump(2);
 }
 
-/** @p count jobs: whole passes over @p docs, each pass in its own
- *  seeded order, so every document runs equally often. */
-std::vector<Job>
-passesOver(const std::vector<Job> &docs, Rng &rng, size_t count)
+/** @p count jobs: whole passes over @p docs documents, each pass in
+ *  its own seeded order, so every document runs equally often. */
+std::vector<size_t>
+passesOver(size_t docs, Rng &rng, size_t count)
 {
-    std::vector<Job> jobs;
-    while (jobs.size() < count) {
-        std::vector<Job> pass = docs;
+    std::vector<size_t> order;
+    while (order.size() < count) {
+        std::vector<size_t> pass(docs);
+        for (size_t d = 0; d < docs; ++d)
+            pass[d] = d;
         rng.shuffle(pass);
-        for (Job &job : pass) {
-            if (jobs.size() < count)
-                jobs.push_back(std::move(job));
+        for (size_t d : pass) {
+            if (order.size() < count)
+                order.push_back(d);
         }
     }
-    return jobs;
+    return order;
 }
 
 } // namespace
@@ -157,33 +159,37 @@ makeJobs(const std::string &workload, const std::string &root,
     if (workload == "studies") {
         const json::Value energies = json::Value::parse(
             readFile(root + "/tests/golden/energies.json"));
-        std::vector<Job> studies;
         for (const auto &[key, cats] : energies.asObject()) {
             (void)cats;
             Job job;
-            job.doc = studies.size();
             job.study = key;
             job.text = readFile(root + "/tests/golden/" + key + ".json");
-            studies.push_back(std::move(job));
+            list.docs.push_back(std::move(job));
         }
-        if (studies.empty())
+        if (list.docs.empty())
             throw std::runtime_error("no golden studies found");
         // The canonical small detector is the warm-up.
-        list.warmup = studies.front();
-        for (const Job &s : studies) {
+        list.warmup = list.docs.front();
+        for (const Job &s : list.docs) {
             if (s.study == "detector-65nm-30fps")
                 list.warmup = s;
         }
-        list.jobs = passesOver(studies, rng, count);
+        list.order = passesOver(list.docs.size(), rng, count);
         return list;
     }
 
+    // The in-process grid and the served workload warm up on the same
+    // small fixed slice of the canonical sweep: one 30 fps rate, 12
+    // points through every layer a job uses.
+    json::Value warm = canonical;
+    json::Value rate = json::Value::makeArray();
+    rate.push(json::Value(30));
+    gridAxis(warm, "rate").set("values", std::move(rate));
+    list.warmup.text = warm.dump(2);
     if (workload == "grid") {
-        list.warmup = list.probe;
-        std::vector<Job> docs((count + kGridRepeats - 1) / kGridRepeats);
-        for (size_t d = 0; d < docs.size(); ++d) {
-            Job &job = docs[d];
-            job.doc = d;
+        list.docs.resize((count + kGridRepeats - 1) / kGridRepeats);
+        for (size_t d = 0; d < list.docs.size(); ++d) {
+            Job &job = list.docs[d];
             job.text = detectorVariant(canonical, rng, 9);
             // Every third document is one strided shard k/N, the
             // order a multi-host sweep visits points in. N cycles
@@ -194,20 +200,15 @@ makeJobs(const std::string &workload, const std::string &root,
                 job.shardIndex = rng.below(job.shardCount);
             }
         }
-        list.jobs = passesOver(docs, rng, count);
+        list.order = passesOver(list.docs.size(), rng, count);
         return list;
     }
     if (workload == "served") {
-        json::Value warm = canonical;
-        json::Value rate = json::Value::makeArray();
-        rate.push(json::Value(30));
-        gridAxis(warm, "rate").set("values", std::move(rate));
-        list.warmup.text = warm.dump(2);
         for (size_t i = 0; i < count; ++i) {
             Job job;
-            job.doc = i;
             job.text = detectorVariant(canonical, rng, 1 + rng.below(2));
-            list.jobs.push_back(std::move(job));
+            list.docs.push_back(std::move(job));
+            list.order.push_back(i);
         }
         return list;
     }

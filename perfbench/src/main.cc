@@ -278,14 +278,14 @@ class Metrics
     std::vector<Item> items_;
 };
 
-/** Grid jobs checked from scratch: seeded, at least one whole and one
- *  strided job when the list has them. */
+/** Grid documents checked from scratch: seeded, at least one whole and
+ *  one strided document when the list has them. */
 std::vector<size_t>
-checkedGridJobs(const std::vector<Job> &jobs, uint64_t seed)
+checkedGridDocs(const std::vector<Job> &docs, uint64_t seed)
 {
     std::vector<size_t> whole, strided;
-    for (size_t i = 0; i < jobs.size(); ++i)
-        (jobs[i].shardCount == 1 ? whole : strided).push_back(i);
+    for (size_t d = 0; d < docs.size(); ++d)
+        (docs[d].shardCount == 1 ? whole : strided).push_back(d);
     Rng rng(seed ^ 0xc0ffeeull);
     rng.shuffle(whole);
     rng.shuffle(strided);
@@ -328,9 +328,9 @@ parallelFor(size_t n, Body body)
 
 /**
  * The output checks, all outside the timed region. Studies are checked
- * as they finish; grid and served streams are kept (grid: the sampled
- * jobs) or hashed (served) and compared to their references in
- * finish().
+ * as they finish. Served streams, and those of a seeded sample of grid
+ * documents, are hashed as they finish; finish() compares each hash
+ * with that of its document's reference stream.
  */
 class Checker
 {
@@ -339,74 +339,73 @@ class Checker
         : o_(o), list_(list), golden_(std::move(golden))
     {
         if (o.workload == "grid")
-            sampled_ = checkedGridJobs(list.jobs, o.seed);
-        if (o.corrupt && o.workload == "studies" && !list.jobs.empty())
-            golden_[list.jobs.front().study]["total"] *= 1.0 + 1e-6;
+            sampled_ = checkedGridDocs(list.docs, o.seed);
+        if (o.corrupt && o.workload == "studies" && list.size() > 0)
+            golden_[list.job(0).study]["total"] *= 1.0 + 1e-6;
     }
 
-    /** Check (or keep) job @p i's stream; "" unless it failed.
+    /** Check (or hash) job @p i's stream; "" unless it failed.
      *  Thread-safe. */
-    std::string check(size_t i, std::string bytes)
+    std::string check(size_t i, const std::string &bytes)
     {
+        const size_t doc = list_.order[i];
         if (o_.workload == "studies") {
-            const std::string why = checkStudyEnergies(
-                bytes, list_.jobs[i].study, golden_);
-            return why.empty() ? why : list_.jobs[i].study + ": " + why;
+            const std::string &study = list_.docs[doc].study;
+            const std::string why =
+                checkStudyEnergies(bytes, study, golden_);
+            return why.empty() ? why : study + ": " + why;
         }
+        if (o_.workload == "grid" &&
+            !std::binary_search(sampled_.begin(), sampled_.end(), doc))
+            return "";
         const uint64_t hash = hashOf(bytes);
         std::lock_guard<std::mutex> lock(mutex_);
-        if (o_.workload == "served")
-            hashes_[i].push_back(hash);
-        else if (std::binary_search(sampled_.begin(), sampled_.end(), i))
-            kept_[i].push_back(std::move(bytes));
+        hashes_[doc].push_back(hash);
         return "";
     }
 
-    /** The deferred checks; returns how many jobs failed them. */
+    /** The deferred checks; returns how many job runs failed them. */
     size_t finish()
     {
         // Served: the contract is byte identity with a local
         // `camj_sweep run`. Grid: a from-scratch Simulator::run.
-        std::vector<size_t> jobs;
-        for (const auto &[i, h] : hashes_)
-            jobs.push_back(i);
-        for (const auto &[i, b] : kept_)
-            jobs.push_back(i);
-        std::vector<std::string> why(jobs.size());
-        parallelFor(jobs.size(), [&](size_t k) {
-            const size_t i = jobs[k];
+        const char *differs = o_.workload == "served"
+                                  ? "stream differs from camj_sweep run"
+                                  : "stream differs from a from-scratch "
+                                    "Simulator::run";
+        std::vector<size_t> docs;
+        for (const auto &[d, h] : hashes_)
+            docs.push_back(d);
+        std::vector<size_t> bad(docs.size(), 0);
+        std::vector<std::string> why(docs.size(), differs);
+        parallelFor(docs.size(), [&](size_t k) {
+            const Job &doc = list_.docs[docs[k]];
+            const std::vector<uint64_t> &got = hashes_.at(docs[k]);
             try {
                 std::string ref = o_.workload == "served"
-                                      ? runSweepJob(list_.jobs[i]).bytes
-                                      : referenceStream(list_.jobs[i]);
+                                      ? runSweepJob(doc).bytes
+                                      : referenceStream(doc);
                 if (o_.corrupt && k == 0 && !ref.empty())
                     ref[ref.size() / 2] ^= 1;
                 const uint64_t want = hashOf(ref);
-                if (o_.workload == "served") {
-                    for (uint64_t h : hashes_.at(i))
-                        if (h != want)
-                            why[k] = "served stream differs from "
-                                     "camj_sweep run";
-                } else {
-                    for (const std::string &b : kept_.at(i))
-                        if (b != ref)
-                            why[k] = "stream differs from a from-scratch "
-                                     "Simulator::run";
-                }
+                bad[k] = static_cast<size_t>(
+                    std::count_if(got.begin(), got.end(),
+                                  [&](uint64_t h) { return h != want; }));
             } catch (const std::exception &e) {
+                bad[k] = got.size();
                 why[k] = std::string("reference failed: ") + e.what();
             }
         });
         size_t failed = 0;
-        for (size_t k = 0; k < jobs.size(); ++k) {
-            if (!why[k].empty()) {
-                ++failed;
-                std::fprintf(stderr, "job %zu failed: %s\n", jobs[k],
-                             why[k].c_str());
-            }
+        for (size_t k = 0; k < docs.size(); ++k) {
+            if (bad[k] == 0)
+                continue;
+            failed += bad[k];
+            std::fprintf(stderr, "document %zu: %zu of %zu runs failed: %s\n",
+                         docs[k], bad[k], hashes_.at(docs[k]).size(),
+                         why[k].c_str());
         }
         hashes_.clear();
-        kept_.clear();
         return failed;
     }
 
@@ -416,8 +415,8 @@ class Checker
     GoldenEnergies golden_;
     std::vector<size_t> sampled_;
     std::mutex mutex_;
+    /** Stream hashes by document. */
     std::map<size_t, std::vector<uint64_t>> hashes_; // guarded by mutex_
-    std::map<size_t, std::vector<std::string>> kept_; // guarded by mutex_
 };
 
 /** One timed job, as the metrics see it. */
@@ -430,6 +429,9 @@ struct JobTime
     double first = 0.0;
     /** Start -> last result line (served: the end frame). */
     double latency = 0.0;
+    /** Start -> the job's calls have returned and its engine and sinks
+     *  are destroyed (served: the end frame). */
+    double total = 0.0;
 };
 
 /** A pass over the first jobs of a list. */
@@ -468,7 +470,7 @@ runInProcessPass(const JobList &list, size_t count, Checker &checker,
     auto stream = [&](size_t s) {
         Pass &part = parts[s];
         for (size_t i = next++; i < count; i = next++) {
-            const Job &job = list.jobs[i];
+            const Job &job = list.job(i);
             try {
                 JobTime t;
                 t.job = i;
@@ -477,7 +479,8 @@ runInProcessPass(const JobList &list, size_t count, Checker &checker,
                 if (tracing != nullptr) {
                     Tracing &tr = (*tracing)[s];
                     bytes = replayJob(job, false, i, tr.trace, tr.counters);
-                    t.latency = secondsBetween(t.start, Clock::now());
+                    t.latency = t.total =
+                        secondsBetween(t.start, Clock::now());
                     t.lines = static_cast<size_t>(
                         std::count(bytes.begin(), bytes.end(), '\n'));
                     tracePrefilter(job, i, tr.trace);
@@ -485,11 +488,12 @@ runInProcessPass(const JobList &list, size_t count, Checker &checker,
                     JobRun r = runSweepJob(job);
                     t.first = r.firstSeconds;
                     t.latency = r.lastSeconds;
+                    t.total = r.totalSeconds;
                     t.lines = r.lines;
                     bytes = std::move(r.bytes);
                 }
                 // Outside the timed region from here on.
-                const std::string why = checker.check(i, std::move(bytes));
+                const std::string why = checker.check(i, bytes);
                 if (why.empty())
                     part.done.push_back(t);
                 else
@@ -524,8 +528,8 @@ runServedPass(int port, const JobList &list, size_t count,
 {
     Pass pass;
     pass.attempted = count;
-    std::vector<ServedRun> runs = runServedJobs(
-        port, list.jobs, count, kServedClients, trace);
+    std::vector<ServedRun> runs =
+        runServedJobs(port, list, count, kServedClients, trace);
     for (size_t i = 0; i < runs.size(); ++i) {
         ServedRun &r = runs[i];
         restarts += r.workerRestarts;
@@ -537,9 +541,9 @@ runServedPass(int port, const JobList &list, size_t count,
         t.job = i;
         t.start = r.start;
         t.first = r.firstSeconds;
-        t.latency = r.endSeconds;
+        t.latency = t.total = r.endSeconds;
         t.lines = r.lines;
-        const std::string why = checker.check(i, std::move(r.bytes));
+        const std::string why = checker.check(i, r.bytes);
         if (why.empty())
             pass.done.push_back(t);
         else
@@ -560,7 +564,7 @@ rateOf(const std::vector<JobTime> &done, size_t limit)
             continue;
         const Clock::time_point end =
             t.start + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(t.latency));
+                          std::chrono::duration<double>(t.total));
         lines += t.lines;
         first = first ? std::min(*first, t.start) : t.start;
         last = last ? std::max(*last, end) : end;
@@ -571,7 +575,8 @@ rateOf(const std::vector<JobTime> &done, size_t limit)
 
 /** Result lines per second of engine-thread time: the lines of the
  *  jobs of @p done with index below @p limit over the sum of their
- *  latencies, as one engine thread running them back to back sees. */
+ *  whole-job times, as one engine thread running them back to back
+ *  sees. */
 double
 serialRate(const std::vector<JobTime> &done, size_t limit)
 {
@@ -580,18 +585,21 @@ serialRate(const std::vector<JobTime> &done, size_t limit)
     for (const JobTime &t : done) {
         if (t.job < limit) {
             lines += t.lines;
-            seconds += t.latency;
+            seconds += t.total;
         }
     }
     return seconds > 0.0 ? static_cast<double>(lines) / seconds : 0.0;
 }
 
 /**
- * One figure per job of the list: the fastest run of its document
- * anywhere in @p rounds (a grid document is one job; a study repeats
- * within each round too). Interference from other tenants only ever
- * slows a run down, so the fastest of many runs spread over the whole
- * run is the steadiest estimate of what the program itself costs.
+ * One figure per distinct document: its fastest run anywhere in
+ * @p rounds (a grid document runs kGridRepeats times a round, a study
+ * 8 times). Interference from other tenants only ever slows a run
+ * down, so the fastest of many runs spread over the whole run is the
+ * steadiest estimate of what the program itself costs. First line,
+ * last line and whole job each take their own minimum. Every document
+ * runs equally often in a round, so rates over these figures equal
+ * rates over the round.
  */
 std::vector<JobTime>
 fastestRuns(const std::vector<Pass> &rounds, const JobList &list)
@@ -599,21 +607,17 @@ fastestRuns(const std::vector<Pass> &rounds, const JobList &list)
     std::map<size_t, JobTime> best; // by document
     for (const Pass &round : rounds) {
         for (const JobTime &t : round.done) {
-            const auto [it, fresh] = best.emplace(list.jobs[t.job].doc, t);
+            const auto [it, fresh] = best.emplace(list.order[t.job], t);
             if (!fresh) {
                 it->second.first = std::min(it->second.first, t.first);
                 it->second.latency = std::min(it->second.latency, t.latency);
+                it->second.total = std::min(it->second.total, t.total);
             }
         }
     }
     std::vector<JobTime> out;
-    for (size_t i = 0; i < list.jobs.size(); ++i) {
-        const auto it = best.find(list.jobs[i].doc);
-        if (it != best.end()) {
-            out.push_back(it->second);
-            out.back().job = i;
-        }
-    }
+    for (const auto &[doc, t] : best)
+        out.push_back(t);
     return out;
 }
 
@@ -755,9 +759,9 @@ runBenchmark(const Options &o)
             attempted += p.attempted;
             failed += p.failed;
         }
-        // Served: the daemon's wall-clock rate under two clients.
-        // In-process: one engine thread's rate, at each document's
-        // fastest run.
+        // Served: the daemon's wall-clock rate under two clients, and
+        // latencies per job. In-process: one engine thread's rate, and
+        // latencies per document, each at its document's fastest run.
         const std::vector<JobTime> best =
             served ? rounds.front().done : fastestRuns(rounds, list);
         const double rate = served ? rateOf(best, count)
@@ -778,11 +782,11 @@ runBenchmark(const Options &o)
         m.add("fig07_corr", fig07.pearson, "r");
         const size_t n = latency.size();
         std::printf("%s seed %llu: %zu jobs x %zu rounds attempted, %zu "
-                    "failed; latency quantiles over %zu jobs (p95: %zu "
-                    "beyond)\n",
+                    "failed; latency quantiles over %zu distinct %s "
+                    "(p95: %zu beyond)\n",
                     o.workload.c_str(),
                     static_cast<unsigned long long>(o.seed), count,
-                    round_count, failed, n,
+                    round_count, failed, n, served ? "jobs" : "documents",
                     n - std::min(n, static_cast<size_t>(std::ceil(
                                         0.95 * static_cast<double>(n)))));
         m.print(stdout);
@@ -813,7 +817,7 @@ runBenchmark(const Options &o)
         for (size_t i = 0; i < std::min(count, kServedReplayJobs); ++i) {
             try {
                 const std::string why = checker.check(
-                    i, replayJob(list.jobs[i], true, i, trace, counters));
+                    i, replayJob(list.job(i), true, i, trace, counters));
                 if (!why.empty())
                     t.fail(i, why);
             } catch (const std::exception &e) {
@@ -843,7 +847,7 @@ runBenchmark(const Options &o)
             t.fail(count, "serve probe: " + probe.error);
         restarts += probe.workerRestarts;
     }
-    traceFullBuilds(list.jobs, kFullBuildPoints, o.seed, trace);
+    traceFullBuilds(list.docs, kFullBuildPoints, o.seed, trace);
     const size_t failed = u.failed + t.failed + checker.finish();
 
     const double untraced = serialRate(u.done, quarter);
@@ -855,8 +859,8 @@ runBenchmark(const Options &o)
     const std::string spans = o.spansDir + "/" + o.workload + "-seed" +
                               std::to_string(o.seed) + ".jsonl";
     std::vector<std::string> labels;
-    for (const Job &job : list.jobs)
-        labels.push_back(jobLabel(job));
+    for (size_t i = 0; i < list.size(); ++i)
+        labels.push_back(jobLabel(list.job(i)));
     trace.write(spans, labels);
 
     std::printf("%s seed %llu traced: %zu jobs attempted, %zu failed; "

@@ -55,7 +55,7 @@ class Rng
     uint64_t state_;
 };
 
-/** One operation: a sweep document evaluated end to end. */
+/** What one operation runs: a sweep document evaluated end to end. */
 struct Job
 {
     /** The sweep document, as a file or a submit frame carries it. */
@@ -66,19 +66,23 @@ struct Job
     size_t shardCount = 1;
     /** Studies: the golden key the energies are checked against. */
     std::string study;
-    /** Jobs running the same document share this index. */
-    size_t doc = 0;
 };
 
 /** Everything one workload runs, generated before any timing. */
 struct JobList
 {
-    std::vector<Job> jobs;
+    /** The distinct documents, each held once. */
+    std::vector<Job> docs;
+    /** The jobs in list order: job i runs docs[order[i]]. */
+    std::vector<size_t> order;
     /** The untimed warm-up job; the same for every seed. */
     Job warmup;
     /** Grid and studies: the canonical detector sweep, which their
      *  traced runs submit once to measure the serve layer. */
     Job probe;
+
+    size_t size() const { return order.size(); }
+    const Job &job(size_t i) const { return docs[order[i]]; }
 };
 
 /** Per-category golden energies of one study [J per frame]. */
@@ -156,6 +160,9 @@ struct JobRun
     /** Job start -> first / last result line. */
     double firstSeconds = 0.0;
     double lastSeconds = 0.0;
+    /** Job start -> the engine and its sinks destroyed and the stream
+     *  handed back: everything the job costs. */
+    double totalSeconds = 0.0;
 };
 
 /**
@@ -192,8 +199,9 @@ std::string replayJob(const Job &job, bool served, size_t job_index,
 void tracePrefilter(const Job &job, size_t job_index, Trace &trace);
 
 /** Per-point stage split: materialize + EvalPipeline::runAllTimed
- *  over up to @p max_points points of @p jobs, from scratch. */
-void traceFullBuilds(const std::vector<Job> &jobs, size_t max_points,
+ *  over up to @p max_points points of the documents @p docs, from
+ *  scratch. */
+void traceFullBuilds(const std::vector<Job> &docs, size_t max_points,
                      uint64_t seed, Trace &trace);
 
 /** The from-scratch reference of a job: Simulator::run +
@@ -267,12 +275,12 @@ struct ServedRun
 
 /**
  * Closed loop: @p clients connections, each submitting its share of
- * the first @p count of @p jobs (job i goes to connection i mod
+ * the first @p count jobs of @p list (job i goes to connection i mod
  * clients) one after the other. With @p trace the protocol is driven
  * frame by frame and each phase is recorded; otherwise through
  * serve::Client, as `camj_client submit` does.
  */
-std::vector<ServedRun> runServedJobs(int port, const std::vector<Job> &jobs,
+std::vector<ServedRun> runServedJobs(int port, const JobList &list,
                                      size_t count, size_t clients,
                                      Trace *trace);
 

@@ -308,7 +308,7 @@ submitOnce(int port, const Job &job, Trace *trace, size_t job_index)
 }
 
 std::vector<ServedRun>
-runServedJobs(int port, const std::vector<Job> &jobs, size_t count,
+runServedJobs(int port, const JobList &list, size_t count,
               size_t clients, Trace *trace)
 {
     std::vector<ServedRun> runs(count);
@@ -330,11 +330,11 @@ runServedJobs(int port, const std::vector<Job> &jobs, size_t count,
                 if (trace != nullptr) {
                     if (!raw[c])
                         raw[c] = std::make_unique<Connection>(port);
-                    runs[i] = tracedSubmit(*raw[c], jobs[i], traces[c], i);
+                    runs[i] = tracedSubmit(*raw[c], list.job(i), traces[c], i);
                 } else {
                     if (!plain[c])
                         plain[c] = std::make_unique<serve::Client>(port);
-                    runs[i] = plainSubmit(*plain[c], jobs[i]);
+                    runs[i] = plainSubmit(*plain[c], list.job(i));
                 }
             } catch (const std::exception &e) {
                 runs[i].error = e.what();

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <fstream>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -209,30 +208,34 @@ runSweepJob(const Job &job)
     JobRun run;
     std::ostringstream out;
     const Clock::time_point t0 = Clock::now();
-    const json::Value raw = json::Value::parse(job.text);
-    const spec::SweepDocument doc = spec::sweepDocumentFromJson(job.text);
-    lintOrThrow(raw);
-    spec::GridSpecSource grid = doc.source();
-    const spec::ShardAssignment slice =
-        jobSlices(job, grid.totalPoints(), false).front();
-    spec::ShardSpecSource source(grid, slice);
-    SweepOptions options;
-    options.threads = 1;
-    options.incremental = true;
-    SweepEngine engine(options);
-    JsonlSink lines(out);
-    StampSink stamp(lines);
-    ReindexSink global(stamp, [&](size_t local) {
-        return slice.globalIndex(local);
-    });
-    InOrderSink ordered(global);
-    engine.runStream(source, ordered);
-    run.bytes = std::move(out).str();
-    run.lines = stamp.lines;
-    if (stamp.lines > 0) {
-        run.firstSeconds = secondsBetween(t0, stamp.first);
-        run.lastSeconds = secondsBetween(t0, stamp.last);
+    {
+        const json::Value raw = json::Value::parse(job.text);
+        const spec::SweepDocument doc =
+            spec::sweepDocumentFromJson(job.text);
+        lintOrThrow(raw);
+        spec::GridSpecSource grid = doc.source();
+        const spec::ShardAssignment slice =
+            jobSlices(job, grid.totalPoints(), false).front();
+        spec::ShardSpecSource source(grid, slice);
+        SweepOptions options;
+        options.threads = 1;
+        options.incremental = true;
+        SweepEngine engine(options);
+        JsonlSink lines(out);
+        StampSink stamp(lines);
+        ReindexSink global(stamp, [&](size_t local) {
+            return slice.globalIndex(local);
+        });
+        InOrderSink ordered(global);
+        engine.runStream(source, ordered);
+        run.lines = stamp.lines;
+        if (stamp.lines > 0) {
+            run.firstSeconds = secondsBetween(t0, stamp.first);
+            run.lastSeconds = secondsBetween(t0, stamp.last);
+        }
     }
+    run.bytes = std::move(out).str();
+    run.totalSeconds = secondsBetween(t0, Clock::now());
     return run;
 }
 
@@ -314,20 +317,14 @@ tracePrefilter(const Job &job, size_t job_index, Trace &trace)
 }
 
 void
-traceFullBuilds(const std::vector<Job> &jobs, size_t max_points,
+traceFullBuilds(const std::vector<Job> &docs, size_t max_points,
                 uint64_t seed, Trace &trace)
 {
-    // Distinct documents, then a seeded sample of their points.
-    std::vector<const Job *> docs;
-    std::set<std::string> seen;
-    for (const Job &job : jobs) {
-        if (seen.insert(job.text).second)
-            docs.push_back(&job);
-    }
+    // A seeded sample of the documents' points.
     std::vector<spec::SweepDocument> parsed;
     std::vector<std::pair<size_t, size_t>> points; // (doc, index)
     for (size_t d = 0; d < docs.size(); ++d) {
-        parsed.push_back(spec::sweepDocumentFromJson(docs[d]->text));
+        parsed.push_back(spec::sweepDocumentFromJson(docs[d].text));
         for (size_t i = 0; i < parsed.back().grid.points(); ++i)
             points.emplace_back(d, i);
     }
