@@ -35,8 +35,8 @@ sweepEdgazeDigitalMixed()
         },
         4);
     CollectSink sink;
-    // Ride the incremental staged-evaluation path (bit-identical to
-    // full rebuilds; see explore/incremental.h).
+    // Memo evaluation: each worker's points share one cycle-sim memo
+    // (bit-identical to plain runs; see explore/incremental.h).
     SweepEngine(SweepOptions{.incremental = true})
         .runStream(source, sink);
     for (const SweepResult &r : sink.results()) {

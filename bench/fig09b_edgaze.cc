@@ -80,8 +80,8 @@ main()
         return true;
     });
     InOrderSink inorder(print);
-    // Ride the incremental staged-evaluation path (bit-identical
-    // to full rebuilds; see explore/incremental.h).
+    // Memo evaluation: each worker's points share one cycle-sim memo
+    // (bit-identical to plain runs; see explore/incremental.h).
     SweepEngine(SweepOptions{.incremental = true}).runStream(source, inorder);
     if (failed)
         return 1;

@@ -18,8 +18,8 @@
  * grid, plus the merge), the statically prefiltered sweep (a
  * widened grid with provably infeasible axis values, pruned by
  * GridAnalyzer with zero tolerated false positives), the strided
- * sweep (the gen-2 compiled-point LRU under a stride-12 shard order,
- * against a gen-1 last-point-only emulation), the cached sweep
+ * sweep (the cycle-sim memo's hits and misses over the canonical
+ * grid in row-major and stride-12 order), the cached sweep
  * (the content-addressed on-disk outcome store, cold vs. warm), the
  * cycle-sim engine pair (a cycle-dominated frame through the
  * fast-forward engine vs. the tick-loop reference — counters must be
@@ -252,30 +252,6 @@ class LegacyGridSource : public spec::IndexableSpecSource
         return at(i);
     }
 
-    std::optional<std::vector<std::string>> changedPaths(
-        size_t from, size_t to) const override
-    {
-        if (from >= total_ || to >= total_)
-            return std::nullopt;
-        std::vector<std::string> paths;
-        if (from == to)
-            return paths;
-        size_t stride = total_;
-        for (const spec::GridAxis &axis : grid_.axes) {
-            stride /= axis.values.size();
-            const json::Value &va =
-                axis.values[(from / stride) % axis.values.size()];
-            const json::Value &vb =
-                axis.values[(to / stride) % axis.values.size()];
-            // The pre-overhaul serialized comparison.
-            if (va.dump(0) != vb.dump(0))
-                paths.push_back(axis.path);
-        }
-        if (!paths.empty())
-            paths.push_back("name");
-        return paths;
-    }
-
   private:
     json::Value baseDoc_;
     std::string baseName_;
@@ -415,7 +391,6 @@ BM_SweepStreaming(benchmark::State &state)
     std::vector<spec::DesignSpec> specs = sweepBatch(1);
     SweepOptions options;
     options.threads = static_cast<int>(state.range(0));
-    options.reuseMaterializations = true;
     SweepEngine engine(options);
     for (auto _ : state) {
         spec::VectorSpecSource source(specs);
@@ -662,7 +637,6 @@ runShardJsonl(const spec::SweepDocument &doc,
     InOrderSink ordered(global);
     SweepOptions options;
     options.threads = 1;
-    options.reuseMaterializations = true;
     SweepEngine engine(options);
     engine.runStream(source, ordered);
     return out.str();
@@ -847,11 +821,10 @@ writeBenchJson()
     doc.set("usecaseSweep", std::move(usecase));
 
     // Streaming sweep: the SAME spec set as the batch sections
-    // through runStream (callback sink, per-worker materialization
-    // cache) — the acceptance bar is throughput >= the batch path.
+    // through runStream (callback sink) — the acceptance bar is
+    // throughput >= the batch path.
     SweepOptions stream_options;
     stream_options.threads = threads;
-    stream_options.reuseMaterializations = true;
     SweepEngine stream_engine(stream_options);
     timeStreaming(stream_engine, specs); // warm-up
     double stream_seconds = 1e30;
@@ -943,11 +916,11 @@ writeBenchJson()
     expansion.set("identicalToLegacy", json::Value(true));
     grid.set("expansion", std::move(expansion));
 
-    // Pipeline bars: the product-default grid pipeline (incremental
+    // Pipeline bars: the product-default grid pipeline (memo
     // evaluation over the lazily expanded grid) through both
     // expansion paths, single thread each, in-order JSONL. The two
-    // outputs must be byte-identical — hashed dispatch keys plus
-    // in-place expansion are optimizations, never different answers.
+    // outputs must be byte-identical — in-place expansion is an
+    // optimization, never a different answer.
     auto time_grid_pipeline = [&](bool legacy, std::string *bytes) {
         std::ostringstream out;
         JsonlSink lines(out);
@@ -997,15 +970,16 @@ writeBenchJson()
     const double exp_newd = n_expd / exp_new_seconds;
     const double exp_legacyd = n_expd / exp_legacy_seconds;
 
-    // Incremental sweep: the canonical grid once through the classic
-    // full-rebuild path and once through per-worker
-    // IncrementalEvaluators (SweepOptions::incremental), single
-    // thread each so the comparison isolates the staged
-    // re-evaluation win on the 1-core CI container. The two in-order
-    // JSONL outputs must be byte-identical — the incremental path is
-    // an optimization, never a different answer.
+    // Incremental sweep: the canonical grid once through plain
+    // per-point Simulator runs and once through per-worker memo
+    // evaluators (SweepOptions::incremental), single thread each so
+    // the comparison isolates the cycle-sim memo's win on a 1-core
+    // container. The two in-order JSONL outputs must be
+    // byte-identical — the memo is an optimization, never a
+    // different answer.
     const spec::SweepDocument inc_doc = shardedStudyDocument();
     const size_t n_inc = inc_doc.grid.points();
+    CycleSimMemoStats inc_memo;
     auto time_grid_jsonl = [&](bool incremental, std::string *bytes) {
         std::ostringstream out;
         spec::GridSpecSource source = inc_doc.source();
@@ -1014,11 +988,12 @@ writeBenchJson()
         SweepOptions o;
         o.threads = 1;
         o.incremental = incremental;
-        o.reuseMaterializations = !incremental;
         SweepEngine inc_engine(o);
         const auto t0 = std::chrono::steady_clock::now();
-        inc_engine.runStream(source, ordered);
+        const StreamStats st = inc_engine.runStream(source, ordered);
         const auto t1 = std::chrono::steady_clock::now();
+        if (incremental)
+            inc_memo = st.cycleSimMemo;
         if (bytes != nullptr)
             *bytes = out.str();
         return std::chrono::duration<double>(t1 - t0).count();
@@ -1033,25 +1008,22 @@ writeBenchJson()
                                time_grid_jsonl(true, &inc_bytes));
     }
     if (inc_bytes != full_bytes) {
-        std::fprintf(stderr, "error: incremental sweep output "
-                     "differs from the full-rebuild run\n");
+        std::fprintf(stderr, "error: memo sweep output differs from "
+                     "the plain per-point run\n");
         return false;
     }
     const double n_incd = static_cast<double>(n_inc);
     json::Value incremental = json::Value::makeObject();
     incremental.set("designPoints",
                     json::Value(static_cast<int64_t>(n_inc)));
-    json::Value full_rebuild = json::Value::makeObject();
-    full_rebuild.set("seconds", json::Value(full_seconds));
-    full_rebuild.set("designsPerSec",
-                     json::Value(n_incd / full_seconds));
-    incremental.set("fullRebuild", std::move(full_rebuild));
-    json::Value inc_run = json::Value::makeObject();
-    inc_run.set("seconds", json::Value(inc_seconds));
-    inc_run.set("designsPerSec", json::Value(n_incd / inc_seconds));
-    incremental.set("incremental", std::move(inc_run));
+    setTimedRun(incremental, "fullRebuild", n_inc, full_seconds);
+    setTimedRun(incremental, "incremental", n_inc, inc_seconds);
     incremental.set("speedup",
                     json::Value(full_seconds / inc_seconds));
+    incremental.set("memoHits", json::Value(static_cast<int64_t>(
+                                    inc_memo.hits)));
+    incremental.set("memoMisses", json::Value(static_cast<int64_t>(
+                                      inc_memo.misses)));
     incremental.set("identicalToFullRebuild", json::Value(true));
     doc.set("incrementalSweep", std::move(incremental));
 
@@ -1169,7 +1141,6 @@ writeBenchJson()
     auto time_prefiltered = [&](bool filtered) {
         SweepOptions o;
         o.threads = 1;
-        o.reuseMaterializations = true;
         SweepEngine pre_engine(o);
         size_t delivered = 0;
         CallbackSink count([&](SweepResult) {
@@ -1220,95 +1191,65 @@ writeBenchJson()
                     json::Value(unfiltered_seconds / filtered_seconds));
     doc.set("prefilteredSweep", std::move(prefiltered));
 
-    // Strided sweep: the canonical study visited column-major (every
-    // 12th point, then the next column) — the `camj_sweep plan --mode
-    // strided` shard order, where consecutive points revisit one
-    // structural family at a time across the full rate axis. Three
-    // passes over the SAME order: a from-scratch Simulator (the
-    // byte-identity reference), a gen-1 emulation (1-entry cache that
-    // drops its compiled point at every infeasible result, as the
-    // pre-LRU evaluator did), and the gen-2 LRU evaluator. Always the
-    // full 108-point grid, so the tracked speedup is comparable
-    // across runs; the gen-2 pass must beat the gen-1 emulation by
-    // >= 2x and both must reproduce the reference bytes exactly.
+    // Strided sweep: the canonical study through one memo evaluator
+    // in row-major order and in the stride-12 order of `camj_sweep
+    // plan --mode strided` (every 12th point, then the next column),
+    // which revisits every rate in each column. The strided pass is
+    // timed against a from-scratch Simulator in the same order and
+    // both passes must reproduce its bytes. Always the full 108-point
+    // grid, so the memo counts are exact: each order simulates each
+    // distinct cycle-sim topology once (floored in
+    // scripts/check_bench_floors.py).
     const spec::SweepDocument strided_doc = spec::sampleDetectorStudy();
     spec::GridSpecSource strided_grid = strided_doc.source();
     const size_t n_strided = strided_grid.totalPoints();
     const size_t stride = 12; // 4 buffer nodes x 3 duty cycles
-    std::vector<size_t> strided_order;
+    std::vector<size_t> strided_order, row_major_order;
     for (size_t k = 0; k < stride; ++k)
         for (size_t i = k; i < n_strided; i += stride)
             strided_order.push_back(i);
+    for (size_t i = 0; i < n_strided; ++i)
+        row_major_order.push_back(i);
     SimulationOptions strided_opts;
     strided_opts.checkMode = CheckMode::Report;
 
-    auto time_strided_reference = [&](std::string *bytes) {
+    // One JSONL line per grid index, in @p order, keyed by grid index
+    // so orders compare line for line.
+    auto time_order = [&](const std::vector<size_t> &order, bool memo,
+                          std::vector<std::string> *lines,
+                          CycleSimMemoStats *memo_stats) {
+        lines->assign(n_strided, {});
         const auto t0 = std::chrono::steady_clock::now();
-        Simulator sim(strided_opts);
-        std::string out;
-        size_t pos = 0;
-        for (size_t idx : strided_order) {
+        const Simulator sim(strided_opts);
+        IncrementalEvaluator inc(strided_opts);
+        for (size_t idx : order) {
             const spec::DesignSpec s = strided_grid.at(idx);
-            out += lineFor(pos++, s, sim.run(s));
+            (*lines)[idx] =
+                lineFor(idx, s, memo ? inc.evaluate(s) : sim.run(s));
         }
         const auto t1 = std::chrono::steady_clock::now();
-        if (bytes != nullptr)
-            *bytes = std::move(out);
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-    auto time_strided_incremental = [&](size_t cache_entries,
-                                        bool gen1_eviction,
-                                        std::string *bytes) {
-        const auto t0 = std::chrono::steady_clock::now();
-        IncrementalEvaluator inc(strided_opts, cache_entries);
-        std::string out;
-        std::optional<size_t> last;
-        size_t pos = 0;
-        for (size_t idx : strided_order) {
-            const spec::DesignSpec s = strided_grid.at(idx);
-            std::optional<std::vector<std::string>> hint;
-            if (last)
-                hint = strided_grid.changedPaths(*last, idx);
-            SimulationOutcome o =
-                hint ? inc.evaluate(s, *hint) : inc.evaluate(s);
-            if (gen1_eviction && !o.feasible)
-                inc.reset(); // the gen-1 infeasible-point cache thrash
-            out += lineFor(pos++, s, std::move(o));
-            last = idx;
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        if (bytes != nullptr)
-            *bytes = std::move(out);
+        if (memo_stats != nullptr)
+            *memo_stats = inc.memo().stats();
         return std::chrono::duration<double>(t1 - t0).count();
     };
 
-    std::string strided_ref, gen1_bytes, gen2_bytes;
-    time_strided_reference(nullptr); // warm-up
-    double strided_ref_seconds = 1e30;
-    double gen1_seconds = 1e30, gen2_seconds = 1e30;
+    std::vector<std::string> strided_ref, strided_lines, row_lines;
+    CycleSimMemoStats strided_memo, row_memo;
+    time_order(strided_order, false, &strided_ref, nullptr); // warm-up
+    double strided_ref_seconds = 1e30, strided_memo_seconds = 1e30;
     for (int rep = 0; rep < 2; ++rep) {
-        strided_ref_seconds =
-            std::min(strided_ref_seconds,
-                     time_strided_reference(&strided_ref));
-        gen1_seconds = std::min(
-            gen1_seconds,
-            time_strided_incremental(1, true, &gen1_bytes));
-        gen2_seconds = std::min(
-            gen2_seconds,
-            time_strided_incremental(
-                IncrementalEvaluator::kDefaultCacheEntries, false,
-                &gen2_bytes));
+        strided_ref_seconds = std::min(
+            strided_ref_seconds,
+            time_order(strided_order, false, &strided_ref, nullptr));
+        strided_memo_seconds = std::min(
+            strided_memo_seconds,
+            time_order(strided_order, true, &strided_lines,
+                       &strided_memo));
     }
-    if (gen2_bytes != strided_ref || gen1_bytes != strided_ref) {
-        std::fprintf(stderr, "error: strided incremental sweep output "
-                     "differs from the full-rebuild reference\n");
-        return false;
-    }
-    const double strided_speedup = gen1_seconds / gen2_seconds;
-    if (strided_speedup < 2.0) {
-        std::fprintf(stderr, "error: strided-order LRU sweep is only "
-                     "%.2fx the gen-1 last-point-only emulation "
-                     "(bar: 2.0x)\n", strided_speedup);
+    time_order(row_major_order, true, &row_lines, &row_memo);
+    if (strided_lines != strided_ref || row_lines != strided_ref) {
+        std::fprintf(stderr, "error: memo sweep output differs from "
+                     "the from-scratch reference\n");
         return false;
     }
     json::Value strided = json::Value::makeObject();
@@ -1317,11 +1258,17 @@ writeBenchJson()
     strided.set("stride", json::Value(static_cast<int64_t>(stride)));
     setTimedRun(strided, "fullRebuild", n_strided,
                 strided_ref_seconds);
-    setTimedRun(strided, "gen1LastPointOnly", n_strided, gen1_seconds);
-    setTimedRun(strided, "gen2Lru", n_strided, gen2_seconds);
-    strided.set("speedupVsGen1", json::Value(strided_speedup));
+    setTimedRun(strided, "memo", n_strided, strided_memo_seconds);
     strided.set("speedupVsFullRebuild",
-                json::Value(strided_ref_seconds / gen2_seconds));
+                json::Value(strided_ref_seconds / strided_memo_seconds));
+    strided.set("memoHits", json::Value(static_cast<int64_t>(
+                                strided_memo.hits)));
+    strided.set("memoMisses", json::Value(static_cast<int64_t>(
+                                  strided_memo.misses)));
+    strided.set("rowMajorMemoHits", json::Value(static_cast<int64_t>(
+                                        row_memo.hits)));
+    strided.set("rowMajorMemoMisses", json::Value(static_cast<int64_t>(
+                                          row_memo.misses)));
     strided.set("identicalToFullRebuild", json::Value(true));
     doc.set("stridedSweep", std::move(strided));
 
@@ -1344,7 +1291,6 @@ writeBenchJson()
         SweepOptions o;
         o.threads = 1;
         o.incremental = incremental;
-        o.reuseMaterializations = !incremental;
         o.cacheDir = dir;
         SweepEngine cached_engine(o);
         const auto t0 = std::chrono::steady_clock::now();
@@ -1671,9 +1617,11 @@ writeBenchJson()
                 n_expd / legacy_pipeline_seconds,
                 legacy_pipeline_seconds / pipeline_seconds);
     std::printf("incremental sweep: %zu points, %.1f designs/sec "
-                "full rebuild vs %.1f incremental (%.2fx), outputs "
-                "byte-identical\n", n_inc, n_incd / full_seconds,
-                n_incd / inc_seconds, full_seconds / inc_seconds);
+                "full rebuild vs %.1f through the memo (%.2fx; %zu "
+                "memo hits, %zu misses), outputs byte-identical\n",
+                n_inc, n_incd / full_seconds, n_incd / inc_seconds,
+                full_seconds / inc_seconds, inc_memo.hits,
+                inc_memo.misses);
     std::printf("sharded sweep: %zu points, %.1f designs/sec in 1 "
                 "process, %.1f designs/sec across %zu processes "
                 "(%.2fx); merge of %zu shard files byte-identical in "
@@ -1688,13 +1636,14 @@ writeBenchJson()
                 static_cast<double>(n_pre) / unfiltered_seconds,
                 static_cast<double>(n_pre) / filtered_seconds,
                 unfiltered_seconds / filtered_seconds);
-    std::printf("strided sweep: %zu points, %.1f designs/sec gen-1 "
-                "last-point-only vs %.1f gen-2 LRU (%.2fx, bar 2.0x; "
-                "%.2fx vs full rebuild), outputs byte-identical\n",
+    std::printf("strided sweep: %zu points, %.1f designs/sec full "
+                "rebuild vs %.1f through the memo (%.2fx); memo misses "
+                "%zu strided, %zu row-major; outputs byte-identical\n",
                 n_strided,
-                static_cast<double>(n_strided) / gen1_seconds,
-                static_cast<double>(n_strided) / gen2_seconds,
-                strided_speedup, strided_ref_seconds / gen2_seconds);
+                static_cast<double>(n_strided) / strided_ref_seconds,
+                static_cast<double>(n_strided) / strided_memo_seconds,
+                strided_ref_seconds / strided_memo_seconds,
+                strided_memo.misses, row_memo.misses);
     std::printf("cached sweep: %zu points through %s, %.3fs cold, "
                 "%.3fs warm (%.1fx vs full rebuild)%s, outputs "
                 "byte-identical\n", n_cachedpts, cache_dir.c_str(),

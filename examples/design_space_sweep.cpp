@@ -52,7 +52,7 @@ main()
     SweepOptions options;
     options.threads = 4;
     options.sim.withNoise = true;
-    options.incremental = true; // staged re-eval across fps deltas
+    options.incremental = true; // per-worker cycle-sim memo
     SweepEngine engine(options);
 
     std::printf("Design-space sweep: always-on detector, FPS x node "

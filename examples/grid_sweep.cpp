@@ -46,7 +46,7 @@ main()
 
     SweepOptions options;
     options.threads = 4;
-    options.incremental = true; // staged re-eval across grid deltas
+    options.incremental = true; // per-worker cycle-sim memo
     SweepEngine engine(options);
 
     TopKSink best(5);

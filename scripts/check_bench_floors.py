@@ -7,9 +7,10 @@ The floors are deliberately conservative (roughly an order of
 magnitude under a warm developer machine) so shared CI runners don't
 flake, while a real hot-path regression — an accidental O(n^2), a
 re-introduced allocation storm, a lost cache fast-path — still trips
-them. Ratio floors (speedups, byte-identity flags) carry the real
-acceptance bars: they compare two paths measured on the same host in
-the same process, so they are immune to runner speed.
+them. Ratio floors (speedups, byte-identity flags) and exact work
+counters (memo misses) carry the real acceptance bars: they compare
+two paths measured on the same host in the same process, or count
+deterministic work, so they are immune to runner speed.
 
 Usage:
     check_bench_floors.py BENCH_simulator.json [--summary OUT.md]
@@ -24,8 +25,9 @@ import argparse
 import json
 import sys
 
-# (json path, floor, kind) — kind "min" for >=, "max" for <=,
-# "true" for must-be-true. Paths are dot-separated member chains.
+# (json path, floor, kind) — kind "min" for >=, "max" for <=, "eq"
+# for an exact count, "true" for must-be-true. Paths are dot-separated
+# member chains.
 FLOORS = [
     # specOps: the JSON hot-path primitives. Absolute floors are the
     # runner-tolerant backstop; the allocation counts are exact
@@ -49,10 +51,16 @@ FLOORS = [
     ("gridSweep.expansion.identicalToLegacy", None, "true"),
     ("gridSweep.expansion.inPlace.designsPerSec", 20000, "min"),
     ("gridSweep.pipelineIdenticalAcrossPaths", None, "true"),
-    # Staged re-evaluation and the compiled-point LRU.
+    # The per-worker cycle-sim memo: the memo evaluator against plain
+    # per-point Simulator runs, and exact miss counts over the
+    # canonical grid — one per distinct cycle-sim topology (1 pass-A
+    # plus 7 pass-B), in row-major and stride-12 order alike. A miss
+    # count above 8 means the memo key or bound regressed; below 8, a
+    # topology was answered that should have been simulated.
     ("incrementalSweep.speedup", 2.0, "min"),
     ("incrementalSweep.identicalToFullRebuild", None, "true"),
-    ("stridedSweep.speedupVsGen1", 2.0, "min"),
+    ("stridedSweep.memoMisses", 8, "eq"),
+    ("stridedSweep.rowMajorMemoMisses", 8, "eq"),
     ("stridedSweep.identicalToFullRebuild", None, "true"),
     # The on-disk outcome store must stay an optimization, never a
     # different answer.
@@ -106,10 +114,13 @@ def check(doc):
             ok = value >= floor
         elif kind == "max":
             ok = value <= floor
+        elif kind == "eq":
+            ok = value == floor
         else:
             ok = value is True
         if not ok:
-            bound = {"min": ">=", "max": "<=", "true": "=="}[kind]
+            bound = {"min": ">=", "max": "<=", "eq": "==",
+                     "true": "=="}[kind]
             want = floor if kind != "true" else True
             failures.append(
                 f"{path}: {fmt(value)} (wants {bound} {fmt(want)})")
@@ -126,7 +137,8 @@ def write_summary(out_path, rows, baseline):
         "|---|---|" + ("---|" if baseline else "") + "---|---|",
     ]
     for path, value, floor, kind, ok in rows:
-        bound = {"min": ">= ", "max": "<= ", "true": "== true, "}[kind]
+        bound = {"min": ">= ", "max": "<= ", "eq": "== ",
+                 "true": "== true, "}[kind]
         floor_txt = bound + (fmt(floor) if kind != "true" else "")
         floor_txt = floor_txt.rstrip(", ")
         cells = [path, fmt(value)]

@@ -343,14 +343,6 @@ PrefilterSpecSource::nextIndexed(size_t &index)
     return inner_.at(survivors_[local]);
 }
 
-std::optional<std::vector<std::string>>
-PrefilterSpecSource::changedPaths(size_t from, size_t to) const
-{
-    if (from >= survivors_.size() || to >= survivors_.size())
-        return std::nullopt;
-    return inner_.changedPaths(survivors_[from], survivors_[to]);
-}
-
 DesignSpec
 PrefilterSpecSource::at(size_t index) const
 {

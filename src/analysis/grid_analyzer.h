@@ -154,8 +154,6 @@ class PrefilterSpecSource : public spec::IndexableSpecSource
     }
     bool concurrentPulls() const override { return true; }
     std::optional<spec::DesignSpec> nextIndexed(size_t &index) override;
-    std::optional<std::vector<std::string>> changedPaths(
-        size_t from, size_t to) const override;
 
     spec::DesignSpec at(size_t index) const override;
     size_t totalPoints() const override { return survivors_.size(); }

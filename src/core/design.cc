@@ -103,7 +103,11 @@ registeredNames(const Range &range, NameFn name)
     for (const auto &item : range) {
         if (!out.empty())
             out += ", ";
-        out += "'" + name(item) + "'";
+        // Appended piecewise: `"'" + name(item)` trips a gcc 12
+        // -Wrestrict false positive inside libstdc++'s insert().
+        out += '\'';
+        out += name(item);
+        out += '\'';
     }
     return out.empty() ? "<none>" : out;
 }
@@ -202,39 +206,13 @@ Design::setPipelineOutputBytes(int64_t bytes)
 EnergyReport
 Design::simulate(CycleSimStats *sim_stats) const
 {
-    // The staged evaluation pipeline run end to end — see
-    // core/pipeline.h for the stage decomposition the incremental
-    // evaluator re-runs suffixes of.
+    // The staged evaluation pipeline run end to end (see
+    // core/pipeline.h for the stage decomposition).
     EvalPipeline pipeline;
     EnergyReport report = pipeline.runAll(*this);
     if (sim_stats != nullptr)
         *sim_stats = pipeline.simStats();
     return report;
-}
-
-void
-Design::setName(std::string name)
-{
-    if (name.empty())
-        fatal("Design: empty name");
-    params_.name = std::move(name);
-}
-
-void
-Design::setFps(double fps)
-{
-    if (fps <= 0.0)
-        fatal("Design %s: fps must be positive", params_.name.c_str());
-    params_.fps = fps;
-}
-
-void
-Design::setDigitalClock(Frequency clock)
-{
-    if (clock <= 0.0)
-        fatal("Design %s: digital clock must be positive",
-              params_.name.c_str());
-    params_.digitalClock = clock;
 }
 
 } // namespace camj

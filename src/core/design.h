@@ -131,22 +131,6 @@ class Design
      */
     EnergyReport simulate(CycleSimStats *sim_stats = nullptr) const;
 
-    // ----- incremental patch points -----
-    //
-    // The IncrementalEvaluator (explore/incremental.h) rebinds these
-    // scalar parameters on a cached Design instead of re-materializing
-    // the whole hardware description; each setter validates like the
-    // constructor does.
-
-    /** @throws ConfigError on an empty name. */
-    void setName(std::string name);
-
-    /** @throws ConfigError unless positive. */
-    void setFps(double fps);
-
-    /** @throws ConfigError unless positive. */
-    void setDigitalClock(Frequency clock);
-
   private:
     friend class EvalPipeline;
     struct AnalogEntry

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "common/logging.h"
 #include "core/area.h"
@@ -346,12 +345,11 @@ EvalPipeline::buildSim(const Design &d, double source_rate_elems) const
 }
 
 void
-EvalPipeline::runCycleSim(const Design &d)
+EvalPipeline::runCycleSim(const Design &d, CycleSimMemo *memo)
 {
     // Pass A: latency with a source matched to the first consumer's
     // appetite (the digital side is never input-bound).
     cyclesA_ = 0;
-    simBuilt_ = false;
     if (!haveDigital_)
         return;
     double fast_rate = 1.0;
@@ -367,8 +365,7 @@ EvalPipeline::runCycleSim(const Design &d)
         }
     }
     sim_ = buildSim(d, fast_rate);
-    simBuilt_ = true;
-    CycleSimResult ra = sim_.run();
+    const CycleSimResult ra = memo != nullptr ? memo->run(sim_) : sim_.run();
     cyclesA_ = ra.cycles;
     statsA_ = ra.stats;
 }
@@ -376,7 +373,7 @@ EvalPipeline::runCycleSim(const Design &d)
 // --------------------------------------------------------------- Timing
 
 void
-EvalPipeline::runTiming(const Design &d)
+EvalPipeline::runTiming(const Design &d, CycleSimMemo *memo)
 {
     const Time digital_latency =
         haveDigital_ ? static_cast<double>(cyclesA_) /
@@ -392,14 +389,10 @@ EvalPipeline::runTiming(const Design &d)
                           (delay_.analogUnitTime *
                            d.params_.digitalClock);
         // Pass B reuses pass A's built topology; the two passes only
-        // differ in the source rate. (A re-run starting at Timing on
-        // a pipeline without a built sim rebuilds it on demand.)
-        if (!simBuilt_) {
-            sim_ = buildSim(d, adc_rate);
-            simBuilt_ = true;
-        }
+        // differ in the source rate.
         sim_.setSourceRate(0, adc_rate);
-        CycleSimResult rb = sim_.run();
+        const CycleSimResult rb =
+            memo != nullptr ? memo->run(sim_) : sim_.run();
         statsB_ = rb.stats;
         if (rb.sourceBlocked) {
             fatal("Design %s: pipeline stall — the ADC output memory "
@@ -532,7 +525,8 @@ EvalPipeline::runEnergy(const Design &d)
 // ------------------------------------------------------------- the run
 
 void
-EvalPipeline::runStage(const Design &design, EvalStage stage)
+EvalPipeline::runStage(const Design &design, EvalStage stage,
+                       CycleSimMemo *memo)
 {
     switch (stage) {
       case EvalStage::Map:
@@ -545,10 +539,10 @@ EvalPipeline::runStage(const Design &design, EvalStage stage)
         runDigital(design);
         break;
       case EvalStage::CycleSim:
-        runCycleSim(design);
+        runCycleSim(design, memo);
         break;
       case EvalStage::Timing:
-        runTiming(design);
+        runTiming(design, memo);
         break;
       case EvalStage::Energy:
         runEnergy(design);
@@ -556,109 +550,40 @@ EvalPipeline::runStage(const Design &design, EvalStage stage)
     }
 }
 
-bool
-EvalPipeline::sameOutputs(const EvalPipeline &cached, EvalStage stage) const
-{
-    // Exact (bit-for-bit) comparison on purpose: the cutoff may only
-    // fire when the re-run stage reproduced its cached output EXACTLY,
-    // otherwise downstream reuse would break the bit-identity bar.
-    switch (stage) {
-      case EvalStage::Map:
-        return topo_ == cached.topo_ && topoPos_ == cached.topoPos_ &&
-               analogStages_ == cached.analogStages_ &&
-               unitStages_ == cached.unitStages_ &&
-               memPrefilled_ == cached.memPrefilled_;
-      case EvalStage::Analog:
-        return analogOps_ == cached.analogOps_ &&
-               volume_ == cached.volume_ &&
-               volumeBits_ == cached.volumeBits_;
-      case EvalStage::Digital:
-        return ustats_ == cached.ustats_ &&
-               memReadWords_ == cached.memReadWords_ &&
-               memWriteWords_ == cached.memWriteWords_ &&
-               memWriteElems_ == cached.memWriteElems_ &&
-               mipiBytes_ == cached.mipiBytes_ &&
-               tsvBytes_ == cached.tsvBytes_ &&
-               haveDigital_ == cached.haveDigital_;
-      case EvalStage::CycleSim:
-        return cyclesA_ == cached.cyclesA_;
-      case EvalStage::Timing:
-        return delay_.frameTime == cached.delay_.frameTime &&
-               delay_.digitalLatency == cached.delay_.digitalLatency &&
-               delay_.analogUnitTime == cached.delay_.analogUnitTime &&
-               delay_.numSlots == cached.delay_.numSlots;
-      case EvalStage::Energy:
-        break; // never compared: Energy has no downstream consumer
-    }
-    return false;
-}
-
 EnergyReport
-EvalPipeline::runFrom(const Design &design, EvalStage first)
-{
-    return runFrom(design, first, EvalStage::Energy);
-}
-
-EnergyReport
-EvalPipeline::runFrom(const Design &design, EvalStage first,
-                      EvalStage last_reader)
+EvalPipeline::run(const Design &design, CycleSimMemo *memo,
+                  double *seconds_out)
 {
     stagesEntered_ = 0;
-    cutoff_ = false;
     statsA_ = {};
     statsB_ = {};
-    const int first_idx = static_cast<int>(first);
-    const int reader_idx = static_cast<int>(last_reader);
-    // A cutoff is only sound when the caller vouches (via the
-    // dependency table's lastStage) that no stage AFTER last_reader
-    // reads the changed design fields directly — then, if every
-    // re-run stage up to last_reader reproduces its cached output
-    // byte-for-byte, the remaining cached outputs (including the
-    // report) are already the right answer.
-    const bool try_cutoff = reader_idx >= first_idx &&
-                            reader_idx < kEvalStageCount - 1;
-    std::optional<EvalPipeline> before;
-    if (try_cutoff)
-        before.emplace(*this);
-    bool equal_so_far = try_cutoff;
-    for (int s = first_idx; s < kEvalStageCount; ++s) {
-        const EvalStage stage = static_cast<EvalStage>(s);
+    for (int s = 0; s < kEvalStageCount; ++s) {
         ++stagesEntered_;
-        runStage(design, stage);
-        if (equal_so_far && s <= reader_idx) {
-            equal_so_far = sameOutputs(*before, stage);
-            if (equal_so_far && s == reader_idx) {
-                cutoff_ = true;
-                return report_;
-            }
+        const EvalStage stage = static_cast<EvalStage>(s);
+        if (seconds_out == nullptr) {
+            runStage(design, stage, memo);
+            continue;
         }
+        const auto t0 = std::chrono::steady_clock::now();
+        runStage(design, stage, memo);
+        seconds_out[s] += std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
     }
     return report_;
 }
 
 EnergyReport
-EvalPipeline::runAll(const Design &design)
+EvalPipeline::runAll(const Design &design, CycleSimMemo *memo)
 {
-    return runFrom(design, EvalStage::Map);
+    return run(design, memo, nullptr);
 }
 
 EnergyReport
 EvalPipeline::runAllTimed(const Design &design,
                           double seconds_out[/*kEvalStageCount*/])
 {
-    stagesEntered_ = 0;
-    cutoff_ = false;
-    statsA_ = {};
-    statsB_ = {};
-    for (int s = 0; s < kEvalStageCount; ++s) {
-        ++stagesEntered_;
-        const auto t0 = std::chrono::steady_clock::now();
-        runStage(design, static_cast<EvalStage>(s));
-        seconds_out[s] += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-    }
-    return report_;
+    return run(design, nullptr, seconds_out);
 }
 
 } // namespace camj

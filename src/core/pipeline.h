@@ -20,14 +20,12 @@
  *   Energy   — energy assembly into the EnergyReport.
  *
  * Running all stages in order is exactly the old simulate() —
- * Design::simulate() is now a thin wrapper over runAll(). The point
- * of the split is INCREMENTAL re-simulation: a compiled design point
- * keeps its EvalPipeline, and when a spec delta only invalidates a
- * suffix of the stage list (see explore/incremental.h for the
- * field -> stage dependency table), runFrom() re-runs just that
- * suffix against the cached earlier outputs — bit-identical to a
- * full rebuild, because every stage is a pure function of the design
- * and the outputs of the stages before it.
+ * Design::simulate() is now a thin wrapper over runAll(). The split
+ * lets a caller time each stage (runAllTimed) and count the stages a
+ * point entered before a check failed. Nearly all of a point's cost
+ * is the cycle-level simulation of the CycleSim and Timing stages,
+ * so that is the one place reuse pays: runAll() takes an optional
+ * CycleSimMemo (digital/cyclesim.h) and consults it for both passes.
  */
 
 #ifndef CAMJ_CORE_PIPELINE_H
@@ -64,41 +62,22 @@ inline constexpr int kEvalStageCount = 6;
 const char *evalStageName(EvalStage stage);
 
 /**
- * The persisted intermediate state of one evaluated design point —
- * the CompiledDesign IR's engine half. Each runX() stage reads the
- * design plus the outputs of earlier stages and overwrites its own
- * outputs; any failed check throws ConfigError exactly where the
- * monolithic simulate() did.
- *
- * An EvalPipeline is a plain value: copyable, and only meaningful
- * together with the Design it was last run against.
+ * The intermediate state of one evaluated design point. Each runX()
+ * stage reads the design plus the outputs of earlier stages and
+ * overwrites its own outputs; any failed check throws ConfigError
+ * exactly where the monolithic simulate() did.
  */
 class EvalPipeline
 {
   public:
-    /** Run every stage in order (the classic simulate()). */
-    EnergyReport runAll(const Design &design);
-
     /**
-     * Re-run the stage suffix starting at @p first against the cached
-     * outputs of the earlier stages. The caller guarantees those
-     * cached outputs are still valid for @p design (that is what the
-     * dependency table in explore/incremental.h establishes);
-     * given that, the result is bit-identical to runAll().
+     * Run every stage in order (the classic simulate()). With a
+     * @p memo, both cycle-sim passes are looked up in it first; the
+     * result is bit-identical either way, and only simStats() tells
+     * the difference (a hit simulates nothing).
      */
-    EnergyReport runFrom(const Design &design, EvalStage first);
-
-    /**
-     * runFrom() with an equality cut-off. @p last_reader is the
-     * LATEST stage that reads the changed design fields directly
-     * (the dependency table's lastStage); when every re-run stage up
-     * to and including it reproduces its cached output byte-for-byte,
-     * the dirty suffix stops there and the cached report is returned
-     * unchanged — bit-identical by construction, since all remaining
-     * stages would have read only unchanged inputs.
-     */
-    EnergyReport runFrom(const Design &design, EvalStage first,
-                         EvalStage last_reader);
+    EnergyReport runAll(const Design &design,
+                        CycleSimMemo *memo = nullptr);
 
     /**
      * runAll() with a per-stage wall-clock breakdown: the time spent
@@ -110,9 +89,6 @@ class EvalPipeline
     EnergyReport runAllTimed(const Design &design,
                              double seconds_out[/*kEvalStageCount*/]);
 
-    /** The Energy stage's output (valid after a successful run). */
-    const EnergyReport &report() const { return report_; }
-
     /** Cycle-sim execution diagnostics of the last run: pass A plus
      *  pass B, zero for passes the run skipped. */
     CycleSimStats simStats() const
@@ -122,13 +98,10 @@ class EvalPipeline
         return s;
     }
 
-    /** Stages the last runFrom()/runAll() actually entered (counted
-     *  before each stage runs, so a mid-stage ConfigError still
-     *  counts the throwing stage). */
+    /** Stages the last run actually entered (counted before each
+     *  stage runs, so a mid-stage ConfigError still counts the
+     *  throwing stage). */
     int stagesEntered() const { return stagesEntered_; }
-
-    /** True when the last runFrom() stopped at the equality cut-off. */
-    bool cutoffHit() const { return cutoff_; }
 
   private:
     /** Per-unit analytics of the Digital stage. */
@@ -141,8 +114,6 @@ class EvalPipeline
         std::vector<int64_t> portReadElems;
         int64_t writeElems = 0;
         int elemBits = 8;
-
-        bool operator==(const UnitStats &) const = default;
     };
 
     // ----- Map outputs -----
@@ -168,16 +139,10 @@ class EvalPipeline
 
     // ----- CycleSim outputs -----
     int64_t cyclesA_ = 0;
-    /**
-     * Pass A's built topology, reused by the Timing stage's pass B
-     * through CycleSim::setSourceRate() instead of a second
-     * buildSim(). Deliberately NOT part of sameOutputs(CycleSim) —
-     * the incremental cutoff contract only needs cyclesA_, and a
-     * re-run that starts at Timing rebuilds the sim on demand when
-     * this instance does not carry one.
-     */
+    /** Pass A's built topology, reused by the Timing stage's pass B
+     *  through CycleSim::setSourceRate() instead of a second
+     *  buildSim(). */
     CycleSim sim_;
-    bool simBuilt_ = false;
 
     // ----- Timing outputs -----
     DelayEstimate delay_;
@@ -187,20 +152,21 @@ class EvalPipeline
 
     // ----- run bookkeeping (not stage state) -----
     int stagesEntered_ = 0;
-    bool cutoff_ = false;
     /** Cycle-sim diagnostics of the last run (pass A / pass B). */
     CycleSimStats statsA_;
     CycleSimStats statsB_;
 
-    void runStage(const Design &d, EvalStage stage);
-    /** Stage @p stage's outputs equal @p cached's, bit-for-bit. */
-    bool sameOutputs(const EvalPipeline &cached, EvalStage stage) const;
+    /** Run every stage; time each into @p seconds_out when
+     *  non-null. */
+    EnergyReport run(const Design &d, CycleSimMemo *memo,
+                     double *seconds_out);
+    void runStage(const Design &d, EvalStage stage, CycleSimMemo *memo);
 
     void runMap(const Design &d);
     void runAnalog(const Design &d);
     void runDigital(const Design &d);
-    void runCycleSim(const Design &d);
-    void runTiming(const Design &d);
+    void runCycleSim(const Design &d, CycleSimMemo *memo);
+    void runTiming(const Design &d, CycleSimMemo *memo);
     void runEnergy(const Design &d);
 
     /** The cycle-level model shared by pass A (CycleSim stage) and

@@ -37,6 +37,7 @@
 #ifndef CAMJ_DIGITAL_CYCLESIM_H
 #define CAMJ_DIGITAL_CYCLESIM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -236,6 +237,10 @@ class CycleSim
                units_ == o.units_;
     }
 
+    /** A 64-bit hash of the topology: sameTopology(o) implies
+     *  topologyHash() == o.topologyHash(). */
+    uint64_t topologyHash() const;
+
     /**
      * Simulate one frame.
      *
@@ -254,6 +259,69 @@ class CycleSim
 
     CycleSimResult runTickLoop(int64_t max_cycles);
     CycleSimResult runFastForward(int64_t max_cycles);
+};
+
+/** Lookup traffic of a CycleSimMemo. */
+struct CycleSimMemoStats
+{
+    /** Lookups answered from the memo (nothing simulated). */
+    size_t hits = 0;
+    /** Lookups that ran the simulation. */
+    size_t misses = 0;
+
+    CycleSimMemoStats &operator+=(const CycleSimMemoStats &o)
+    {
+        hits += o.hits;
+        misses += o.misses;
+        return *this;
+    }
+};
+
+/**
+ * A bounded memo of CycleSim::run() results, keyed by the built
+ * topology (memories, sources with their quantized rates, units)
+ * plus the Mode the run would use. Neighboring points of a grid
+ * sweep rebuild the same few topologies over and over: a frame-rate
+ * axis only moves pass B's source rate, and axes such as a memory's
+ * node or duty cycle never reach the cycle model at all.
+ *
+ * A lookup hashes the topology first and verifies every candidate
+ * with sameTopology() and the mode, so a hash collision costs one
+ * comparison, never a wrong result. The mode is part of the key so
+ * that flipping CycleSim::setDefaultMode() re-simulates instead of
+ * serving the other engine's answer. A hit returns the stored
+ * result with zero CycleSimStats, because no cycle was simulated; a
+ * run that throws stores nothing. At most kCapacity entries are
+ * kept, least recently used evicted first.
+ *
+ * Not thread-safe: each sweep worker owns one, inside its
+ * IncrementalEvaluator.
+ */
+class CycleSimMemo
+{
+  public:
+    static constexpr size_t kCapacity = 16;
+
+    /** @p sim.run(), or the stored result of an identical earlier
+     *  run. @throws ConfigError as CycleSim::run() does. */
+    CycleSimResult run(CycleSim &sim);
+
+    /** Entries held (never more than kCapacity). */
+    size_t size() const { return entries_.size(); }
+
+    const CycleSimMemoStats &stats() const { return stats_; }
+
+  private:
+    struct Entry
+    {
+        uint64_t hash = 0;
+        CycleSim::Mode mode = CycleSim::Mode::FastForward;
+        CycleSim sim;
+        CycleSimResult result;
+    };
+    /** Most recently used first. */
+    std::vector<Entry> entries_;
+    CycleSimMemoStats stats_;
 };
 
 } // namespace camj

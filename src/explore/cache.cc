@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "explore/incremental.h"
 
 namespace camj
 {
@@ -26,20 +25,6 @@ namespace fs = std::filesystem;
  *  rebuilds. Format 2 embeds the spec DOCUMENT instead of a
  *  serialized key string. */
 constexpr int kOutcomeStoreFormat = 2;
-
-/** The evaluator can patch these onto a cached Design without
- *  re-materializing; the structural signature masks them out. */
-constexpr const char *kPatchableFields[] = {"name", "fps",
-                                            "digitalClock"};
-
-bool
-isPatchableField(const std::string &key)
-{
-    for (const char *field : kPatchableFields)
-        if (key == field)
-            return true;
-    return false;
-}
 
 /** A uint64 as 16 lower-case hex digits (cache file names). */
 std::string
@@ -125,53 +110,7 @@ reportFromJson(const json::Value &rep)
 
 } // namespace
 
-// ------------------------------------------------------- structural keys
-
-uint64_t
-structuralCacheKey(const json::Value &spec_doc)
-{
-    // Domain-separate from plain Value::hash chains so a signature
-    // never collides with a content hash of the same document by
-    // construction.
-    uint64_t h = json::hashBytes(json::kHashSeed, "camj-structural", 15);
-    if (!spec_doc.isObject())
-        return spec_doc.hash(h);
-    // Mirror Value::hash's object encoding, but hash each patchable
-    // member's value as null: "present but patchable" and "absent"
-    // keep distinct signatures, and no masked copy of the document
-    // is ever built.
-    static const json::Value null_value;
-    const json::Value::Object &obj = spec_doc.asObject();
-    const uint64_t n = obj.size();
-    h = json::hashBytes(h, &n, sizeof(n));
-    for (const auto &[key, value] : obj) {
-        const uint64_t kn = key.size();
-        h = json::hashBytes(h, &kn, sizeof(kn));
-        h = json::hashBytes(h, key.data(), key.size());
-        h = (isPatchableField(key) ? null_value : value).hash(h);
-    }
-    return h;
-}
-
-bool
-structurallyEqual(const json::Value &a, const json::Value &b)
-{
-    if (!a.isObject() || !b.isObject())
-        return a == b;
-    const json::Value::Object &oa = a.asObject();
-    const json::Value::Object &ob = b.asObject();
-    if (oa.size() != ob.size())
-        return false;
-    for (size_t i = 0; i < oa.size(); ++i) {
-        if (oa[i].first != ob[i].first)
-            return false;
-        if (isPatchableField(oa[i].first))
-            continue;
-        if (oa[i].second != ob[i].second)
-            return false;
-    }
-    return true;
-}
+// ------------------------------------------------------------ the store
 
 uint64_t
 outcomeCacheKey(const json::Value &spec_doc)
@@ -182,85 +121,6 @@ outcomeCacheKey(const json::Value &spec_doc)
     return spec_doc.hash(
         json::hashBytes(json::kHashSeed, s.data(), s.size()));
 }
-
-// ------------------------------------------------------ CompiledDesignLru
-
-struct CompiledDesignLru::Entry
-{
-    uint64_t key;
-    uint64_t id;
-    CompiledDesign compiled;
-};
-
-CompiledDesignLru::CompiledDesignLru(size_t capacity)
-    : capacity_(capacity < 1 ? 1 : capacity)
-{
-}
-
-CompiledDesignLru::~CompiledDesignLru() = default;
-CompiledDesignLru::CompiledDesignLru(CompiledDesignLru &&) noexcept =
-    default;
-CompiledDesignLru &CompiledDesignLru::operator=(
-    CompiledDesignLru &&) noexcept = default;
-
-uint64_t
-CompiledDesignLru::keyAt(size_t i)
-{
-    auto it = entries_.begin();
-    std::advance(it, static_cast<std::ptrdiff_t>(i));
-    return it->key;
-}
-
-uint64_t
-CompiledDesignLru::idAt(size_t i)
-{
-    auto it = entries_.begin();
-    std::advance(it, static_cast<std::ptrdiff_t>(i));
-    return it->id;
-}
-
-CompiledDesign *
-CompiledDesignLru::entryAt(size_t i)
-{
-    auto it = entries_.begin();
-    std::advance(it, static_cast<std::ptrdiff_t>(i));
-    return &it->compiled;
-}
-
-void
-CompiledDesignLru::promote(size_t i)
-{
-    auto it = entries_.begin();
-    std::advance(it, static_cast<std::ptrdiff_t>(i));
-    entries_.splice(entries_.begin(), entries_, it);
-}
-
-CompiledDesign *
-CompiledDesignLru::mostRecent()
-{
-    return entries_.empty() ? nullptr : &entries_.front().compiled;
-}
-
-uint64_t
-CompiledDesignLru::insert(uint64_t key, CompiledDesign compiled)
-{
-    ++stats_.inserts;
-    const uint64_t id = nextId_++;
-    entries_.push_front(Entry{key, id, std::move(compiled)});
-    while (entries_.size() > capacity_) {
-        entries_.pop_back();
-        ++stats_.evictions;
-    }
-    return id;
-}
-
-void
-CompiledDesignLru::clear()
-{
-    entries_.clear();
-}
-
-// ----------------------------------------------------------- OutcomeStore
 
 OutcomeStore::OutcomeStore(std::string dir) : dir_(std::move(dir))
 {

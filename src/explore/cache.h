@@ -1,28 +1,11 @@
 /**
  * @file
- * Generation-2 caches for incremental evaluation: an in-memory LRU of
- * CompiledDesigns keyed by a STRUCTURAL SIGNATURE, and a
- * content-addressed on-disk store of finished outcomes shared across
- * processes and restarts.
- *
- * The structural signature covers the spec document with the
- * scalar-patchable fields (name, fps, digitalClock) masked out: two
- * specs with equal signatures differ at most in fields the evaluator
- * can patch onto a cached Design without re-materializing. A worker
- * that sees points A, B, A' therefore resumes from the compiled A
- * instead of diffing against B — and an infeasible point, which never
- * produces a compiled entry, cannot evict the feasible base it was
- * evaluated against.
- *
- * Signatures are 64-bit structural hashes used as a FAST-PATH only:
- * every hash match is re-verified with a full masked tree equality
- * (structurallyEqual) before a base is trusted, so a hash collision
- * degrades to a diff/rebuild and can never patch the wrong base —
- * the bit-identity guarantee does not rest on hash uniqueness. The
- * on-disk store works the same way: the content hash only names the
- * file; each record embeds the full spec document, which is verified
- * structurally on load, so a filename collision or a corrupted file
- * degrades to a cache miss.
+ * The content-addressed on-disk store of finished outcomes, shared
+ * across evaluator instances, processes, and restarts. The content
+ * hash only names a record's file: each record embeds the full spec
+ * document, which is verified structurally on load, so a filename
+ * collision or a corrupted file degrades to a cache miss — the
+ * bit-identity guarantee never rests on hash uniqueness.
  */
 
 #ifndef CAMJ_EXPLORE_CACHE_H
@@ -30,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <string>
 
@@ -39,27 +21,6 @@
 
 namespace camj
 {
-
-struct CompiledDesign;
-
-/**
- * Structural cache signature of a spec document: a streamed 64-bit
- * hash of the document with the scalar-patchable fields (name, fps,
- * digitalClock) hashed as null. A masked field hashes as null rather
- * than vanishing, so "field present but patchable" and "field absent"
- * stay distinct signatures. Equal signatures are NECESSARY but not
- * sufficient for structural equality — verify with
- * structurallyEqual() before trusting a match.
- */
-uint64_t structuralCacheKey(const json::Value &spec_doc);
-
-/**
- * Full masked tree equality: do two spec documents differ at most in
- * the scalar-patchable fields? This is the verification behind every
- * structuralCacheKey fast-path match; structurallyEqual(a, b) implies
- * structuralCacheKey(a) == structuralCacheKey(b).
- */
-bool structurallyEqual(const json::Value &a, const json::Value &b);
 
 /**
  * Content-address of a finished outcome: a streamed 64-bit hash of
@@ -70,96 +31,6 @@ bool structurallyEqual(const json::Value &a, const json::Value &b);
  * each record embeds the full document, verified on load.
  */
 uint64_t outcomeCacheKey(const json::Value &spec_doc);
-
-/** Counters of CompiledDesignLru traffic. */
-struct CompiledCacheStats
-{
-    /** Evaluations that reused a cached entry (as an identical point
-     *  or as the base of an incremental re-run). */
-    size_t hits = 0;
-    /** Evaluations that found no usable base (full rebuilds). */
-    size_t misses = 0;
-    /** Entries dropped to respect the capacity. */
-    size_t evictions = 0;
-    /** insert() calls. */
-    size_t inserts = 0;
-};
-
-/**
- * A small LRU of compiled design points, each tagged with its
- * structural signature hash and a unique entry id. Capacity is a
- * handful of entries (one per point a sweep order interleaves before
- * revisiting a neighborhood), so base selection scans the list — the
- * move-to-front list IS the recency order, exposed by index
- * (keyAt/idAt/entryAt) for the evaluator's cheapest-base scan.
- *
- * Distinct points of one structural family coexist (the same
- * signature at two frame rates is two entries): the cheapest base
- * for a new point is often a SIBLING in the grid — same fps,
- * different memory node — not the same-signature entry, and keeping
- * both is what lets strided sweep orders patch only the Energy
- * stage. Identical re-evaluations never insert (they are answered
- * from the cache), so duplicate entries do not accumulate.
- *
- * Entry ids are monotonic and never reused, so an id names one
- * specific compiled point forever — the evaluator's changed-path
- * hint chain tracks its base by id, immune to signature collisions.
- *
- * Not thread-safe; each sweep worker owns one (inside its
- * IncrementalEvaluator).
- */
-class CompiledDesignLru
-{
-  public:
-    explicit CompiledDesignLru(size_t capacity);
-    ~CompiledDesignLru();
-
-    CompiledDesignLru(CompiledDesignLru &&) noexcept;
-    CompiledDesignLru &operator=(CompiledDesignLru &&) noexcept;
-
-    /** The signature hash of the @p i-th entry in recency order
-     *  (0 = most recently used). Precondition: i < size(). */
-    uint64_t keyAt(size_t i);
-
-    /** The unique id of the @p i-th entry in recency order.
-     *  Precondition: i < size(). */
-    uint64_t idAt(size_t i);
-
-    /** The @p i-th entry in recency order. The pointer is stable
-     *  until the entry is evicted (list nodes do not move). */
-    CompiledDesign *entryAt(size_t i);
-
-    /** Move the @p i-th entry to most-recently-used. */
-    void promote(size_t i);
-
-    /** The most-recently-used entry; nullptr when empty. This is the
-     *  gen-1 "last point" diff base. */
-    CompiledDesign *mostRecent();
-
-    /** Insert a new entry as most-recently-used, evicting the
-     *  least-recently-used entry when over capacity. Returns the new
-     *  entry's unique id. */
-    uint64_t insert(uint64_t key, CompiledDesign compiled);
-
-    /** Count one reuse of a cached entry / one evaluation that found
-     *  no usable base (the evaluator's base selection spans several
-     *  lookups, so it reports the per-point outcome itself). */
-    void noteHit() { ++stats_.hits; }
-    void noteMiss() { ++stats_.misses; }
-
-    void clear();
-
-    size_t size() const { return entries_.size(); }
-    size_t capacity() const { return capacity_; }
-    const CompiledCacheStats &stats() const { return stats_; }
-
-  private:
-    struct Entry;
-    size_t capacity_;
-    uint64_t nextId_ = 0;
-    std::list<Entry> entries_; // front = most recently used
-    CompiledCacheStats stats_;
-};
 
 /** One persisted outcome: the verdict plus either the per-frame
  *  report (feasible) or the failure text (infeasible). Everything

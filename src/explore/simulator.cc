@@ -85,19 +85,18 @@ Simulator::run(const Design &design) const
 }
 
 SimulationOutcome
-Simulator::run(const spec::DesignSpec &spec,
-               spec::MaterializeCache *cache) const
+Simulator::run(const spec::DesignSpec &spec) const
 {
     CycleSimStats stats;
     if (options_.checkMode == CheckMode::Strict) {
         SimulationOutcome out =
-            finish(spec.materialize(cache).simulate(&stats));
+            finish(spec.materialize().simulate(&stats));
         out.simStats = stats;
         return out;
     }
     try {
         SimulationOutcome out =
-            finish(spec.materialize(cache).simulate(&stats));
+            finish(spec.materialize().simulate(&stats));
         out.simStats = stats;
         return out;
     } catch (const ConfigError &e) {

@@ -71,7 +71,7 @@ struct SimulationOutcome
     double snrPenaltyDb = 0.0;
     /**
      * Cycle-sim execution diagnostics of the evaluation that produced
-     * this outcome (zero when no simulation actually ran — cache and
+     * this outcome (zero when no simulation actually ran — memo and
      * store hits, infeasible points). Never serialized: the same
      * outcome can legitimately carry different stats depending on
      * which evaluation path produced it.
@@ -113,11 +113,8 @@ class Simulator
     SimulationOutcome run(const Design &design) const;
 
     /** Materialize and evaluate a spec. Materialization errors obey
-     *  the same CheckMode as simulation errors. @p cache optionally
-     *  reuses instantiated components across spec deltas (results
-     *  are bit-identical either way). */
-    SimulationOutcome run(const spec::DesignSpec &spec,
-                          spec::MaterializeCache *cache = nullptr) const;
+     *  the same CheckMode as simulation errors. */
+    SimulationOutcome run(const spec::DesignSpec &spec) const;
 
     /** Classic strict single-report entry point. @throws ConfigError. */
     EnergyReport simulate(const Design &design) const;

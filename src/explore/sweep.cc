@@ -68,7 +68,7 @@ SweepEngine::effectiveThreads(size_t jobs) const
 
 SweepResult
 SweepEngine::evaluateOne(const spec::DesignSpec &spec, size_t index,
-                         spec::MaterializeCache *cache) const
+                         IncrementalEvaluator *evaluator) const
 {
     SweepResult r;
     r.index = index;
@@ -78,38 +78,9 @@ SweepEngine::evaluateOne(const spec::DesignSpec &spec, size_t index,
     // it identically on the serial and parallel paths so the same
     // batch can never behave differently across thread counts.
     try {
-        Simulator sim(options_.sim);
-        SimulationOutcome out = sim.run(spec, cache);
-        r.feasible = out.feasible;
-        r.error = std::move(out.error);
-        r.ruleCode = std::move(out.ruleCode);
-        r.report = std::move(out.report);
-        r.frames = out.frames;
-        r.snrPenaltyDb = out.snrPenaltyDb;
-        r.simStats = out.simStats;
-    } catch (const std::exception &e) {
-        r.feasible = false;
-        r.error = std::string("internal error: ") + e.what();
-        r.ruleCode = "CAMJ-D003";
-    }
-    return r;
-}
-
-SweepResult
-SweepEngine::evaluateIncremental(
-    const spec::DesignSpec &spec, size_t index,
-    IncrementalEvaluator &evaluator,
-    const std::optional<std::vector<std::string>> &changed) const
-{
-    SweepResult r;
-    r.index = index;
-    r.designName = spec.name;
-    // Same exception discipline as evaluateOne: infeasibility is
-    // data, anything else is captured, never a thread unwind.
-    try {
-        SimulationOutcome out =
-            changed ? evaluator.evaluate(spec, *changed)
-                    : evaluator.evaluate(spec);
+        SimulationOutcome out = evaluator != nullptr
+                                    ? evaluator->evaluate(spec)
+                                    : Simulator(options_.sim).run(spec);
         r.feasible = out.feasible;
         r.error = std::move(out.error);
         r.ruleCode = std::move(out.ruleCode);
@@ -138,17 +109,11 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
     std::atomic<bool> stop{false};
     std::atomic<size_t> produced{0};
     std::atomic<size_t> delivered{0};
-    std::atomic<size_t> cache_hits{0};
-    // CycleSimStats aggregate, one atomic per field (workers batch
-    // their local sums into these once, on exit).
-    std::atomic<int64_t> sim_ticked{0};
-    std::atomic<int64_t> sim_ffwd{0};
-    std::atomic<int64_t> sim_periods{0};
-    std::atomic<int64_t> sim_fallbacks{0};
     std::atomic<bool> sink_cancelled{false};
     std::mutex source_mutex; // serial sources only
     std::mutex sink_mutex;
     std::mutex error_mutex;
+    std::mutex stats_mutex; // guards the diagnostics in `stats`
     std::exception_ptr first_error; // guarded by error_mutex
     size_t next_index = 0; // guarded by source_mutex
     const bool concurrent = source.concurrentPulls();
@@ -193,20 +158,11 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
     };
 
     auto worker = [&] {
-        // Each worker owns its cache: no lock contention, and reuse
-        // still catches the common case of consecutive points along
-        // one grid axis sharing most components.
-        spec::MaterializeCache cache;
-        spec::MaterializeCache *cache_ptr =
-            options_.reuseMaterializations ? &cache : nullptr;
         CycleSimStats local_sim;
-        // Under SweepOptions::incremental each worker instead owns an
-        // IncrementalEvaluator: consecutive pulls of THIS worker diff
-        // against its last compiled point, with the source asked for
-        // the changed paths first (free for grids) before falling
-        // back to a JSON diff inside the evaluator.
+        // Under SweepOptions::incremental each worker owns an
+        // IncrementalEvaluator, whose cycle-sim memo spans the points
+        // THIS worker pulls.
         std::optional<IncrementalEvaluator> inc;
-        std::optional<size_t> last_index;
         // Anything escaping the source or the sink (a generator
         // throwing, a JsonlSink write failure) must not unwind a
         // std::thread — that would terminate the process. Capture
@@ -215,8 +171,7 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
             // Inside the try: an unusable cache directory throws
             // from the evaluator constructor.
             if (options_.incremental)
-                inc.emplace(options_.sim, options_.cacheEntries,
-                            options_.cacheDir);
+                inc.emplace(options_.sim, options_.cacheDir);
             while (!stop.load(std::memory_order_relaxed)) {
                 if (cancel != nullptr && cancel->cancelled()) {
                     stop.store(true, std::memory_order_relaxed);
@@ -226,22 +181,10 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
                 std::optional<spec::DesignSpec> spec = pull(index);
                 if (!spec)
                     break;
-                if (inc) {
-                    std::optional<std::vector<std::string>> changed;
-                    if (last_index)
-                        changed =
-                            source.changedPaths(*last_index, index);
-                    last_index = index;
-                    SweepResult result = evaluateIncremental(
-                        *spec, index, *inc, changed);
-                    local_sim += result.simStats;
-                    deliver(std::move(result));
-                } else {
-                    SweepResult result =
-                        evaluateOne(*spec, index, cache_ptr);
-                    local_sim += result.simStats;
-                    deliver(std::move(result));
-                }
+                SweepResult result =
+                    evaluateOne(*spec, index, inc ? &*inc : nullptr);
+                local_sim += result.simStats;
+                deliver(std::move(result));
             }
         } catch (...) {
             std::lock_guard<std::mutex> lock(error_mutex);
@@ -249,17 +192,13 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
                 first_error = std::current_exception();
             stop.store(true, std::memory_order_relaxed);
         }
-        if (inc && inc->outcomeStoreStats() != nullptr)
-            cache_hits.fetch_add(inc->outcomeStoreStats()->hits,
-                                 std::memory_order_relaxed);
-        sim_ticked.fetch_add(local_sim.cyclesTicked,
-                             std::memory_order_relaxed);
-        sim_ffwd.fetch_add(local_sim.cyclesFastForwarded,
-                           std::memory_order_relaxed);
-        sim_periods.fetch_add(local_sim.periodsDetected,
-                              std::memory_order_relaxed);
-        sim_fallbacks.fetch_add(local_sim.fallbacks,
-                                std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(stats_mutex);
+        stats.cycleSim += local_sim;
+        if (inc) {
+            stats.cycleSimMemo += inc->memo().stats();
+            if (inc->outcomeStoreStats() != nullptr)
+                stats.outcomeCacheHits += inc->outcomeStoreStats()->hits;
+        }
     };
 
     if (workers <= 1) {
@@ -275,16 +214,6 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
 
     stats.produced = produced.load(std::memory_order_relaxed);
     stats.delivered = delivered.load(std::memory_order_relaxed);
-    stats.outcomeCacheHits =
-        cache_hits.load(std::memory_order_relaxed);
-    stats.cycleSim.cyclesTicked =
-        sim_ticked.load(std::memory_order_relaxed);
-    stats.cycleSim.cyclesFastForwarded =
-        sim_ffwd.load(std::memory_order_relaxed);
-    stats.cycleSim.periodsDetected =
-        sim_periods.load(std::memory_order_relaxed);
-    stats.cycleSim.fallbacks =
-        sim_fallbacks.load(std::memory_order_relaxed);
     stats.cancelled = sink_cancelled.load(std::memory_order_relaxed);
     if (cancel != nullptr && cancel->cancelled())
         stats.cancelled = true;

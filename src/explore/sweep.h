@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,22 +43,12 @@ struct SweepOptions
      *  Report inside the sweep: infeasibility is a result, not an
      *  exception. */
     SimulationOptions sim;
-    /** Give each worker a MaterializeCache, reusing instantiated
-     *  analog components across spec deltas (e.g. along one grid
-     *  axis). Results are bit-identical either way. */
-    bool reuseMaterializations = false;
-    /** Give each worker an IncrementalEvaluator (the CompiledDesign
-     *  IR of explore/incremental.h): consecutive points a worker
-     *  pulls are diffed — for free when the source implements
-     *  changedPaths(), e.g. grid sweeps — and only the dirty stage
-     *  suffix of the evaluation pipeline re-runs. Results are
-     *  bit-identical to full rebuilds (pinned by
-     *  tests/incremental_test.cc); subsumes reuseMaterializations. */
+    /** Give each worker an IncrementalEvaluator (explore/incremental.h)
+     *  instead of a plain Simulator: the worker's points share one
+     *  cycle-sim memo, so a topology the worker already simulated is
+     *  not simulated again. Results are bit-identical either way
+     *  (pinned by tests/incremental_test.cc). */
     bool incremental = false;
-    /** Per-worker compiled-point LRU capacity under incremental
-     *  (explore/cache.h): how many structural families a worker keeps
-     *  compiled at once. */
-    size_t cacheEntries = IncrementalEvaluator::kDefaultCacheEntries;
     /** When non-empty (and incremental), the content-addressed
      *  on-disk outcome store directory, shared across workers,
      *  processes, and repeated runs (created if needed). */
@@ -101,6 +90,9 @@ struct StreamStats
      *  the run performed (camj_sweep run --verbose prints these).
      *  Diagnostics only — never part of any serialized result. */
     CycleSimStats cycleSim;
+    /** Cycle-sim memo lookups summed over all workers; zero unless
+     *  SweepOptions::incremental. */
+    CycleSimMemoStats cycleSimMemo;
 };
 
 /** Parallel design-space evaluator. */
@@ -155,12 +147,10 @@ class SweepEngine
   private:
     SweepOptions options_;
 
+    /** Evaluate one point through @p evaluator, or a plain Simulator
+     *  when it is null. */
     SweepResult evaluateOne(const spec::DesignSpec &spec, size_t index,
-                            spec::MaterializeCache *cache) const;
-    SweepResult evaluateIncremental(
-        const spec::DesignSpec &spec, size_t index,
-        IncrementalEvaluator &evaluator,
-        const std::optional<std::vector<std::string>> &changed) const;
+                            IncrementalEvaluator *evaluator) const;
 };
 
 /** Render the feasible rows as a breakdown table; infeasible rows

@@ -149,6 +149,7 @@ DesignBuilder::inputStage(const std::string &name, Shape output,
 {
     return stage({.name = name,
                   .op = StageOp::Input,
+                  .inputSize = {}, // ignored for Input stages
                   .outputSize = output,
                   .bitDepth = bit_depth});
 }

@@ -581,46 +581,6 @@ GridSpecSource::at(size_t index) const
     return fromJsonValue(doc);
 }
 
-std::optional<std::vector<std::string>>
-GridSpecSource::changedPaths(size_t from, size_t to) const
-{
-    if (from >= total_ || to >= total_)
-        return std::nullopt;
-    std::vector<std::string> paths;
-    if (from == to)
-        return paths;
-    // Structural equality matches what the deterministic writer
-    // preserves across save/load, so an axis listing the same value
-    // twice correctly reports "unchanged" between those two
-    // coordinates — and equal values render into equal name parts.
-    auto differs = [](const Value &a, const Value &b) {
-        return a != b;
-    };
-    if (!grid_.pointList.empty()) {
-        for (size_t a = 0; a < grid_.axes.size(); ++a) {
-            if (differs(grid_.pointList[from][a],
-                        grid_.pointList[to][a]))
-                paths.push_back(grid_.axes[a].path);
-        }
-    } else {
-        size_t stride = total_;
-        for (const GridAxis &axis : grid_.axes) {
-            stride /= axis.values.size();
-            const Value &va =
-                axis.values[(from / stride) % axis.values.size()];
-            const Value &vb =
-                axis.values[(to / stride) % axis.values.size()];
-            if (differs(va, vb))
-                paths.push_back(axis.path);
-        }
-    }
-    // Point names encode the coordinates, so they change exactly
-    // when some axis value does.
-    if (!paths.empty())
-        paths.push_back("name");
-    return paths;
-}
-
 std::optional<DesignSpec>
 GridSpecSource::next()
 {

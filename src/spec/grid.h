@@ -50,8 +50,7 @@ namespace camj::spec
 /**
  * One parsed segment of a spec field path ("memories[ActBuf].nodeNm"):
  * a member name plus an optional array selector — an index, an element
- * name, or "*". Shared by grid expansion, spec-diff application, and
- * the incremental evaluator's dependency table.
+ * name, or "*". Shared by grid expansion and spec-diff application.
  */
 struct SpecPathSegment
 {
@@ -173,15 +172,6 @@ class GridSpecSource : public IndexableSpecSource
     std::optional<size_t> sizeHint() const override { return total_; }
     bool concurrentPulls() const override { return true; }
     std::optional<DesignSpec> nextIndexed(size_t &index) override;
-
-    /**
-     * Two grid points differ exactly along the axes whose values
-     * differ (plus the encoded point name), so the incremental
-     * evaluator's spec diff is free for grid sweeps: the axis paths
-     * are read straight off the coordinates. Thread-safe.
-     */
-    std::optional<std::vector<std::string>> changedPaths(
-        size_t from, size_t to) const override;
 
     /** Rewind to the first point (not thread-safe). */
     void reset() { cursor_.store(0, std::memory_order_relaxed); }

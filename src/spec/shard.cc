@@ -181,15 +181,6 @@ ShardSpecSource::nextIndexed(size_t &index)
     return parent_.at(assignment_.globalIndex(local));
 }
 
-std::optional<std::vector<std::string>>
-ShardSpecSource::changedPaths(size_t from, size_t to) const
-{
-    if (from >= assignment_.count() || to >= assignment_.count())
-        return std::nullopt;
-    return parent_.changedPaths(assignment_.globalIndex(from),
-                                assignment_.globalIndex(to));
-}
-
 // ---------------------------------------------------------- descriptors
 
 namespace

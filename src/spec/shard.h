@@ -148,11 +148,6 @@ class ShardSpecSource : public SpecSource
     bool concurrentPulls() const override { return true; }
     std::optional<DesignSpec> nextIndexed(size_t &index) override;
 
-    /** Delegates to the parent over the global indices, so shard
-     *  workers get the same free diffs a whole-grid sweep gets. */
-    std::optional<std::vector<std::string>> changedPaths(
-        size_t from, size_t to) const override;
-
     const ShardAssignment &assignment() const { return assignment_; }
 
     /** Rewind to the first point (not thread-safe). */

@@ -63,21 +63,14 @@ class SpecSource
     virtual std::optional<DesignSpec> nextIndexed(size_t &index);
 
     /**
-     * The spec field paths (grid-axis syntax) that differ between
-     * point @p from and point @p to, when the source can answer
-     * CHEAPLY — a grid knows its points differ only along the axes
-     * whose coordinates differ, so the incremental evaluator's diff
-     * is free for grid sweeps. nullopt when unknown (the evaluator
-     * falls back to a JSON diff). The answer may over-approximate
-     * (an extra path only costs a wasted stage re-run) but must
-     * never omit a changed field. Must be thread-safe for sources
-     * claiming concurrentPulls().
+     * Always nullopt. Earlier evaluators took the spec field paths
+     * that differ between two points as a re-run hint; none does
+     * now, and this stays only so callers written against it (the
+     * benchmark under perfbench/) keep compiling.
      */
-    virtual std::optional<std::vector<std::string>> changedPaths(
-        size_t from, size_t to) const
+    std::optional<std::vector<std::string>> changedPaths(
+        size_t /*from*/, size_t /*to*/) const
     {
-        (void)from;
-        (void)to;
         return std::nullopt;
     }
 };

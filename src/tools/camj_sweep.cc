@@ -65,12 +65,10 @@ usage(std::FILE *to)
 "      --cache-dir DIR             content-addressed outcome cache,\n"
 "                                  shared across shards and re-runs\n"
 "                                  of the base spec\n"
-"      --full-rebuild              evaluate every point from scratch\n"
-"                                  instead of the incremental staged\n"
-"                                  pipeline (results are identical)\n"
 "      --verbose                   also print cycle-sim execution\n"
 "                                  stats (cycles ticked vs fast-\n"
-"                                  forwarded, periods, fallbacks)\n"
+"                                  forwarded, periods, fallbacks,\n"
+"                                  memo hits and misses)\n"
 "  camj_sweep merge <shard.jsonl>... --out FILE [options]\n"
 "      reduce shard files into one in-order result file + summary\n"
 "      --top K                     top-K table size (default 5)\n"
@@ -194,7 +192,7 @@ cmdRun(int argc, char **argv)
     std::string input, out_path, shard_arg, cache_dir;
     spec::ShardMode mode = spec::ShardMode::Contiguous;
     int threads = 0, frames = 1;
-    bool incremental = true, lint = true, verbose = false;
+    bool lint = true, verbose = false;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--out")
@@ -205,8 +203,6 @@ cmdRun(int argc, char **argv)
             cache_dir = flagValue(argc, argv, i);
         else if (arg == "--mode")
             mode = spec::shardModeFromName(flagValue(argc, argv, i));
-        else if (arg == "--full-rebuild")
-            incremental = false;
         else if (arg == "--no-lint")
             lint = false;
         else if (arg == "--verbose")
@@ -278,10 +274,8 @@ cmdRun(int argc, char **argv)
     SweepOptions options;
     options.threads = threads;
     options.sim.frames = frames;
-    // Grid deltas ride the incremental staged pipeline by default
-    // (bit-identical to full rebuilds; --full-rebuild opts out).
-    options.incremental = incremental;
-    options.reuseMaterializations = !incremental;
+    // Each worker's points share one cycle-sim memo.
+    options.incremental = true;
     // Shard processes re-running (or re-trying) overlapping index
     // ranges share finished outcomes through the on-disk store.
     options.cacheDir = cache_dir;
@@ -313,6 +307,8 @@ cmdRun(int argc, char **argv)
                     static_cast<long long>(cs.cyclesFastForwarded),
                     static_cast<long long>(cs.periodsDetected),
                     static_cast<long long>(cs.fallbacks));
+        std::printf("cycle-sim memo: %zu hit(s), %zu miss(es)\n",
+                    stats.cycleSimMemo.hits, stats.cycleSimMemo.misses);
     }
     return 0;
 }

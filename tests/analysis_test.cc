@@ -595,15 +595,6 @@ TEST(Prefilter, SkipsDoomedPointsAndKeepsGlobalIdentity)
         ++streamed;
     }
     EXPECT_EQ(streamed, filtered.totalPoints());
-    // changedPaths delegates through global indices.
-    if (filtered.totalPoints() >= 2) {
-        const auto paths = filtered.changedPaths(0, 1);
-        const auto expected = grid.changedPaths(
-            filtered.globalIndex(0), filtered.globalIndex(1));
-        ASSERT_TRUE(paths.has_value());
-        ASSERT_TRUE(expected.has_value());
-        EXPECT_EQ(*paths, *expected);
-    }
 }
 
 TEST(Prefilter, EveryPrunedPointIsActuallyInfeasible)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the generation-2 caches of explore/cache.h: structural
- * signature keys, the compiled-point LRU (cross-point reuse under
- * interleaved and strided sweep orders, infeasible-band immunity),
- * the stage-output equality cut-off, and the content-addressed
- * on-disk outcome store (cross-instance round-trips, corruption
- * fallback, strict-mode rethrow). The bar everywhere is the same as
- * tests/incremental_test.cc: bit-identical outcomes — energies,
- * verdicts, and error text — versus a from-scratch Simulator run.
+ * Tests for the reuse layers under a sweep worker: the cycle-sim memo
+ * under strided sweep orders and infeasible bands, the evaluator's
+ * stage accounting, and the content-addressed on-disk outcome store
+ * of explore/cache.h (cross-instance round-trips, corruption
+ * fallback, strict-mode rethrow, a directory shared by a sweep). The
+ * bar everywhere is the same as tests/incremental_test.cc:
+ * bit-identical outcomes — energies, verdicts, and error text —
+ * versus a from-scratch Simulator run.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "digital/cyclesim.h"
 #include "explore/cache.h"
 #include "explore/incremental.h"
 #include "explore/sink.h"
@@ -122,56 +123,9 @@ class ScopedCacheDir
     std::string path_;
 };
 
-/** The detector spec with its buffer switched to the Explicit memory
- *  model, so readPorts/writePorts are live spec fields (under the
- *  sram/regfile models they are derived from the memory kind and
- *  never serialized). */
-spec::DesignSpec
-explicitBufferSpec(int read_ports)
-{
-    spec::DesignSpec s = spec::sampleDetectorSpec(30.0, 65);
-    spec::MemorySpec &m = s.memories.front();
-    m.model = spec::MemoryModel::Explicit;
-    m.readEnergyPerWord = 1.2e-12;
-    m.writeEnergyPerWord = 1.6e-12;
-    m.leakagePower = 2e-6;
-    m.area = 1e-8;
-    m.readPorts = read_ports;
-    m.writePorts = 2;
-    return s;
-}
-
 // -------------------------------------------------------- cache keys
 
-TEST(CacheKeys, StructuralKeyMasksOnlyTheScalarPatchableFields)
-{
-    spec::DesignSpec a = spec::sampleDetectorSpec(30.0, 65);
-    spec::DesignSpec b = spec::sampleDetectorSpec(120.0, 65);
-    b.digitalClock = 40e6;
-    // Same structure at different name/fps/clock: one signature, and
-    // the tree-equality verify behind the hash fast-path agrees.
-    EXPECT_EQ(structuralCacheKey(spec::toJsonValue(a)),
-              structuralCacheKey(spec::toJsonValue(b)));
-    EXPECT_TRUE(
-        structurallyEqual(spec::toJsonValue(a), spec::toJsonValue(b)));
-
-    // Any other field splits the signature.
-    spec::DesignSpec c = spec::sampleDetectorSpec(30.0, 65);
-    c.memories.front().capacityWords *= 2;
-    EXPECT_NE(structuralCacheKey(spec::toJsonValue(a)),
-              structuralCacheKey(spec::toJsonValue(c)));
-    EXPECT_FALSE(
-        structurallyEqual(spec::toJsonValue(a), spec::toJsonValue(c)));
-
-    // The signature is not the plain content hash: masked fields are
-    // hashed as null, not verbatim (and the chains are
-    // domain-separated), so a signature never doubles as a content
-    // address.
-    EXPECT_NE(structuralCacheKey(spec::toJsonValue(a)),
-              spec::toJsonValue(a).hash());
-}
-
-TEST(CacheKeys, OutcomeKeySeparatesWhatTheSignatureMerges)
+TEST(CacheKeys, OutcomeKeyCoversTheWholeDocument)
 {
     spec::DesignSpec a = spec::sampleDetectorSpec(30.0, 65);
     spec::DesignSpec b = spec::sampleDetectorSpec(120.0, 65);
@@ -182,81 +136,16 @@ TEST(CacheKeys, OutcomeKeySeparatesWhatTheSignatureMerges)
               outcomeCacheKey(spec::toJsonValue(a)));
 }
 
-// ------------------------------------------------- the compiled LRU
+// ------------------------------------------------- the cycle-sim memo
 
-TEST(CompiledLru, EvictsLeastRecentlyUsedAndRecompiles)
-{
-    // Capacity 2, three structural families: C's insert evicts A,
-    // re-evaluating A recompiles it (evicting B), and only the
-    // SECOND A evaluation is an identical hit.
-    IncrementalEvaluator inc(reportOptions(), 2);
-    spec::DesignSpec a = spec::sampleDetectorSpec(30.0, 65);
-    spec::DesignSpec b = a;
-    b.memories.front().capacityWords *= 2;
-    spec::DesignSpec c = a;
-    c.memories.front().capacityWords *= 4;
-
-    for (const spec::DesignSpec *s : {&a, &b, &c, &a, &a})
-        expectIdenticalOutcome(inc.evaluate(*s), referenceOutcome(*s),
-                               s->name);
-
-    const CompiledCacheStats &lru = inc.compiledCacheStats();
-    EXPECT_EQ(lru.inserts, 4u);   // a, b, c, a-again
-    EXPECT_EQ(lru.evictions, 2u); // a (by c), b (by a-again)
-    EXPECT_EQ(lru.hits, 4u);      // b, c, a-again patch a base; the
-                                  // final a is an identical hit
-    EXPECT_EQ(lru.misses, 1u);    // only the very first point
-    EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    EXPECT_EQ(inc.stats().identicalHits, 1u);
-}
-
-TEST(CompiledLru, InterleavedGridsKeepBothFamiliesCompiled)
-{
-    // Two structural families interleaved A,B,A,B,A,B — the gen-1
-    // last-point-only evaluator full-rebuilt every point (each
-    // neighbor diff saw an added/removed memory); the LRU keeps both
-    // compiled, so only the first visit of each family builds.
-    spec::DesignSpec a = spec::sampleDetectorSpec(30.0, 65);
-    spec::DesignSpec b = a;
-    spec::MemorySpec extra = b.memories.front();
-    extra.name = "SpareBuf";
-    b.memories.push_back(extra);
-
-    IncrementalEvaluator inc(reportOptions());
-    const double rates[] = {30.0, 60.0, 120.0};
-    for (double fps : rates) {
-        for (spec::DesignSpec *base : {&a, &b}) {
-            spec::DesignSpec point = *base;
-            point.fps = fps;
-            point.name = base->name + "-" +
-                         std::to_string(static_cast<int>(fps));
-            expectIdenticalOutcome(inc.evaluate(point),
-                                   referenceOutcome(point),
-                                   point.name);
-        }
-    }
-
-    EXPECT_EQ(inc.stats().points, 6u);
-    EXPECT_EQ(inc.stats().fullBuilds, 2u); // first A, first B
-    EXPECT_EQ(inc.stats().signatureHits, 4u);
-    // First B's diff against A found only structural changes — an
-    // exploratory diff with no usable base is not a diff-sourced
-    // point.
-    EXPECT_EQ(inc.stats().diffsComputed, 0u);
-    EXPECT_EQ(inc.stats().rematerializations, 0u);
-    EXPECT_EQ(inc.compiledCacheStats().hits, 4u);
-    EXPECT_EQ(inc.compiledCacheStats().misses, 2u);
-}
-
-TEST(CompiledLru, StridedShardOrderNeverRebuilds)
+TEST(CycleSimMemoReuse, StridedShardOrderSimulatesEachTopologyOnce)
 {
     // A stride-12 shard order over the canonical 108-point study:
-    // consecutive points differ in the rate axis, but the CHEAPEST
-    // base for most points is the previous column's same-rate
-    // sibling still in the LRU — an Energy-only re-run instead of
-    // repeating the Timing stage's stall simulation, whose low-rate
-    // points dominate a rebuild. One full build total, and every
-    // outcome bit-identical to a full rebuild.
+    // consecutive points differ in the rate axis, so a memo that only
+    // remembered the last point would re-simulate pass B every time.
+    // The bounded memo holds every rate's pass-B topology, so each of
+    // the 8 distinct topologies is simulated once, and every outcome
+    // is bit-identical to a full rebuild.
     const spec::SweepDocument doc = spec::sampleDetectorStudy();
     spec::GridSpecSource source = doc.source();
     const size_t total = source.totalPoints();
@@ -264,45 +153,28 @@ TEST(CompiledLru, StridedShardOrderNeverRebuilds)
     const size_t stride = 12; // 4 nodes x 3 duty cycles
 
     IncrementalEvaluator inc(reportOptions());
-    std::optional<size_t> last;
     size_t visited = 0;
     for (size_t k = 0; k < stride; ++k) {
         for (size_t idx = k; idx < total; idx += stride, ++visited) {
             const spec::DesignSpec spec = source.at(idx);
-            std::optional<std::vector<std::string>> hint;
-            if (last)
-                hint = source.changedPaths(*last, idx);
-            const SimulationOutcome out =
-                hint ? inc.evaluate(spec, *hint) : inc.evaluate(spec);
-            expectIdenticalOutcome(out, referenceOutcome(spec),
-                                   spec.name);
-            last = idx;
+            expectIdenticalOutcome(inc.evaluate(spec),
+                                   referenceOutcome(spec), spec.name);
+            EXPECT_LE(inc.memo().size(), CycleSimMemo::kCapacity);
         }
     }
 
     ASSERT_EQ(visited, total);
     EXPECT_EQ(inc.stats().points, total);
-    EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    // Most points pick a cross-signature sibling base (found by an
-    // exploratory JSON diff); the first column walks the rate axis
-    // within one signature.
-    EXPECT_GT(inc.stats().diffsComputed, total / 2);
-    EXPECT_GT(inc.stats().signatureHits, 0u);
-    EXPECT_EQ(inc.compiledCacheStats().misses, 1u);
-    EXPECT_EQ(inc.compiledCacheStats().hits, total - 1);
-    // The cheap bases keep the stage work near one stage per point
-    // (108 points, 648 stages max).
-    EXPECT_LT(inc.stats().stagesRun, 2 * total);
+    EXPECT_EQ(inc.memo().stats().misses, 8u);
+    EXPECT_EQ(inc.memo().size(), 8u);
 }
 
-TEST(CompiledLru, InfeasibleBandsNeverForceRebuilds)
+TEST(CycleSimMemoReuse, InfeasibleBandsNeverEvictFeasibleTopologies)
 {
-    // The bug this layer exists to fix: a feasibility boundary
-    // crossed once per node row (30, 60 feasible; 1e5, 2e5 not).
-    // The gen-1 evaluator dropped its compiled point at every
-    // infeasible result, full-rebuilding after each band; the LRU
-    // keeps the feasible bases, so the whole 16-point sweep compiles
-    // exactly once.
+    // A feasibility boundary crossed once per node row (30, 60
+    // feasible; 1e5, 2e5 not). A failing point stores nothing, so
+    // the feasible rates' topologies stay memoized across every band:
+    // pass A plus two pass-B topologies are simulated once each.
     IncrementalEvaluator inc(reportOptions());
     const int nodes[] = {180, 110, 65, 45};
     const double rates[] = {30.0, 60.0, 100000.0, 200000.0};
@@ -316,17 +188,15 @@ TEST(CompiledLru, InfeasibleBandsNeverForceRebuilds)
                                    spec.name);
             if (!out.feasible)
                 ++infeasible;
-            EXPECT_TRUE(inc.hasCompiledPoint());
         }
     }
     ASSERT_GT(infeasible, 0u); // the band actually exists
     ASSERT_LT(infeasible, 16u);
     EXPECT_EQ(inc.stats().points, 16u);
-    EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    EXPECT_EQ(inc.stats().incrementalRuns, 15u);
+    EXPECT_EQ(inc.memo().stats().misses, 3u);
 }
 
-// ------------------------------------------ stats and the cut-off
+// ----------------------------------------------------- stage stats
 
 TEST(IncrementalStats, StagesRunCountsOnlyStagesActuallyEntered)
 {
@@ -335,50 +205,22 @@ TEST(IncrementalStats, StagesRunCountsOnlyStagesActuallyEntered)
     inc.evaluate(spec);
     EXPECT_EQ(inc.stats().stagesRun, 6u);
 
-    // Same signature, fps over the boundary: the patched suffix
-    // starts at Timing and THROWS there — one stage entered, the
-    // four cached ones skipped, and nothing after the throwing stage
-    // may be counted as run.
+    // fps over the boundary: Map through the throwing Timing stage
+    // are entered, and nothing after the throwing stage may be
+    // counted as run.
     spec::DesignSpec fast = spec;
     fast.fps = 100000.0;
     fast.name = "detector-65nm-too-fast";
     const SimulationOutcome bad = inc.evaluate(fast);
     ASSERT_FALSE(bad.feasible);
-    EXPECT_EQ(inc.stats().stagesRun, 7u);
-    EXPECT_EQ(inc.stats().stagesSkipped, 4u);
+    EXPECT_EQ(inc.stats().stagesRun, 11u);
+    EXPECT_EQ(inc.stats().fullBuilds, 2u);
 
-    // A first-point infeasibility: five stages entered (Map through
-    // the throwing Timing stage), the Energy stage never ran.
-    IncrementalEvaluator fresh(reportOptions());
-    fresh.evaluate(fast);
-    EXPECT_EQ(fresh.stats().stagesRun, 5u);
-    EXPECT_EQ(fresh.stats().stagesSkipped, 0u);
-}
-
-TEST(EqualityCutoff, UnchangedStageOutputsStopTheSuffixEarly)
-{
-    // An extra read port on an Explicit-model buffer re-runs the
-    // cycle model, but the memory is not the bottleneck: cycle
-    // counts and delays come out unchanged, so the suffix stops at
-    // Timing (the ports' last reader) and the cached Energy output
-    // is served — bit-identical by construction, cheaper by a stage.
-    IncrementalEvaluator inc(reportOptions());
-    const spec::DesignSpec base = explicitBufferSpec(2);
-    const spec::DesignSpec ported = explicitBufferSpec(3);
-
-    expectIdenticalOutcome(inc.evaluate(base), referenceOutcome(base),
-                           base.name);
-    const SimulationOutcome out =
-        inc.evaluate(ported, {"memories[ActBuf].readPorts"});
-    expectIdenticalOutcome(out, referenceOutcome(ported),
-                           "ported");
-
-    EXPECT_EQ(inc.stats().equalityCutoffs, 1u);
-    // 6 (full build) + CycleSim + Timing; Map/Analog/Digital cached,
-    // Energy cut off.
-    EXPECT_EQ(inc.stats().stagesRun, 8u);
-    EXPECT_EQ(inc.stats().stagesSkipped, 4u);
-    EXPECT_EQ(inc.stats().rematerializations, 1u);
+    // A point rejected by materialize() enters no stage at all.
+    spec::DesignSpec unnamed = spec;
+    unnamed.name.clear();
+    ASSERT_FALSE(inc.evaluate(unnamed).feasible);
+    EXPECT_EQ(inc.stats().stagesRun, 11u);
 }
 
 // --------------------------------------------- the on-disk store
@@ -396,9 +238,7 @@ TEST(OutcomeStoreDisk, RoundTripsAcrossEvaluatorInstances)
     SimulationOutcome good_ref;
     SimulationOutcome bad_ref;
     {
-        IncrementalEvaluator writer(
-            opts, IncrementalEvaluator::kDefaultCacheEntries,
-            dir.path());
+        IncrementalEvaluator writer(opts, dir.path());
         good_ref = writer.evaluate(good);
         bad_ref = writer.evaluate(bad);
         ASSERT_TRUE(good_ref.feasible);
@@ -411,8 +251,7 @@ TEST(OutcomeStoreDisk, RoundTripsAcrossEvaluatorInstances)
     // A second evaluator (fresh process in spirit): both outcomes
     // must come back from disk, bit-identical — derived fields
     // (frames, SNR penalty, rule code) included.
-    IncrementalEvaluator reader(
-        opts, IncrementalEvaluator::kDefaultCacheEntries, dir.path());
+    IncrementalEvaluator reader(opts, dir.path());
     expectIdenticalOutcome(reader.evaluate(good), good_ref, good.name);
     expectIdenticalOutcome(reader.evaluate(bad), bad_ref, bad.name);
     EXPECT_EQ(reader.stats().diskHits, 2u);
@@ -434,17 +273,14 @@ TEST(OutcomeStoreDisk, StrictModeRethrowsStoredFailures)
 
     SimulationOutcome ref;
     {
-        IncrementalEvaluator writer(
-            reportOptions(), IncrementalEvaluator::kDefaultCacheEntries,
-            dir.path());
+        IncrementalEvaluator writer(reportOptions(), dir.path());
         ref = writer.evaluate(bad);
         ASSERT_FALSE(ref.feasible);
     }
 
     SimulationOptions strict;
     strict.checkMode = CheckMode::Strict;
-    IncrementalEvaluator reader(
-        strict, IncrementalEvaluator::kDefaultCacheEntries, dir.path());
+    IncrementalEvaluator reader(strict, dir.path());
     try {
         reader.evaluate(bad);
         FAIL() << "stored infeasibility must rethrow under Strict";
@@ -460,9 +296,7 @@ TEST(OutcomeStoreDisk, CorruptedFilesDegradeToRebuilds)
     spec::DesignSpec good = spec::sampleDetectorSpec(30.0, 65);
     spec::DesignSpec bad = spec::sampleDetectorSpec(100000.0, 65);
     {
-        IncrementalEvaluator writer(
-            reportOptions(), IncrementalEvaluator::kDefaultCacheEntries,
-            dir.path());
+        IncrementalEvaluator writer(reportOptions(), dir.path());
         writer.evaluate(good);
         writer.evaluate(bad);
     }
@@ -481,9 +315,7 @@ TEST(OutcomeStoreDisk, CorruptedFilesDegradeToRebuilds)
     }
     ASSERT_EQ(mangled, 2u);
 
-    IncrementalEvaluator reader(
-        reportOptions(), IncrementalEvaluator::kDefaultCacheEntries,
-        dir.path());
+    IncrementalEvaluator reader(reportOptions(), dir.path());
     expectIdenticalOutcome(reader.evaluate(good),
                            referenceOutcome(good), good.name);
     expectIdenticalOutcome(reader.evaluate(bad), referenceOutcome(bad),
@@ -493,9 +325,7 @@ TEST(OutcomeStoreDisk, CorruptedFilesDegradeToRebuilds)
     EXPECT_EQ(reader.outcomeStoreStats()->rejected, 2u);
     EXPECT_EQ(reader.outcomeStoreStats()->stores, 2u);
 
-    IncrementalEvaluator healed(
-        reportOptions(), IncrementalEvaluator::kDefaultCacheEntries,
-        dir.path());
+    IncrementalEvaluator healed(reportOptions(), dir.path());
     healed.evaluate(good);
     healed.evaluate(bad);
     EXPECT_EQ(healed.stats().diskHits, 2u);
@@ -509,10 +339,7 @@ TEST(OutcomeStoreDisk, UnusableCacheDirectoryThrows)
     fs::create_directories(dir.path());
     const std::string file = dir.path() + "/plain-file";
     std::ofstream(file) << "x";
-    EXPECT_THROW(IncrementalEvaluator(
-                     reportOptions(),
-                     IncrementalEvaluator::kDefaultCacheEntries,
-                     file + "/sub"),
+    EXPECT_THROW(IncrementalEvaluator(reportOptions(), file + "/sub"),
                  ConfigError);
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the staged evaluation core: the field -> stage dependency
- * table, the IncrementalEvaluator's dirty-suffix re-runs, and the
- * load-bearing guarantee of the whole subsystem — incremental
- * evaluation is BIT-IDENTICAL to a from-scratch rebuild: energies,
+ * Tests for the sweep worker's evaluator (explore/incremental.h) and
+ * its cycle-sim memo (digital/cyclesim.h): what the memo is keyed on
+ * (the built topology plus the engine mode), that it stays within its
+ * bound, and the load-bearing guarantee — evaluation through the memo
+ * is BIT-IDENTICAL to a from-scratch Simulator run: energies,
  * feasibility verdicts, error text, and rendered report bytes alike,
  * over all 27 paper studies and the 108-point canonical grid.
  */
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "digital/cyclesim.h"
 #include "explore/incremental.h"
 #include "explore/sink.h"
 #include "explore/sweep.h"
@@ -95,207 +97,173 @@ expectIdenticalOutcome(const SimulationOutcome &inc,
     EXPECT_EQ(a.csv(), b.csv()) << what;
 }
 
-// ----------------------------------------------- dependency table rows
-
-struct TableRow
+/** Every point of @p doc's grid, in grid order. */
+std::vector<spec::DesignSpec>
+gridPoints(const spec::SweepDocument &doc)
 {
-    const char *path;
-    bool rematerialize;
-    EvalStage firstStage;
-    /** Latest stage reading the field directly (the equality
-     *  cut-off bound); Energy = no cut-off possible. */
-    EvalStage lastStage = EvalStage::Energy;
+    spec::GridSpecSource source = doc.source();
+    std::vector<spec::DesignSpec> specs;
+    for (size_t i = 0; i < source.totalPoints(); ++i)
+        specs.push_back(source.at(i));
+    return specs;
+}
+
+/** The JSONL line a sweep would emit for @p out at @p index. */
+std::string
+jsonlLine(size_t index, const spec::DesignSpec &spec,
+          const SimulationOutcome &out)
+{
+    SweepResult r;
+    r.index = index;
+    r.designName = spec.name;
+    r.feasible = out.feasible;
+    r.error = out.error;
+    r.ruleCode = out.ruleCode;
+    r.report = out.report;
+    r.frames = out.frames;
+    r.snrPenaltyDb = out.snrPenaltyDb;
+    return sweepResultToJsonl(r);
+}
+
+/** Restores the process-wide cycle-sim mode on scope exit. */
+class ScopedDefaultMode
+{
+  public:
+    explicit ScopedDefaultMode(CycleSim::Mode mode)
+        : saved_(CycleSim::defaultMode())
+    {
+        CycleSim::setDefaultMode(mode);
+    }
+    ~ScopedDefaultMode() { CycleSim::setDefaultMode(saved_); }
+
+  private:
+    CycleSim::Mode saved_;
 };
-
-TEST(DependencyTable, DocumentedRowsClassifyExactly)
-{
-    const TableRow rows[] = {
-        // Scalar patches (no re-materialization).
-        {"name", false, EvalStage::Energy},
-        {"fps", false, EvalStage::Timing},
-        // Only the delay estimation reads the clock; the Energy stage
-        // prices its (re-run) output, enabling the equality cut-off.
-        {"digitalClock", false, EvalStage::Timing, EvalStage::Timing},
-        // Parametric: re-lower, then re-run from the named stage.
-        {"pipelineOutputBytes", true, EvalStage::Energy},
-        {"adcOutputMemory", true, EvalStage::Digital},
-        {"mipi.present", true, EvalStage::Energy},
-        {"mipi.energyPerByte", true, EvalStage::Energy},
-        {"tsv.energyPerByte", true, EvalStage::Energy},
-        {"stages[Conv].bitDepth", true, EvalStage::Analog},
-        {"stages[Conv].kernel", true, EvalStage::Analog},
-        {"stages[Conv].kernel[0]", true, EvalStage::Analog},
-        {"stages[Conv].stride", true, EvalStage::Analog},
-        {"stages[Conv].opsPerOutput", true, EvalStage::Analog},
-        {"analogArrays[Pixel].componentArea", true, EvalStage::Analog},
-        {"analogArrays[Pixel].component.aps.vdd", true,
-         EvalStage::Analog},
-        {"analogArrays[*].layer", true, EvalStage::Analog},
-        {"memories[Buf].wordBits", true, EvalStage::Digital},
-        {"memories[Buf].layer", true, EvalStage::Digital},
-        {"memories[Buf].capacityWords", true, EvalStage::CycleSim},
-        // Ports shape only the cycle model (pass A + pass B's stall
-        // check); the Energy stage never reads them.
-        {"memories[Buf].readPorts", true, EvalStage::CycleSim,
-         EvalStage::Timing},
-        {"memories[Buf].writePorts", true, EvalStage::CycleSim,
-         EvalStage::Timing},
-        {"memories[Buf].kind", true, EvalStage::CycleSim},
-        {"memories[Buf].nodeNm", true, EvalStage::Energy},
-        {"memories[*].nodeNm", true, EvalStage::Energy},
-        {"memories[Buf].activeFraction", true, EvalStage::Energy},
-        {"memories[Buf].readEnergyPerWord", true, EvalStage::Energy},
-        {"memories[Buf].writeEnergyPerWord", true, EvalStage::Energy},
-        {"memories[Buf].leakagePower", true, EvalStage::Energy},
-        {"memories[Buf].area", true, EvalStage::Energy},
-        {"memories[Buf].model", true, EvalStage::Energy},
-        {"units[Conv].energyPerCycle", true, EvalStage::Digital},
-        {"units[Conv].inputMemories", true, EvalStage::Digital},
-        {"units[Conv].inputMemories[1]", true, EvalStage::Digital},
-        {"units[Conv].rows", true, EvalStage::Digital},
-        {"units[Conv].layer", true, EvalStage::Digital},
-    };
-    for (const TableRow &row : rows) {
-        const FieldImpact impact = classifyFieldPath(row.path);
-        EXPECT_EQ(impact.rematerialize, row.rematerialize) << row.path;
-        EXPECT_EQ(impact.firstStage, row.firstStage) << row.path;
-        EXPECT_EQ(impact.lastStage, row.lastStage) << row.path;
-        EXPECT_FALSE(impact.structural()) << row.path;
-    }
-}
-
-TEST(DependencyTable, IdentityAndUnknownFieldsForceFullRebuild)
-{
-    const char *structural[] = {
-        // Re-materialize + re-run from Map IS the full rebuild: a
-        // remapped stage or a rewired DAG invalidates everything.
-        "mapping",
-        "mapping[3]",
-        "stages[Conv].inputs",
-        "stages[Conv].inputs[0]",
-        "stages[Conv].name",
-        // op / inputSize / outputSize feed SwGraph::validate() in
-        // the Map stage — skipping it would accept DAG-invalid
-        // specs a full rebuild rejects.
-        "stages[Conv].op",
-        "stages[Conv].inputSize",
-        "stages[Conv].inputSize[0]",
-        "stages[Conv].outputSize",
-        "stages[Conv].outputSize[2]",
-        "analogArrays[Pixel].name",
-        "memories[Buf].name",
-        "units[Conv].name",
-        "units[Conv].kind",
-        "stages[Conv]",
-        "memories[Buf]",
-        "units[9]",
-        "camjSpecVersion",
-        "someUnknownField",
-        "memories[Buf].someNewKnob",
-        "not..a..path",
-    };
-    for (const char *path : structural) {
-        EXPECT_TRUE(classifyFieldPath(path).structural()) << path;
-    }
-}
-
-TEST(DependencyTable, PathUnionTakesEarliestStageAndAnyRemat)
-{
-    const std::optional<FieldImpact> fps_only =
-        classifyFieldPaths({"fps", "name"});
-    ASSERT_TRUE(fps_only.has_value());
-    EXPECT_FALSE(fps_only->rematerialize);
-    EXPECT_EQ(fps_only->firstStage, EvalStage::Timing);
-    EXPECT_EQ(fps_only->lastStage, EvalStage::Energy);
-
-    const std::optional<FieldImpact> mixed = classifyFieldPaths(
-        {"memories[Buf].nodeNm", "fps", "name"});
-    ASSERT_TRUE(mixed.has_value());
-    EXPECT_TRUE(mixed->rematerialize);
-    EXPECT_EQ(mixed->firstStage, EvalStage::Timing);
-
-    // The union's cut-off bound is the LATEST reader of any path.
-    const std::optional<FieldImpact> clock_and_ports =
-        classifyFieldPaths({"digitalClock", "memories[Buf].readPorts"});
-    ASSERT_TRUE(clock_and_ports.has_value());
-    EXPECT_EQ(clock_and_ports->firstStage, EvalStage::CycleSim);
-    EXPECT_EQ(clock_and_ports->lastStage, EvalStage::Timing);
-
-    EXPECT_TRUE(classifyFieldPaths({"fps", "memories[Buf].name"})
-                    ->structural());
-
-    // An empty path list means "nothing changed": there is no impact
-    // to report, which callers must not confuse with "re-run Energy".
-    EXPECT_FALSE(classifyFieldPaths({}).has_value());
-}
 
 // ------------------------------------------------- evaluator mechanics
 
-TEST(IncrementalEvaluator, FirstPointIsAFullBuild)
+TEST(IncrementalEvaluator, RepeatedSpecIsAnsweredFromTheMemo)
 {
     IncrementalEvaluator inc(reportOptions());
     const spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
-    expectIdenticalOutcome(inc.evaluate(spec), referenceOutcome(spec),
-                           spec.name);
+    const SimulationOutcome first = inc.evaluate(spec);
+    expectIdenticalOutcome(first, referenceOutcome(spec), spec.name);
     EXPECT_EQ(inc.stats().points, 1u);
     EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    EXPECT_TRUE(inc.hasCompiledPoint());
-}
+    EXPECT_EQ(inc.stats().stagesRun, 6u);
+    // Pass A and pass B each simulated once.
+    EXPECT_EQ(inc.memo().stats().misses, 2u);
+    EXPECT_EQ(inc.memo().stats().hits, 0u);
+    EXPECT_GT(first.simStats.cyclesTicked +
+                  first.simStats.cyclesFastForwarded,
+              0);
 
-TEST(IncrementalEvaluator, IdenticalSpecReRunsNothing)
-{
-    IncrementalEvaluator inc(reportOptions());
-    const spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
-    inc.evaluate(spec);
+    // Both passes hit: nothing is simulated, so the point reports
+    // zero cycle-sim stats, yet every stage still runs.
     const SimulationOutcome again = inc.evaluate(spec);
     expectIdenticalOutcome(again, referenceOutcome(spec), spec.name);
-    EXPECT_EQ(inc.stats().identicalHits, 1u);
-    EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    EXPECT_EQ(inc.stats().incrementalRuns, 0u);
+    EXPECT_EQ(inc.memo().stats().hits, 2u);
+    EXPECT_EQ(inc.memo().stats().misses, 2u);
+    EXPECT_EQ(again.simStats, CycleSimStats{});
+    EXPECT_EQ(inc.stats().fullBuilds, 2u);
+    EXPECT_EQ(inc.stats().stagesRun, 12u);
+    // compiledCacheStats() is the same traffic under its old name.
+    EXPECT_EQ(inc.compiledCacheStats().hits, 2u);
+    EXPECT_EQ(inc.compiledCacheStats().misses, 2u);
 }
 
-TEST(IncrementalEvaluator, FpsDeltaPatchesWithoutRematerializing)
-{
-    IncrementalEvaluator inc(reportOptions());
-    spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
-    inc.evaluate(spec);
-    spec.fps = 60.0;
-    spec.name = "detector-65nm-60fps";
-    const SimulationOutcome out = inc.evaluate(spec);
-    expectIdenticalOutcome(out, referenceOutcome(spec), spec.name);
-    EXPECT_EQ(inc.stats().incrementalRuns, 1u);
-    EXPECT_EQ(inc.stats().rematerializations, 0u);
-    EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    // fps dirties Timing + Energy: four of six stages stay cached.
-    EXPECT_EQ(inc.stats().stagesSkipped, 4u);
-}
-
-TEST(IncrementalEvaluator, NodeDeltaRematerializesButSkipsStages)
+TEST(IncrementalEvaluator, MemoKeyIsTheCycleSimTopology)
 {
     IncrementalEvaluator inc(reportOptions());
     inc.evaluate(spec::sampleDetectorSpec(30.0, 65));
-    // Same design at another buffer node: only the memory block of
-    // the spec differs (plus the name), so everything before the
-    // Energy stage stays cached.
-    spec::DesignSpec next = spec::sampleDetectorSpec(30.0, 65);
-    for (spec::MemorySpec &m : next.memories)
+
+    // A buffer node never reaches the cycle model: both passes hit.
+    spec::DesignSpec node = spec::sampleDetectorSpec(30.0, 65);
+    for (spec::MemorySpec &m : node.memories)
         m.nodeNm = 110;
-    next.name = "detector-65nm-buf110";
-    const SimulationOutcome out = inc.evaluate(next);
-    expectIdenticalOutcome(out, referenceOutcome(next), next.name);
-    EXPECT_EQ(inc.stats().incrementalRuns, 1u);
-    EXPECT_EQ(inc.stats().rematerializations, 1u);
-    EXPECT_EQ(inc.stats().stagesSkipped, 5u);
+    node.name = "detector-65nm-buf110";
+    expectIdenticalOutcome(inc.evaluate(node), referenceOutcome(node),
+                           node.name);
+    EXPECT_EQ(inc.memo().stats().hits, 2u);
+    EXPECT_EQ(inc.memo().stats().misses, 2u);
+
+    // A frame rate only moves pass B's source rate: pass A hits,
+    // pass B simulates the new topology.
+    const spec::DesignSpec rate = spec::sampleDetectorSpec(60.0, 65);
+    expectIdenticalOutcome(inc.evaluate(rate), referenceOutcome(rate),
+                           rate.name);
+    EXPECT_EQ(inc.memo().stats().hits, 3u);
+    EXPECT_EQ(inc.memo().stats().misses, 3u);
+    EXPECT_EQ(inc.memo().size(), 3u);
 }
 
-TEST(IncrementalEvaluator, StructuralEditFallsBackToFullRebuild)
+TEST(IncrementalEvaluator, ModeIsPartOfTheMemoKey)
+{
+    // The same spec under the reference engine must miss the memo:
+    // a hit would serve the fast-forward engine's result and make
+    // every engine-difference suite vacuous.
+    IncrementalEvaluator inc(reportOptions());
+    const spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
+    const SimulationOutcome fast = inc.evaluate(spec);
+    ASSERT_TRUE(fast.feasible);
+    ASSERT_GT(fast.simStats.cyclesFastForwarded, 0);
+    ASSERT_EQ(inc.memo().stats().misses, 2u);
+
+    SimulationOutcome ticked;
+    {
+        ScopedDefaultMode tick(CycleSim::Mode::TickLoop);
+        ticked = inc.evaluate(spec);
+    }
+    EXPECT_EQ(inc.memo().stats().hits, 0u);
+    EXPECT_EQ(inc.memo().stats().misses, 4u);
+    EXPECT_EQ(ticked.simStats.cyclesFastForwarded, 0);
+    EXPECT_GT(ticked.simStats.cyclesTicked, 0);
+    expectIdenticalOutcome(ticked, fast, spec.name);
+    EXPECT_EQ(jsonlLine(0, spec, ticked), jsonlLine(0, spec, fast));
+}
+
+TEST(IncrementalEvaluator, MemoNeverExceedsItsCapacity)
+{
+    // More distinct frame rates than the memo holds, swept twice: the
+    // second sweep re-simulates evicted pass-B topologies, and every
+    // line still matches a from-scratch serial run byte for byte.
+    const size_t rates = CycleSimMemo::kCapacity + 4;
+    spec::SweepDocument doc;
+    doc.base = spec::sampleDetectorSpec(30.0, 65);
+    spec::GridAxis rate{"rate", "fps", {}};
+    for (size_t i = 0; i < rates; ++i)
+        rate.values.push_back(json::Value(1.0 + static_cast<double>(i)));
+    doc.grid.axes = {std::move(rate)};
+    const std::vector<spec::DesignSpec> specs = gridPoints(doc);
+    ASSERT_EQ(specs.size(), rates);
+
+    const std::vector<SweepResult> ref =
+        SweepEngine(SweepOptions{.threads = 1}).runSerial(specs);
+    IncrementalEvaluator inc(reportOptions());
+    for (int pass = 0; pass < 2; ++pass) {
+        for (size_t i = 0; i < specs.size(); ++i) {
+            const SimulationOutcome out = inc.evaluate(specs[i]);
+            ASSERT_TRUE(out.feasible) << specs[i].name;
+            EXPECT_EQ(jsonlLine(i, specs[i], out),
+                      sweepResultToJsonl(ref[i]))
+                << specs[i].name;
+            EXPECT_LE(inc.memo().size(), CycleSimMemo::kCapacity);
+        }
+    }
+    EXPECT_EQ(inc.memo().size(), CycleSimMemo::kCapacity);
+    // One pass-A topology, hit by every later point; the cyclic walk
+    // over more pass-B topologies than fit misses every time.
+    EXPECT_EQ(inc.memo().stats().misses, 1 + 2 * rates);
+    EXPECT_EQ(inc.memo().stats().hits, 2 * rates - 1);
+}
+
+TEST(IncrementalEvaluator, StructuralEditsMatchTheSimulator)
 {
     IncrementalEvaluator inc(reportOptions());
     spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
     inc.evaluate(spec);
 
-    // Component added: the diff reports an Added element, which must
-    // force a full rebuild (no stage reuse) — and still be correct.
+    // Component added.
     spec::DesignSpec grown = spec;
     spec::MemorySpec extra = grown.memories.front();
     extra.name = "SpareBuf";
@@ -303,10 +271,9 @@ TEST(IncrementalEvaluator, StructuralEditFallsBackToFullRebuild)
     grown.name = "detector-65nm-sparebuf";
     expectIdenticalOutcome(inc.evaluate(grown),
                            referenceOutcome(grown), grown.name);
-    EXPECT_EQ(inc.stats().fullBuilds, 2u);
-    EXPECT_EQ(inc.stats().incrementalRuns, 0u);
 
-    // Renamed element: name-keyed diffing reports add+remove.
+    // Renamed element: names are part of the cycle-sim topology (they
+    // appear in its error text), so this is a new memo key.
     spec::DesignSpec renamed = spec;
     renamed.memories.front().name = "RenamedBuf";
     for (spec::UnitSpec &u : renamed.units) {
@@ -321,17 +288,16 @@ TEST(IncrementalEvaluator, StructuralEditFallsBackToFullRebuild)
     }
     if (renamed.adcOutputMemory == spec.memories.front().name)
         renamed.adcOutputMemory = "RenamedBuf";
+    const size_t misses_before = inc.memo().stats().misses;
     expectIdenticalOutcome(inc.evaluate(renamed),
                            referenceOutcome(renamed), renamed.name);
-    EXPECT_EQ(inc.stats().fullBuilds, 3u);
+    EXPECT_EQ(inc.memo().stats().misses, misses_before + 2);
 }
 
-TEST(IncrementalEvaluator, StageShapeEditReRunsTheDagValidation)
+TEST(IncrementalEvaluator, StageShapeEditReportsTheSimulatorsError)
 {
-    // Regression: a stage-shape edit that breaks an edge's shape
-    // agreement must be rejected by the incremental path with the
-    // full path's exact error — the Map stage's SwGraph::validate()
-    // may never be skipped for shape/op edits.
+    // A stage-shape edit that breaks an edge's shape agreement must
+    // be rejected with the full path's exact error.
     IncrementalEvaluator inc(reportOptions());
     inc.evaluate(spec::sampleDetectorSpec(30.0, 65));
 
@@ -351,17 +317,15 @@ TEST(IncrementalEvaluator, StageShapeEditReRunsTheDagValidation)
     EXPECT_EQ(bad.error, ref.error);
 }
 
-TEST(IncrementalEvaluator, InfeasiblePointKeepsTheFeasibleBase)
+TEST(IncrementalEvaluator, InfeasiblePointsMatchTheSimulator)
 {
     IncrementalEvaluator inc(reportOptions());
     spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
     inc.evaluate(spec);
 
-    // Push the frame rate over the feasibility boundary: the error
-    // text must match the full path's exactly — and, because the
-    // failed point ran on a scratch copy, the feasible base must
-    // STAY compiled (the gen-1 evaluator evicted it here, turning
-    // every point after an infeasible band into a full rebuild).
+    // Over the feasibility boundary: the error text must match the
+    // full path's exactly, and the feasible point after it is still
+    // answered correctly.
     spec::DesignSpec fast = spec;
     fast.fps = 100000.0;
     fast.name = "detector-65nm-too-fast";
@@ -369,28 +333,24 @@ TEST(IncrementalEvaluator, InfeasiblePointKeepsTheFeasibleBase)
     const SimulationOutcome ref = referenceOutcome(fast);
     ASSERT_FALSE(bad.feasible);
     EXPECT_EQ(bad.error, ref.error);
-    EXPECT_TRUE(inc.hasCompiledPoint());
-
-    // Recovery: the base answers the next point without rebuilding.
+    EXPECT_EQ(bad.ruleCode, ref.ruleCode);
     expectIdenticalOutcome(inc.evaluate(spec), referenceOutcome(spec),
                            spec.name);
-    EXPECT_TRUE(inc.hasCompiledPoint());
-    EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    EXPECT_EQ(inc.stats().identicalHits, 1u);
 }
 
-TEST(IncrementalEvaluator, ChangedPathHintSkipsTheJsonDiff)
+TEST(IncrementalEvaluator, ChangedPathArgumentIsIgnored)
 {
+    // The two-argument form forwards to evaluate(spec): even a hint
+    // that names the wrong field cannot change the answer.
     IncrementalEvaluator inc(reportOptions());
     spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
     inc.evaluate(spec);
     spec.fps = 120.0;
     spec.name = "detector-65nm-120fps";
     const SimulationOutcome out =
-        inc.evaluate(spec, {"fps", "name"});
+        inc.evaluate(spec, {"memories[ActBuf].nodeNm"});
     expectIdenticalOutcome(out, referenceOutcome(spec), spec.name);
-    EXPECT_EQ(inc.stats().diffsComputed, 0u);
-    EXPECT_EQ(inc.stats().rematerializations, 0u);
+    EXPECT_EQ(inc.stats().points, 2u);
 }
 
 TEST(IncrementalEvaluator, StrictModeRethrowsLikeTheSimulator)
@@ -399,8 +359,19 @@ TEST(IncrementalEvaluator, StrictModeRethrowsLikeTheSimulator)
     opts.checkMode = CheckMode::Strict;
     IncrementalEvaluator inc(opts);
     spec::DesignSpec fast = spec::sampleDetectorSpec(100000.0, 65);
-    EXPECT_THROW(inc.evaluate(fast), ConfigError);
-    EXPECT_FALSE(inc.hasCompiledPoint());
+    std::string ref_error;
+    try {
+        Simulator(opts).run(fast);
+    } catch (const ConfigError &e) {
+        ref_error = e.what();
+    }
+    ASSERT_FALSE(ref_error.empty());
+    try {
+        inc.evaluate(fast);
+        FAIL() << "an infeasible point must rethrow under Strict";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()), ref_error);
+    }
 }
 
 TEST(IncrementalEvaluator, RejectsInvalidOptions)
@@ -444,58 +415,42 @@ TEST(IncrementalIdentity, AllPaperStudiesThroughOneEvaluator)
     EXPECT_EQ(inc.stats().points, 27u);
 }
 
-TEST(IncrementalIdentity, CanonicalGridSequentialWithHints)
+TEST(IncrementalIdentity, CanonicalGridRowMajorAndStrided)
 {
-    // The 108-point canonical study, streamed in grid order through
-    // one evaluator with the grid's free changed-path hints — the
-    // sweet-spot workload. Every point bit-identical to full rebuild,
-    // and no JSON diff ever computed.
+    // The 108-point canonical study through one evaluator per order:
+    // grid order (rate outermost) and the stride-12 order of
+    // `camj_sweep plan --mode strided`, which revisits every rate in
+    // each column. Both orders simulate each distinct cycle-sim
+    // topology exactly once — 1 pass-A topology plus 7 pass-B ones
+    // (the two fastest rates fail before pass B) — and every point
+    // is bit-identical to its own full rebuild.
     const spec::SweepDocument doc = spec::sampleDetectorStudy();
-    spec::GridSpecSource source = doc.source();
-    IncrementalEvaluator inc(reportOptions());
-    std::optional<size_t> last;
-    for (size_t i = 0; i < source.totalPoints(); ++i) {
-        const spec::DesignSpec spec = source.at(i);
-        std::optional<std::vector<std::string>> hint;
-        if (last)
-            hint = source.changedPaths(*last, i);
-        ASSERT_TRUE(!last || hint.has_value());
-        const SimulationOutcome out =
-            hint ? inc.evaluate(spec, *hint) : inc.evaluate(spec);
-        expectIdenticalOutcome(out, referenceOutcome(spec), spec.name);
-        last = i;
-    }
-    EXPECT_EQ(inc.stats().points, source.totalPoints());
-    EXPECT_EQ(inc.stats().diffsComputed, 0u);
-    // The rate/node/duty axes are all non-structural: after the
-    // first point, nothing should ever rebuild from scratch except
-    // recoveries after infeasible (high-rate) points.
-    EXPECT_GT(inc.stats().incrementalRuns +
-                  inc.stats().identicalHits, 0u);
-}
+    const std::vector<spec::DesignSpec> specs = gridPoints(doc);
+    ASSERT_EQ(specs.size(), 108u);
+    std::vector<SimulationOutcome> ref;
+    for (const spec::DesignSpec &s : specs)
+        ref.push_back(referenceOutcome(s));
 
-TEST(IncrementalIdentity, CanonicalGridDiffFallbackMatchesToo)
-{
-    // Same grid, no hints: the evaluator JSON-diffs every pair.
-    const spec::SweepDocument doc = spec::sampleDetectorStudy();
-    spec::GridSpecSource source = doc.source();
-    IncrementalEvaluator inc(reportOptions());
-    for (size_t i = 0; i < source.totalPoints(); ++i) {
-        const spec::DesignSpec spec = source.at(i);
-        expectIdenticalOutcome(inc.evaluate(spec),
-                               referenceOutcome(spec), spec.name);
+    const size_t stride = 12; // 4 buffer nodes x 3 duty cycles
+    std::vector<size_t> strided;
+    for (size_t k = 0; k < stride; ++k)
+        for (size_t i = k; i < specs.size(); i += stride)
+            strided.push_back(i);
+    std::vector<size_t> row_major;
+    for (size_t i = 0; i < specs.size(); ++i)
+        row_major.push_back(i);
+
+    for (const std::vector<size_t> *order : {&row_major, &strided}) {
+        IncrementalEvaluator inc(reportOptions());
+        for (size_t i : *order)
+            expectIdenticalOutcome(inc.evaluate(specs[i]), ref[i],
+                                   specs[i].name);
+        EXPECT_EQ(inc.stats().points, specs.size());
+        EXPECT_EQ(inc.memo().stats().misses, 8u);
+        EXPECT_EQ(inc.memo().stats().hits +
+                      inc.memo().stats().misses,
+                  192u); // 108 pass-A + 84 pass-B lookups
     }
-    // Each point takes exactly one dispatch path: the first point
-    // full-builds, a same-signature LRU entry answers without any
-    // diff, and everything else JSON-diffs against the most recently
-    // compiled entry (infeasible points leave the cache intact, so
-    // nothing after the first point rebuilds from scratch).
-    EXPECT_GT(inc.stats().diffsComputed, 0u);
-    EXPECT_LE(inc.stats().diffsComputed, source.totalPoints() - 1);
-    EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    EXPECT_EQ(inc.stats().diffsComputed + inc.stats().fullBuilds +
-                  inc.stats().signatureHits + inc.stats().identicalHits,
-              source.totalPoints());
 }
 
 TEST(IncrementalIdentity, SweepEngineIncrementalMatchesSerial)

@@ -7,10 +7,7 @@
  * structure, and move construction must not change round-trip bytes.
  * The corpus is the checked-in golden spec documents plus
  * deterministically mutated variants and hand-picked number edges
- * (-0.0, NaN, integer-formatted doubles). A final suite re-runs the
- * strided canonical-grid scan through the incremental evaluator and
- * pins the same base-selection statistics the string-key dispatch
- * produced, so the hashed LRU scan is observably the same policy.
+ * (-0.0, NaN, integer-formatted doubles).
  */
 
 #include <gtest/gtest.h>
@@ -20,17 +17,13 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "explore/incremental.h"
-#include "spec/grid.h"
 #include "spec/json.h"
-#include "spec/samples.h"
 
 namespace camj
 {
@@ -445,52 +438,6 @@ TEST(JsonReserve, OnlyContainersAcceptReserve)
     EXPECT_THROW(num.reserve(4), ConfigError);
     Value null;
     EXPECT_THROW(null.reserve(4), ConfigError);
-}
-
-// ------------------------------------- hashed dispatch equivalence
-
-TEST(JsonDispatch, HashedLruScanMatchesStringKeyBaseSelection)
-{
-    // The strided scan over the canonical 108-point study is the
-    // base-selection stress test: consecutive points differ in a
-    // scalar axis, the cheapest base is usually a cross-signature
-    // sibling found by an exploratory diff, and exactly one full
-    // build must happen. These statistics are pinned to the values
-    // the old serialized-string cache keys produced — the hashed
-    // scan (hash fast-path + structural-equality verify) must make
-    // the same choices, not merely correct ones.
-    const spec::SweepDocument doc = spec::sampleDetectorStudy();
-    spec::GridSpecSource source = doc.source();
-    const size_t total = source.totalPoints();
-    ASSERT_EQ(total, 108u);
-    const size_t stride = 12;
-
-    SimulationOptions opts;
-    opts.checkMode = CheckMode::Report;
-    IncrementalEvaluator inc(opts);
-    std::optional<size_t> last;
-    size_t visited = 0;
-    for (size_t k = 0; k < stride; ++k) {
-        for (size_t idx = k; idx < total; idx += stride, ++visited) {
-            const spec::DesignSpec spec = source.at(idx);
-            std::optional<std::vector<std::string>> hint;
-            if (last)
-                hint = source.changedPaths(*last, idx);
-            const SimulationOutcome out =
-                hint ? inc.evaluate(spec, *hint) : inc.evaluate(spec);
-            EXPECT_TRUE(out.feasible || !out.error.empty());
-            last = idx;
-        }
-    }
-
-    ASSERT_EQ(visited, total);
-    EXPECT_EQ(inc.stats().points, total);
-    EXPECT_EQ(inc.stats().fullBuilds, 1u);
-    EXPECT_GT(inc.stats().diffsComputed, total / 2);
-    EXPECT_GT(inc.stats().signatureHits, 0u);
-    EXPECT_EQ(inc.compiledCacheStats().misses, 1u);
-    EXPECT_EQ(inc.compiledCacheStats().hits, total - 1);
-    EXPECT_LT(inc.stats().stagesRun, 2 * total);
 }
 
 } // namespace

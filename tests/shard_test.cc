@@ -720,23 +720,17 @@ TEST(CamjSweepCli, ResumePlanCoversExactlyTheHoleAndMergeCompletes)
               singleProcessJsonl(doc));
 }
 
-TEST(CamjSweepCli, FullRebuildFlagMatchesIncrementalDefault)
+TEST(CamjSweepCli, RunMatchesSingleProcess)
 {
-    // `run` rides the incremental pipeline by default; --full-rebuild
-    // must produce byte-identical output (the whole point).
-    const fs::path dir = scratchDir("cli_full_rebuild");
+    // `run` evaluates through the per-worker cycle-sim memo; its
+    // bytes must equal a plain in-process run.
+    const fs::path dir = scratchDir("cli_run");
     const spec::SweepDocument doc = smallStudy();
     writeFile(dir / "study.json", spec::toJson(doc));
     ASSERT_EQ(runCli("run " + (dir / "study.json").string() +
-                     " --out " + (dir / "inc.jsonl").string()),
+                     " --out " + (dir / "memo.jsonl").string()),
               0);
-    ASSERT_EQ(runCli("run " + (dir / "study.json").string() +
-                     " --full-rebuild --out " +
-                     (dir / "full.jsonl").string()),
-              0);
-    EXPECT_EQ(readFile(dir / "inc.jsonl"),
-              readFile(dir / "full.jsonl"));
-    EXPECT_EQ(readFile(dir / "inc.jsonl"), singleProcessJsonl(doc));
+    EXPECT_EQ(readFile(dir / "memo.jsonl"), singleProcessJsonl(doc));
 }
 
 /** WEXITSTATUS of the CLI with stdout+stderr silenced; -1 on an
@@ -763,6 +757,10 @@ TEST(CamjSweepCli, ArgumentErrorsExitTwoWithUsage)
     EXPECT_EQ(cliExit(""), 2);
     EXPECT_EQ(cliExit("frobnicate"), 2);
     EXPECT_EQ(cliExit("run " + study + " --frobnicate"), 2);
+    // `run` has one evaluation path, so there is nothing to opt out of.
+    EXPECT_EQ(cliExit("run " + study + " --full-rebuild --out " +
+                      (dir / "out.jsonl").string()),
+              2);
     EXPECT_EQ(cliExit("run " + study + " --out"), 2); // missing value
     EXPECT_EQ(cliExit("run " + study + " --shard 5/2"), 2);
     EXPECT_EQ(cliExit("run " + study + " --shard 0/0"), 2);

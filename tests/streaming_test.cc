@@ -363,46 +363,6 @@ TEST(SweepGrid, PointListDocumentRoundTripsAndShards)
     EXPECT_DOUBLE_EQ(points[1].fps, 240.0);
 }
 
-TEST(SweepGrid, ChangedPathsNameTheDifferingAxes)
-{
-    spec::DesignSpec base = spec::sampleDetectorSpec(30.0, 65);
-    // rate x node grid: rate outermost (stride 2), node fastest.
-    spec::GridSpecSource source(base, detectorGrid());
-
-    // Same point: nothing changed.
-    EXPECT_EQ(source.changedPaths(3, 3),
-              std::vector<std::string>{});
-    // Neighbors along the node axis.
-    EXPECT_EQ(source.changedPaths(0, 1),
-              (std::vector<std::string>{"memories[ActBuf].nodeNm",
-                                        "name"}));
-    // A rate-axis step keeping the node coordinate.
-    EXPECT_EQ(source.changedPaths(0, 2),
-              (std::vector<std::string>{"fps", "name"}));
-    // Both axes at once.
-    EXPECT_EQ(source.changedPaths(0, 3),
-              (std::vector<std::string>{
-                  "fps", "memories[ActBuf].nodeNm", "name"}));
-    // Out of range: unknown.
-    EXPECT_FALSE(source.changedPaths(0, 99).has_value());
-
-    // Point-list grids compare tuple values the same way.
-    spec::SweepGrid grid;
-    grid.axes = {{"rate", "fps", {}},
-                 {"node", "memories[ActBuf].nodeNm", {}}};
-    grid.pointList = {
-        {json::Value(15.0), json::Value(65)},
-        {json::Value(30.0), json::Value(65)},
-        {json::Value(15.0), json::Value(65)},
-    };
-    spec::GridSpecSource explicit_source(base, grid);
-    EXPECT_EQ(explicit_source.changedPaths(0, 1),
-              (std::vector<std::string>{"fps", "name"}));
-    // Distinct indices carrying identical tuples: nothing changed.
-    EXPECT_EQ(explicit_source.changedPaths(0, 2),
-              std::vector<std::string>{});
-}
-
 TEST(SweepGrid, GridStreamMatchesBatchOverExpandedSpecs)
 {
     spec::DesignSpec base = spec::sampleDetectorSpec(30.0, 65);
@@ -622,33 +582,6 @@ TEST(StreamingSweep, InOrderSinkReordersCompletions)
     EXPECT_TRUE(inorder.accept(result(1)));
     inorder.finish();
     EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2}));
-}
-
-// ------------------------------------------------ materialization cache
-
-TEST(MaterializeCache, ReuseIsBitIdenticalAndActuallyHits)
-{
-    std::vector<spec::DesignSpec> specs = spec::sampleDetectorGrid(
-        {65}, {1.0, 15.0, 30.0, 60.0}); // same components, fps deltas
-
-    SweepOptions plain{.threads = 1};
-    SweepOptions cached{.threads = 1, .reuseMaterializations = true};
-    expectSameResults(SweepEngine(cached).run(specs),
-                      SweepEngine(plain).run(specs));
-
-    spec::MaterializeCache cache;
-    for (const spec::DesignSpec &s : specs) {
-        for (const spec::AnalogArraySpec &a : s.analogArrays)
-            cache.component(a.component);
-    }
-    // 4 specs x 2 arrays, but only 2 distinct components: the fps
-    // delta leaves the analog chain untouched.
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.hits(), 6u);
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
 }
 
 // ------------------------------------------------- thread-count policy
