@@ -21,6 +21,8 @@
  * sweep (the cycle-sim memo's hits and misses over the canonical
  * grid in row-major and stride-12 order), the cached sweep
  * (the content-addressed on-disk outcome store, cold vs. warm), the
+ * 27 paper studies' cycles ticked per pass and pass-B stall-check
+ * routes, the Fig. 7 validation MAPE and correlation, the
  * cycle-sim engine pair (a cycle-dominated frame through the
  * fast-forward engine vs. the tick-loop reference — counters must be
  * bit-identical and the speedup must clear 5x), and a per-stage
@@ -812,13 +814,54 @@ writeBenchJson()
 
     // Usecase-spec sweep: the 27 paper studies (Rhythmic, Ed-Gaze,
     // validation chips, samples) through the same engines — tracks
-    // the throughput of the heavyweight production workloads.
+    // the throughput of the heavyweight production workloads — plus
+    // the deterministic cycle-sim work one evaluation of each study
+    // does: cycles ticked per pass and how pass B's stall check was
+    // answered (floored in scripts/check_bench_floors.py).
     std::vector<spec::DesignSpec> uspecs = allPaperStudySpecs();
     const SweepTiming usecase_t =
         measureSweep(serial_engine, threaded_engine, uspecs);
     json::Value usecase = json::Value::makeObject();
     setSweepMembers(usecase, uspecs.size(), threads, usecase_t);
+    PassSimStats usecase_passes;
+    for (const spec::DesignSpec &s : uspecs) {
+        EvalPipeline pipeline;
+        try {
+            pipeline.runAll(s.materialize());
+        } catch (const ConfigError &) {
+            // An infeasible study still reports what it simulated.
+        }
+        usecase_passes += pipeline.passStats();
+    }
+    usecase.set("cyclesTicked",
+                json::Value(usecase_passes.passA.cyclesTicked +
+                            usecase_passes.passB.cyclesTicked));
+    json::Value usecase_a = json::Value::makeObject();
+    usecase_a.set("cyclesTicked",
+                  json::Value(usecase_passes.passA.cyclesTicked));
+    usecase.set("passA", std::move(usecase_a));
+    json::Value usecase_b = json::Value::makeObject();
+    usecase_b.set("cyclesTicked",
+                  json::Value(usecase_passes.passB.cyclesTicked));
+    usecase.set("passB", std::move(usecase_b));
+    const StallRouteCounts &usecase_routes = usecase_passes.stallRoutes;
+    json::Value stall_check = json::Value::makeObject();
+    stall_check.set("stallFree", json::Value(static_cast<int64_t>(
+                                     usecase_routes.stallFree)));
+    stall_check.set("cone", json::Value(static_cast<int64_t>(
+                                usecase_routes.cone)));
+    stall_check.set("fullTopology", json::Value(static_cast<int64_t>(
+                                        usecase_routes.fullTopology)));
+    usecase.set("stallCheck", std::move(stall_check));
     doc.set("usecaseSweep", std::move(usecase));
+
+    // Paper accuracy: the Fig. 7 validation statistics, pinned so
+    // that performance work cannot drift the science unnoticed.
+    const ValidationSummary fig07 = runValidation();
+    json::Value validation = json::Value::makeObject();
+    validation.set("fig07MapePct", json::Value(fig07.mapePct));
+    validation.set("fig07Corr", json::Value(fig07.pearson));
+    doc.set("validation", std::move(validation));
 
     // Streaming sweep: the SAME spec set as the batch sections
     // through runStream (callback sink) — the acceptance bar is
@@ -1597,10 +1640,19 @@ writeBenchJson()
                 n / sample.serialSeconds, n / sample.threadedSeconds,
                 threads, sample.serialSeconds / sample.threadedSeconds);
     std::printf("usecase-spec sweep: %.1f designs/sec serial, %.1f "
-                "designs/sec with %d threads (%.2fx)\n",
+                "designs/sec with %d threads (%.2fx); %" PRId64
+                " cycles ticked in pass A, %" PRId64 " in pass B; "
+                "stall check: %zu stall-free, %zu on the cone, %zu "
+                "full-topology\n",
                 un / usecase_t.serialSeconds,
                 un / usecase_t.threadedSeconds, threads,
-                usecase_t.serialSeconds / usecase_t.threadedSeconds);
+                usecase_t.serialSeconds / usecase_t.threadedSeconds,
+                usecase_passes.passA.cyclesTicked,
+                usecase_passes.passB.cyclesTicked,
+                usecase_routes.stallFree, usecase_routes.cone,
+                usecase_routes.fullTopology);
+    std::printf("fig07 validation: MAPE %.4f%%, r = %.5f\n",
+                fig07.mapePct, fig07.pearson);
     std::printf("streaming sweep: %.1f designs/sec (%.2fx of the "
                 "threaded batch path)\n", n / stream_seconds,
                 sample.threadedSeconds / stream_seconds);

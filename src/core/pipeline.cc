@@ -389,11 +389,13 @@ EvalPipeline::runTiming(const Design &d, CycleSimMemo *memo)
                           (delay_.analogUnitTime *
                            d.params_.digitalClock);
         // Pass B reuses pass A's built topology; the two passes only
-        // differ in the source rate.
+        // differ in the source rate. Only the source's verdict is
+        // needed, so the stall check simulates no more of the
+        // topology than can influence it.
         sim_.setSourceRate(0, adc_rate);
-        const CycleSimResult rb =
-            memo != nullptr ? memo->run(sim_) : sim_.run();
+        const StallCheck rb = checkSourceStall(sim_, memo);
         statsB_ = rb.stats;
+        stallRoutes_.add(rb.route);
         if (rb.sourceBlocked) {
             fatal("Design %s: pipeline stall — the ADC output memory "
                   "fills up at the required frame rate (%lld blocked "
@@ -557,6 +559,7 @@ EvalPipeline::run(const Design &design, CycleSimMemo *memo,
     stagesEntered_ = 0;
     statsA_ = {};
     statsB_ = {};
+    stallRoutes_ = {};
     for (int s = 0; s < kEvalStageCount; ++s) {
         ++stagesEntered_;
         const EvalStage stage = static_cast<EvalStage>(s);

@@ -16,16 +16,22 @@
  *   CycleSim — cycle-level simulation pass A (consumer-paced source):
  *              the digital latency in cycles.
  *   Timing   — delay estimation (T_A from the frame budget) and the
- *              pass-B stall check at the true ADC rate.
+ *              pass-B stall check at the true ADC rate, answered on
+ *              the source's cone of influence (digital/stallcheck.h):
+ *              statically when the ADC memory can never fill, else by
+ *              simulating only the units and memories that can reach
+ *              the source, with a full-topology fallback whenever the
+ *              rest of the pipeline is not provably drain-safe.
  *   Energy   — energy assembly into the EnergyReport.
  *
  * Running all stages in order is exactly the old simulate() —
  * Design::simulate() is now a thin wrapper over runAll(). The split
  * lets a caller time each stage (runAllTimed) and count the stages a
- * point entered before a check failed. Nearly all of a point's cost
- * is the cycle-level simulation of the CycleSim and Timing stages,
- * so that is the one place reuse pays: runAll() takes an optional
- * CycleSimMemo (digital/cyclesim.h) and consults it for both passes.
+ * point entered before a check failed. What remains of a point's
+ * cost is mostly cycle-level simulation, so that is the one place
+ * reuse pays: runAll() takes an optional CycleSimMemo
+ * (digital/cyclesim.h) and consults it for pass A and for whatever
+ * topology the stall check simulates.
  */
 
 #ifndef CAMJ_CORE_PIPELINE_H
@@ -37,6 +43,7 @@
 #include "core/delay.h"
 #include "core/report.h"
 #include "digital/cyclesim.h"
+#include "digital/stallcheck.h"
 #include "sw/graph.h"
 
 namespace camj
@@ -60,6 +67,25 @@ inline constexpr int kEvalStageCount = 6;
 
 /** Stable lower-case stage name ("map", "cyclesim", ...). */
 const char *evalStageName(EvalStage stage);
+
+/** Cycle-sim diagnostics split by pass, plus how pass B's stall
+ *  checks were answered. Mergeable over evaluations. */
+struct PassSimStats
+{
+    /** Pass A: the CycleSim stage's latency run. */
+    CycleSimStats passA;
+    /** Pass B: the Timing stage's stall check. */
+    CycleSimStats passB;
+    StallRouteCounts stallRoutes;
+
+    PassSimStats &operator+=(const PassSimStats &o)
+    {
+        passA += o.passA;
+        passB += o.passB;
+        stallRoutes += o.stallRoutes;
+        return *this;
+    }
+};
 
 /**
  * The intermediate state of one evaluated design point. Each runX()
@@ -96,6 +122,14 @@ class EvalPipeline
         CycleSimStats s = statsA_;
         s += statsB_;
         return s;
+    }
+
+    /** The same diagnostics per pass, with the route pass B took
+     *  (none counted when pass B did not answer: skipped, or its
+     *  full run failed to drain). */
+    PassSimStats passStats() const
+    {
+        return {statsA_, statsB_, stallRoutes_};
     }
 
     /** Stages the last run actually entered (counted before each
@@ -155,6 +189,7 @@ class EvalPipeline
     /** Cycle-sim diagnostics of the last run (pass A / pass B). */
     CycleSimStats statsA_;
     CycleSimStats statsB_;
+    StallRouteCounts stallRoutes_;
 
     /** Run every stage; time each into @p seconds_out when
      *  non-null. */

@@ -467,25 +467,27 @@ CycleSim::runTickLoop(int64_t max_cycles)
 //     any number of times.
 //   - Detection: the discrete skeleton is fingerprinted each searched
 //     cycle (Brent anchoring, O(1) per tick). A repeat at distance P
-//     makes P a candidate; the engine then ticks TWO more periods,
+//     makes P a candidate (rounded up to a credit-aligned length when
+//     P is at least an active source's credit period but not a
+//     multiple of it); the engine then ticks TWO more periods,
 //     checking the skeleton bitwise at both (hash collisions can only
 //     waste the verification ticks), requiring the two per-period
 //     deltas to match bitwise, and proving fl-replay exactness with
 //     the certificates fl(S0+d)==S1 and fl(S1+d)==S2 per field.
 //   - While verifying, every float comparison in the tick (source
-//     credit truncation and stall slack, buffer space truncation,
-//     occupancy clamp and readiness, output backpressure, the
-//     cumulative-readiness cap branch and arrival test) records its
-//     minimum margin-to-flip in each direction. The jump length k is
-//     then the largest count of whole periods such that (a) no margin
-//     is crossed by its per-period drift, (b) no discrete event fires
-//     (a source draining, a unit reaching totalFires, max_cycles),
-//     and (c) every affine double stays small enough that the grid
-//     arithmetic remains exact. Within that bound every decision in
-//     the jumped region provably repeats the verified period's, so
-//     counters scale by k and state advances by k*delta in closed
-//     form — bit-identical to having ticked. Any mismatch or zero
-//     bound just falls back to ticking.
+//     credit truncation as far as it decides the push, stall slack,
+//     buffer space truncation, occupancy clamp and readiness, output
+//     backpressure, the cumulative-readiness cap branch and arrival
+//     test) records its minimum margin-to-flip in each direction. The
+//     jump length k is then the largest count of whole periods such
+//     that (a) no margin is crossed by its per-period drift, (b) no
+//     discrete event fires (a source draining, a unit reaching
+//     totalFires, max_cycles), and (c) every affine double stays small
+//     enough that the grid arithmetic remains exact. Within that bound
+//     every decision in the jumped region provably repeats the
+//     verified period's, so counters scale by k and state advances by
+//     k*delta in closed form — bit-identical to having ticked. Any
+//     mismatch or zero bound just falls back to ticking.
 
 CycleSimResult
 CycleSim::runFastForward(int64_t max_cycles)
@@ -576,12 +578,17 @@ CycleSim::runFastForward(int64_t max_cycles)
     };
     int qgrid = 0;
     bool detectEnabled = true;
-    for (const SimSource &src : sources_) {
-        const int q = gridExpOf(src.wordsPerCycle);
-        if (q < 0)
+    // Each source's dyadic credit period 2^q (its rate is m * 2^-q
+    // with m odd): its credit pattern repeats every 2^q cycles.
+    std::vector<int64_t> creditPeriod(ns, 1);
+    for (size_t s = 0; s < ns; ++s) {
+        const int q = gridExpOf(sources_[s].wordsPerCycle);
+        if (q < 0) {
             detectEnabled = false;
-        else
+        } else {
             qgrid = std::max(qgrid, q);
+            creditPeriod[s] = int64_t{1} << std::min(q, 30);
+        }
     }
     for (const SimUnit &unit : units_) {
         for (const SimPort &port : unit.inputs) {
@@ -722,17 +729,34 @@ CycleSim::runFastForward(int64_t max_cycles)
                     guard->maxCredit[s] = c;
                 if (c > guard->creditAbsMax[s])
                     guard->creditAbsMax[s] = c;
-                // want truncates credit to int64: the decision flips
-                // at the surrounding integer boundaries.
+            }
+            // want truncates credit to int64. When the memory takes
+            // all of want, the push flips at the integer boundaries
+            // around the credit. When it takes less (it is full or out
+            // of write ports), every larger want pushes the same, so
+            // only the credit falling to what was taken matters —
+            // which lets a blocked source, whose credit only grows, be
+            // jumped.
+            auto creditFlips = [&](int64_t taken, int64_t wanted) {
+                if (guard == nullptr)
+                    return;
+                const double c = sourceCredit[s];
+                if (taken < wanted) {
+                    flipDown(guard->creditInt[s],
+                             c - static_cast<double>(taken + 1));
+                    return;
+                }
                 const double fl = std::floor(c);
                 flipUp(guard->creditInt[s], fl + 1.0 - c);
                 flipDown(guard->creditInt[s], c - fl);
-            }
+            };
             int64_t want = std::min<int64_t>(
                 static_cast<int64_t>(sourceCredit[s]),
                 sourceRemaining[s]);
-            if (want == 0)
+            if (want == 0) {
+                creditFlips(0, 0);
                 continue;
+            }
 
             const size_t m = static_cast<size_t>(src.memIdx);
             int64_t space = mems_[m].capacityWords;
@@ -756,7 +780,9 @@ CycleSim::runFastForward(int64_t max_cycles)
                     0, static_cast<int64_t>(vd) - reserved[m]);
             }
             int64_t push = std::min(want, space);
-            if (push > 0 && writeTokens[m] > 0) {
+            const bool pushes = push > 0 && writeTokens[m] > 0;
+            creditFlips(pushes ? push : 0, want);
+            if (pushes) {
                 --writeTokens[m];
                 if (!mems_[m].prefilled)
                     occupancy[m] += static_cast<double>(push);
@@ -1258,6 +1284,25 @@ CycleSim::runFastForward(int64_t max_cycles)
     };
 
     constexpr int64_t kMaxPeriod = int64_t{1} << 17;
+    // Credit alignment. While a source is active, a candidate at least
+    // as long as its credit period Q but not a multiple of it is only
+    // a near-period: its credit drifts by a nonzero multiple of 1/Q per
+    // period, and a window of 2Q cycles has seen every credit phase,
+    // so jumpBound() would refuse it at every occurrence. Such a
+    // candidate is rounded up to the credit-aligned length Q * 2^j
+    // that covers it (0 when that exceeds kMaxPeriod: no candidate).
+    auto creditAligned = [&](int64_t p) {
+        int64_t q = 1;
+        for (size_t s = 0; s < ns; ++s) {
+            if (sourceRemaining[s] > 0)
+                q = std::max(q, creditPeriod[s]);
+        }
+        if (p < q || p % q == 0)
+            return p;
+        while (q < p)
+            q *= 2;
+        return q <= kMaxPeriod ? q : 0;
+    };
     int64_t minCand = 1;
     int64_t hintPeriod = 0, hintAnchor = -1;
     int64_t prevActive = activeSources, prevPending = pendingUnits;
@@ -1350,6 +1395,7 @@ CycleSim::runFastForward(int64_t max_cycles)
             cand = hintPeriod;
             hintPeriod = 0;
         }
+        cand = creditAligned(cand);
         if (cand > 0) {
             period = cand;
             capture(cycle, snap0);

@@ -12,6 +12,11 @@
  *   2. Digital latency estimation (T_D), which the delay model uses
  *      to derive the analog time budget T_A = (T_FR - T_D) / N.
  *
+ * The Timing stage asks the stall question through checkSourceStall()
+ * (digital/stallcheck.h), which simulates only the part of a topology
+ * that can influence its sources, and nothing when no source can
+ * block.
+ *
  * The model is transaction-level: every unit moves its declared
  * per-cycle shapes; pipeline depth delays the landing of outputs.
  *
@@ -25,10 +30,11 @@
  * every per-cycle double operation exact, so a verified period
  * replays bit-identically any number of times. The default
  * Mode::FastForward engine detects the period from a skeleton
- * fingerprint, verifies the deltas over two more periods, and then
- * jumps whole periods at once in closed form, bounded by the nearest
- * discrete event (a source draining, a unit reaching totalFires) and
- * by every recorded float-comparison margin — turning
+ * fingerprint (candidates at least a source's dyadic credit period
+ * long are aligned to it), verifies the deltas over two more periods,
+ * and then jumps whole periods at once in closed form, bounded by the
+ * nearest discrete event (a source draining, a unit reaching
+ * totalFires) and by every recorded float-comparison margin — turning
  * O(frame-cycles) ticking into O(events) while producing counters
  * bit-identical to the Mode::TickLoop reference (pinned by
  * tests/cyclesim_diff_test.cc; see docs/performance.md).
@@ -181,7 +187,7 @@ bool sameCounters(const CycleSimResult &a, const CycleSimResult &b);
  * (units in topological order), then run(). run() does not consume
  * the topology: the same instance can run() repeatedly (the Timing
  * stage's pass B reuses pass A's topology with setSourceRate()
- * instead of rebuilding it).
+ * instead of rebuilding it, and hands it to checkSourceStall()).
  */
 class CycleSim
 {
@@ -195,7 +201,8 @@ class CycleSim
          *  period verifies. */
         FastForward,
         /** The reference cycle-at-a-time loop, kept compiled-in as
-         *  the differential-testing baseline. */
+         *  the differential-testing baseline. checkSourceStall()
+         *  runs the full topology under it. */
         TickLoop,
     };
 
@@ -241,6 +248,14 @@ class CycleSim
      *  topologyHash() == o.topologyHash(). */
     uint64_t topologyHash() const;
 
+    /** The topology as built (rates and retires already snapped). */
+    const std::vector<SimMemory> &memories() const { return mems_; }
+    const std::vector<SimSource> &sources() const { return sources_; }
+    const std::vector<SimUnit> &units() const { return units_; }
+
+    /** run()'s default deadlock guard [cycles]. */
+    static constexpr int64_t kDefaultMaxCycles = 500000000;
+
     /**
      * Simulate one frame.
      *
@@ -248,7 +263,7 @@ class CycleSim
      * @throws ConfigError if the pipeline does not drain within
      *         @p max_cycles (deadlock or unsatisfiable dependencies).
      */
-    CycleSimResult run(int64_t max_cycles = 500000000);
+    CycleSimResult run(int64_t max_cycles = kDefaultMaxCycles);
 
   private:
     std::vector<SimMemory> mems_;
@@ -281,9 +296,12 @@ struct CycleSimMemoStats
  * A bounded memo of CycleSim::run() results, keyed by the built
  * topology (memories, sources with their quantized rates, units)
  * plus the Mode the run would use. Neighboring points of a grid
- * sweep rebuild the same few topologies over and over: a frame-rate
- * axis only moves pass B's source rate, and axes such as a memory's
- * node or duty cycle never reach the cycle model at all.
+ * sweep rebuild the same few topologies over and over: pass A's
+ * topology ignores the frame rate, axes such as a memory's node or
+ * duty cycle never reach the cycle model at all, and the pass-B stall
+ * check (digital/stallcheck.h) looks up the sub-topology it actually
+ * simulates, so a frame-rate axis only misses where that sub-topology
+ * exists.
  *
  * A lookup hashes the topology first and verifies every candidate
  * with sameTopology() and the mode, so a hash collision costs one
@@ -291,8 +309,9 @@ struct CycleSimMemoStats
  * that flipping CycleSim::setDefaultMode() re-simulates instead of
  * serving the other engine's answer. A hit returns the stored
  * result with zero CycleSimStats, because no cycle was simulated; a
- * run that throws stores nothing. At most kCapacity entries are
- * kept, least recently used evicted first.
+ * run that throws stores nothing. A stored run that drained after
+ * more cycles than a lookup's budget does not answer that lookup. At
+ * most kCapacity entries are kept, least recently used evicted first.
  *
  * Not thread-safe: each sweep worker owns one, inside its
  * IncrementalEvaluator.
@@ -302,9 +321,10 @@ class CycleSimMemo
   public:
     static constexpr size_t kCapacity = 16;
 
-    /** @p sim.run(), or the stored result of an identical earlier
-     *  run. @throws ConfigError as CycleSim::run() does. */
-    CycleSimResult run(CycleSim &sim);
+    /** @p sim.run(max_cycles), or the stored result of an identical
+     *  earlier run. @throws ConfigError as CycleSim::run() does. */
+    CycleSimResult run(CycleSim &sim,
+                       int64_t max_cycles = CycleSim::kDefaultMaxCycles);
 
     /** Entries held (never more than kCapacity). */
     size_t size() const { return entries_.size(); }

@@ -89,13 +89,13 @@ CycleSim::topologyHash() const
 }
 
 CycleSimResult
-CycleSimMemo::run(CycleSim &sim)
+CycleSimMemo::run(CycleSim &sim, int64_t max_cycles)
 {
     const uint64_t hash = sim.topologyHash();
     const CycleSim::Mode mode = sim.mode();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (it->hash != hash || it->mode != mode ||
-            !it->sim.sameTopology(sim))
+            it->result.cycles > max_cycles || !it->sim.sameTopology(sim))
             continue;
         ++stats_.hits;
         std::rotate(entries_.begin(), it, std::next(it));
@@ -104,7 +104,7 @@ CycleSimMemo::run(CycleSim &sim)
         return result;
     }
     ++stats_.misses;
-    CycleSimResult result = sim.run(); // throws: nothing stored
+    CycleSimResult result = sim.run(max_cycles); // throws: nothing stored
     if (entries_.size() == kCapacity)
         entries_.pop_back();
     entries_.insert(entries_.begin(), Entry{hash, mode, sim, result});

@@ -63,6 +63,7 @@ IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
         const Design design = spec.materialize();
         EnergyReport report = pipeline.runAll(design, &memo_);
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
+        passStats_ += pipeline.passStats();
         persist(doc, true, {}, report);
         SimulationOutcome out = finishOutcome(options_, std::move(report));
         out.simStats = pipeline.simStats();
@@ -70,6 +71,7 @@ IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
     } catch (const ConfigError &e) {
         // Zero when materialize() threw: the pipeline never started.
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
+        passStats_ += pipeline.passStats();
         persist(doc, false, e.what(), {});
         if (options_.checkMode == CheckMode::Strict)
             throw;

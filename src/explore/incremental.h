@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "digital/cyclesim.h"
 #include "explore/cache.h"
 #include "explore/simulator.h"
@@ -102,6 +103,11 @@ class IncrementalEvaluator
         return memo_.stats();
     }
 
+    /** Cycle-sim diagnostics per pass, and how each pass-B stall
+     *  check was answered, summed over every point this evaluator ran
+     *  through the pipeline, feasible or not. */
+    const PassSimStats &passStats() const { return passStats_; }
+
     /** On-disk store traffic, or nullptr when no cache_dir is set. */
     const OutcomeStoreStats *outcomeStoreStats() const
     {
@@ -113,6 +119,7 @@ class IncrementalEvaluator
     CycleSimMemo memo_;
     std::optional<OutcomeStore> store_;
     IncrementalStats stats_;
+    PassSimStats passStats_;
 
     /** Persist the outcome for @p doc, if a store is configured. */
     void persist(const std::optional<json::Value> &doc, bool feasible,

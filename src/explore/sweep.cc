@@ -196,6 +196,7 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
         stats.cycleSim += local_sim;
         if (inc) {
             stats.cycleSimMemo += inc->memo().stats();
+            stats.passes += inc->passStats();
             if (inc->outcomeStoreStats() != nullptr)
                 stats.outcomeCacheHits += inc->outcomeStoreStats()->hits;
         }

@@ -93,6 +93,10 @@ struct StreamStats
     /** Cycle-sim memo lookups summed over all workers; zero unless
      *  SweepOptions::incremental. */
     CycleSimMemoStats cycleSimMemo;
+    /** Cycle-sim diagnostics per pass, with pass B's stall-check
+     *  routes, over every point evaluated (feasible or not) summed
+     *  over all workers; zero unless SweepOptions::incremental. */
+    PassSimStats passes;
 };
 
 /** Parallel design-space evaluator. */

@@ -428,6 +428,12 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         if (pid < 0)
             fatal("serve: fork failed: %s", std::strerror(errno));
         if (pid == 0) {
+            // Fault injection must beat the worker: the child dies
+            // before exec, so the restart is deterministic even for
+            // shards that finish in milliseconds (a kill sent by the
+            // parent can land after a fast child has already done).
+            if (inject)
+                ::kill(::getpid(), SIGKILL);
             const int log_fd = ::open(log_path.c_str(),
                                       O_WRONLY | O_CREAT | O_TRUNC,
                                       0644);
@@ -445,11 +451,6 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
             ::_exit(127);
         }
         slot.pid = pid;
-        // Fault injection must beat the worker: kill at spawn, while
-        // the child is still pre-exec, so the restart is
-        // deterministic even for shards that finish in milliseconds.
-        if (inject)
-            ::kill(pid, SIGKILL);
     };
 
     auto launch = [&](WorkerSlot &slot) {

@@ -67,8 +67,10 @@ usage(std::FILE *to)
 "                                  of the base spec\n"
 "      --verbose                   also print cycle-sim execution\n"
 "                                  stats (cycles ticked vs fast-\n"
-"                                  forwarded, periods, fallbacks,\n"
-"                                  memo hits and misses)\n"
+"                                  forwarded per pass, periods,\n"
+"                                  fallbacks, how pass B's stall\n"
+"                                  check was answered, memo hits\n"
+"                                  and misses)\n"
 "  camj_sweep merge <shard.jsonl>... --out FILE [options]\n"
 "      reduce shard files into one in-order result file + summary\n"
 "      --top K                     top-K table size (default 5)\n"
@@ -307,6 +309,22 @@ cmdRun(int argc, char **argv)
                     static_cast<long long>(cs.cyclesFastForwarded),
                     static_cast<long long>(cs.periodsDetected),
                     static_cast<long long>(cs.fallbacks));
+        const auto print_pass = [](const char *name,
+                                   const CycleSimStats &p) {
+            std::printf("cycle-sim %s: %lld ticked, %lld "
+                        "fast-forwarded, %lld period jump(s), %lld "
+                        "fallback(s)\n", name,
+                        static_cast<long long>(p.cyclesTicked),
+                        static_cast<long long>(p.cyclesFastForwarded),
+                        static_cast<long long>(p.periodsDetected),
+                        static_cast<long long>(p.fallbacks));
+        };
+        print_pass("pass A", stats.passes.passA);
+        print_pass("pass B", stats.passes.passB);
+        const StallRouteCounts &routes = stats.passes.stallRoutes;
+        std::printf("pass-B stall check: %zu statically stall-free, %zu "
+                    "on the cone, %zu by full-topology fallback\n",
+                    routes.stallFree, routes.cone, routes.fullTopology);
         std::printf("cycle-sim memo: %zu hit(s), %zu miss(es)\n",
                     stats.cycleSimMemo.hits, stats.cycleSimMemo.misses);
     }

@@ -28,6 +28,7 @@
 #include "explore/sweep.h"
 #include "spec/grid.h"
 #include "spec/samples.h"
+#include "usecases/edgaze.h"
 
 namespace camj
 {
@@ -141,11 +142,11 @@ TEST(CacheKeys, OutcomeKeyCoversTheWholeDocument)
 TEST(CycleSimMemoReuse, StridedShardOrderSimulatesEachTopologyOnce)
 {
     // A stride-12 shard order over the canonical 108-point study:
-    // consecutive points differ in the rate axis, so a memo that only
-    // remembered the last point would re-simulate pass B every time.
-    // The bounded memo holds every rate's pass-B topology, so each of
-    // the 8 distinct topologies is simulated once, and every outcome
-    // is bit-identical to a full rebuild.
+    // consecutive points differ in the rate axis. Pass A's topology
+    // ignores the rate and is simulated once; every pass-B stall check
+    // is answered without simulating (ActBuf holds the whole frame),
+    // so the memo holds one entry, and every outcome is bit-identical
+    // to a full rebuild.
     const spec::SweepDocument doc = spec::sampleDetectorStudy();
     spec::GridSpecSource source = doc.source();
     const size_t total = source.totalPoints();
@@ -165,24 +166,27 @@ TEST(CycleSimMemoReuse, StridedShardOrderSimulatesEachTopologyOnce)
 
     ASSERT_EQ(visited, total);
     EXPECT_EQ(inc.stats().points, total);
-    EXPECT_EQ(inc.memo().stats().misses, 8u);
-    EXPECT_EQ(inc.memo().size(), 8u);
+    EXPECT_EQ(inc.memo().stats().misses, 1u);
+    EXPECT_EQ(inc.memo().size(), 1u);
 }
 
 TEST(CycleSimMemoReuse, InfeasibleBandsNeverEvictFeasibleTopologies)
 {
-    // A feasibility boundary crossed once per node row (30, 60
-    // feasible; 1e5, 2e5 not). A failing point stores nothing, so
-    // the feasible rates' topologies stay memoized across every band:
-    // pass A plus two pass-B topologies are simulated once each.
+    // A feasibility boundary crossed once per buffer-node row (30, 60
+    // feasible; 1e5, 2e5 not) on Ed-Gaze, whose pass B simulates the
+    // line buffer's stall cone. A failing point stores nothing, so the
+    // feasible rates' topologies stay memoized across every band:
+    // pass A plus two pass-B cones are simulated once each.
     IncrementalEvaluator inc(reportOptions());
     const int nodes[] = {180, 110, 65, 45};
     const double rates[] = {30.0, 60.0, 100000.0, 200000.0};
     size_t infeasible = 0;
     for (int node : nodes) {
         for (double fps : rates) {
-            const spec::DesignSpec spec =
-                spec::sampleDetectorSpec(fps, node);
+            spec::DesignSpec spec = edgazeSpec(EdgazeVariant::TwoDIn, 65);
+            spec.fps = fps;
+            for (spec::MemorySpec &m : spec.memories)
+                m.nodeNm = node;
             const SimulationOutcome out = inc.evaluate(spec);
             expectIdenticalOutcome(out, referenceOutcome(spec),
                                    spec.name);

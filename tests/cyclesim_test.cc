@@ -263,6 +263,19 @@ TEST(CycleSim, RejectsMalformedConfigs)
     EXPECT_THROW(sim.addUnit(u), ConfigError); // bad memory
 }
 
+TEST(CycleSimMemo, StoredRunAnswersOnlyBudgetsItDrainedWithin)
+{
+    // The chain drains in about 1,000 cycles: a lookup with a smaller
+    // budget must fail as the run itself does, not hit the memo.
+    SimpleChain c(1000, 1.0, 64, 1, 1, 1.0, 1000);
+    CycleSimMemo memo;
+    const CycleSimResult full = memo.run(c.sim);
+    EXPECT_THROW(memo.run(c.sim, full.cycles - 1), ConfigError);
+    EXPECT_EQ(memo.run(c.sim, full.cycles).cycles, full.cycles);
+    EXPECT_EQ(memo.stats().hits, 1u);
+    EXPECT_EQ(memo.stats().misses, 2u);
+}
+
 // Property sweep: no stall whenever the sustained source rate does
 // not exceed the consumer's drain rate and the buffer absorbs the
 // startup transient; guaranteed stall when it heavily exceeds it on

@@ -22,6 +22,7 @@
 #include "explore/sweep.h"
 #include "spec/grid.h"
 #include "spec/samples.h"
+#include "usecases/edgaze.h"
 #include "usecases/studies.h"
 
 namespace camj
@@ -125,6 +126,17 @@ jsonlLine(size_t index, const spec::DesignSpec &spec,
     return sweepResultToJsonl(r);
 }
 
+/** An Ed-Gaze variant: its line buffer can fill, so pass B's stall
+ *  check simulates the source's cone of influence (the sample
+ *  detector's pass B is answered without simulating anything). */
+spec::DesignSpec
+edgazePoint(double fps)
+{
+    spec::DesignSpec spec = edgazeSpec(EdgazeVariant::TwoDIn, 65);
+    spec.fps = fps;
+    return spec;
+}
+
 /** Restores the process-wide cycle-sim mode on scope exit. */
 class ScopedDefaultMode
 {
@@ -151,45 +163,51 @@ TEST(IncrementalEvaluator, RepeatedSpecIsAnsweredFromTheMemo)
     EXPECT_EQ(inc.stats().points, 1u);
     EXPECT_EQ(inc.stats().fullBuilds, 1u);
     EXPECT_EQ(inc.stats().stagesRun, 6u);
-    // Pass A and pass B each simulated once.
-    EXPECT_EQ(inc.memo().stats().misses, 2u);
+    // Pass A simulated once; pass B's stall check is answered without
+    // simulating (ActBuf holds the whole frame), so it never looks
+    // anything up.
+    EXPECT_EQ(inc.memo().stats().misses, 1u);
     EXPECT_EQ(inc.memo().stats().hits, 0u);
+    EXPECT_EQ(inc.passStats().stallRoutes.stallFree, 1u);
     EXPECT_GT(first.simStats.cyclesTicked +
                   first.simStats.cyclesFastForwarded,
               0);
 
-    // Both passes hit: nothing is simulated, so the point reports
-    // zero cycle-sim stats, yet every stage still runs.
+    // Pass A hits: nothing is simulated, so the point reports zero
+    // cycle-sim stats, yet every stage still runs.
     const SimulationOutcome again = inc.evaluate(spec);
     expectIdenticalOutcome(again, referenceOutcome(spec), spec.name);
-    EXPECT_EQ(inc.memo().stats().hits, 2u);
-    EXPECT_EQ(inc.memo().stats().misses, 2u);
+    EXPECT_EQ(inc.memo().stats().hits, 1u);
+    EXPECT_EQ(inc.memo().stats().misses, 1u);
     EXPECT_EQ(again.simStats, CycleSimStats{});
     EXPECT_EQ(inc.stats().fullBuilds, 2u);
     EXPECT_EQ(inc.stats().stagesRun, 12u);
     // compiledCacheStats() is the same traffic under its old name.
-    EXPECT_EQ(inc.compiledCacheStats().hits, 2u);
-    EXPECT_EQ(inc.compiledCacheStats().misses, 2u);
+    EXPECT_EQ(inc.compiledCacheStats().hits, 1u);
+    EXPECT_EQ(inc.compiledCacheStats().misses, 1u);
 }
 
 TEST(IncrementalEvaluator, MemoKeyIsTheCycleSimTopology)
 {
+    // Pass A's topology and pass B's stall cone are each one memo key.
     IncrementalEvaluator inc(reportOptions());
-    inc.evaluate(spec::sampleDetectorSpec(30.0, 65));
+    inc.evaluate(edgazePoint(30.0));
+    EXPECT_EQ(inc.memo().stats().misses, 2u);
+    EXPECT_EQ(inc.passStats().stallRoutes.cone, 1u);
 
     // A buffer node never reaches the cycle model: both passes hit.
-    spec::DesignSpec node = spec::sampleDetectorSpec(30.0, 65);
+    spec::DesignSpec node = edgazePoint(30.0);
     for (spec::MemorySpec &m : node.memories)
         m.nodeNm = 110;
-    node.name = "detector-65nm-buf110";
+    node.name = "edgaze-buf110";
     expectIdenticalOutcome(inc.evaluate(node), referenceOutcome(node),
                            node.name);
     EXPECT_EQ(inc.memo().stats().hits, 2u);
     EXPECT_EQ(inc.memo().stats().misses, 2u);
 
     // A frame rate only moves pass B's source rate: pass A hits,
-    // pass B simulates the new topology.
-    const spec::DesignSpec rate = spec::sampleDetectorSpec(60.0, 65);
+    // pass B simulates the new cone.
+    const spec::DesignSpec rate = edgazePoint(60.0);
     expectIdenticalOutcome(inc.evaluate(rate), referenceOutcome(rate),
                            rate.name);
     EXPECT_EQ(inc.memo().stats().hits, 3u);
@@ -207,15 +225,18 @@ TEST(IncrementalEvaluator, ModeIsPartOfTheMemoKey)
     const SimulationOutcome fast = inc.evaluate(spec);
     ASSERT_TRUE(fast.feasible);
     ASSERT_GT(fast.simStats.cyclesFastForwarded, 0);
-    ASSERT_EQ(inc.memo().stats().misses, 2u);
+    ASSERT_EQ(inc.memo().stats().misses, 1u); // pass B: no simulation
 
+    // The reference engine simulates pass A and the full pass-B
+    // topology.
     SimulationOutcome ticked;
     {
         ScopedDefaultMode tick(CycleSim::Mode::TickLoop);
         ticked = inc.evaluate(spec);
     }
     EXPECT_EQ(inc.memo().stats().hits, 0u);
-    EXPECT_EQ(inc.memo().stats().misses, 4u);
+    EXPECT_EQ(inc.memo().stats().misses, 3u);
+    EXPECT_EQ(inc.passStats().stallRoutes.fullTopology, 1u);
     EXPECT_EQ(ticked.simStats.cyclesFastForwarded, 0);
     EXPECT_GT(ticked.simStats.cyclesTicked, 0);
     expectIdenticalOutcome(ticked, fast, spec.name);
@@ -225,14 +246,14 @@ TEST(IncrementalEvaluator, ModeIsPartOfTheMemoKey)
 TEST(IncrementalEvaluator, MemoNeverExceedsItsCapacity)
 {
     // More distinct frame rates than the memo holds, swept twice: the
-    // second sweep re-simulates evicted pass-B topologies, and every
-    // line still matches a from-scratch serial run byte for byte.
+    // second sweep re-simulates evicted pass-B cones, and every line
+    // still matches a from-scratch serial run byte for byte.
     const size_t rates = CycleSimMemo::kCapacity + 4;
     spec::SweepDocument doc;
-    doc.base = spec::sampleDetectorSpec(30.0, 65);
+    doc.base = edgazePoint(30.0);
     spec::GridAxis rate{"rate", "fps", {}};
     for (size_t i = 0; i < rates; ++i)
-        rate.values.push_back(json::Value(1.0 + static_cast<double>(i)));
+        rate.values.push_back(json::Value(30.0 + static_cast<double>(i)));
     doc.grid.axes = {std::move(rate)};
     const std::vector<spec::DesignSpec> specs = gridPoints(doc);
     ASSERT_EQ(specs.size(), rates);
@@ -252,7 +273,7 @@ TEST(IncrementalEvaluator, MemoNeverExceedsItsCapacity)
     }
     EXPECT_EQ(inc.memo().size(), CycleSimMemo::kCapacity);
     // One pass-A topology, hit by every later point; the cyclic walk
-    // over more pass-B topologies than fit misses every time.
+    // over more pass-B cones than fit misses every time.
     EXPECT_EQ(inc.memo().stats().misses, 1 + 2 * rates);
     EXPECT_EQ(inc.memo().stats().hits, 2 * rates - 1);
 }
@@ -273,7 +294,8 @@ TEST(IncrementalEvaluator, StructuralEditsMatchTheSimulator)
                            referenceOutcome(grown), grown.name);
 
     // Renamed element: names are part of the cycle-sim topology (they
-    // appear in its error text), so this is a new memo key.
+    // appear in its error text), so this is a new pass-A key (pass B
+    // simulates nothing for this design).
     spec::DesignSpec renamed = spec;
     renamed.memories.front().name = "RenamedBuf";
     for (spec::UnitSpec &u : renamed.units) {
@@ -291,7 +313,7 @@ TEST(IncrementalEvaluator, StructuralEditsMatchTheSimulator)
     const size_t misses_before = inc.memo().stats().misses;
     expectIdenticalOutcome(inc.evaluate(renamed),
                            referenceOutcome(renamed), renamed.name);
-    EXPECT_EQ(inc.memo().stats().misses, misses_before + 2);
+    EXPECT_EQ(inc.memo().stats().misses, misses_before + 1);
 }
 
 TEST(IncrementalEvaluator, StageShapeEditReportsTheSimulatorsError)
@@ -420,10 +442,11 @@ TEST(IncrementalIdentity, CanonicalGridRowMajorAndStrided)
     // The 108-point canonical study through one evaluator per order:
     // grid order (rate outermost) and the stride-12 order of
     // `camj_sweep plan --mode strided`, which revisits every rate in
-    // each column. Both orders simulate each distinct cycle-sim
-    // topology exactly once — 1 pass-A topology plus 7 pass-B ones
-    // (the two fastest rates fail before pass B) — and every point
-    // is bit-identical to its own full rebuild.
+    // each column. Both orders simulate the one pass-A topology once;
+    // every pass-B stall check (84: the two fastest rates fail before
+    // pass B) is answered without simulating, because ActBuf holds
+    // 131,072 elements against 4,800 words of inflow. Every point is
+    // bit-identical to its own full rebuild.
     const spec::SweepDocument doc = spec::sampleDetectorStudy();
     const std::vector<spec::DesignSpec> specs = gridPoints(doc);
     ASSERT_EQ(specs.size(), 108u);
@@ -446,10 +469,12 @@ TEST(IncrementalIdentity, CanonicalGridRowMajorAndStrided)
             expectIdenticalOutcome(inc.evaluate(specs[i]), ref[i],
                                    specs[i].name);
         EXPECT_EQ(inc.stats().points, specs.size());
-        EXPECT_EQ(inc.memo().stats().misses, 8u);
+        EXPECT_EQ(inc.memo().stats().misses, 1u);
         EXPECT_EQ(inc.memo().stats().hits +
                       inc.memo().stats().misses,
-                  192u); // 108 pass-A + 84 pass-B lookups
+                  108u); // pass A only
+        EXPECT_EQ(inc.passStats().stallRoutes.stallFree, 84u);
+        EXPECT_EQ(inc.passStats().passB, CycleSimStats{});
     }
 }
 
