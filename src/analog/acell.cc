@@ -13,13 +13,14 @@ DynamicCell::DynamicCell(std::string name, std::vector<CapNode> nodes)
     : ACell(std::move(name)), nodes_(std::move(nodes))
 {
     if (nodes_.empty())
-        fatal("DynamicCell %s: no capacitance nodes", this->name().c_str());
+        fatal(Rule::E014,
+              "DynamicCell %s: no capacitance nodes", this->name().c_str());
     for (const auto &n : nodes_) {
         if (n.capacitance <= 0.0)
-            fatal("DynamicCell %s: non-positive capacitance %g F",
+            fatal(Rule::E014, "DynamicCell %s: non-positive capacitance %g F",
                   this->name().c_str(), n.capacitance);
         if (n.voltageSwing < 0.0)
-            fatal("DynamicCell %s: negative voltage swing %g V",
+            fatal(Rule::E014, "DynamicCell %s: negative voltage swing %g V",
                   this->name().c_str(), n.voltageSwing);
     }
 }
@@ -47,11 +48,12 @@ DynamicCell::capForResolution(int bits, Voltage vswing,
                               double temperature_k)
 {
     if (bits < 1 || bits > 16)
-        fatal("capForResolution: resolution %d outside [1, 16]", bits);
+        fatal(Rule::E014,
+              "capForResolution: resolution %d outside [1, 16]", bits);
     if (vswing <= 0.0)
-        fatal("capForResolution: non-positive swing %g V", vswing);
+        fatal(Rule::E014, "capForResolution: non-positive swing %g V", vswing);
     if (temperature_k <= 0.0)
-        fatal("capForResolution: non-positive temperature %g K",
+        fatal(Rule::E014, "capForResolution: non-positive temperature %g K",
               temperature_k);
 
     // Eq. 6: 3 * sqrt(kT/C) < 0.5 * Vvs / 2^bits
@@ -65,17 +67,17 @@ StaticBiasedCell::StaticBiasedCell(std::string name,
     : ACell(std::move(name)), params_(params)
 {
     if (params_.loadCapacitance <= 0.0)
-        fatal("StaticBiasedCell %s: non-positive load capacitance",
+        fatal(Rule::E014, "StaticBiasedCell %s: non-positive load capacitance",
               this->name().c_str());
     if (params_.voltageSwing <= 0.0 || params_.vdda <= 0.0)
-        fatal("StaticBiasedCell %s: non-positive voltage",
+        fatal(Rule::E014, "StaticBiasedCell %s: non-positive voltage",
               this->name().c_str());
     if (params_.mode == BiasMode::GmOverId &&
         (params_.gmOverId < 1.0 || params_.gmOverId > 30.0))
-        fatal("StaticBiasedCell %s: gm/Id %g outside [1, 30]",
+        fatal(Rule::E014, "StaticBiasedCell %s: gm/Id %g outside [1, 30]",
               this->name().c_str(), params_.gmOverId);
     if (params_.gain <= 0.0)
-        fatal("StaticBiasedCell %s: non-positive gain",
+        fatal(Rule::E014, "StaticBiasedCell %s: non-positive gain",
               this->name().c_str());
 }
 
@@ -85,7 +87,8 @@ StaticBiasedCell::biasCurrent(const CellTiming &timing) const
     if (params_.mode == BiasMode::DirectDrive) {
         // Eq. 8: charge the load within the static window.
         if (timing.staticTime <= 0.0)
-            fatal("StaticBiasedCell %s: DirectDrive needs staticTime > 0",
+            fatal(Rule::E014,
+                  "StaticBiasedCell %s: DirectDrive needs staticTime > 0",
                   name().c_str());
         return params_.loadCapacitance * params_.voltageSwing /
                timing.staticTime;
@@ -97,7 +100,7 @@ StaticBiasedCell::biasCurrent(const CellTiming &timing) const
         gbw = params_.gain * params_.fixedBandwidth;
     } else {
         if (timing.delay <= 0.0)
-            fatal("StaticBiasedCell %s: GmOverId needs delay > 0",
+            fatal(Rule::E014, "StaticBiasedCell %s: GmOverId needs delay > 0",
                   name().c_str());
         gbw = params_.gain / timing.delay;
     }
@@ -115,7 +118,7 @@ StaticBiasedCell::energyPerAccess(const CellTiming &timing) const
     }
     // Eq. 7: E = VDDA * Ibias * t_static.
     if (timing.staticTime < 0.0)
-        fatal("StaticBiasedCell %s: negative staticTime",
+        fatal(Rule::E014, "StaticBiasedCell %s: negative staticTime",
               name().c_str());
     return params_.vdda * biasCurrent(timing) * timing.staticTime;
 }
@@ -126,10 +129,10 @@ NonLinearCell::NonLinearCell(std::string name, int bits,
       energyOverride_(energy_override)
 {
     if (bits_ < 1 || bits_ > 16)
-        fatal("NonLinearCell %s: resolution %d outside [1, 16]",
+        fatal(Rule::E014, "NonLinearCell %s: resolution %d outside [1, 16]",
               this->name().c_str(), bits_);
     if (energyOverride_ < 0.0)
-        fatal("NonLinearCell %s: negative energy override",
+        fatal(Rule::E014, "NonLinearCell %s: negative energy override",
               this->name().c_str());
 }
 
@@ -139,7 +142,8 @@ NonLinearCell::energyPerAccess(const CellTiming &timing) const
     if (energyOverride_ > 0.0)
         return energyOverride_;
     if (timing.delay <= 0.0)
-        fatal("NonLinearCell %s: needs delay > 0 for the FoM lookup",
+        fatal(Rule::E014,
+              "NonLinearCell %s: needs delay > 0 for the FoM lookup",
               name().c_str());
     return adcEnergyPerConversion(bits_, 1.0 / timing.delay);
 }

@@ -183,6 +183,7 @@ class NonLinearCell : public ACell
     Energy energyPerAccess(const CellTiming &timing) const override;
 
     int bits() const { return bits_; }
+    Energy energyOverride() const { return energyOverride_; }
 
   private:
     int bits_;

@@ -24,7 +24,7 @@ AComponent::AComponent(std::string name, SignalDomain input,
     : name_(std::move(name)), input_(input), output_(output)
 {
     if (name_.empty())
-        fatal("AComponent: empty name");
+        fatal(Rule::E014, "AComponent: empty name");
 }
 
 void
@@ -32,9 +32,10 @@ AComponent::addCell(std::shared_ptr<const ACell> cell, int spatial,
                     int temporal, TimingScope scope)
 {
     if (!cell)
-        fatal("AComponent %s: null cell", name_.c_str());
+        fatal(Rule::E014, "AComponent %s: null cell", name_.c_str());
     if (spatial < 1 || temporal < 1)
-        fatal("AComponent %s: cell %s counts must be >= 1 (got %d, %d)",
+        fatal(Rule::E014,
+              "AComponent %s: cell %s counts must be >= 1 (got %d, %d)",
               name_.c_str(), cell->name().c_str(), spatial, temporal);
     cells_.push_back({std::move(cell), spatial, temporal, scope});
 }
@@ -62,11 +63,22 @@ AComponent::timingFor(size_t idx, const ComponentTiming &t) const
     return ct;
 }
 
+bool
+AComponent::fomSurveyed() const
+{
+    for (const CellInstance &c : cells_) {
+        const auto *nl = dynamic_cast<const NonLinearCell *>(c.cell.get());
+        if (nl != nullptr && nl->energyOverride() <= 0.0)
+            return true;
+    }
+    return false;
+}
+
 Energy
 AComponent::energyPerOp(const ComponentTiming &timing) const
 {
     if (cells_.empty())
-        fatal("AComponent %s: no cells", name_.c_str());
+        fatal(Rule::E014, "AComponent %s: no cells", name_.c_str());
     Energy e = 0.0;
     for (size_t i = 0; i < cells_.size(); ++i) {
         const CellInstance &ci = cells_[i];
@@ -159,7 +171,7 @@ AComponent
 makeAps4T(const ApsParams &params)
 {
     if (params.pixelsPerComponent < 1)
-        fatal("makeAps4T: pixelsPerComponent must be >= 1");
+        fatal(Rule::E014, "makeAps4T: pixelsPerComponent must be >= 1");
 
     AComponent c("4T-APS", SignalDomain::Optical, SignalDomain::Voltage);
     c.addCell(photodiodeCell(params), params.pixelsPerComponent, 1);
@@ -177,7 +189,7 @@ AComponent
 makeAps3T(ApsParams params)
 {
     if (params.pixelsPerComponent < 1)
-        fatal("makeAps3T: pixelsPerComponent must be >= 1");
+        fatal(Rule::E014, "makeAps3T: pixelsPerComponent must be >= 1");
     params.correlatedDoubleSampling = false; // 3T cannot do true CDS
 
     AComponent c("3T-APS", SignalDomain::Optical, SignalDomain::Voltage);
@@ -220,7 +232,7 @@ makeSwitchedCapMac(const SwitchedCapParams &params)
     Capacitance unit = resolveCap(params.unitCap, params.bits,
                                   params.vswing);
     if (params.numCaps < 1)
-        fatal("makeSwitchedCapMac: numCaps must be >= 1");
+        fatal(Rule::E014, "makeSwitchedCapMac: numCaps must be >= 1");
 
     AComponent c("SC-MAC", SignalDomain::Voltage, SignalDomain::Voltage);
     c.addCell(std::make_shared<DynamicCell>(
@@ -286,7 +298,8 @@ AComponent
 makeMaxUnit(int num_inputs)
 {
     if (num_inputs < 2)
-        fatal("makeMaxUnit: need at least 2 inputs (got %d)", num_inputs);
+        fatal(Rule::E014,
+              "makeMaxUnit: need at least 2 inputs (got %d)", num_inputs);
     AComponent c("max", SignalDomain::Voltage, SignalDomain::Voltage);
     // Winner-take-all tree: n-1 pairwise comparisons.
     c.addCell(std::make_shared<NonLinearCell>("wta-comparator", 1),

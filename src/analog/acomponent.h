@@ -80,6 +80,10 @@ class AComponent
     int numCells() const { return static_cast<int>(cells_.size()); }
     const std::vector<CellInstance> &cells() const { return cells_; }
 
+    /** True when a cell's energy comes from the Walden FoM survey: a
+     *  NonLinearCell without an energy override. */
+    bool fomSurveyed() const;
+
     /**
      * Energy of one operation (Eq. 4): SelfSlot/ComponentSpan cells
      * only. The per-op delay is split evenly across the critical path

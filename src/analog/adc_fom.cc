@@ -34,7 +34,8 @@ Energy
 waldenFomMedian(Frequency sample_rate)
 {
     if (sample_rate <= 0.0 || sample_rate > 1e12)
-        fatal("waldenFomMedian: sampling rate %g S/s outside (0, 1e12]",
+        fatal(Rule::E015,
+              "waldenFomMedian: sampling rate %g S/s outside (0, 1e12]",
               sample_rate);
 
     if (sample_rate <= fomTable.front().rate)
@@ -60,7 +61,8 @@ Energy
 adcEnergyPerConversion(int bits, Frequency sample_rate)
 {
     if (bits < 1 || bits > 16)
-        fatal("adcEnergyPerConversion: resolution %d outside [1, 16]",
+        fatal(Rule::E014,
+              "adcEnergyPerConversion: resolution %d outside [1, 16]",
               bits);
     return waldenFomMedian(sample_rate) * std::pow(2.0, bits);
 }

@@ -11,18 +11,18 @@ AnalogArray::AnalogArray(AnalogArrayParams params, AComponent component)
     : params_(std::move(params)), component_(std::move(component))
 {
     if (params_.name.empty())
-        fatal("AnalogArray: empty name");
+        fatal(Rule::E014, "AnalogArray: empty name");
     if (!params_.numComponents.valid())
-        fatal("AnalogArray %s: invalid component count %s",
+        fatal(Rule::E014, "AnalogArray %s: invalid component count %s",
               params_.name.c_str(), params_.numComponents.str().c_str());
     if (!params_.inputShape.valid() || !params_.outputShape.valid())
-        fatal("AnalogArray %s: invalid input/output shape",
+        fatal(Rule::E014, "AnalogArray %s: invalid input/output shape",
               params_.name.c_str());
     if (params_.componentArea < 0.0)
-        fatal("AnalogArray %s: negative component area",
+        fatal(Rule::E014, "AnalogArray %s: negative component area",
               params_.name.c_str());
     if (component_.numCells() == 0)
-        fatal("AnalogArray %s: component '%s' has no cells",
+        fatal(Rule::E014, "AnalogArray %s: component '%s' has no cells",
               params_.name.c_str(), component_.name().c_str());
 }
 
@@ -30,7 +30,8 @@ double
 AnalogArray::accessesPerComponent(int64_t ops) const
 {
     if (ops < 0)
-        fatal("AnalogArray %s: negative op count", params_.name.c_str());
+        fatal(Rule::E014,
+              "AnalogArray %s: negative op count", params_.name.c_str());
     return static_cast<double>(ops) /
            static_cast<double>(params_.numComponents.count());
 }
@@ -40,9 +41,10 @@ AnalogArray::energyPerFrame(int64_t ops, Time unit_time,
                             Time frame_time) const
 {
     if (ops < 0)
-        fatal("AnalogArray %s: negative op count", params_.name.c_str());
+        fatal(Rule::E014,
+              "AnalogArray %s: negative op count", params_.name.c_str());
     if (unit_time <= 0.0 || frame_time <= 0.0)
-        fatal("AnalogArray %s: non-positive time budget",
+        fatal(Rule::E014, "AnalogArray %s: non-positive time budget",
               params_.name.c_str());
 
     AnalogArrayEnergy result;

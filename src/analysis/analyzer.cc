@@ -1682,94 +1682,12 @@ SpecAnalyzer::analyzeDocument(const Value &doc) const
     try {
         parsed = spec::fromJsonValue(doc);
     } catch (const ConfigError &e) {
-        std::string code = classifyError(e.what());
-        out.push_back(makeError(code.empty() ? "CAMJ-D003" : code, "",
-                                e.what()));
+        out.push_back(makeError(e.code(), "", e.what()));
         return out;
     }
     std::vector<Diagnostic> specDiags = analyze(parsed);
     out.insert(out.end(), specDiags.begin(), specDiags.end());
     return out;
-}
-
-// ------------------------------------------------- error classification
-
-std::string
-classifyError(const std::string &text)
-{
-    if (text.empty())
-        return "";
-    struct Pattern
-    {
-        const char *needle;
-        const char *code;
-    };
-    // Most specific first; the first hit wins.
-    static const Pattern kPatterns[] = {
-        {"pipeline stall", "CAMJ-D001"},
-        {"exceeds the frame", "CAMJ-D002"},
-        {"cross the package boundary but no", "CAMJ-E016"},
-        {"cross between stacked layers but no", "CAMJ-E016"},
-        {"conversion component", "CAMJ-E010"},
-        {"must sit between the analog and digital", "CAMJ-E010"},
-        {"insert an analog buffer", "CAMJ-E011"},
-        {"no analog arrays", "CAMJ-E009"},
-        {"is not mapped to hardware", "CAMJ-E008"},
-        {"only Input stages may map onto a memory", "CAMJ-E008"},
-        {"precedes any mapped stage", "CAMJ-E008"},
-        {"cannot map", "CAMJ-E008"},
-        {"lists stage", "CAMJ-E008"},
-        {"has no input memory", "CAMJ-E012"},
-        {"exactly one input buffer", "CAMJ-E012"},
-        {"setAdcOutput", "CAMJ-E012"},
-        {"shape mismatch on edge", "CAMJ-E006"},
-        {"no Input stage", "CAMJ-E007"},
-        {"cycle detected", "CAMJ-E007"},
-        {"empty graph", "CAMJ-E007"},
-        {"self-loop", "CAMJ-E007"},
-        {"duplicate edge", "CAMJ-E007"},
-        {"duplicate stage", "CAMJ-E002"},
-        {"duplicate hardware name", "CAMJ-E002"},
-        {"has an empty name", "CAMJ-E002"},
-        {"reads unknown stage", "CAMJ-E003"},
-        {"references unknown memory", "CAMJ-E003"},
-        {"references unknown stage", "CAMJ-E003"},
-        {"targets unknown hardware", "CAMJ-E003"},
-        {"no stage named", "CAMJ-E003"},
-        {"input(s)", "CAMJ-E004"},
-        {"empty design name", "CAMJ-E001"},
-        {"fps must be positive", "CAMJ-E001"},
-        {"digital clock must be positive", "CAMJ-E001"},
-        {"frame time must be positive", "CAMJ-E001"},
-        {"Stage", "CAMJ-E005"},
-        {"DigitalMemory", "CAMJ-E013"},
-        {"sramModel", "CAMJ-E013"},
-        {"sttramModel", "CAMJ-E013"},
-        {"regfileModel", "CAMJ-E013"},
-        {"makeSramMemory", "CAMJ-E013"},
-        {"makeSttramMemory", "CAMJ-E013"},
-        {"makeRegfileMemory", "CAMJ-E013"},
-        {"process node", "CAMJ-E013"},
-        {"waldenFomMedian", "CAMJ-E015"},
-        {"adcEnergyPerConversion", "CAMJ-E014"},
-        {"AnalogArray", "CAMJ-E014"},
-        {"AComponent", "CAMJ-E014"},
-        {"DynamicCell", "CAMJ-E014"},
-        {"StaticBiasedCell", "CAMJ-E014"},
-        {"NonLinearCell", "CAMJ-E014"},
-        {"capForResolution", "CAMJ-E014"},
-        {"makeAps", "CAMJ-E014"},
-        {"makeDps", "CAMJ-E014"},
-        {"makeMaxUnit", "CAMJ-E014"},
-        {"makeSwitchedCap", "CAMJ-E014"},
-        {"ComputeUnit", "CAMJ-E017"},
-        {"SystolicArray", "CAMJ-E017"},
-    };
-    for (const Pattern &p : kPatterns) {
-        if (text.find(p.needle) != std::string::npos)
-            return p.code;
-    }
-    return "CAMJ-D003";
 }
 
 } // namespace camj::analysis

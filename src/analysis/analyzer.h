@@ -66,7 +66,8 @@ class SpecAnalyzer
      * Document-level analysis: unknown/deprecated-key lint over the
      * raw JSON tree, then (when the document parses) the full spec
      * rule set. A parse failure becomes a single error diagnostic
-     * carrying the classified rule code.
+     * carrying the thrown rule code (CAMJ-E018 for a malformed
+     * document).
      */
     std::vector<Diagnostic> analyzeDocument(const json::Value &doc) const;
 
@@ -81,15 +82,6 @@ class SpecAnalyzer
  * paper-era key spellings the parser silently ignores.
  */
 std::vector<Diagnostic> lintDocumentKeys(const json::Value &doc);
-
-/**
- * Map a dynamic ConfigError message onto the rule code of the static
- * rule that would have caught it ("CAMJ-E010", ...), "CAMJ-D001/D002"
- * for the genuinely dynamic failures (pipeline stall, frame budget),
- * "CAMJ-D003" for unclassified text, and "" for empty input. Lets
- * infeasible SimulationOutcomes cross-reference the lint catalogue.
- */
-std::string classifyError(const std::string &text);
 
 /** Static input/output signal domain of a declarative component
  *  (Custom kinds use their declared domains; no instantiation). */

@@ -57,8 +57,7 @@ evalRule(const GridRule &rule, const json::Value &baseDoc,
                 errors.push_back(std::move(d));
         }
     } catch (const ConfigError &e) {
-        errors.push_back(makeError(classifyError(e.what()), "",
-                                   e.what()));
+        errors.push_back(makeError(e.code(), "", e.what()));
     }
     return errors;
 }
@@ -361,6 +360,37 @@ PrefilterSpecSource::globalIndex(size_t local) const
               "(%zu surviving points)",
               local, survivors_.size());
     return survivors_[local];
+}
+
+// --------------------------------------------------------- lintDocument
+
+DocumentLint
+lintDocument(const std::string &text)
+{
+    DocumentLint out;
+    json::Value raw;
+    try {
+        raw = json::Value::parse(text);
+    } catch (const ConfigError &e) {
+        out.diagnostics.push_back(makeError(e.code(), "", e.what()));
+        out.rejection = "document does not parse";
+        return out;
+    }
+    out.diagnostics = SpecAnalyzer().analyzeDocument(raw);
+    if (hasErrors(out.diagnostics)) {
+        out.rejection = "static analysis found errors";
+        return out;
+    }
+    try {
+        spec::SweepDocument doc = spec::sweepDocumentFromJson(text);
+        // Building the grid source also validates every axis value.
+        out.grid = PrefilterSpecSource(doc).analysis();
+        out.sweep = std::move(doc);
+    } catch (const ConfigError &e) {
+        out.diagnostics.push_back(makeError(e.code(), "", e.what()));
+        out.rejection = "invalid sweep document";
+    }
+    return out;
 }
 
 } // namespace camj::analysis

@@ -175,6 +175,30 @@ class PrefilterSpecSource : public spec::IndexableSpecSource
     std::atomic<size_t> cursor_{0};
 };
 
+/**
+ * What lint finds in one document's text, stage by stage: the JSON
+ * parse, SpecAnalyzer::analyzeDocument, then the sweepGrid's
+ * validation and infeasibility analysis. A stage that fails stops the
+ * chain; each failure is one diagnostic carrying its thrown code (a
+ * malformed document or grid is CAMJ-E018). `camj_sweep lint` prints
+ * the result and camj_serve admits on it.
+ */
+struct DocumentLint
+{
+    /** Every finding, in stage order. */
+    std::vector<Diagnostic> diagnostics;
+    /** The failed stage ("document does not parse", "static analysis
+     *  found errors", "invalid sweep document"); empty when the
+     *  document can run. */
+    std::string rejection;
+    /** The sweep document, set when rejection is empty. */
+    std::optional<spec::SweepDocument> sweep;
+    /** Its grid's infeasibility analysis, valid when sweep is set. */
+    GridAnalysis grid;
+};
+
+DocumentLint lintDocument(const std::string &text);
+
 } // namespace camj::analysis
 
 #endif // CAMJ_ANALYSIS_GRID_ANALYZER_H

@@ -21,9 +21,9 @@ CommInterface::CommInterface(std::string name, CommKind kind,
       energyPerByte_(energy_per_byte)
 {
     if (name_.empty())
-        fatal("CommInterface: empty name");
+        fatal(Rule::E016, "CommInterface: empty name");
     if (energyPerByte_ <= 0.0)
-        fatal("CommInterface %s: energy per byte must be positive",
+        fatal(Rule::E016, "CommInterface %s: energy per byte must be positive",
               name_.c_str());
 }
 
@@ -31,7 +31,8 @@ Energy
 CommInterface::energyForBytes(int64_t bytes) const
 {
     if (bytes < 0)
-        fatal("CommInterface %s: negative byte count", name_.c_str());
+        fatal(Rule::E016,
+              "CommInterface %s: negative byte count", name_.c_str());
     return energyPerByte_ * static_cast<double>(bytes);
 }
 

@@ -1,6 +1,7 @@
 #include "common/logging.h"
 
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 namespace camj
@@ -9,6 +10,16 @@ namespace camj
 namespace
 {
 bool loggingEnabled = true;
+
+constexpr const char *kRuleCodes[] = {
+    "CAMJ-E001", "CAMJ-E002", "CAMJ-E003", "CAMJ-E004", "CAMJ-E005",
+    "CAMJ-E006", "CAMJ-E007", "CAMJ-E008", "CAMJ-E009", "CAMJ-E010",
+    "CAMJ-E011", "CAMJ-E012", "CAMJ-E013", "CAMJ-E014", "CAMJ-E015",
+    "CAMJ-E016", "CAMJ-E017", "CAMJ-E018", "CAMJ-D001", "CAMJ-D002",
+    "CAMJ-D003",
+};
+static_assert(std::size(kRuleCodes) ==
+              static_cast<size_t>(Rule::D003) + 1);
 } // namespace
 
 std::string
@@ -36,6 +47,22 @@ strprintf(const char *fmt, ...)
     return s;
 }
 
+const char *
+ruleCode(Rule rule)
+{
+    return kRuleCodes[static_cast<size_t>(rule)];
+}
+
+std::optional<Rule>
+ruleFromCode(std::string_view code)
+{
+    for (size_t i = 0; i < std::size(kRuleCodes); ++i) {
+        if (code == kRuleCodes[i])
+            return static_cast<Rule>(i);
+    }
+    return std::nullopt;
+}
+
 void
 fatal(const char *fmt, ...)
 {
@@ -44,6 +71,16 @@ fatal(const char *fmt, ...)
     std::string msg = vstrprintf(fmt, args);
     va_end(args);
     throw ConfigError("fatal: " + msg);
+}
+
+void
+fatal(Rule rule, const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    std::string msg = vstrprintf(fmt, args);
+    va_end(args);
+    throw ConfigError("fatal: " + msg, rule);
 }
 
 void

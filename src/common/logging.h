@@ -10,6 +10,10 @@
  *
  *   - fatal(...)  throws ConfigError  — the design description is
  *     invalid (mismatched signal domains, stalls, cycles in the DAG...).
+ *     fatal(Rule::E013, ...) names the docs/lint_rules.md code the
+ *     error falls under; every fatal() a spec document can reach
+ *     names one, so a failure explains itself without re-reading
+ *     its text.
  *   - panic(...)  throws InternalError — a CamJ bug.
  *   - warn(...) / inform(...) print to stderr/stdout and continue.
  */
@@ -18,18 +22,49 @@
 #define CAMJ_COMMON_LOGGING_H
 
 #include <cstdarg>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace camj
 {
+
+/**
+ * A rule code of the docs/lint_rules.md catalogue: Rule::E013 is
+ * "CAMJ-E013". E codes name the static rule that catches the same
+ * defect, D001/D002 the failures only simulation finds, and D003
+ * everything uncoded (CLI, service and I/O errors). Append only,
+ * like the catalogue.
+ */
+enum class Rule : unsigned char
+{
+    E001, E002, E003, E004, E005, E006, E007, E008, E009,
+    E010, E011, E012, E013, E014, E015, E016, E017, E018,
+    D001, D002, D003,
+};
+
+/** The catalogue code of @p rule ("CAMJ-E013"). */
+const char *ruleCode(Rule rule);
+
+/** The rule whose code is @p code; nullopt for any other text. */
+std::optional<Rule> ruleFromCode(std::string_view code);
 
 /** Raised by fatal(): the user-supplied design description is invalid. */
 class ConfigError : public std::runtime_error
 {
   public:
-    explicit ConfigError(const std::string &what)
-        : std::runtime_error(what) {}
+    explicit ConfigError(const std::string &what, Rule rule = Rule::D003)
+        : std::runtime_error(what), rule_(rule) {}
+
+    /** The catalogue rule the error falls under. */
+    Rule rule() const { return rule_; }
+
+    /** ruleCode(rule()): "CAMJ-E013". */
+    const char *code() const { return ruleCode(rule_); }
+
+  private:
+    Rule rule_;
 };
 
 /** Raised by panic(): an internal CamJ invariant was violated. */
@@ -48,12 +83,22 @@ std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /**
- * Report a user configuration error. Never returns.
+ * Report a user configuration error no catalogue rule covers (its
+ * code is CAMJ-D003). Never returns.
  *
  * @throws ConfigError always.
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * Report a user configuration error under catalogue rule @p rule.
+ * Never returns.
+ *
+ * @throws ConfigError always, carrying @p rule.
+ */
+[[noreturn]] void fatal(Rule rule, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 /**
  * Report an internal invariant violation. Never returns.

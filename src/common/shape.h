@@ -72,11 +72,12 @@ inline int64_t
 stencilOutputExtent(int64_t input, int64_t kernel, int64_t stride)
 {
     if (kernel < 1 || stride < 1)
-        fatal("stencil: kernel/stride must be >= 1 (got %lld, %lld)",
+        fatal(Rule::E005,
+              "stencil: kernel/stride must be >= 1 (got %lld, %lld)",
               static_cast<long long>(kernel),
               static_cast<long long>(stride));
     if (kernel > input)
-        fatal("stencil: kernel %lld larger than input %lld",
+        fatal(Rule::E005, "stencil: kernel %lld larger than input %lld",
               static_cast<long long>(kernel),
               static_cast<long long>(input));
     return (input - kernel) / stride + 1;

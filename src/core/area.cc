@@ -11,7 +11,7 @@ void
 AreaSummary::add(Layer layer, Area area)
 {
     if (area < 0.0)
-        fatal("AreaSummary: negative area");
+        fatal(Rule::E017, "AreaSummary: negative area");
     switch (layer) {
       case Layer::Sensor:
         sensorLayer += area;

@@ -9,7 +9,7 @@ void
 checkAnalogDomains(const std::vector<const AnalogArray *> &chain)
 {
     if (chain.empty())
-        fatal("checkAnalogDomains: empty analog chain");
+        fatal(Rule::E009, "checkAnalogDomains: empty analog chain");
     for (const AnalogArray *a : chain) {
         if (!a)
             panic("checkAnalogDomains: null array in chain");
@@ -19,7 +19,8 @@ checkAnalogDomains(const std::vector<const AnalogArray *> &chain)
         SignalDomain out = chain[i]->outputDomain();
         SignalDomain in = chain[i + 1]->inputDomain();
         if (out != in) {
-            fatal("analog chain: '%s' outputs %s but '%s' consumes "
+            fatal(Rule::E010,
+                  "analog chain: '%s' outputs %s but '%s' consumes "
                   "%s; insert a %s-to-%s conversion component",
                   chain[i]->name().c_str(), signalDomainName(out),
                   chain[i + 1]->name().c_str(), signalDomainName(in),
@@ -50,7 +51,8 @@ checkAnalogThroughput(const std::vector<const AnalogArray *> &chain)
                  cons->name().c_str());
             continue;
         }
-        fatal("analog chain: '%s' produces %s per step but '%s' "
+        fatal(Rule::E011,
+              "analog chain: '%s' produces %s per step but '%s' "
               "consumes %s; insert an analog buffer between them",
               prod->name().c_str(), prod->outputShape().str().c_str(),
               cons->name().c_str(), cons->inputShape().str().c_str());
@@ -61,10 +63,11 @@ void
 checkAdcBoundary(const std::vector<const AnalogArray *> &chain)
 {
     if (chain.empty())
-        fatal("checkAdcBoundary: empty analog chain");
+        fatal(Rule::E009, "checkAdcBoundary: empty analog chain");
     const AnalogArray *last = chain.back();
     if (last->outputDomain() != SignalDomain::Digital) {
-        fatal("analog chain: final array '%s' outputs %s; an ADC (or "
+        fatal(Rule::E010,
+              "analog chain: final array '%s' outputs %s; an ADC (or "
               "comparator) must sit between the analog and digital "
               "domains", last->name().c_str(),
               signalDomainName(last->outputDomain()));

@@ -10,11 +10,11 @@ estimateDelays(Time frame_time, Time digital_latency,
                int num_analog_arrays)
 {
     if (frame_time <= 0.0)
-        fatal("estimateDelays: frame time must be positive");
+        fatal(Rule::E001, "estimateDelays: frame time must be positive");
     if (digital_latency < 0.0)
-        fatal("estimateDelays: negative digital latency");
+        fatal(Rule::E017, "estimateDelays: negative digital latency");
     if (num_analog_arrays < 1)
-        fatal("estimateDelays: need at least one analog array");
+        fatal(Rule::E009, "estimateDelays: need at least one analog array");
 
     DelayEstimate d;
     d.frameTime = frame_time;
@@ -23,7 +23,8 @@ estimateDelays(Time frame_time, Time digital_latency,
 
     Time analog_budget = frame_time - digital_latency;
     if (analog_budget <= 0.0) {
-        fatal("estimateDelays: digital latency %s exceeds the frame "
+        fatal(Rule::D002,
+              "estimateDelays: digital latency %s exceeds the frame "
               "time %s; the pipeline would stall — redesign the "
               "digital units or lower the FPS target",
               formatTime(digital_latency).c_str(),

@@ -33,11 +33,12 @@ Design::Design(DesignParams params)
     : params_(std::move(params))
 {
     if (params_.name.empty())
-        fatal("Design: empty name");
+        fatal(Rule::E001, "Design: empty name");
     if (params_.fps <= 0.0)
-        fatal("Design %s: fps must be positive", params_.name.c_str());
+        fatal(Rule::E001,
+              "Design %s: fps must be positive", params_.name.c_str());
     if (params_.digitalClock <= 0.0)
-        fatal("Design %s: digital clock must be positive",
+        fatal(Rule::E001, "Design %s: digital clock must be positive",
               params_.name.c_str());
 }
 
@@ -46,17 +47,17 @@ Design::checkUniqueHwName(const std::string &name) const
 {
     for (const auto &a : analog_) {
         if (a.array.name() == name)
-            fatal("Design %s: duplicate hardware name '%s'",
+            fatal(Rule::E002, "Design %s: duplicate hardware name '%s'",
                   params_.name.c_str(), name.c_str());
     }
     for (const auto &m : mems_) {
         if (m.name() == name)
-            fatal("Design %s: duplicate hardware name '%s'",
+            fatal(Rule::E002, "Design %s: duplicate hardware name '%s'",
                   params_.name.c_str(), name.c_str());
     }
     for (const auto &u : units_) {
         if (u.name() == name)
-            fatal("Design %s: duplicate hardware name '%s'",
+            fatal(Rule::E002, "Design %s: duplicate hardware name '%s'",
                   params_.name.c_str(), name.c_str());
     }
 }
@@ -121,7 +122,8 @@ Design::findMemory(const std::string &name, const char *who) const
         if (mems_[i].name() == name)
             return static_cast<int>(i);
     }
-    fatal("Design %s: %s: no memory named '%s' (registered memories: "
+    fatal(Rule::E003,
+          "Design %s: %s: no memory named '%s' (registered memories: "
           "%s)", params_.name.c_str(), who, name.c_str(),
           registeredNames(mems_, [](const DigitalMemory &m) {
               return m.name();
@@ -135,7 +137,8 @@ Design::findUnit(const std::string &name, const char *who) const
         if (units_[i].name() == name)
             return static_cast<int>(i);
     }
-    fatal("Design %s: %s: no compute unit named '%s' (registered "
+    fatal(Rule::E003,
+          "Design %s: %s: no compute unit named '%s' (registered "
           "units: %s)", params_.name.c_str(), who, name.c_str(),
           registeredNames(units_, [](const UnitEntry &u) {
               return u.name();
@@ -180,7 +183,7 @@ void
 Design::setMipi(CommInterface iface)
 {
     if (iface.kind() != CommKind::MipiCsi2)
-        fatal("Design %s: setMipi expects a MIPI interface",
+        fatal(Rule::E016, "Design %s: setMipi expects a MIPI interface",
               params_.name.c_str());
     mipi_ = std::move(iface);
 }
@@ -189,7 +192,7 @@ void
 Design::setTsv(CommInterface iface)
 {
     if (iface.kind() != CommKind::MicroTsv)
-        fatal("Design %s: setTsv expects a uTSV interface",
+        fatal(Rule::E016, "Design %s: setTsv expects a uTSV interface",
               params_.name.c_str());
     tsv_ = std::move(iface);
 }
@@ -198,7 +201,7 @@ void
 Design::setPipelineOutputBytes(int64_t bytes)
 {
     if (bytes < 0)
-        fatal("Design %s: negative pipeline output bytes",
+        fatal(Rule::E016, "Design %s: negative pipeline output bytes",
               params_.name.c_str());
     outputBytesOverride_ = bytes;
 }

@@ -9,9 +9,9 @@ void
 Mapping::map(const std::string &stage, const std::string &hw_unit)
 {
     if (stage.empty() || hw_unit.empty())
-        fatal("Mapping: empty stage or hardware name");
+        fatal(Rule::E003, "Mapping: empty stage or hardware name");
     if (stageToHw_.count(stage))
-        fatal("Mapping: stage '%s' already mapped to '%s'",
+        fatal(Rule::E008, "Mapping: stage '%s' already mapped to '%s'",
               stage.c_str(), stageToHw_.at(stage).c_str());
     stageToHw_[stage] = hw_unit;
     order_.push_back(stage);
@@ -28,7 +28,7 @@ Mapping::hwUnitOf(const std::string &stage) const
 {
     auto it = stageToHw_.find(stage);
     if (it == stageToHw_.end())
-        fatal("Mapping: stage '%s' is not mapped", stage.c_str());
+        fatal(Rule::E008, "Mapping: stage '%s' is not mapped", stage.c_str());
     return it->second;
 }
 

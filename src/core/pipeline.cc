@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "common/logging.h"
 #include "core/area.h"
@@ -64,7 +65,8 @@ EvalPipeline::runMap(const Design &d)
     // DAG well-formedness and mapping completeness.
     d.sw_.validate();
     if (d.analog_.empty())
-        fatal("Design %s: no analog arrays (a CIS starts with a pixel "
+        fatal(Rule::E009,
+              "Design %s: no analog arrays (a CIS starts with a pixel "
               "array)", d.params_.name.c_str());
 
     topo_ = d.sw_.topoOrder();
@@ -80,7 +82,8 @@ EvalPipeline::runMap(const Design &d)
     for (StageId id = 0; id < d.sw_.size(); ++id) {
         const Stage &s = d.sw_.stage(id);
         if (!d.mapping_.isMapped(s.name()))
-            fatal("Design %s: stage '%s' is not mapped to hardware",
+            fatal(Rule::E008,
+                  "Design %s: stage '%s' is not mapped to hardware",
                   d.params_.name.c_str(), s.name().c_str());
         const std::string &hw = d.mapping_.hwUnitOf(s.name());
 
@@ -93,7 +96,8 @@ EvalPipeline::runMap(const Design &d)
         for (size_t m = 0; m < d.mems_.size(); ++m) {
             if (d.mems_[m].name() == hw) {
                 if (s.op() != StageOp::Input)
-                    fatal("Design %s: only Input stages may map onto a "
+                    fatal(Rule::E008,
+                          "Design %s: only Input stages may map onto a "
                           "memory ('%s' -> '%s')",
                           d.params_.name.c_str(), s.name().c_str(),
                           hw.c_str());
@@ -146,7 +150,8 @@ EvalPipeline::runAnalog(const Design &d)
             volumeBits_ = last.bitDepth();
         } else {
             if (volume_ == 0)
-                fatal("Design %s: analog array '%s' precedes any mapped "
+                fatal(Rule::E008,
+                      "Design %s: analog array '%s' precedes any mapped "
                       "stage; map the Input stage to the pixel array",
                       d.params_.name.c_str(),
                       d.analog_[i].array.name().c_str());
@@ -161,6 +166,26 @@ EvalPipeline::runAnalog(const Design &d)
     checkAnalogDomains(chain);
     checkAnalogThroughput(chain);
     checkAdcBoundary(chain);
+
+    // A FoM-surveyed converter samples at least ceil(accesses) x
+    // slots x fps times per second per cell (its slot is at most
+    // T_FR / slots), however long the digital side takes. Past the
+    // survey's range the analog chain alone is infeasible: say so
+    // before Timing measures the digital latency.
+    const double slots = static_cast<double>(d.analog_.size()) + 1.0;
+    for (size_t i = 0; i < d.analog_.size(); ++i) {
+        const AnalogArray &a = d.analog_[i].array;
+        const double accesses =
+            std::ceil(a.accessesPerComponent(analogOps_[i]));
+        const double rate = accesses * slots * d.params_.fps;
+        if (rate > 1e12 && a.component().fomSurveyed())
+            fatal(Rule::E015,
+                  "Design %s: converter '%s' needs >= %.3g S/s per "
+                  "cell (%.0f accesses/component x %.0f slots x %g "
+                  "fps), outside the ADC FoM survey's (0, 1e12] range",
+                  d.params_.name.c_str(), a.name().c_str(), rate,
+                  accesses, slots, d.params_.fps);
+    }
 }
 
 // -------------------------------------------------------------- Digital
@@ -197,13 +222,14 @@ EvalPipeline::runDigital(const Design &d)
             continue;
         }
         if (ue.inputMems.empty())
-            fatal("Design %s: unit '%s' has no input memory",
+            fatal(Rule::E012, "Design %s: unit '%s' has no input memory",
                   d.params_.name.c_str(), ue.name().c_str());
 
         if (std::holds_alternative<SystolicArray>(ue.unit)) {
             const auto &sa = std::get<SystolicArray>(ue.unit);
             if (ue.inputMems.size() != 1)
-                fatal("Design %s: systolic array '%s' needs exactly one "
+                fatal(Rule::E012,
+                      "Design %s: systolic array '%s' needs exactly one "
                       "input buffer", d.params_.name.c_str(),
                       ue.name().c_str());
             for (StageId id : unitStages_[u]) {
@@ -260,7 +286,8 @@ EvalPipeline::runDigital(const Design &d)
 
     // ADC output into the digital pipeline.
     if (!d.units_.empty() && d.adcOutputMem_ < 0)
-        fatal("Design %s: digital units exist but setAdcOutput() was "
+        fatal(Rule::E012,
+              "Design %s: digital units exist but setAdcOutput() was "
               "not called", d.params_.name.c_str());
     if (d.adcOutputMem_ >= 0) {
         const size_t m = static_cast<size_t>(d.adcOutputMem_);
@@ -397,7 +424,8 @@ EvalPipeline::runTiming(const Design &d, CycleSimMemo *memo)
         statsB_ = rb.stats;
         stallRoutes_.add(rb.route);
         if (rb.sourceBlocked) {
-            fatal("Design %s: pipeline stall — the ADC output memory "
+            fatal(Rule::D001,
+                  "Design %s: pipeline stall — the ADC output memory "
                   "fills up at the required frame rate (%lld blocked "
                   "cycles); enlarge the buffer or speed up the "
                   "consumer", d.params_.name.c_str(),
@@ -497,7 +525,8 @@ EvalPipeline::runEnergy(const Design &d)
 
     if (mipi_bytes > 0) {
         if (!d.mipi_)
-            fatal("Design %s: %lld B cross the package boundary but no "
+            fatal(Rule::E016,
+                  "Design %s: %lld B cross the package boundary but no "
                   "MIPI interface is configured",
                   d.params_.name.c_str(),
                   static_cast<long long>(mipi_bytes));
@@ -507,7 +536,8 @@ EvalPipeline::runEnergy(const Design &d)
     }
     if (tsv_bytes > 0) {
         if (!d.tsv_)
-            fatal("Design %s: %lld B cross between stacked layers but "
+            fatal(Rule::E016,
+                  "Design %s: %lld B cross between stacked layers but "
                   "no uTSV interface is configured",
                   d.params_.name.c_str(),
                   static_cast<long long>(tsv_bytes));

@@ -41,12 +41,12 @@ int
 CycleSim::addMemory(SimMemory mem)
 {
     if (mem.name.empty())
-        fatal("CycleSim: memory with empty name");
+        fatal(Rule::E002, "CycleSim: memory with empty name");
     if (mem.capacityWords <= 0)
-        fatal("CycleSim: memory %s capacity must be positive",
+        fatal(Rule::E013, "CycleSim: memory %s capacity must be positive",
               mem.name.c_str());
     if (mem.readPorts < 1 || mem.writePorts < 1)
-        fatal("CycleSim: memory %s ports must be >= 1",
+        fatal(Rule::E013, "CycleSim: memory %s ports must be >= 1",
               mem.name.c_str());
     mems_.push_back(std::move(mem));
     return static_cast<int>(mems_.size()) - 1;
@@ -56,12 +56,13 @@ int
 CycleSim::addSource(SimSource src)
 {
     if (src.name.empty())
-        fatal("CycleSim: source with empty name");
+        fatal(Rule::E002, "CycleSim: source with empty name");
     if (src.totalWords < 0 || src.wordsPerCycle <= 0.0)
-        fatal("CycleSim: source %s needs totalWords >= 0 and positive "
+        fatal(Rule::E001,
+              "CycleSim: source %s needs totalWords >= 0 and positive "
               "rate", src.name.c_str());
     if (src.memIdx < 0 || src.memIdx >= static_cast<int>(mems_.size()))
-        fatal("CycleSim: source %s has invalid memory index %d",
+        fatal(Rule::E012, "CycleSim: source %s has invalid memory index %d",
               src.name.c_str(), src.memIdx);
     src.wordsPerCycle = quantizeFlowRate(src.wordsPerCycle);
     sources_.push_back(std::move(src));
@@ -72,24 +73,25 @@ int
 CycleSim::addUnit(SimUnit unit)
 {
     if (unit.name.empty())
-        fatal("CycleSim: unit with empty name");
+        fatal(Rule::E002, "CycleSim: unit with empty name");
     if (unit.inputs.empty())
-        fatal("CycleSim: unit %s has no inputs", unit.name.c_str());
+        fatal(Rule::E012,
+              "CycleSim: unit %s has no inputs", unit.name.c_str());
     for (const auto &port : unit.inputs) {
         if (port.memIdx < 0 ||
             port.memIdx >= static_cast<int>(mems_.size()))
-            fatal("CycleSim: unit %s has invalid input memory %d",
+            fatal(Rule::E003, "CycleSim: unit %s has invalid input memory %d",
                   unit.name.c_str(), port.memIdx);
         if (port.needWords < 1 || port.readWords < 0 ||
             port.retireWords < 0.0)
-            fatal("CycleSim: unit %s has invalid port parameters",
+            fatal(Rule::E017, "CycleSim: unit %s has invalid port parameters",
                   unit.name.c_str());
     }
     if (unit.outMemIdx >= static_cast<int>(mems_.size()))
-        fatal("CycleSim: unit %s has invalid output memory %d",
+        fatal(Rule::E003, "CycleSim: unit %s has invalid output memory %d",
               unit.name.c_str(), unit.outMemIdx);
     if (unit.outWords < 0 || unit.totalFires < 0 || unit.latency < 1)
-        fatal("CycleSim: unit %s has invalid out/fires/latency",
+        fatal(Rule::E017, "CycleSim: unit %s has invalid out/fires/latency",
               unit.name.c_str());
     for (auto &port : unit.inputs)
         port.retireWords = quantizeFlowRate(port.retireWords);
@@ -101,9 +103,10 @@ void
 CycleSim::setSourceRate(int idx, double words_per_cycle)
 {
     if (idx < 0 || idx >= static_cast<int>(sources_.size()))
-        fatal("CycleSim: setSourceRate: invalid source index %d", idx);
+        fatal(Rule::E012,
+              "CycleSim: setSourceRate: invalid source index %d", idx);
     if (words_per_cycle <= 0.0)
-        fatal("CycleSim: source %s needs a positive rate",
+        fatal(Rule::E001, "CycleSim: source %s needs a positive rate",
               sources_[static_cast<size_t>(idx)].name.c_str());
     sources_[static_cast<size_t>(idx)].wordsPerCycle =
         quantizeFlowRate(words_per_cycle);
@@ -436,7 +439,8 @@ CycleSim::runTickLoop(int64_t max_cycles)
         const std::string state = drainDiagnostics(
             sources_, units_, mems_, sourceRemaining, firesDone,
             occupancy, arrived, oldest);
-        fatal("CycleSim: pipeline did not drain within %lld cycles "
+        fatal(Rule::D001,
+              "CycleSim: pipeline did not drain within %lld cycles "
               "(deadlock or unsatisfiable configuration):%s",
               static_cast<long long>(max_cycles), state.c_str());
     }
@@ -1429,7 +1433,8 @@ CycleSim::runFastForward(int64_t max_cycles)
         const std::string state = drainDiagnostics(
             sources_, units_, mems_, sourceRemaining, firesDone,
             occupancy, arrived, oldest);
-        fatal("CycleSim: pipeline did not drain within %lld cycles "
+        fatal(Rule::D001,
+              "CycleSim: pipeline did not drain within %lld cycles "
               "(deadlock or unsatisfiable configuration):%s",
               static_cast<long long>(max_cycles), state.c_str());
     }

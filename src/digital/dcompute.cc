@@ -11,21 +11,22 @@ ComputeUnit::ComputeUnit(ComputeUnitParams params)
     : params_(std::move(params))
 {
     if (params_.name.empty())
-        fatal("ComputeUnit: empty name");
+        fatal(Rule::E017, "ComputeUnit: empty name");
     if (!params_.inputPixelsPerCycle.valid() ||
         !params_.outputPixelsPerCycle.valid())
-        fatal("ComputeUnit %s: invalid per-cycle shapes",
+        fatal(Rule::E017, "ComputeUnit %s: invalid per-cycle shapes",
               params_.name.c_str());
     if (params_.energyPerCycle < 0.0)
-        fatal("ComputeUnit %s: negative energy per cycle",
+        fatal(Rule::E017, "ComputeUnit %s: negative energy per cycle",
               params_.name.c_str());
     if (params_.numStages < 1)
-        fatal("ComputeUnit %s: pipeline depth must be >= 1",
+        fatal(Rule::E017, "ComputeUnit %s: pipeline depth must be >= 1",
               params_.name.c_str());
     if (params_.clock <= 0.0)
-        fatal("ComputeUnit %s: non-positive clock", params_.name.c_str());
+        fatal(Rule::E017,
+              "ComputeUnit %s: non-positive clock", params_.name.c_str());
     if (params_.opsPerCycle < 0)
-        fatal("ComputeUnit %s: negative ops per cycle",
+        fatal(Rule::E017, "ComputeUnit %s: negative ops per cycle",
               params_.name.c_str());
 }
 
@@ -33,7 +34,7 @@ int64_t
 ComputeUnit::activeCyclesForOutputs(int64_t total_outputs) const
 {
     if (total_outputs < 0)
-        fatal("ComputeUnit %s: negative output count",
+        fatal(Rule::E017, "ComputeUnit %s: negative output count",
               params_.name.c_str());
     int64_t per_cycle = params_.outputPixelsPerCycle.count();
     return (total_outputs + per_cycle - 1) / per_cycle;
@@ -43,7 +44,8 @@ int64_t
 ComputeUnit::cyclesForStage(int64_t total_outputs, int64_t total_ops) const
 {
     if (total_ops < 0)
-        fatal("ComputeUnit %s: negative op count", params_.name.c_str());
+        fatal(Rule::E017,
+              "ComputeUnit %s: negative op count", params_.name.c_str());
     int64_t cycles = activeCyclesForOutputs(total_outputs);
     if (params_.opsPerCycle > 0) {
         int64_t op_bound = (total_ops + params_.opsPerCycle - 1) /
@@ -57,7 +59,7 @@ Energy
 ComputeUnit::energyForCycles(int64_t cycles) const
 {
     if (cycles < 0)
-        fatal("ComputeUnit %s: negative cycle count",
+        fatal(Rule::E017, "ComputeUnit %s: negative cycle count",
               params_.name.c_str());
     return params_.energyPerCycle * static_cast<double>(cycles);
 }
@@ -66,15 +68,15 @@ SystolicArray::SystolicArray(SystolicArrayParams params)
     : params_(std::move(params))
 {
     if (params_.name.empty())
-        fatal("SystolicArray: empty name");
+        fatal(Rule::E017, "SystolicArray: empty name");
     if (params_.rows < 1 || params_.cols < 1)
-        fatal("SystolicArray %s: dimensions must be >= 1",
+        fatal(Rule::E017, "SystolicArray %s: dimensions must be >= 1",
               params_.name.c_str());
     if (params_.energyPerMac < 0.0)
-        fatal("SystolicArray %s: negative per-MAC energy",
+        fatal(Rule::E017, "SystolicArray %s: negative per-MAC energy",
               params_.name.c_str());
     if (params_.clock <= 0.0)
-        fatal("SystolicArray %s: non-positive clock",
+        fatal(Rule::E017, "SystolicArray %s: non-positive clock",
               params_.name.c_str());
 }
 
@@ -93,7 +95,7 @@ SystolicArray::mapStage(const Stage &stage) const
       case StageOp::FullyConnected:
         break;
       default:
-        fatal("SystolicArray %s: cannot map %s stage '%s'",
+        fatal(Rule::E008, "SystolicArray %s: cannot map %s stage '%s'",
               params_.name.c_str(), stageOpName(stage.op()),
               stage.name().c_str());
     }

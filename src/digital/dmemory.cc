@@ -24,22 +24,23 @@ DigitalMemory::DigitalMemory(DigitalMemoryParams params)
     : params_(std::move(params))
 {
     if (params_.name.empty())
-        fatal("DigitalMemory: empty name");
+        fatal(Rule::E013, "DigitalMemory: empty name");
     if (params_.capacityWords <= 0)
-        fatal("DigitalMemory %s: capacity must be positive",
+        fatal(Rule::E013, "DigitalMemory %s: capacity must be positive",
               params_.name.c_str());
     if (params_.wordBits < 1 || params_.wordBits > 1024)
-        fatal("DigitalMemory %s: word width %d outside [1, 1024]",
+        fatal(Rule::E013, "DigitalMemory %s: word width %d outside [1, 1024]",
               params_.name.c_str(), params_.wordBits);
     if (params_.readEnergyPerWord < 0.0 ||
         params_.writeEnergyPerWord < 0.0 || params_.leakagePower < 0.0)
-        fatal("DigitalMemory %s: negative energy/power",
+        fatal(Rule::E013, "DigitalMemory %s: negative energy/power",
               params_.name.c_str());
     if (params_.activeFraction < 0.0 || params_.activeFraction > 1.0)
-        fatal("DigitalMemory %s: active fraction %g outside [0, 1]",
+        fatal(Rule::E013,
+              "DigitalMemory %s: active fraction %g outside [0, 1]",
               params_.name.c_str(), params_.activeFraction);
     if (params_.readPorts < 1 || params_.writePorts < 1)
-        fatal("DigitalMemory %s: ports must be >= 1",
+        fatal(Rule::E013, "DigitalMemory %s: ports must be >= 1",
               params_.name.c_str());
 }
 
@@ -48,10 +49,10 @@ DigitalMemory::energyPerFrame(int64_t reads, int64_t writes,
                               Time frame_time) const
 {
     if (reads < 0 || writes < 0)
-        fatal("DigitalMemory %s: negative access counts",
+        fatal(Rule::E013, "DigitalMemory %s: negative access counts",
               params_.name.c_str());
     if (frame_time <= 0.0)
-        fatal("DigitalMemory %s: non-positive frame time",
+        fatal(Rule::E013, "DigitalMemory %s: non-positive frame time",
               params_.name.c_str());
 
     MemoryEnergy e;
@@ -107,7 +108,7 @@ makeSramMemory(const std::string &name, Layer layer, MemoryKind kind,
                double active_fraction)
 {
     if (words <= 0)
-        fatal("makeSramMemory %s: capacity must be positive",
+        fatal(Rule::E013, "makeSramMemory %s: capacity must be positive",
               name.c_str());
     MemoryCharacteristics mc =
         sramModel(capacityBytes(words, word_bits), word_bits, nm);
@@ -121,7 +122,7 @@ makeSttramMemory(const std::string &name, Layer layer, MemoryKind kind,
                  double active_fraction)
 {
     if (words <= 0)
-        fatal("makeSttramMemory %s: capacity must be positive",
+        fatal(Rule::E013, "makeSttramMemory %s: capacity must be positive",
               name.c_str());
     MemoryCharacteristics mc =
         sttramModel(capacityBytes(words, word_bits), word_bits, nm);
@@ -135,7 +136,7 @@ makeRegfileMemory(const std::string &name, Layer layer,
                   int nm, double active_fraction)
 {
     if (words <= 0)
-        fatal("makeRegfileMemory %s: capacity must be positive",
+        fatal(Rule::E013, "makeRegfileMemory %s: capacity must be positive",
               name.c_str());
     MemoryCharacteristics mc =
         regfileModel(capacityBytes(words, word_bits), word_bits, nm);

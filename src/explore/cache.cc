@@ -23,8 +23,9 @@ namespace fs = std::filesystem;
  *  land in differently-named files (the format seeds the content
  *  hash) or read as spec mismatches — either way they degrade to
  *  rebuilds. Format 2 embeds the spec DOCUMENT instead of a
- *  serialized key string. */
-constexpr int kOutcomeStoreFormat = 2;
+ *  serialized key string; format 3 adds an infeasible record's
+ *  rule code. */
+constexpr int kOutcomeStoreFormat = 3;
 
 /** A uint64 as 16 lower-case hex digits (cache file names). */
 std::string
@@ -161,10 +162,17 @@ OutcomeStore::load(const json::Value &spec_doc)
                   path.c_str());
         StoredOutcome rec;
         rec.feasible = doc.at("feasible").asBool();
-        if (rec.feasible)
+        if (rec.feasible) {
             rec.report = reportFromJson(doc.at("report"));
-        else
+        } else {
             rec.error = doc.at("error").asString();
+            const std::string code = doc.at("ruleCode").asString();
+            const std::optional<Rule> rule = ruleFromCode(code);
+            if (!rule)
+                fatal("OutcomeStore: unknown rule code '%s' in %s",
+                      code.c_str(), path.c_str());
+            rec.rule = *rule;
+        }
         ++stats_.hits;
         return rec;
     } catch (const ConfigError &) {
@@ -179,14 +187,16 @@ OutcomeStore::store(const json::Value &spec_doc,
                     const StoredOutcome &outcome)
 {
     json::Value doc = json::Value::makeObject();
-    doc.reserve(4);
+    doc.reserve(5);
     doc.set("format", json::Value(static_cast<double>(kOutcomeStoreFormat)));
     doc.set("spec", spec_doc);
     doc.set("feasible", json::Value(outcome.feasible));
-    if (outcome.feasible)
+    if (outcome.feasible) {
         doc.set("report", reportToJson(outcome.report));
-    else
+    } else {
         doc.set("error", json::Value(outcome.error));
+        doc.set("ruleCode", json::Value(ruleCode(outcome.rule)));
+    }
 
     const std::string path = pathForDoc(spec_doc);
     std::ostringstream temp_name;

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 
+#include "common/logging.h"
 #include "core/report.h"
 #include "spec/json.h"
 
@@ -33,14 +34,16 @@ namespace camj
 uint64_t outcomeCacheKey(const json::Value &spec_doc);
 
 /** One persisted outcome: the verdict plus either the per-frame
- *  report (feasible) or the failure text (infeasible). Everything
- *  else in a SimulationOutcome (frames, SNR penalty, rule code) is
+ *  report (feasible) or the failure's text and rule (infeasible).
+ *  Everything else in a SimulationOutcome (frames, SNR penalty) is
  *  derived from these and the SimulationOptions at load time. */
 struct StoredOutcome
 {
     bool feasible = false;
     /** ConfigError text for infeasible points; empty otherwise. */
     std::string error;
+    /** The ConfigError's rule for infeasible points. */
+    Rule rule = Rule::D003;
     /** Per-frame report; valid when feasible. */
     EnergyReport report;
 };

@@ -21,21 +21,6 @@ IncrementalEvaluator::IncrementalEvaluator(SimulationOptions options,
         store_.emplace(cache_dir);
 }
 
-void
-IncrementalEvaluator::persist(const std::optional<json::Value> &doc,
-                              bool feasible, const std::string &error,
-                              const EnergyReport &report)
-{
-    if (!store_)
-        return;
-    StoredOutcome record;
-    record.feasible = feasible;
-    record.error = error;
-    if (feasible)
-        record.report = report;
-    store_->store(*doc, record);
-}
-
 SimulationOutcome
 IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
 {
@@ -50,8 +35,9 @@ IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
             if (record->feasible)
                 return finishOutcome(options_, std::move(record->report));
             if (options_.checkMode == CheckMode::Strict)
-                throw ConfigError(record->error);
-            return failureOutcome(options_, record->error);
+                throw ConfigError(record->error, record->rule);
+            return failureOutcome(options_, std::move(record->error),
+                                  ruleCode(record->rule));
         }
     }
 
@@ -64,7 +50,8 @@ IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
         EnergyReport report = pipeline.runAll(design, &memo_);
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
         passStats_ += pipeline.passStats();
-        persist(doc, true, {}, report);
+        if (store_)
+            store_->store(*doc, {true, {}, Rule::D003, report});
         SimulationOutcome out = finishOutcome(options_, std::move(report));
         out.simStats = pipeline.simStats();
         return out;
@@ -72,10 +59,11 @@ IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
         // Zero when materialize() threw: the pipeline never started.
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
         passStats_ += pipeline.passStats();
-        persist(doc, false, e.what(), {});
+        if (store_)
+            store_->store(*doc, {false, e.what(), e.rule(), {}});
         if (options_.checkMode == CheckMode::Strict)
             throw;
-        return failureOutcome(options_, e.what());
+        return failureOutcome(options_, e.what(), e.code());
     }
 }
 

@@ -120,10 +120,6 @@ class IncrementalEvaluator
     std::optional<OutcomeStore> store_;
     IncrementalStats stats_;
     PassSimStats passStats_;
-
-    /** Persist the outcome for @p doc, if a store is configured. */
-    void persist(const std::optional<json::Value> &doc, bool feasible,
-                 const std::string &error, const EnergyReport &report);
 };
 
 } // namespace camj

@@ -1,6 +1,5 @@
 #include "explore/simulator.h"
 
-#include "analysis/analyzer.h"
 #include "common/logging.h"
 
 namespace camj
@@ -41,13 +40,14 @@ finishOutcome(const SimulationOptions &options, EnergyReport report)
 }
 
 SimulationOutcome
-failureOutcome(const SimulationOptions &options, std::string what)
+failureOutcome(const SimulationOptions &options, std::string what,
+               std::string code)
 {
     SimulationOutcome out;
     out.feasible = false;
     out.frames = options.frames;
     out.error = std::move(what);
-    out.ruleCode = analysis::classifyError(out.error);
+    out.ruleCode = std::move(code);
     return out;
 }
 
@@ -58,9 +58,9 @@ Simulator::finish(EnergyReport report) const
 }
 
 SimulationOutcome
-Simulator::failure(const std::string &what) const
+Simulator::failure(const ConfigError &e) const
 {
-    return failureOutcome(options_, what);
+    return failureOutcome(options_, e.what(), e.code());
 }
 
 SimulationOutcome
@@ -80,7 +80,7 @@ Simulator::run(const Design &design) const
         out.simStats = stats;
         return out;
     } catch (const ConfigError &e) {
-        return failure(e.what());
+        return failure(e);
     }
 }
 
@@ -100,7 +100,7 @@ Simulator::run(const spec::DesignSpec &spec) const
         out.simStats = stats;
         return out;
     } catch (const ConfigError &e) {
-        return failure(e.what());
+        return failure(e);
     }
 }
 

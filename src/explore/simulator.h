@@ -16,6 +16,7 @@
 
 #include <string>
 
+#include "common/logging.h"
 #include "core/design.h"
 #include "digital/cyclesim.h"
 #include "noise/noise.h"
@@ -56,11 +57,11 @@ struct SimulationOutcome
     /** ConfigError text when infeasible. */
     std::string error;
     /**
-     * Lint-rule code matching the failure ("CAMJ-E010", ...; see
+     * The failing ConfigError's rule code ("CAMJ-E010", ...; see
      * docs/lint_rules.md), so dynamic verdicts cross-reference the
      * static analyzer's catalogue. "CAMJ-D001/D002" mark the
-     * genuinely dynamic failures, "CAMJ-D003" unclassified text;
-     * empty when feasible.
+     * genuinely dynamic failures, "CAMJ-D003" uncoded errors; empty
+     * when feasible.
      */
     std::string ruleCode;
     /** Valid when feasible; per-frame quantities. */
@@ -91,9 +92,10 @@ struct SimulationOutcome
 SimulationOutcome finishOutcome(const SimulationOptions &options,
                                 EnergyReport report);
 
-/** Assemble the infeasible outcome for a failed check. */
+/** Assemble the infeasible outcome for a failed check: its error
+ *  text and rule code. */
 SimulationOutcome failureOutcome(const SimulationOptions &options,
-                                 std::string what);
+                                 std::string what, std::string code);
 
 /** Stateless design-point evaluator. */
 class Simulator
@@ -126,7 +128,7 @@ class Simulator
     SimulationOptions options_;
 
     SimulationOutcome finish(EnergyReport report) const;
-    SimulationOutcome failure(const std::string &what) const;
+    SimulationOutcome failure(const ConfigError &e) const;
 };
 
 } // namespace camj

@@ -12,17 +12,18 @@ dramEnergyPerFrame(const DramTraffic &traffic, Time frame_time,
                    const DramParams &params)
 {
     if (traffic.readBytes < 0 || traffic.writeBytes < 0)
-        fatal("dramEnergyPerFrame: negative byte counts");
+        fatal(Rule::E013, "dramEnergyPerFrame: negative byte counts");
     if (traffic.rowHitRate < 0.0 || traffic.rowHitRate > 1.0)
-        fatal("dramEnergyPerFrame: row hit rate %g outside [0, 1]",
+        fatal(Rule::E013, "dramEnergyPerFrame: row hit rate %g outside [0, 1]",
               traffic.rowHitRate);
     if (traffic.activeFraction < 0.0 || traffic.activeFraction > 1.0)
-        fatal("dramEnergyPerFrame: active fraction %g outside [0, 1]",
+        fatal(Rule::E013,
+              "dramEnergyPerFrame: active fraction %g outside [0, 1]",
               traffic.activeFraction);
     if (frame_time <= 0.0)
-        fatal("dramEnergyPerFrame: non-positive frame time");
+        fatal(Rule::E013, "dramEnergyPerFrame: non-positive frame time");
     if (params.burstBytes <= 0 || params.rowBytes <= 0)
-        fatal("dramEnergyPerFrame: invalid device geometry");
+        fatal(Rule::E013, "dramEnergyPerFrame: invalid device geometry");
 
     const double read_bursts =
         std::ceil(static_cast<double>(traffic.readBytes) /

@@ -24,10 +24,11 @@ MemoryCharacteristics
 regfileModel(int64_t capacity_bytes, int word_bits, int nm)
 {
     if (capacity_bytes <= 0 || capacity_bytes > 4096)
-        fatal("regfileModel: capacity %lld B outside (0, 4096]",
+        fatal(Rule::E013, "regfileModel: capacity %lld B outside (0, 4096]",
               static_cast<long long>(capacity_bytes));
     if (word_bits < 1 || word_bits > 256)
-        fatal("regfileModel: word width %d outside [1, 256]", word_bits);
+        fatal(Rule::E013,
+              "regfileModel: word width %d outside [1, 256]", word_bits);
 
     const double bits = static_cast<double>(capacity_bytes) * 8.0;
     const NodeParams node = nodeParams(nm);

@@ -30,14 +30,15 @@ MemoryCharacteristics
 sramModel(int64_t capacity_bytes, int word_bits, int nm)
 {
     if (capacity_bytes <= 0)
-        fatal("sramModel: capacity must be positive (got %lld B)",
+        fatal(Rule::E013, "sramModel: capacity must be positive (got %lld B)",
               static_cast<long long>(capacity_bytes));
     if (word_bits < 1 || word_bits > 1024)
-        fatal("sramModel: word width %d outside [1, 1024] bits", word_bits);
+        fatal(Rule::E013,
+              "sramModel: word width %d outside [1, 1024] bits", word_bits);
 
     const double bits = static_cast<double>(capacity_bytes) * 8.0;
     if (static_cast<double>(word_bits) > bits)
-        fatal("sramModel: word (%d b) wider than the array (%g b)",
+        fatal(Rule::E013, "sramModel: word (%d b) wider than the array (%g b)",
               word_bits, bits);
 
     const NodeParams node = nodeParams(nm);

@@ -36,11 +36,12 @@ MemoryCharacteristics
 sttramModel(int64_t capacity_bytes, int word_bits, int nm)
 {
     if (capacity_bytes < sttramMinCapacityBytes)
-        fatal("sttramModel: %lld B below the 4 KB minimum "
+        fatal(Rule::E013,
+              "sttramModel: %lld B below the 4 KB minimum "
               "(NVMExplorer-compatible limitation)",
               static_cast<long long>(capacity_bytes));
     if (word_bits < 1 || word_bits > 1024)
-        fatal("sttramModel: word width %d outside [1, 1024] bits",
+        fatal(Rule::E013, "sttramModel: word width %d outside [1, 1024] bits",
               word_bits);
 
     const double bits = static_cast<double>(capacity_bytes) * 8.0;

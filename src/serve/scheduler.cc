@@ -15,7 +15,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "analysis/analyzer.h"
 #include "analysis/grid_analyzer.h"
 #include "common/logging.h"
 #include "explore/jsonl.h"
@@ -228,41 +227,19 @@ Scheduler::submit(const std::string &doc_text, int frames,
 {
     Admission adm;
 
-    // Admission lint, stage 1: the raw document through the full
-    // static-analysis rule set (a parse failure becomes one
-    // classified diagnostic).
-    json::Value raw;
-    try {
-        raw = json::Value::parse(doc_text);
-    } catch (const ConfigError &e) {
-        adm.reason = "document does not parse";
-        adm.diagnostics.push_back(analysis::makeError(
-            analysis::classifyError(e.what()), "", e.what()));
+    // Admission lint: the parse, the full static-analysis rule set,
+    // grid validation and the infeasibility prefilter. Provably
+    // doomed points are REPORTED, not pruned — the served stream must
+    // stay byte-identical to a local run over the full grid.
+    analysis::DocumentLint lint = analysis::lintDocument(doc_text);
+    adm.diagnostics = std::move(lint.diagnostics);
+    if (!lint.sweep) {
+        adm.reason = std::move(lint.rejection);
         return adm;
     }
-    analysis::SpecAnalyzer analyzer;
-    adm.diagnostics = analyzer.analyzeDocument(raw);
-    if (analysis::hasErrors(adm.diagnostics)) {
-        adm.reason = "static analysis found errors";
-        return adm;
-    }
-
-    // Stage 2: the sweep document itself (grid validation).
-    spec::SweepDocument doc;
-    try {
-        doc = spec::sweepDocumentFromJson(doc_text);
-        adm.points = doc.grid.points();
-        // Stage 3: the grid infeasibility prefilter. Provably doomed
-        // points are REPORTED, not pruned — the served stream must
-        // stay byte-identical to a local run over the full grid.
-        analysis::PrefilterSpecSource prefilter(doc);
-        adm.pruned = prefilter.prunedIndices().size();
-    } catch (const ConfigError &e) {
-        adm.reason = "invalid sweep document";
-        adm.diagnostics.push_back(analysis::makeError(
-            analysis::classifyError(e.what()), "", e.what()));
-        return adm;
-    }
+    spec::SweepDocument doc = std::move(*lint.sweep);
+    adm.points = doc.grid.points();
+    adm.pruned = lint.grid.prunedPoints();
 
     std::lock_guard<std::mutex> lock(threadsMutex_);
     if (stopped_) {

@@ -4,8 +4,9 @@
  * recovery, and the incremental in-order merge.
  *
  * Admission runs the full static-analysis stack BEFORE any worker
- * spins up — SpecAnalyzer::analyzeDocument over the raw JSON (a parse
- * failure becomes one classified diagnostic), then grid expansion,
+ * spins up, through the same analysis::lintDocument as `camj_sweep
+ * lint` — SpecAnalyzer::analyzeDocument over the raw JSON (a parse
+ * failure becomes one CAMJ-E018 diagnostic), then grid validation,
  * then the PrefilterSpecSource infeasibility analysis. Documents with
  * error diagnostics are rejected with their CAMJ-* codes; provably
  * infeasible points are REPORTED but still evaluated, because pruning

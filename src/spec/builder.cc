@@ -8,7 +8,7 @@ namespace camj::spec
 DesignBuilder::DesignBuilder(std::string design_name)
 {
     if (design_name.empty())
-        fatal("DesignBuilder: empty design name");
+        fatal(Rule::E001, "DesignBuilder: empty design name");
     spec_.name = std::move(design_name);
 }
 
@@ -22,7 +22,7 @@ DesignBuilder &
 DesignBuilder::fps(double value)
 {
     if (value <= 0.0)
-        fatal("DesignBuilder %s: fps must be positive",
+        fatal(Rule::E001, "DesignBuilder %s: fps must be positive",
               spec_.name.c_str());
     spec_.fps = value;
     return *this;
@@ -32,7 +32,7 @@ DesignBuilder &
 DesignBuilder::digitalClock(Frequency hz)
 {
     if (hz <= 0.0)
-        fatal("DesignBuilder %s: digital clock must be positive",
+        fatal(Rule::E001, "DesignBuilder %s: digital clock must be positive",
               spec_.name.c_str());
     spec_.digitalClock = hz;
     return *this;
@@ -88,10 +88,10 @@ void
 DesignBuilder::checkNewHardwareName(const std::string &name) const
 {
     if (name.empty())
-        fatal("DesignBuilder %s: empty hardware name",
+        fatal(Rule::E002, "DesignBuilder %s: empty hardware name",
               spec_.name.c_str());
     if (hasHardware(name))
-        fatal("DesignBuilder %s: duplicate hardware name '%s'",
+        fatal(Rule::E002, "DesignBuilder %s: duplicate hardware name '%s'",
               spec_.name.c_str(), name.c_str());
 }
 
@@ -104,7 +104,8 @@ DesignBuilder::checkMemoryRefs(const std::vector<std::string> &mems,
             std::vector<std::string> known;
             for (const MemorySpec &mem : spec_.memories)
                 known.push_back(mem.name);
-            fatal("DesignBuilder %s: %s references unknown memory "
+            fatal(Rule::E003,
+                  "DesignBuilder %s: %s references unknown memory "
                   "'%s' (registered memories: %s)", spec_.name.c_str(),
                   who.c_str(), m.c_str(), joinNames(known).c_str());
         }
@@ -126,16 +127,18 @@ DesignBuilder::stage(StageParams params, std::vector<std::string> inputs)
     // Constructing a Stage runs the full shape/stencil validation now.
     Stage probe(params);
     if (hasStage(params.name))
-        fatal("DesignBuilder %s: duplicate stage '%s'",
+        fatal(Rule::E002, "DesignBuilder %s: duplicate stage '%s'",
               spec_.name.c_str(), params.name.c_str());
     const int arity = stageOpArity(params.op);
     if (static_cast<int>(inputs.size()) != arity)
-        fatal("DesignBuilder %s: stage '%s' (%s) needs %d input(s), "
+        fatal(Rule::E004,
+              "DesignBuilder %s: stage '%s' (%s) needs %d input(s), "
               "got %zu", spec_.name.c_str(), params.name.c_str(),
               stageOpName(params.op), arity, inputs.size());
     for (const std::string &in : inputs) {
         if (!hasStage(in))
-            fatal("DesignBuilder %s: stage '%s' reads unknown stage "
+            fatal(Rule::E003,
+                  "DesignBuilder %s: stage '%s' reads unknown stage "
                   "'%s' (stages are declared producer-first)",
                   spec_.name.c_str(), params.name.c_str(), in.c_str());
     }
@@ -267,7 +270,8 @@ DesignBuilder::connectMemoryToUnit(const std::string &mem_name,
     checkMemoryRefs({mem_name}, "connectMemoryToUnit");
     UnitSpec *u = findUnit(unit_name);
     if (u == nullptr)
-        fatal("DesignBuilder %s: connectMemoryToUnit('%s', '%s'): no "
+        fatal(Rule::E003,
+              "DesignBuilder %s: connectMemoryToUnit('%s', '%s'): no "
               "unit named '%s' (registered units: %s)",
               spec_.name.c_str(), mem_name.c_str(), unit_name.c_str(),
               unit_name.c_str(), knownUnitNames().c_str());
@@ -282,7 +286,8 @@ DesignBuilder::connectUnitToMemory(const std::string &unit_name,
     checkMemoryRefs({mem_name}, "connectUnitToMemory");
     UnitSpec *u = findUnit(unit_name);
     if (u == nullptr)
-        fatal("DesignBuilder %s: connectUnitToMemory('%s', '%s'): no "
+        fatal(Rule::E003,
+              "DesignBuilder %s: connectUnitToMemory('%s', '%s'): no "
               "unit named '%s' (registered units: %s)",
               spec_.name.c_str(), unit_name.c_str(), mem_name.c_str(),
               unit_name.c_str(), knownUnitNames().c_str());
@@ -294,7 +299,7 @@ DesignBuilder &
 DesignBuilder::mipi(Energy energy_per_byte)
 {
     if (energy_per_byte < 0.0)
-        fatal("DesignBuilder %s: negative MIPI energy per byte",
+        fatal(Rule::E016, "DesignBuilder %s: negative MIPI energy per byte",
               spec_.name.c_str());
     spec_.mipi.present = true;
     spec_.mipi.energyPerByte = energy_per_byte;
@@ -305,7 +310,7 @@ DesignBuilder &
 DesignBuilder::tsv(Energy energy_per_byte)
 {
     if (energy_per_byte < 0.0)
-        fatal("DesignBuilder %s: negative uTSV energy per byte",
+        fatal(Rule::E016, "DesignBuilder %s: negative uTSV energy per byte",
               spec_.name.c_str());
     spec_.tsv.present = true;
     spec_.tsv.energyPerByte = energy_per_byte;
@@ -316,7 +321,7 @@ DesignBuilder &
 DesignBuilder::pipelineOutputBytes(int64_t bytes)
 {
     if (bytes < 0)
-        fatal("DesignBuilder %s: negative pipeline output bytes",
+        fatal(Rule::E016, "DesignBuilder %s: negative pipeline output bytes",
               spec_.name.c_str());
     spec_.pipelineOutputBytes = bytes;
     return *this;
@@ -327,7 +332,8 @@ DesignBuilder::map(const std::string &stage_name,
                    const std::string &hw_name)
 {
     if (!hasStage(stage_name))
-        fatal("DesignBuilder %s: map('%s', '%s') references unknown "
+        fatal(Rule::E003,
+              "DesignBuilder %s: map('%s', '%s') references unknown "
               "stage '%s'", spec_.name.c_str(), stage_name.c_str(),
               hw_name.c_str(), stage_name.c_str());
     if (!hasHardware(hw_name)) {
@@ -338,14 +344,16 @@ DesignBuilder::map(const std::string &stage_name,
             known.push_back(m.name);
         for (const UnitSpec &u : spec_.units)
             known.push_back(u.name());
-        fatal("DesignBuilder %s: map('%s', '%s') targets unknown "
+        fatal(Rule::E003,
+              "DesignBuilder %s: map('%s', '%s') targets unknown "
               "hardware '%s' (registered hardware: %s)",
               spec_.name.c_str(), stage_name.c_str(), hw_name.c_str(),
               hw_name.c_str(), joinNames(known).c_str());
     }
     for (const auto &[stage, hw] : spec_.mapping) {
         if (stage == stage_name)
-            fatal("DesignBuilder %s: stage '%s' is already mapped to "
+            fatal(Rule::E008,
+                  "DesignBuilder %s: stage '%s' is already mapped to "
                   "'%s'", spec_.name.c_str(), stage_name.c_str(),
                   hw.c_str());
     }

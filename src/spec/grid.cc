@@ -18,7 +18,7 @@ std::vector<SpecPathSegment>
 parseSpecPath(const std::string &path)
 {
     if (path.empty())
-        fatal("sweepGrid: empty field path");
+        fatal(Rule::E018, "sweepGrid: empty field path");
     std::vector<SpecPathSegment> segments;
     size_t pos = 0;
     while (pos <= path.size()) {
@@ -32,7 +32,8 @@ parseSpecPath(const std::string &path)
             seg.member = token;
         } else {
             if (token.back() != ']' || open + 2 > token.size() - 1)
-                fatal("sweepGrid: path '%s': malformed selector in "
+                fatal(Rule::E018,
+                      "sweepGrid: path '%s': malformed selector in "
                       "segment '%s' (expected member[selector])",
                       path.c_str(), token.c_str());
             seg.member = token.substr(0, open);
@@ -40,11 +41,12 @@ parseSpecPath(const std::string &path)
                 token.substr(open + 1, token.size() - open - 2);
             seg.hasSelector = true;
             if (seg.selector.empty())
-                fatal("sweepGrid: path '%s': empty selector in "
+                fatal(Rule::E018,
+                      "sweepGrid: path '%s': empty selector in "
                       "segment '%s'", path.c_str(), token.c_str());
         }
         if (seg.member.empty())
-            fatal("sweepGrid: path '%s': empty member name",
+            fatal(Rule::E018, "sweepGrid: path '%s': empty member name",
                   path.c_str());
         segments.push_back(std::move(seg));
         if (dot == std::string::npos)
@@ -82,7 +84,8 @@ selectElements(Value &child, const SpecPathSegment &seg,
                const std::string &path)
 {
     if (!child.isArray())
-        fatal("sweepGrid: path '%s': member '%s' is not an array but "
+        fatal(Rule::E018,
+              "sweepGrid: path '%s': member '%s' is not an array but "
               "carries selector '[%s]'", path.c_str(),
               seg.member.c_str(), seg.selector.c_str());
     auto &arr = child.mutableArray();
@@ -91,18 +94,21 @@ selectElements(Value &child, const SpecPathSegment &seg,
         for (Value &e : arr)
             selected.push_back(&e);
         if (selected.empty())
-            fatal("sweepGrid: path '%s': '%s[*]' matches no elements "
+            fatal(Rule::E018,
+                  "sweepGrid: path '%s': '%s[*]' matches no elements "
                   "(the array is empty)", path.c_str(),
                   seg.member.c_str());
     } else if (isIndexSelector(seg.selector)) {
         // Over-long digit strings would overflow stoull; anything
         // past 12 digits can't index a real array anyway.
         if (seg.selector.size() > 12)
-            fatal("sweepGrid: path '%s': index selector '[%s]' is "
+            fatal(Rule::E018,
+                  "sweepGrid: path '%s': index selector '[%s]' is "
                   "out of range", path.c_str(), seg.selector.c_str());
         size_t idx = static_cast<size_t>(std::stoull(seg.selector));
         if (idx >= arr.size())
-            fatal("sweepGrid: path '%s': index %zu out of range "
+            fatal(Rule::E018,
+                  "sweepGrid: path '%s': index %zu out of range "
                   "(array '%s' has %zu elements)", path.c_str(), idx,
                   seg.member.c_str(), arr.size());
         selected.push_back(&arr[idx]);
@@ -119,7 +125,8 @@ selectElements(Value &child, const SpecPathSegment &seg,
             }
         }
         if (selected.empty())
-            fatal("sweepGrid: path '%s': no element of '%s' is named "
+            fatal(Rule::E018,
+                  "sweepGrid: path '%s': no element of '%s' is named "
                   "'%s' (elements: %s)", path.c_str(),
                   seg.member.c_str(), seg.selector.c_str(),
                   joinNames(names).c_str());
@@ -137,11 +144,13 @@ collectTargets(Value &node, const std::vector<SpecPathSegment> &segments,
 {
     const SpecPathSegment &seg = segments[i];
     if (!node.isObject())
-        fatal("sweepGrid: path '%s': segment '%s' applied to a "
+        fatal(Rule::E018,
+              "sweepGrid: path '%s': segment '%s' applied to a "
               "non-object value", path.c_str(), seg.member.c_str());
     Value *child = node.find(seg.member);
     if (child == nullptr)
-        fatal("sweepGrid: path '%s': no member '%s' (object has: %s); "
+        fatal(Rule::E018,
+              "sweepGrid: path '%s': no member '%s' (object has: %s); "
               "to sweep an optional member, set it in the base spec "
               "first", path.c_str(), seg.member.c_str(),
               objectKeys(node).c_str());
@@ -242,31 +251,34 @@ SweepGrid::validate() const
     std::vector<std::string> seen;
     for (const GridAxis &axis : axes) {
         if (axis.name.empty())
-            fatal("sweepGrid: an axis has an empty name");
+            fatal(Rule::E018, "sweepGrid: an axis has an empty name");
         for (char c : axis.name) {
             if (c == '=' || c == ',' || c == '/')
-                fatal("sweepGrid: axis name '%s' contains '%c' "
+                fatal(Rule::E018,
+                      "sweepGrid: axis name '%s' contains '%c' "
                       "(reserved for point-name encoding)",
                       axis.name.c_str(), c);
         }
         for (const std::string &s : seen) {
             if (s == axis.name)
-                fatal("sweepGrid: duplicate axis name '%s'",
+                fatal(Rule::E018, "sweepGrid: duplicate axis name '%s'",
                       axis.name.c_str());
         }
         seen.push_back(axis.name);
         if (pointList.empty() && axis.values.empty())
-            fatal("sweepGrid: axis '%s' has no values",
+            fatal(Rule::E018, "sweepGrid: axis '%s' has no values",
                   axis.name.c_str());
         parseSpecPath(axis.path); // throws on malformed paths
     }
     if (!pointList.empty()) {
         if (axes.empty())
-            fatal("sweepGrid: a \"points\" list needs axes declaring "
+            fatal(Rule::E018,
+                  "sweepGrid: a \"points\" list needs axes declaring "
                   "the field paths the tuples bind to");
         for (size_t i = 0; i < pointList.size(); ++i) {
             if (pointList[i].size() != axes.size())
-                fatal("sweepGrid: point %zu has %zu value(s) but the "
+                fatal(Rule::E018,
+                      "sweepGrid: point %zu has %zu value(s) but the "
                       "grid declares %zu axes", i,
                       pointList[i].size(), axes.size());
         }
@@ -423,7 +435,8 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
                 try {
                     fromJsonValue(probe);
                 } catch (const ConfigError &e) {
-                    fatal("sweepGrid: axis '%s' point-list value %s "
+                    fatal(e.rule(),
+                          "sweepGrid: axis '%s' point-list value %s "
                           "does not produce a valid spec: %s",
                           grid_.axes[a].name.c_str(),
                           v.dump(0).c_str(), e.what());
@@ -458,7 +471,8 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
                 try {
                     fromJsonValue(probe);
                 } catch (const ConfigError &e) {
-                    fatal("sweepGrid: axis '%s' value %s does not "
+                    fatal(e.rule(),
+                          "sweepGrid: axis '%s' value %s does not "
                           "produce a valid spec: %s",
                           grid_.axes[a].name.c_str(),
                           v.dump(0).c_str(), e.what());
@@ -479,7 +493,8 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
             try {
                 fromJsonValue(probe);
             } catch (const ConfigError &e) {
-                fatal("sweepGrid: axis '%s' value %s does not produce "
+                fatal(e.rule(),
+                      "sweepGrid: axis '%s' value %s does not produce "
                       "a valid spec: %s", grid_.axes[a].name.c_str(),
                       v.dump(0).c_str(), e.what());
             }

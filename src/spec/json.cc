@@ -127,7 +127,7 @@ bool
 Value::asBool() const
 {
     if (type_ != Type::Bool)
-        fatal("json: expected bool, got %s", typeName(type_));
+        fatal(Rule::E018, "json: expected bool, got %s", typeName(type_));
     return payload_.boolean;
 }
 
@@ -135,7 +135,7 @@ double
 Value::asNumber() const
 {
     if (type_ != Type::Number)
-        fatal("json: expected number, got %s", typeName(type_));
+        fatal(Rule::E018, "json: expected number, got %s", typeName(type_));
     return payload_.num;
 }
 
@@ -149,7 +149,7 @@ const std::string &
 Value::asString() const
 {
     if (type_ != Type::String)
-        fatal("json: expected string, got %s", typeName(type_));
+        fatal(Rule::E018, "json: expected string, got %s", typeName(type_));
     return *payload_.str;
 }
 
@@ -157,7 +157,7 @@ const Value::Array &
 Value::asArray() const
 {
     if (type_ != Type::Array)
-        fatal("json: expected array, got %s", typeName(type_));
+        fatal(Rule::E018, "json: expected array, got %s", typeName(type_));
     return *payload_.arr;
 }
 
@@ -165,7 +165,7 @@ const Value::Object &
 Value::asObject() const
 {
     if (type_ != Type::Object)
-        fatal("json: expected object, got %s", typeName(type_));
+        fatal(Rule::E018, "json: expected object, got %s", typeName(type_));
     return *payload_.obj;
 }
 
@@ -330,7 +330,7 @@ Value::Array &
 Value::mutableArray()
 {
     if (type_ != Type::Array)
-        fatal("json: expected array, got %s", typeName(type_));
+        fatal(Rule::E018, "json: expected array, got %s", typeName(type_));
     return *payload_.arr;
 }
 
@@ -338,7 +338,7 @@ Value::Object &
 Value::mutableObject()
 {
     if (type_ != Type::Object)
-        fatal("json: expected object, got %s", typeName(type_));
+        fatal(Rule::E018, "json: expected object, got %s", typeName(type_));
     return *payload_.obj;
 }
 
@@ -346,14 +346,15 @@ const Value &
 Value::at(const std::string &key) const
 {
     if (type_ != Type::Object)
-        fatal("json: member '%s' requested from a %s value",
+        fatal(Rule::E018, "json: member '%s' requested from a %s value",
               key.c_str(), typeName(type_));
     if (const Value *v = find(key))
         return *v;
     std::string keys;
     for (const auto &[k, v] : *payload_.obj)
         keys += (keys.empty() ? "" : ", ") + k;
-    fatal("json: missing member '%s' (object has: %s)", key.c_str(),
+    fatal(Rule::E018,
+          "json: missing member '%s' (object has: %s)", key.c_str(),
           keys.empty() ? "<empty>" : keys.c_str());
 }
 
@@ -571,7 +572,8 @@ class Parser
                 ++col;
             }
         }
-        fatal("json parse error at line %d, column %d: %s", line, col,
+        fatal(Rule::E018,
+              "json parse error at line %d, column %d: %s", line, col,
               what.c_str());
     }
 

@@ -149,7 +149,7 @@ enumFromToken(const std::string &token, const std::vector<Enum> &all,
     std::string known;
     for (Enum e : all)
         known += (known.empty() ? "" : ", ") + std::string(name(e));
-    fatal("spec: unknown %s '%s' (known: %s)", what, token.c_str(),
+    fatal(Rule::E018, "spec: unknown %s '%s' (known: %s)", what, token.c_str(),
           known.c_str());
 }
 
@@ -225,7 +225,8 @@ shapeFromJson(const Value &v)
 {
     const auto &arr = v.asArray();
     if (arr.empty() || arr.size() > 3)
-        fatal("spec: a shape is a 1-3 element array, got %zu elements",
+        fatal(Rule::E018,
+              "spec: a shape is a 1-3 element array, got %zu elements",
               arr.size());
     Shape s;
     s.width = arr[0].asInt();
@@ -491,10 +492,12 @@ ComponentSpec::instantiate() const
         return makeSampleHold(conv);
       case ComponentKind::Custom: {
         if (custom.name.empty())
-            fatal("ComponentSpec: custom component field 'custom.name' "
+            fatal(Rule::E014,
+                  "ComponentSpec: custom component field 'custom.name' "
                   "is empty");
         if (custom.cells.empty())
-            fatal("ComponentSpec: custom component '%s' field "
+            fatal(Rule::E014,
+                  "ComponentSpec: custom component '%s' field "
                   "'custom.cells' is empty (a cell chain needs at "
                   "least one cell)", custom.name.c_str());
         AComponent c(custom.name, custom.input, custom.output);
@@ -565,33 +568,36 @@ void
 DesignSpec::validate() const
 {
     if (name.empty())
-        fatal("DesignSpec: empty design name");
+        fatal(Rule::E001, "DesignSpec: empty design name");
     if (fps <= 0.0)
-        fatal("DesignSpec %s: fps must be positive", name.c_str());
+        fatal(Rule::E001, "DesignSpec %s: fps must be positive", name.c_str());
     if (digitalClock <= 0.0)
-        fatal("DesignSpec %s: digital clock must be positive",
+        fatal(Rule::E001, "DesignSpec %s: digital clock must be positive",
               name.c_str());
 
     // Stage names unique; producers resolve; arity matches.
     std::set<std::string> stageNames;
     for (const StageSpec &s : stages) {
         if (s.params.name.empty())
-            fatal("DesignSpec %s: a stage has an empty name",
+            fatal(Rule::E002, "DesignSpec %s: a stage has an empty name",
                   name.c_str());
         if (!stageNames.insert(s.params.name).second)
-            fatal("DesignSpec %s: duplicate stage '%s'", name.c_str(),
+            fatal(Rule::E002,
+                  "DesignSpec %s: duplicate stage '%s'", name.c_str(),
                   s.params.name.c_str());
     }
     for (const StageSpec &s : stages) {
         const int arity = stageOpArity(s.params.op);
         if (static_cast<int>(s.inputs.size()) != arity)
-            fatal("DesignSpec %s: stage '%s' (%s) needs %d input(s), "
+            fatal(Rule::E004,
+                  "DesignSpec %s: stage '%s' (%s) needs %d input(s), "
                   "spec lists %zu", name.c_str(),
                   s.params.name.c_str(), stageOpName(s.params.op),
                   arity, s.inputs.size());
         for (const std::string &in : s.inputs) {
             if (!stageNames.count(in))
-                fatal("DesignSpec %s: stage '%s' reads unknown stage "
+                fatal(Rule::E003,
+                      "DesignSpec %s: stage '%s' reads unknown stage "
                       "'%s'", name.c_str(), s.params.name.c_str(),
                       in.c_str());
         }
@@ -601,10 +607,10 @@ DesignSpec::validate() const
     std::set<std::string> hwNames;
     auto addHw = [&](const std::string &hw, const char *what) {
         if (hw.empty())
-            fatal("DesignSpec %s: a %s has an empty name",
+            fatal(Rule::E002, "DesignSpec %s: a %s has an empty name",
                   name.c_str(), what);
         if (!hwNames.insert(hw).second)
-            fatal("DesignSpec %s: duplicate hardware name '%s'",
+            fatal(Rule::E002, "DesignSpec %s: duplicate hardware name '%s'",
                   name.c_str(), hw.c_str());
     };
     std::set<std::string> memNames;
@@ -622,7 +628,8 @@ DesignSpec::validate() const
     // can be fixed without reading the materializer.
     auto needMem = [&](const std::string &mem, const std::string &field) {
         if (!memNames.count(mem)) {
-            fatal("DesignSpec %s: field '%s' references unknown memory "
+            fatal(Rule::E003,
+                  "DesignSpec %s: field '%s' references unknown memory "
                   "'%s' (registered memories: %s)", name.c_str(),
                   field.c_str(), mem.c_str(),
                   joinNames({memNames.begin(), memNames.end()})
@@ -646,16 +653,19 @@ DesignSpec::validate() const
     std::set<std::string> mapped;
     for (const auto &[stage, hw] : mapping) {
         if (!stageNames.count(stage))
-            fatal("DesignSpec %s: field 'mapping' references unknown "
+            fatal(Rule::E003,
+                  "DesignSpec %s: field 'mapping' references unknown "
                   "stage '%s'", name.c_str(), stage.c_str());
         if (!hwNames.count(hw)) {
-            fatal("DesignSpec %s: field 'mapping[\"%s\"]' targets "
+            fatal(Rule::E003,
+                  "DesignSpec %s: field 'mapping[\"%s\"]' targets "
                   "unknown hardware '%s' (registered hardware: %s)",
                   name.c_str(), stage.c_str(), hw.c_str(),
                   joinNames({hwNames.begin(), hwNames.end()}).c_str());
         }
         if (!mapped.insert(stage).second)
-            fatal("DesignSpec %s: field 'mapping' lists stage '%s' "
+            fatal(Rule::E008,
+                  "DesignSpec %s: field 'mapping' lists stage '%s' "
                   "twice", name.c_str(), stage.c_str());
     }
 }
@@ -1119,7 +1129,8 @@ unitFromJson(const Value &o)
         p.peArea = o.getNumber("peArea", 0.0);
         u.systolic = std::move(p);
     } else {
-        fatal("spec: unknown unit kind '%s' (known: pipeline, "
+        fatal(Rule::E018,
+              "spec: unknown unit kind '%s' (known: pipeline, "
               "systolic)", kind.c_str());
     }
     if (const Value *v = o.find("inputMemories")) {
@@ -1208,7 +1219,8 @@ fromJsonValue(const Value &o)
 {
     const int64_t version = o.getInt("camjSpecVersion", 1);
     if (version != 1)
-        fatal("spec: unsupported camjSpecVersion %lld (this build "
+        fatal(Rule::E018,
+              "spec: unsupported camjSpecVersion %lld (this build "
               "reads version 1)", static_cast<long long>(version));
 
     DesignSpec spec;

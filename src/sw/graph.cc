@@ -13,7 +13,7 @@ SwGraph::addStage(StageParams params)
 {
     for (const auto &s : stages_) {
         if (s.name() == params.name)
-            fatal("SwGraph: duplicate stage name '%s'",
+            fatal(Rule::E002, "SwGraph: duplicate stage name '%s'",
                   params.name.c_str());
     }
     stages_.emplace_back(std::move(params));
@@ -35,18 +35,19 @@ SwGraph::connect(StageId producer, StageId consumer)
     checkId(producer, "connect");
     checkId(consumer, "connect");
     if (producer == consumer)
-        fatal("SwGraph: self-loop on stage '%s'",
+        fatal(Rule::E007, "SwGraph: self-loop on stage '%s'",
               stages_[producer].name().c_str());
 
     auto &ins = inEdges_[consumer];
     if (std::find(ins.begin(), ins.end(), producer) != ins.end())
-        fatal("SwGraph: duplicate edge %s -> %s",
+        fatal(Rule::E007, "SwGraph: duplicate edge %s -> %s",
               stages_[producer].name().c_str(),
               stages_[consumer].name().c_str());
 
     int arity = stages_[consumer].numInputs();
     if (static_cast<int>(ins.size()) >= arity)
-        fatal("SwGraph: stage '%s' (%s) accepts %d input(s); extra "
+        fatal(Rule::E004,
+              "SwGraph: stage '%s' (%s) accepts %d input(s); extra "
               "edge from '%s'", stages_[consumer].name().c_str(),
               stageOpName(stages_[consumer].op()), arity,
               stages_[producer].name().c_str());
@@ -69,7 +70,7 @@ SwGraph::findStage(const std::string &name) const
         if (stages_[i].name() == name)
             return i;
     }
-    fatal("SwGraph: no stage named '%s'", name.c_str());
+    fatal(Rule::E003, "SwGraph: no stage named '%s'", name.c_str());
 }
 
 const std::vector<StageId> &
@@ -134,7 +135,8 @@ SwGraph::topoOrder() const
     }
 
     if (order.size() != stages_.size())
-        fatal("SwGraph: cycle detected (%zu of %zu stages orderable)",
+        fatal(Rule::E007,
+              "SwGraph: cycle detected (%zu of %zu stages orderable)",
               order.size(), stages_.size());
     return order;
 }
@@ -143,22 +145,24 @@ void
 SwGraph::validate() const
 {
     if (stages_.empty())
-        fatal("SwGraph: empty graph");
+        fatal(Rule::E007, "SwGraph: empty graph");
     if (inputs().empty())
-        fatal("SwGraph: no Input stage");
+        fatal(Rule::E007, "SwGraph: no Input stage");
 
     for (StageId i = 0; i < size(); ++i) {
         const Stage &s = stages_[i];
         int want = s.numInputs();
         int have = static_cast<int>(inEdges_[i].size());
         if (have != want) {
-            fatal("SwGraph: stage '%s' (%s) needs %d input(s), has %d",
+            fatal(Rule::E004,
+                  "SwGraph: stage '%s' (%s) needs %d input(s), has %d",
                   s.name().c_str(), stageOpName(s.op()), want, have);
         }
         for (StageId producer : inEdges_[i]) {
             const Stage &p = stages_[producer];
             if (p.outputSize() != s.inputSize()) {
-                fatal("SwGraph: shape mismatch on edge %s (%s) -> %s "
+                fatal(Rule::E006,
+                      "SwGraph: shape mismatch on edge %s (%s) -> %s "
                       "(expects %s)", p.name().c_str(),
                       p.outputSize().str().c_str(), s.name().c_str(),
                       s.inputSize().str().c_str());

@@ -64,27 +64,29 @@ Stage::Stage(StageParams params)
 {
     const StageParams &p = params_;
     if (p.name.empty())
-        fatal("Stage: empty name");
+        fatal(Rule::E005, "Stage: empty name");
     if (!p.outputSize.valid())
-        fatal("Stage %s: invalid output size %s", p.name.c_str(),
+        fatal(Rule::E005, "Stage %s: invalid output size %s", p.name.c_str(),
               p.outputSize.str().c_str());
     if (p.bitDepth < 1 || p.bitDepth > 32)
-        fatal("Stage %s: bit depth %d outside [1, 32]", p.name.c_str(),
+        fatal(Rule::E005,
+              "Stage %s: bit depth %d outside [1, 32]", p.name.c_str(),
               p.bitDepth);
     if (p.opsPerOutputOverride < 0)
-        fatal("Stage %s: negative ops-per-output override",
+        fatal(Rule::E005, "Stage %s: negative ops-per-output override",
               p.name.c_str());
 
     if (p.op == StageOp::Input)
         return;
 
     if (!p.inputSize.valid())
-        fatal("Stage %s: invalid input size %s", p.name.c_str(),
+        fatal(Rule::E005, "Stage %s: invalid input size %s", p.name.c_str(),
               p.inputSize.str().c_str());
 
     if (stageOpIsStencil(p.op)) {
         if (!p.kernel.valid() || !p.stride.valid())
-            fatal("Stage %s: invalid kernel/stride", p.name.c_str());
+            fatal(Rule::E005,
+                  "Stage %s: invalid kernel/stride", p.name.c_str());
         // Depthwise and pooling preserve the channel count; plain
         // convolution reduces kernel.channels input channels into each
         // output channel. Spatial dims must obey the stencil formula.
@@ -93,7 +95,8 @@ Stage::Stage(StageParams params)
         int64_t oh = stencilOutputExtent(p.inputSize.height,
                                          p.kernel.height, p.stride.height);
         if (ow != p.outputSize.width || oh != p.outputSize.height) {
-            fatal("Stage %s: output %s inconsistent with stencil of "
+            fatal(Rule::E005,
+                  "Stage %s: output %s inconsistent with stencil of "
                   "input %s kernel %s stride %s (expect %lldx%lld "
                   "spatially)",
                   p.name.c_str(), p.outputSize.str().c_str(),
@@ -103,7 +106,8 @@ Stage::Stage(StageParams params)
         }
         if (p.op == StageOp::Conv2d &&
             p.kernel.channels != p.inputSize.channels) {
-            fatal("Stage %s: conv kernel depth %lld != input channels "
+            fatal(Rule::E005,
+                  "Stage %s: conv kernel depth %lld != input channels "
                   "%lld", p.name.c_str(),
                   static_cast<long long>(p.kernel.channels),
                   static_cast<long long>(p.inputSize.channels));
@@ -112,7 +116,8 @@ Stage::Stage(StageParams params)
              p.op == StageOp::MaxPool || p.op == StageOp::AvgPool ||
              p.op == StageOp::Binning) &&
             p.outputSize.channels != p.inputSize.channels) {
-            fatal("Stage %s: %s must preserve channels (%lld -> %lld)",
+            fatal(Rule::E005,
+                  "Stage %s: %s must preserve channels (%lld -> %lld)",
                   p.name.c_str(), stageOpName(p.op),
                   static_cast<long long>(p.inputSize.channels),
                   static_cast<long long>(p.outputSize.channels));
@@ -121,7 +126,8 @@ Stage::Stage(StageParams params)
                p.op != StageOp::CompareSample) {
         // Elementwise and unary ops preserve the shape.
         if (p.inputSize != p.outputSize)
-            fatal("Stage %s: %s requires equal input/output shapes "
+            fatal(Rule::E005,
+                  "Stage %s: %s requires equal input/output shapes "
                   "(%s vs %s)", p.name.c_str(), stageOpName(p.op),
                   p.inputSize.str().c_str(), p.outputSize.str().c_str());
     }

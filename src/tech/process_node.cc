@@ -54,7 +54,8 @@ NodeParams
 nodeParams(int nm)
 {
     if (nm < 7 || nm > 250)
-        fatal("process node %d nm outside supported range [7, 250]", nm);
+        fatal(Rule::E013,
+              "process node %d nm outside supported range [7, 250]", nm);
 
     // Clamp above the largest table entry: treat >=180 nm as 180 nm
     // electrically (the paper's oldest validation node is 180 nm).

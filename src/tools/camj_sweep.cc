@@ -83,8 +83,9 @@ usage(std::FILE *to)
 "                                  --doc\n"
 "      --doc FILE                  the original sweep document the\n"
 "                                  resume descriptor embeds\n"
-"  camj_sweep lint <spec-or-sweep.json> [options]\n"
-"      static analysis only: report diagnostics, simulate nothing\n"
+"  camj_sweep lint <spec-or-sweep.json>... [options]\n"
+"      static analysis only: report diagnostics, simulate nothing;\n"
+"      exit 1 when any document has errors\n"
 "      --werror                    treat warnings as errors\n");
     return to == stdout ? 0 : 2;
 }
@@ -428,69 +429,58 @@ cmdMerge(int argc, char **argv)
 int
 cmdLint(int argc, char **argv)
 {
-    std::string input;
+    std::vector<std::string> inputs;
     bool werror = false;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--werror")
             werror = true;
-        else if (input.empty() && arg[0] != '-')
-            input = arg;
+        else if (arg[0] != '-')
+            inputs.push_back(arg);
         else {
             std::fprintf(stderr, "error: unexpected argument '%s'\n",
                          arg.c_str());
             return usage(stderr);
         }
     }
-    if (input.empty()) {
+    if (inputs.empty()) {
         std::fprintf(stderr,
-                     "error: lint wants <spec-or-sweep.json>\n");
+                     "error: lint wants <spec-or-sweep.json>...\n");
         return usage(stderr);
     }
 
-    std::ifstream in(input, std::ios::binary);
-    if (!in)
-        fatal("lint: cannot read '%s'", input.c_str());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    std::vector<analysis::Diagnostic> diags;
-    bool parsed = false;
-    json::Value doc;
-    try {
-        doc = json::Value::parse(text);
-        parsed = true;
-    } catch (const ConfigError &e) {
-        diags.push_back(analysis::makeError(
-            analysis::classifyError(e.what()), "", e.what()));
-    }
-    if (parsed) {
-        analysis::SpecAnalyzer analyzer;
-        diags = analyzer.analyzeDocument(doc);
-    }
-    std::fputs(
-        analysis::formatDiagnostics(diags, input).c_str(), stdout);
-    size_t errors =
-        analysis::countSeverity(diags, analysis::Severity::Error);
-    const size_t warnings = analysis::countSeverity(
-        diags, analysis::Severity::Warning);
-
-    if (parsed && errors == 0) {
-        const spec::SweepDocument sweep =
-            spec::sweepDocumentFromJson(text);
-        if (sweep.grid.points() > 1) {
-            analysis::GridAnalyzer grid;
-            const analysis::GridAnalysis result = grid.analyze(sweep);
-            std::fputs(result.summary().c_str(), stdout);
+    size_t errors = 0, warnings = 0;
+    for (const std::string &input : inputs) {
+        std::ifstream in(input, std::ios::binary);
+        if (!in) {
+            std::fprintf(stderr, "%s: error: cannot read file\n",
+                         input.c_str());
+            ++errors;
+            continue;
+        }
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        const analysis::DocumentLint lint =
+            analysis::lintDocument(buf.str());
+        std::fputs(
+            analysis::formatDiagnostics(lint.diagnostics, input).c_str(),
+            stdout);
+        const size_t e = analysis::countSeverity(
+            lint.diagnostics, analysis::Severity::Error);
+        const size_t w = analysis::countSeverity(
+            lint.diagnostics, analysis::Severity::Warning);
+        if (lint.sweep && lint.sweep->grid.points() > 1) {
+            std::fputs(lint.grid.summary().c_str(), stdout);
             std::printf("%s: grid expands to %zu point(s), %zu "
                         "provably infeasible\n",
-                        input.c_str(), result.totalPoints(),
-                        result.prunedPoints());
+                        input.c_str(), lint.grid.totalPoints(),
+                        lint.grid.prunedPoints());
         }
+        std::printf("%s: %zu error(s), %zu warning(s)\n", input.c_str(),
+                    e, w);
+        errors += e;
+        warnings += w;
     }
-    std::printf("%s: %zu error(s), %zu warning(s)\n", input.c_str(),
-                errors, warnings);
     return errors > 0 || (werror && warnings > 0) ? 1 : 0;
 }
 

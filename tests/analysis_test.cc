@@ -2,8 +2,8 @@
  * @file
  * Tests for the static spec analyzer: the golden corpus lints clean,
  * every rule fires with its exact code and field path on an injected
- * defect, dynamic ConfigError texts classify onto the catalogue, and
- * the grid prefilter never prunes a point full simulation would have
+ * defect, simulation reports the code lint does for the same defect,
+ * and the grid prefilter never prunes a point full simulation would have
  * found feasible.
  */
 
@@ -19,9 +19,11 @@
 #include "analysis/grid_analyzer.h"
 #include "common/logging.h"
 #include "explore/simulator.h"
+#include "spec/builder.h"
 #include "spec/grid.h"
 #include "spec/samples.h"
 #include "spec/spec.h"
+#include "usecases/edgaze.h"
 
 namespace camj
 {
@@ -453,37 +455,212 @@ TEST(KeyLint, CleanDocumentHasNoFindings)
     EXPECT_TRUE(diags.empty()) << dumpDiags(diags);
 }
 
-// ----------------------------------------------- dynamic classification
+// ------------------------------------------- lint and simulation agree
 
-TEST(ClassifyError, MapsEngineTextsOntoCatalogue)
+/** The Fig. 5 quickstart pipeline (a 2-stage edge unit behind a
+ *  line buffer) with @p line_buffer_words of buffer at @p fps. */
+spec::DesignSpec
+fig5(int64_t line_buffer_words, double fps)
 {
-    EXPECT_EQ(analysis::classifyError(""), "");
-    EXPECT_EQ(analysis::classifyError(
-                  "EvalPipeline: pipeline stall: stage 'x'"),
-              "CAMJ-D001");
-    EXPECT_EQ(analysis::classifyError(
-                  "total latency 2 ms exceeds the frame budget"),
-              "CAMJ-D002");
-    EXPECT_EQ(analysis::classifyError(
-                  "design has no analog arrays (a CIS starts with a "
-                  "pixel array)"),
-              "CAMJ-E009");
-    EXPECT_EQ(analysis::classifyError(
-                  "stage 'Bin' is not mapped to hardware"),
-              "CAMJ-E008");
-    EXPECT_EQ(analysis::classifyError("something unprecedented"),
-              "CAMJ-D003");
+    spec::ComponentSpec pixel;
+    pixel.kind = spec::ComponentKind::Aps4T;
+    pixel.aps.pixelsPerComponent = 4;
+    spec::ComponentSpec adc;
+    adc.kind = spec::ComponentKind::ColumnAdc;
+    return spec::DesignBuilder("fig5")
+        .fps(fps)
+        .digitalClock(10e6)
+        .inputStage("Input", {32, 32, 1})
+        .stage({.name = "Binning", .op = StageOp::Binning,
+                .inputSize = {32, 32, 1}, .outputSize = {16, 16, 1},
+                .kernel = {2, 2, 1}, .stride = {2, 2, 1}},
+               {"Input"})
+        .stage({.name = "Edge", .op = StageOp::DepthwiseConv2d,
+                .inputSize = {16, 16, 1}, .outputSize = {14, 14, 1},
+                .kernel = {3, 3, 1}, .stride = {1, 1, 1}},
+               {"Binning"})
+        .analogArray({.name = "PixelArray", .role = AnalogRole::Sensing,
+                      .numComponents = {16, 16, 1},
+                      .inputShape = {1, 32, 1},
+                      .outputShape = {1, 16, 1},
+                      .componentArea = 36e-12, .component = pixel})
+        .analogArray({.name = "AdcArray", .role = AnalogRole::Adc,
+                      .numComponents = {16, 1, 1},
+                      .inputShape = {1, 16, 1},
+                      .outputShape = {1, 16, 1},
+                      .componentArea = 1e-9, .component = adc})
+        .sram("LineBuffer", Layer::Sensor, MemoryKind::LineBuffer,
+              line_buffer_words, 8, 65, 1.0)
+        .computeUnit({.name = "EdgeUnit", .layer = Layer::Sensor,
+                      .inputPixelsPerCycle = {1, 3, 1},
+                      .outputPixelsPerCycle = {1, 1, 1},
+                      .energyPerCycle = 3e-12, .numStages = 2},
+                     {"LineBuffer"})
+        .adcOutput("LineBuffer")
+        .mipi()
+        .map("Input", "PixelArray")
+        .map("Binning", "PixelArray")
+        .map("Edge", "EdgeUnit")
+        .spec();
 }
 
-TEST(ClassifyError, InfeasibleOutcomeCarriesRuleCode)
+/** The detector with its pixel array swapped for a custom
+ *  optical-to-voltage cell chain. */
+spec::DesignSpec
+customPixelDetector()
 {
     spec::DesignSpec s = detector();
-    s.mapping.pop_back();
+    spec::ComponentSpec &c = s.analogArrays[0].component;
+    c.kind = spec::ComponentKind::Custom;
+    c.custom.name = "Photodiode";
+    c.custom.input = SignalDomain::Optical;
+    c.custom.output = SignalDomain::Voltage;
+    spec::CellSpec cell;
+    cell.name = "Sense";
+    cell.caps = {{10e-15, 1.0}};
+    c.custom.cells = {cell};
+    return s;
+}
+
+/** One design the linter and the simulator must agree on. */
+struct CodeRow
+{
+    std::string name;
+    spec::DesignSpec spec;
+    /** The dynamic code simulation must report; empty on static rows,
+     *  where it must report one of lint's error codes instead. */
+    std::string dynamicCode;
+};
+
+std::vector<CodeRow>
+codeRows()
+{
+    std::vector<CodeRow> rows;
+    auto add = [&](std::string name, auto edit,
+                   std::string dynamic = "") {
+        spec::DesignSpec s = detector();
+        edit(s);
+        rows.push_back({std::move(name), std::move(s),
+                        std::move(dynamic)});
+    };
+    using S = spec::DesignSpec;
+    // Every error fixture of the InjectedDefect tests above.
+    add("fps", [](S &s) { s.fps = -1.0; });
+    add("digitalClock", [](S &s) { s.digitalClock = 0.0; });
+    add("name", [](S &s) { s.name.clear(); });
+    add("duplicate memory", [](S &s) { s.memories.push_back(s.memories[0]); });
+    add("duplicate stage", [](S &s) { s.stages[2].params.name = "Bin"; });
+    add("unit input", [](S &s) { s.units[0].inputMemories[0] = "ActBfu"; });
+    add("adcOutputMemory", [](S &s) { s.adcOutputMemory = "Nope"; });
+    add("mapping hw", [](S &s) { s.mapping[2].second = "Classifierz"; });
+    add("arity", [](S &s) { s.stages[1].inputs.push_back("Conv"); });
+    add("geometry", [](S &s) { s.stages[1].params.outputSize = {81, 60, 1}; });
+    add("edge shape", [](S &s) {
+        s.stages[2].params.inputSize = {40, 30, 1};
+        s.stages[2].params.outputSize = {38, 28, 8};
+    });
+    add("self-loop", [](S &s) { s.stages[1].inputs = {"Bin"}; });
+    add("cycle", [](S &s) { s.stages[1].inputs = {"Conv"}; });
+    add("no stages", [](S &s) { s.stages.clear(); });
+    add("unmapped", [](S &s) { s.mapping.pop_back(); });
+    add("binning on systolic",
+        [](S &s) { s.mapping[1].second = "Classifier"; });
+    add("stage on memory", [](S &s) { s.mapping[1].second = "ActBuf"; });
+    add("no analog", [](S &s) { s.analogArrays.clear(); });
+    add("domain chain", [](S &s) {
+        s.analogArrays[1].component.kind = spec::ComponentKind::Aps4T;
+    });
+    add("unbuffered step-down", [](S &s) {
+        s.analogArrays[0].component.kind = spec::ComponentKind::PwmPixel;
+        s.analogArrays[1].component.kind =
+            spec::ComponentKind::TimeToVoltage;
+        s.analogArrays[1].inputShape = {1, 40, 1};
+    });
+    add("no adc output", [](S &s) { s.adcOutputMemory.clear(); });
+    add("no unit input", [](S &s) { s.units[0].inputMemories.clear(); });
+    add("nodeNm", [](S &s) { s.memories[0].nodeNm = 254; });
+    add("activeFraction", [](S &s) { s.memories[0].activeFraction = 1.5; });
+    add("capacityWords", [](S &s) { s.memories[0].capacityWords = 0; });
+    add("adc bits", [](S &s) { s.analogArrays[1].component.adc.bits = 20; });
+    add("pixelsPerComponent", [](S &s) {
+        s.analogArrays[0].component.aps.pixelsPerComponent = 0;
+    });
+    add("adc throughput", [](S &s) { s.fps = 1e10; });
+    add("no mipi", [](S &s) { s.mipi.present = false; });
+    add("systolic rows", [](S &s) { s.units[0].systolic.rows = 0; });
+    add("systolic clock", [](S &s) { s.units[0].systolic.clock = 0.0; });
+
+    spec::DesignSpec custom = customPixelDetector();
+    custom.analogArrays[0].component.custom.name.clear();
+    rows.push_back({"custom without name", custom, ""});
+    custom = customPixelDetector();
+    custom.analogArrays[0].component.custom.cells.clear();
+    rows.push_back({"custom without cells", custom, ""});
+
+    // Failures only simulation finds: the frame budget, a deadlock,
+    // and the ADC source stalling on a full line buffer.
+    add("frame budget", [](S &s) { s.fps = 3000.0; }, "CAMJ-D002");
+    spec::DesignSpec edgaze = edgazeSpec(EdgazeVariant::TwoDIn, 65);
+    for (spec::MemorySpec &m : edgaze.memories) {
+        if (m.name == "DnnBuffer")
+            m.capacityWords = 8;
+    }
+    rows.push_back({"Ed-Gaze deadlock", edgaze, "CAMJ-D001"});
+    rows.push_back({"source stall", fig5(4, 25000.0), "CAMJ-D001"});
+    return rows;
+}
+
+TEST(RuleCodes, LintAndSimulationAgree)
+{
     SimulationOptions options;
     options.checkMode = CheckMode::Report;
-    const SimulationOutcome out = Simulator(options).run(s);
-    EXPECT_FALSE(out.feasible);
-    EXPECT_EQ(out.ruleCode, "CAMJ-E008") << out.error;
+    const Simulator simulator(options);
+    for (const CodeRow &row : codeRows()) {
+        SCOPED_TRACE(row.name);
+        const std::vector<Diagnostic> diags = analyze(row.spec);
+        const SimulationOutcome out = simulator.run(row.spec);
+        ASSERT_FALSE(out.feasible);
+        EXPECT_NE(out.ruleCode, "");
+        EXPECT_NE(out.ruleCode, "CAMJ-D003") << out.error;
+        if (!row.dynamicCode.empty()) {
+            EXPECT_EQ(out.ruleCode, row.dynamicCode) << out.error;
+            EXPECT_FALSE(analysis::hasErrors(diags)) << dumpDiags(diags);
+            continue;
+        }
+        bool linted = false;
+        for (const Diagnostic &d : diags) {
+            linted = linted || (d.severity == Severity::Error &&
+                                d.code == out.ruleCode);
+        }
+        EXPECT_TRUE(linted) << out.ruleCode << " " << out.error << "\n"
+                            << dumpDiags(diags);
+    }
+}
+
+TEST(RuleCodes, MalformedDocumentsAreOneE018)
+{
+    const std::string text = spec::toJson(spec::sampleDetectorStudy());
+    json::Value misspelt = spec::toJsonValue(detector());
+    json::Value &op = misspelt.find("stages")->mutableArray()[1];
+    op.set("op", json::Value(std::string("Binnning")));
+    spec::SweepDocument bad_path = spec::sampleDetectorStudy();
+    bad_path.grid.axes[0].path = "fpz[";
+
+    for (const std::string &doc :
+         {text.substr(0, text.size() / 2), misspelt.dump(2),
+          spec::toJson(bad_path)}) {
+        const analysis::DocumentLint lint = analysis::lintDocument(doc);
+        SCOPED_TRACE(lint.rejection);
+        EXPECT_FALSE(lint.sweep.has_value());
+        ASSERT_EQ(analysis::countSeverity(lint.diagnostics,
+                                          Severity::Error),
+                  1u)
+            << dumpDiags(lint.diagnostics);
+        for (const Diagnostic &d : lint.diagnostics) {
+            if (d.severity == Severity::Error)
+                EXPECT_EQ(d.code, "CAMJ-E018") << d.format();
+        }
+    }
 }
 
 // -------------------------------------------------------- grid analysis

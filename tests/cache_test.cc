@@ -71,6 +71,7 @@ expectIdenticalOutcome(const SimulationOutcome &inc,
 {
     ASSERT_EQ(inc.feasible, ref.feasible) << what;
     EXPECT_EQ(inc.error, ref.error) << what;
+    EXPECT_EQ(inc.ruleCode, ref.ruleCode) << what;
     EXPECT_EQ(inc.frames, ref.frames) << what;
     EXPECT_EQ(inc.snrPenaltyDb, ref.snrPenaltyDb) << what;
     if (!ref.feasible)
@@ -247,14 +248,15 @@ TEST(OutcomeStoreDisk, RoundTripsAcrossEvaluatorInstances)
         bad_ref = writer.evaluate(bad);
         ASSERT_TRUE(good_ref.feasible);
         ASSERT_FALSE(bad_ref.feasible);
+        EXPECT_EQ(bad_ref.ruleCode, "CAMJ-D002") << bad_ref.error;
         ASSERT_NE(writer.outcomeStoreStats(), nullptr);
         EXPECT_EQ(writer.outcomeStoreStats()->stores, 2u);
         EXPECT_EQ(writer.outcomeStoreStats()->hits, 0u);
     }
 
     // A second evaluator (fresh process in spirit): both outcomes
-    // must come back from disk, bit-identical — derived fields
-    // (frames, SNR penalty, rule code) included.
+    // must come back from disk, bit-identical — the stored rule code
+    // and the derived fields (frames, SNR penalty) included.
     IncrementalEvaluator reader(opts, dir.path());
     expectIdenticalOutcome(reader.evaluate(good), good_ref, good.name);
     expectIdenticalOutcome(reader.evaluate(bad), bad_ref, bad.name);
@@ -290,6 +292,7 @@ TEST(OutcomeStoreDisk, StrictModeRethrowsStoredFailures)
         FAIL() << "stored infeasibility must rethrow under Strict";
     } catch (const ConfigError &e) {
         EXPECT_EQ(std::string(e.what()), ref.error);
+        EXPECT_EQ(e.code(), ref.ruleCode);
     }
     EXPECT_EQ(reader.stats().diskHits, 1u);
 }

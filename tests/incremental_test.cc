@@ -68,6 +68,7 @@ expectIdenticalOutcome(const SimulationOutcome &inc,
 {
     ASSERT_EQ(inc.feasible, ref.feasible) << what;
     EXPECT_EQ(inc.error, ref.error) << what;
+    EXPECT_EQ(inc.ruleCode, ref.ruleCode) << what;
     EXPECT_EQ(inc.frames, ref.frames) << what;
     EXPECT_EQ(inc.snrPenaltyDb, ref.snrPenaltyDb) << what;
     if (!ref.feasible)

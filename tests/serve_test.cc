@@ -204,7 +204,7 @@ TEST(Admission, UnparseableDocumentsAreRejectedWithADiagnostic)
     ASSERT_EQ(adm.job, nullptr);
     EXPECT_EQ(adm.reason, "document does not parse");
     ASSERT_EQ(adm.diagnostics.size(), 1u);
-    EXPECT_FALSE(adm.diagnostics[0].code.empty());
+    EXPECT_EQ(adm.diagnostics[0].code, "CAMJ-E018");
     EXPECT_TRUE(registry.jobs().empty());
 }
 

@@ -733,13 +733,13 @@ TEST(CamjSweepCli, RunMatchesSingleProcess)
     EXPECT_EQ(readFile(dir / "memo.jsonl"), singleProcessJsonl(doc));
 }
 
-/** WEXITSTATUS of the CLI with stdout+stderr silenced; -1 on an
- *  abnormal exit. */
+/** WEXITSTATUS of the CLI with stdout+stderr written to @p log
+ *  (silenced by default); -1 on an abnormal exit. */
 int
-cliExit(const std::string &args)
+cliExit(const std::string &args, const std::string &log = "/dev/null")
 {
     const std::string cmd = std::string(CAMJ_SWEEP_BIN) + " " + args +
-                            " > /dev/null 2>&1";
+                            " > " + log + " 2>&1";
     const int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -778,6 +778,31 @@ TEST(CamjSweepCli, LintSubcommandReportsFindings)
     writeFile(dir / "broken.json", spec::toJson(doc));
     EXPECT_EQ(cliExit("lint " + (dir / "broken.json").string()), 1);
     EXPECT_EQ(cliExit("lint"), 2);
+
+    // Several documents: one broken file fails the whole call.
+    EXPECT_EQ(cliExit("lint " + (dir / "clean.json").string() + " " +
+                      (dir / "broken.json").string()),
+              1);
+
+    // A grid path that does not parse, and a truncated document: one
+    // CAMJ-E018 diagnostic each, then the per-file summary.
+    spec::SweepDocument bad_grid = smallStudy();
+    bad_grid.grid.axes[0].path = "fpz[";
+    writeFile(dir / "grid.json", spec::toJson(bad_grid));
+    const std::string text = spec::toJson(smallStudy());
+    writeFile(dir / "truncated.json", text.substr(0, text.size() / 2));
+    for (const std::string name : {"grid.json", "truncated.json"}) {
+        const fs::path log = dir / (name + ".log");
+        EXPECT_EQ(cliExit("lint " + (dir / name).string(), log.string()),
+                  1)
+            << name;
+        const std::string report = readFile(log);
+        EXPECT_NE(report.find("error CAMJ-E018"), std::string::npos)
+            << report;
+        EXPECT_NE(report.find(": 1 error(s), 0 warning(s)"),
+                  std::string::npos)
+            << report;
+    }
 }
 
 TEST(CamjSweepCli, RunPreflightAbortsOnBrokenBaseUnlessDisabled)
