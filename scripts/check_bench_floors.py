@@ -69,9 +69,12 @@ FLOORS = [
     ("cachedSweep.identicalToFullRebuild", None, "true"),
     # The sweep service: a served stream is the same bytes as a local
     # run (the service contract), and the daemon's loopback round
-    # trip stays a bounded overhead over the library path.
+    # trip stays a bounded overhead over the library path. The
+    # monitor wakes on worker events and result frames go out
+    # without Nagle's delay, so the ratio reads about 1-2; a fixed
+    # timer back on the served path pushes it past 5.
     ("servedSweep.identicalToInProcess", None, "true"),
-    ("servedSweep.overheadRatio", 25.0, "max"),
+    ("servedSweep.overheadRatio", 5.0, "max"),
     ("servedSweep.served.designsPerSec", 10, "min"),
     # Fast-forward cycle simulation: the closed-form period jumps
     # must stay bit-identical to the tick-loop reference (checked

@@ -111,6 +111,9 @@ JobRecord::statusFrame() const
     frame.set("workerRestarts",
               static_cast<int64_t>(
                   workerRestarts.load(std::memory_order_relaxed)));
+    frame.set("monitorPolls",
+              static_cast<int64_t>(
+                  monitorPolls.load(std::memory_order_relaxed)));
     frame.set("pruned", static_cast<int64_t>(
                             prunedPoints.load(
                                 std::memory_order_relaxed)));

@@ -72,12 +72,18 @@ class JobRecord
     std::atomic<size_t> cacheHits{0};
     /** Workers re-dispatched after a failure, kill, or stall. */
     std::atomic<size_t> workerRestarts{0};
+    /** Monitor waits that ended on their timeout rather than on a
+     *  worker event: 0 for an in-process job whose workers never go
+     *  quiet for the heartbeat window; one per poll while a
+     *  subprocess attempt runs. */
+    std::atomic<size_t> monitorPolls{0};
     /** Points the admission prefilter proved infeasible (they are
      *  still evaluated — pruning would change the output bytes). */
     std::atomic<size_t> prunedPoints{0};
 
     /** Cooperative cancellation: shared with every in-process worker
-     *  and polled by the scheduler's monitor loop. */
+     *  and checked by the scheduler's monitor before each pass over
+     *  its workers. */
     CancelToken cancel;
 
     // ----- the stream spool -----

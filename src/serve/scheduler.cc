@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -31,13 +33,65 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** How often the monitor polls while a subprocess attempt runs: a
+ *  subprocess signals nothing, so its file growth and its exit are
+ *  only seen by looking. */
+constexpr Clock::duration kSubprocessPoll =
+    std::chrono::milliseconds(20);
+
+/**
+ * The monitor's wake-up: in-process workers bump the event count
+ * after each flushed line and after publishing their verdict, and
+ * the monitor sleeps until the count moves past the value it read
+ * BEFORE its last pass over the slots — so an event landing during
+ * that pass ends the next wait at once instead of being missed.
+ */
+class MonitorWake
+{
+  public:
+    void signal()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++events_;
+        }
+        cv_.notify_one();
+    }
+
+    uint64_t events()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return events_;
+    }
+
+    /** Wait until the count passes @p seen or @p cancel fires, at
+     *  most @p bound. @return false when the wait timed out. */
+    bool waitPast(uint64_t seen, Clock::duration bound,
+                  const CancelToken &cancel)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return cv_.wait_for(lock, bound, [&] {
+            return events_ != seen || cancel.cancelled();
+        });
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    uint64_t events_ = 0; // guarded by mutex_
+};
+
 /** JsonlSink with a per-line flush, so the monitor can tail an
- *  in-process worker's attempt file while the worker runs. The bytes
- *  are sweepResultToJsonl verbatim — identical to JsonlSink's. */
+ *  in-process worker's attempt file while the worker runs; each
+ *  flushed line wakes the monitor. The bytes are sweepResultToJsonl
+ *  verbatim — identical to JsonlSink's. */
 class FlushedJsonlSink : public ResultSink
 {
   public:
-    explicit FlushedJsonlSink(std::ofstream &out) : out_(out) {}
+    FlushedJsonlSink(std::ofstream &out, MonitorWake &wake)
+        : out_(out), wake_(wake)
+    {
+    }
 
     bool accept(SweepResult result) override
     {
@@ -45,11 +99,13 @@ class FlushedJsonlSink : public ResultSink
         out_.flush();
         if (!out_)
             fatal("serve: worker attempt-file write failed");
+        wake_.signal();
         return true;
     }
 
   private:
     std::ofstream &out_;
+    MonitorWake &wake_;
 };
 
 /** Fault injection: cancels the sweep (accept -> false) after a
@@ -246,6 +302,16 @@ Scheduler::submit(const std::string &doc_text, int frames,
         adm.reason = "server is shutting down";
         return adm;
     }
+    // Reap the threads of finished jobs, so a long-lived daemon holds
+    // one per running job plus the one started here, not one per job
+    // ever submitted. A terminal job's thread has only its teardown
+    // left, so the join is brief.
+    std::erase_if(threads_, [](JobThread &t) {
+        if (!t.job->terminal())
+            return false;
+        t.thread.join();
+        return true;
+    });
     adm.job = registry_.create();
     adm.job->pointsTotal.store(adm.points, std::memory_order_relaxed);
     adm.job->prunedPoints.store(adm.pruned,
@@ -253,24 +319,32 @@ Scheduler::submit(const std::string &doc_text, int frames,
     const int f = frames > 0 ? frames : options_.frames;
     const int t = threads > 0 ? threads : options_.threadsPerWorker;
     auto job = adm.job;
-    threads_.emplace_back(
-        [this, job, d = std::move(doc), f, t]() mutable {
-            runJob(job, std::move(d), f, t);
-        });
+    threads_.push_back(
+        {job, std::thread([this, job, d = std::move(doc), f,
+                           t]() mutable {
+             runJob(job, std::move(d), f, t);
+         })});
     return adm;
 }
 
 void
 Scheduler::drain()
 {
-    std::vector<std::thread> taken;
+    std::vector<JobThread> taken;
     {
         std::lock_guard<std::mutex> lock(threadsMutex_);
         stopped_ = true;
         taken.swap(threads_);
     }
-    for (std::thread &t : taken)
-        t.join();
+    for (JobThread &t : taken)
+        t.thread.join();
+}
+
+size_t
+Scheduler::jobThreads() const
+{
+    std::lock_guard<std::mutex> lock(threadsMutex_);
+    return threads_.size();
 }
 
 void
@@ -288,6 +362,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
 {
     std::string job_error;
     bool cancelled = false;
+    MonitorWake wake; // outlives every worker: teardown joins them
     std::vector<std::unique_ptr<WorkerSlot>> slots;
     std::optional<spec::GridSpecSource> grid;
     MergeState merge;
@@ -334,8 +409,8 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         const std::string path = slot.attemptPath;
         const std::string cache_dir = options_.cacheDir;
         spec::GridSpecSource *parent = &*grid;
-        slot.thread = std::thread([parent, job, a, path, inject,
-                                   frames, threads, cache_dir,
+        slot.thread = std::thread([parent, &wake, job, a, path,
+                                   inject, frames, threads, cache_dir,
                                    verdict, fail_text] {
             int v = kOk;
             try {
@@ -352,7 +427,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 SweepEngine engine(options);
                 // The exact sink chain of `camj_sweep run`: local
                 // stream order -> global grid identity -> bytes.
-                FlushedJsonlSink lines(out);
+                FlushedJsonlSink lines(out, wake);
                 LimitSink limited(
                     lines, std::max<size_t>(a.count() / 2, 1),
                     inject);
@@ -373,6 +448,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 v = kFailed;
             }
             verdict->store(v, std::memory_order_release);
+            wake.signal();
         });
     };
 
@@ -550,21 +626,38 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         for (const auto &slot : slots)
             launch(*slot);
 
+        // While only in-process attempts run, every change the
+        // monitor acts on arrives as a worker event, so its wait's
+        // bound is a backstop (never shorter than the subprocess
+        // poll, so a zero heartbeat cannot make it spin); a running
+        // subprocess is polled.
+        const Clock::duration idle_bound = std::max<Clock::duration>(
+            kSubprocessPoll,
+            std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(
+                    options_.heartbeatSeconds)));
         for (;;) {
             if (job->cancel.cancelled()) {
                 cancelled = true;
                 break;
             }
+            const uint64_t seen = wake.events();
             bool all_done = true;
+            bool polling = false;
             for (const auto &slot : slots) {
                 tick(*slot);
                 if (!slot->done)
                     all_done = false;
+                if (slot->pid > 0)
+                    polling = true;
             }
             if (all_done)
                 break;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
+            if (!wake.waitPast(seen,
+                               polling ? kSubprocessPoll : idle_bound,
+                               job->cancel))
+                job->monitorPolls.fetch_add(1,
+                                            std::memory_order_relaxed);
         }
     } catch (const std::exception &e) {
         job_error = e.what();
@@ -610,6 +703,9 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 job->cacheHits.load(std::memory_order_relaxed)));
     end.set("workerRestarts",
             static_cast<int64_t>(job->workerRestarts.load(
+                std::memory_order_relaxed)));
+    end.set("monitorPolls",
+            static_cast<int64_t>(job->monitorPolls.load(
                 std::memory_order_relaxed)));
     if (job_error.empty() && !cancelled)
         job->setState(JobState::Done);

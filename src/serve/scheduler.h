@@ -14,7 +14,9 @@
  * byte-identity with a local `camj_sweep run`.
  *
  * Each admitted job gets its own thread running the dispatch/monitor
- * loop: planShards partitions the grid, every shard runs as either an
+ * loop (submit() joins the threads of jobs that have finished, so the
+ * scheduler holds one per running job plus the newest): planShards
+ * partitions the grid, every shard runs as either an
  * in-process worker (a SweepEngine over a ShardSpecSource on a
  * std::thread) or a subprocess worker (fork/exec of `camj_sweep run`
  * over a shard descriptor file), and every attempt writes an ordinary
@@ -30,6 +32,15 @@
  * so clients stream results while later shards still run, and the
  * end-of-stream MergeSummary is reduced through the same
  * accumulateMergeRecord that batch merges use.
+ *
+ * The monitor runs on events, not a timer: in-process workers bump a
+ * per-job event count after every flushed line and after publishing
+ * their verdict, and the monitor sleeps until the count moves past
+ * the value it read before its last pass over the workers. A
+ * subprocess attempt signals nothing, so while one runs the wait is
+ * bounded by 20 ms and the monitor polls; otherwise the bound is
+ * heartbeatSeconds (at least 20 ms), a backstop. Waits that end on
+ * their bound are counted in JobRecord::monitorPolls.
  *
  * Failure detection: subprocess workers by waitpid plus an
  * output-growth heartbeat (a worker whose attempt file stops growing
@@ -79,7 +90,9 @@ struct SchedulerOptions
     /** Top-K table size of the end-of-stream summary. */
     size_t topK = 5;
     /** Subprocess stall detector: no attempt-file growth for this
-     *  long while the process lives means kill + re-dispatch. */
+     *  long while the process lives means kill + re-dispatch. Also
+     *  bounds the monitor's wait while only in-process attempts
+     *  run. */
     double heartbeatSeconds = 30.0;
     /** Dispatch attempts per shard before the job fails. */
     size_t maxAttempts = 3;
@@ -134,15 +147,26 @@ class Scheduler
 
     const SchedulerOptions &options() const { return options_; }
 
+    /** Job threads not yet joined. submit() joins those of finished
+     *  jobs, so this never exceeds the running jobs plus one. */
+    size_t jobThreads() const;
+
   private:
+    /** A job's dispatch thread, joined once the job is terminal. */
+    struct JobThread
+    {
+        std::shared_ptr<JobRecord> job;
+        std::thread thread;
+    };
+
     void runJob(std::shared_ptr<JobRecord> job,
                 spec::SweepDocument doc, int frames, int threads);
 
     SchedulerOptions options_;
     JobRegistry &registry_;
-    std::mutex threadsMutex_;
-    std::vector<std::thread> threads_; // guarded by threadsMutex_
-    bool stopped_ = false;             // guarded by threadsMutex_
+    mutable std::mutex threadsMutex_;
+    std::vector<JobThread> threads_; // guarded by threadsMutex_
+    bool stopped_ = false;           // guarded by threadsMutex_
 };
 
 } // namespace camj::serve

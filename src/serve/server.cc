@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -122,6 +123,13 @@ Server::serve()
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
+        // The daemon answers a submit with many small writes (the
+        // accepted frame, result chunks, the end frame) to a client
+        // that sends nothing back until the end: under Nagle a small
+        // write queued behind unacknowledged data waits for the
+        // client's delayed ACK.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         std::lock_guard<std::mutex> lock(connMutex_);
         connections_.emplace_back([this, fd] {
             handleConnection(fd);

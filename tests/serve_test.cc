@@ -413,6 +413,58 @@ TEST(ServedSweep, CancelStopsARunningJobBeforeItFinishes)
               "cancelled");
 }
 
+TEST(ServedSweep, InProcessMonitorWakesOnWorkerEventsNeverOnATimer)
+{
+    const spec::SweepDocument doc = smallStudy();
+    const std::string reference = singleProcessJsonl(doc);
+    // Healthy, then with shard 0 dying mid-shard: every line, verdict
+    // and re-dispatch reaches the monitor as a worker event, so none
+    // of its waits runs out (the heartbeat bound is 30 s).
+    for (const std::vector<size_t> &fail :
+         {std::vector<size_t>{}, std::vector<size_t>{0}}) {
+        const fs::path dir = scratchDir(
+            strprintf("serve_wake_%zu", fail.size()));
+        serve::SchedulerOptions options = inProcessOptions(dir);
+        options.testFailShards = fail;
+        ServerHarness harness(std::move(options));
+        serve::Client client(harness.port());
+        std::ostringstream out;
+        const serve::Client::SubmitOutcome outcome =
+            client.submitAndStream(spec::toJson(doc), out);
+        EXPECT_EQ(out.str(), reference) << fail.size();
+        EXPECT_EQ(outcome.end.getString("state", ""), "done");
+        EXPECT_EQ(outcome.end.getInt("workerRestarts", -1),
+                  static_cast<int64_t>(fail.size()));
+        EXPECT_EQ(outcome.end.getInt("monitorPolls", -1), 0);
+        EXPECT_EQ(client.status(outcome.jobId).getInt("monitorPolls",
+                                                     -1),
+                  0);
+    }
+}
+
+TEST(ServedSweep, FinishedJobThreadsAreReapedOnSubmit)
+{
+    const fs::path dir = scratchDir("serve_reap");
+    const spec::SweepDocument doc = smallStudy();
+    const std::string text = spec::toJson(doc);
+    const std::string reference = singleProcessJsonl(doc);
+    serve::JobRegistry registry;
+    serve::Scheduler scheduler(inProcessOptions(dir), registry);
+    for (int k = 0; k < 32; ++k) {
+        const serve::Scheduler::Admission adm = scheduler.submit(text);
+        ASSERT_NE(adm.job, nullptr);
+        EXPECT_LE(scheduler.jobThreads(), registry.activeCount() + 1)
+            << "job " << k;
+        size_t offset = 0;
+        std::string streamed;
+        while (adm.job->waitSpool(offset, streamed)) {
+        }
+        EXPECT_EQ(streamed, reference) << "job " << k;
+        EXPECT_LE(scheduler.jobThreads(), registry.activeCount() + 1)
+            << "job " << k;
+    }
+}
+
 // ------------------------------------------------- subprocess workers
 
 #ifdef CAMJ_SWEEP_BIN
