@@ -44,10 +44,14 @@ FLOORS = [
     ("specOps.parse.allocsPerOp", 400, "max"),
     ("specOps.clone.allocsPerOp", 400, "max"),
     # Grid expansion: the in-place pooled-workspace path against the
-    # legacy clone-per-point emulation — the PR acceptance bar the
-    # binary itself also enforces, re-checked here so a silently
-    # edited bench can't drop it.
-    ("gridSweep.expansion.speedupVsLegacy", 2.0, "min"),
+    # legacy clone-per-point emulation. The binary itself fails unless
+    # in-place makes at most half the legacy path's heap allocations
+    # per point (31.0 vs 183.0 over the canonical grid); the exact
+    # count is re-checked here so a silently edited bench can't drop
+    # it. Allocations are counted, not timed: the old wall-clock bar
+    # (speedupVsLegacy >= 2.0, still in the artifact as data) failed 2
+    # of 16 runs on a loaded host.
+    ("gridSweep.expansion.inPlace.allocsPerPoint", 31, "max"),
     ("gridSweep.expansion.identicalToLegacy", None, "true"),
     ("gridSweep.expansion.inPlace.designsPerSec", 20000, "min"),
     ("gridSweep.pipelineIdenticalAcrossPaths", None, "true"),
@@ -86,12 +90,18 @@ FLOORS = [
     ("cycleSim.identicalToTickLoop", None, "true"),
     ("cycleSim.speedup", 5.0, "min"),
     ("serialSweep.designsPerSec", 120, "min"),
-    # The pass-B stall check on the source's cone of influence: cycles
-    # ticked over the 27 paper studies (both passes; deterministic,
-    # host-independent — 12,599,064 before the cone), and the serial
-    # throughput over those studies it buys (38 designs/s before).
-    ("usecaseSweep.cyclesTicked", 600000, "max"),
-    ("usecaseSweep.serialSweep.designsPerSec", 300, "min"),
+    # The pass-B stall check: cycles ticked over the 27 paper studies
+    # (both passes; deterministic, host-independent — 12,599,064
+    # before the stall cone, 315,201 before the backlog bound, 55,923
+    # now, all pass A), none of them in pass B, the 16 studies whose
+    # ADC memory can fill proven by the backlog bound, and the serial
+    # throughput over those studies it buys (38 designs/s before the
+    # cone, 843-1,365 before the bound, 5,385-9,182 with it, on a
+    # 4-core container).
+    ("usecaseSweep.cyclesTicked", 62000, "max"),
+    ("usecaseSweep.passB.cyclesTicked", 0, "eq"),
+    ("usecaseSweep.stallCheck.bounded", 16, "eq"),
+    ("usecaseSweep.serialSweep.designsPerSec", 1000, "min"),
     # Paper accuracy (Fig. 7): MAPE 6.5197% and r = 0.99957 today.
     ("validation.fig07MapePct", 6.53, "max"),
     ("validation.fig07Corr", 0.9995, "min"),

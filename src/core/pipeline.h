@@ -18,7 +18,8 @@
  *   Timing   — delay estimation (T_A from the frame budget) and the
  *              pass-B stall check at the true ADC rate, answered on
  *              the source's cone of influence (digital/stallcheck.h):
- *              statically when the ADC memory can never fill, else by
+ *              statically when the ADC memory can never fill or when
+ *              the cone's backlog bounds fit its memories, else by
  *              simulating only the units and memories that can reach
  *              the source, with a full-topology fallback whenever the
  *              rest of the pipeline is not provably drain-safe.

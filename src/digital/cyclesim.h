@@ -15,7 +15,7 @@
  * The Timing stage asks the stall question through checkSourceStall()
  * (digital/stallcheck.h), which simulates only the part of a topology
  * that can influence its sources, and nothing when no source can
- * block.
+ * block or when that part's backlog provably never fills a memory.
  *
  * The model is transaction-level: every unit moves its declared
  * per-cycle shapes; pipeline depth delays the landing of outputs.

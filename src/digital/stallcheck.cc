@@ -211,6 +211,17 @@ remainderIsDrainSafe(const CycleSim &sim, const Flows &f, const Cone &c)
     return true;
 }
 
+/** The fewest binary places that hold @p x exactly (x * 2^q is an
+ *  integer), or 53 when more than 52 would be needed. */
+int
+binaryPlaces(double x)
+{
+    int q = 0;
+    while (q <= 52 && std::ldexp(x, q) != std::floor(std::ldexp(x, q)))
+        ++q;
+    return q;
+}
+
 /**
  * The cycle by which a source that is never blocked has pushed its
  * whole frame, over-estimated by one: it pushes floor(n * rate) words
@@ -224,14 +235,149 @@ sourceDrainBound(const SimSource &s)
     if (s.totalWords == 0)
         return 0;
     const double rate = s.wordsPerCycle;
-    int q = 0;
-    while (q <= 52 && std::ldexp(rate, q) != std::floor(std::ldexp(rate, q)))
-        ++q;
+    const int q = binaryPlaces(rate);
     if (q > 52 || std::ldexp(rate + 1.0, q) >= 0x1p52)
         return -1;
     const double n =
         std::ceil(static_cast<double>(s.totalWords) / rate) + 1.0;
     return n < 0x1p62 ? static_cast<int64_t>(n) : -1;
+}
+
+/** Whether the tick loop's readiness and occupancy arithmetic on a
+ *  port retiring @p retire words per fire stays exact up to @p words:
+ *  every value is then a multiple of retire's lowest set bit (or of
+ *  one word) and fewer than 2^52 of those. */
+bool
+exactUpTo(double retire, double words)
+{
+    const int q = binaryPlaces(retire);
+    return q <= 52 && std::ldexp(words, q) < 0x1p52;
+}
+
+/**
+ * The cycle by which every cone source and cone unit is done, when the
+ * cone is a set of source-rooted chains whose memories provably never
+ * refuse a word; -1 otherwise (the cone is then simulated).
+ *
+ * A chain runs source -> m0 -> u0 -> m1 -> u1 -> ... and ends in a
+ * unit whose output leaves the cone. Each cone unit has one
+ * non-prefilled input (its chain port), read with cumulative
+ * readiness on exactly the memory's inflow and needWords >=
+ * retireWords; its other inputs are prefilled and read by no more
+ * ports than they have. Walking the chains from the sources must
+ * visit every cone unit exactly once, so each chain memory has one
+ * writer and one reading port. Then, while words still arrive,
+ * readiness is occupancy >= need and the occupancy clamp never fires,
+ * so a reader whose output is never refused fires in every cycle its
+ * readiness holds. Its memory's occupancy then stays below need +
+ * rate + 1 after a push from a source of rate <= retire, and below
+ * need + outWords after a landing from a unit with outWords <= retire;
+ * once the reader is done it is at most inflow - totalFires * retire.
+ * When each peak fits the capacity, with room for a unit writer's
+ * landings in flight and the fire being checked, no source is ever
+ * held back (so none blocks) and no writer is ever refused. Each unit
+ * then fires in every cycle once its whole input has arrived, so its
+ * chain is done by the source's drain bound plus totalFires + latency
+ * per unit.
+ */
+int64_t
+boundedConeFinish(const CycleSim &sim, const Flows &f, const Cone &c)
+{
+    const auto &mems = sim.memories();
+    const auto &units = sim.units();
+    std::vector<int> readers(mems.size(), 0);
+    for (const SimUnit &u : units) {
+        for (const SimPort &p : u.inputs)
+            ++readers[static_cast<size_t>(p.memIdx)];
+    }
+
+    // Each cone unit's chain port, indexed by the memory it reads.
+    std::vector<const SimPort *> chainPort(mems.size(), nullptr);
+    std::vector<int> chainReader(mems.size(), -1);
+    for (size_t u = 0; u < units.size(); ++u) {
+        if (!c.unit[u])
+            continue;
+        const SimPort *chain = nullptr;
+        for (const SimPort &p : units[u].inputs) {
+            const size_t m = static_cast<size_t>(p.memIdx);
+            if (mems[m].prefilled) {
+                if (readers[m] > mems[m].readPorts)
+                    return -1; // oversubscribed read ports
+                continue;
+            }
+            if (chain != nullptr)
+                return -1; // a join
+            chain = &p;
+        }
+        if (chain == nullptr)
+            return -1;
+        const size_t m = static_cast<size_t>(chain->memIdx);
+        if (chain->needWords < chain->retireWords ||
+            !(chain->expectedWords > 0.0) ||
+            chain->expectedWords != static_cast<double>(f.inflow[m]))
+            return -1;
+        chainPort[m] = chain;
+        chainReader[m] = static_cast<int>(u);
+    }
+
+    // Whether chain memory m never refuses its writer, which puts at
+    // most `burst` words into it per cycle and needs `extra` words of
+    // room beyond need + burst: a source's credit carry (under one
+    // word), or a unit's latency x outWords (its landings in flight
+    // plus the fire being checked).
+    auto fits = [&](size_t m, double burst, int64_t extra) {
+        const SimPort &p = *chainPort[m];
+        const SimUnit &reader =
+            units[static_cast<size_t>(chainReader[m])];
+        const double need = static_cast<double>(p.needWords);
+        const double inflow = static_cast<double>(f.inflow[m]);
+        const double retired =
+            static_cast<double>(reader.totalFires) * p.retireWords;
+        if (burst > p.retireWords ||
+            !exactUpTo(p.retireWords, inflow + retired + need))
+            return false;
+        const double peak =
+            std::max(need + burst + static_cast<double>(extra),
+                     inflow - retired);
+        return peak <= static_cast<double>(mems[m].capacityWords);
+    };
+
+    // A second writer of a chain memory would lead a walk to its
+    // reader twice; a second reader, a prefilled chain memory or a
+    // unit on a source-less cycle is never reached.
+    std::vector<char> visited(units.size(), 0);
+    int64_t finish = 0;
+    for (const SimSource &s : sim.sources()) {
+        size_t m = static_cast<size_t>(s.memIdx);
+        if (!c.mem[m])
+            continue;
+        int64_t done = sourceDrainBound(s);
+        if (done < 0)
+            return -1;
+        double burst = s.wordsPerCycle;
+        int64_t extra = 1;
+        for (;;) {
+            const int r = chainReader[m];
+            if (r < 0 || visited[static_cast<size_t>(r)] ||
+                !fits(m, burst, extra))
+                return -1;
+            visited[static_cast<size_t>(r)] = 1;
+            const SimUnit &u = units[static_cast<size_t>(r)];
+            done = satAdd(done, satAdd(u.totalFires, u.latency));
+            if (u.outMemIdx < 0 ||
+                !c.mem[static_cast<size_t>(u.outMemIdx)])
+                break;
+            m = static_cast<size_t>(u.outMemIdx);
+            burst = static_cast<double>(u.outWords);
+            extra = satMul(u.latency, u.outWords);
+        }
+        finish = std::max(finish, done);
+    }
+    for (size_t u = 0; u < units.size(); ++u) {
+        if (c.unit[u] && !visited[u])
+            return -1;
+    }
+    return finish;
 }
 
 /**
@@ -308,6 +454,13 @@ checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
     }
 
     if (!c.empty) {
+        // A cone of chains that provably never fill needs no run.
+        const int64_t finish = boundedConeFinish(sim, f, c);
+        if (finish >= 0 &&
+            drainBound(sim, c, std::max(start, finish)) <= max_cycles) {
+            out.route = StallRoute::Bounded;
+            return out;
+        }
         CycleSim cone = buildCone(sim, c);
         CycleSimResult r;
         try {

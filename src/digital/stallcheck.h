@@ -20,17 +20,30 @@
  * construction. When no source can block, the cone is empty and
  * nothing is simulated.
  *
+ * Most feasible cones need no run either. When the cone is a set of
+ * chains rooted at sources (each memory one writer and one reader,
+ * each unit one non-prefilled input read with cumulative readiness),
+ * the engine's fire rule bounds every chain memory's backlog in closed
+ * form, in the style of a network-calculus backlog bound: a reader
+ * whose output is never refused fires in every cycle its window is
+ * present, so a memory fed at most `retire` words per cycle never
+ * holds more than about need + one cycle's burst. When every bound
+ * fits its memory, the source is never held back, and the answer is
+ * "not blocked, 0 cycles" without simulating (StallRoute::Bounded).
+ *
  * The full run has one more observable: the "did not drain"
  * ConfigError, whose text dumps the whole topology. The cone's answer
  * therefore stands only when the rest of the topology provably drains
  * within the cycle budget (feed-forward in unit order, no
  * backpressure, cumulative readiness that the final arrivals satisfy,
- * and a closed-form drain bound); otherwise, or when the cone itself
- * fails to drain, the full topology runs. The choice depends on the
- * topology alone. Mode::TickLoop is the reference engine and always
- * runs the full topology. docs/performance.md ("Pass B: the stall
- * cone") gives the argument in full; tests/cyclesim_diff_test.cc pins
- * every answer against a full-topology tick-loop run.
+ * and a closed-form drain bound, which for a bounded cone starts from
+ * a closed-form finish bound of the chains); otherwise, or when the
+ * cone itself fails to drain, the full topology runs. The choice
+ * depends on the topology alone. Mode::TickLoop is the reference
+ * engine and always runs the full topology. docs/performance.md
+ * ("Pass B: the stall cone" and "Pass B: the backlog bound") gives
+ * the arguments in full; tests/cyclesim_diff_test.cc pins every
+ * answer against a full-topology tick-loop run.
  */
 
 #ifndef CAMJ_DIGITAL_STALLCHECK_H
@@ -49,6 +62,9 @@ enum class StallRoute
 {
     /** Proven stall-free and drain-safe; nothing simulated. */
     StallFree,
+    /** The cone's backlog bounds fit its memories: proven not
+     *  blocked and drain-safe; nothing simulated. */
+    Bounded,
     /** Simulated on the sources' cone of influence. */
     Cone,
     /** Simulated on the full topology (fallback, or the reference
@@ -60,6 +76,7 @@ enum class StallRoute
 struct StallRouteCounts
 {
     size_t stallFree = 0;
+    size_t bounded = 0;
     size_t cone = 0;
     size_t fullTopology = 0;
 
@@ -68,6 +85,9 @@ struct StallRouteCounts
         switch (route) {
           case StallRoute::StallFree:
             ++stallFree;
+            break;
+          case StallRoute::Bounded:
+            ++bounded;
             break;
           case StallRoute::Cone:
             ++cone;
@@ -81,6 +101,7 @@ struct StallRouteCounts
     StallRouteCounts &operator+=(const StallRouteCounts &o)
     {
         stallFree += o.stallFree;
+        bounded += o.bounded;
         cone += o.cone;
         fullTopology += o.fullTopology;
         return *this;
@@ -98,7 +119,7 @@ struct StallCheck
     int64_t sourceBlockedCycles = 0;
     StallRoute route = StallRoute::StallFree;
     /** What was simulated to answer (cone plus any fallback run);
-     *  zero for StallFree and for memo hits. */
+     *  zero for StallFree, Bounded and memo hits. */
     CycleSimStats stats;
 };
 

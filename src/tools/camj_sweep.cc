@@ -324,8 +324,10 @@ cmdRun(int argc, char **argv)
         print_pass("pass B", stats.passes.passB);
         const StallRouteCounts &routes = stats.passes.stallRoutes;
         std::printf("pass-B stall check: %zu statically stall-free, %zu "
-                    "on the cone, %zu by full-topology fallback\n",
-                    routes.stallFree, routes.cone, routes.fullTopology);
+                    "within the backlog bound, %zu on the cone, %zu by "
+                    "full-topology fallback\n",
+                    routes.stallFree, routes.bounded, routes.cone,
+                    routes.fullTopology);
         std::printf("cycle-sim memo: %zu hit(s), %zu miss(es)\n",
                     stats.cycleSimMemo.hits, stats.cycleSimMemo.misses);
     }

@@ -174,10 +174,12 @@ TEST(CycleSimMemoReuse, StridedShardOrderSimulatesEachTopologyOnce)
 TEST(CycleSimMemoReuse, InfeasibleBandsNeverEvictFeasibleTopologies)
 {
     // A feasibility boundary crossed once per buffer-node row (30, 60
-    // feasible; 1e5, 2e5 not) on Ed-Gaze, whose pass B simulates the
-    // line buffer's stall cone. A failing point stores nothing, so the
-    // feasible rates' topologies stay memoized across every band:
-    // pass A plus two pass-B cones are simulated once each.
+    // feasible; 1e5, 2e5 not) on Ed-Gaze with a 5-word line buffer,
+    // one word above its 2x2 window: too tight for the stall check's
+    // backlog bound, so pass B simulates the line buffer's stall cone.
+    // A failing point stores nothing, so the feasible rates'
+    // topologies stay memoized across every band: pass A plus two
+    // pass-B cones are simulated once each.
     IncrementalEvaluator inc(reportOptions());
     const int nodes[] = {180, 110, 65, 45};
     const double rates[] = {30.0, 60.0, 100000.0, 200000.0};
@@ -186,8 +188,11 @@ TEST(CycleSimMemoReuse, InfeasibleBandsNeverEvictFeasibleTopologies)
         for (double fps : rates) {
             spec::DesignSpec spec = edgazeSpec(EdgazeVariant::TwoDIn, 65);
             spec.fps = fps;
-            for (spec::MemorySpec &m : spec.memories)
+            for (spec::MemorySpec &m : spec.memories) {
                 m.nodeNm = node;
+                if (m.name == "LineBuffer")
+                    m.capacityWords = 5;
+            }
             const SimulationOutcome out = inc.evaluate(spec);
             expectIdenticalOutcome(out, referenceOutcome(spec),
                                    spec.name);

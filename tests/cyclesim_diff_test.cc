@@ -9,10 +9,12 @@
  *      units) must produce CycleSimResults equal field for field in
  *      both modes — including equal fatal() texts when the pipeline
  *      cannot drain.
- *   2. The stall check over the same generators: its verdict, blocked
- *      cycles and thrown text must equal the reference run's, plus one
- *      hand-built fixture per full-topology fallback reason and one
- *      that stalls inside the cone.
+ *   2. The stall check over the same generators plus one of chains
+ *      biased toward the edges of its backlog bound: its verdict,
+ *      blocked cycles and thrown text must equal the reference run's.
+ *      Hand-built fixtures cover each full-topology fallback reason, a
+ *      stall inside the cone, and each side of every condition of the
+ *      backlog bound.
  *   3. Every paper study (the 27-entry registry) evaluated end to
  *      end with the reference engine (which also answers pass B on
  *      the full topology) and with the default one must produce the
@@ -249,6 +251,120 @@ consistentChain(uint32_t seed)
     return sim;
 }
 
+/** A topology as plain parts: edit a field, then build. */
+struct Topology
+{
+    std::vector<SimMemory> mems;
+    std::vector<SimSource> sources;
+    std::vector<SimUnit> units;
+
+    CycleSim build() const
+    {
+        CycleSim sim;
+        for (const SimMemory &m : mems)
+            sim.addMemory(m);
+        for (const SimSource &s : sources)
+            sim.addSource(s);
+        for (const SimUnit &u : units)
+            sim.addUnit(u);
+        return sim;
+    }
+};
+
+/** A flow-consistent chain source -> m0 -> u0 -> ... -> sink biased
+ *  toward the edges of the stall check's backlog bound: 1-3 stages,
+ *  dyadic rates 2^-4..2^4, each capacity (4-96 words) drawn around
+ *  its memory's bound, an optional prefilled side input, and now and
+ *  then a retire just below its writer's burst, a window below the
+ *  retire, a reader stopping short, an expected count off the inflow
+ *  or a second reader. */
+CycleSim
+edgeChain(uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    auto irand = [&](int64_t lo, int64_t hi) {
+        return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+    };
+    auto oneIn = [&](int n) { return irand(1, n) == 1; };
+
+    Topology t;
+    const int stages = static_cast<int>(irand(1, 3));
+    const bool side = oneIn(2);
+    if (side) {
+        t.mems.push_back({.name = "frame", .capacityWords = 64,
+                          .readPorts = static_cast<int>(irand(1, 2)),
+                          .prefilled = true});
+    }
+    const int first = static_cast<int>(t.mems.size());
+    int64_t inflow = irand(64, 2048);
+    // What the writer of the next memory puts in per cycle, and the
+    // room it needs beyond the reader's window plus that burst.
+    double burst = std::ldexp(1.0, static_cast<int>(irand(-4, 4)));
+    int64_t extra = 1;
+    t.sources.push_back({.name = "adc", .totalWords = inflow,
+                         .wordsPerCycle = burst, .memIdx = first});
+    for (int i = 0; i < stages; ++i) {
+        SimPort port;
+        port.memIdx = first + i;
+        port.retireWords =
+            oneIn(6) ? burst * (1.0 - 1.0 / 128)
+                     : burst * std::ldexp(1.0, static_cast<int>(
+                                                   irand(0, 2)));
+        const int64_t window =
+            static_cast<int64_t>(std::ceil(port.retireWords));
+        port.needWords = oneIn(6) ? std::max<int64_t>(1, window - 1)
+                                  : window + irand(0, 3);
+        port.readWords = port.needWords;
+        port.expectedWords = static_cast<double>(
+            oneIn(8) ? inflow + (oneIn(2) ? 1 : -1) : inflow);
+        SimUnit unit;
+        unit.name = "u" + std::to_string(i);
+        unit.inputs.push_back(port);
+        if (side && oneIn(2)) {
+            unit.inputs.push_back({.memIdx = 0, .needWords = 1,
+                                   .readWords = 1, .retireWords = 1.0});
+        }
+        unit.totalFires = std::max<int64_t>(
+            1, static_cast<int64_t>(std::ceil(
+                   static_cast<double>(inflow) / port.retireWords)) -
+                   (oneIn(6) ? irand(1, 3) : 0));
+        unit.latency = static_cast<int>(irand(1, 4));
+        unit.outWords = irand(1, 2);
+        unit.outMemIdx = i + 1 < stages ? first + i + 1 : -1;
+
+        const double bound = std::max(
+            static_cast<double>(port.needWords) + burst +
+                static_cast<double>(extra),
+            static_cast<double>(inflow) -
+                static_cast<double>(unit.totalFires) * port.retireWords);
+        t.mems.push_back(
+            {.name = "m" + std::to_string(i),
+             .capacityWords = std::clamp<int64_t>(
+                 static_cast<int64_t>(std::ceil(bound)) + irand(-1, 3),
+                 4, 96),
+             .readPorts = static_cast<int>(irand(1, 2))});
+        t.units.push_back(unit);
+        inflow = unit.totalFires * unit.outWords;
+        burst = static_cast<double>(unit.outWords);
+        extra = unit.latency * unit.outWords;
+    }
+    if (oneIn(4)) {
+        // The last unit lands into a memory that holds everything.
+        t.units.back().outMemIdx = static_cast<int>(t.mems.size());
+        t.mems.push_back({.name = "acc", .capacityWords = 1 << 20});
+    }
+    if (oneIn(8)) {
+        SimUnit spy;
+        spy.name = "spy";
+        spy.inputs.push_back(
+            {.memIdx = first + static_cast<int>(irand(0, stages - 1)),
+             .needWords = 1, .readWords = 1, .retireWords = 0.0});
+        spy.totalFires = irand(1, 64);
+        t.units.push_back(spy);
+    }
+    return t.build();
+}
+
 TEST(CycleSimDiff, RandomTopologiesMatchTickLoop)
 {
     setLoggingEnabled(false);
@@ -380,9 +496,9 @@ TEST(StallCheckDiff, RandomTopologiesMatchTheFullTickLoop)
     StallRouteCounts routes;
     int threw = 0, blocked = 0;
     for (uint32_t i = 0; i < 480; ++i) {
-        const bool wild = (i % 2) == 0;
-        const CycleSim sim = wild ? randomTopology(0x5EED00 + i)
-                                  : consistentChain(0xCAFE00 + i);
+        const CycleSim sim = i % 3 == 0   ? randomTopology(0x5EED00 + i)
+                             : i % 3 == 1 ? consistentChain(0xCAFE00 + i)
+                                          : edgeChain(0xB0DE00 + i);
         const StallOutcome got =
             expectSameStall(sim, 200000, "topology " + std::to_string(i));
         if (got.threw)
@@ -394,6 +510,7 @@ TEST(StallCheckDiff, RandomTopologiesMatchTheFullTickLoop)
     }
     // The generators reach every route and both verdicts.
     EXPECT_GE(routes.stallFree, 10u);
+    EXPECT_GE(routes.bounded, 10u);
     EXPECT_GE(routes.cone, 10u);
     EXPECT_GE(routes.fullTopology, 10u);
     EXPECT_GE(threw, 10);
@@ -402,7 +519,9 @@ TEST(StallCheckDiff, RandomTopologiesMatchTheFullTickLoop)
 
 /** source -> buf -> head -> mid -> tail: the head unit is the stall
  *  cone (buf holds 64 of 4,000 words); mid holds all of head's output,
- *  so the tail is outside the cone. */
+ *  so the tail is outside the cone. With head_need 2 the cone is
+ *  within its backlog bound and proven without simulating; with 1,
+ *  below the head's retire of 2, it is simulated. */
 CycleSim
 coneAndTail(int64_t tail_fires, int tail_latency, int64_t head_need = 2)
 {
@@ -479,37 +598,52 @@ TEST(StallCheckDiff, ConeDeadlockFallsBackForTheFullText)
     EXPECT_NE(got.error.find("unit tail"), std::string::npos);
 }
 
+/** coneAndTail's head windows: within the backlog bound, and below
+ *  the head's retire (outside the bound). */
+constexpr int64_t kHeadNeeds[] = {2, 1};
+
+/** The route of a drain-safe coneAndTail with head window @p need. */
+StallRoute
+drainSafeRoute(int64_t need)
+{
+    return need == 2 ? StallRoute::Bounded : StallRoute::Cone;
+}
+
 TEST(StallCheckDiff, RemainderBackpressureFallsBack)
 {
     setLoggingEnabled(false);
     // A tail writing into a 16-word memory can be held up by its own
     // consumer; with a memory that holds everything it cannot.
-    for (const int64_t cap : {int64_t{16}, int64_t{1} << 20}) {
-        CycleSim sim = coneAndTail(2000, 1);
-        CycleSim full;
-        for (SimMemory m : sim.memories())
-            full.addMemory(m);
-        const int sink = full.addMemory({.name = "sink",
-                                         .capacityWords = cap});
-        for (SimSource src : sim.sources())
-            full.addSource(src);
-        for (SimUnit u : sim.units()) {
-            if (u.name == "tail")
-                u.outMemIdx = sink;
-            full.addUnit(u);
+    for (const int64_t need : kHeadNeeds) {
+        for (const int64_t cap : {int64_t{16}, int64_t{1} << 20}) {
+            CycleSim sim = coneAndTail(2000, 1, need);
+            CycleSim full;
+            for (SimMemory m : sim.memories())
+                full.addMemory(m);
+            const int sink = full.addMemory({.name = "sink",
+                                             .capacityWords = cap});
+            for (SimSource src : sim.sources())
+                full.addSource(src);
+            for (SimUnit u : sim.units()) {
+                if (u.name == "tail")
+                    u.outMemIdx = sink;
+                full.addUnit(u);
+            }
+            SimUnit drain;
+            drain.name = "drain";
+            drain.inputs.push_back({.memIdx = sink, .needWords = 1,
+                                    .readWords = 1, .retireWords = 1.0,
+                                    .expectedWords = 2000});
+            drain.totalFires = 2000;
+            drain.latency = 2;
+            full.addUnit(drain);
+            const StallOutcome got = expectSameStall(
+                full, 200000,
+                "need " + std::to_string(need) + ", sink capacity " +
+                    std::to_string(cap));
+            EXPECT_EQ(got.route, cap == 16 ? StallRoute::FullTopology
+                                           : drainSafeRoute(need));
         }
-        SimUnit drain;
-        drain.name = "drain";
-        drain.inputs.push_back({.memIdx = sink, .needWords = 1,
-                                .readWords = 1, .retireWords = 1.0,
-                                .expectedWords = 2000});
-        drain.totalFires = 2000;
-        drain.latency = 2;
-        full.addUnit(drain);
-        const StallOutcome got = expectSameStall(
-            full, 200000, "sink capacity " + std::to_string(cap));
-        EXPECT_EQ(got.route, cap == 16 ? StallRoute::FullTopology
-                                       : StallRoute::Cone);
     }
 }
 
@@ -518,38 +652,42 @@ TEST(StallCheckDiff, RemainderFeedbackFallsBack)
     setLoggingEnabled(false);
     // Two units outside the cone, linked through "acc": read before it
     // is written in unit order (feedback), or after (feed-forward).
-    for (const bool feedback : {true, false}) {
-        CycleSim base = coneAndTail(2000, 1);
-        CycleSim sim;
-        for (SimMemory m : base.memories())
-            sim.addMemory(m);
-        const int mid = 1; // coneAndTail's head -> tail memory
-        const int acc = sim.addMemory({.name = "acc",
-                                       .capacityWords = 1 << 20});
-        for (SimSource src : base.sources())
-            sim.addSource(src);
-        SimUnit producer;
-        producer.name = "producer";
-        producer.inputs.push_back({.memIdx = mid, .needWords = 1,
-                                   .readWords = 1, .retireWords = 0.0,
-                                   .expectedWords = 2000});
-        producer.outMemIdx = acc;
-        producer.totalFires = 500;
-        producer.latency = 2;
-        SimUnit consumer;
-        consumer.name = "consumer";
-        consumer.inputs.push_back({.memIdx = acc, .needWords = 1,
-                                   .readWords = 1, .retireWords = 1.0,
-                                   .expectedWords = 500});
-        consumer.totalFires = 500;
-        sim.addUnit(base.units()[0]); // head
-        sim.addUnit(feedback ? consumer : producer);
-        sim.addUnit(feedback ? producer : consumer);
-        sim.addUnit(base.units()[1]); // tail
-        const StallOutcome got = expectSameStall(
-            sim, 200000, feedback ? "feedback" : "feed-forward");
-        EXPECT_EQ(got.route, feedback ? StallRoute::FullTopology
-                                      : StallRoute::Cone);
+    for (const int64_t need : kHeadNeeds) {
+        for (const bool feedback : {true, false}) {
+            CycleSim base = coneAndTail(2000, 1, need);
+            CycleSim sim;
+            for (SimMemory m : base.memories())
+                sim.addMemory(m);
+            const int mid = 1; // coneAndTail's head -> tail memory
+            const int acc = sim.addMemory({.name = "acc",
+                                           .capacityWords = 1 << 20});
+            for (SimSource src : base.sources())
+                sim.addSource(src);
+            SimUnit producer;
+            producer.name = "producer";
+            producer.inputs.push_back({.memIdx = mid, .needWords = 1,
+                                       .readWords = 1, .retireWords = 0.0,
+                                       .expectedWords = 2000});
+            producer.outMemIdx = acc;
+            producer.totalFires = 500;
+            producer.latency = 2;
+            SimUnit consumer;
+            consumer.name = "consumer";
+            consumer.inputs.push_back({.memIdx = acc, .needWords = 1,
+                                       .readWords = 1, .retireWords = 1.0,
+                                       .expectedWords = 500});
+            consumer.totalFires = 500;
+            sim.addUnit(base.units()[0]); // head
+            sim.addUnit(feedback ? consumer : producer);
+            sim.addUnit(feedback ? producer : consumer);
+            sim.addUnit(base.units()[1]); // tail
+            const StallOutcome got = expectSameStall(
+                sim, 200000,
+                "need " + std::to_string(need) +
+                    (feedback ? ", feedback" : ", feed-forward"));
+            EXPECT_EQ(got.route, feedback ? StallRoute::FullTopology
+                                          : drainSafeRoute(need));
+        }
     }
 }
 
@@ -559,11 +697,16 @@ TEST(StallCheckDiff, RemainderOverTheCycleBudgetFallsBack)
     // 200k tail fires at latency 32 leave a drain bound of ~6.4M
     // cycles: proven under a 10M budget, not under 1M (where the full
     // run still drains, in ~200k cycles).
-    const CycleSim sim = coneAndTail(200000, 32);
-    EXPECT_EQ(expectSameStall(sim, 1000000, "1M budget").route,
-              StallRoute::FullTopology);
-    EXPECT_EQ(expectSameStall(sim, 10000000, "10M budget").route,
-              StallRoute::Cone);
+    for (const int64_t need : kHeadNeeds) {
+        const CycleSim sim = coneAndTail(200000, 32, need);
+        const std::string label = "need " + std::to_string(need);
+        EXPECT_EQ(expectSameStall(sim, 1000000, label + ", 1M budget")
+                      .route,
+                  StallRoute::FullTopology);
+        EXPECT_EQ(expectSameStall(sim, 10000000, label + ", 10M budget")
+                      .route,
+                  drainSafeRoute(need));
+    }
 }
 
 TEST(StallCheckDiff, SourceThatCannotBlockIsNotSimulated)
@@ -586,6 +729,274 @@ TEST(StallCheckDiff, SourceThatCannotBlockIsNotSimulated)
     EXPECT_EQ(got.route, StallRoute::StallFree);
     sim.setMode(CycleSim::Mode::FastForward);
     EXPECT_EQ(checkSourceStall(sim).stats, CycleSimStats{});
+}
+
+// --------------------------------------------- the backlog bound
+
+/**
+ * adc -> buf -> head -> fifo -> tail, the tail also reading a
+ * prefilled frame: two chain memories, each exactly at its backlog
+ * bound, so the stall check proves the cone without simulating.
+ *   buf:  window 4 + rate 2 + 1 (the credit carry) = 7 words;
+ *   fifo: window 2 + outWords 2 + latency 3 x outWords 2 = 10 words.
+ * Its finish bound is the source's drain bound (4096 / 2 + 1) plus
+ * totalFires + latency per unit: 2049 + 1027 + 1026 = 4102 cycles.
+ */
+Topology
+boundedChain()
+{
+    Topology t;
+    t.mems = {{.name = "buf", .capacityWords = 7},
+              {.name = "fifo", .capacityWords = 10},
+              {.name = "frame", .capacityWords = 64, .prefilled = true}};
+    t.sources = {{.name = "adc", .totalWords = 4096,
+                  .wordsPerCycle = 2.0, .memIdx = 0}};
+    SimUnit head;
+    head.name = "head";
+    head.inputs = {{.memIdx = 0, .needWords = 4, .readWords = 4,
+                    .retireWords = 4.0, .expectedWords = 4096}};
+    head.outMemIdx = 1;
+    head.outWords = 2;
+    head.totalFires = 1024;
+    head.latency = 3;
+    SimUnit tail;
+    tail.name = "tail";
+    tail.inputs = {{.memIdx = 1, .needWords = 2, .readWords = 2,
+                    .retireWords = 2.0, .expectedWords = 2048},
+                   {.memIdx = 2, .needWords = 1, .readWords = 1,
+                    .retireWords = 1.0}};
+    tail.totalFires = 1024;
+    tail.latency = 2;
+    t.units = {head, tail};
+    return t;
+}
+
+/** The route of @p t's stall check, which must equal the reference's
+ *  answer and not throw. */
+StallRoute
+routeOf(const Topology &t, const std::string &label,
+        int64_t max_cycles = 200000)
+{
+    const StallOutcome got = expectSameStall(t.build(), max_cycles, label);
+    EXPECT_FALSE(got.threw) << label << ": " << got.error;
+    return got.route;
+}
+
+TEST(StallCheckBound, ChainAtItsBoundsIsProvenWithoutSimulating)
+{
+    setLoggingEnabled(false);
+    EXPECT_EQ(routeOf(boundedChain(), "at the bounds"),
+              StallRoute::Bounded);
+    CycleSim sim = boundedChain().build();
+    sim.setMode(CycleSim::Mode::FastForward);
+    CycleSimMemo memo;
+    const StallCheck c = checkSourceStall(sim, &memo);
+    EXPECT_FALSE(c.sourceBlocked);
+    EXPECT_EQ(c.sourceBlockedCycles, 0);
+    EXPECT_EQ(c.stats, CycleSimStats{});
+    EXPECT_EQ(memo.stats().misses, 0u);
+}
+
+TEST(StallCheckBound, SourceFasterThanTheRetireIsSimulated)
+{
+    setLoggingEnabled(false);
+    // buf holds window 4 + rate + 1 either way; a source just above
+    // the head's retire of 4 outruns it and blocks.
+    Topology t = boundedChain();
+    t.mems[0].capacityWords = 10;
+    t.sources[0].wordsPerCycle = 3.984375; // 4 - 2^-6
+    EXPECT_EQ(routeOf(t, "rate below retire"), StallRoute::Bounded);
+    t.sources[0].wordsPerCycle = 4.03125; // 4 + 2^-5
+    EXPECT_EQ(routeOf(t, "rate above retire"), StallRoute::Cone);
+}
+
+TEST(StallCheckBound, CapacityOneWordUnderTheBoundIsSimulated)
+{
+    setLoggingEnabled(false);
+    Topology t = boundedChain();
+    t.mems[0].capacityWords = 6;
+    EXPECT_EQ(routeOf(t, "buf under"), StallRoute::Cone);
+    t = boundedChain();
+    t.mems[1].capacityWords = 9;
+    EXPECT_EQ(routeOf(t, "fifo under"), StallRoute::Cone);
+    // And a unit writing more per cycle than its reader retires.
+    t = boundedChain();
+    t.mems[1].capacityWords = 64;
+    t.units[1].inputs[0].retireWords = 1.984375; // 2 - 2^-6
+    t.units[1].totalFires = 1033;
+    EXPECT_EQ(routeOf(t, "fifo retire under outWords"), StallRoute::Cone);
+}
+
+TEST(StallCheckBound, WindowBelowTheRetireIsSimulated)
+{
+    setLoggingEnabled(false);
+    // A fire may then retire words it never waited for, and the
+    // occupancy clamp decouples occupancy from arrivals.
+    Topology t = boundedChain();
+    t.units[0].inputs[0].needWords = 3;
+    EXPECT_EQ(routeOf(t, "window 3, retire 4"), StallRoute::Cone);
+}
+
+TEST(StallCheckBound, ExpectedWordsOffTheInflowAreSimulated)
+{
+    setLoggingEnabled(false);
+    for (const double expected : {4095.0, 4097.0}) {
+        Topology t = boundedChain();
+        t.units[0].inputs[0].expectedWords = expected;
+        EXPECT_EQ(routeOf(t, "expected " + std::to_string(expected)),
+                  StallRoute::Cone);
+    }
+
+    // Occupancy readiness (expectedWords 0) on a memory a source of
+    // no words writes: zero equals its inflow, yet the reader, which
+    // joins the cone through the frame, waits forever.
+    Topology t = boundedChain();
+    t.mems[2].readPorts = 2;
+    t.mems.push_back({.name = "empty", .capacityWords = 64});
+    t.sources.push_back({.name = "idle", .totalWords = 0,
+                         .wordsPerCycle = 1.0, .memIdx = 3});
+    SimUnit waiter;
+    waiter.name = "waiter";
+    waiter.inputs = {{.memIdx = 3, .needWords = 1, .readWords = 1,
+                      .retireWords = 1.0},
+                     {.memIdx = 2, .needWords = 1, .readWords = 1,
+                      .retireWords = 1.0}};
+    waiter.totalFires = 1;
+    t.units.push_back(waiter);
+    const StallOutcome got = expectSameStall(t.build(), 200000, "idle");
+    ASSERT_TRUE(got.threw);
+    EXPECT_NE(got.error.find("unit waiter: 0/1 fires"), std::string::npos);
+}
+
+TEST(StallCheckBound, ReaderStoppingShortMustLeaveWhatFits)
+{
+    setLoggingEnabled(false);
+    // 1,023 head fires leave 4 of buf's 7 words behind: proven. 1,022
+    // leave 8, which buf can never hold: the source blocks for good,
+    // and the full run's "did not drain" text is the answer.
+    auto stoppingAfter = [](int64_t fires) {
+        Topology t = boundedChain();
+        t.units[0].totalFires = fires;
+        t.units[1].inputs[0].expectedWords = 2.0 * static_cast<double>(fires);
+        t.units[1].totalFires = fires;
+        return t;
+    };
+    EXPECT_EQ(routeOf(stoppingAfter(1023), "1023 fires"),
+              StallRoute::Bounded);
+    EXPECT_TRUE(
+        expectSameStall(stoppingAfter(1022).build(), 200000, "1022 fires")
+            .threw);
+}
+
+TEST(StallCheckBound, SecondReaderOfAChainMemoryIsSimulated)
+{
+    setLoggingEnabled(false);
+    // A spy reading buf exactly as the head does: each reader alone
+    // would fit the bound, but they share its port and its words.
+    Topology t = boundedChain();
+    SimUnit spy = t.units[0];
+    spy.name = "spy";
+    spy.outMemIdx = -1;
+    t.units.push_back(spy);
+    EXPECT_EQ(routeOf(t, "spy on buf"), StallRoute::Cone);
+}
+
+TEST(StallCheckBound, SecondWriterOfAChainMemoryIsSimulated)
+{
+    setLoggingEnabled(false);
+    // A second source into buf finds its one write port taken by the
+    // first in every cycle, and blocks.
+    Topology t = boundedChain();
+    t.sources.push_back({.name = "adc2", .totalWords = 1024,
+                         .wordsPerCycle = 0.5, .memIdx = 0});
+    t.units[0].inputs[0].expectedWords = 5120;
+    t.units[0].totalFires = 1280;
+    t.units[1].inputs[0].expectedWords = 2560;
+    t.units[1].totalFires = 1280;
+    EXPECT_EQ(routeOf(t, "two sources into buf"), StallRoute::Cone);
+}
+
+TEST(StallCheckBound, OversubscribedPrefilledInputIsSimulated)
+{
+    setLoggingEnabled(false);
+    // head and tail both read the frame: fine with two read ports; with
+    // one, each head fire costs the tail a port conflict.
+    Topology t = boundedChain();
+    t.units[0].inputs.push_back({.memIdx = 2, .needWords = 1,
+                                 .readWords = 1, .retireWords = 1.0});
+    t.mems[2].readPorts = 2;
+    EXPECT_EQ(routeOf(t, "two frame ports"), StallRoute::Bounded);
+    t.mems[2].readPorts = 1;
+    EXPECT_EQ(routeOf(t, "one frame port"), StallRoute::Cone);
+}
+
+TEST(StallCheckBound, JoinIsSimulated)
+{
+    setLoggingEnabled(false);
+    // The tail's side input streams from a second source instead of
+    // the prefilled frame.
+    Topology t = boundedChain();
+    t.mems[2].prefilled = false;
+    t.mems[2].capacityWords = 1024;
+    t.sources.push_back({.name = "adc2", .totalWords = 1024,
+                         .wordsPerCycle = 1.0, .memIdx = 2});
+    t.units[1].inputs[1].expectedWords = 1024;
+    EXPECT_EQ(routeOf(t, "join"), StallRoute::Cone);
+
+    // A first input that nothing ever writes: the tail never fires,
+    // and the full run's "did not drain" text is the answer.
+    t = boundedChain();
+    t.mems[2].prefilled = false;
+    std::swap(t.units[1].inputs[0], t.units[1].inputs[1]);
+    t.units[1].inputs[0].expectedWords = 16;
+    const StallOutcome got = expectSameStall(t.build(), 200000, "dry");
+    ASSERT_TRUE(got.threw);
+    EXPECT_NE(got.error.find("unit tail: 0/1024 fires"),
+              std::string::npos);
+}
+
+TEST(StallCheckBound, SourceLessCycleIsNeverProven)
+{
+    setLoggingEnabled(false);
+    // Two units feeding each other through loopA and loopB join the
+    // cone through the frame they also read. Nothing ever enters the
+    // loop, so the full run cannot drain, and its text is the answer.
+    Topology t = boundedChain();
+    t.mems[2].readPorts = 3;
+    const int loop_a = static_cast<int>(t.mems.size());
+    t.mems.push_back({.name = "loopA", .capacityWords = 4});
+    t.mems.push_back({.name = "loopB", .capacityWords = 4});
+    for (const int in : {loop_a, loop_a + 1}) {
+        SimUnit u;
+        u.name = in == loop_a ? "x" : "y";
+        u.inputs = {{.memIdx = in, .needWords = 1, .readWords = 1,
+                     .retireWords = 1.0, .expectedWords = 8},
+                    {.memIdx = 2, .needWords = 1, .readWords = 1,
+                     .retireWords = 1.0}};
+        u.outMemIdx = in == loop_a ? loop_a + 1 : loop_a;
+        u.totalFires = 8;
+        t.units.push_back(u);
+    }
+    const StallOutcome got = expectSameStall(t.build(), 200000, "loop");
+    ASSERT_TRUE(got.threw);
+    EXPECT_NE(got.error.find("unit x: 0/8 fires"), std::string::npos);
+}
+
+TEST(StallCheckBound, FinishBoundOverTheBudgetIsSimulated)
+{
+    setLoggingEnabled(false);
+    // The chain's closed-form finish bound is 4102 cycles; it runs in
+    // about half that, so the simulated cone answers under 4101.
+    EXPECT_EQ(routeOf(boundedChain(), "budget 4102", 4102),
+              StallRoute::Bounded);
+    EXPECT_EQ(routeOf(boundedChain(), "budget 4101", 4101),
+              StallRoute::Cone);
+
+    // A source too slow for its credit arithmetic to stay exact has no
+    // closed-form drain cycle (and never drains in budget).
+    Topology t = boundedChain();
+    t.sources[0].wordsPerCycle = 0x3p-52;
+    EXPECT_TRUE(expectSameStall(t.build(), 200000, "slow").threw);
 }
 
 // ------------------------------------------------- whole pipelines
@@ -651,59 +1062,60 @@ TEST(StallCheckDiff, StudiesAndGridNeverFallBack)
 {
     // The two tests above compare these answers with the full
     // topology's; here, how they were reached. Ed-Gaze (non-Mixed),
-    // IMX500, Rhythmic and isscc22-pis simulate the cone; the other
-    // digital studies and every grid point need no simulation.
+    // IMX500, Rhythmic and isscc22-pis fit their backlog bounds; the
+    // other digital studies and every grid point have no source that
+    // can block. None of them simulates anything in pass B.
     setLoggingEnabled(false);
     PassSimStats studies;
     for (const PaperStudy &study : testfix::studies())
         studies += passStatsOf(study.spec);
     EXPECT_EQ(studies.stallRoutes,
-              (StallRouteCounts{.stallFree = 6, .cone = 16,
-                                .fullTopology = 0}));
+              (StallRouteCounts{.stallFree = 6, .bounded = 16,
+                                .cone = 0, .fullTopology = 0}));
     const spec::SweepDocument doc = spec::sampleDetectorStudy();
     PassSimStats grid;
     for (const spec::DesignSpec &point :
          spec::expandGrid(doc.base, doc.grid))
         grid += passStatsOf(point);
     EXPECT_EQ(grid.stallRoutes,
-              (StallRouteCounts{.stallFree = 84, .cone = 0,
-                                .fullTopology = 0}));
+              (StallRouteCounts{.stallFree = 84, .bounded = 0,
+                                .cone = 0, .fullTopology = 0}));
 }
 
 // ---------------------------------------- ticked-cycle ceilings
 
-/** Cycles ticked and frame cycles per pass of each paper study before
- *  the stall cone (pass B then simulated the full topology). Studies
- *  without digital units tick nothing and are not listed. */
+/** Cycles ticked and frame cycles in pass A of each paper study
+ *  before the stall cone. Studies without digital units tick nothing
+ *  and are not listed. */
 struct ParentTicks
 {
     const char *key;
-    int64_t tickedA, framesA, tickedB, framesB;
+    int64_t tickedA, framesA;
 };
 
 constexpr ParentTicks kParentTicks[] = {
-    {"rhythmic-2D-Off-130nm", 7, 57600, 5803, 1092267},
-    {"rhythmic-2D-In-130nm", 7, 57600, 5803, 1092267},
-    {"rhythmic-3D-In-130nm", 7, 57600, 5803, 1092267},
-    {"rhythmic-2D-Off-65nm", 7, 57600, 5803, 1092267},
-    {"rhythmic-2D-In-65nm", 7, 57600, 5803, 1092267},
-    {"rhythmic-3D-In-65nm", 7, 57600, 5803, 1092267},
-    {"edgaze-2D-Off-130nm", 22, 506929, 942969, 942969},
-    {"edgaze-2D-In-130nm", 22, 506929, 942969, 942969},
-    {"edgaze-3D-In-130nm", 22, 506929, 942969, 942969},
-    {"edgaze-3D-In-STT-130nm", 22, 506929, 942969, 942969},
-    {"edgaze-2D-In-Mixed-130nm", 4383, 506912, 383579, 708498},
-    {"edgaze-2D-Off-65nm", 22, 506929, 942969, 942969},
-    {"edgaze-2D-In-65nm", 22, 506929, 942969, 942969},
-    {"edgaze-3D-In-65nm", 22, 506929, 942969, 942969},
-    {"edgaze-3D-In-STT-65nm", 22, 506929, 942969, 942969},
-    {"edgaze-2D-In-Mixed-65nm", 4383, 506912, 383579, 708498},
-    {"isscc17-facerec", 447, 5176, 17851, 1001827},
-    {"isscc21-imx500", 37, 1079679, 4088798, 4090434},
-    {"vlsi21-gs-dps", 7, 124848, 5219, 770147},
-    {"isscc22-pis", 42254, 46610, 27971, 190979},
-    {"detector-130nm-30fps", 2097, 50358, 28787, 205873},
-    {"detector-65nm-30fps", 2097, 50358, 28787, 205873},
+    {"rhythmic-2D-Off-130nm", 7, 57600},
+    {"rhythmic-2D-In-130nm", 7, 57600},
+    {"rhythmic-3D-In-130nm", 7, 57600},
+    {"rhythmic-2D-Off-65nm", 7, 57600},
+    {"rhythmic-2D-In-65nm", 7, 57600},
+    {"rhythmic-3D-In-65nm", 7, 57600},
+    {"edgaze-2D-Off-130nm", 22, 506929},
+    {"edgaze-2D-In-130nm", 22, 506929},
+    {"edgaze-3D-In-130nm", 22, 506929},
+    {"edgaze-3D-In-STT-130nm", 22, 506929},
+    {"edgaze-2D-In-Mixed-130nm", 4383, 506912},
+    {"edgaze-2D-Off-65nm", 22, 506929},
+    {"edgaze-2D-In-65nm", 22, 506929},
+    {"edgaze-3D-In-65nm", 22, 506929},
+    {"edgaze-3D-In-STT-65nm", 22, 506929},
+    {"edgaze-2D-In-Mixed-65nm", 4383, 506912},
+    {"isscc17-facerec", 447, 5176},
+    {"isscc21-imx500", 37, 1079679},
+    {"vlsi21-gs-dps", 7, 124848},
+    {"isscc22-pis", 42254, 46610},
+    {"detector-130nm-30fps", 2097, 50358},
+    {"detector-65nm-30fps", 2097, 50358},
 };
 
 /** max(1.1 x the parent's ticks, 5% of the parent's frame). */
@@ -738,21 +1150,14 @@ TEST(CycleSimWork, StudyTicksStayUnderTheirCeilings)
         EXPECT_LE(passes.passA.cyclesTicked,
                   ceilingOf(parent->tickedA, parent->framesA))
             << study.key << " pass A";
-        EXPECT_LE(passes.passB.cyclesTicked,
-                  ceilingOf(parent->tickedB, parent->framesB))
-            << study.key << " pass B";
-        // The studies whose whole frame used to be ticked in pass B.
-        const std::string key = study.key;
-        if ((key.rfind("edgaze-", 0) == 0 &&
-             key.find("Mixed") == std::string::npos) ||
-            key == "isscc21-imx500") {
-            EXPECT_LE(passes.passB.cyclesTicked, parent->framesB / 20)
-                << key << " pass B";
-        }
+        // Every stall check is answered without simulating: six have
+        // no source that can block, sixteen fit their backlog bounds.
+        EXPECT_EQ(passes.passB.cyclesTicked, 0) << study.key << " pass B";
     }
     EXPECT_EQ(checked, std::size(kParentTicks));
-    // 12,599,064 before the stall cone.
-    EXPECT_LE(total, 600000);
+    // 12,599,064 before the stall cone, 315,201 before the backlog
+    // bound; what is left is pass A.
+    EXPECT_LE(total, 62000);
 }
 
 } // namespace

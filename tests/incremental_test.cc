@@ -127,14 +127,21 @@ jsonlLine(size_t index, const spec::DesignSpec &spec,
     return sweepResultToJsonl(r);
 }
 
-/** An Ed-Gaze variant: its line buffer can fill, so pass B's stall
- *  check simulates the source's cone of influence (the sample
- *  detector's pass B is answered without simulating anything). */
+/** An Ed-Gaze variant whose line buffer holds 5 words, one above the
+ *  downsampler's 2x2 window: feasible at video rates, but below the
+ *  stall check's backlog bound (window + ADC rate + 1 words), so pass
+ *  B simulates the source's cone of influence. The stock Ed-Gaze's
+ *  1,280-word buffer is proven without simulating, like the sample
+ *  detector's. */
 spec::DesignSpec
 edgazePoint(double fps)
 {
     spec::DesignSpec spec = edgazeSpec(EdgazeVariant::TwoDIn, 65);
     spec.fps = fps;
+    for (spec::MemorySpec &m : spec.memories) {
+        if (m.name == "LineBuffer")
+            m.capacityWords = 5;
+    }
     return spec;
 }
 
