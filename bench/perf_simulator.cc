@@ -817,8 +817,8 @@ writeBenchJson()
     // validation chips, samples) through the same engines — tracks
     // the throughput of the heavyweight production workloads — plus
     // the deterministic cycle-sim work one evaluation of each study
-    // does: cycles ticked per pass and how pass B's stall check was
-    // answered (floored in scripts/check_bench_floors.py).
+    // does: cycles ticked per pass and how each pass was answered
+    // (floored in scripts/check_bench_floors.py).
     std::vector<spec::DesignSpec> uspecs = allPaperStudySpecs();
     const SweepTiming usecase_t =
         measureSweep(serial_engine, threaded_engine, uspecs);
@@ -840,6 +840,10 @@ writeBenchJson()
     json::Value usecase_a = json::Value::makeObject();
     usecase_a.set("cyclesTicked",
                   json::Value(usecase_passes.passA.cyclesTicked));
+    usecase_a.set("closedForm", json::Value(static_cast<int64_t>(
+                                    usecase_passes.passAClosedForm)));
+    usecase_a.set("simulated", json::Value(static_cast<int64_t>(
+                                   usecase_passes.passASimulated)));
     usecase.set("passA", std::move(usecase_a));
     json::Value usecase_b = json::Value::makeObject();
     usecase_b.set("cyclesTicked",
@@ -1036,14 +1040,16 @@ writeBenchJson()
 
     // Incremental sweep: the canonical grid once through plain
     // per-point Simulator runs and once through per-worker memo
-    // evaluators (SweepOptions::incremental), single thread each so
-    // the comparison isolates the cycle-sim memo's win on a 1-core
-    // container. The two in-order JSONL outputs must be
-    // byte-identical — the memo is an optimization, never a
-    // different answer.
+    // evaluators (SweepOptions::incremental), single thread each. The
+    // two in-order JSONL outputs must be byte-identical — the memo is
+    // an optimization, never a different answer. Every pass A on the
+    // grid drains in closed form and every stall check is static, so
+    // neither path ticks a cycle (the floor) and the memo sees no
+    // lookup: the speedup is data, near 1.
     const spec::SweepDocument inc_doc = shardedStudyDocument();
     const size_t n_inc = inc_doc.grid.points();
     CycleSimMemoStats inc_memo;
+    CycleSimStats inc_sim[2];
     auto time_grid_jsonl = [&](bool incremental, std::string *bytes) {
         std::ostringstream out;
         spec::GridSpecSource source = inc_doc.source();
@@ -1058,6 +1064,7 @@ writeBenchJson()
         const auto t1 = std::chrono::steady_clock::now();
         if (incremental)
             inc_memo = st.cycleSimMemo;
+        inc_sim[incremental ? 1 : 0] = st.cycleSim;
         if (bytes != nullptr)
             *bytes = out.str();
         return std::chrono::duration<double>(t1 - t0).count();
@@ -1084,6 +1091,10 @@ writeBenchJson()
     setTimedRun(incremental, "incremental", n_inc, inc_seconds);
     incremental.set("speedup",
                     json::Value(full_seconds / inc_seconds));
+    incremental.set("fullRebuildCyclesTicked",
+                    json::Value(inc_sim[0].cyclesTicked));
+    incremental.set("incrementalCyclesTicked",
+                    json::Value(inc_sim[1].cyclesTicked));
     incremental.set("memoHits", json::Value(static_cast<int64_t>(
                                     inc_memo.hits)));
     incremental.set("memoMisses", json::Value(static_cast<int64_t>(
@@ -1262,8 +1273,9 @@ writeBenchJson()
     // timed against a from-scratch Simulator in the same order and
     // both passes must reproduce its bytes. Always the full 108-point
     // grid, so the memo counts are exact: each order simulates each
-    // distinct cycle-sim topology once (floored in
-    // scripts/check_bench_floors.py).
+    // distinct cycle-sim topology at most once, and on this grid none
+    // at all, since every pass A drains in closed form and every stall
+    // check is static (floored in scripts/check_bench_floors.py).
     const spec::SweepDocument strided_doc = spec::sampleDetectorStudy();
     spec::GridSpecSource strided_grid = strided_doc.source();
     const size_t n_strided = strided_grid.totalPoints();
@@ -1663,6 +1675,7 @@ writeBenchJson()
     std::printf("usecase-spec sweep: %.1f designs/sec serial, %.1f "
                 "designs/sec with %d threads (%.2fx); %" PRId64
                 " cycles ticked in pass A, %" PRId64 " in pass B; "
+                "pass A: %zu in closed form, %zu simulated; "
                 "stall check: %zu stall-free, %zu bounded, %zu on the "
                 "cone, %zu full-topology\n",
                 un / usecase_t.serialSeconds,
@@ -1670,6 +1683,8 @@ writeBenchJson()
                 usecase_t.serialSeconds / usecase_t.threadedSeconds,
                 usecase_passes.passA.cyclesTicked,
                 usecase_passes.passB.cyclesTicked,
+                usecase_passes.passAClosedForm,
+                usecase_passes.passASimulated,
                 usecase_routes.stallFree, usecase_routes.bounded,
                 usecase_routes.cone, usecase_routes.fullTopology);
     std::printf("fig07 validation: MAPE %.4f%%, r = %.5f\n",
@@ -1693,10 +1708,12 @@ writeBenchJson()
                 legacy_pipeline_seconds / pipeline_seconds);
     std::printf("incremental sweep: %zu points, %.1f designs/sec "
                 "full rebuild vs %.1f through the memo (%.2fx; %zu "
-                "memo hits, %zu misses), outputs byte-identical\n",
+                "memo hits, %zu misses; %" PRId64 " and %" PRId64
+                " cycles ticked), outputs byte-identical\n",
                 n_inc, n_incd / full_seconds, n_incd / inc_seconds,
                 full_seconds / inc_seconds, inc_memo.hits,
-                inc_memo.misses);
+                inc_memo.misses, inc_sim[0].cyclesTicked,
+                inc_sim[1].cyclesTicked);
     std::printf("sharded sweep: %zu points, %.1f designs/sec in 1 "
                 "process, %.1f designs/sec across %zu processes "
                 "(%.2fx); merge of %zu shard files byte-identical in "

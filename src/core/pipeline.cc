@@ -392,9 +392,16 @@ EvalPipeline::runCycleSim(const Design &d, CycleSimMemo *memo)
         }
     }
     sim_ = buildSim(d, fast_rate);
+    // Source-rooted chains drain in closed form; the rest simulates.
+    if (const std::optional<int64_t> drain = chainDrainCycle(sim_)) {
+        cyclesA_ = *drain;
+        ++passStats_.passAClosedForm;
+        return;
+    }
     const CycleSimResult ra = memo != nullptr ? memo->run(sim_) : sim_.run();
     cyclesA_ = ra.cycles;
-    statsA_ = ra.stats;
+    passStats_.passA = ra.stats;
+    ++passStats_.passASimulated;
 }
 
 // --------------------------------------------------------------- Timing
@@ -421,8 +428,8 @@ EvalPipeline::runTiming(const Design &d, CycleSimMemo *memo)
         // topology than can influence it.
         sim_.setSourceRate(0, adc_rate);
         const StallCheck rb = checkSourceStall(sim_, memo);
-        statsB_ = rb.stats;
-        stallRoutes_.add(rb.route);
+        passStats_.passB = rb.stats;
+        passStats_.stallRoutes.add(rb.route);
         if (rb.sourceBlocked) {
             fatal(Rule::D001,
                   "Design %s: pipeline stall — the ADC output memory "
@@ -587,9 +594,7 @@ EvalPipeline::run(const Design &design, CycleSimMemo *memo,
                   double *seconds_out)
 {
     stagesEntered_ = 0;
-    statsA_ = {};
-    statsB_ = {};
-    stallRoutes_ = {};
+    passStats_ = {};
     for (int s = 0; s < kEvalStageCount; ++s) {
         ++stagesEntered_;
         const EvalStage stage = static_cast<EvalStage>(s);

@@ -14,7 +14,10 @@
  *              energies, per-memory word traffic, cross-layer
  *              communication volumes.
  *   CycleSim — cycle-level simulation pass A (consumer-paced source):
- *              the digital latency in cycles.
+ *              the digital latency in cycles, in closed form when
+ *              every unit lies on a source-rooted chain
+ *              (chainDrainCycle in digital/stallcheck.h), else
+ *              simulated.
  *   Timing   — delay estimation (T_A from the frame budget) and the
  *              pass-B stall check at the true ADC rate, answered on
  *              the source's cone of influence (digital/stallcheck.h):
@@ -28,11 +31,12 @@
  * Running all stages in order is exactly the old simulate() —
  * Design::simulate() is now a thin wrapper over runAll(). The split
  * lets a caller time each stage (runAllTimed) and count the stages a
- * point entered before a check failed. What remains of a point's
- * cost is mostly cycle-level simulation, so that is the one place
+ * point entered before a check failed. Cycle-level simulation is the
+ * one costly step left, where a topology needs one, so that is where
  * reuse pays: runAll() takes an optional CycleSimMemo
- * (digital/cyclesim.h) and consults it for pass A and for whatever
- * topology the stall check simulates.
+ * (digital/cyclesim.h) and consults it for a pass A that is not
+ * answered in closed form and for whatever topology the stall check
+ * simulates.
  */
 
 #ifndef CAMJ_CORE_PIPELINE_H
@@ -69,20 +73,26 @@ inline constexpr int kEvalStageCount = 6;
 /** Stable lower-case stage name ("map", "cyclesim", ...). */
 const char *evalStageName(EvalStage stage);
 
-/** Cycle-sim diagnostics split by pass, plus how pass B's stall
- *  checks were answered. Mergeable over evaluations. */
+/** Cycle-sim diagnostics split by pass, plus how each pass was
+ *  answered. Mergeable over evaluations. */
 struct PassSimStats
 {
     /** Pass A: the CycleSim stage's latency run. */
     CycleSimStats passA;
     /** Pass B: the Timing stage's stall check. */
     CycleSimStats passB;
+    /** Pass-A latencies answered in closed form (chainDrainCycle). */
+    size_t passAClosedForm = 0;
+    /** Pass-A latencies simulated (memo hits included). */
+    size_t passASimulated = 0;
     StallRouteCounts stallRoutes;
 
     PassSimStats &operator+=(const PassSimStats &o)
     {
         passA += o.passA;
         passB += o.passB;
+        passAClosedForm += o.passAClosedForm;
+        passASimulated += o.passASimulated;
         stallRoutes += o.stallRoutes;
         return *this;
     }
@@ -99,9 +109,9 @@ class EvalPipeline
   public:
     /**
      * Run every stage in order (the classic simulate()). With a
-     * @p memo, both cycle-sim passes are looked up in it first; the
-     * result is bit-identical either way, and only simStats() tells
-     * the difference (a hit simulates nothing).
+     * @p memo, every cycle-sim run either pass makes is looked up in
+     * it first; the result is bit-identical either way, and only
+     * simStats() tells the difference (a hit simulates nothing).
      */
     EnergyReport runAll(const Design &design,
                         CycleSimMemo *memo = nullptr);
@@ -120,18 +130,15 @@ class EvalPipeline
      *  pass B, zero for passes the run skipped. */
     CycleSimStats simStats() const
     {
-        CycleSimStats s = statsA_;
-        s += statsB_;
+        CycleSimStats s = passStats_.passA;
+        s += passStats_.passB;
         return s;
     }
 
-    /** The same diagnostics per pass, with the route pass B took
-     *  (none counted when pass B did not answer: skipped, or its
-     *  full run failed to drain). */
-    PassSimStats passStats() const
-    {
-        return {statsA_, statsB_, stallRoutes_};
-    }
+    /** The same diagnostics per pass, with how each pass answered
+     *  (none counted for a pass that did not answer: skipped, or its
+     *  run failed to drain). */
+    const PassSimStats &passStats() const { return passStats_; }
 
     /** Stages the last run actually entered (counted before each
      *  stage runs, so a mid-stage ConfigError still counts the
@@ -187,10 +194,8 @@ class EvalPipeline
 
     // ----- run bookkeeping (not stage state) -----
     int stagesEntered_ = 0;
-    /** Cycle-sim diagnostics of the last run (pass A / pass B). */
-    CycleSimStats statsA_;
-    CycleSimStats statsB_;
-    StallRouteCounts stallRoutes_;
+    /** Cycle-sim diagnostics of the last run. */
+    PassSimStats passStats_;
 
     /** Run every stage; time each into @p seconds_out when
      *  non-null. */

@@ -16,6 +16,10 @@
  * (digital/stallcheck.h), which simulates only the part of a topology
  * that can influence its sources, and nothing when no source can
  * block or when that part's backlog provably never fills a memory.
+ * The CycleSim stage asks chainDrainCycle() (same header) for the
+ * latency first: a topology of source-rooted chains that provably
+ * fire in every cycle drains in closed form, and only the rest is
+ * simulated.
  *
  * The model is transaction-level: every unit moves its declared
  * per-cycle shapes; pipeline depth delays the landing of outputs.
@@ -301,7 +305,8 @@ struct CycleSimMemoStats
  * duty cycle never reach the cycle model at all, and the pass-B stall
  * check (digital/stallcheck.h) looks up the sub-topology it actually
  * simulates, so a frame-rate axis only misses where that sub-topology
- * exists.
+ * exists. Only runs that are simulated reach it: a pass A answered
+ * in closed form and a stall check answered statically never do.
  *
  * A lookup hashes the topology first and verifies every candidate
  * with sameTopology() and the mode, so a hash collision costs one

@@ -43,6 +43,8 @@ struct Flows
     std::vector<int64_t> inflow;
     /** Sources and units writing the memory. */
     std::vector<int> writers;
+    /** Unit ports reading the memory. */
+    std::vector<int> readers;
 };
 
 Flows
@@ -51,6 +53,7 @@ flowsOf(const CycleSim &sim)
     Flows f;
     f.inflow.assign(sim.memories().size(), 0);
     f.writers.assign(sim.memories().size(), 0);
+    f.readers.assign(sim.memories().size(), 0);
     for (const SimSource &s : sim.sources()) {
         const size_t m = static_cast<size_t>(s.memIdx);
         f.inflow[m] = satAdd(f.inflow[m], s.totalWords);
@@ -63,6 +66,10 @@ flowsOf(const CycleSim &sim)
         f.inflow[m] =
             satAdd(f.inflow[m], satMul(u.totalFires, u.outWords));
         ++f.writers[m];
+    }
+    for (const SimUnit &u : sim.units()) {
+        for (const SimPort &p : u.inputs)
+            ++f.readers[static_cast<size_t>(p.memIdx)];
     }
     return f;
 }
@@ -254,130 +261,234 @@ exactUpTo(double retire, double words)
     return q <= 52 && std::ldexp(words, q) < 0x1p52;
 }
 
+/** One link of a source-rooted chain: a chain memory and the one unit
+ *  port reading it. A chain's first link is written by a source, every
+ *  later link by the previous link's reader. */
+struct ChainLink
+{
+    size_t mem = 0;
+    const SimUnit *reader = nullptr;
+    const SimPort *port = nullptr;
+    /** The source writing mem on a chain's first link, else null. */
+    const SimSource *source = nullptr;
+};
+
 /**
- * The cycle by which every cone source and cone unit is done, when the
- * cone is a set of source-rooted chains whose memories provably never
- * refuse a word; -1 otherwise (the cone is then simulated).
+ * The source-rooted chains through the units marked in @p on, link by
+ * link in walk order, or nullopt when those units are no such chains.
  *
- * A chain runs source -> m0 -> u0 -> m1 -> u1 -> ... and ends in a
- * unit whose output leaves the cone. Each cone unit has one
- * non-prefilled input (its chain port), read with cumulative
+ * A chain runs source -> m0 -> u0 -> m1 -> u1 -> ...: it starts at
+ * each source whose memory is marked in @p through and continues
+ * while the last unit's output memory is marked. Each marked unit has
+ * one non-prefilled input (its chain port), read with cumulative
  * readiness on exactly the memory's inflow and needWords >=
  * retireWords; its other inputs are prefilled and read by no more
- * ports than they have. Walking the chains from the sources must
- * visit every cone unit exactly once, so each chain memory has one
- * writer and one reading port. Then, while words still arrive,
- * readiness is occupancy >= need and the occupancy clamp never fires,
- * so a reader whose output is never refused fires in every cycle its
- * readiness holds. Its memory's occupancy then stays below need +
- * rate + 1 after a push from a source of rate <= retire, and below
- * need + outWords after a landing from a unit with outWords <= retire;
- * once the reader is done it is at most inflow - totalFires * retire.
- * When each peak fits the capacity, with room for a unit writer's
- * landings in flight and the fire being checked, no source is ever
- * held back (so none blocks) and no writer is ever refused. Each unit
- * then fires in every cycle once its whole input has arrived, so its
- * chain is done by the source's drain bound plus totalFires + latency
- * per unit.
+ * ports than they have. Walking the chains must visit every marked
+ * unit exactly once, so each chain memory has one writer and one
+ * reading port: a second writer would lead a walk to its reader
+ * twice; a second reader, a prefilled chain memory or a unit on a
+ * source-less cycle is never reached. The tick loop's readiness and
+ * occupancy arithmetic on every chain port is exact (exactUpTo).
+ *
+ * Then, while words still arrive, readiness is occupancy >= need and
+ * the occupancy clamp never fires, so a reader whose output is never
+ * refused fires in every cycle its readiness holds.
  */
-int64_t
-boundedConeFinish(const CycleSim &sim, const Flows &f, const Cone &c)
+std::optional<std::vector<ChainLink>>
+chainsThrough(const CycleSim &sim, const Flows &f,
+              const std::vector<char> &on,
+              const std::vector<char> &through)
 {
     const auto &mems = sim.memories();
     const auto &units = sim.units();
-    std::vector<int> readers(mems.size(), 0);
-    for (const SimUnit &u : units) {
-        for (const SimPort &p : u.inputs)
-            ++readers[static_cast<size_t>(p.memIdx)];
-    }
 
-    // Each cone unit's chain port, indexed by the memory it reads.
+    // Each marked unit's chain port, indexed by the memory it reads.
     std::vector<const SimPort *> chainPort(mems.size(), nullptr);
     std::vector<int> chainReader(mems.size(), -1);
     for (size_t u = 0; u < units.size(); ++u) {
-        if (!c.unit[u])
+        if (!on[u])
             continue;
         const SimPort *chain = nullptr;
         for (const SimPort &p : units[u].inputs) {
             const size_t m = static_cast<size_t>(p.memIdx);
             if (mems[m].prefilled) {
-                if (readers[m] > mems[m].readPorts)
-                    return -1; // oversubscribed read ports
+                if (f.readers[m] > mems[m].readPorts)
+                    return std::nullopt; // oversubscribed read ports
                 continue;
             }
             if (chain != nullptr)
-                return -1; // a join
+                return std::nullopt; // a join
             chain = &p;
         }
         if (chain == nullptr)
-            return -1;
+            return std::nullopt;
         const size_t m = static_cast<size_t>(chain->memIdx);
+        const double inflow = static_cast<double>(f.inflow[m]);
+        const double retired =
+            static_cast<double>(units[u].totalFires) * chain->retireWords;
         if (chain->needWords < chain->retireWords ||
             !(chain->expectedWords > 0.0) ||
-            chain->expectedWords != static_cast<double>(f.inflow[m]))
-            return -1;
+            chain->expectedWords != inflow ||
+            !exactUpTo(chain->retireWords,
+                       inflow + retired +
+                           static_cast<double>(chain->needWords)))
+            return std::nullopt;
         chainPort[m] = chain;
         chainReader[m] = static_cast<int>(u);
     }
 
-    // Whether chain memory m never refuses its writer, which puts at
-    // most `burst` words into it per cycle and needs `extra` words of
-    // room beyond need + burst: a source's credit carry (under one
-    // word), or a unit's latency x outWords (its landings in flight
-    // plus the fire being checked).
-    auto fits = [&](size_t m, double burst, int64_t extra) {
-        const SimPort &p = *chainPort[m];
-        const SimUnit &reader =
-            units[static_cast<size_t>(chainReader[m])];
-        const double need = static_cast<double>(p.needWords);
-        const double inflow = static_cast<double>(f.inflow[m]);
-        const double retired =
-            static_cast<double>(reader.totalFires) * p.retireWords;
-        if (burst > p.retireWords ||
-            !exactUpTo(p.retireWords, inflow + retired + need))
-            return false;
-        const double peak =
-            std::max(need + burst + static_cast<double>(extra),
-                     inflow - retired);
-        return peak <= static_cast<double>(mems[m].capacityWords);
-    };
-
-    // A second writer of a chain memory would lead a walk to its
-    // reader twice; a second reader, a prefilled chain memory or a
-    // unit on a source-less cycle is never reached.
+    std::vector<ChainLink> links;
     std::vector<char> visited(units.size(), 0);
-    int64_t finish = 0;
     for (const SimSource &s : sim.sources()) {
         size_t m = static_cast<size_t>(s.memIdx);
-        if (!c.mem[m])
+        if (!through[m])
             continue;
-        int64_t done = sourceDrainBound(s);
-        if (done < 0)
-            return -1;
-        double burst = s.wordsPerCycle;
-        int64_t extra = 1;
+        const SimSource *source = &s;
         for (;;) {
             const int r = chainReader[m];
-            if (r < 0 || visited[static_cast<size_t>(r)] ||
-                !fits(m, burst, extra))
-                return -1;
+            if (r < 0 || visited[static_cast<size_t>(r)])
+                return std::nullopt;
             visited[static_cast<size_t>(r)] = 1;
             const SimUnit &u = units[static_cast<size_t>(r)];
-            done = satAdd(done, satAdd(u.totalFires, u.latency));
+            links.push_back({m, &u, chainPort[m], source});
+            source = nullptr;
             if (u.outMemIdx < 0 ||
-                !c.mem[static_cast<size_t>(u.outMemIdx)])
+                !through[static_cast<size_t>(u.outMemIdx)])
                 break;
             m = static_cast<size_t>(u.outMemIdx);
-            burst = static_cast<double>(u.outWords);
-            extra = satMul(u.latency, u.outWords);
         }
-        finish = std::max(finish, done);
     }
     for (size_t u = 0; u < units.size(); ++u) {
-        if (c.unit[u] && !visited[u])
+        if (on[u] && !visited[u])
+            return std::nullopt;
+    }
+    return links;
+}
+
+/**
+ * Whether chain memory @p l.mem never refuses its writer, which puts
+ * at most @p burst <= retire words into it per cycle and needs
+ * @p extra words of room beyond need + burst: a source's credit carry
+ * (under one word), or a unit's latency x outWords (its landings in
+ * flight plus the fire being checked). Its reader then holds
+ * occupancy below need + burst after every arrival, and leaves
+ * inflow - totalFires x retire words behind once done.
+ */
+bool
+backlogFits(const CycleSim &sim, const Flows &f, const ChainLink &l,
+            double burst, int64_t extra)
+{
+    const SimPort &p = *l.port;
+    if (burst > p.retireWords)
+        return false;
+    const double need = static_cast<double>(p.needWords);
+    const double peak = std::max(
+        need + burst + static_cast<double>(extra),
+        static_cast<double>(f.inflow[l.mem]) -
+            static_cast<double>(l.reader->totalFires) * p.retireWords);
+    return peak <=
+           static_cast<double>(sim.memories()[l.mem].capacityWords);
+}
+
+/**
+ * The cycle by which every cone source and cone unit is done, when the
+ * cone is a set of source-rooted chains (chainsThrough) whose memories
+ * provably never refuse a word; -1 otherwise (the cone is then
+ * simulated).
+ *
+ * Each chain memory's occupancy stays below need + rate + 1 after a
+ * push from a source of rate <= retire, and below need + outWords
+ * after a landing from a unit with outWords <= retire (backlogFits).
+ * When each peak fits the capacity, no source is ever held back (so
+ * none blocks) and no writer is ever refused. Each unit then fires in
+ * every cycle once its whole input has arrived, so its chain is done
+ * by the source's drain bound plus totalFires + latency per unit.
+ */
+int64_t
+boundedConeFinish(const CycleSim &sim, const Flows &f, const Cone &c)
+{
+    const std::optional<std::vector<ChainLink>> links =
+        chainsThrough(sim, f, c.unit, c.mem);
+    if (!links)
+        return -1;
+    int64_t finish = 0;
+    int64_t done = 0;
+    double burst = 0.0;
+    int64_t extra = 0;
+    for (const ChainLink &l : *links) {
+        if (l.source != nullptr) {
+            done = sourceDrainBound(*l.source);
+            if (done < 0)
+                return -1;
+            burst = l.source->wordsPerCycle;
+            extra = 1;
+        }
+        if (!backlogFits(sim, f, l, burst, extra))
             return -1;
+        const SimUnit &u = *l.reader;
+        done = satAdd(done, satAdd(u.totalFires, u.latency));
+        finish = std::max(finish, done);
+        burst = static_cast<double>(u.outWords);
+        extra = satMul(u.latency, u.outWords);
     }
     return finish;
+}
+
+/** The fewest cycles n >= 1 after which a source of @p rate words per
+ *  cycle has been credited @p words (n x rate >= words). */
+int64_t
+cyclesToCredit(double rate, int64_t words)
+{
+    const double w = static_cast<double>(words);
+    auto n = static_cast<int64_t>(std::ceil(w / rate));
+    while (static_cast<double>(n) * rate < w)
+        ++n;
+    while (n > 1 && static_cast<double>(n - 1) * rate >= w)
+        --n;
+    return std::max<int64_t>(n, 1);
+}
+
+/**
+ * The first cycle in which the reader of a source's chain memory can
+ * fire, when it then fires in every cycle until done; -1 when that is
+ * not proven. The source pushes floor(n x rate) words by cycle n - 1
+ * while credit-limited, all of them when its memory holds the frame;
+ * a memory that can fill instead caps it at what fits, which leaves
+ * more than capacity - 1 words after the push.
+ */
+int64_t
+sourceFedStart(const CycleSim &sim, const Flows &f, const ChainLink &l)
+{
+    const SimSource &s = *l.source;
+    const SimPort &p = *l.port;
+    const double rate = s.wordsPerCycle;
+    const double retire = p.retireWords;
+    const int64_t need = p.needWords;
+    const int64_t fires = l.reader->totalFires;
+    if (fires < 1 || rate < retire)
+        return -1;
+    const int64_t start =
+        cyclesToCredit(rate, std::min(need, s.totalWords)) - 1;
+    // Fire k waits for ceil(k x retire + need) words and finds
+    // floor((start + 1 + k) x rate) while credit-limited. The margin
+    // grows with k, so fire 1 decides, unless there is no fire 1, the
+    // window covers the frame (every fire waits for all of it) or the
+    // rate is integral (no fraction of a word is ever held back).
+    const bool paced =
+        fires <= 1 || need >= s.totalWords || rate == std::floor(rate) ||
+        static_cast<double>(start + 2) * rate - static_cast<double>(need) >=
+            retire + 1.0 - std::ldexp(1.0, -binaryPlaces(retire));
+    if (!paced)
+        return -1;
+    // A memory that can fill stays ready above capacity - 1 >= need
+    // words, but must be drained: the last fire waits for the frame.
+    if (canFill(sim, f, l.mem) &&
+        (sim.memories()[l.mem].capacityWords < need + 1 ||
+         static_cast<double>(fires - 1) * retire +
+                 static_cast<double>(need) <
+             static_cast<double>(s.totalWords)))
+        return -1;
+    return start;
 }
 
 /**
@@ -479,6 +590,81 @@ checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
     if (drainBound(sim, c, start) > max_cycles)
         return runFull();
     return out;
+}
+
+std::optional<int64_t>
+chainDrainCycle(const CycleSim &sim, int64_t max_cycles)
+{
+    if (sim.mode() == CycleSim::Mode::TickLoop)
+        return std::nullopt;
+    const auto &mems = sim.memories();
+    const Flows f = flowsOf(sim);
+
+    // Chains run through every memory a unit port streams from.
+    std::vector<char> through(mems.size(), 0);
+    for (size_t m = 0; m < mems.size(); ++m)
+        through[m] = !mems[m].prefilled && f.readers[m] > 0;
+    const std::optional<std::vector<ChainLink>> links = chainsThrough(
+        sim, f, std::vector<char>(sim.units().size(), 1), through);
+    if (!links)
+        return std::nullopt;
+    // Every other memory only takes words: it must never refuse one,
+    // nor run out of write ports.
+    for (size_t m = 0; m < mems.size(); ++m) {
+        if (!through[m] &&
+            (canFill(sim, f, m) || f.writers[m] > mems[m].writePorts))
+            return std::nullopt;
+    }
+
+    // A source is done in the cycle after its last push, once credited
+    // its frame; a source whose memory can fill is done by its reader's
+    // last fire instead (sourceFedStart), which is no earlier.
+    int64_t drain = 0;
+    for (const SimSource &s : sim.sources()) {
+        if (mems[static_cast<size_t>(s.memIdx)].prefilled ||
+            !exactUpTo(s.wordsPerCycle,
+                       static_cast<double>(s.totalWords) +
+                           s.wordsPerCycle + 1.0))
+            return std::nullopt;
+        if (s.totalWords > 0)
+            drain = std::max(drain,
+                             cyclesToCredit(s.wordsPerCycle, s.totalWords));
+    }
+
+    // Walk each chain, unit by unit, from the first cycle its reader
+    // can fire; it then fires in every cycle until done.
+    int64_t start = 0;
+    const SimUnit *writer = nullptr;
+    for (const ChainLink &l : *links) {
+        const SimUnit &u = *l.reader;
+        if (l.source != nullptr) {
+            start = sourceFedStart(sim, f, l);
+        } else {
+            // Landings arrive outWords a cycle from the writer's
+            // start + latency on, never later than fire k needs them
+            // when outWords >= retire.
+            const int64_t out = writer->outWords;
+            const int64_t window =
+                std::min(l.port->needWords, f.inflow[l.mem]);
+            if (u.totalFires < 1 ||
+                static_cast<double>(out) < l.port->retireWords ||
+                (canFill(sim, f, l.mem) &&
+                 !backlogFits(sim, f, l, static_cast<double>(out),
+                              satMul(writer->latency, out))))
+                return std::nullopt;
+            start = satAdd(start,
+                           writer->latency + (window + out - 1) / out - 1);
+        }
+        if (start < 0)
+            return std::nullopt;
+        const int64_t done = satAdd(
+            start, satAdd(u.totalFires, u.outMemIdx >= 0 ? u.latency : 0));
+        drain = std::max(drain, done);
+        writer = &u;
+    }
+    if (drain > max_cycles)
+        return std::nullopt;
+    return drain;
 }
 
 } // namespace camj

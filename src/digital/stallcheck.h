@@ -1,9 +1,11 @@
 /**
  * @file
- * The Sec. 4.1 stall check: does an ADC source ever block on a full
- * memory at its true production rate? The Timing stage asks nothing
- * else of its second cycle-sim pass, so the check simulates only what
- * can influence a source, the sources' CONE OF INFLUENCE:
+ * The Sec. 4.1 stall check, and pass A's drain cycle where it has a
+ * closed form. The stall check asks: does an ADC source ever block
+ * on a full memory at its true production rate? The Timing stage
+ * asks nothing else of its second cycle-sim pass, so the check
+ * simulates only what can influence a source, the sources' CONE OF
+ * INFLUENCE:
  *
  *   - start from every source memory that can block its source (a
  *     memory smaller than its total inflow, or one written by anything
@@ -40,10 +42,25 @@
  * a closed-form finish bound of the chains); otherwise, or when the
  * cone itself fails to drain, the full topology runs. The choice
  * depends on the topology alone. Mode::TickLoop is the reference
- * engine and always runs the full topology. docs/performance.md
- * ("Pass B: the stall cone" and "Pass B: the backlog bound") gives
- * the arguments in full; tests/cyclesim_diff_test.cc pins every
- * answer against a full-topology tick-loop run.
+ * engine and always runs the full topology.
+ *
+ * Pass A needs more than a verdict: its drain cycle is the digital
+ * latency, and it must be exact. The same chain walk gives it in
+ * closed form (chainDrainCycle) when every unit lies on a
+ * source-rooted chain and provably fires in every cycle from its
+ * first ready cycle: a source keeps pace with its reader's retire
+ * (in a memory that can fill, one holding window + 1 words that the
+ * reader's last fire drains), and a unit lands at least its reader's
+ * retire per cycle into a memory that never refuses it. Each start
+ * then follows from the one before it, land -> push -> fire, and the
+ * drain cycle is the latest start + totalFires (+ latency when the
+ * unit lands in a memory). Anything else, and Mode::TickLoop,
+ * simulates.
+ *
+ * docs/performance.md ("Pass B: the stall cone", "Pass B: the
+ * backlog bound" and "Pass A: the closed-form drain") gives the
+ * arguments in full; tests/cyclesim_diff_test.cc pins every answer
+ * against a full-topology tick-loop run.
  */
 
 #ifndef CAMJ_DIGITAL_STALLCHECK_H
@@ -51,6 +68,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "digital/cyclesim.h"
 
@@ -136,6 +154,17 @@ StallCheck checkSourceStall(const CycleSim &sim,
                             CycleSimMemo *memo = nullptr,
                             int64_t max_cycles =
                                 CycleSim::kDefaultMaxCycles);
+
+/**
+ * Pass A's drain cycle without a run: exactly sim.run(max_cycles)
+ * .cycles when every unit of @p sim lies on a source-rooted chain
+ * that provably fires in every cycle from its first ready cycle, and
+ * that cycle is within @p max_cycles; nullopt otherwise, and always
+ * under Mode::TickLoop (the reference engine simulates).
+ */
+std::optional<int64_t> chainDrainCycle(const CycleSim &sim,
+                                       int64_t max_cycles =
+                                           CycleSim::kDefaultMaxCycles);
 
 } // namespace camj
 

@@ -62,8 +62,11 @@ SweepEngine::threadsFor(int requested, size_t jobs,
 int
 SweepEngine::effectiveThreads(size_t jobs) const
 {
+    // hardware_concurrency() reads sysfs: ask only when it is used.
     return threadsFor(options_.threads, jobs,
-                      std::thread::hardware_concurrency());
+                      options_.threads == 0
+                          ? std::thread::hardware_concurrency()
+                          : 0);
 }
 
 SweepResult
@@ -102,8 +105,7 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
 {
     const size_t jobs = source.sizeHint().value_or(
         std::numeric_limits<size_t>::max());
-    const int workers = threadsFor(
-        options_.threads, jobs, std::thread::hardware_concurrency());
+    const int workers = effectiveThreads(jobs);
 
     StreamStats stats;
     std::atomic<bool> stop{false};

@@ -93,9 +93,10 @@ struct StreamStats
     /** Cycle-sim memo lookups summed over all workers; zero unless
      *  SweepOptions::incremental. */
     CycleSimMemoStats cycleSimMemo;
-    /** Cycle-sim diagnostics per pass, with pass B's stall-check
-     *  routes, over every point evaluated (feasible or not) summed
-     *  over all workers; zero unless SweepOptions::incremental. */
+    /** Cycle-sim diagnostics per pass, with how pass A's latency and
+     *  pass B's stall check were answered, over every point evaluated
+     *  (feasible or not) summed over all workers; zero unless
+     *  SweepOptions::incremental. */
     PassSimStats passes;
 };
 

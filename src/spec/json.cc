@@ -822,6 +822,14 @@ class Parser
             if (end != token.c_str() + token.size())
                 fail("malformed number '" + token + "'");
         }
+        if (!std::isfinite(d)) {
+            // strtod overflows to +-inf, which no document can mean
+            // (nor serialize back); underflow to 0 or a subnormal is
+            // kept.
+            const std::string token = text_.substr(start, len);
+            pos_ = start;
+            fail("number '" + token + "' is out of range");
+        }
         return Value(d);
     }
 };

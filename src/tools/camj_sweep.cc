@@ -68,9 +68,9 @@ usage(std::FILE *to)
 "      --verbose                   also print cycle-sim execution\n"
 "                                  stats (cycles ticked vs fast-\n"
 "                                  forwarded per pass, periods,\n"
-"                                  fallbacks, how pass B's stall\n"
-"                                  check was answered, memo hits\n"
-"                                  and misses)\n"
+"                                  fallbacks, how pass A's latency\n"
+"                                  and pass B's stall check were\n"
+"                                  answered, memo hits and misses)\n"
 "  camj_sweep merge <shard.jsonl>... --out FILE [options]\n"
 "      reduce shard files into one in-order result file + summary\n"
 "      --top K                     top-K table size (default 5)\n"
@@ -322,6 +322,9 @@ cmdRun(int argc, char **argv)
         };
         print_pass("pass A", stats.passes.passA);
         print_pass("pass B", stats.passes.passB);
+        std::printf("pass-A latency: %zu in closed form, %zu "
+                    "simulated\n", stats.passes.passAClosedForm,
+                    stats.passes.passASimulated);
         const StallRouteCounts &routes = stats.passes.stallRoutes;
         std::printf("pass-B stall check: %zu statically stall-free, %zu "
                     "within the backlog bound, %zu on the cone, %zu by "

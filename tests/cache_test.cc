@@ -142,13 +142,21 @@ TEST(CacheKeys, OutcomeKeyCoversTheWholeDocument)
 
 TEST(CycleSimMemoReuse, StridedShardOrderSimulatesEachTopologyOnce)
 {
-    // A stride-12 shard order over the canonical 108-point study:
-    // consecutive points differ in the rate axis. Pass A's topology
-    // ignores the rate and is simulated once; every pass-B stall check
-    // is answered without simulating (ActBuf holds the whole frame),
-    // so the memo holds one entry, and every outcome is bit-identical
-    // to a full rebuild.
-    const spec::SweepDocument doc = spec::sampleDetectorStudy();
+    // A stride-12 shard order over the canonical 108-point study's
+    // axes, on a 599-word ActBuf (4,792 of a frame's 4,800 elements):
+    // the ADC memory can fill and the classifier's last fire does not
+    // wait for the whole frame, so pass A's closed form declines.
+    // Consecutive points differ in the rate axis. Pass A's topology
+    // ignores the rate and is simulated once; the stall check proves
+    // pass B within its backlog bound up to 60 fps and simulates one
+    // cone each at 120 and 240 fps (480 and 960 fps fail before pass
+    // B). So the memo holds three entries, each simulated once, and
+    // every outcome is bit-identical to a full rebuild.
+    spec::SweepDocument doc = spec::sampleDetectorStudy();
+    for (spec::MemorySpec &m : doc.base.memories) {
+        if (m.name == "ActBuf")
+            m.capacityWords = 599;
+    }
     spec::GridSpecSource source = doc.source();
     const size_t total = source.totalPoints();
     ASSERT_EQ(total, 108u);
@@ -167,19 +175,22 @@ TEST(CycleSimMemoReuse, StridedShardOrderSimulatesEachTopologyOnce)
 
     ASSERT_EQ(visited, total);
     EXPECT_EQ(inc.stats().points, total);
-    EXPECT_EQ(inc.memo().stats().misses, 1u);
-    EXPECT_EQ(inc.memo().size(), 1u);
+    EXPECT_EQ(inc.passStats().passASimulated, total);
+    EXPECT_EQ(inc.passStats().stallRoutes.cone, 24u);
+    EXPECT_EQ(inc.memo().stats().misses, 3u);
+    EXPECT_EQ(inc.memo().size(), 3u);
 }
 
 TEST(CycleSimMemoReuse, InfeasibleBandsNeverEvictFeasibleTopologies)
 {
     // A feasibility boundary crossed once per buffer-node row (30, 60
-    // feasible; 1e5, 2e5 not) on Ed-Gaze with a 5-word line buffer,
-    // one word above its 2x2 window: too tight for the stall check's
-    // backlog bound, so pass B simulates the line buffer's stall cone.
-    // A failing point stores nothing, so the feasible rates'
-    // topologies stay memoized across every band: pass A plus two
-    // pass-B cones are simulated once each.
+    // feasible; 1e5, 2e5 not) on Ed-Gaze with a 4-word line buffer,
+    // exactly its 2x2 window: too tight for pass A's closed form and
+    // for the stall check's backlog bound, so pass A simulates the
+    // whole topology and pass B the line buffer's stall cone. A
+    // failing point stores nothing, so the feasible rates' topologies
+    // stay memoized across every band: pass A plus two pass-B cones
+    // are simulated once each.
     IncrementalEvaluator inc(reportOptions());
     const int nodes[] = {180, 110, 65, 45};
     const double rates[] = {30.0, 60.0, 100000.0, 200000.0};
@@ -191,7 +202,7 @@ TEST(CycleSimMemoReuse, InfeasibleBandsNeverEvictFeasibleTopologies)
             for (spec::MemorySpec &m : spec.memories) {
                 m.nodeNm = node;
                 if (m.name == "LineBuffer")
-                    m.capacityWords = 5;
+                    m.capacityWords = 4;
             }
             const SimulationOutcome out = inc.evaluate(spec);
             expectIdenticalOutcome(out, referenceOutcome(spec),

@@ -127,12 +127,12 @@ jsonlLine(size_t index, const spec::DesignSpec &spec,
     return sweepResultToJsonl(r);
 }
 
-/** An Ed-Gaze variant whose line buffer holds 5 words, one above the
- *  downsampler's 2x2 window: feasible at video rates, but below the
- *  stall check's backlog bound (window + ADC rate + 1 words), so pass
- *  B simulates the source's cone of influence. The stock Ed-Gaze's
- *  1,280-word buffer is proven without simulating, like the sample
- *  detector's. */
+/** An Ed-Gaze variant whose line buffer holds exactly the
+ *  downsampler's 2x2 window (4 words): feasible at video rates, but an
+ *  ADC memory that can fill needs window + 1 words for pass A's closed
+ *  form and window + ADC rate + 1 for pass B's backlog bound, so pass
+ *  A simulates the whole topology and pass B the source's cone of
+ *  influence. The stock Ed-Gaze's 1,280-word buffer needs neither. */
 spec::DesignSpec
 edgazePoint(double fps)
 {
@@ -140,7 +140,24 @@ edgazePoint(double fps)
     spec.fps = fps;
     for (spec::MemorySpec &m : spec.memories) {
         if (m.name == "LineBuffer")
-            m.capacityWords = 5;
+            m.capacityWords = 4;
+    }
+    return spec;
+}
+
+/** The sample detector with a 599-word ActBuf: 4,792 of the 4,800
+ *  elements a frame puts into it. The ADC memory can then fill, and
+ *  the classifier's last fire does not wait for the whole frame (its
+ *  quantized retire covers 4,794.8 words), so pass A's closed form
+ *  declines and pass A simulates. At video rates the stall check
+ *  still proves pass B within its backlog bound, simulating nothing. */
+spec::DesignSpec
+detectorPoint(double fps)
+{
+    spec::DesignSpec spec = spec::sampleDetectorSpec(fps, 65);
+    for (spec::MemorySpec &m : spec.memories) {
+        if (m.name == "ActBuf")
+            m.capacityWords = 599;
     }
     return spec;
 }
@@ -165,18 +182,19 @@ class ScopedDefaultMode
 TEST(IncrementalEvaluator, RepeatedSpecIsAnsweredFromTheMemo)
 {
     IncrementalEvaluator inc(reportOptions());
-    const spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
+    const spec::DesignSpec spec = detectorPoint(30.0);
     const SimulationOutcome first = inc.evaluate(spec);
     expectIdenticalOutcome(first, referenceOutcome(spec), spec.name);
     EXPECT_EQ(inc.stats().points, 1u);
     EXPECT_EQ(inc.stats().fullBuilds, 1u);
     EXPECT_EQ(inc.stats().stagesRun, 6u);
     // Pass A simulated once; pass B's stall check is answered without
-    // simulating (ActBuf holds the whole frame), so it never looks
+    // simulating (within the backlog bound), so it never looks
     // anything up.
     EXPECT_EQ(inc.memo().stats().misses, 1u);
     EXPECT_EQ(inc.memo().stats().hits, 0u);
-    EXPECT_EQ(inc.passStats().stallRoutes.stallFree, 1u);
+    EXPECT_EQ(inc.passStats().passASimulated, 1u);
+    EXPECT_EQ(inc.passStats().stallRoutes.bounded, 1u);
     EXPECT_GT(first.simStats.cyclesTicked +
                   first.simStats.cyclesFastForwarded,
               0);
@@ -229,7 +247,7 @@ TEST(IncrementalEvaluator, ModeIsPartOfTheMemoKey)
     // a hit would serve the fast-forward engine's result and make
     // every engine-difference suite vacuous.
     IncrementalEvaluator inc(reportOptions());
-    const spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
+    const spec::DesignSpec spec = detectorPoint(30.0);
     const SimulationOutcome fast = inc.evaluate(spec);
     ASSERT_TRUE(fast.feasible);
     ASSERT_GT(fast.simStats.cyclesFastForwarded, 0);
@@ -289,7 +307,7 @@ TEST(IncrementalEvaluator, MemoNeverExceedsItsCapacity)
 TEST(IncrementalEvaluator, StructuralEditsMatchTheSimulator)
 {
     IncrementalEvaluator inc(reportOptions());
-    spec::DesignSpec spec = spec::sampleDetectorSpec(30.0, 65);
+    spec::DesignSpec spec = detectorPoint(30.0);
     inc.evaluate(spec);
 
     // Component added.
@@ -450,39 +468,66 @@ TEST(IncrementalIdentity, CanonicalGridRowMajorAndStrided)
     // The 108-point canonical study through one evaluator per order:
     // grid order (rate outermost) and the stride-12 order of
     // `camj_sweep plan --mode strided`, which revisits every rate in
-    // each column. Both orders simulate the one pass-A topology once;
-    // every pass-B stall check (84: the two fastest rates fail before
-    // pass B) is answered without simulating, because ActBuf holds
-    // 131,072 elements against 4,800 words of inflow. Every point is
-    // bit-identical to its own full rebuild.
-    const spec::SweepDocument doc = spec::sampleDetectorStudy();
-    const std::vector<spec::DesignSpec> specs = gridPoints(doc);
-    ASSERT_EQ(specs.size(), 108u);
-    std::vector<SimulationOutcome> ref;
-    for (const spec::DesignSpec &s : specs)
-        ref.push_back(referenceOutcome(s));
+    // each column. Every point is bit-identical to its own full
+    // rebuild. On the canonical grid neither order simulates anything:
+    // every pass A drains in closed form, and every pass-B stall check
+    // (84: the two fastest rates fail before pass B) is answered
+    // statically, because ActBuf holds 131,072 elements against 4,800
+    // words of inflow. So the memo sees no lookup. The same axes over
+    // detectorPoint's 599-word ActBuf keep it busy in both orders:
+    // pass A simulates one topology for all 108 points, and the stall
+    // check simulates one cone each at 120 and 240 fps (24 points),
+    // proving the other 60 within the backlog bound.
+    struct Case
+    {
+        spec::SweepDocument doc;
+        size_t misses;
+        size_t lookups;
+        PassSimStats routes;
+    };
+    Case canonical{spec::sampleDetectorStudy(), 0, 0, {}};
+    canonical.routes.passAClosedForm = 108;
+    canonical.routes.stallRoutes.stallFree = 84;
+    Case declined{spec::sampleDetectorStudy(), 3, 132, {}};
+    declined.doc.base = detectorPoint(30.0);
+    declined.routes.passASimulated = 108;
+    declined.routes.stallRoutes.bounded = 60;
+    declined.routes.stallRoutes.cone = 24;
 
-    const size_t stride = 12; // 4 buffer nodes x 3 duty cycles
-    std::vector<size_t> strided;
-    for (size_t k = 0; k < stride; ++k)
-        for (size_t i = k; i < specs.size(); i += stride)
-            strided.push_back(i);
-    std::vector<size_t> row_major;
-    for (size_t i = 0; i < specs.size(); ++i)
-        row_major.push_back(i);
+    for (const Case &c : {canonical, declined}) {
+        const std::vector<spec::DesignSpec> specs = gridPoints(c.doc);
+        ASSERT_EQ(specs.size(), 108u);
+        std::vector<SimulationOutcome> ref;
+        for (const spec::DesignSpec &s : specs)
+            ref.push_back(referenceOutcome(s));
 
-    for (const std::vector<size_t> *order : {&row_major, &strided}) {
-        IncrementalEvaluator inc(reportOptions());
-        for (size_t i : *order)
-            expectIdenticalOutcome(inc.evaluate(specs[i]), ref[i],
-                                   specs[i].name);
-        EXPECT_EQ(inc.stats().points, specs.size());
-        EXPECT_EQ(inc.memo().stats().misses, 1u);
-        EXPECT_EQ(inc.memo().stats().hits +
-                      inc.memo().stats().misses,
-                  108u); // pass A only
-        EXPECT_EQ(inc.passStats().stallRoutes.stallFree, 84u);
-        EXPECT_EQ(inc.passStats().passB, CycleSimStats{});
+        const size_t stride = 12; // 4 buffer nodes x 3 duty cycles
+        std::vector<size_t> strided;
+        for (size_t k = 0; k < stride; ++k)
+            for (size_t i = k; i < specs.size(); i += stride)
+                strided.push_back(i);
+        std::vector<size_t> row_major;
+        for (size_t i = 0; i < specs.size(); ++i)
+            row_major.push_back(i);
+
+        for (const std::vector<size_t> *order : {&row_major, &strided}) {
+            IncrementalEvaluator inc(reportOptions());
+            for (size_t i : *order)
+                expectIdenticalOutcome(inc.evaluate(specs[i]), ref[i],
+                                       specs[i].name);
+            const PassSimStats &got = inc.passStats();
+            EXPECT_EQ(inc.stats().points, specs.size());
+            EXPECT_EQ(inc.memo().stats().misses, c.misses);
+            EXPECT_EQ(inc.memo().stats().hits + inc.memo().stats().misses,
+                      c.lookups);
+            EXPECT_EQ(got.passAClosedForm, c.routes.passAClosedForm);
+            EXPECT_EQ(got.passASimulated, c.routes.passASimulated);
+            EXPECT_EQ(got.stallRoutes, c.routes.stallRoutes);
+            if (c.lookups == 0) {
+                EXPECT_EQ(got.passA, CycleSimStats{});
+                EXPECT_EQ(got.passB, CycleSimStats{});
+            }
+        }
     }
 }
 

@@ -329,6 +329,44 @@ TEST(JsonNumbers, FormattingEdgesAgreeWithEquality)
     }
 }
 
+TEST(JsonNumbers, OverflowIsAParseErrorUnderflowIsKept)
+{
+    // strtod saturates an overflow to +-inf, which no document can
+    // mean and the writer cannot serialize: the parser reports it, as
+    // CAMJ-E018, where the number starts.
+    const struct
+    {
+        const char *text;
+        const char *where;
+    } overflows[] = {
+        {"1e400", "line 1, column 1"},
+        {"-1e400", "line 1, column 1"},
+        {"1.8e308", "line 1, column 1"},
+        {"[1, 2e999]", "line 1, column 5"},
+        {"{\"fps\":\n  1e400}", "line 2, column 3"},
+    };
+    for (const auto &o : overflows) {
+        try {
+            Value::parse(o.text);
+            ADD_FAILURE() << o.text << " parsed";
+        } catch (const ConfigError &e) {
+            const std::string what = e.what();
+            EXPECT_STREQ(e.code(), "CAMJ-E018") << o.text;
+            EXPECT_NE(what.find(o.where), std::string::npos) << what;
+            EXPECT_NE(what.find("out of range"), std::string::npos)
+                << what;
+        }
+    }
+    // The largest double still parses; underflow rounds to a
+    // subnormal or to zero, keeping its sign.
+    EXPECT_EQ(Value::parse("1.7976931348623157e308").asNumber(),
+              std::numeric_limits<double>::max());
+    EXPECT_EQ(Value::parse("4.9e-324").asNumber(),
+              std::numeric_limits<double>::denorm_min());
+    EXPECT_EQ(Value::parse("1e-400").asNumber(), 0.0);
+    EXPECT_TRUE(std::signbit(Value::parse("-1e-400").asNumber()));
+}
+
 // ------------------------------------------------------------- hashing
 
 TEST(JsonHash, SeedChainingSeparatesDomains)

@@ -832,6 +832,58 @@ TEST(CamjSweepCli, RunPreflightAbortsOnBrokenBaseUnlessDisabled)
     EXPECT_EQ(record->ruleCode, "CAMJ-E008") << record->error;
 }
 
+TEST(CamjSweepCli, OutOfRangeNumberIsAParseError)
+{
+    // A number beyond double range used to parse as inf: the point
+    // failed, and its outcome then could not be written to the cache
+    // (an internal CAMJ-D003 error line); as a grid value it named
+    // points "rate=inf". Now the document itself is rejected with the
+    // parse error's position, before anything runs or is cached.
+    const fs::path dir = scratchDir("cli_overflow");
+    std::string text = spec::toJson(smallStudy());
+    const size_t fps = text.find("\"fps\": 30");
+    ASSERT_NE(fps, std::string::npos);
+    text.replace(fps, 9, "\"fps\": 1e400");
+    writeFile(dir / "base.json", text);
+    std::string grid = spec::toJson(smallStudy());
+    const size_t value = grid.find("120", grid.find("sweepGrid"));
+    ASSERT_NE(value, std::string::npos);
+    grid.replace(value, 3, "1e400");
+    writeFile(dir / "grid.json", grid);
+
+    for (const std::string name : {"base.json", "grid.json"}) {
+        const fs::path log = dir / (name + ".log");
+        const fs::path out = dir / (name + ".jsonl");
+        EXPECT_EQ(cliExit("run " + (dir / name).string() +
+                              " --no-lint --cache-dir " +
+                              (dir / "cache").string() + " --out " +
+                              out.string(),
+                          log.string()),
+                  1)
+            << name;
+        const std::string report = readFile(log);
+        EXPECT_NE(report.find("json parse error at line"),
+                  std::string::npos)
+            << report;
+        EXPECT_NE(report.find("number '1e400' is out of range"),
+                  std::string::npos)
+            << report;
+        EXPECT_EQ(report.find("internal error"), std::string::npos)
+            << report;
+        EXPECT_FALSE(fs::exists(out)) << name;
+        EXPECT_TRUE(!fs::exists(dir / "cache") ||
+                    fs::is_empty(dir / "cache"))
+            << name;
+
+        const fs::path lint_log = dir / (name + ".lint.log");
+        EXPECT_EQ(cliExit("lint " + (dir / name).string(),
+                          lint_log.string()),
+                  1);
+        EXPECT_NE(readFile(lint_log).find("error CAMJ-E018"),
+                  std::string::npos);
+    }
+}
+
 #endif // CAMJ_SWEEP_BIN
 
 } // namespace
