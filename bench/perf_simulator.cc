@@ -23,13 +23,11 @@
  * grid in row-major and stride-12 order), the cached sweep
  * (the content-addressed on-disk outcome store, cold vs. warm), the
  * 27 paper studies' cycles ticked per pass and pass-B stall-check
- * routes, the Fig. 7 validation MAPE and correlation, the
- * cycle-sim engine pair (a cycle-dominated frame through the
- * fast-forward engine vs. the tick-loop reference — counters must be
- * bit-identical and the speedup must clear 5x), and a per-stage
- * wall-clock profile of EvalPipeline over the canonical grid, so
- * CI can track the simulator's evaluation-throughput trajectory
- * across PRs. Every cached/incremental section hard-fails unless its
+ * routes, the Fig. 7 validation MAPE and correlation, the cycle
+ * sim's ticking rate (a cycle-dominated frame, every cycle ticked),
+ * and a per-stage wall-clock profile of EvalPipeline over the
+ * canonical grid, so CI can track the simulator's
+ * evaluation-throughput trajectory across PRs. Every cached/incremental section hard-fails unless its
  * output is byte-identical to a full rebuild.
  *
  * `--points N` scales the artifact workload (batch copies and grid
@@ -1506,14 +1504,12 @@ writeBenchJson()
     served.set("identicalToInProcess", json::Value(true));
     doc.set("servedSweep", std::move(served));
 
-    // Cycle-sim engines: one cycle-dominated frame — a slow
-    // fractional-rate ADC (5/8 word/cycle) feeding a sliding-window
-    // unit (retire 5/8) chained into a 2:1 reducer, ~6.7M digital
-    // cycles — through the reference tick loop and the fast-forward
-    // engine, best-of-3 each. Two in-binary acceptance bars: the
-    // counters must be bit-identical across engines (fast-forward is
-    // an execution strategy, never a different simulation), and the
-    // single-core speedup must clear 5x.
+    // Cycle sim: one cycle-dominated frame — a slow fractional-rate
+    // ADC (5/8 word/cycle) feeding a sliding-window unit (retire 5/8)
+    // chained into a 2:1 reducer, 6,710,895 digital cycles — through
+    // CycleSim::run(), best of 3. Every cycle is ticked, so
+    // cyclesTicked must equal the frame's cycles (a floor re-checks
+    // the exact count).
     auto build_cyclesim_frame = [] {
         CycleSim sim;
         const int line = sim.addMemory(
@@ -1545,71 +1541,31 @@ writeBenchJson()
         sim.addUnit(reduce);
         return sim;
     };
-    auto time_cyclesim = [&](CycleSim::Mode mode,
-                             CycleSimResult *result) {
-        CycleSim sim = build_cyclesim_frame();
-        sim.setMode(mode);
-        sim.run(); // warm-up
-        double best = 1e30;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto t0 = std::chrono::steady_clock::now();
-            CycleSimResult r = sim.run();
-            const auto t1 = std::chrono::steady_clock::now();
-            best = std::min(
-                best,
-                std::chrono::duration<double>(t1 - t0).count());
-            if (result != nullptr)
-                *result = std::move(r);
-        }
-        return best;
-    };
-    CycleSimResult cs_tick, cs_ffwd;
-    const double cs_tick_seconds =
-        time_cyclesim(CycleSim::Mode::TickLoop, &cs_tick);
-    const double cs_ffwd_seconds =
-        time_cyclesim(CycleSim::Mode::FastForward, &cs_ffwd);
-    if (!sameCounters(cs_tick, cs_ffwd)) {
-        std::fprintf(stderr, "error: fast-forward cycle-sim counters "
-                     "differ from the tick loop\n");
-        return false;
+    CycleSim cs_sim = build_cyclesim_frame();
+    CycleSimResult cs;
+    double cs_seconds = 1e30;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        cs = cs_sim.run();
+        const auto t1 = std::chrono::steady_clock::now();
+        cs_seconds = std::min(
+            cs_seconds, std::chrono::duration<double>(t1 - t0).count());
     }
-    const double cs_speedup = cs_tick_seconds / cs_ffwd_seconds;
-    if (cs_speedup < 5.0) {
-        std::fprintf(stderr, "error: fast-forward cycle sim is only "
-                     "%.2fx the tick loop (bar: 5.0x)\n", cs_speedup);
-        return false;
-    }
-    const double cs_cycles = static_cast<double>(cs_tick.cycles);
     json::Value cyclesim = json::Value::makeObject();
-    cyclesim.set("frameCycles", json::Value(cs_tick.cycles));
-    json::Value cs_tick_run = json::Value::makeObject();
-    cs_tick_run.set("seconds", json::Value(cs_tick_seconds));
-    cs_tick_run.set("cyclesPerSec",
-                    json::Value(cs_cycles / cs_tick_seconds));
-    cyclesim.set("tickLoop", std::move(cs_tick_run));
-    json::Value cs_ffwd_run = json::Value::makeObject();
-    cs_ffwd_run.set("seconds", json::Value(cs_ffwd_seconds));
-    cs_ffwd_run.set("cyclesPerSec",
-                    json::Value(cs_cycles / cs_ffwd_seconds));
-    cs_ffwd_run.set("cyclesTicked",
-                    json::Value(cs_ffwd.stats.cyclesTicked));
-    cs_ffwd_run.set("cyclesFastForwarded",
-                    json::Value(cs_ffwd.stats.cyclesFastForwarded));
-    cs_ffwd_run.set("periodsDetected",
-                    json::Value(cs_ffwd.stats.periodsDetected));
-    cs_ffwd_run.set("fallbacks",
-                    json::Value(cs_ffwd.stats.fallbacks));
-    cyclesim.set("fastForward", std::move(cs_ffwd_run));
-    cyclesim.set("speedup", json::Value(cs_speedup));
-    cyclesim.set("identicalToTickLoop", json::Value(true));
+    cyclesim.set("frameCycles", json::Value(cs.cycles));
+    json::Value cs_run = json::Value::makeObject();
+    cs_run.set("seconds", json::Value(cs_seconds));
+    cs_run.set("cyclesPerSec",
+               json::Value(static_cast<double>(cs.cycles) / cs_seconds));
+    cs_run.set("cyclesTicked", json::Value(cs.stats.cyclesTicked));
+    cyclesim.set("tickLoop", std::move(cs_run));
     doc.set("cycleSim", std::move(cyclesim));
 
     // Stage profile: where one-at-a-time evaluation time goes. Every
     // point of the (--points-scaled) canonical study through
     // EvalPipeline::runAllTimed, per-stage wall-clock accumulated
     // across the grid — the breakdown that shows cyclesim's share of
-    // the pipeline (the fast-forward engine's target) and flags any
-    // stage creeping back up.
+    // the pipeline and flags any stage creeping back up.
     const spec::SweepDocument prof_doc = shardedStudyDocument();
     std::vector<spec::DesignSpec> prof_pts =
         spec::expandGrid(prof_doc.base, prof_doc.grid);
@@ -1750,13 +1706,9 @@ writeBenchJson()
                 static_cast<double>(n_served) / served_seconds,
                 static_cast<double>(n_served) / served_local_seconds,
                 served_overhead);
-    std::printf("cycle sim: %" PRId64 " frame cycles, %.3fs tick "
-                "loop vs %.4fs fast-forward (%.1fx, bar 5.0x; %"
-                PRId64 " jumps, %" PRId64 " cycles ticked), counters "
-                "bit-identical\n", cs_tick.cycles, cs_tick_seconds,
-                cs_ffwd_seconds, cs_speedup,
-                cs_ffwd.stats.periodsDetected,
-                cs_ffwd.stats.cyclesTicked);
+    std::printf("cycle sim: %" PRId64 " frame cycles, %" PRId64
+                " ticked in %.3fs\n", cs.cycles, cs.stats.cyclesTicked,
+                cs_seconds);
     std::printf("stage profile: %zu points in %.3fs;", prof_pts.size(),
                 prof_seconds);
     for (int i = 0; i < kEvalStageCount; ++i)

@@ -17,7 +17,7 @@
  *              the digital latency in cycles, in closed form when
  *              every unit lies on a source-rooted chain
  *              (chainDrainCycle in digital/stallcheck.h), else
- *              simulated.
+ *              simulated by CycleSim::run(), the tick loop.
  *   Timing   — delay estimation (T_A from the frame budget) and the
  *              pass-B stall check at the true ADC rate, answered on
  *              the source's cone of influence (digital/stallcheck.h):
@@ -26,6 +26,9 @@
  *              simulating only the units and memories that can reach
  *              the source, with a full-topology fallback whenever the
  *              rest of the pipeline is not provably drain-safe.
+ *              Under setSimRoutes(SimRoutes::FullTopology) both
+ *              passes simulate the full topology: the reference the
+ *              differential suites compare against.
  *   Energy   — energy assembly into the EnergyReport.
  *
  * Running all stages in order is exactly the old simulate() —

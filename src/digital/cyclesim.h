@@ -23,25 +23,14 @@
  *
  * The model is transaction-level: every unit moves its declared
  * per-cycle shapes; pipeline depth delays the landing of outputs.
+ * run() ticks one cycle at a time, and it is the reference every
+ * closed form is pinned against (tests/cyclesim_diff_test.cc).
  *
- * Because every rate in the model is constant, the simulation
- * becomes AFFINE-PERIODIC once the pipeline reaches steady state:
- * the discrete skeleton (reserved words, in-flight landings,
- * drained/done flags) repeats exactly while occupancies, credits,
- * and arrival counters advance by a fixed per-period delta. Rates
- * are snapped to 8 significant binary digits on entry (addSource /
- * addUnit / setSourceRate; at most 0.2% relative error), which makes
- * every per-cycle double operation exact, so a verified period
- * replays bit-identically any number of times. The default
- * Mode::FastForward engine detects the period from a skeleton
- * fingerprint (candidates at least a source's dyadic credit period
- * long are aligned to it), verifies the deltas over two more periods,
- * and then jumps whole periods at once in closed form, bounded by the
- * nearest discrete event (a source draining, a unit reaching
- * totalFires) and by every recorded float-comparison margin — turning
- * O(frame-cycles) ticking into O(events) while producing counters
- * bit-identical to the Mode::TickLoop reference (pinned by
- * tests/cyclesim_diff_test.cc; see docs/performance.md).
+ * Rates are snapped to 8 significant binary digits on entry
+ * (addSource / addUnit / setSourceRate; at most 0.2% relative error),
+ * which makes every per-cycle double operation exact. The closed
+ * forms of digital/stallcheck.h rely on that exactness, and the
+ * result bytes depend on the snapped rates.
  */
 
 #ifndef CAMJ_DIGITAL_CYCLESIM_H
@@ -132,28 +121,23 @@ struct SimUnit
 };
 
 /**
- * How one run() executed — diagnostics, not semantics. The counters
- * depend on CycleSim::Mode (the tick loop never fast-forwards), so
- * they are deliberately EXCLUDED from sameCounters() and from every
- * serialized result format.
+ * How much one run() simulated — diagnostics, not semantics: a memo
+ * hit or a closed-form answer reports none, so they are EXCLUDED from
+ * sameCounters() and from every serialized result format.
  */
 struct CycleSimStats
 {
-    /** Cycles simulated one at a time. */
+    /** Cycles simulated. */
     int64_t cyclesTicked = 0;
-    /** Cycles skipped in closed form by period jumps. */
+    /** Always 0: every cycle is ticked. perfbench/ reads it. */
     int64_t cyclesFastForwarded = 0;
-    /** Verified periods jumped over (one count per jump). */
-    int64_t periodsDetected = 0;
-    /** Candidate periods rejected by delta verification or by the
-     *  event/precision jump bounds (each fell back to ticking). */
+    /** Always 0, likewise. */
     int64_t fallbacks = 0;
 
     CycleSimStats &operator+=(const CycleSimStats &o)
     {
         cyclesTicked += o.cyclesTicked;
         cyclesFastForwarded += o.cyclesFastForwarded;
-        periodsDetected += o.periodsDetected;
         fallbacks += o.fallbacks;
         return *this;
     }
@@ -178,12 +162,12 @@ struct CycleSimResult
     int64_t portConflictCycles = 0;
     /** True if any source was ever blocked. */
     bool sourceBlocked = false;
-    /** Execution diagnostics (mode-dependent; see CycleSimStats). */
+    /** Execution diagnostics (see CycleSimStats). */
     CycleSimStats stats;
 };
 
 /** Every semantic field of @p a equals @p b's (stats excluded: they
- *  describe how the engine ran, not what the pipeline did). */
+ *  describe how the answer was reached, not what the pipeline did). */
 bool sameCounters(const CycleSimResult &a, const CycleSimResult &b);
 
 /**
@@ -196,20 +180,6 @@ bool sameCounters(const CycleSimResult &a, const CycleSimResult &b);
 class CycleSim
 {
   public:
-    /** Which engine run() uses. Counters are bit-identical across
-     *  modes; only CycleSimResult::stats differs. */
-    enum class Mode
-    {
-        /** Periodic steady-state detection with closed-form jumps
-         *  (the default). Degrades to plain ticking whenever no
-         *  period verifies. */
-        FastForward,
-        /** The reference cycle-at-a-time loop, kept compiled-in as
-         *  the differential-testing baseline. checkSourceStall()
-         *  runs the full topology under it. */
-        TickLoop,
-    };
-
     /** @return memory index. @throws ConfigError on bad params. */
     int addMemory(SimMemory mem);
 
@@ -223,23 +193,6 @@ class CycleSim
      *  rest of the topology (pass A -> pass B reuse).
      *  @throws ConfigError on a bad index or rate. */
     void setSourceRate(int idx, double words_per_cycle);
-
-    /** Override the process-wide default mode for this instance. */
-    void setMode(Mode mode)
-    {
-        mode_ = mode;
-        modeSet_ = true;
-    }
-
-    /** The mode run() will use (instance override, else the
-     *  process-wide default). */
-    Mode mode() const { return modeSet_ ? mode_ : defaultMode(); }
-
-    /** Process-wide default mode (Mode::FastForward unless changed);
-     *  differential suites flip it to drive whole pipelines through
-     *  the reference engine. Thread-safe. */
-    static Mode defaultMode();
-    static void setDefaultMode(Mode mode);
 
     /** The topologies are identical (memories, sources, units). */
     bool sameTopology(const CycleSim &o) const
@@ -261,7 +214,13 @@ class CycleSim
     static constexpr int64_t kDefaultMaxCycles = 500000000;
 
     /**
-     * Simulate one frame.
+     * Simulate one frame, one cycle at a time.
+     *
+     * A run that cannot drain ends at its first idle cycle: nothing
+     * lands, no source pushes, no unit fires, no landing is in flight,
+     * and every unfinished source writes a full memory that is not
+     * prefilled. Every later cycle repeats that one, so the run throws
+     * there what it would throw at @p max_cycles, in the same words.
      *
      * @param max_cycles Deadlock guard.
      * @throws ConfigError if the pipeline does not drain within
@@ -273,11 +232,6 @@ class CycleSim
     std::vector<SimMemory> mems_;
     std::vector<SimSource> sources_;
     std::vector<SimUnit> units_;
-    Mode mode_ = Mode::FastForward;
-    bool modeSet_ = false;
-
-    CycleSimResult runTickLoop(int64_t max_cycles);
-    CycleSimResult runFastForward(int64_t max_cycles);
 };
 
 /** Lookup traffic of a CycleSimMemo. */
@@ -298,25 +252,23 @@ struct CycleSimMemoStats
 
 /**
  * A bounded memo of CycleSim::run() results, keyed by the built
- * topology (memories, sources with their quantized rates, units)
- * plus the Mode the run would use. Neighboring points of a grid
- * sweep rebuild the same few topologies over and over: pass A's
- * topology ignores the frame rate, axes such as a memory's node or
- * duty cycle never reach the cycle model at all, and the pass-B stall
- * check (digital/stallcheck.h) looks up the sub-topology it actually
- * simulates, so a frame-rate axis only misses where that sub-topology
- * exists. Only runs that are simulated reach it: a pass A answered
- * in closed form and a stall check answered statically never do.
+ * topology (memories, sources with their quantized rates, units).
+ * Neighboring points of a grid sweep rebuild the same few topologies
+ * over and over: pass A's topology ignores the frame rate, axes such
+ * as a memory's node or duty cycle never reach the cycle model at
+ * all, and the pass-B stall check (digital/stallcheck.h) looks up the
+ * sub-topology it actually simulates, so a frame-rate axis only
+ * misses where that sub-topology exists. Only runs that are simulated
+ * reach it: a pass A answered in closed form and a stall check
+ * answered statically never do.
  *
  * A lookup hashes the topology first and verifies every candidate
- * with sameTopology() and the mode, so a hash collision costs one
- * comparison, never a wrong result. The mode is part of the key so
- * that flipping CycleSim::setDefaultMode() re-simulates instead of
- * serving the other engine's answer. A hit returns the stored
- * result with zero CycleSimStats, because no cycle was simulated; a
- * run that throws stores nothing. A stored run that drained after
- * more cycles than a lookup's budget does not answer that lookup. At
- * most kCapacity entries are kept, least recently used evicted first.
+ * with sameTopology(), so a hash collision costs one comparison,
+ * never a wrong result. A hit returns the stored result with zero
+ * CycleSimStats, because no cycle was simulated; a run that throws
+ * stores nothing. A stored run that drained after more cycles than a
+ * lookup's budget does not answer that lookup. At most kCapacity
+ * entries are kept, least recently used evicted first.
  *
  * Not thread-safe: each sweep worker owns one, inside its
  * IncrementalEvaluator.
@@ -340,7 +292,6 @@ class CycleSimMemo
     struct Entry
     {
         uint64_t hash = 0;
-        CycleSim::Mode mode = CycleSim::Mode::FastForward;
         CycleSim sim;
         CycleSimResult result;
     };

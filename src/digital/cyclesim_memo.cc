@@ -1,8 +1,7 @@
 // CycleSimMemo and CycleSim::topologyHash (declared in cyclesim.h).
 // They live apart from cyclesim.cc on purpose: added to that
-// translation unit, they shift gcc's inlining decisions inside the
-// fast-forward and tick-loop engines, which measured about 15% slower
-// on compute-bound points.
+// translation unit, they shifted gcc's inlining decisions inside the
+// cycle loop, which measured about 15% slower on compute-bound points.
 
 #include "digital/cyclesim.h"
 
@@ -92,10 +91,9 @@ CycleSimResult
 CycleSimMemo::run(CycleSim &sim, int64_t max_cycles)
 {
     const uint64_t hash = sim.topologyHash();
-    const CycleSim::Mode mode = sim.mode();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->hash != hash || it->mode != mode ||
-            it->result.cycles > max_cycles || !it->sim.sameTopology(sim))
+        if (it->hash != hash || it->result.cycles > max_cycles ||
+            !it->sim.sameTopology(sim))
             continue;
         ++stats_.hits;
         std::rotate(entries_.begin(), it, std::next(it));
@@ -107,7 +105,7 @@ CycleSimMemo::run(CycleSim &sim, int64_t max_cycles)
     CycleSimResult result = sim.run(max_cycles); // throws: nothing stored
     if (entries_.size() == kCapacity)
         entries_.pop_back();
-    entries_.insert(entries_.begin(), Entry{hash, mode, sim, result});
+    entries_.insert(entries_.begin(), Entry{hash, sim, result});
     return result;
 }
 

@@ -1,6 +1,7 @@
 #include "digital/stallcheck.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -155,7 +156,6 @@ CycleSim
 buildCone(const CycleSim &sim, const Cone &c)
 {
     CycleSim cone;
-    cone.setMode(sim.mode());
     std::vector<int> remap(sim.memories().size(), -1);
     for (size_t m = 0; m < remap.size(); ++m) {
         if (c.mem[m])
@@ -521,7 +521,21 @@ drainBound(const CycleSim &sim, const Cone &c, int64_t start)
     return satAdd(start, satMul(events, latency));
 }
 
+std::atomic<SimRoutes> g_routes{SimRoutes::Proven};
+
 } // namespace
+
+SimRoutes
+simRoutes()
+{
+    return g_routes.load(std::memory_order_relaxed);
+}
+
+void
+setSimRoutes(SimRoutes routes)
+{
+    g_routes.store(routes, std::memory_order_relaxed);
+}
 
 StallCheck
 checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
@@ -544,7 +558,7 @@ checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
         return out;
     };
 
-    if (sim.mode() == CycleSim::Mode::TickLoop)
+    if (simRoutes() == SimRoutes::FullTopology)
         return runFull();
 
     const Flows f = flowsOf(sim);
@@ -595,7 +609,7 @@ checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
 std::optional<int64_t>
 chainDrainCycle(const CycleSim &sim, int64_t max_cycles)
 {
-    if (sim.mode() == CycleSim::Mode::TickLoop)
+    if (simRoutes() == SimRoutes::FullTopology)
         return std::nullopt;
     const auto &mems = sim.memories();
     const Flows f = flowsOf(sim);

@@ -41,8 +41,8 @@
  * and a closed-form drain bound, which for a bounded cone starts from
  * a closed-form finish bound of the chains); otherwise, or when the
  * cone itself fails to drain, the full topology runs. The choice
- * depends on the topology alone. Mode::TickLoop is the reference
- * engine and always runs the full topology.
+ * depends on the topology alone, unless the process-wide switch
+ * (setSimRoutes) asks for the full topology every time.
  *
  * Pass A needs more than a verdict: its drain cycle is the digital
  * latency, and it must be exact. The same chain walk gives it in
@@ -54,8 +54,8 @@
  * retire per cycle into a memory that never refuses it. Each start
  * then follows from the one before it, land -> push -> fire, and the
  * drain cycle is the latest start + totalFires (+ latency when the
- * unit lands in a memory). Anything else, and Mode::TickLoop,
- * simulates.
+ * unit lands in a memory). Anything else, and every topology under
+ * SimRoutes::FullTopology, simulates.
  *
  * docs/performance.md ("Pass B: the stall cone", "Pass B: the
  * backlog bound" and "Pass A: the closed-form drain") gives the
@@ -75,6 +75,22 @@
 namespace camj
 {
 
+/** The routes chainDrainCycle() and checkSourceStall() may take. */
+enum class SimRoutes
+{
+    /** Closed forms and the stall cone wherever they are proven (the
+     *  default). */
+    Proven,
+    /** Only a run of the full topology: the reference that the
+     *  differential suites evaluate whole pipelines with. */
+    FullTopology,
+};
+
+/** The process-wide route switch (SimRoutes::Proven unless changed).
+ *  Thread-safe. */
+SimRoutes simRoutes();
+void setSimRoutes(SimRoutes routes);
+
 /** How checkSourceStall() reached its answer. */
 enum class StallRoute
 {
@@ -85,8 +101,8 @@ enum class StallRoute
     Bounded,
     /** Simulated on the sources' cone of influence. */
     Cone,
-    /** Simulated on the full topology (fallback, or the reference
-     *  engine). */
+    /** Simulated on the full topology (fallback, or
+     *  SimRoutes::FullTopology). */
     FullTopology,
 };
 
@@ -160,7 +176,7 @@ StallCheck checkSourceStall(const CycleSim &sim,
  * .cycles when every unit of @p sim lies on a source-rooted chain
  * that provably fires in every cycle from its first ready cycle, and
  * that cycle is within @p max_cycles; nullopt otherwise, and always
- * under Mode::TickLoop (the reference engine simulates).
+ * under SimRoutes::FullTopology.
  */
 std::optional<int64_t> chainDrainCycle(const CycleSim &sim,
                                        int64_t max_cycles =

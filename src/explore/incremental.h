@@ -7,8 +7,8 @@
  * stages, and neighboring grid points keep rebuilding the same few
  * cycle-sim topologies, so each evaluator owns a CycleSimMemo
  * (digital/cyclesim.h) keyed by exactly that stage input: the built
- * topology plus the engine mode. Everything else is recomputed per
- * point; it costs microseconds.
+ * topology. Everything else is recomputed per point; it costs
+ * microseconds.
  *
  * With a cache directory configured, finished outcomes are also
  * persisted content-addressed on disk (explore/cache.h) and reused

@@ -1,37 +1,33 @@
 /**
  * @file
- * Differential pinning of the fast-forward cycle-sim engine and of the
- * pass-B stall check (digital/stallcheck.h) against the reference: a
- * full-topology Mode::TickLoop run.
+ * Differential pinning of the pass-B stall check and of pass A's
+ * closed-form drain (digital/stallcheck.h) against the reference: a
+ * full-topology CycleSim::run().
  *
- *   1. Randomized topology fuzz: seeded small pipelines (fractional
- *      rates, prefilled memories, port-starved buffers, chained
- *      units) must produce CycleSimResults equal field for field in
- *      both modes — including equal fatal() texts when the pipeline
- *      cannot drain.
- *   2. The stall check over the same generators plus one of chains
- *      biased toward the edges of its backlog bound: its verdict,
- *      blocked cycles and thrown text must equal the reference run's.
- *      Hand-built fixtures cover each full-topology fallback reason, a
- *      stall inside the cone, and each side of every condition of the
- *      backlog bound.
- *   3. Pass A's closed-form drain cycle (chainDrainCycle), wherever it
+ *   1. The stall check over seeded small pipelines (fractional rates,
+ *      prefilled memories, port-starved buffers, chained units) and
+ *      over chains biased toward the edges of its backlog bound: its
+ *      verdict, blocked cycles and thrown text must equal the
+ *      reference run's. Hand-built fixtures cover each full-topology
+ *      fallback reason, a stall inside the cone, and each side of
+ *      every condition of the backlog bound.
+ *   2. Pass A's closed-form drain cycle (chainDrainCycle), wherever it
  *      answers on those generators and on one of chains biased toward
  *      its own conditions, must equal the reference run's cycles;
  *      fixtures sit on each side of every condition.
- *   4. Every paper study (the 27-entry registry) evaluated end to
- *      end with the reference engine (which also simulates pass A and
- *      answers pass B on the full topology) and with the default one
- *      must produce the same EnergyReport or error text.
- *   5. The 108-point canonical sweep grid, likewise point for point,
+ *   3. Every paper study (the 27-entry registry) evaluated end to
+ *      end under SimRoutes::FullTopology (which simulates pass A and
+ *      answers pass B on the full topology) and under the default
+ *      routes must produce the same EnergyReport or error text.
+ *   4. The 108-point canonical sweep grid, likewise point for point,
  *      feasible and infeasible alike.
  *
  * Combined with tests/golden/energies.json this pins the core
- * invariant: neither CycleSim::Mode, the stall cone nor pass A's
- * closed form ever changes a result, only how fast it is computed. The last cases pin how each
- * study's passes were answered and that neither ticks a cycle, so a
- * lost fast path shows up as a deterministic count, not as wall-clock
- * noise.
+ * invariant: neither the stall cone nor pass A's closed form ever
+ * changes a result, only how fast it is computed. The last cases pin
+ * how each study's passes were answered and that neither ticks a
+ * cycle, so a lost fast path shows up as a deterministic count, not
+ * as wall-clock noise.
  */
 
 #include <gtest/gtest.h>
@@ -59,66 +55,19 @@ namespace camj
 namespace
 {
 
-/** Scoped process-default mode override (restored on destruction). */
-class ScopedMode
+/** Scoped process-wide route switch (restored on destruction). */
+class ScopedRoutes
 {
   public:
-    explicit ScopedMode(CycleSim::Mode m)
-        : prev_(CycleSim::defaultMode())
+    explicit ScopedRoutes(SimRoutes routes) : prev_(simRoutes())
     {
-        CycleSim::setDefaultMode(m);
+        setSimRoutes(routes);
     }
-    ~ScopedMode() { CycleSim::setDefaultMode(prev_); }
+    ~ScopedRoutes() { setSimRoutes(prev_); }
 
   private:
-    CycleSim::Mode prev_;
+    SimRoutes prev_;
 };
-
-/** One run's observable outcome: the full counter set, or the fatal
- *  text when the pipeline failed to drain. */
-struct Outcome
-{
-    bool threw = false;
-    std::string error;
-    CycleSimResult result;
-};
-
-Outcome
-runMode(CycleSim &sim, CycleSim::Mode mode, int64_t max_cycles)
-{
-    sim.setMode(mode);
-    Outcome out;
-    try {
-        out.result = sim.run(max_cycles);
-    } catch (const std::exception &e) {
-        out.threw = true;
-        out.error = e.what();
-    }
-    return out;
-}
-
-void
-expectSameOutcome(const Outcome &tick, const Outcome &ffwd,
-                  const std::string &label)
-{
-    ASSERT_EQ(tick.threw, ffwd.threw) << label << ": one mode threw ("
-                                      << tick.error << ffwd.error
-                                      << ")";
-    if (tick.threw) {
-        EXPECT_EQ(tick.error, ffwd.error) << label;
-        return;
-    }
-    const CycleSimResult &a = tick.result;
-    const CycleSimResult &b = ffwd.result;
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.unitBusyCycles, b.unitBusyCycles) << label;
-    EXPECT_EQ(a.memReads, b.memReads) << label;
-    EXPECT_EQ(a.memWrites, b.memWrites) << label;
-    EXPECT_EQ(a.sourceBlockedCycles, b.sourceBlockedCycles) << label;
-    EXPECT_EQ(a.portConflictCycles, b.portConflictCycles) << label;
-    EXPECT_EQ(a.sourceBlocked, b.sourceBlocked) << label;
-    EXPECT_TRUE(sameCounters(a, b)) << label;
-}
 
 /** Build one random small topology. Deliberately skewed toward the
  *  hard cases: fractional rates and retires, prefilled memories,
@@ -502,73 +451,6 @@ drainChain(uint32_t seed)
     return t.build();
 }
 
-TEST(CycleSimDiff, RandomTopologiesMatchTickLoop)
-{
-    setLoggingEnabled(false);
-    int drained = 0, fatal = 0;
-    for (uint32_t i = 0; i < 120; ++i) {
-        const bool wild = (i % 2) == 0;
-        auto build = [&] {
-            return wild ? randomTopology(0xC0FFEE + i)
-                        : consistentChain(0xBEEF00 + i);
-        };
-        CycleSim tickSim = build();
-        CycleSim ffwdSim = build();
-        const Outcome tick =
-            runMode(tickSim, CycleSim::Mode::TickLoop, 200000);
-        const Outcome ffwd =
-            runMode(ffwdSim, CycleSim::Mode::FastForward, 200000);
-        expectSameOutcome(tick, ffwd,
-                          "topology " + std::to_string(i));
-        (tick.threw ? fatal : drained) += 1;
-    }
-    // The generator must actually exercise both halves of the space.
-    EXPECT_GE(drained, 10);
-    EXPECT_GE(fatal, 10);
-}
-
-TEST(CycleSimDiff, StalledPipelineFatalTextsMatch)
-{
-    setLoggingEnabled(false);
-    // A source four times faster than its consumer into a tiny
-    // buffer: the canonical Sec. 4.1 stall. The fast-forward engine
-    // must reach the same fatal() — including the oldest-landing and
-    // most-backlogged-memory diagnostics — without ticking out the
-    // full budget.
-    auto build = [] {
-        CycleSim sim;
-        const int m = sim.addMemory(
-            {.name = "buf", .capacityWords = 16});
-        const int out = sim.addMemory(
-            {.name = "acc", .capacityWords = 1 << 24});
-        sim.addSource({.name = "adc", .totalWords = 1 << 20,
-                       .wordsPerCycle = 4.0, .memIdx = m});
-        SimUnit u;
-        u.name = "slow";
-        u.inputs.push_back({.memIdx = m, .needWords = 1,
-                            .readWords = 1, .retireWords = 1.0});
-        u.outMemIdx = out;
-        u.outWords = 1;
-        u.totalFires = 1 << 20;
-        u.latency = 4;
-        sim.addUnit(u);
-        return sim;
-    };
-    // The drain needs ~1M cycles at the consumer's 1 word/cycle; a
-    // 500k budget cuts it mid-flight with landings still pending.
-    CycleSim tickSim = build();
-    CycleSim ffwdSim = build();
-    const Outcome tick =
-        runMode(tickSim, CycleSim::Mode::TickLoop, 500000);
-    const Outcome ffwd =
-        runMode(ffwdSim, CycleSim::Mode::FastForward, 500000);
-    ASSERT_TRUE(tick.threw);
-    expectSameOutcome(tick, ffwd, "stall");
-    EXPECT_NE(tick.error.find("most backlogged mem"),
-              std::string::npos);
-    EXPECT_NE(tick.error.find("oldest landing"), std::string::npos);
-}
-
 // ------------------------------------------------ the stall check
 
 /** What a stall check observes: the verdict and blocked cycles, or
@@ -586,24 +468,26 @@ struct StallOutcome
     bool closedForm = false;
 };
 
-/** The reference: the full topology through the tick loop. */
+/** The reference: a run of the full topology. */
 StallOutcome
 referenceStall(CycleSim sim, int64_t max_cycles)
 {
-    const Outcome o = runMode(sim, CycleSim::Mode::TickLoop, max_cycles);
     StallOutcome out;
-    out.threw = o.threw;
-    out.error = o.error;
-    out.blocked = o.result.sourceBlocked;
-    out.blockedCycles = o.result.sourceBlockedCycles;
-    out.cycles = o.result.cycles;
+    try {
+        const CycleSimResult r = sim.run(max_cycles);
+        out.blocked = r.sourceBlocked;
+        out.blockedCycles = r.sourceBlockedCycles;
+        out.cycles = r.cycles;
+    } catch (const ConfigError &e) {
+        out.threw = true;
+        out.error = e.what();
+    }
     return out;
 }
 
 StallOutcome
-checkedStall(CycleSim sim, int64_t max_cycles)
+checkedStall(const CycleSim &sim, int64_t max_cycles)
 {
-    sim.setMode(CycleSim::Mode::FastForward);
     StallOutcome out;
     try {
         const StallCheck c = checkSourceStall(sim, nullptr, max_cycles);
@@ -630,10 +514,8 @@ expectSameStall(const CycleSim &sim, int64_t max_cycles,
     EXPECT_EQ(got.error, ref.error) << label;
     EXPECT_EQ(got.blocked, ref.blocked) << label;
     EXPECT_EQ(got.blockedCycles, ref.blockedCycles) << label;
-    CycleSim fast = sim;
-    fast.setMode(CycleSim::Mode::FastForward);
     if (const std::optional<int64_t> drain =
-            chainDrainCycle(fast, max_cycles)) {
+            chainDrainCycle(sim, max_cycles)) {
         got.closedForm = true;
         got.cycles = *drain;
         EXPECT_FALSE(ref.threw) << label << ": closed form over a "
@@ -671,6 +553,24 @@ TEST(StallCheckDiff, RandomTopologiesMatchTheFullTickLoop)
     EXPECT_GE(threw, 10);
     EXPECT_GE(blocked, 10);
     EXPECT_GE(closed_form, 10);
+}
+
+TEST(StallCheckDiff, SeedThatOutlivesTheBudgetThrowsTheReferenceText)
+{
+    // Found by a 24,000-seed run of the loop above: the topology does
+    // not drain within 200,000 cycles, so the stall check ends in its
+    // full-topology fallback, which must throw the reference's text.
+    setLoggingEnabled(false);
+    const StallOutcome got =
+        expectSameStall(randomTopology(0x5EED00 + 20472), 200000,
+                        "seed 20472");
+    ASSERT_TRUE(got.threw);
+    EXPECT_NE(got.error.find("did not drain within 200000 cycles"),
+              std::string::npos)
+        << got.error;
+    EXPECT_NE(got.error.find(" unit u2: 2690/3811 fires;"),
+              std::string::npos)
+        << got.error;
 }
 
 // --------------------------------------- pass A: the closed-form drain
@@ -901,7 +801,6 @@ TEST(StallCheckDiff, SourceThatCannotBlockIsNotSimulated)
     sim.addUnit(u);
     const StallOutcome got = expectSameStall(sim, 200000, "stall-free");
     EXPECT_EQ(got.route, StallRoute::StallFree);
-    sim.setMode(CycleSim::Mode::FastForward);
     EXPECT_EQ(checkSourceStall(sim).stats, CycleSimStats{});
 }
 
@@ -962,7 +861,6 @@ TEST(StallCheckBound, ChainAtItsBoundsIsProvenWithoutSimulating)
     EXPECT_EQ(routeOf(boundedChain(), "at the bounds"),
               StallRoute::Bounded);
     CycleSim sim = boundedChain().build();
-    sim.setMode(CycleSim::Mode::FastForward);
     CycleSimMemo memo;
     const StallCheck c = checkSourceStall(sim, &memo);
     EXPECT_FALSE(c.sourceBlocked);
@@ -1231,12 +1129,12 @@ TEST(DrainBound, ChainAtItsConditionsDrainsInClosedForm)
 {
     setLoggingEnabled(false);
     CycleSim sim = drainingChain().build();
-    sim.setMode(CycleSim::Mode::FastForward);
     EXPECT_EQ(chainDrainCycle(sim), 1027);
     EXPECT_TRUE(closedForm(drainingChain(), "at the conditions"));
-    // The reference engine always simulates.
-    sim.setMode(CycleSim::Mode::TickLoop);
+    // The reference routes always simulate the full topology.
+    ScopedRoutes reference(SimRoutes::FullTopology);
     EXPECT_EQ(chainDrainCycle(sim), std::nullopt);
+    EXPECT_EQ(checkSourceStall(sim).route, StallRoute::FullTopology);
 }
 
 TEST(DrainBound, SourceMustKeepPaceWithItsReader)
@@ -1341,7 +1239,6 @@ TEST(DrainBound, LastLandingNeedsRoomAndAWritePort)
     };
     // 1,024 landings plus 64 idle words, latency 2: 1027 + 2.
     CycleSim sim = landingIn(1088, 2).build();
-    sim.setMode(CycleSim::Mode::FastForward);
     EXPECT_EQ(chainDrainCycle(sim), 1029);
     EXPECT_TRUE(closedForm(landingIn(1088, 2), "room and two ports"));
     EXPECT_FALSE(closedForm(landingIn(1087, 2), "one word short"));
@@ -1409,9 +1306,8 @@ TEST(DrainBound, InexactArithmeticSimulatesWhateverTheBudget)
 {
     setLoggingEnabled(false);
     auto drainOf = [](const Topology &t) {
-        CycleSim sim = t.build();
-        sim.setMode(CycleSim::Mode::FastForward);
-        return chainDrainCycle(sim, std::numeric_limits<int64_t>::max());
+        return chainDrainCycle(t.build(),
+                               std::numeric_limits<int64_t>::max());
     };
     // A source too slow for exact credit arithmetic (which never
     // drains in budget either).
@@ -1460,13 +1356,14 @@ TEST(DrainBound, UnitThatNeverFiresSimulates)
 
 // ------------------------------------------------- whole pipelines
 
-/** Evaluate a spec end to end under @p mode; full-precision total or
- *  the failure text. Under Mode::TickLoop, pass B's stall check runs
- *  the full topology: the reference. */
+/** Evaluate a spec end to end under @p routes; full-precision total
+ *  or the failure text. Under SimRoutes::FullTopology, pass A is
+ *  simulated and pass B's stall check runs the full topology: the
+ *  reference. */
 std::string
-evalUnderMode(const spec::DesignSpec &spec, CycleSim::Mode mode)
+evalUnder(const spec::DesignSpec &spec, SimRoutes routes)
 {
-    ScopedMode scoped(mode);
+    ScopedRoutes scoped(routes);
     try {
         Design d = spec.materialize();
         const EnergyReport r = d.simulate();
@@ -1482,9 +1379,8 @@ TEST(CycleSimDiff, PaperStudiesMatchTickLoop)
 {
     setLoggingEnabled(false);
     for (const PaperStudy &study : testfix::studies()) {
-        EXPECT_EQ(evalUnderMode(study.spec, CycleSim::Mode::TickLoop),
-                  evalUnderMode(study.spec,
-                                CycleSim::Mode::FastForward))
+        EXPECT_EQ(evalUnder(study.spec, SimRoutes::FullTopology),
+                  evalUnder(study.spec, SimRoutes::Proven))
             << study.key;
     }
 }
@@ -1497,14 +1393,13 @@ TEST(CycleSimDiff, CanonicalGridMatchesTickLoop)
         spec::expandGrid(doc.base, doc.grid);
     ASSERT_GE(points.size(), 100u);
     for (size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(evalUnderMode(points[i], CycleSim::Mode::TickLoop),
-                  evalUnderMode(points[i],
-                                CycleSim::Mode::FastForward))
+        EXPECT_EQ(evalUnder(points[i], SimRoutes::FullTopology),
+                  evalUnder(points[i], SimRoutes::Proven))
             << "grid point " << i;
     }
 }
 
-/** The cycle-sim work of evaluating @p spec with the default engine
+/** The cycle-sim work of evaluating @p spec with the default routes
  *  (a failed check keeps what ran before it). */
 PassSimStats
 passStatsOf(const spec::DesignSpec &spec)

@@ -2,11 +2,16 @@
  * @file
  * Tests for the cycle-level pipeline simulator: drain behavior,
  * latency, stall detection (the paper's three Sec. 4.1 scenarios),
- * port conflicts, prefilled frame buffers, and boundary-window
- * semantics.
+ * port conflicts, prefilled frame buffers, boundary-window semantics,
+ * and where and how a run that cannot drain ends.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "digital/cyclesim.h"
@@ -196,11 +201,27 @@ TEST(CycleSim, PrefilledMemoryAlwaysReady)
     EXPECT_EQ(r.memReads[0], 100);
 }
 
+/** The text sim.run(@p budget) throws; empty if it drains. */
+std::string
+drainError(CycleSim &sim, int64_t budget)
+{
+    try {
+        sim.run(budget);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return {};
+}
+
 TEST(CycleSim, DeadlockDiagnosed)
 {
-    // Consumer expects data that never arrives.
-    CycleSim sim;
-    int m = sim.addMemory({.name = "m", .capacityWords = 16});
+    // A consumer expects data that never arrives; a source finishes
+    // short of a consumer's window; a source fills its FIFO for a
+    // consumer that also waits on a memory nothing writes. Each run
+    // ends at its first idle cycle, whatever the budget, with the text
+    // the budget would give.
+    CycleSim starved;
+    int m = starved.addMemory({.name = "m", .capacityWords = 16});
     SimUnit u;
     u.name = "u";
     u.inputs.push_back({.memIdx = m, .needWords = 1, .readWords = 1,
@@ -209,8 +230,138 @@ TEST(CycleSim, DeadlockDiagnosed)
     u.outWords = 1;
     u.totalFires = 10;
     u.latency = 1;
+    starved.addUnit(u);
+
+    CycleSim short_frame;
+    const int line =
+        short_frame.addMemory({.name = "line", .capacityWords = 16});
+    short_frame.addSource({.name = "adc", .totalWords = 4,
+                           .wordsPerCycle = 1.0, .memIdx = line});
+    SimUnit window;
+    window.name = "window";
+    window.inputs.push_back({.memIdx = line, .needWords = 8,
+                             .readWords = 8, .retireWords = 8.0});
+    window.totalFires = 1;
+    short_frame.addUnit(window);
+
+    CycleSim blocked;
+    const int fifo =
+        blocked.addMemory({.name = "fifo", .capacityWords = 4});
+    const int dry = blocked.addMemory({.name = "dry", .capacityWords = 4});
+    blocked.addSource({.name = "adc", .totalWords = 64,
+                       .wordsPerCycle = 1.5, .memIdx = fifo});
+    SimUnit join;
+    join.name = "join";
+    for (const int in : {fifo, dry})
+        join.inputs.push_back({.memIdx = in, .needWords = 1,
+                               .readWords = 1, .retireWords = 1.0,
+                               .expectedWords = 64});
+    join.totalFires = 64;
+    blocked.addUnit(join);
+
+    const std::string within = "did not drain within ";
+    for (CycleSim *sim : {&starved, &short_frame, &blocked}) {
+        const std::string small = drainError(*sim, 1000);
+        const size_t at = small.find(within + "1000 cycles");
+        ASSERT_NE(at, std::string::npos) << small;
+        for (const int64_t budget :
+             {CycleSim::kDefaultMaxCycles,
+              std::numeric_limits<int64_t>::max()}) {
+            std::string expected = small;
+            expected.replace(at + within.size(), 4,
+                             std::to_string(budget));
+            EXPECT_EQ(drainError(*sim, budget), expected);
+        }
+    }
+    EXPECT_NE(drainError(blocked, 1000)
+                  .find(" source adc: 60 left; unit join: 0/64 fires; "
+                        "mem fifo: occ 4.0 arrived 4.0;"),
+              std::string::npos);
+}
+
+TEST(CycleSim, DrainFailureNamesTheOldestLandingAndFullestMemory)
+{
+    // A source four times faster than its consumer into a tiny
+    // buffer, cut mid-flight by the budget with landings pending.
+    CycleSim sim;
+    const int m = sim.addMemory({.name = "buf", .capacityWords = 16});
+    const int out =
+        sim.addMemory({.name = "acc", .capacityWords = 1 << 24});
+    sim.addSource({.name = "adc", .totalWords = 1 << 20,
+                   .wordsPerCycle = 4.0, .memIdx = m});
+    SimUnit u;
+    u.name = "slow";
+    u.inputs.push_back({.memIdx = m, .needWords = 1, .readWords = 1,
+                        .retireWords = 1.0});
+    u.outMemIdx = out;
+    u.outWords = 1;
+    u.totalFires = 1 << 20;
+    u.latency = 4;
     sim.addUnit(u);
-    EXPECT_THROW(sim.run(1000), ConfigError);
+    const std::string error = drainError(sim, 500000);
+    EXPECT_NE(error.find(" unit slow: 500000/1048576 fires;"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find(" oldest landing: 1 word(s) -> mem acc due "
+                         "cycle 500000;"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find(" most backlogged mem buf: 15.0/16 words"),
+              std::string::npos)
+        << error;
+}
+
+/** Every counter of @p r, and the cycles ticked to get them. */
+void
+expectCounters(const CycleSimResult &r, int64_t cycles,
+               const std::vector<int64_t> &busy,
+               const std::vector<int64_t> &reads,
+               const std::vector<int64_t> &writes)
+{
+    EXPECT_EQ(r.cycles, cycles);
+    EXPECT_EQ(r.unitBusyCycles, busy);
+    EXPECT_EQ(r.memReads, reads);
+    EXPECT_EQ(r.memWrites, writes);
+    EXPECT_EQ(r.sourceBlockedCycles, 0);
+    EXPECT_EQ(r.portConflictCycles, 0);
+    EXPECT_FALSE(r.sourceBlocked);
+    EXPECT_EQ(r.stats.cyclesTicked, cycles);
+}
+
+TEST(CycleSim, SlowSourceIdlingBetweenPushesDrains)
+{
+    // About 0.2 words a cycle into a 2-word FIFO drained in pairs:
+    // most cycles move nothing while the FIFO holds a free word, which
+    // must not end the run.
+    SimpleChain c(256, 0.2, 2, 2, 2, 2.0, 128, 3);
+    expectCounters(c.sim.run(), 1279, {128}, {256}, {256});
+}
+
+TEST(CycleSim, LandingInFlightForAThousandCyclesDrains)
+{
+    // Ten fires land 1,000 cycles later; in between nothing moves
+    // but the landings are in flight, which must not end the run.
+    CycleSim sim;
+    const int in = sim.addMemory({.name = "in", .capacityWords = 64});
+    const int out = sim.addMemory({.name = "out", .capacityWords = 64});
+    sim.addSource({.name = "adc", .totalWords = 10, .wordsPerCycle = 1.0,
+                   .memIdx = in});
+    SimUnit deep;
+    deep.name = "deep";
+    deep.inputs.push_back({.memIdx = in, .needWords = 1, .readWords = 1,
+                           .retireWords = 1.0, .expectedWords = 10});
+    deep.outMemIdx = out;
+    deep.totalFires = 10;
+    deep.latency = 1000;
+    sim.addUnit(deep);
+    SimUnit drain;
+    drain.name = "drain";
+    drain.inputs.push_back({.memIdx = out, .needWords = 10,
+                            .readWords = 10, .retireWords = 10.0,
+                            .expectedWords = 10});
+    drain.totalFires = 1;
+    sim.addUnit(drain);
+    expectCounters(sim.run(), 1010, {10, 1}, {10, 10}, {10, 10});
 }
 
 TEST(CycleSim, TwoPortUnitNeedsBothInputs)

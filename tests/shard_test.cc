@@ -832,6 +832,37 @@ TEST(CamjSweepCli, RunPreflightAbortsOnBrokenBaseUnlessDisabled)
     EXPECT_EQ(record->ruleCode, "CAMJ-E008") << record->error;
 }
 
+TEST(CamjSweepCli, VerboseTotalCountsInfeasiblePoints)
+{
+    // The canonical sweep with ActBuf cut to 40 words: pass A
+    // simulates every point and 24 of them deadlock (CAMJ-D001). The
+    // total is the sum of the passes, infeasible points included.
+    const fs::path dir = scratchDir("cli_verbose");
+    spec::SweepDocument doc = spec::sampleDetectorStudy();
+    for (spec::MemorySpec &m : doc.base.memories) {
+        if (m.name == "ActBuf")
+            m.capacityWords = 40;
+    }
+    writeFile(dir / "study.json", spec::toJson(doc));
+    const fs::path log = dir / "run.log";
+    const fs::path out = dir / "out.jsonl";
+    ASSERT_EQ(cliExit("run " + (dir / "study.json").string() +
+                          " --threads 1 --verbose --out " + out.string(),
+                      log.string()),
+              0);
+    size_t deadlocks = 0;
+    JsonlReader reader(out.string());
+    while (const std::optional<JsonlRecord> record = reader.next())
+        deadlocks += record->ruleCode == "CAMJ-D001" ? 1 : 0;
+    EXPECT_EQ(deadlocks, 24u);
+    const std::string report = readFile(log);
+    EXPECT_NE(report.find("cycle-sim: 151102 cycle(s) ticked (pass A "
+                          "50358, pass B 100744)\n"),
+              std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("fast-forward"), std::string::npos) << report;
+}
+
 TEST(CamjSweepCli, OutOfRangeNumberIsAParseError)
 {
     // A number beyond double range used to parse as inf: the point
