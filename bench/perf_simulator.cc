@@ -12,11 +12,9 @@
  * the canonical detector document), designs/sec for a serial sweep
  * vs. a >= 4-thread SweepEngine run over the same spec batch, the
  * streaming pipeline over that batch, a lazily expanded SweepGrid
- * (with in-place vs. legacy clone-per-point expansion bars — the
- * in-place path must make at most half the legacy path's heap
- * allocations per point), the sharded multi-process
- * pipeline (1 process vs. 4 forked shard workers over the 108-point
- * grid, plus the merge), the statically prefiltered sweep (a
+ * (with the expansion's heap allocations per point), the sharded
+ * multi-process pipeline (1 process vs. 4 forked shard workers over
+ * the 108-point grid, plus the merge), the statically prefiltered sweep (a
  * widened grid with provably infeasible axis values, pruned by
  * GridAnalyzer with zero tolerated false positives), the strided
  * sweep (the cycle-sim memo's hits and misses over the canonical
@@ -177,89 +175,6 @@ gridDocument(int points)
     doc.grid.axes = {std::move(rate), std::move(node)};
     return doc;
 }
-
-/** The pre-overhaul name rendering for grid-point suffixes (kept in
- *  sync with GridSpecSource so legacy points carry identical
- *  names). */
-std::string
-legacyRenderAxisValue(const json::Value &v)
-{
-    switch (v.type()) {
-      case json::Value::Type::String:
-        return v.asString();
-      case json::Value::Type::Number:
-        return strprintf("%g", v.asNumber());
-      case json::Value::Type::Bool:
-        return v.asBool() ? "true" : "false";
-      default:
-        return v.dump(0);
-    }
-}
-
-/**
- * Pre-overhaul grid expansion, reproduced for the before/after bars:
- * clone the whole base document, RE-PARSE every axis path, apply the
- * overrides by walking the clone, then convert — exactly what
- * GridSpecSource::at() did before the pooled in-place patching, on
- * top of today's json::Value. Cartesian grids only (all bench grids
- * are). Every point it yields is byte-compared against the new
- * source each run, so the before/after bars are guaranteed to price
- * the same work.
- */
-class LegacyGridSource : public spec::IndexableSpecSource
-{
-  public:
-    LegacyGridSource(const spec::DesignSpec &base, spec::SweepGrid grid)
-        : baseDoc_(spec::toJsonValue(base)), baseName_(base.name),
-          grid_(std::move(grid)), total_(grid_.points())
-    {
-    }
-
-    spec::DesignSpec at(size_t index) const override
-    {
-        json::Value doc = baseDoc_;
-        std::string suffix;
-        size_t stride = total_;
-        for (const spec::GridAxis &axis : grid_.axes) {
-            stride /= axis.values.size();
-            const json::Value &v =
-                axis.values[(index / stride) % axis.values.size()];
-            spec::applySpecOverride(doc, axis.path, v);
-            suffix += (suffix.empty() ? "" : ",") + axis.name + "=" +
-                      legacyRenderAxisValue(v);
-        }
-        if (!suffix.empty())
-            doc.set("name", json::Value(baseName_ + "/" + suffix));
-        return spec::fromJsonValue(doc);
-    }
-
-    size_t totalPoints() const override { return total_; }
-    std::optional<size_t> sizeHint() const override { return total_; }
-    bool concurrentPulls() const override { return true; }
-
-    std::optional<spec::DesignSpec> next() override
-    {
-        size_t index = 0;
-        return nextIndexed(index);
-    }
-
-    std::optional<spec::DesignSpec> nextIndexed(size_t &index) override
-    {
-        const size_t i =
-            cursor_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total_)
-            return std::nullopt;
-        index = i;
-        return at(i);
-    }
-
-  private:
-    json::Value baseDoc_;
-    std::string baseName_;
-    spec::SweepGrid grid_;
-    size_t total_ = 0;
-    std::atomic<size_t> cursor_{0};
-};
 
 // -------------------------------------------------- per-op measuring
 
@@ -910,131 +825,42 @@ writeBenchJson()
     grid.set("seconds", json::Value(grid_seconds));
     grid.set("designsPerSec", json::Value(n_grid / grid_seconds));
 
-    // Expansion bars: the in-place pooled-workspace expansion against
-    // the pre-overhaul clone-per-point path (LegacyGridSource), both
-    // producing every point of the canonical 108-point study (always
+    // Expansion: every point of the canonical 108-point study (always
     // the full grid, so the tracked numbers stay comparable across
-    // runs). Every point must be byte-identical across the two
-    // paths, and the in-place path must make at most half the legacy
-    // path's heap allocations per point — enforced on every bench
-    // run. Allocations are counted, not timed, so host load cannot
-    // flake the bar; the wall-clock ratio rides along as data.
+    // runs), timed and counted in heap allocations per point through
+    // the binary's operator-new spy. The allocation count is the
+    // floor: host load cannot flake it.
     const spec::SweepDocument exp_doc = spec::sampleDetectorStudy();
-    spec::GridSpecSource exp_new = exp_doc.source();
-    const LegacyGridSource exp_legacy(exp_doc.base, exp_doc.grid);
-    const size_t n_exp = exp_new.totalPoints();
-    for (size_t i = 0; i < n_exp; ++i) {
-        if (spec::toJson(exp_new.at(i)) !=
-            spec::toJson(exp_legacy.at(i))) {
-            std::fprintf(stderr, "error: in-place grid expansion "
-                         "diverges from the legacy clone-per-point "
-                         "path at point %zu\n", i);
-            return false;
-        }
-    }
-    // One pass over every point: its wall clock, and (through the
-    // binary's operator-new spy) its heap allocations per point.
-    auto time_expansion = [&](const spec::IndexableSpecSource &src,
-                              double *allocs_per_point) {
+    spec::GridSpecSource exp_source = exp_doc.source();
+    const size_t n_exp = exp_source.totalPoints();
+    double exp_allocs = 0.0;
+    auto time_expansion = [&] {
         const uint64_t allocs0 =
             g_heapAllocs.load(std::memory_order_relaxed);
         const auto t0 = std::chrono::steady_clock::now();
         for (size_t i = 0; i < n_exp; ++i) {
-            const spec::DesignSpec s = src.at(i);
+            const spec::DesignSpec s = exp_source.at(i);
             benchmark::DoNotOptimize(s.fps);
         }
         const auto t1 = std::chrono::steady_clock::now();
-        *allocs_per_point =
+        exp_allocs =
             static_cast<double>(
                 g_heapAllocs.load(std::memory_order_relaxed) - allocs0) /
             static_cast<double>(n_exp);
         return std::chrono::duration<double>(t1 - t0).count();
     };
-    double exp_new_allocs = 0.0, exp_legacy_allocs = 0.0;
-    time_expansion(exp_new, &exp_new_allocs); // warm-up (seeds the pool)
-    double exp_new_seconds = 1e30, exp_legacy_seconds = 1e30;
-    for (int rep = 0; rep < 3; ++rep) {
-        exp_new_seconds = std::min(
-            exp_new_seconds, time_expansion(exp_new, &exp_new_allocs));
-        exp_legacy_seconds =
-            std::min(exp_legacy_seconds,
-                     time_expansion(exp_legacy, &exp_legacy_allocs));
-    }
-    if (exp_new_allocs > exp_legacy_allocs / 2.0) {
-        std::fprintf(stderr, "error: in-place grid expansion makes "
-                     "%.1f heap allocations per point, more than half "
-                     "the legacy clone-per-point path's %.1f\n",
-                     exp_new_allocs, exp_legacy_allocs);
-        return false;
-    }
-    const double expansion_speedup =
-        exp_legacy_seconds / exp_new_seconds;
+    time_expansion(); // warm-up (seeds the pool)
+    double exp_seconds = 1e30;
+    for (int rep = 0; rep < 3; ++rep)
+        exp_seconds = std::min(exp_seconds, time_expansion());
     json::Value expansion = json::Value::makeObject();
     expansion.set("designPoints",
                   json::Value(static_cast<int64_t>(n_exp)));
-    setTimedRun(expansion, "inPlace", n_exp, exp_new_seconds);
+    setTimedRun(expansion, "inPlace", n_exp, exp_seconds);
     expansion.find("inPlace")->set("allocsPerPoint",
-                                   json::Value(exp_new_allocs));
-    setTimedRun(expansion, "legacyClone", n_exp, exp_legacy_seconds);
-    expansion.find("legacyClone")->set("allocsPerPoint",
-                                       json::Value(exp_legacy_allocs));
-    expansion.set("speedupVsLegacy", json::Value(expansion_speedup));
-    expansion.set("identicalToLegacy", json::Value(true));
+                                   json::Value(exp_allocs));
     grid.set("expansion", std::move(expansion));
-
-    // Pipeline bars: the product-default grid pipeline (memo
-    // evaluation over the lazily expanded grid) through both
-    // expansion paths, single thread each, in-order JSONL. The two
-    // outputs must be byte-identical — in-place expansion is an
-    // optimization, never a different answer.
-    auto time_grid_pipeline = [&](bool legacy, std::string *bytes) {
-        std::ostringstream out;
-        JsonlSink lines(out);
-        InOrderSink ordered(lines);
-        SweepOptions o;
-        o.threads = 1;
-        o.incremental = true;
-        SweepEngine pipeline_engine(o);
-        const auto t0 = std::chrono::steady_clock::now();
-        if (legacy) {
-            LegacyGridSource src(exp_doc.base, exp_doc.grid);
-            pipeline_engine.runStream(src, ordered);
-        } else {
-            spec::GridSpecSource src = exp_doc.source();
-            pipeline_engine.runStream(src, ordered);
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        if (bytes != nullptr)
-            *bytes = out.str();
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-    std::string pipeline_bytes, legacy_pipeline_bytes;
-    time_grid_pipeline(false, nullptr); // warm-up
-    double pipeline_seconds = 1e30, legacy_pipeline_seconds = 1e30;
-    for (int rep = 0; rep < 2; ++rep) {
-        pipeline_seconds = std::min(
-            pipeline_seconds,
-            time_grid_pipeline(false, &pipeline_bytes));
-        legacy_pipeline_seconds = std::min(
-            legacy_pipeline_seconds,
-            time_grid_pipeline(true, &legacy_pipeline_bytes));
-    }
-    if (pipeline_bytes != legacy_pipeline_bytes) {
-        std::fprintf(stderr, "error: incremental grid pipeline output "
-                     "differs between the in-place and legacy "
-                     "expansion paths\n");
-        return false;
-    }
-    const double n_expd = static_cast<double>(n_exp);
-    setTimedRun(grid, "incrementalPipeline", n_exp, pipeline_seconds);
-    setTimedRun(grid, "legacyExpansionPipeline", n_exp,
-                legacy_pipeline_seconds);
-    grid.set("pipelineSpeedupVsLegacy",
-             json::Value(legacy_pipeline_seconds / pipeline_seconds));
-    grid.set("pipelineIdenticalAcrossPaths", json::Value(true));
     doc.set("gridSweep", std::move(grid));
-    const double exp_newd = n_expd / exp_new_seconds;
-    const double exp_legacyd = n_expd / exp_legacy_seconds;
 
     // Incremental sweep: the canonical grid once through plain
     // per-point Simulator runs and once through per-worker memo
@@ -1193,11 +1019,11 @@ writeBenchJson()
     pre_doc.grid.axes[1].values.push_back(json::Value(254));
     pre_doc.grid.axes[2].values.push_back(json::Value(1.5));
     const size_t n_pre = pre_doc.grid.points();
-    const analysis::GridAnalysis pre_analysis =
-        analysis::GridAnalyzer().analyze(pre_doc);
     size_t false_positives = 0;
+    spec::GridSpecSource probe = pre_doc.source();
+    const analysis::GridAnalysis pre_analysis =
+        analysis::GridAnalyzer().analyze(probe);
     {
-        spec::GridSpecSource probe = pre_doc.source();
         SimulationOptions check;
         check.checkMode = CheckMode::Report;
         const Simulator sim(check);
@@ -1429,10 +1255,12 @@ writeBenchJson()
     // Server (2 in-process shard workers), a Client submitting the
     // canonical study over TCP and streaming the merged results —
     // against the same study through a plain in-process runStream.
-    // The tracked numbers are the service's throughput and its
-    // overhead ratio over the library path; the streamed bytes must
-    // be byte-identical to the local run, because that identity IS
-    // the service contract.
+    // The streamed bytes must be byte-identical to the local run,
+    // because that identity IS the service contract. The floors are
+    // the end frames' exact counters, summed over the submissions: a
+    // healthy in-process job's monitor never times out of its wait
+    // and restarts no worker. The throughput and the overhead ratio
+    // over the library path are wall clock and ride along as data.
     const spec::SweepDocument served_doc = shardedStudyDocument();
     const size_t n_served = served_doc.grid.points();
     std::string served_ref;
@@ -1446,6 +1274,7 @@ writeBenchJson()
     std::filesystem::remove_all(served_work);
     double served_seconds = 1e30;
     std::string served_bytes;
+    int64_t served_polls = 0, served_restarts = 0;
     try {
         serve::ServerOptions server_options;
         server_options.port = 0;
@@ -1469,6 +1298,9 @@ writeBenchJson()
             served_bytes = out.str();
             served_done =
                 outcome.end.getString("state", "") == "done";
+            served_polls += outcome.end.getInt("monitorPolls", -1);
+            served_restarts +=
+                outcome.end.getInt("workerRestarts", -1);
         }
         server.requestStop();
         accept_thread.join();
@@ -1501,6 +1333,8 @@ writeBenchJson()
     setTimedRun(served, "inProcess", n_served, served_local_seconds);
     setTimedRun(served, "served", n_served, served_seconds);
     served.set("overheadRatio", json::Value(served_overhead));
+    served.set("monitorPolls", json::Value(served_polls));
+    served.set("workerRestarts", json::Value(served_restarts));
     served.set("identicalToInProcess", json::Value(true));
     doc.set("servedSweep", std::move(served));
 
@@ -1650,18 +1484,9 @@ writeBenchJson()
                 sample.threadedSeconds / stream_seconds);
     std::printf("grid sweep: %.0f lazily expanded points, %.1f "
                 "designs/sec\n", n_grid, n_grid / grid_seconds);
-    std::printf("grid expansion: %zu points, %.0f points/sec legacy "
-                "clone-per-point vs %.0f in-place (%.2fx); %.1f vs "
-                "%.1f heap allocations per point (bar: at most half), "
-                "points byte-identical\n", n_exp, exp_legacyd,
-                exp_newd, expansion_speedup, exp_legacy_allocs,
-                exp_new_allocs);
-    std::printf("grid pipeline (incremental): %.1f designs/sec "
-                "in-place vs %.1f with legacy expansion (%.2fx), "
-                "outputs byte-identical\n",
-                n_expd / pipeline_seconds,
-                n_expd / legacy_pipeline_seconds,
-                legacy_pipeline_seconds / pipeline_seconds);
+    std::printf("grid expansion: %zu points, %.0f points/sec, %.1f "
+                "heap allocations per point\n", n_exp,
+                static_cast<double>(n_exp) / exp_seconds, exp_allocs);
     std::printf("incremental sweep: %zu points, %.1f designs/sec "
                 "full rebuild vs %.1f through the memo (%.2fx; %zu "
                 "memo hits, %zu misses; %" PRId64 " and %" PRId64
@@ -1702,10 +1527,12 @@ writeBenchJson()
                     : "");
     std::printf("served sweep: %zu points over loopback TCP, %.1f "
                 "designs/sec served vs %.1f in-process (%.2fx "
-                "overhead), stream byte-identical\n", n_served,
+                "overhead), %" PRId64 " monitor poll(s), %" PRId64
+                " worker restart(s), stream byte-identical\n",
+                n_served,
                 static_cast<double>(n_served) / served_seconds,
                 static_cast<double>(n_served) / served_local_seconds,
-                served_overhead);
+                served_overhead, served_polls, served_restarts);
     std::printf("cycle sim: %" PRId64 " frame cycles, %" PRId64
                 " ticked in %.3fs\n", cs.cycles, cs.stats.cyclesTicked,
                 cs_seconds);

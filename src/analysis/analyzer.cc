@@ -1659,12 +1659,6 @@ SpecAnalyzer::SpecAnalyzer()
     add("resident-inputs", "CAMJ-I001", checkResidentInputs);
 }
 
-void
-SpecAnalyzer::addRule(AnalysisRule rule)
-{
-    rules_.push_back(std::move(rule));
-}
-
 std::vector<Diagnostic>
 SpecAnalyzer::analyze(const DesignSpec &spec) const
 {

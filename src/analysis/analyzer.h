@@ -9,12 +9,12 @@
  * magnitudes, unknown/deprecated JSON keys). The analyzer never
  * materializes: it builds at most value-type Stage objects (cheap
  * shape arithmetic) and a static component-kind -> signal-domain
- * table, so linting a point costs microseconds where simulating it
- * costs milliseconds.
- *
- * The rule registry is extensible: addRule() appends a custom rule;
- * the built-in catalogue (docs/lint_rules.md) is registered by the
- * default constructor.
+ * table. That does not make it cheap next to simulation: with the
+ * cycle sim answered in closed form, analyzing a paper study costs
+ * more than materializing and evaluating it (14-83 us against 4-33 us
+ * per study, best of 50 on one core of a 4-core x86 container). The
+ * rule catalogue (docs/lint_rules.md) is registered by the
+ * constructor.
  */
 
 #ifndef CAMJ_ANALYSIS_ANALYZER_H
@@ -47,15 +47,12 @@ struct AnalysisRule
         check;
 };
 
-/** The static analyzer: a rule registry run over a DesignSpec. */
+/** The static analyzer: the rule catalogue run over a DesignSpec. */
 class SpecAnalyzer
 {
   public:
     /** Registers the built-in rule catalogue. */
     SpecAnalyzer();
-
-    /** Append a custom rule (runs after the built-ins). */
-    void addRule(AnalysisRule rule);
 
     const std::vector<AnalysisRule> &rules() const { return rules_; }
 

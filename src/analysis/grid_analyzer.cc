@@ -1,7 +1,6 @@
 #include "analysis/grid_analyzer.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,60 +8,9 @@
 namespace camj::analysis
 {
 
-namespace
-{
-
 using spec::DesignSpec;
-using spec::GridAxis;
+using spec::GridSpecSource;
 using spec::SweepDocument;
-
-/** First path segment's member name ("memories[ActBuf].nodeNm" ->
- *  "memories"); empty on malformed paths (grid validation owns them). */
-std::string
-pathRoot(const std::string &path)
-{
-    try {
-        auto segs = spec::parseSpecPath(path);
-        return segs.empty() ? std::string() : segs[0].member;
-    } catch (const ConfigError &) {
-        return {};
-    }
-}
-
-/**
- * Run @p rule on the base document with the given axis overrides
- * applied, returning its Error diagnostics. An evaluation throw IS an
- * error finding: materializing that point in a sweep would throw the
- * same ConfigError, so pruning on it stays sound.
- */
-std::vector<Diagnostic>
-evalRule(const GridRule &rule, const json::Value &baseDoc,
-         const std::vector<std::pair<const GridAxis *,
-                                     const json::Value *>> &overrides)
-{
-    std::vector<Diagnostic> errors;
-    try {
-        json::Value doc = baseDoc;
-        for (const auto &[axis, value] : overrides)
-            spec::applySpecOverride(doc, axis->path, *value);
-        DesignSpec s = spec::fromJsonValue(doc);
-        // Grid points always get a non-empty "/axis=value" name
-        // suffix, so an empty base name never dooms a point.
-        if (s.name.empty())
-            s.name = "grid-probe";
-        std::vector<Diagnostic> all;
-        rule.check(s, all);
-        for (Diagnostic &d : all) {
-            if (d.severity == Severity::Error)
-                errors.push_back(std::move(d));
-        }
-    } catch (const ConfigError &e) {
-        errors.push_back(makeError(e.code(), "", e.what()));
-    }
-    return errors;
-}
-
-} // namespace
 
 // --------------------------------------------------------- GridAnalysis
 
@@ -186,34 +134,49 @@ GridAnalyzer::GridAnalyzer()
     }
 }
 
-void
-GridAnalyzer::addRule(GridRule rule)
+std::vector<Diagnostic>
+GridAnalyzer::evalRule(const GridRule &rule, const GridSpecSource &source,
+                       const std::vector<const json::Value *> &coords)
 {
-    rules_.push_back(std::move(rule));
+    // An evaluation throw IS an error finding: expanding that point in
+    // a sweep would throw the same ConfigError, so pruning on it stays
+    // sound.
+    std::vector<Diagnostic> errors;
+    try {
+        DesignSpec s = source.build(coords, {});
+        // Grid points always get a non-empty "/axis=value" name
+        // suffix, so an empty base name never dooms a point.
+        if (s.name.empty())
+            s.name = "grid-probe";
+        std::vector<Diagnostic> all;
+        rule.check(s, all);
+        for (Diagnostic &d : all) {
+            if (d.severity == Severity::Error)
+                errors.push_back(std::move(d));
+        }
+    } catch (const ConfigError &e) {
+        errors.push_back(makeError(e.code(), "", e.what()));
+    }
+    return errors;
 }
 
 GridAnalysis
-GridAnalyzer::analyze(const SweepDocument &doc) const
+GridAnalyzer::analyze(const GridSpecSource &source) const
 {
+    const spec::SweepGrid &grid = source.grid_;
     GridAnalysis out;
-    out.total_ = doc.grid.points();
-    const json::Value baseDoc = spec::toJsonValue(doc.base);
+    out.total_ = grid.points();
 
-    if (!doc.grid.pointList.empty()) {
+    if (!grid.pointList.empty()) {
         // Explicit point list: evaluate every point directly.
         out.pointListMode_ = true;
-        for (size_t p = 0; p < doc.grid.pointList.size(); ++p) {
-            const auto &tuple = doc.grid.pointList[p];
-            std::vector<std::pair<const GridAxis *,
-                                  const json::Value *>>
-                overrides;
-            for (size_t a = 0;
-                 a < doc.grid.axes.size() && a < tuple.size(); ++a)
-                overrides.emplace_back(&doc.grid.axes[a], &tuple[a]);
+        std::vector<const json::Value *> coords(grid.axes.size());
+        for (size_t p = 0; p < grid.pointList.size(); ++p) {
+            for (size_t a = 0; a < grid.axes.size(); ++a)
+                coords[a] = &grid.pointList[p][a];
             std::vector<Diagnostic> why;
             for (const GridRule &r : rules_) {
-                std::vector<Diagnostic> errs =
-                    evalRule(r, baseDoc, overrides);
+                std::vector<Diagnostic> errs = evalRule(r, source, coords);
                 why.insert(why.end(), errs.begin(), errs.end());
             }
             if (!why.empty())
@@ -222,19 +185,21 @@ GridAnalyzer::analyze(const SweepDocument &doc) const
         return out;
     }
 
-    if (doc.grid.axes.empty())
+    if (grid.axes.empty())
         return out;
-    for (const GridAxis &a : doc.grid.axes) {
+    for (const spec::GridAxis &a : grid.axes) {
         out.axisNames_.push_back(a.name);
         out.axisSizes_.push_back(a.values.size());
     }
-    out.doomedValues_.resize(doc.grid.axes.size());
+    out.doomedValues_.resize(grid.axes.size());
 
     for (const GridRule &rule : rules_) {
-        // Axes the rule's verdict can depend on.
+        // Axes the rule's verdict can depend on; the others stay at
+        // their base values in every probe.
+        std::vector<const json::Value *> coords(grid.axes.size(), nullptr);
         std::vector<size_t> depAxes;
-        for (size_t a = 0; a < doc.grid.axes.size(); ++a) {
-            const std::string root = pathRoot(doc.grid.axes[a].path);
+        for (size_t a = 0; a < grid.axes.size(); ++a) {
+            const std::string &root = source.axisPaths_[a][0].member;
             if (std::find(rule.deps.begin(), rule.deps.end(), root) !=
                 rule.deps.end())
                 depAxes.push_back(a);
@@ -251,8 +216,7 @@ GridAnalyzer::analyze(const SweepDocument &doc) const
                 if (oi == ai)
                     continue;
                 others.push_back(depAxes[oi]);
-                const size_t n =
-                    doc.grid.axes[depAxes[oi]].values.size();
+                const size_t n = grid.axes[depAxes[oi]].values.size();
                 if (combos > kMaxCombos / std::max<size_t>(n, 1)) {
                     tractable = false;
                     break;
@@ -262,26 +226,20 @@ GridAnalyzer::analyze(const SweepDocument &doc) const
             if (!tractable)
                 continue; // prove nothing rather than guess
 
-            const GridAxis &ax = doc.grid.axes[axis];
+            const spec::GridAxis &ax = grid.axes[axis];
             for (size_t v = 0; v < ax.values.size(); ++v) {
                 if (out.doomedValues_[axis].count(v))
                     continue; // already doomed by an earlier rule
                 std::vector<Diagnostic> why;
                 bool allFire = true;
                 std::vector<size_t> combo(others.size(), 0);
+                coords[axis] = &ax.values[v];
                 for (size_t c = 0; c < combos && allFire; ++c) {
-                    std::vector<std::pair<const GridAxis *,
-                                          const json::Value *>>
-                        overrides;
-                    overrides.emplace_back(&ax, &ax.values[v]);
-                    for (size_t oi = 0; oi < others.size(); ++oi) {
-                        const GridAxis &oa =
-                            doc.grid.axes[others[oi]];
-                        overrides.emplace_back(
-                            &oa, &oa.values[combo[oi]]);
-                    }
+                    for (size_t oi = 0; oi < others.size(); ++oi)
+                        coords[others[oi]] =
+                            &grid.axes[others[oi]].values[combo[oi]];
                     std::vector<Diagnostic> errs =
-                        evalRule(rule, baseDoc, overrides);
+                        evalRule(rule, source, coords);
                     if (errs.empty())
                         allFire = false;
                     else if (why.empty())
@@ -289,7 +247,7 @@ GridAnalyzer::analyze(const SweepDocument &doc) const
                     // Mixed-radix increment over the other axes.
                     for (size_t oi = others.size(); oi-- > 0;) {
                         if (++combo[oi] <
-                            doc.grid.axes[others[oi]].values.size())
+                            grid.axes[others[oi]].values.size())
                             break;
                         combo[oi] = 0;
                     }
@@ -306,13 +264,7 @@ GridAnalyzer::analyze(const SweepDocument &doc) const
 // -------------------------------------------------- PrefilterSpecSource
 
 PrefilterSpecSource::PrefilterSpecSource(const SweepDocument &doc)
-    : PrefilterSpecSource(doc, GridAnalyzer())
-{
-}
-
-PrefilterSpecSource::PrefilterSpecSource(const SweepDocument &doc,
-                                         const GridAnalyzer &analyzer)
-    : inner_(doc.base, doc.grid), analysis_(analyzer.analyze(doc))
+    : inner_(doc.base, doc.grid), analysis_(GridAnalyzer().analyze(inner_))
 {
     const size_t total = inner_.totalPoints();
     survivors_.reserve(total);
@@ -382,7 +334,7 @@ lintDocument(const std::string &text)
         return out;
     }
     try {
-        spec::SweepDocument doc = spec::sweepDocumentFromJson(text);
+        spec::SweepDocument doc = spec::sweepDocumentFromJson(raw);
         // Building the grid source also validates every axis value.
         out.grid = PrefilterSpecSource(doc).analysis();
         out.sweep = std::move(doc);

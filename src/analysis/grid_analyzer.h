@@ -101,7 +101,7 @@ class GridAnalysis
     std::vector<size_t> coords(size_t index) const;
 };
 
-/** The grid analyzer: monotone-rule registry + interval evaluation. */
+/** The grid analyzer: the liftable rules + interval evaluation. */
 class GridAnalyzer
 {
   public:
@@ -109,18 +109,18 @@ class GridAnalyzer
      *  whose dependency sets are known). */
     GridAnalyzer();
 
-    /** Append a custom rule (see GridRule's soundness contract). */
-    void addRule(GridRule rule);
-
     const std::vector<GridRule> &rules() const { return rules_; }
 
     /**
-     * Prove what can be proven about @p doc's grid. Never throws on
-     * evaluation failures: a point whose probe evaluation throws
-     * ConfigError is infeasible by definition (the sweep's
-     * materialization would throw the same error).
+     * Prove what can be proven about @p source's grid. Every probe is
+     * built by the source itself, as the sweep builds its points: a
+     * cartesian probe sets the rule's dep axes and leaves the others
+     * at their base values; a point-list probe is the point. Never
+     * throws on evaluation failures: a point whose probe throws
+     * ConfigError is infeasible by definition (the sweep's expansion
+     * would throw the same error).
      */
-    GridAnalysis analyze(const spec::SweepDocument &doc) const;
+    GridAnalysis analyze(const spec::GridSpecSource &source) const;
 
     /** Combinations of other-axis values a proof may enumerate
      *  before the analyzer gives up on that (rule, axis) pair. */
@@ -128,6 +128,12 @@ class GridAnalyzer
 
   private:
     std::vector<GridRule> rules_;
+
+    /** @p rule's Error diagnostics on the spec @p source builds at
+     *  @p coords (a build throw is one error finding). */
+    static std::vector<Diagnostic>
+    evalRule(const GridRule &rule, const spec::GridSpecSource &source,
+             const std::vector<const json::Value *> &coords);
 };
 
 /**
@@ -140,12 +146,9 @@ class GridAnalyzer
 class PrefilterSpecSource : public spec::IndexableSpecSource
 {
   public:
-    /** Analyze with the default GridAnalyzer. @throws ConfigError
-     *  when the document's grid fails structural validation. */
+    /** @throws ConfigError when the document's grid fails
+     *  validation (see GridSpecSource). */
     explicit PrefilterSpecSource(const spec::SweepDocument &doc);
-
-    PrefilterSpecSource(const spec::SweepDocument &doc,
-                        const GridAnalyzer &analyzer);
 
     std::optional<spec::DesignSpec> next() override;
     std::optional<size_t> sizeHint() const override
@@ -197,6 +200,7 @@ struct DocumentLint
     GridAnalysis grid;
 };
 
+/** Lint one document's text; it is parsed once. */
 DocumentLint lintDocument(const std::string &text);
 
 } // namespace camj::analysis

@@ -1,6 +1,5 @@
 #include "spec/grid.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -78,10 +77,12 @@ objectKeys(const Value &node)
     return keys.empty() ? "<empty>" : keys;
 }
 
-/** Select the elements a segment's selector names within @p arr. */
-std::vector<Value *>
-selectElements(Value &child, const SpecPathSegment &seg,
-               const std::string &path)
+/** Call @p visit on every element a segment's selector names within
+ *  @p child. @throws ConfigError when it names none. */
+template <typename Visit>
+void
+forEachSelected(Value &child, const SpecPathSegment &seg,
+                const std::string &path, Visit &&visit)
 {
     if (!child.isArray())
         fatal(Rule::E018,
@@ -89,15 +90,14 @@ selectElements(Value &child, const SpecPathSegment &seg,
               "carries selector '[%s]'", path.c_str(),
               seg.member.c_str(), seg.selector.c_str());
     auto &arr = child.mutableArray();
-    std::vector<Value *> selected;
     if (seg.selector == "*") {
-        for (Value &e : arr)
-            selected.push_back(&e);
-        if (selected.empty())
+        if (arr.empty())
             fatal(Rule::E018,
                   "sweepGrid: path '%s': '%s[*]' matches no elements "
                   "(the array is empty)", path.c_str(),
                   seg.member.c_str());
+        for (Value &e : arr)
+            visit(e);
     } else if (isIndexSelector(seg.selector)) {
         // Over-long digit strings would overflow stoull; anything
         // past 12 digits can't index a real array anyway.
@@ -111,36 +111,43 @@ selectElements(Value &child, const SpecPathSegment &seg,
                   "sweepGrid: path '%s': index %zu out of range "
                   "(array '%s' has %zu elements)", path.c_str(), idx,
                   seg.member.c_str(), arr.size());
-        selected.push_back(&arr[idx]);
+        visit(arr[idx]);
     } else {
-        std::vector<std::string> names;
-        for (Value &e : arr) {
+        auto nameOf = [](const Value &e) {
             const Value *n = e.find("name");
-            if (n != nullptr && n->isString()) {
-                if (n->asString() == seg.selector) {
-                    selected.push_back(&e);
-                    continue;
-                }
-                names.push_back(n->asString());
+            return n != nullptr && n->isString() ? &n->asString()
+                                                 : nullptr;
+        };
+        bool matched = false;
+        for (Value &e : arr) {
+            const std::string *n = nameOf(e);
+            if (n != nullptr && *n == seg.selector) {
+                matched = true;
+                visit(e);
             }
         }
-        if (selected.empty())
+        if (!matched) {
+            std::vector<std::string> names;
+            for (const Value &e : arr) {
+                if (const std::string *n = nameOf(e))
+                    names.push_back(*n);
+            }
             fatal(Rule::E018,
                   "sweepGrid: path '%s': no element of '%s' is named "
                   "'%s' (elements: %s)", path.c_str(),
                   seg.member.c_str(), seg.selector.c_str(),
                   joinNames(names).c_str());
+        }
     }
-    return selected;
 }
 
-/** Resolve the nodes a parsed path addresses within @p node, without
- *  writing anything — expansion resolves once and assigns per point.
+/** Call @p visit on every node a parsed path addresses within
+ *  @p node, from segment @p i on.
  *  @throws ConfigError naming the path and the failing segment. */
+template <typename Visit>
 void
-collectTargets(Value &node, const std::vector<SpecPathSegment> &segments,
-               size_t i, const std::string &path,
-               std::vector<Value *> &out)
+forEachTarget(Value &node, const std::vector<SpecPathSegment> &segments,
+              size_t i, const std::string &path, Visit &&visit)
 {
     const SpecPathSegment &seg = segments[i];
     if (!node.isObject())
@@ -155,63 +162,16 @@ collectTargets(Value &node, const std::vector<SpecPathSegment> &segments,
               "first", path.c_str(), seg.member.c_str(),
               objectKeys(node).c_str());
 
-    const bool last = i + 1 == segments.size();
-    if (!seg.hasSelector) {
-        if (last)
-            out.push_back(child);
+    auto descend = [&](Value &next) {
+        if (i + 1 == segments.size())
+            visit(next);
         else
-            collectTargets(*child, segments, i + 1, path, out);
-        return;
-    }
-    for (Value *element : selectElements(*child, seg, path)) {
-        if (last)
-            out.push_back(element);
-        else
-            collectTargets(*element, segments, i + 1, path, out);
-    }
-}
-
-/** One parsed-path override: resolve, then assign @p value to every
- *  addressed node. */
-void
-applyParsed(Value &doc, const std::vector<SpecPathSegment> &segments,
-            const Value &value, const std::string &path)
-{
-    std::vector<Value *> targets;
-    collectTargets(doc, segments, 0, path, targets);
-    for (Value *target : targets)
-        *target = value;
-}
-
-/**
- * Could two parsed axis paths resolve to targets that are NOT
- * pairwise disjoint — one target containing the other (a path a
- * strict prefix of another), or two paths naming the very same node?
- * Conservative: false only when some level proves the paths diverge
- * (different members, or concrete same-kind selectors that differ).
- * An interference sends expansion down the clone-per-point path, so
- * a false positive costs speed, never correctness.
- */
-bool
-pathsMayInterfere(const std::vector<SpecPathSegment> &a,
-                  const std::vector<SpecPathSegment> &b)
-{
-    const size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (a[i].member != b[i].member)
-            return false;
-        // Two concrete selectors of one kind (both indices or both
-        // element names) that differ pick distinct elements. A "*",
-        // a member-vs-element mismatch, or an index-vs-name pair may
-        // alias, so they prove nothing.
-        if (a[i].hasSelector && b[i].hasSelector &&
-            a[i].selector != "*" && b[i].selector != "*" &&
-            a[i].selector != b[i].selector &&
-            isIndexSelector(a[i].selector) ==
-                isIndexSelector(b[i].selector))
-            return false;
-    }
-    return true;
+            forEachTarget(next, segments, i + 1, path, visit);
+    };
+    if (seg.hasSelector)
+        forEachSelected(*child, seg, path, descend);
+    else
+        descend(*child);
 }
 
 /** Render an axis value for a point name ("30", "sram", "true"). */
@@ -348,26 +308,18 @@ gridFromJson(const json::Value &block)
     return grid;
 }
 
-void
-applySpecOverride(json::Value &doc, const std::string &path,
-                  const json::Value &value)
-{
-    applyParsed(doc, parseSpecPath(path), value, path);
-}
-
 // ---------------------------------------------------------- expansion
 
-/** One reusable expansion buffer: a copy of the base document plus
- *  the per-axis override targets resolved into it once. Only valid
- *  while no write replaces a subtree containing a target — which is
- *  why interfering axes bypass the pool entirely. */
+/** One reusable expansion buffer: a copy of the base document, and the
+ *  undo log of the build in progress — every slot a write displaced,
+ *  with the value it held. Replaying the log in reverse restores the
+ *  base document for any overlap of axis paths: moving a container
+ *  Value moves only its pointer, so a slot inside a displaced subtree
+ *  is live again by the time its own entry is replayed. */
 struct GridSpecSource::Workspace
 {
     json::Value doc;
-    /** Override targets per axis, resolved into doc (axis order). */
-    std::vector<std::vector<json::Value *>> targets;
-    /** The top-level "name" member (guaranteed present). */
-    json::Value *name = nullptr;
+    std::vector<std::pair<json::Value *, json::Value>> undo;
 };
 
 GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
@@ -377,139 +329,72 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
     grid_.validate();
     total_ = grid_.points();
     // Every point overwrites the top-level "name"; make sure the
-    // member exists up front so that write never GROWS the top-level
-    // object (growth reallocates the member vector, which would
-    // dangle any cached target that addresses a top-level member).
+    // member exists up front so that write never grows the top-level
+    // object (growth reallocates its member vector, which would
+    // dangle logged slots that address top-level members).
     if (baseDoc_.find("name") == nullptr)
         baseDoc_.set("name", Value(baseName_));
     axisPaths_.reserve(grid_.axes.size());
-    for (const GridAxis &axis : grid_.axes)
+    for (const GridAxis &axis : grid_.axes) {
         axisPaths_.push_back(parseSpecPath(axis.path));
-    for (size_t a = 0; a < axisPaths_.size() && !axesMayInterfere_; ++a) {
-        for (size_t b = a + 1; b < axisPaths_.size(); ++b) {
-            if (pathsMayInterfere(axisPaths_[a], axisPaths_[b])) {
-                axesMayInterfere_ = true;
-                break;
-            }
-        }
+        // The path must resolve in the base document.
+        forEachTarget(baseDoc_, axisPaths_.back(), 0, axis.path,
+                      [](Value &) {});
     }
-    if (!grid_.pointList.empty()) {
-        // Explicit point list: probe each DISTINCT value per axis
-        // against the base document, so a bad path or value fails
-        // here with the axis and value named — not mid-sweep on a
-        // worker — at O(distinct values) cost rather than one probe
-        // per tuple (a 100k-point list stays cheap to open). This
-        // matches the cartesian branch's coverage: per-value
-        // validity is checked up front, cross-axis interactions
-        // surface at expansion. One shared probe document, patched
-        // in place and restored after each axis: targets are
-        // re-resolved against the pristine document per axis, so
-        // this is safe even for interfering axis paths.
-        Value probe = baseDoc_;
-        for (size_t a = 0; a < grid_.axes.size(); ++a) {
-            std::vector<Value *> targets;
-            collectTargets(probe, axisPaths_[a], 0,
-                           grid_.axes[a].path, targets);
-            std::vector<Value> saved;
-            saved.reserve(targets.size());
-            for (Value *t : targets)
-                saved.push_back(*t);
-            // Dedup by hash fast-path + structural equality.
-            std::unordered_map<uint64_t, std::vector<const Value *>>
-                seen;
-            for (const auto &tuple : grid_.pointList) {
-                const Value &v = tuple[a];
-                auto &bucket = seen[v.hash()];
-                bool dup = false;
-                for (const Value *p : bucket) {
-                    if (*p == v) {
-                        dup = true;
-                        break;
-                    }
-                }
-                if (dup)
-                    continue;
-                bucket.push_back(&v);
-                for (Value *t : targets)
-                    *t = v;
-                try {
-                    fromJsonValue(probe);
-                } catch (const ConfigError &e) {
-                    fatal(e.rule(),
-                          "sweepGrid: axis '%s' point-list value %s "
-                          "does not produce a valid spec: %s",
-                          grid_.axes[a].name.c_str(),
-                          v.dump(0).c_str(), e.what());
-                }
-            }
-            for (size_t i = 0; i < targets.size(); ++i)
-                *targets[i] = saved[i];
-        }
-        return;
-    }
-    // Probe every axis value against the base document: the path
-    // must resolve AND the overridden document must still parse as a
-    // spec (a value of the wrong type, or an unknown enum token,
-    // fails here with its axis named — not mid-sweep on a worker).
-    // The probe document carries every axis's FRONT value; each
-    // candidate value is patched in, checked, and the front
-    // restored. With disjoint targets that is order-independent and
-    // equal to the old clone-per-probe document.
-    if (!axesMayInterfere_) {
-        Value probe = baseDoc_;
-        std::vector<std::vector<Value *>> targets(grid_.axes.size());
-        for (size_t a = 0; a < grid_.axes.size(); ++a) {
-            collectTargets(probe, axisPaths_[a], 0,
-                           grid_.axes[a].path, targets[a]);
-            for (Value *t : targets[a])
-                *t = grid_.axes[a].values.front();
-        }
-        for (size_t a = 0; a < grid_.axes.size(); ++a) {
-            for (const Value &v : grid_.axes[a].values) {
-                for (Value *t : targets[a])
-                    *t = v;
-                try {
-                    fromJsonValue(probe);
-                } catch (const ConfigError &e) {
-                    fatal(e.rule(),
-                          "sweepGrid: axis '%s' value %s does not "
-                          "produce a valid spec: %s",
-                          grid_.axes[a].name.c_str(),
-                          v.dump(0).c_str(), e.what());
-                }
-            }
-            for (Value *t : targets[a])
-                *t = grid_.axes[a].values.front();
-        }
-        return;
+    // Build every distinct value of every axis, so a value that does
+    // not produce a valid spec (a wrong type, an unknown enum token,
+    // a rename a later axis's selector no longer finds) fails here
+    // with its axis named — not mid-sweep on a worker. The other axes
+    // sit at their front values on a cartesian grid and keep their
+    // base values on a point list; one probe per distinct value keeps
+    // a 100k-point list cheap to open. Cross-axis interactions beyond
+    // that surface at expansion.
+    const bool listed = !grid_.pointList.empty();
+    std::vector<const Value *> coords(grid_.axes.size(), nullptr);
+    if (!listed) {
+        for (size_t a = 0; a < grid_.axes.size(); ++a)
+            coords[a] = &grid_.axes[a].values.front();
     }
     for (size_t a = 0; a < grid_.axes.size(); ++a) {
-        for (const Value &v : grid_.axes[a].values) {
-            Value probe = baseDoc_;
-            for (size_t b = 0; b < grid_.axes.size(); ++b)
-                applyParsed(probe, axisPaths_[b],
-                            b == a ? v : grid_.axes[b].values.front(),
-                            grid_.axes[b].path);
+        const Value *const held = coords[a];
+        // Dedup by hash fast-path + structural equality.
+        std::unordered_map<uint64_t, std::vector<const Value *>> seen;
+        auto probe = [&](const Value &v) {
+            auto &bucket = seen[v.hash()];
+            for (const Value *p : bucket) {
+                if (*p == v)
+                    return;
+            }
+            bucket.push_back(&v);
+            coords[a] = &v;
             try {
-                fromJsonValue(probe);
+                build(coords, {});
             } catch (const ConfigError &e) {
                 fatal(e.rule(),
-                      "sweepGrid: axis '%s' value %s does not produce "
-                      "a valid spec: %s", grid_.axes[a].name.c_str(),
+                      "sweepGrid: axis '%s' %s %s does not produce a "
+                      "valid spec: %s", grid_.axes[a].name.c_str(),
+                      listed ? "point-list value" : "value",
                       v.dump(0).c_str(), e.what());
             }
+        };
+        if (listed) {
+            for (const auto &tuple : grid_.pointList)
+                probe(tuple[a]);
+        } else {
+            for (const Value &v : grid_.axes[a].values)
+                probe(v);
         }
+        coords[a] = held;
     }
 }
 
 GridSpecSource::GridSpecSource(const GridSpecSource &other)
     : baseDoc_(other.baseDoc_), baseName_(other.baseName_),
       grid_(other.grid_), axisPaths_(other.axisPaths_),
-      axesMayInterfere_(other.axesMayInterfere_), total_(other.total_),
+      total_(other.total_),
       cursor_(other.cursor_.load(std::memory_order_relaxed))
 {
-    // The workspace pool is per-instance (its targets point into its
-    // owner's workspaces): the copy starts with an empty pool.
+    // The workspace pool is per-instance: the copy starts empty.
 }
 
 GridSpecSource::~GridSpecSource() = default;
@@ -527,11 +412,6 @@ GridSpecSource::acquireWorkspace() const
     }
     auto ws = std::make_unique<Workspace>();
     ws->doc = baseDoc_;
-    ws->targets.resize(grid_.axes.size());
-    for (size_t a = 0; a < grid_.axes.size(); ++a)
-        collectTargets(ws->doc, axisPaths_[a], 0, grid_.axes[a].path,
-                       ws->targets[a]);
-    ws->name = ws->doc.find("name");
     return ws;
 }
 
@@ -543,6 +423,30 @@ GridSpecSource::releaseWorkspace(std::unique_ptr<Workspace> ws) const
 }
 
 DesignSpec
+GridSpecSource::build(const std::vector<const Value *> &coords,
+                      std::string name) const
+{
+    std::unique_ptr<Workspace> ws = acquireWorkspace();
+    auto write = [&ws](Value &slot, Value value) {
+        ws->undo.emplace_back(&slot, std::move(slot));
+        slot = std::move(value);
+    };
+    for (size_t a = 0; a < coords.size(); ++a) {
+        if (coords[a] != nullptr)
+            forEachTarget(ws->doc, axisPaths_[a], 0, grid_.axes[a].path,
+                          [&](Value &slot) { write(slot, *coords[a]); });
+    }
+    if (!name.empty())
+        write(*ws->doc.find("name"), Value(std::move(name)));
+    DesignSpec spec = fromJsonValue(ws->doc);
+    for (auto it = ws->undo.rbegin(); it != ws->undo.rend(); ++it)
+        *it->first = std::move(it->second);
+    ws->undo.clear();
+    releaseWorkspace(std::move(ws));
+    return spec;
+}
+
+DesignSpec
 GridSpecSource::at(size_t index) const
 {
     if (index >= total_)
@@ -551,7 +455,6 @@ GridSpecSource::at(size_t index) const
     // Resolve this point's coordinates (row-major for cartesian
     // grids: first axis outermost) and its encoded name suffix.
     std::vector<const Value *> coords(grid_.axes.size());
-    std::string suffix;
     if (!grid_.pointList.empty()) {
         for (size_t a = 0; a < grid_.axes.size(); ++a)
             coords[a] = &grid_.pointList[index][a];
@@ -564,36 +467,13 @@ GridSpecSource::at(size_t index) const
                                      axis.values.size()];
         }
     }
+    std::string suffix;
     for (size_t a = 0; a < grid_.axes.size(); ++a)
         suffix += (suffix.empty() ? "" : ",") + grid_.axes[a].name +
                   "=" + renderAxisValue(*coords[a]);
-
-    if (!axesMayInterfere_) {
-        // Fast path: patch a pooled workspace in place. Every target
-        // plus the name is overwritten, so nothing from the previous
-        // point survives and no undo records are needed. A throwing
-        // spec parse simply drops the workspace (the pool re-seeds).
-        std::unique_ptr<Workspace> ws = acquireWorkspace();
-        for (size_t a = 0; a < grid_.axes.size(); ++a) {
-            for (Value *t : ws->targets[a])
-                *t = *coords[a];
-        }
-        if (!suffix.empty())
-            *ws->name = Value(baseName_ + "/" + suffix);
-        DesignSpec spec = fromJsonValue(ws->doc);
-        releaseWorkspace(std::move(ws));
-        return spec;
-    }
-    // Interfering axis paths (one a prefix of another, or two that
-    // may alias one target): cached target pointers could dangle
-    // inside a replaced subtree, so clone and re-resolve per point.
-    Value doc = baseDoc_;
-    for (size_t a = 0; a < grid_.axes.size(); ++a)
-        applyParsed(doc, axisPaths_[a], *coords[a],
-                    grid_.axes[a].path);
-    if (!suffix.empty())
-        doc.set("name", Value(baseName_ + "/" + suffix));
-    return fromJsonValue(doc);
+    return build(coords,
+                 suffix.empty() ? std::string()
+                                : baseName_ + "/" + suffix);
 }
 
 std::optional<DesignSpec>
@@ -629,7 +509,12 @@ expandGrid(const DesignSpec &base, const SweepGrid &grid)
 SweepDocument
 sweepDocumentFromJson(const std::string &text)
 {
-    Value doc = Value::parse(text);
+    return sweepDocumentFromJson(Value::parse(text));
+}
+
+SweepDocument
+sweepDocumentFromJson(const Value &doc)
+{
     SweepDocument out;
     if (const Value *block = doc.find("sweepGrid"))
         out.grid = gridFromJson(*block);

@@ -42,6 +42,11 @@
 #include "spec/source.h"
 #include "spec/spec.h"
 
+namespace camj::analysis
+{
+class GridAnalyzer;
+} // namespace camj::analysis
+
 namespace camj::spec
 {
 
@@ -121,42 +126,29 @@ json::Value gridToJson(const SweepGrid &grid);
 SweepGrid gridFromJson(const json::Value &block);
 
 /**
- * Set the field at @p path inside a spec JSON document to @p value.
- * Intermediate segments must resolve; the final member must already
- * exist in the document (a misspelled leaf is an error, not a silent
- * extra member) unless the enclosing object simply omits an optional
- * member, in which case set it in the base document first.
- *
- * @throws ConfigError naming the path and the first segment that
- *         failed to resolve.
- */
-void applySpecOverride(json::Value &doc, const std::string &path,
-                       const json::Value &value);
-
-/**
  * The lazy cartesian expander: yields one DesignSpec per grid point
  * in row-major order (first axis outermost, last axis fastest).
- * Cheap per point — the base document is parsed once, every axis
- * path is parsed and resolved once, and each point PATCHES a pooled
- * workspace copy of the document in place (every axis target plus
- * the point name is overwritten per point, so no undo records are
- * needed); no text re-parse, no per-point document clone, no
- * pre-materialized vector. When axis paths may interfere (one a
- * prefix of another, or two paths that may alias one target),
- * expansion falls back to the clone-per-point path — resolved
- * targets would dangle inside a replaced subtree. Supports
- * concurrent pulls (sweep workers expand points in parallel off an
- * atomic cursor; workspaces are handed out under a mutex).
+ * Cheap per point: the base document is converted and every axis
+ * path parsed once, and each point is built in a pooled workspace
+ * copy of the document. Axes apply in declaration order, each path
+ * resolved against the document as the earlier axes left it (so an
+ * axis may overlap or rename what a later axis selects); every value
+ * a write displaces goes to the workspace's undo log, and after the
+ * spec is converted the log is replayed in reverse. No text
+ * re-parse, no per-point document clone, no pre-materialized vector.
+ * Supports concurrent pulls (sweep workers expand points in parallel
+ * off an atomic cursor; workspaces are handed out under a mutex).
  */
 class GridSpecSource : public IndexableSpecSource
 {
   public:
     /**
      * Validates the grid against the base document up front: every
-     * axis path must resolve and every axis VALUE must yield a spec
-     * that still parses, so a bad grid fails here with its axis
-     * named — never thousands of points into a sweep on a worker
-     * thread. (One probe parse per axis value.)
+     * axis path must resolve in the base document, and every distinct
+     * axis value must build a spec (other axes at their front values
+     * on a cartesian grid, at their base values on a point list), so a
+     * bad grid fails here with its axis named — never thousands of
+     * points into a sweep on a worker thread.
      *
      * @throws ConfigError.
      */
@@ -181,8 +173,12 @@ class GridSpecSource : public IndexableSpecSource
     size_t totalPoints() const override { return total_; }
 
   private:
+    /** GridAnalyzer's probes are built by build() as well, so a lint
+     *  probe is exactly the point the sweep builds. */
+    friend class analysis::GridAnalyzer;
+
     /** One reusable expansion buffer: a copy of the base document
-     *  plus the per-axis override targets resolved into it once. */
+     *  plus the undo log of the build in progress. */
     struct Workspace;
 
     json::Value baseDoc_;
@@ -191,15 +187,21 @@ class GridSpecSource : public IndexableSpecSource
     /** Axis paths parsed once at construction (same order as
      *  grid_.axes). */
     std::vector<std::vector<SpecPathSegment>> axisPaths_;
-    /** True when two axis paths may resolve to non-disjoint targets:
-     *  expansion then clones per point instead of caching resolved
-     *  target pointers. */
-    bool axesMayInterfere_ = false;
     size_t total_ = 0;
     std::atomic<size_t> cursor_{0};
     mutable std::mutex poolMutex_;
     mutable std::vector<std::unique_ptr<Workspace>> pool_;
 
+    /**
+     * The spec with axis a set to *coords[a] for every non-null
+     * coordinate, in declaration order, and named @p name (the base
+     * name when empty). A throw drops the workspace.
+     *
+     * @throws ConfigError when a path does not resolve or the
+     *         document does not convert.
+     */
+    DesignSpec build(const std::vector<const json::Value *> &coords,
+                     std::string name) const;
     std::unique_ptr<Workspace> acquireWorkspace() const;
     void releaseWorkspace(std::unique_ptr<Workspace> ws) const;
 };
@@ -223,6 +225,9 @@ struct SweepDocument
 /** Parse a spec document, capturing the "sweepGrid" block when
  *  present. @throws ConfigError. */
 SweepDocument sweepDocumentFromJson(const std::string &text);
+
+/** The same, from an already parsed document. @throws ConfigError. */
+SweepDocument sweepDocumentFromJson(const json::Value &doc);
 
 /** Render base + sweepGrid back into one document. */
 std::string toJson(const SweepDocument &doc);

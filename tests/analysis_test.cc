@@ -133,7 +133,7 @@ TEST(GoldenCorpus, DetectorSweepExampleLintsCleanAndPrunesNothing)
         << dumpDiags(diags);
 
     const spec::SweepDocument doc = spec::sweepDocumentFromJson(text);
-    const GridAnalysis grid = GridAnalyzer().analyze(doc);
+    const GridAnalysis grid = GridAnalyzer().analyze(doc.source());
     EXPECT_EQ(grid.totalPoints(), 108u);
     EXPECT_EQ(grid.prunedPoints(), 0u) << grid.summary();
 }
@@ -685,7 +685,8 @@ widenedStudy()
 
 TEST(GridAnalysis, DoomsExactlyTheProvablyInfeasibleValues)
 {
-    const GridAnalysis result = GridAnalyzer().analyze(widenedStudy());
+    const GridAnalysis result =
+        GridAnalyzer().analyze(widenedStudy().source());
     EXPECT_EQ(result.totalPoints(), 12u);
     // fps=-5 dooms 4 points, nodeNm=254 dooms 6, duty=1.5 dooms 6;
     // only the 2 all-good combinations survive.
@@ -700,7 +701,7 @@ TEST(GridAnalysis, DoomsExactlyTheProvablyInfeasibleValues)
 TEST(GridAnalysis, NeverPrunesAFeasiblePoint)
 {
     const spec::SweepDocument doc = widenedStudy();
-    const GridAnalysis result = GridAnalyzer().analyze(doc);
+    const GridAnalysis result = GridAnalyzer().analyze(doc.source());
     spec::GridSpecSource grid = doc.source();
     SimulationOptions options;
     options.checkMode = CheckMode::Report;
@@ -726,12 +727,37 @@ TEST(GridAnalysis, PointListModeEvaluatesEachPoint)
         {json::Value(60.0), json::Value(254)},
         {json::Value(-1.0), json::Value(65)},
     };
-    const GridAnalysis result = GridAnalyzer().analyze(doc);
+    const GridAnalysis result = GridAnalyzer().analyze(doc.source());
     EXPECT_EQ(result.totalPoints(), 3u);
     EXPECT_FALSE(result.doomed(0));
     EXPECT_TRUE(result.doomed(1));
     EXPECT_TRUE(result.doomed(2));
     EXPECT_EQ(result.prunedPoints(), 2u);
+}
+
+TEST(GridAnalysis, ProbesApplyAxesInDeclarationOrderLikeTheSweep)
+{
+    // The wildcard axis comes second, so it overwrites the out-of-range
+    // 300 nm on every point: nothing is infeasible and nothing may be
+    // pruned.
+    spec::SweepDocument doc;
+    doc.base = spec::sampleDetectorSpec(30.0, 65);
+    doc.grid.axes = {
+        {"bufnode", "memories[ActBuf].nodeNm", {json::Value(300)}},
+        {"node", "memories[*].nodeNm",
+         {json::Value(65), json::Value(45)}},
+    };
+    spec::GridSpecSource grid = doc.source();
+    const GridAnalysis result = GridAnalyzer().analyze(grid);
+    EXPECT_EQ(result.totalPoints(), 2u);
+    EXPECT_EQ(result.prunedPoints(), 0u) << result.summary();
+    SimulationOptions options;
+    options.checkMode = CheckMode::Report;
+    const Simulator sim(options);
+    for (size_t i = 0; i < grid.totalPoints(); ++i) {
+        const SimulationOutcome out = sim.run(grid.at(i));
+        EXPECT_TRUE(out.feasible) << "point " << i << ": " << out.error;
+    }
 }
 
 // ------------------------------------------------------------ prefilter

@@ -363,6 +363,180 @@ TEST(SweepGrid, PointListDocumentRoundTripsAndShards)
     EXPECT_DOUBLE_EQ(points[1].fps, 240.0);
 }
 
+// ------------------------------------------------ expansion oracle
+
+/** An axis value as point names encode it ("30", "sram", "true"). */
+std::string
+oracleRender(const json::Value &v)
+{
+    switch (v.type()) {
+      case json::Value::Type::String:
+        return v.asString();
+      case json::Value::Type::Number:
+        return strprintf("%g", v.asNumber());
+      case json::Value::Type::Bool:
+        return v.asBool() ? "true" : "false";
+      default:
+        return v.dump(0);
+    }
+}
+
+/** Every node @p segs address within @p node, from segment @p i on. */
+void
+oracleResolve(json::Value &node,
+              const std::vector<spec::SpecPathSegment> &segs, size_t i,
+              std::vector<json::Value *> &out)
+{
+    json::Value *child = node.find(segs[i].member);
+    ASSERT_NE(child, nullptr) << segs[i].member;
+    std::vector<json::Value *> picked;
+    if (!segs[i].hasSelector) {
+        picked.push_back(child);
+    } else {
+        const std::string &sel = segs[i].selector;
+        json::Value::Array &arr = child->mutableArray();
+        for (size_t k = 0; k < arr.size(); ++k) {
+            const json::Value *name = arr[k].find("name");
+            bool hit = sel == "*";
+            if (!hit && spec::isIndexSelector(sel))
+                hit = std::stoul(sel) == k;
+            else if (!hit)
+                hit = name != nullptr && name->asString() == sel;
+            if (hit)
+                picked.push_back(&arr[k]);
+        }
+    }
+    for (json::Value *p : picked) {
+        if (i + 1 == segs.size())
+            out.push_back(p);
+        else
+            oracleResolve(*p, segs, i + 1, out);
+    }
+}
+
+/** Point @p index by clone-and-apply: a fresh copy of the base
+ *  document, each axis applied in declaration order against the
+ *  document the earlier axes left, then the point name. */
+std::string
+oraclePoint(const spec::DesignSpec &base, const spec::SweepGrid &grid,
+            size_t index)
+{
+    json::Value doc = spec::toJsonValue(base);
+    std::string suffix;
+    size_t stride = grid.points();
+    for (size_t a = 0; a < grid.axes.size(); ++a) {
+        const spec::GridAxis &axis = grid.axes[a];
+        const json::Value *v = nullptr;
+        if (!grid.pointList.empty()) {
+            v = &grid.pointList[index][a];
+        } else {
+            stride /= axis.values.size();
+            v = &axis.values[(index / stride) % axis.values.size()];
+        }
+        std::vector<json::Value *> targets;
+        oracleResolve(doc, spec::parseSpecPath(axis.path), 0, targets);
+        for (json::Value *t : targets)
+            *t = *v;
+        suffix += (suffix.empty() ? "" : ",") + axis.name + "=" +
+                  oracleRender(*v);
+    }
+    if (!suffix.empty())
+        doc.set("name", json::Value(base.name + "/" + suffix));
+    return spec::toJson(spec::fromJsonValue(doc));
+}
+
+TEST(SweepGrid, ExpansionMatchesACloneAndApplyOracle)
+{
+    // A base with a second memory, so a wildcard and a named selector
+    // address different sets.
+    json::Value two = spec::toJsonValue(spec::sampleDetectorSpec(30.0, 65));
+    json::Value::Array &mems = two.find("memories")->mutableArray();
+    ASSERT_EQ(mems.size(), 1u);
+    const json::Value actbuf = mems[0];
+    json::Value spare = actbuf;
+    spare.set("name", json::Value("Spare"));
+    mems.push_back(spare);
+    const spec::DesignSpec base = spec::fromJsonValue(two);
+
+    json::Value quarter = actbuf;
+    quarter.set("activeFraction", json::Value(0.25));
+    json::Value one_mem = json::Value::makeArray();
+    one_mem.push(quarter);
+    json::Value both_mems = json::Value::makeArray();
+    both_mems.push(actbuf);
+    both_mems.push(spare);
+
+    const json::Value n65(65), n45(45), n130(130), n110(110);
+    std::vector<std::pair<spec::DesignSpec, spec::SweepGrid>> cases;
+    const spec::SweepDocument study = spec::sampleDetectorStudy();
+    cases.push_back({study.base, study.grid});
+    spec::SweepGrid listed;
+    listed.axes = {{"rate", "fps", {}},
+                   {"node", "memories[ActBuf].nodeNm", {}}};
+    listed.pointList = {{json::Value(15.0), n130},
+                        {json::Value(120.0), n65},
+                        {json::Value(15.0), n45}};
+    cases.push_back({base, listed});
+    auto grid = [](std::vector<spec::GridAxis> axes) {
+        spec::SweepGrid g;
+        g.axes = std::move(axes);
+        return g;
+    };
+    const spec::GridAxis all{"all", "memories[*].nodeNm", {n65, n45}};
+    const spec::GridAxis buf{"buf", "memories[ActBuf].nodeNm",
+                             {n130, n110}};
+    const spec::GridAxis elem{"elem", "memories[ActBuf]",
+                              {actbuf, quarter}};
+    const spec::GridAxis whole{"mems", "memories", {one_mem, both_mems}};
+    const spec::GridAxis duty{"duty", "memories[*].activeFraction",
+                              {json::Value(0.5), json::Value(0.75)}};
+    const spec::GridAxis first{"first", "memories[0].nodeNm",
+                               {n65, n45}};
+    // Renaming the first memory "Spare" widens what "spare" selects,
+    // so a later point that keeps the name "ActBuf" must see that
+    // memory's base nodeNm again: what the undo log restores.
+    const spec::GridAxis ren{"ren", "memories[0].name",
+                             {json::Value("ActBuf"), json::Value("Spare")}};
+    const spec::GridAxis spares{"spare", "memories[Spare].nodeNm",
+                                {n130, n45}};
+    for (const spec::SweepGrid &g :
+         {grid({all, buf}), grid({buf, all}), grid({elem, buf}),
+          grid({buf, elem}), grid({whole, duty}), grid({first, buf}),
+          grid({ren, spares})})
+        cases.push_back({base, g});
+
+    for (const auto &[b, g] : cases) {
+        spec::GridSpecSource source(b, g);
+        ASSERT_EQ(source.totalPoints(), g.points());
+        for (size_t i = 0; i < g.points(); ++i)
+            EXPECT_EQ(spec::toJson(source.at(i)), oraclePoint(b, g, i))
+                << "point " << i << " of " << g.axes[0].path;
+    }
+}
+
+TEST(SweepGrid, RenameALaterSelectorMissesFailsAtConstruction)
+{
+    // Axes apply in declaration order, so once "ren" renames the
+    // buffer, "node" no longer finds it: the probe of that value
+    // rejects the grid with the renaming axis and value named.
+    spec::SweepGrid grid;
+    grid.axes = {{"ren", "memories[0].name",
+                  {json::Value("ActBuf"), json::Value("Other")}},
+                 {"node", "memories[ActBuf].nodeNm",
+                  {json::Value(65), json::Value(45)}}};
+    try {
+        spec::GridSpecSource source(spec::sampleDetectorSpec(30.0, 65),
+                                    grid);
+        FAIL() << "the rename grid built " << source.totalPoints()
+               << " points";
+    } catch (const ConfigError &e) {
+        const std::string what = e.what();
+        EXPECT_STREQ(e.code(), "CAMJ-E018") << what;
+        EXPECT_NE(what.find("axis 'ren'"), std::string::npos) << what;
+        EXPECT_NE(what.find("\"Other\""), std::string::npos) << what;
+    }
+}
+
 TEST(SweepGrid, GridStreamMatchesBatchOverExpandedSpecs)
 {
     spec::DesignSpec base = spec::sampleDetectorSpec(30.0, 65);
