@@ -21,7 +21,9 @@
  * grid in row-major and stride-12 order), the cached sweep
  * (the content-addressed on-disk outcome store, cold vs. warm), the
  * 27 paper studies' cycles ticked per pass and pass-B stall-check
- * routes, the Fig. 7 validation MAPE and correlation, the cycle
+ * routes, the heap allocations of lowering each study's one-point
+ * document (studyFrontEnd), the Fig. 7 validation MAPE and
+ * correlation, the cycle
  * sim's ticking rate (a cycle-dominated frame, every cycle ticked),
  * and a per-stage wall-clock profile of EvalPipeline over the
  * canonical grid, so CI can track the simulator's
@@ -774,6 +776,35 @@ writeBenchJson()
                                         usecase_routes.fullTopology)));
     usecase.set("stallCheck", std::move(stall_check));
     doc.set("usecaseSweep", std::move(usecase));
+
+    // Study front end: each paper study as the one-point document a
+    // job submits (toJson of its spec, the bytes of its tests/golden
+    // file), lowered the way a job lowers it — sweepDocumentFromJson,
+    // source(), at(0) — and counted in heap allocations per study. A
+    // document without sweepGrid is evaluated as parsed, so this is
+    // one parse, one fromJsonValue and two spec copies; the count is
+    // exact, so it is the floor.
+    {
+        std::vector<std::string> texts;
+        for (const spec::DesignSpec &s : uspecs)
+            texts.push_back(spec::toJson(s));
+        auto lower = [&](size_t i) {
+            const spec::SweepDocument study =
+                spec::sweepDocumentFromJson(texts[i % texts.size()]);
+            const spec::GridSpecSource source = study.source();
+            const spec::DesignSpec s = source.at(0);
+            benchmark::DoNotOptimize(s.fps);
+        };
+        for (size_t i = 0; i < texts.size(); ++i)
+            lower(i); // first touches of lazily built tables
+        const OpCost c = measureOp(texts.size() * 20, lower);
+        json::Value front = json::Value::makeObject();
+        front.set("documents",
+                  json::Value(static_cast<int64_t>(texts.size())));
+        front.set("allocsPerStudy", json::Value(c.allocsPerOp));
+        front.set("usPerStudy", json::Value(c.nsPerOp / 1e3));
+        doc.set("studyFrontEnd", std::move(front));
+    }
 
     // Paper accuracy: the Fig. 7 validation statistics, pinned so
     // that performance work cannot drift the science unnoticed.

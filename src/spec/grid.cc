@@ -323,11 +323,20 @@ struct GridSpecSource::Workspace
 };
 
 GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
-    : baseDoc_(toJsonValue(base)), baseName_(base.name),
-      grid_(std::move(grid))
+    : baseName_(base.name), grid_(std::move(grid))
 {
     grid_.validate();
     total_ = grid_.points();
+    if (grid_.axes.empty()) {
+        // The one point is the base spec as given: there is nothing to
+        // write into a document, so no document is built.
+        baseSpec_ = base;
+        return;
+    }
+    // Axes expand from the canonical tree toJsonValue writes: a path
+    // may name a member only that tree carries, such as a nodeNm the
+    // document left at its default.
+    baseDoc_ = toJsonValue(base);
     // Every point overwrites the top-level "name"; make sure the
     // member exists up front so that write never grows the top-level
     // object (growth reallocates its member vector, which would
@@ -389,8 +398,9 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
 }
 
 GridSpecSource::GridSpecSource(const GridSpecSource &other)
-    : baseDoc_(other.baseDoc_), baseName_(other.baseName_),
-      grid_(other.grid_), axisPaths_(other.axisPaths_),
+    : baseSpec_(other.baseSpec_), baseDoc_(other.baseDoc_),
+      baseName_(other.baseName_), grid_(other.grid_),
+      axisPaths_(other.axisPaths_),
       total_(other.total_),
       cursor_(other.cursor_.load(std::memory_order_relaxed))
 {
@@ -452,8 +462,10 @@ GridSpecSource::at(size_t index) const
     if (index >= total_)
         fatal("GridSpecSource: point %zu out of range (grid has %zu "
               "points)", index, total_);
+    if (grid_.axes.empty())
+        return baseSpec_;
     // Resolve this point's coordinates (row-major for cartesian
-    // grids: first axis outermost) and its encoded name suffix.
+    // grids: first axis outermost) and its name.
     std::vector<const Value *> coords(grid_.axes.size());
     if (!grid_.pointList.empty()) {
         for (size_t a = 0; a < grid_.axes.size(); ++a)
@@ -467,13 +479,15 @@ GridSpecSource::at(size_t index) const
                                      axis.values.size()];
         }
     }
-    std::string suffix;
-    for (size_t a = 0; a < grid_.axes.size(); ++a)
-        suffix += (suffix.empty() ? "" : ",") + grid_.axes[a].name +
-                  "=" + renderAxisValue(*coords[a]);
-    return build(coords,
-                 suffix.empty() ? std::string()
-                                : baseName_ + "/" + suffix);
+    std::string name = baseName_ + "/";
+    for (size_t a = 0; a < grid_.axes.size(); ++a) {
+        if (a > 0)
+            name += ',';
+        name += grid_.axes[a].name;
+        name += '=';
+        name += renderAxisValue(*coords[a]);
+    }
+    return build(coords, std::move(name));
 }
 
 std::optional<DesignSpec>

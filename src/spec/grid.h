@@ -128,14 +128,24 @@ SweepGrid gridFromJson(const json::Value &block);
 /**
  * The lazy cartesian expander: yields one DesignSpec per grid point
  * in row-major order (first axis outermost, last axis fastest).
- * Cheap per point: the base document is converted and every axis
- * path parsed once, and each point is built in a pooled workspace
- * copy of the document. Axes apply in declaration order, each path
- * resolved against the document as the earlier axes left it (so an
- * axis may overlap or rename what a later axis selects); every value
- * a write displaces goes to the workspace's undo log, and after the
- * spec is converted the log is replayed in reverse. No text
- * re-parse, no per-point document clone, no pre-materialized vector.
+ *
+ * A grid without axes has one point, the base spec itself: the source
+ * keeps the DesignSpec it was given and at(0) returns it, with no
+ * document built, converted or probed. That is every single-design
+ * document (one without "sweepGrid"), evaluated as parsed.
+ *
+ * A grid with axes expands from the canonical tree toJsonValue
+ * writes, because an axis path may name a member only that tree
+ * carries (a defaulted nodeNm, say). Cheap per point: the base
+ * document is converted and every axis path parsed once, and each
+ * point is built in a pooled workspace copy of the document. Axes
+ * apply in declaration order, each path resolved against the
+ * document as the earlier axes left it (so an axis may overlap or
+ * rename what a later axis selects); every value a write displaces
+ * goes to the workspace's undo log, and after the spec is converted
+ * the log is replayed in reverse. No text re-parse, no per-point
+ * document clone, no pre-materialized vector.
+ *
  * Supports concurrent pulls (sweep workers expand points in parallel
  * off an atomic cursor; workspaces are handed out under a mutex).
  */
@@ -181,6 +191,10 @@ class GridSpecSource : public IndexableSpecSource
      *  plus the undo log of the build in progress. */
     struct Workspace;
 
+    /** The one point of a grid without axes (unused otherwise). */
+    DesignSpec baseSpec_;
+    /** The canonical base document axes expand from (null without
+     *  axes). */
     json::Value baseDoc_;
     std::string baseName_;
     SweepGrid grid_;
@@ -218,7 +232,8 @@ struct SweepDocument
     DesignSpec base;
     SweepGrid grid;
 
-    /** The lazy source over this document's grid. */
+    /** The lazy source over this document's grid; without axes, its
+     *  one point is a copy of base. */
     GridSpecSource source() const { return {base, grid}; }
 };
 

@@ -1,5 +1,6 @@
 #include "spec/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -302,13 +303,13 @@ Value::reserve(size_t n)
 }
 
 bool
-Value::has(const std::string &key) const
+Value::has(std::string_view key) const
 {
     return find(key) != nullptr;
 }
 
 const Value *
-Value::find(const std::string &key) const
+Value::find(std::string_view key) const
 {
     if (type_ != Type::Object)
         return nullptr;
@@ -320,7 +321,7 @@ Value::find(const std::string &key) const
 }
 
 Value *
-Value::find(const std::string &key)
+Value::find(std::string_view key)
 {
     return const_cast<Value *>(
         static_cast<const Value *>(this)->find(key));
@@ -343,18 +344,19 @@ Value::mutableObject()
 }
 
 const Value &
-Value::at(const std::string &key) const
+Value::at(std::string_view key) const
 {
+    const int klen = static_cast<int>(key.size());
     if (type_ != Type::Object)
-        fatal(Rule::E018, "json: member '%s' requested from a %s value",
-              key.c_str(), typeName(type_));
+        fatal(Rule::E018, "json: member '%.*s' requested from a %s value",
+              klen, key.data(), typeName(type_));
     if (const Value *v = find(key))
         return *v;
     std::string keys;
     for (const auto &[k, v] : *payload_.obj)
         keys += (keys.empty() ? "" : ", ") + k;
     fatal(Rule::E018,
-          "json: missing member '%s' (object has: %s)", key.c_str(),
+          "json: missing member '%.*s' (object has: %s)", klen, key.data(),
           keys.empty() ? "<empty>" : keys.c_str());
 }
 
@@ -377,28 +379,28 @@ Value::set(std::string key, Value v)
 }
 
 double
-Value::getNumber(const std::string &key, double fallback) const
+Value::getNumber(std::string_view key, double fallback) const
 {
     const Value *v = find(key);
     return v ? v->asNumber() : fallback;
 }
 
 int64_t
-Value::getInt(const std::string &key, int64_t fallback) const
+Value::getInt(std::string_view key, int64_t fallback) const
 {
     const Value *v = find(key);
     return v ? v->asInt() : fallback;
 }
 
 bool
-Value::getBool(const std::string &key, bool fallback) const
+Value::getBool(std::string_view key, bool fallback) const
 {
     const Value *v = find(key);
     return v ? v->asBool() : fallback;
 }
 
 std::string
-Value::getString(const std::string &key,
+Value::getString(std::string_view key,
                  const std::string &fallback) const
 {
     const Value *v = find(key);
@@ -541,31 +543,38 @@ Value::dump(int indent) const
 namespace
 {
 
+/** One pass over the text with a cursor pointer; errors report the
+ *  cursor's line and column. */
 class Parser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit Parser(std::string_view text)
+        : begin_(text.data()), end_(text.data() + text.size()),
+          p_(begin_)
+    {
+    }
 
     Value
     parseDocument()
     {
-        Value v = parseValue();
+        Value v = parseValue(0);
         skipWhitespace();
-        if (pos_ < text_.size())
+        if (p_ != end_)
             fail("trailing characters after the JSON document");
         return v;
     }
 
   private:
-    const std::string &text_;
-    size_t pos_ = 0;
+    const char *const begin_;
+    const char *const end_;
+    const char *p_;
 
     [[noreturn]] void
     fail(const std::string &what) const
     {
         int line = 1, col = 1;
-        for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-            if (text_[i] == '\n') {
+        for (const char *c = begin_; c < p_; ++c) {
+            if (*c == '\n') {
                 ++line;
                 col = 1;
             } else {
@@ -580,22 +589,18 @@ class Parser
     void
     skipWhitespace()
     {
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-                ++pos_;
-            else
-                break;
-        }
+        while (p_ != end_ &&
+               (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r'))
+            ++p_;
     }
 
     char
     peek()
     {
         skipWhitespace();
-        if (pos_ >= text_.size())
+        if (p_ == end_)
             fail("unexpected end of input");
-        return text_[pos_];
+        return *p_;
     }
 
     void
@@ -603,14 +608,14 @@ class Parser
     {
         if (peek() != c)
             fail(std::string("expected '") + c + "'");
-        ++pos_;
+        ++p_;
     }
 
     bool
     consumeIf(char c)
     {
-        if (pos_ < text_.size() && peek() == c) {
-            ++pos_;
+        if (p_ != end_ && peek() == c) {
+            ++p_;
             return true;
         }
         return false;
@@ -619,20 +624,20 @@ class Parser
     void
     expectLiteral(const char *lit)
     {
-        for (const char *p = lit; *p; ++p) {
-            if (pos_ >= text_.size() || text_[pos_] != *p)
+        for (const char *c = lit; *c; ++c) {
+            if (p_ == end_ || *p_ != *c)
                 fail(std::string("expected literal '") + lit + "'");
-            ++pos_;
+            ++p_;
         }
     }
 
+    /** @p depth counts the containers already open around the value. */
     Value
-    parseValue()
+    parseValue(int depth)
     {
-        char c = peek();
-        switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+        switch (peek()) {
+          case '{': return parseObject(depth + 1);
+          case '[': return parseArray(depth + 1);
           case '"': return Value(parseString());
           case 't':
             expectLiteral("true");
@@ -644,8 +649,18 @@ class Parser
             expectLiteral("null");
             return Value();
           default:
-            return parseNumber();
+            return Value(parseNumber());
         }
+    }
+
+    /** Reject the container about to open at nesting @p depth when it
+     *  would pass the limit (the cursor is on its bracket). */
+    void
+    checkDepth(int depth) const
+    {
+        if (depth > kMaxNestingDepth)
+            fail("nesting deeper than " +
+                 std::to_string(kMaxNestingDepth) + " levels");
     }
 
     // Spec documents are dominated by small component objects and
@@ -655,21 +670,25 @@ class Parser
     static constexpr size_t kContainerReserve = 8;
 
     Value
-    parseObject()
+    parseObject(int depth)
     {
-        expect('{');
+        checkDepth(depth);
+        ++p_; // '{'
         Value obj = Value::makeObject();
         if (consumeIf('}'))
             return obj;
-        obj.reserve(kContainerReserve);
+        Value::Object &members = obj.mutableObject();
+        members.reserve(kContainerReserve);
         while (true) {
             if (peek() != '"')
                 fail("expected a string object key");
             std::string key = parseString();
             expect(':');
-            if (obj.has(key))
-                fail("duplicate object key '" + key + "'");
-            obj.set(std::move(key), parseValue());
+            for (const auto &member : members) {
+                if (member.first == key)
+                    fail("duplicate object key '" + key + "'");
+            }
+            members.emplace_back(std::move(key), parseValue(depth));
             if (consumeIf(','))
                 continue;
             expect('}');
@@ -678,15 +697,17 @@ class Parser
     }
 
     Value
-    parseArray()
+    parseArray(int depth)
     {
-        expect('[');
+        checkDepth(depth);
+        ++p_; // '['
         Value arr = Value::makeArray();
         if (consumeIf(']'))
             return arr;
-        arr.reserve(kContainerReserve);
+        Value::Array &elements = arr.mutableArray();
+        elements.reserve(kContainerReserve);
         while (true) {
-            arr.push(parseValue());
+            elements.push_back(parseValue(depth));
             if (consumeIf(','))
                 continue;
             expect(']');
@@ -701,25 +722,25 @@ class Parser
         std::string out;
         while (true) {
             // Copy the maximal run of plain characters in one append.
-            size_t run = pos_;
-            while (run < text_.size()) {
-                const auto c = static_cast<unsigned char>(text_[run]);
+            const char *run = p_;
+            while (run != end_) {
+                const auto c = static_cast<unsigned char>(*run);
                 if (c == '"' || c == '\\' || c < 0x20)
                     break;
                 ++run;
             }
-            out.append(text_, pos_, run - pos_);
-            pos_ = run;
-            if (pos_ >= text_.size())
+            out.append(p_, run);
+            p_ = run;
+            if (p_ == end_)
                 fail("unterminated string");
-            char c = text_[pos_++];
+            const char c = *p_++;
             if (c == '"')
                 return out;
             if (static_cast<unsigned char>(c) < 0x20)
                 fail("raw control character in string");
-            if (pos_ >= text_.size())
+            if (p_ == end_)
                 fail("unterminated escape sequence");
-            char e = text_[pos_++];
+            const char e = *p_++;
             switch (e) {
               case '"': out += '"'; break;
               case '\\': out += '\\'; break;
@@ -729,21 +750,21 @@ class Parser
               case 'n': out += '\n'; break;
               case 'r': out += '\r'; break;
               case 't': out += '\t'; break;
-              case 'u': out += parseUnicodeEscape(); break;
+              case 'u': appendUnicodeEscape(out); break;
               default:
                 fail(std::string("invalid escape '\\") + e + "'");
             }
         }
     }
 
-    std::string
-    parseUnicodeEscape()
+    void
+    appendUnicodeEscape(std::string &out)
     {
-        if (pos_ + 4 > text_.size())
+        if (end_ - p_ < 4)
             fail("truncated \\u escape");
         unsigned code = 0;
         for (int i = 0; i < 4; ++i) {
-            char c = text_[pos_++];
+            const char c = *p_++;
             code <<= 4;
             if (c >= '0' && c <= '9')
                 code += static_cast<unsigned>(c - '0');
@@ -758,7 +779,6 @@ class Parser
         // needed by spec files; reject them explicitly).
         if (code >= 0xD800 && code <= 0xDFFF)
             fail("surrogate pairs are not supported in spec files");
-        std::string out;
         if (code < 0x80) {
             out += static_cast<char>(code);
         } else if (code < 0x800) {
@@ -769,75 +789,73 @@ class Parser
             out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
             out += static_cast<char>(0x80 | (code & 0x3F));
         }
-        return out;
     }
 
-    Value
+    double
     parseNumber()
     {
-        skipWhitespace();
-        size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
+        const char *const start = p_;
+        if (p_ != end_ && *p_ == '-')
+            ++p_;
         bool digits = false;
         auto eatDigits = [&] {
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9') {
-                ++pos_;
+            while (p_ != end_ && *p_ >= '0' && *p_ <= '9') {
+                ++p_;
                 digits = true;
             }
         };
         eatDigits();
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
+        if (p_ != end_ && *p_ == '.') {
+            ++p_;
             eatDigits();
         }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            size_t exp_start = pos_;
+        if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
+            ++p_;
+            if (p_ != end_ && (*p_ == '+' || *p_ == '-'))
+                ++p_;
+            const char *const exp_start = p_;
             eatDigits();
-            if (pos_ == exp_start)
+            if (p_ == exp_start)
                 fail("malformed exponent");
         }
         if (!digits)
             fail("invalid value");
-        // The token shape is validated, so strtod can run directly on
-        // the NUL-terminated source buffer with no substr copy.
-        const char *tok = text_.c_str() + start;
+        // from_chars rounds exactly as strtod does and reads only the
+        // validated token, with no copy and no locale.
+        double d = 0.0;
+        const auto [end, ec] = std::from_chars(start, p_, d);
+        if (ec == std::errc() && end == p_)
+            return d;
+        return strtodToken(start);
+    }
+
+    /** The tokens from_chars declines (out of range, or a shape such
+     *  as "-e5" that is no number): strtod on a copy of the token
+     *  decides, so every error text and every underflow result stays
+     *  what strtod gives. */
+    double
+    strtodToken(const char *start)
+    {
+        const std::string token(start, p_);
         char *end = nullptr;
-        double d = std::strtod(tok, &end);
-        const size_t len = pos_ - start;
-        if (end != tok + len) {
-            // strtod accepts a wider grammar (hex floats, inf/nan);
-            // when it reads past our token, re-parse just the token
-            // so "0x12" still reports "trailing characters" exactly
-            // like the shape validator implies.
-            std::string token = text_.substr(start, len);
-            end = nullptr;
-            d = std::strtod(token.c_str(), &end);
-            if (end != token.c_str() + token.size())
-                fail("malformed number '" + token + "'");
-        }
+        const double d = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size())
+            fail("malformed number '" + token + "'");
         if (!std::isfinite(d)) {
             // strtod overflows to +-inf, which no document can mean
             // (nor serialize back); underflow to 0 or a subnormal is
             // kept.
-            const std::string token = text_.substr(start, len);
-            pos_ = start;
+            p_ = start;
             fail("number '" + token + "' is out of range");
         }
-        return Value(d);
+        return d;
     }
 };
 
 } // namespace
 
 Value
-Value::parse(const std::string &text)
+Value::parse(std::string_view text)
 {
     Parser p(text);
     return p.parseDocument();

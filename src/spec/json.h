@@ -6,6 +6,13 @@
  * insertion-ordered objects (stable round-trips), and %.17g number
  * formatting so doubles survive save/load bit-exactly.
  *
+ * The parser is one pointer pass over the text: numbers are read with
+ * std::from_chars (strtod only for the tokens from_chars declines, so
+ * out-of-range texts keep their wording), each object member is
+ * appended once after its duplicate-key check, and nesting is capped
+ * at kMaxNestingDepth so a hostile document ends in a parse error
+ * rather than a stack overflow.
+ *
  * Storage is COMPACT: a Value is a type tag plus an 8-byte payload
  * (the bool/double inline, strings/arrays/objects behind one owning
  * pointer), so a Number node costs 16 bytes instead of the ~120 of
@@ -35,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,6 +54,10 @@ inline constexpr uint64_t kHashSeed = 1469598103934665603ull;
 
 /** Mix @p len bytes into an fnv-1a chain started from @p h. */
 uint64_t hashBytes(uint64_t h, const void *data, size_t len);
+
+/** Deepest array/object nesting Value::parse accepts (spec documents
+ *  nest about 8 deep); one level more is a CAMJ-E018 parse error. */
+inline constexpr int kMaxNestingDepth = 512;
 
 /** One JSON value; a tree of these represents a document. */
 class Value
@@ -150,20 +162,20 @@ class Value
     // ----- object access -----
 
     /** True when an object has @p key. */
-    bool has(const std::string &key) const;
+    bool has(std::string_view key) const;
 
     /**
      * Member lookup. @throws ConfigError when absent or not an
      * object; the error lists the keys that do exist.
      */
-    const Value &at(const std::string &key) const;
+    const Value &at(std::string_view key) const;
 
     /** Member lookup returning nullptr when absent. */
-    const Value *find(const std::string &key) const;
+    const Value *find(std::string_view key) const;
 
     /** Mutable member lookup, for in-place document edits (e.g. grid
      *  expansion overriding one field of a cloned spec document). */
-    Value *find(const std::string &key);
+    Value *find(std::string_view key);
 
     /** Mutable element access. @throws ConfigError unless an array. */
     Array &mutableArray();
@@ -179,10 +191,10 @@ class Value
 
     // ----- typed object getters with defaults -----
 
-    double getNumber(const std::string &key, double fallback) const;
-    int64_t getInt(const std::string &key, int64_t fallback) const;
-    bool getBool(const std::string &key, bool fallback) const;
-    std::string getString(const std::string &key,
+    double getNumber(std::string_view key, double fallback) const;
+    int64_t getInt(std::string_view key, int64_t fallback) const;
+    bool getBool(std::string_view key, bool fallback) const;
+    std::string getString(std::string_view key,
                           const std::string &fallback) const;
 
     /**
@@ -194,9 +206,11 @@ class Value
     /**
      * Parse a JSON document.
      *
-     * @throws ConfigError with line/column context on syntax errors.
+     * @throws ConfigError (CAMJ-E018) with line/column context on
+     *         syntax errors, out-of-range numbers and nesting deeper
+     *         than kMaxNestingDepth.
      */
-    static Value parse(const std::string &text);
+    static Value parse(std::string_view text);
 
   private:
     union Payload

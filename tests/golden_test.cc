@@ -11,7 +11,10 @@
  *   (b) loads each golden file and asserts the simulated EnergyReport
  *       matches the pinned per-category energies to 1e-9 relative
  *       tolerance, and
- *   (c) round-trips load -> save -> load -> save bit-exactly,
+ *   (c) round-trips load -> save -> load -> save bit-exactly, and
+ *   (d) evaluates each golden document as a one-point sweep with every
+ *       member the serializer drops injected, and requires the JSONL
+ *       bytes of the untouched document,
  *
  * so any refactor of spec/, analog/, digital/, or memmodel/ that
  * silently shifts a paper number fails CI with a readable diff.
@@ -34,6 +37,8 @@
 
 #include "common/logging.h"
 #include "core/report.h"
+#include "explore/sweep.h"
+#include "spec/grid.h"
 #include "spec/json.h"
 #include "study_fixture.h"
 #include "usecases/edgaze.h"
@@ -194,11 +199,186 @@ TEST_P(GoldenStudy, GoldenFileRoundTripsBitExactly)
     EXPECT_EQ(once, twice) << firstDifference(once, twice);
 }
 
+// (d) A document without "sweepGrid" is evaluated as parsed, not in
+//     its canonical form (GridSpecSource hands back the parsed spec).
+//     That is sound only while evaluation never reads a member the
+//     serializer drops, which this pins: every such member is injected
+//     with a value evaluation would notice, and the one-point sweep
+//     must write the bytes of the untouched document.
+
+/** How many dropped members injectDroppedMembers added, by kind. */
+struct Injected
+{
+    int inputSizes = 0;
+    int componentMembers = 0;
+    int cellMembers = 0;
+    int memoryMembers = 0;
+    int outputBytes = 0;
+};
+
+/** Set @p key on @p obj unless present; true when it was added. */
+bool
+injectMember(json::Value &obj, const char *key, json::Value value)
+{
+    if (obj.has(key))
+        return false;
+    obj.set(key, std::move(value));
+    return true;
+}
+
+/**
+ * Add to a canonical spec document every member toJsonValue leaves
+ * out: an Input stage's inputSize, the component parameter blocks of
+ * other kinds, caps/bias/bits/energyOverride on a cell of another
+ * class, explicit-model fields on a modelled memory and nodeNm on an
+ * explicit one, and a negative pipelineOutputBytes.
+ */
+Injected
+injectDroppedMembers(json::Value &doc)
+{
+    using json::Value;
+    Injected n;
+    for (Value &stage : doc.find("stages")->mutableArray()) {
+        if (stage.at("op").asString() == "Input")
+            n.inputSizes += injectMember(stage, "inputSize",
+                                         Value::parse("[3, 5, 7]"));
+    }
+    const Value blocks = Value::parse(R"({
+        "aps": {"photodiodeCap": 9e-15, "vdda": 3.3,
+                "pixelsPerComponent": 4},
+        "adc": {"bits": 13, "energyPerConversionOverride": 1e-9},
+        "switchedCap": {"unitCap": 1e-13, "numCaps": 9, "bits": 6},
+        "analogMemory": {"storageCap": 1e-12, "readsPerValue": 3},
+        "converter": {"cap": 2e-12, "bits": 11},
+        "custom": {"name": "stray", "inputDomain": "voltage",
+                   "outputDomain": "voltage",
+                   "cells": [{"class": "dynamic", "name": "c",
+                              "caps": [{"capacitance": 1e-12,
+                                        "swing": 1.0}]}]},
+        "maxInputs": 7, "energyOverride": 3e-12, "loadCap": 1e-12,
+        "vdda": 1.1})");
+    const Value cellMembers = Value::parse(R"({
+        "caps": [{"capacitance": 5e-13, "swing": 0.7}],
+        "bias": {"loadCapacitance": 1e-12, "vdda": 2.0, "gain": 3},
+        "bits": 9, "energyOverride": 4e-12})");
+    for (Value &array : doc.find("analogArrays")->mutableArray()) {
+        Value &component = *array.find("component");
+        for (const auto &[key, value] : blocks.asObject())
+            n.componentMembers +=
+                injectMember(component, key.c_str(), value);
+        Value *custom = component.find("custom");
+        if (custom == nullptr || custom->find("cells") == nullptr)
+            continue;
+        for (Value &cell : custom->find("cells")->mutableArray()) {
+            for (const auto &[key, value] : cellMembers.asObject())
+                n.cellMembers += injectMember(cell, key.c_str(), value);
+        }
+    }
+    const Value explicitMembers = Value::parse(R"({
+        "readEnergyPerWord": 1e-12, "writeEnergyPerWord": 2e-12,
+        "leakagePower": 1e-6, "readPorts": 3, "writePorts": 2,
+        "area": 1e-8})");
+    for (Value &memory : doc.find("memories")->mutableArray()) {
+        if (memory.at("model").asString() == "explicit") {
+            n.memoryMembers +=
+                injectMember(memory, "nodeNm", Value(22));
+        } else {
+            for (const auto &[key, value] : explicitMembers.asObject())
+                n.memoryMembers +=
+                    injectMember(memory, key.c_str(), value);
+        }
+    }
+    n.outputBytes +=
+        injectMember(doc, "pipelineOutputBytes", Value(-5));
+    return n;
+}
+
+/** The bytes `camj_sweep run` writes for a one-point document. */
+std::string
+gridlessJsonl(const std::string &text)
+{
+    const spec::SweepDocument doc = spec::sweepDocumentFromJson(text);
+    EXPECT_TRUE(doc.grid.axes.empty());
+    spec::GridSpecSource source = doc.source();
+    std::ostringstream out;
+    JsonlSink lines(out);
+    InOrderSink ordered(lines);
+    SweepOptions options;
+    options.threads = 1;
+    options.incremental = true;
+    SweepEngine engine(options);
+    engine.runStream(source, ordered);
+    return out.str();
+}
+
+/** Inject the dropped members into @p canonical and require the
+ *  injected document to keep its canonical form and its bytes. */
+Injected
+expectDroppedMembersUnread(const std::string &canonical)
+{
+    json::Value doc = json::Value::parse(canonical);
+    const Injected n = injectDroppedMembers(doc);
+    const std::string injected = doc.dump(2) + "\n";
+    EXPECT_NE(injected, canonical);
+    // Only members the serializer drops were added.
+    EXPECT_EQ(spec::toJson(spec::fromJson(injected)), canonical)
+        << firstDifference(canonical,
+                           spec::toJson(spec::fromJson(injected)));
+    const std::string want = gridlessJsonl(canonical);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(gridlessJsonl(injected), want)
+        << firstDifference(want, gridlessJsonl(injected));
+    return n;
+}
+
+TEST_P(GoldenStudy, GridlessDocumentEvaluatesLikeItsCanonicalForm)
+{
+    std::string golden;
+    ASSERT_TRUE(readFile(goldenSpecPath(study().key), golden));
+    EXPECT_GT(expectDroppedMembersUnread(golden).componentMembers, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Studies, GoldenStudy,
                          ::testing::ValuesIn(testfix::studyKeys()),
                          testfix::paramName);
 
 // ------------------------------------------------- registry invariants
+
+// The golden corpus has no explicit-model memory; this variant of the
+// sample detector gives one, so nodeNm is injected where it is dropped
+// too. Every kind of dropped member must be exercised somewhere.
+TEST(GoldenGridless, EveryDroppedMemberKindIsExercised)
+{
+    std::string golden;
+    ASSERT_TRUE(readFile(goldenSpecPath("detector-65nm-30fps"), golden));
+    spec::DesignSpec s = spec::fromJson(golden);
+    ASSERT_FALSE(s.memories.empty());
+    spec::MemorySpec &m = s.memories.front();
+    m.model = spec::MemoryModel::Explicit;
+    m.readEnergyPerWord = 2e-12;
+    m.writeEnergyPerWord = 3e-12;
+    m.leakagePower = 1e-7;
+    m.area = 1e-9;
+    const Injected variant = expectDroppedMembersUnread(spec::toJson(s));
+    EXPECT_GT(variant.memoryMembers, 0);
+
+    Injected total;
+    for (const PaperStudy &study : testfix::studies()) {
+        ASSERT_TRUE(readFile(goldenSpecPath(study.key), golden));
+        json::Value doc = json::Value::parse(golden);
+        const Injected n = injectDroppedMembers(doc);
+        total.inputSizes += n.inputSizes;
+        total.componentMembers += n.componentMembers;
+        total.cellMembers += n.cellMembers;
+        total.memoryMembers += n.memoryMembers;
+        total.outputBytes += n.outputBytes;
+    }
+    EXPECT_GT(total.inputSizes, 0);
+    EXPECT_GT(total.componentMembers, 0);
+    EXPECT_GT(total.cellMembers, 0);
+    EXPECT_GT(total.memoryMembers, 0);
+    EXPECT_GT(total.outputBytes, 0);
+}
 
 TEST(GoldenRegistry, CoversEveryPaperStudy)
 {

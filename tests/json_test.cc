@@ -7,18 +7,24 @@
  * structure, and move construction must not change round-trip bytes.
  * The corpus is the checked-in golden spec documents plus
  * deterministically mutated variants and hand-picked number edges
- * (-0.0, NaN, integer-formatted doubles).
+ * (-0.0, NaN, integer-formatted doubles). The parser itself is pinned
+ * too: every number token reads to the bits strtod gives, malformed
+ * and out-of-range numbers keep their error texts, and nesting past
+ * the limit is an error instead of a stack overflow.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -365,6 +371,190 @@ TEST(JsonNumbers, OverflowIsAParseErrorUnderflowIsKept)
               std::numeric_limits<double>::denorm_min());
     EXPECT_EQ(Value::parse("1e-400").asNumber(), 0.0);
     EXPECT_TRUE(std::signbit(Value::parse("-1e-400").asNumber()));
+}
+
+/** Every number token of a JSON text, in order (strings skipped). */
+std::vector<std::string>
+numberTokens(const std::string &text)
+{
+    const std::string_view numberChars = "+-.eE0123456789";
+    std::vector<std::string> tokens;
+    size_t i = 0;
+    while (i < text.size()) {
+        const char c = text[i];
+        if (c == '"') {
+            for (++i; i < text.size() && text[i] != '"'; ++i) {
+                if (text[i] == '\\')
+                    ++i;
+            }
+            ++i;
+        } else if (c == '-' || (c >= '0' && c <= '9')) {
+            const size_t start = i;
+            while (i < text.size() &&
+                   numberChars.find(text[i]) != std::string_view::npos)
+                ++i;
+            tokens.push_back(text.substr(start, i - start));
+        } else {
+            ++i;
+        }
+    }
+    return tokens;
+}
+
+/** Parse @p token alone and inside an array; both must read to the
+ *  bits strtod gives. */
+void
+expectStrtodBits(const std::string &token)
+{
+    const uint64_t want =
+        std::bit_cast<uint64_t>(std::strtod(token.c_str(), nullptr));
+    EXPECT_EQ(std::bit_cast<uint64_t>(Value::parse(token).asNumber()),
+              want)
+        << token;
+    const Value wrapped = Value::parse("[" + token + ", 0]");
+    EXPECT_EQ(std::bit_cast<uint64_t>(wrapped.asArray()[0].asNumber()),
+              want)
+        << token;
+}
+
+TEST(JsonNumbers, EveryTokenReadsToTheBitsStrtodGives)
+{
+    std::vector<fs::path> files = goldenDocs();
+    files.push_back(fs::path(CAMJ_EXAMPLES_DIR) / "detector_sweep.json");
+    size_t checked = 0;
+    for (const fs::path &file : files) {
+        for (const std::string &token : numberTokens(readFile(file))) {
+            expectStrtodBits(token);
+            ++checked;
+        }
+    }
+    // The corpus must actually have been read.
+    EXPECT_GT(checked, 1000u);
+
+    const char *const edges[] = {
+        "-0", "0", "0.1", "-0.1", "1E5", "1e+5", "1e-5", "5.", ".5",
+        "007", "4.9e-324", "-4.9e-324", "2.4703282292062327e-324",
+        "2.4703282292062328e-324", "1e-320", "2.2250738585072011e-308",
+        "2.2250738585072014e-308", "1.7976931348623157e308", "1e-400",
+        "-1e-400",
+        // Mantissas longer than 19 digits, including halfway cases
+        // that only the full digit string decides.
+        "12345678901234567890123",
+        "0.12345678901234567890123456789",
+        "3.14159265358979323846264338327950288",
+        "9007199254740993",
+        "9007199254740993.0000000000000000001",
+        "9007199254740992.9999999999999999999",
+        "1.00000000000000011102230246251565404236316680908203125",
+        "1.00000000000000011102230246251565404236316680908203124",
+        "123456789012345678901234567890e-300",
+    };
+    for (const char *token : edges)
+        expectStrtodBits(token);
+}
+
+TEST(JsonNumbers, MalformedAndOutOfRangeNumbersKeepTheirTexts)
+{
+    const struct
+    {
+        const char *text;
+        const char *what;
+    } cases[] = {
+        {"1e400", "number '1e400' is out of range"},
+        {"-1E400", "number '-1E400' is out of range"},
+        {"[1, 2e999]",
+         "json parse error at line 1, column 5: number '2e999' is out "
+         "of range"},
+        {"-e5", "json parse error at line 1, column 4: malformed number "
+                "'-e5'"},
+        {"[0.5,\n -.e3]",
+         "json parse error at line 2, column 6: malformed number "
+         "'-.e3'"},
+        {"-", "json parse error at line 1, column 2: invalid value"},
+        {"[1e]",
+         "json parse error at line 1, column 4: malformed exponent"},
+        {"1.5e-",
+         "json parse error at line 1, column 6: malformed exponent"},
+        {"0x12", "json parse error at line 1, column 2: trailing "
+                 "characters after the JSON document"},
+        {"+1", "json parse error at line 1, column 1: invalid value"},
+    };
+    for (const auto &c : cases) {
+        try {
+            Value::parse(c.text);
+            ADD_FAILURE() << c.text << " parsed";
+        } catch (const ConfigError &e) {
+            EXPECT_STREQ(e.code(), "CAMJ-E018") << c.text;
+            EXPECT_NE(std::string(e.what()).find(c.what),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    try {
+        Value::parse("1e400");
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(), "fatal: json parse error at line 1, "
+                               "column 1: number '1e400' is out of "
+                               "range");
+    }
+}
+
+// ------------------------------------------------------------- nesting
+
+/** @p depth arrays, each inside the one before: [[...]]. */
+std::string
+nestedArrays(size_t depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+/** @p depth objects, each the member "a" of the one before. */
+std::string
+nestedObjects(size_t depth)
+{
+    std::string text;
+    text.reserve(depth * 6);
+    for (size_t i = 1; i < depth; ++i)
+        text += "{\"a\":";
+    text += "{}";
+    text.append(depth - 1, '}');
+    return text;
+}
+
+TEST(JsonParse, NestingPastTheLimitIsAParseError)
+{
+    const size_t limit = static_cast<size_t>(json::kMaxNestingDepth);
+    EXPECT_TRUE(Value::parse(nestedArrays(limit)).isArray());
+    EXPECT_TRUE(Value::parse(nestedObjects(limit)).isObject());
+
+    // The container one level past the limit is reported where it
+    // opens: column limit + 1 for arrays, 5 * limit + 1 for objects
+    // ('{"a":' is five characters).
+    const std::string nesting = "nesting deeper than " +
+                                std::to_string(limit) + " levels";
+    const std::string arrays_at =
+        "line 1, column " + std::to_string(limit + 1) + ": ";
+    const std::string objects_at =
+        "line 1, column " + std::to_string(5 * limit + 1) + ": ";
+    for (size_t depth : {limit + 1, size_t{100000}, size_t{1000000}}) {
+        const struct
+        {
+            std::string text;
+            std::string where;
+        } docs[] = {{nestedArrays(depth), arrays_at},
+                    {nestedObjects(depth), objects_at}};
+        for (const auto &doc : docs) {
+            try {
+                Value::parse(doc.text);
+                ADD_FAILURE() << depth << " levels parsed";
+            } catch (const ConfigError &e) {
+                EXPECT_STREQ(e.code(), "CAMJ-E018");
+                EXPECT_EQ(std::string(e.what()),
+                          "fatal: json parse error at " + doc.where +
+                              nesting);
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------- hashing

@@ -2,10 +2,11 @@
  * @file
  * Tests for the sweep evaluation service: the line protocol (framing
  * over real sockets, control/result discrimination, oversized-frame
- * rejection), admission linting, and the service contract itself — a
- * served stream is byte-identical to a local in-order run, including
- * after a worker dies mid-sweep and its shard is re-dispatched, with
- * cancellation prompt and completed jobs re-streamable from byte 0.
+ * rejection, hostile nesting), admission linting, and the service
+ * contract itself — a served stream is byte-identical to a local
+ * in-order run, including after a worker dies mid-sweep and its shard
+ * is re-dispatched, with cancellation prompt and completed jobs
+ * re-streamable from byte 0.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include <netinet/in.h>
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <sstream>
@@ -127,6 +127,25 @@ inProcessOptions(const fs::path &work_dir, size_t shards = 3)
     return options;
 }
 
+/** A raw loopback connection to @p port, or -1. */
+int
+connectRaw(int port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
 // ------------------------------------------------------------- protocol
 
 TEST(Protocol, LineReaderSurvivesPartialWritesCrlfAndNoFinalNewline)
@@ -205,6 +224,24 @@ TEST(Admission, UnparseableDocumentsAreRejectedWithADiagnostic)
     EXPECT_EQ(adm.reason, "document does not parse");
     ASSERT_EQ(adm.diagnostics.size(), 1u);
     EXPECT_EQ(adm.diagnostics[0].code, "CAMJ-E018");
+    EXPECT_TRUE(registry.jobs().empty());
+}
+
+TEST(Admission, DeeplyNestedDocumentsAreRejectedWithAParseError)
+{
+    const fs::path dir = scratchDir("serve_admit_deep");
+    serve::JobRegistry registry;
+    serve::Scheduler scheduler(inProcessOptions(dir), registry);
+    const std::string deep =
+        std::string(100000, '[') + std::string(100000, ']');
+    const serve::Scheduler::Admission adm = scheduler.submit(deep);
+    ASSERT_EQ(adm.job, nullptr);
+    EXPECT_EQ(adm.reason, "document does not parse");
+    ASSERT_EQ(adm.diagnostics.size(), 1u);
+    EXPECT_EQ(adm.diagnostics[0].code, "CAMJ-E018");
+    EXPECT_NE(adm.diagnostics[0].message.find("nesting deeper than"),
+              std::string::npos)
+        << adm.diagnostics[0].message;
     EXPECT_TRUE(registry.jobs().empty());
 }
 
@@ -338,17 +375,8 @@ TEST(ServedSweep, CompletedJobsRestreamFromByteZero)
 
     // A later attacher on a fresh connection replays the retained
     // spool from byte 0, then the end frame.
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectRaw(harness.port());
     ASSERT_GE(fd, 0);
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof addr);
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(harness.port()));
-    ASSERT_EQ(::connect(
-                  fd, reinterpret_cast<struct sockaddr *>(&addr),
-                  sizeof addr),
-              0);
     json::Value frame = serve::makeFrame("stream");
     frame.set("job", job_id);
     ASSERT_TRUE(serve::writeLine(fd, serve::frameLine(frame)));
@@ -368,6 +396,42 @@ TEST(ServedSweep, CompletedJobsRestreamFromByteZero)
     EXPECT_EQ(replayed, reference);
     EXPECT_EQ(end.getString("type", ""), "end");
     EXPECT_EQ(end.getString("state", ""), "done");
+}
+
+TEST(ServedSweep, DeeplyNestedFrameIsAnErrorAndTheDaemonKeepsAnswering)
+{
+    const fs::path dir = scratchDir("serve_deep_frame");
+    ServerHarness harness(inProcessOptions(dir));
+    const int fd = connectRaw(harness.port());
+    ASSERT_GE(fd, 0);
+    // A submit frame whose document nests 100,000 arrays deep: 200 KB,
+    // far under the frame budget.
+    const std::string frame = "{\"type\": \"submit\", \"doc\": " +
+                              std::string(100000, '[') +
+                              std::string(100000, ']') + "}";
+    ASSERT_TRUE(serve::writeLine(fd, frame));
+    serve::LineReader reader(fd);
+    std::optional<std::string> reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    const json::Value error = serve::parseFrame(*reply);
+    EXPECT_EQ(error.getString("type", ""), "error");
+    // The frame object is the first level, so the 512th '[' (column
+    // 26 + 512) opens level 513.
+    EXPECT_NE(error.getString("message", "").find(
+                  "json parse error at line 1, column 538: nesting "
+                  "deeper than 512 levels"),
+              std::string::npos)
+        << *reply;
+
+    // The same connection and a new one are both still served.
+    ASSERT_TRUE(serve::writeLine(
+        fd, serve::frameLine(serve::makeFrame("ping"))));
+    reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(serve::parseFrame(*reply).getString("type", ""), "pong");
+    ::close(fd);
+    serve::Client client(harness.port());
+    EXPECT_NO_THROW(client.ping());
 }
 
 TEST(ServedSweep, UnknownJobsAnswerAnErrorFrame)
