@@ -22,13 +22,13 @@
  * (the content-addressed on-disk outcome store, cold vs. warm), the
  * 27 paper studies' cycles ticked per pass and pass-B stall-check
  * routes, the heap allocations of lowering each study's one-point
- * document (studyFrontEnd), the Fig. 7 validation MAPE and
- * correlation, the cycle
- * sim's ticking rate (a cycle-dominated frame, every cycle ticked),
- * and a per-stage wall-clock profile of EvalPipeline over the
- * canonical grid, so CI can track the simulator's
- * evaluation-throughput trajectory across PRs. Every cached/incremental section hard-fails unless its
- * output is byte-identical to a full rebuild.
+ * document (studyFrontEnd) and of linting it (lint), the Fig. 7
+ * validation MAPE and correlation, the cycle sim's ticking rate (a
+ * cycle-dominated frame, every cycle ticked), and a per-stage
+ * wall-clock profile of EvalPipeline over the canonical grid, so CI
+ * can track the simulator's evaluation-throughput trajectory across
+ * PRs. Every cached/incremental section hard-fails unless its output
+ * is byte-identical to a full rebuild.
  *
  * `--points N` scales the artifact workload (batch copies and grid
  * size) so CI can run a quick smoke sweep: perf_simulator --points 8.
@@ -804,6 +804,32 @@ writeBenchJson()
         front.set("allocsPerStudy", json::Value(c.allocsPerOp));
         front.set("usPerStudy", json::Value(c.nsPerOp / 1e3));
         doc.set("studyFrontEnd", std::move(front));
+    }
+
+    // Lint: SpecAnalyzer().analyzeDocument over each paper study's
+    // parsed one-point document, the check a job runs before it
+    // lowers the document, in heap allocations per study. The rules
+    // share one spec view and build a field path only for a finding;
+    // the count is exact, so it is the floor.
+    {
+        std::vector<json::Value> raws;
+        for (const spec::DesignSpec &s : uspecs)
+            raws.push_back(json::Value::parse(spec::toJson(s)));
+        auto lint = [&](size_t i) {
+            const std::vector<analysis::Diagnostic> diags =
+                analysis::SpecAnalyzer().analyzeDocument(
+                    raws[i % raws.size()]);
+            benchmark::DoNotOptimize(diags.size());
+        };
+        for (size_t i = 0; i < raws.size(); ++i)
+            lint(i); // first touches of the key tables
+        const OpCost c = measureOp(raws.size() * 20, lint);
+        json::Value lint_cost = json::Value::makeObject();
+        lint_cost.set("documents",
+                      json::Value(static_cast<int64_t>(raws.size())));
+        lint_cost.set("allocsPerStudy", json::Value(c.allocsPerOp));
+        lint_cost.set("usPerStudy", json::Value(c.nsPerOp / 1e3));
+        doc.set("lint", std::move(lint_cost));
     }
 
     // Paper accuracy: the Fig. 7 validation statistics, pinned so

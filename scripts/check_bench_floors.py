@@ -59,6 +59,13 @@ FLOORS = [
     # grid without axes re-serialized the parsed spec, copied the
     # tree and converted it back). Exact, so the bar is the count.
     ("studyFrontEnd.allocsPerStudy", 243.5, "max"),
+    # Lint: SpecAnalyzer().analyzeDocument over each of the 27 study
+    # documents, in heap allocations per study (44.7: 21.9 of them in
+    # fromJsonValue; 410.2 while every SpecAnalyzer built its
+    # std::function catalogue and each rule rebuilt its own name maps,
+    # topological order, analog walk and field paths). Exact, so the
+    # bar is the count.
+    ("lint.allocsPerStudy", 44.8, "max"),
     ("gridSweep.expansion.inPlace.designsPerSec", 20000, "min"),
     # The canonical grid simulates nothing: every pass A drains in
     # closed form and every pass-B stall check is answered statically

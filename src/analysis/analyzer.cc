@@ -5,12 +5,11 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/layer.h"
 #include "common/logging.h"
@@ -46,12 +45,14 @@ strf(const char *fmt, ...)
     return buf;
 }
 
-/** Element selector for a path: the element's name, or its index when
- *  the name is empty (the name rules report the emptiness itself). */
+/** "collection[selector]", an element's path, built for a finding:
+ *  the selector is the element's name, or its index when the name is
+ *  empty (the name rules report the emptiness itself). */
 std::string
-elemSel(const std::string &name, size_t index)
+elemPath(const char *collection, const std::string &name, size_t index)
 {
-    return name.empty() ? std::to_string(index) : name;
+    return std::string(collection) + "[" +
+           (name.empty() ? std::to_string(index) : name) + "]";
 }
 
 bool
@@ -77,83 +78,100 @@ tryStage(const StageParams &params)
     }
 }
 
-// --------------------------------------------------- shared spec views
-
-/** Stage names -> specs, only when names are unique and non-empty
- *  (the duplicate-name rule owns the degenerate cases). */
-std::optional<std::unordered_map<std::string, const StageSpec *>>
-stagesByName(const DesignSpec &spec)
+Layer
+unitLayer(const UnitSpec &u)
 {
-    std::unordered_map<std::string, const StageSpec *> out;
-    for (const StageSpec &s : spec.stages) {
-        if (s.params.name.empty())
-            return std::nullopt;
-        if (!out.emplace(s.params.name, &s).second)
-            return std::nullopt;
-    }
-    return out;
+    return u.kind == UnitKind::Pipeline ? u.pipeline.layer
+                                        : u.systolic.layer;
 }
 
-/** Kahn topological order of stage names; nullopt when the graph has
- *  unresolved edges, duplicate names, or a cycle. */
-std::optional<std::vector<const StageSpec *>>
-topoOrder(const DesignSpec &spec)
+constexpr size_t kNone = static_cast<size_t>(-1);
+
+std::string_view
+nameOf(const StageSpec &st)
 {
-    auto byName = stagesByName(spec);
-    if (!byName)
-        return std::nullopt;
-    std::unordered_map<std::string, int> indegree;
-    std::unordered_map<std::string, std::vector<std::string>> consumers;
-    for (const StageSpec &s : spec.stages)
-        indegree[s.params.name] = 0;
-    for (const StageSpec &s : spec.stages) {
-        for (const std::string &in : s.inputs) {
-            if (!byName->count(in))
-                return std::nullopt;
-            consumers[in].push_back(s.params.name);
-            ++indegree[s.params.name];
+    return st.params.name;
+}
+
+std::string_view
+nameOf(const AnalogArraySpec &a)
+{
+    return a.name;
+}
+
+std::string_view
+nameOf(const MemorySpec &m)
+{
+    return m.name;
+}
+
+std::string_view
+nameOf(const UnitSpec &u)
+{
+    return u.name();
+}
+
+/** A mapping entry's stage. */
+std::string_view
+nameOf(const std::pair<std::string, std::string> &entry)
+{
+    return entry.first;
+}
+
+/** One kind of element's names in an open-addressing hash table that
+ *  keeps the first element of each name, as the rules' name maps did. */
+template <class Elem>
+class NameIndex
+{
+  public:
+    explicit NameIndex(const std::vector<Elem> &elems) : elems_(elems)
+    {
+        size_t size = 8;
+        while (size < 2 * elems.size())
+            size *= 2;
+        slots_.assign(size, kNone);
+        for (size_t i = 0; i < elems.size(); ++i) {
+            size_t &slot = slots_[position(nameOf(elems[i]))];
+            if (slot == kNone)
+                slot = i;
         }
     }
-    // Seed in declaration order for a deterministic result.
-    std::vector<const StageSpec *> order;
-    std::vector<const StageSpec *> ready;
-    for (const StageSpec &s : spec.stages) {
-        if (indegree[s.params.name] == 0)
-            ready.push_back(&s);
-    }
-    while (!ready.empty()) {
-        const StageSpec *s = ready.front();
-        ready.erase(ready.begin());
-        order.push_back(s);
-        for (const std::string &c : consumers[s->params.name]) {
-            if (--indegree[c] == 0)
-                ready.push_back(byName->at(c));
-        }
-    }
-    if (order.size() != spec.stages.size())
-        return std::nullopt;
-    return order;
-}
 
-/** Stage-name -> mapped hardware name; nullopt when the mapping is
- *  incomplete, duplicated, or dangling (other rules own those). */
-std::optional<std::unordered_map<std::string, std::string>>
-completeMapping(const DesignSpec &spec)
-{
-    auto byName = stagesByName(spec);
-    if (!byName)
-        return std::nullopt;
-    std::unordered_map<std::string, std::string> out;
-    for (const auto &[stage, hw] : spec.mapping) {
-        if (!byName->count(stage))
-            return std::nullopt;
-        if (!out.emplace(stage, hw).second)
-            return std::nullopt;
+    /** Index of the first element named @p name; kNone if none is. */
+    size_t first(std::string_view name) const
+    {
+        return slots_[position(name)];
     }
-    if (out.size() != spec.stages.size())
-        return std::nullopt;
-    return out;
-}
+
+    bool has(std::string_view name) const { return first(name) != kNone; }
+
+    /** Append every element's name (a finding's hint list). */
+    void appendNames(std::vector<std::string> &out) const
+    {
+        for (const Elem &e : elems_)
+            out.emplace_back(nameOf(e));
+    }
+
+  private:
+    const std::vector<Elem> &elems_;
+    /** Element index per slot; kNone marks an empty slot. */
+    std::vector<size_t> slots_;
+
+    /** The slot holding @p name, or the empty slot it would take. */
+    size_t position(std::string_view name) const
+    {
+        uint64_t h = 0xcbf29ce484222325ull; // FNV-1a
+        for (const unsigned char c : name) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
+        const size_t mask = slots_.size() - 1;
+        size_t k = static_cast<size_t>(h ^ (h >> 32)) & mask;
+        while (slots_[k] != kNone && nameOf(elems_[slots_[k]]) != name)
+            k = (k + 1) & mask;
+        return k;
+    }
+};
 
 /**
  * The static mirror of EvalPipeline::runAnalog's dataflow-volume
@@ -172,61 +190,319 @@ struct AnalogWalk
     int volumeBits = 8;
 };
 
-AnalogWalk
-analogWalk(const DesignSpec &spec)
+/** A hardware name resolved to the first analog array, memory and
+ *  unit carrying it (kNone where none does). */
+struct HwRef
 {
-    AnalogWalk w;
-    if (spec.analogArrays.empty())
-        return w;
-    auto order = topoOrder(spec);
-    auto mapping = completeMapping(spec);
-    if (!order || !mapping)
-        return w;
+    size_t array = kNone;
+    size_t memory = kNone;
+    size_t unit = kNone;
 
-    // Valid Stage objects in topological order.
-    std::vector<std::pair<const StageSpec *, Stage>> stages;
-    for (const StageSpec *s : *order) {
-        auto st = tryStage(s->params);
-        if (!st)
-            return w;
-        stages.emplace_back(s, std::move(*st));
+    bool found() const
+    {
+        return array != kNone || memory != kNone || unit != kNone;
+    }
+};
+
+/** A mapping entry's stage and hardware, resolved. */
+struct MappingRef
+{
+    size_t stage = kNone;
+    HwRef hw;
+};
+
+/** Element lookups by name over one spec, and the mapping resolved
+ *  through them once. */
+struct Names
+{
+    explicit Names(const DesignSpec &s)
+        : stages(s.stages), arrays(s.analogArrays), memories(s.memories),
+          units(s.units), mappedStages(s.mapping)
+    {
+        mapping.reserve(s.mapping.size());
+        for (const auto &[stage, hw] : s.mapping)
+            mapping.push_back({stages.first(stage), this->hw(hw)});
     }
 
-    w.ok = true;
-    w.ops.assign(spec.analogArrays.size(), 0);
-    for (size_t i = 0; i < spec.analogArrays.size(); ++i) {
-        const AnalogArraySpec &a = spec.analogArrays[i];
-        if (!positiveShape(a.numComponents)) {
-            w.ok = false; // component-param rule owns this
-            return w;
+    HwRef hw(std::string_view name) const
+    {
+        return {arrays.first(name), memories.first(name),
+                units.first(name)};
+    }
+
+    NameIndex<StageSpec> stages;
+    NameIndex<AnalogArraySpec> arrays;
+    NameIndex<MemorySpec> memories;
+    NameIndex<UnitSpec> units;
+    /** The stage names the mapping entries list. */
+    NameIndex<std::pair<std::string, std::string>> mappedStages;
+    /** Per mapping entry, its stage and hardware. */
+    std::vector<MappingRef> mapping;
+};
+
+} // namespace
+
+/**
+ * What the rules derive from one spec, each piece built on first use
+ * and then shared: the name lookups, each stage input resolved to its
+ * stage, each stage's Stage probe, the topological order, the complete
+ * mapping and the analog walk. analyze() runs the whole catalogue on
+ * one view; a grid probe runs one rule on a view of its own and so
+ * builds only what that rule reads.
+ */
+class SpecView
+{
+  public:
+    explicit SpecView(const DesignSpec &spec) : spec(spec) {}
+
+    const DesignSpec &spec;
+
+    const Names &names()
+    {
+        if (!names_)
+            buildNames();
+        return *names_;
+    }
+
+    /** Stage index input @p j of stage @p i names; kNone if none. */
+    size_t input(size_t i, size_t j)
+    {
+        names();
+        return inputs_[inputBegin_[i] + j];
+    }
+
+    /** Every stage name is non-empty and distinct (the duplicate-name
+     *  rule owns the degenerate cases). */
+    bool stagesUnique()
+    {
+        names();
+        return stagesUnique_;
+    }
+
+    /** Every stage input names a stage. */
+    bool inputsResolve()
+    {
+        names();
+        return std::find(inputs_.begin(), inputs_.end(), kNone) ==
+               inputs_.end();
+    }
+
+    /** Position of @p hw's first element in the order analog arrays,
+     *  memories, units (the hardware namespace); kNone if none. */
+    size_t hwOrdinal(const HwRef &hw) const
+    {
+        if (hw.array != kNone)
+            return hw.array;
+        if (hw.memory != kNone)
+            return spec.analogArrays.size() + hw.memory;
+        if (hw.unit != kNone)
+            return spec.analogArrays.size() + spec.memories.size() +
+                   hw.unit;
+        return kNone;
+    }
+
+    /** Layer of @p hw's first element in that order. */
+    std::optional<Layer> hwLayer(const HwRef &hw) const
+    {
+        if (hw.array != kNone)
+            return spec.analogArrays[hw.array].layer;
+        if (hw.memory != kNone)
+            return spec.memories[hw.memory].layer;
+        if (hw.unit != kNone)
+            return unitLayer(spec.units[hw.unit]);
+        return std::nullopt;
+    }
+
+    /** Stage @p i's probe; nullptr when its geometry is invalid. */
+    const Stage *probe(size_t i)
+    {
+        if (!probesBuilt_) {
+            probesBuilt_ = true;
+            probes_.reserve(spec.stages.size());
+            for (const StageSpec &st : spec.stages)
+                probes_.push_back(tryStage(st.params));
         }
-        const Stage *last = nullptr;
-        for (const auto &[s, st] : stages) {
-            if (mapping->at(s->params.name) == a.name)
-                last = &st;
+        return probes_[i] ? &*probes_[i] : nullptr;
+    }
+
+    /** Kahn topological order of stage indices; nullptr when the graph
+     *  has unresolved edges, duplicate names, or a cycle. */
+    const std::vector<size_t> *topoOrder()
+    {
+        if (!topoBuilt_) {
+            topoBuilt_ = true;
+            buildTopoOrder();
         }
-        if (last) {
-            w.ops[i] = a.role == AnalogRole::AnalogCompute
-                           ? last->opsPerFrame()
-                           : last->outputsPerFrame();
-            w.volume = last->outputsPerFrame();
-            w.volumeBits = last->bitDepth();
-        } else {
-            if (w.volume == 0) {
-                w.precedesIndex = static_cast<int>(i);
-                return w;
+        return topoOk_ ? &topo_ : nullptr;
+    }
+
+    /** Per stage, the index of its mapping entry; nullptr when the
+     *  mapping is incomplete, duplicated, or dangling (other rules
+     *  own those). */
+    const std::vector<size_t> *completeMapping()
+    {
+        if (!mappingBuilt_) {
+            mappingBuilt_ = true;
+            buildCompleteMapping();
+        }
+        return mappingOk_ ? &stageEntry_ : nullptr;
+    }
+
+    const AnalogWalk &analogWalk()
+    {
+        if (!walkBuilt_) {
+            walkBuilt_ = true;
+            buildAnalogWalk();
+        }
+        return walk_;
+    }
+
+  private:
+    std::optional<Names> names_;
+    /** Resolved stage inputs, stage after stage. */
+    std::vector<size_t> inputs_;
+    /** Where each stage's inputs start in inputs_. */
+    std::vector<size_t> inputBegin_;
+    bool stagesUnique_ = false;
+
+    bool probesBuilt_ = false;
+    std::vector<std::optional<Stage>> probes_;
+
+    bool topoBuilt_ = false;
+    bool topoOk_ = false;
+    std::vector<size_t> topo_;
+
+    bool mappingBuilt_ = false;
+    bool mappingOk_ = false;
+    std::vector<size_t> stageEntry_;
+
+    bool walkBuilt_ = false;
+    AnalogWalk walk_;
+
+    void buildNames()
+    {
+        names_.emplace(spec);
+        const auto &stages = names_->stages;
+        stagesUnique_ = true;
+        inputBegin_.reserve(spec.stages.size() + 1);
+        for (size_t i = 0; i < spec.stages.size(); ++i) {
+            const StageSpec &st = spec.stages[i];
+            stagesUnique_ = stagesUnique_ && !st.params.name.empty() &&
+                            stages.first(st.params.name) == i;
+            inputBegin_.push_back(inputs_.size());
+            for (const std::string &in : st.inputs)
+                inputs_.push_back(stages.first(in));
+        }
+        inputBegin_.push_back(inputs_.size());
+    }
+
+    void buildTopoOrder()
+    {
+        if (!stagesUnique() || !inputsResolve())
+            return;
+        // The order shows in findings (E016's last processing stage,
+        // each array's last mapped stage in the analog walk), so it is
+        // fixed: ready stages leave first in, first out, seeded in
+        // declaration order, and a producer releases its consumers in
+        // declaration order (CSR by producer).
+        const size_t n = spec.stages.size();
+        std::vector<size_t> begin(n + 1, 0);
+        for (size_t p : inputs_)
+            ++begin[p + 1];
+        for (size_t i = 0; i < n; ++i)
+            begin[i + 1] += begin[i];
+        std::vector<size_t> consumers(inputs_.size());
+        std::vector<size_t> fill(begin.begin(), begin.end() - 1);
+        std::vector<int> indegree(n, 0);
+        for (size_t c = 0; c < n; ++c) {
+            for (size_t e = inputBegin_[c]; e < inputBegin_[c + 1]; ++e) {
+                consumers[fill[inputs_[e]]++] = c;
+                ++indegree[c];
             }
-            w.ops[i] = w.volume; // pass-through (e.g. an ADC array)
+        }
+        // topo_ doubles as the FIFO of ready stages.
+        topo_.reserve(n);
+        for (size_t i = 0; i < n; ++i) {
+            if (indegree[i] == 0)
+                topo_.push_back(i);
+        }
+        for (size_t head = 0; head < topo_.size(); ++head) {
+            const size_t s = topo_[head];
+            for (size_t k = begin[s]; k < begin[s + 1]; ++k) {
+                if (--indegree[consumers[k]] == 0)
+                    topo_.push_back(consumers[k]);
+            }
+        }
+        topoOk_ = topo_.size() == n;
+    }
+
+    void buildCompleteMapping()
+    {
+        if (!stagesUnique())
+            return;
+        stageEntry_.assign(spec.stages.size(), kNone);
+        for (size_t i = 0; i < spec.mapping.size(); ++i) {
+            const size_t st = names_->mapping[i].stage;
+            if (st == kNone || stageEntry_[st] != kNone)
+                return;
+            stageEntry_[st] = i;
+        }
+        mappingOk_ = spec.mapping.size() == spec.stages.size();
+    }
+
+    void buildAnalogWalk()
+    {
+        AnalogWalk &w = walk_;
+        if (spec.analogArrays.empty())
+            return;
+        const std::vector<size_t> *order = topoOrder();
+        const std::vector<size_t> *entry = completeMapping();
+        if (!order || !entry)
+            return;
+        for (size_t s : *order) {
+            if (!probe(s))
+                return;
+        }
+
+        w.ok = true;
+        w.ops.assign(spec.analogArrays.size(), 0);
+        for (size_t i = 0; i < spec.analogArrays.size(); ++i) {
+            const AnalogArraySpec &a = spec.analogArrays[i];
+            if (!positiveShape(a.numComponents)) {
+                w.ok = false; // component-param rule owns this
+                return;
+            }
+            const Stage *last = nullptr;
+            for (size_t s : *order) {
+                if (spec.mapping[(*entry)[s]].second == a.name)
+                    last = probe(s);
+            }
+            if (last) {
+                w.ops[i] = a.role == AnalogRole::AnalogCompute
+                               ? last->opsPerFrame()
+                               : last->outputsPerFrame();
+                w.volume = last->outputsPerFrame();
+                w.volumeBits = last->bitDepth();
+            } else {
+                if (w.volume == 0) {
+                    w.precedesIndex = static_cast<int>(i);
+                    return;
+                }
+                w.ops[i] = w.volume; // pass-through (e.g. an ADC array)
+            }
         }
     }
-    return w;
-}
+};
+
+namespace
+{
 
 // ----------------------------------------------------------- rule E001
 
 void
-checkTopLevel(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkTopLevel(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     if (s.name.empty())
         out.push_back(makeError("CAMJ-E001", "name",
                                 "empty design name"));
@@ -244,145 +520,143 @@ checkTopLevel(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E002
 
 void
-checkDuplicateNames(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkDuplicateNames(SpecView &v, std::vector<Diagnostic> &out)
 {
-    std::set<std::string> stageNames;
+    const DesignSpec &s = v.spec;
+    const Names &names = v.names();
     for (size_t i = 0; i < s.stages.size(); ++i) {
         const std::string &n = s.stages[i].params.name;
         if (n.empty()) {
             out.push_back(makeError("CAMJ-E002",
                                     "stages[" + std::to_string(i) + "]",
                                     "a stage has an empty name"));
-        } else if (!stageNames.insert(n).second) {
+        } else if (names.stages.first(n) != i) {
             out.push_back(makeError("CAMJ-E002", "stages[" + n + "]",
                                     strf("duplicate stage '%s'",
                                          n.c_str())));
         }
     }
 
-    std::set<std::string> hwNames;
-    auto addHw = [&](const std::string &n, const char *what,
-                     const std::string &path) {
+    // One namespace across analog arrays, memories and units, in that
+    // order: an element is a duplicate when an earlier one has its name.
+    size_t ordinal = 0;
+    auto checkHw = [&](const std::string &n, const char *what,
+                       const char *collection, size_t i) {
         if (n.empty()) {
-            out.push_back(makeError("CAMJ-E002", path,
+            out.push_back(makeError("CAMJ-E002", elemPath(collection, n, i),
                                     strf("a %s has an empty name",
                                          what)));
-        } else if (!hwNames.insert(n).second) {
+        } else if (v.hwOrdinal(names.hw(n)) != ordinal) {
             out.push_back(makeError(
-                "CAMJ-E002", path,
+                "CAMJ-E002", elemPath(collection, n, i),
                 strf("duplicate hardware name '%s'", n.c_str())));
         }
+        ++ordinal;
     };
     for (size_t i = 0; i < s.analogArrays.size(); ++i)
-        addHw(s.analogArrays[i].name, "analog array",
-              "analogArrays[" + elemSel(s.analogArrays[i].name, i) +
-                  "]");
+        checkHw(s.analogArrays[i].name, "analog array", "analogArrays", i);
     for (size_t i = 0; i < s.memories.size(); ++i)
-        addHw(s.memories[i].name, "memory",
-              "memories[" + elemSel(s.memories[i].name, i) + "]");
+        checkHw(s.memories[i].name, "memory", "memories", i);
     for (size_t i = 0; i < s.units.size(); ++i)
-        addHw(s.units[i].name(), "digital unit",
-              "units[" + elemSel(s.units[i].name(), i) + "]");
+        checkHw(s.units[i].name(), "digital unit", "units", i);
 }
 
 // ----------------------------------------------------------- rule E003
 
-void
-checkDanglingRefs(const DesignSpec &s, std::vector<Diagnostic> &out)
+/** A hint's sorted, de-duplicated name list. */
+template <class... Index>
+std::string
+nameList(const Index &...indexes)
 {
-    std::set<std::string> stageNames;
-    for (const StageSpec &st : s.stages)
-        stageNames.insert(st.params.name);
-    std::set<std::string> memNames;
-    for (const MemorySpec &m : s.memories)
-        memNames.insert(m.name);
-    std::set<std::string> hwNames = memNames;
-    for (const AnalogArraySpec &a : s.analogArrays)
-        hwNames.insert(a.name);
-    for (const UnitSpec &u : s.units)
-        hwNames.insert(u.name());
+    std::vector<std::string> names;
+    (indexes.appendNames(names), ...);
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    return spec::joinNames(names);
+}
 
-    const std::string stageList =
-        spec::joinNames({stageNames.begin(), stageNames.end()});
-    const std::string memList =
-        spec::joinNames({memNames.begin(), memNames.end()});
+void
+checkDanglingRefs(SpecView &v, std::vector<Diagnostic> &out)
+{
+    const DesignSpec &s = v.spec;
+    const Names &names = v.names();
 
     for (size_t i = 0; i < s.stages.size(); ++i) {
         const StageSpec &st = s.stages[i];
-        const std::string base =
-            "stages[" + elemSel(st.params.name, i) + "]";
         for (size_t j = 0; j < st.inputs.size(); ++j) {
-            if (!stageNames.count(st.inputs[j])) {
+            if (v.input(i, j) == kNone) {
                 out.push_back(makeError(
                     "CAMJ-E003",
-                    base + ".inputs[" + std::to_string(j) + "]",
+                    elemPath("stages", st.params.name, i) + ".inputs[" +
+                        std::to_string(j) + "]",
                     strf("stage '%s' reads unknown stage '%s'",
                          st.params.name.c_str(),
                          st.inputs[j].c_str()),
-                    "registered stages: " + stageList));
+                    "registered stages: " + nameList(names.stages)));
             }
         }
     }
     for (size_t i = 0; i < s.units.size(); ++i) {
         const UnitSpec &u = s.units[i];
-        const std::string base = "units[" + elemSel(u.name(), i) + "]";
         auto checkMems = [&](const std::vector<std::string> &mems,
                              const char *field) {
             for (size_t j = 0; j < mems.size(); ++j) {
-                if (!memNames.count(mems[j])) {
+                if (!names.memories.has(mems[j])) {
                     out.push_back(makeError(
                         "CAMJ-E003",
-                        base + "." + field + "[" + std::to_string(j) +
-                            "]",
+                        elemPath("units", u.name(), i) + "." + field +
+                            "[" + std::to_string(j) + "]",
                         strf("unit '%s' references unknown memory "
                              "'%s'",
                              u.name().c_str(), mems[j].c_str()),
-                        "registered memories: " + memList));
+                        "registered memories: " +
+                            nameList(names.memories)));
                 }
             }
         };
         checkMems(u.inputMemories, "inputMemories");
         checkMems(u.outputMemories, "outputMemories");
     }
-    if (!s.adcOutputMemory.empty() && !memNames.count(s.adcOutputMemory))
+    if (!s.adcOutputMemory.empty() &&
+        !names.memories.has(s.adcOutputMemory))
         out.push_back(makeError(
             "CAMJ-E003", "adcOutputMemory",
             strf("adcOutputMemory references unknown memory '%s'",
                  s.adcOutputMemory.c_str()),
-            "registered memories: " + memList));
+            "registered memories: " + nameList(names.memories)));
 
     for (size_t i = 0; i < s.mapping.size(); ++i) {
         const auto &[stage, hw] = s.mapping[i];
-        const std::string base = "mapping[" + std::to_string(i) + "]";
-        if (!stageNames.count(stage))
+        if (names.mapping[i].stage == kNone)
             out.push_back(makeError(
-                "CAMJ-E003", base + ".stage",
+                "CAMJ-E003", "mapping[" + std::to_string(i) + "].stage",
                 strf("mapping references unknown stage '%s'",
                      stage.c_str()),
-                "registered stages: " + stageList));
-        if (!hwNames.count(hw))
+                "registered stages: " + nameList(names.stages)));
+        if (!names.mapping[i].hw.found())
             out.push_back(makeError(
-                "CAMJ-E003", base + ".hw",
+                "CAMJ-E003", "mapping[" + std::to_string(i) + "].hw",
                 strf("mapping of stage '%s' targets unknown hardware "
                      "'%s'",
                      stage.c_str(), hw.c_str()),
                 "registered hardware: " +
-                    spec::joinNames({hwNames.begin(), hwNames.end()})));
+                    nameList(names.memories, names.arrays, names.units)));
     }
 }
 
 // ----------------------------------------------------------- rule E004
 
 void
-checkStageArity(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkStageArity(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     for (size_t i = 0; i < s.stages.size(); ++i) {
         const StageSpec &st = s.stages[i];
         const int arity = stageOpArity(st.params.op);
         if (static_cast<int>(st.inputs.size()) != arity) {
             out.push_back(makeError(
                 "CAMJ-E004",
-                "stages[" + elemSel(st.params.name, i) + "].inputs",
+                elemPath("stages", st.params.name, i) + ".inputs",
                 strf("stage '%s' (%s) needs %d input(s), spec lists "
                      "%zu",
                      st.params.name.c_str(),
@@ -395,12 +669,14 @@ checkStageArity(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E005
 
 void
-checkStageGeometry(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkStageGeometry(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     for (size_t i = 0; i < s.stages.size(); ++i) {
         const StageSpec &st = s.stages[i];
-        if (st.params.name.empty())
+        if (st.params.name.empty() || v.probe(i))
             continue; // the duplicate-name rule owns empty names
+        // Probe again for the message: only a finding pays for it.
         try {
             Stage probe(st.params);
         } catch (const ConfigError &e) {
@@ -414,36 +690,32 @@ checkStageGeometry(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E006
 
 void
-checkDagShapes(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkDagShapes(SpecView &v, std::vector<Diagnostic> &out)
 {
-    auto byName = stagesByName(s);
-    if (!byName)
+    if (!v.stagesUnique())
         return;
     // Only stages whose geometry stands on its own participate.
-    std::unordered_map<std::string, Stage> valid;
-    for (const StageSpec &st : s.stages) {
-        if (auto probe = tryStage(st.params))
-            valid.emplace(st.params.name, std::move(*probe));
-    }
-    for (const StageSpec &st : s.stages) {
-        auto cons = valid.find(st.params.name);
-        if (cons == valid.end())
+    const DesignSpec &s = v.spec;
+    for (size_t i = 0; i < s.stages.size(); ++i) {
+        const StageSpec &st = s.stages[i];
+        const Stage *cons = v.probe(i);
+        if (!cons)
             continue;
-        for (const std::string &in : st.inputs) {
-            auto prod = valid.find(in);
-            if (prod == valid.end())
+        for (size_t j = 0; j < st.inputs.size(); ++j) {
+            const size_t p = v.input(i, j);
+            const Stage *prod = p == kNone ? nullptr : v.probe(p);
+            if (!prod)
                 continue;
-            if (!sameShape(prod->second.outputSize(),
-                           cons->second.inputSize())) {
+            if (!sameShape(prod->outputSize(), cons->inputSize())) {
                 out.push_back(makeError(
                     "CAMJ-E006",
                     "stages[" + st.params.name + "].inputSize",
                     strf("shape mismatch on edge '%s' (%s) -> '%s' "
                          "(%s)",
-                         in.c_str(),
-                         prod->second.outputSize().str().c_str(),
+                         st.inputs[j].c_str(),
+                         prod->outputSize().str().c_str(),
                          st.params.name.c_str(),
-                         cons->second.inputSize().str().c_str()),
+                         cons->inputSize().str().c_str()),
                     "a producer's outputSize must equal its "
                     "consumer's inputSize"));
             }
@@ -454,8 +726,9 @@ checkDagShapes(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E007
 
 void
-checkDagStructure(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkDagStructure(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     if (s.stages.empty()) {
         out.push_back(makeError("CAMJ-E007", "stages",
                                 "empty algorithm graph"));
@@ -472,37 +745,31 @@ checkDagStructure(const DesignSpec &s, std::vector<Diagnostic> &out)
 
     for (size_t i = 0; i < s.stages.size(); ++i) {
         const StageSpec &st = s.stages[i];
-        const std::string base =
-            "stages[" + elemSel(st.params.name, i) + "]";
-        std::set<std::string> seen;
         for (size_t j = 0; j < st.inputs.size(); ++j) {
-            if (st.inputs[j] == st.params.name) {
-                out.push_back(makeError(
-                    "CAMJ-E007",
-                    base + ".inputs[" + std::to_string(j) + "]",
-                    strf("self-loop on stage '%s'",
-                         st.params.name.c_str())));
-            } else if (!seen.insert(st.inputs[j]).second) {
-                out.push_back(makeError(
-                    "CAMJ-E007",
-                    base + ".inputs[" + std::to_string(j) + "]",
-                    strf("duplicate edge '%s' -> '%s'",
-                         st.inputs[j].c_str(),
-                         st.params.name.c_str())));
-            }
+            const std::string &in = st.inputs[j];
+            const bool selfLoop = in == st.params.name;
+            // An edge repeats when an earlier input names the same
+            // stage (an earlier self-loop cannot: this one is not).
+            const auto earlier =
+                st.inputs.begin() + static_cast<std::ptrdiff_t>(j);
+            const bool repeated =
+                !selfLoop &&
+                std::find(st.inputs.begin(), earlier, in) != earlier;
+            if (!selfLoop && !repeated)
+                continue;
+            out.push_back(makeError(
+                "CAMJ-E007",
+                elemPath("stages", st.params.name, i) + ".inputs[" +
+                    std::to_string(j) + "]",
+                selfLoop ? strf("self-loop on stage '%s'",
+                                st.params.name.c_str())
+                         : strf("duplicate edge '%s' -> '%s'",
+                                in.c_str(), st.params.name.c_str())));
         }
     }
 
     // Cycle detection over the resolvable unique-name graph.
-    auto byName = stagesByName(s);
-    if (!byName)
-        return;
-    bool resolvable = true;
-    for (const StageSpec &st : s.stages) {
-        for (const std::string &in : st.inputs)
-            resolvable &= byName->count(in) > 0;
-    }
-    if (resolvable && !topoOrder(s)) {
+    if (v.stagesUnique() && v.inputsResolve() && !v.topoOrder()) {
         out.push_back(makeError("CAMJ-E007", "stages",
                                 "cycle detected in the algorithm "
                                 "graph"));
@@ -512,54 +779,43 @@ checkDagStructure(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E008
 
 void
-checkMapping(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkMapping(SpecView &v, std::vector<Diagnostic> &out)
 {
-    std::unordered_map<std::string, StageOp> stageOps;
-    for (const StageSpec &st : s.stages)
-        stageOps.emplace(st.params.name, st.params.op);
-    std::set<std::string> memNames;
-    for (const MemorySpec &m : s.memories)
-        memNames.insert(m.name);
-    std::unordered_map<std::string, const UnitSpec *> unitsByName;
-    for (const UnitSpec &u : s.units)
-        unitsByName.emplace(u.name(), &u);
-
-    std::set<std::string> mapped;
+    const DesignSpec &s = v.spec;
+    const Names &names = v.names();
     for (size_t i = 0; i < s.mapping.size(); ++i) {
         const auto &[stage, hw] = s.mapping[i];
-        const std::string base = "mapping[" + std::to_string(i) + "]";
-        if (!mapped.insert(stage).second)
+        if (names.mappedStages.first(stage) != i)
             out.push_back(makeError(
-                "CAMJ-E008", base + ".stage",
+                "CAMJ-E008", "mapping[" + std::to_string(i) + "].stage",
                 strf("mapping lists stage '%s' twice",
                      stage.c_str())));
-        auto op = stageOps.find(stage);
-        if (op == stageOps.end())
+        const MappingRef &ref = names.mapping[i];
+        if (ref.stage == kNone)
             continue; // dangling, owned by the reference rule
-        if (memNames.count(hw) && op->second != StageOp::Input) {
+        const StageOp op = s.stages[ref.stage].params.op;
+        if (ref.hw.memory != kNone && op != StageOp::Input) {
             out.push_back(makeError(
-                "CAMJ-E008", base + ".hw",
+                "CAMJ-E008", "mapping[" + std::to_string(i) + "].hw",
                 strf("only Input stages may map onto a memory ('%s' "
                      "-> '%s')",
                      stage.c_str(), hw.c_str())));
         }
-        auto unit = unitsByName.find(hw);
-        if (unit != unitsByName.end() &&
-            unit->second->kind == UnitKind::Systolic &&
-            op->second != StageOp::Conv2d &&
-            op->second != StageOp::DepthwiseConv2d &&
-            op->second != StageOp::FullyConnected) {
+        const size_t unit = ref.hw.unit;
+        if (unit != kNone && s.units[unit].kind == UnitKind::Systolic &&
+            op != StageOp::Conv2d && op != StageOp::DepthwiseConv2d &&
+            op != StageOp::FullyConnected) {
             out.push_back(makeError(
-                "CAMJ-E008", base + ".hw",
+                "CAMJ-E008", "mapping[" + std::to_string(i) + "].hw",
                 strf("systolic array '%s' cannot map %s stage '%s'",
-                     hw.c_str(), stageOpName(op->second),
-                     stage.c_str()),
+                     hw.c_str(), stageOpName(op), stage.c_str()),
                 "systolic arrays execute conv2d, depthwise-conv2d, "
                 "and fully-connected stages"));
         }
     }
     for (const StageSpec &st : s.stages) {
-        if (!st.params.name.empty() && !mapped.count(st.params.name)) {
+        if (!st.params.name.empty() &&
+            !names.mappedStages.has(st.params.name)) {
             out.push_back(makeError(
                 "CAMJ-E008", "mapping",
                 strf("stage '%s' is not mapped to hardware",
@@ -572,15 +828,12 @@ checkMapping(const DesignSpec &s, std::vector<Diagnostic> &out)
 
     // Mirror of runAnalog's ordering requirement: an unmapped analog
     // array before the first mapped stage has no volume to process.
-    AnalogWalk w = analogWalk(s);
+    const AnalogWalk &w = v.analogWalk();
     if (w.precedesIndex >= 0) {
-        const auto &a =
-            s.analogArrays[static_cast<size_t>(w.precedesIndex)];
+        const size_t i = static_cast<size_t>(w.precedesIndex);
+        const auto &a = s.analogArrays[i];
         out.push_back(makeError(
-            "CAMJ-E008",
-            "analogArrays[" +
-                elemSel(a.name, static_cast<size_t>(w.precedesIndex)) +
-                "]",
+            "CAMJ-E008", elemPath("analogArrays", a.name, i),
             strf("analog array '%s' precedes any mapped stage",
                  a.name.c_str()),
             "map the Input stage to the pixel array"));
@@ -590,9 +843,9 @@ checkMapping(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E009
 
 void
-checkAnalogPresence(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkAnalogPresence(SpecView &v, std::vector<Diagnostic> &out)
 {
-    if (s.analogArrays.empty())
+    if (v.spec.analogArrays.empty())
         out.push_back(makeError(
             "CAMJ-E009", "analogArrays",
             "no analog arrays (a CIS starts with a pixel array)"));
@@ -601,20 +854,20 @@ checkAnalogPresence(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ------------------------------------------- rule E010 / E011 / W003
 
 void
-checkAnalogChain(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkAnalogChain(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     if (s.analogArrays.empty())
         return; // E009 owns the empty chain
     for (size_t i = 0; i + 1 < s.analogArrays.size(); ++i) {
         const AnalogArraySpec &prod = s.analogArrays[i];
         const AnalogArraySpec &cons = s.analogArrays[i + 1];
-        const std::string consPath =
-            "analogArrays[" + elemSel(cons.name, i + 1) + "]";
         SignalDomain outd = componentOutputDomain(prod.component);
         SignalDomain ind = componentInputDomain(cons.component);
         if (outd != ind) {
             out.push_back(makeError(
-                "CAMJ-E010", consPath + ".component",
+                "CAMJ-E010",
+                elemPath("analogArrays", cons.name, i + 1) + ".component",
                 strf("'%s' outputs %s but '%s' consumes %s",
                      prod.name.c_str(), signalDomainName(outd),
                      cons.name.c_str(), signalDomainName(ind)),
@@ -623,29 +876,29 @@ checkAnalogChain(const DesignSpec &s, std::vector<Diagnostic> &out)
         }
         int64_t produced = prod.outputShape.count();
         int64_t consumed = cons.inputShape.count();
-        if (produced != consumed) {
-            if (ind == SignalDomain::Voltage) {
-                out.push_back(makeWarning(
-                    "CAMJ-W003", consPath + ".inputShape",
-                    strf("throughput mismatch %s ('%s') -> %s ('%s') "
-                         "buffered by the consumer's inherent "
-                         "capacitance",
-                         prod.outputShape.str().c_str(),
-                         prod.name.c_str(),
-                         cons.inputShape.str().c_str(),
-                         cons.name.c_str())));
-            } else {
-                out.push_back(makeError(
-                    "CAMJ-E011", consPath + ".inputShape",
-                    strf("'%s' produces %s per step but '%s' "
-                         "consumes %s",
-                         prod.name.c_str(),
-                         prod.outputShape.str().c_str(),
-                         cons.name.c_str(),
-                         cons.inputShape.str().c_str()),
-                    "insert an analog buffer (e.g. a sample-hold "
-                    "array) between them"));
-            }
+        if (produced == consumed)
+            continue;
+        const std::string path =
+            elemPath("analogArrays", cons.name, i + 1) + ".inputShape";
+        if (ind == SignalDomain::Voltage) {
+            out.push_back(makeWarning(
+                "CAMJ-W003", path,
+                strf("throughput mismatch %s ('%s') -> %s ('%s') "
+                     "buffered by the consumer's inherent "
+                     "capacitance",
+                     prod.outputShape.str().c_str(), prod.name.c_str(),
+                     cons.inputShape.str().c_str(),
+                     cons.name.c_str())));
+        } else {
+            out.push_back(makeError(
+                "CAMJ-E011", path,
+                strf("'%s' produces %s per step but '%s' "
+                     "consumes %s",
+                     prod.name.c_str(), prod.outputShape.str().c_str(),
+                     cons.name.c_str(),
+                     cons.inputShape.str().c_str()),
+                "insert an analog buffer (e.g. a sample-hold "
+                "array) between them"));
         }
     }
     const AnalogArraySpec &last = s.analogArrays.back();
@@ -653,9 +906,9 @@ checkAnalogChain(const DesignSpec &s, std::vector<Diagnostic> &out)
     if (outd != SignalDomain::Digital) {
         out.push_back(makeError(
             "CAMJ-E010",
-            "analogArrays[" +
-                elemSel(last.name, s.analogArrays.size() - 1) +
-                "].component",
+            elemPath("analogArrays", last.name,
+                     s.analogArrays.size() - 1) +
+                ".component",
             strf("final array '%s' outputs %s; an ADC (or comparator) "
                  "must sit between the analog and digital domains",
                  last.name.c_str(), signalDomainName(outd))));
@@ -665,16 +918,10 @@ checkAnalogChain(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E012
 
 void
-checkDigitalWiring(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkDigitalWiring(SpecView &v, std::vector<Diagnostic> &out)
 {
-    std::set<std::string> stageNames;
-    for (const StageSpec &st : s.stages)
-        stageNames.insert(st.params.name);
-    std::unordered_map<std::string, int> mappedCount;
-    for (const auto &[stage, hw] : s.mapping) {
-        if (stageNames.count(stage))
-            ++mappedCount[hw];
-    }
+    const DesignSpec &s = v.spec;
+    const Names &names = v.names();
 
     if (!s.units.empty() && s.adcOutputMemory.empty())
         out.push_back(makeError(
@@ -683,20 +930,29 @@ checkDigitalWiring(const DesignSpec &s, std::vector<Diagnostic> &out)
             "configured",
             "name the memory the ADC writes into"));
 
+    // Units (by first unit of a name) that a mapping entry of a
+    // registered stage targets.
+    std::vector<char> mapped(s.units.size(), 0);
+    for (const MappingRef &ref : names.mapping) {
+        if (ref.hw.unit != kNone && ref.stage != kNone)
+            mapped[ref.hw.unit] = 1;
+    }
+
     for (size_t i = 0; i < s.units.size(); ++i) {
         const UnitSpec &u = s.units[i];
-        if (mappedCount[u.name()] == 0)
+        if (!mapped[names.units.first(u.name())])
             continue; // dead unit, owned by the dead-component rule
-        const std::string base = "units[" + elemSel(u.name(), i) + "]";
         if (u.inputMemories.empty()) {
             out.push_back(makeError(
-                "CAMJ-E012", base + ".inputMemories",
+                "CAMJ-E012",
+                elemPath("units", u.name(), i) + ".inputMemories",
                 strf("unit '%s' has no input memory",
                      u.name().c_str())));
         } else if (u.kind == UnitKind::Systolic &&
                    u.inputMemories.size() != 1) {
             out.push_back(makeError(
-                "CAMJ-E012", base + ".inputMemories",
+                "CAMJ-E012",
+                elemPath("units", u.name(), i) + ".inputMemories",
                 strf("systolic array '%s' needs exactly one input "
                      "buffer (has %zu)",
                      u.name().c_str(), u.inputMemories.size())));
@@ -707,26 +963,29 @@ checkDigitalWiring(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E013
 
 void
-checkMemoryRanges(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkMemoryRanges(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     for (size_t i = 0; i < s.memories.size(); ++i) {
         const MemorySpec &m = s.memories[i];
-        const std::string base = "memories[" + elemSel(m.name, i) + "]";
+        auto at = [&](const char *field) {
+            return elemPath("memories", m.name, i) + field;
+        };
         if (m.capacityWords <= 0)
             out.push_back(makeError(
-                "CAMJ-E013", base + ".capacityWords",
+                "CAMJ-E013", at(".capacityWords"),
                 strf("capacity must be positive (got %lld words)",
                      static_cast<long long>(m.capacityWords))));
         const int wordMax =
             m.model == MemoryModel::Regfile ? 256 : 1024;
         if (m.wordBits < 1 || m.wordBits > wordMax)
             out.push_back(makeError(
-                "CAMJ-E013", base + ".wordBits",
+                "CAMJ-E013", at(".wordBits"),
                 strf("word width %d outside [1, %d]", m.wordBits,
                      wordMax)));
         if (m.activeFraction < 0.0 || m.activeFraction > 1.0)
             out.push_back(makeError(
-                "CAMJ-E013", base + ".activeFraction",
+                "CAMJ-E013", at(".activeFraction"),
                 strf("active fraction %g outside [0, 1]",
                      m.activeFraction)));
 
@@ -734,7 +993,7 @@ checkMemoryRanges(const DesignSpec &s, std::vector<Diagnostic> &out)
              m.model == MemoryModel::Sttram) &&
             (m.nodeNm < 7 || m.nodeNm > 250))
             out.push_back(makeError(
-                "CAMJ-E013", base + ".nodeNm",
+                "CAMJ-E013", at(".nodeNm"),
                 strf("process node %d nm outside supported range "
                      "[7, 250]",
                      m.nodeNm)));
@@ -743,20 +1002,20 @@ checkMemoryRanges(const DesignSpec &s, std::vector<Diagnostic> &out)
             const int64_t bytes = m.capacityWords * m.wordBits / 8;
             if (m.model != MemoryModel::Explicit && bytes <= 0)
                 out.push_back(makeError(
-                    "CAMJ-E013", base + ".capacityWords",
+                    "CAMJ-E013", at(".capacityWords"),
                     strf("capacity %lld words x %d b rounds to zero "
                          "bytes",
                          static_cast<long long>(m.capacityWords),
                          m.wordBits)));
             if (m.model == MemoryModel::Sttram && bytes < 4096)
                 out.push_back(makeError(
-                    "CAMJ-E013", base + ".capacityWords",
+                    "CAMJ-E013", at(".capacityWords"),
                     strf("%lld B below the 4 KB minimum of the "
                          "STT-RAM model",
                          static_cast<long long>(bytes))));
             if (m.model == MemoryModel::Regfile && bytes > 4096)
                 out.push_back(makeError(
-                    "CAMJ-E013", base + ".capacityWords",
+                    "CAMJ-E013", at(".capacityWords"),
                     strf("capacity %lld B outside (0, 4096] of the "
                          "register-file model",
                          static_cast<long long>(bytes))));
@@ -765,11 +1024,10 @@ checkMemoryRanges(const DesignSpec &s, std::vector<Diagnostic> &out)
         if (m.model == MemoryModel::Explicit) {
             if (m.readEnergyPerWord < 0.0 ||
                 m.writeEnergyPerWord < 0.0 || m.leakagePower < 0.0)
-                out.push_back(makeError("CAMJ-E013", base,
+                out.push_back(makeError("CAMJ-E013", at(""),
                                         "negative energy/power"));
             if (m.readPorts < 1 || m.writePorts < 1)
-                out.push_back(makeError("CAMJ-E013",
-                                        base + ".readPorts",
+                out.push_back(makeError("CAMJ-E013", at(".readPorts"),
                                         "ports must be >= 1"));
         }
     }
@@ -778,28 +1036,28 @@ checkMemoryRanges(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E014
 
 void
-checkComponentParams(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkComponentParams(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     for (size_t i = 0; i < s.analogArrays.size(); ++i) {
         const AnalogArraySpec &a = s.analogArrays[i];
-        const std::string base =
-            "analogArrays[" + elemSel(a.name, i) + "]";
+        auto at = [&](const std::string &field) {
+            return elemPath("analogArrays", a.name, i) + field;
+        };
         if (!positiveShape(a.numComponents))
             out.push_back(makeError(
-                "CAMJ-E014", base + ".numComponents",
+                "CAMJ-E014", at(".numComponents"),
                 strf("invalid component count %s",
                      a.numComponents.str().c_str())));
         if (!positiveShape(a.inputShape) ||
             !positiveShape(a.outputShape))
-            out.push_back(makeError("CAMJ-E014", base + ".inputShape",
+            out.push_back(makeError("CAMJ-E014", at(".inputShape"),
                                     "invalid input/output shape"));
         if (a.componentArea < 0.0)
-            out.push_back(makeError("CAMJ-E014",
-                                    base + ".componentArea",
+            out.push_back(makeError("CAMJ-E014", at(".componentArea"),
                                     "negative component area"));
 
         const ComponentSpec &c = a.component;
-        const std::string cbase = base + ".component";
         switch (c.kind) {
           case ComponentKind::Aps4T:
           case ComponentKind::Aps3T:
@@ -808,7 +1066,7 @@ checkComponentParams(const DesignSpec &s, std::vector<Diagnostic> &out)
           case ComponentKind::Dps:
             if (c.aps.pixelsPerComponent < 1)
                 out.push_back(makeError(
-                    "CAMJ-E014", cbase + ".aps.pixelsPerComponent",
+                    "CAMJ-E014", at(".component.aps.pixelsPerComponent"),
                     strf("pixelsPerComponent must be >= 1 (got %d)",
                          c.aps.pixelsPerComponent)));
             if (c.kind != ComponentKind::Dps)
@@ -817,58 +1075,60 @@ checkComponentParams(const DesignSpec &s, std::vector<Diagnostic> &out)
           case ComponentKind::ColumnAdc:
             if (c.adc.bits < 1 || c.adc.bits > 16)
                 out.push_back(makeError(
-                    "CAMJ-E014", cbase + ".adc.bits",
+                    "CAMJ-E014", at(".component.adc.bits"),
                     strf("ADC resolution %d outside [1, 16]",
                          c.adc.bits)));
             break;
           case ComponentKind::SwitchedCapMac:
             if (c.sc.numCaps < 1)
                 out.push_back(makeError(
-                    "CAMJ-E014", cbase + ".switchedCap.numCaps",
+                    "CAMJ-E014", at(".component.switchedCap.numCaps"),
                     strf("numCaps must be >= 1 (got %d)",
                          c.sc.numCaps)));
             break;
           case ComponentKind::MaxUnit:
             if (c.maxInputs < 2)
                 out.push_back(makeError(
-                    "CAMJ-E014", cbase + ".maxInputs",
+                    "CAMJ-E014", at(".component.maxInputs"),
                     strf("need at least 2 inputs (got %d)",
                          c.maxInputs)));
             break;
           case ComponentKind::Custom: {
             if (c.custom.name.empty())
                 out.push_back(makeError("CAMJ-E014",
-                                        cbase + ".custom.name",
+                                        at(".component.custom.name"),
                                         "empty component name"));
             if (c.custom.cells.empty())
                 out.push_back(makeError("CAMJ-E014",
-                                        cbase + ".custom.cells",
+                                        at(".component.custom.cells"),
                                         "component has no cells"));
             for (size_t j = 0; j < c.custom.cells.size(); ++j) {
                 const CellSpec &cell = c.custom.cells[j];
-                const std::string cp = cbase + ".custom.cells[" +
-                                       std::to_string(j) + "]";
+                auto cellAt = [&](const char *field) {
+                    return at(".component.custom.cells[" +
+                              std::to_string(j) + "]" + field);
+                };
                 if (cell.spatial < 1 || cell.temporal < 1)
                     out.push_back(makeError(
-                        "CAMJ-E014", cp,
+                        "CAMJ-E014", cellAt(""),
                         strf("cell counts must be >= 1 (got %d, %d)",
                              cell.spatial, cell.temporal)));
                 switch (cell.cls) {
                   case CellClass::Dynamic:
                     if (cell.caps.empty()) {
                         out.push_back(
-                            makeError("CAMJ-E014", cp + ".caps",
+                            makeError("CAMJ-E014", cellAt(".caps"),
                                       "no capacitance nodes"));
                     }
                     for (const CapNode &n : cell.caps) {
                         if (n.capacitance <= 0.0)
                             out.push_back(makeError(
-                                "CAMJ-E014", cp + ".caps",
+                                "CAMJ-E014", cellAt(".caps"),
                                 strf("non-positive capacitance %g F",
                                      n.capacitance)));
                         if (n.voltageSwing < 0.0)
                             out.push_back(makeError(
-                                "CAMJ-E014", cp + ".caps",
+                                "CAMJ-E014", cellAt(".caps"),
                                 strf("negative voltage swing %g V",
                                      n.voltageSwing)));
                     }
@@ -876,20 +1136,19 @@ checkComponentParams(const DesignSpec &s, std::vector<Diagnostic> &out)
                   case CellClass::StaticBias:
                     if (cell.bias.loadCapacitance <= 0.0)
                         out.push_back(makeError(
-                            "CAMJ-E014",
-                            cp + ".bias.loadCapacitance",
+                            "CAMJ-E014", cellAt(".bias.loadCapacitance"),
                             "non-positive load capacitance"));
                     break;
                   case CellClass::NonLinear:
                     if (cell.bits < 1 || cell.bits > 16)
                         out.push_back(makeError(
-                            "CAMJ-E014", cp + ".bits",
+                            "CAMJ-E014", cellAt(".bits"),
                             strf("resolution %d outside [1, 16]",
                                  cell.bits)));
                     if (cell.energyOverride < 0.0)
                         out.push_back(
                             makeError("CAMJ-E014",
-                                      cp + ".energyOverride",
+                                      cellAt(".energyOverride"),
                                       "negative energy override"));
                     break;
                 }
@@ -933,11 +1192,12 @@ fomSurveyed(const ComponentSpec &c)
 }
 
 void
-checkAdcThroughput(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkAdcThroughput(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     if (s.fps <= 0.0)
         return; // E001 owns that
-    AnalogWalk w = analogWalk(s);
+    const AnalogWalk &w = v.analogWalk();
     if (!w.ok)
         return;
     // Lower bound on the per-cell sampling rate of a FoM-surveyed
@@ -958,11 +1218,10 @@ checkAdcThroughput(const DesignSpec &s, std::vector<Diagnostic> &out)
             std::ceil(static_cast<double>(w.ops[i]) /
                       static_cast<double>(a.numComponents.count()));
         const double rateLb = accesses * numSlots * s.fps;
-        const std::string path =
-            "analogArrays[" + elemSel(a.name, i) + "].component";
         if (rateLb > 1e12) {
             out.push_back(makeError(
-                "CAMJ-E015", path,
+                "CAMJ-E015",
+                elemPath("analogArrays", a.name, i) + ".component",
                 strf("FoM-surveyed converter in '%s' needs >= %.3g "
                      "S/s per cell (%.0f accesses/component x %.0f "
                      "slots x %g fps), outside the survey's "
@@ -973,7 +1232,8 @@ checkAdcThroughput(const DesignSpec &s, std::vector<Diagnostic> &out)
                 "lower fps, or set an energy override"));
         } else if (rateLb > 1e11) {
             out.push_back(makeWarning(
-                "CAMJ-W004", path,
+                "CAMJ-W004",
+                elemPath("analogArrays", a.name, i) + ".component",
                 strf("sampling-rate lower bound %.3g S/s for '%s' is "
                      "in the clamped region of the ADC FoM survey "
                      "(> 1e11 S/s); conversion energy is "
@@ -986,50 +1246,36 @@ checkAdcThroughput(const DesignSpec &s, std::vector<Diagnostic> &out)
 // --------------------------------------------------- rule E016 / I002
 
 void
-checkCommBoundary(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkCommBoundary(SpecView &v, std::vector<Diagnostic> &out)
 {
-    auto order = topoOrder(s);
-    auto mapping = completeMapping(s);
-    if (!order || !mapping || s.stages.empty())
+    const DesignSpec &s = v.spec;
+    const std::vector<size_t> *order = v.topoOrder();
+    const std::vector<size_t> *entry = v.completeMapping();
+    if (!order || !entry || s.stages.empty())
         return;
-
-    std::unordered_map<std::string, Layer> hwLayer;
-    for (const AnalogArraySpec &a : s.analogArrays)
-        hwLayer.emplace(a.name, a.layer);
-    for (const MemorySpec &m : s.memories)
-        hwLayer.emplace(m.name, m.layer);
-    std::unordered_map<std::string, const UnitSpec *> unitsByName;
-    for (const UnitSpec &u : s.units) {
-        Layer l = u.kind == UnitKind::Pipeline ? u.pipeline.layer
-                                               : u.systolic.layer;
-        hwLayer.emplace(u.name(), l);
-        unitsByName.emplace(u.name(), &u);
-    }
-    std::unordered_map<std::string, Layer> memLayer;
-    for (const MemorySpec &m : s.memories)
-        memLayer.emplace(m.name, m.layer);
+    const Names &names = v.names();
 
     // The topologically-last processing stage (resident-data Inputs
     // are not outputs even when they sort last).
-    const StageSpec *lastStage = order->back();
+    size_t lastStage = order->back();
     for (auto it = order->rbegin(); it != order->rend(); ++it) {
-        if ((*it)->params.op != StageOp::Input) {
+        if (s.stages[*it].params.op != StageOp::Input) {
             lastStage = *it;
             break;
         }
     }
-    auto lastProbe = tryStage(lastStage->params);
+    const Stage *lastProbe = v.probe(lastStage);
     if (!lastProbe)
         return;
     const int64_t outBytes = s.pipelineOutputBytes >= 0
                                  ? s.pipelineOutputBytes
                                  : lastProbe->outputBytesPerFrame();
-    auto outLayerIt = hwLayer.find(mapping->at(lastStage->params.name));
-    if (outLayerIt == hwLayer.end())
+    const std::optional<Layer> outLayer =
+        v.hwLayer(names.mapping[(*entry)[lastStage]].hw);
+    if (!outLayer)
         return;
-    const Layer outLayer = outLayerIt->second;
 
-    bool mipiNeeded = outLayer != Layer::OffChip && outBytes > 0;
+    bool mipiNeeded = *outLayer != Layer::OffChip && outBytes > 0;
     bool tsvNeeded = false;
     // Whether EVERY inter-hardware transfer provably stays on one
     // layer (or crosses the package boundary) — the condition for the
@@ -1047,50 +1293,52 @@ checkCommBoundary(const DesignSpec &s, std::vector<Diagnostic> &out)
         }
     };
 
-    std::unordered_map<std::string, int> mappedCount;
-    std::unordered_map<std::string, int64_t> mappedOps;
-    for (const auto &[stage, hw] : *mapping) {
-        ++mappedCount[hw];
-        if (auto probe = tryStage(
-                std::find_if(s.stages.begin(), s.stages.end(),
-                             [&, sn = stage](const StageSpec &st) {
-                                 return st.params.name == sn;
-                             })
-                    ->params))
-            mappedOps[hw] += probe->opsPerFrame();
+    // Stages and operations mapped onto each unit name (counted at
+    // the first unit of the name).
+    std::vector<int> mappedCount(s.units.size(), 0);
+    std::vector<int64_t> mappedOps(s.units.size(), 0);
+    for (size_t st = 0; st < s.stages.size(); ++st) {
+        const size_t u = names.mapping[(*entry)[st]].hw.unit;
+        if (u == kNone)
+            continue;
+        ++mappedCount[u];
+        if (const Stage *probe = v.probe(st))
+            mappedOps[u] += probe->opsPerFrame();
     }
 
     for (const UnitSpec &u : s.units) {
-        if (mappedCount[u.name()] == 0)
+        const size_t first = names.units.first(u.name());
+        if (mappedCount[first] == 0)
             continue; // no traffic: the engine skips it entirely
-        const Layer ul = hwLayer.at(u.name());
+        const Layer ul = *v.hwLayer(names.hw(u.name()));
         for (const std::string &mem : u.inputMemories) {
-            auto ml = memLayer.find(mem);
-            if (ml == memLayer.end())
+            const size_t m = names.memories.first(mem);
+            if (m == kNone)
                 continue;
             bool nonZero = true;
             if (u.kind == UnitKind::Systolic &&
                 u.systolic.rows >= 1 && u.systolic.cols >= 1) {
-                const int64_t macs = mappedOps[u.name()];
+                const int64_t macs = mappedOps[first];
                 nonZero = macs / u.systolic.rows +
                               macs / u.systolic.cols >
                           0;
             }
-            cross(ml->second, ul, nonZero);
+            cross(s.memories[m].layer, ul, nonZero);
         }
         for (const std::string &mem : u.outputMemories) {
-            auto ml = memLayer.find(mem);
-            if (ml != memLayer.end())
-                cross(ul, ml->second, true);
+            const size_t m = names.memories.first(mem);
+            if (m != kNone)
+                cross(ul, s.memories[m].layer, true);
         }
     }
 
-    AnalogWalk w = analogWalk(s);
+    const AnalogWalk &w = v.analogWalk();
     if (!s.adcOutputMemory.empty() && w.ok && w.volume > 0 &&
         !s.analogArrays.empty()) {
-        auto ml = memLayer.find(s.adcOutputMemory);
-        if (ml != memLayer.end())
-            cross(s.analogArrays.back().layer, ml->second, true);
+        const size_t m = names.memories.first(s.adcOutputMemory);
+        if (m != kNone)
+            cross(s.analogArrays.back().layer, s.memories[m].layer,
+                  true);
     }
 
     if (mipiNeeded && !s.mipi.present)
@@ -1106,14 +1354,24 @@ checkCommBoundary(const DesignSpec &s, std::vector<Diagnostic> &out)
             "uTSV interface is configured",
             "add a \"tsv\" block (optionally with energyPerByte)"));
 
-    bool anyOffChip = false;
-    for (const auto &[name, layer] : hwLayer)
-        anyOffChip |= layer == Layer::OffChip;
-    if (s.mipi.present && !anyOffChip && outBytes == 0)
-        out.push_back(makeInfo(
-            "CAMJ-I002", "mipi",
-            "MIPI interface configured but no data crosses the "
-            "package boundary"));
+    if (s.mipi.present && outBytes == 0) {
+        // Any hardware name whose first element sits off chip.
+        bool anyOffChip = false;
+        auto offChip = [&](const std::string &name) {
+            return v.hwLayer(names.hw(name)) == Layer::OffChip;
+        };
+        for (const AnalogArraySpec &a : s.analogArrays)
+            anyOffChip |= offChip(a.name);
+        for (const MemorySpec &m : s.memories)
+            anyOffChip |= offChip(m.name);
+        for (const UnitSpec &u : s.units)
+            anyOffChip |= offChip(u.name());
+        if (!anyOffChip)
+            out.push_back(makeInfo(
+                "CAMJ-I002", "mipi",
+                "MIPI interface configured but no data crosses the "
+                "package boundary"));
+    }
     if (s.tsv.present && tsvProvablyUnused)
         out.push_back(makeInfo(
             "CAMJ-I002", "tsv",
@@ -1124,48 +1382,48 @@ checkCommBoundary(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule E017
 
 void
-checkUnitParams(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkUnitParams(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     for (size_t i = 0; i < s.units.size(); ++i) {
         const UnitSpec &u = s.units[i];
-        const std::string base = "units[" + elemSel(u.name(), i) + "]";
+        auto at = [&](const char *field) {
+            return elemPath("units", u.name(), i) + field;
+        };
         if (u.kind == UnitKind::Pipeline) {
             const auto &p = u.pipeline;
             if (!positiveShape(p.inputPixelsPerCycle) ||
                 !positiveShape(p.outputPixelsPerCycle))
-                out.push_back(
-                    makeError("CAMJ-E017",
-                              base + ".inputPixelsPerCycle",
-                              "invalid per-cycle shapes"));
+                out.push_back(makeError("CAMJ-E017",
+                                        at(".inputPixelsPerCycle"),
+                                        "invalid per-cycle shapes"));
             if (p.energyPerCycle < 0.0)
                 out.push_back(makeError("CAMJ-E017",
-                                        base + ".energyPerCycle",
+                                        at(".energyPerCycle"),
                                         "negative energy per cycle"));
             if (p.numStages < 1)
                 out.push_back(makeError(
-                    "CAMJ-E017", base + ".numStages",
+                    "CAMJ-E017", at(".numStages"),
                     strf("pipeline depth must be >= 1 (got %d)",
                          p.numStages)));
             if (p.clock <= 0.0)
-                out.push_back(makeError("CAMJ-E017", base + ".clock",
+                out.push_back(makeError("CAMJ-E017", at(".clock"),
                                         "non-positive clock"));
             if (p.opsPerCycle < 0.0)
-                out.push_back(makeError("CAMJ-E017",
-                                        base + ".opsPerCycle",
+                out.push_back(makeError("CAMJ-E017", at(".opsPerCycle"),
                                         "negative ops per cycle"));
         } else {
             const auto &p = u.systolic;
             if (p.rows < 1 || p.cols < 1)
                 out.push_back(makeError(
-                    "CAMJ-E017", base + ".rows",
+                    "CAMJ-E017", at(".rows"),
                     strf("dimensions must be >= 1 (got %dx%d)",
                          p.rows, p.cols)));
             if (p.energyPerMac < 0.0)
-                out.push_back(makeError("CAMJ-E017",
-                                        base + ".energyPerMac",
+                out.push_back(makeError("CAMJ-E017", at(".energyPerMac"),
                                         "negative per-MAC energy"));
             if (p.clock <= 0.0)
-                out.push_back(makeError("CAMJ-E017", base + ".clock",
+                out.push_back(makeError("CAMJ-E017", at(".clock"),
                                         "non-positive clock"));
         }
     }
@@ -1174,26 +1432,38 @@ checkUnitParams(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule W001
 
 void
-checkDeadComponents(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkDeadComponents(SpecView &v, std::vector<Diagnostic> &out)
 {
-    std::set<std::string> referencedMems;
+    const DesignSpec &s = v.spec;
+    const Names &names = v.names();
+    // Memories (by first memory of a name) a unit, the ADC or a
+    // mapping entry names, and units a mapping entry names.
+    std::vector<char> memUsed(s.memories.size(), 0);
+    std::vector<char> unitUsed(s.units.size(), 0);
+    auto useMem = [&](const std::string &name) {
+        if (const size_t m = names.memories.first(name); m != kNone)
+            memUsed[m] = 1;
+    };
     for (const UnitSpec &u : s.units) {
         for (const std::string &m : u.inputMemories)
-            referencedMems.insert(m);
+            useMem(m);
         for (const std::string &m : u.outputMemories)
-            referencedMems.insert(m);
+            useMem(m);
     }
     if (!s.adcOutputMemory.empty())
-        referencedMems.insert(s.adcOutputMemory);
-    std::set<std::string> mappedHw;
-    for (const auto &[stage, hw] : s.mapping)
-        mappedHw.insert(hw);
+        useMem(s.adcOutputMemory);
+    for (const MappingRef &ref : names.mapping) {
+        if (ref.hw.memory != kNone)
+            memUsed[ref.hw.memory] = 1;
+        if (ref.hw.unit != kNone)
+            unitUsed[ref.hw.unit] = 1;
+    }
 
     for (size_t i = 0; i < s.memories.size(); ++i) {
         const MemorySpec &m = s.memories[i];
-        if (!referencedMems.count(m.name) && !mappedHw.count(m.name))
+        if (!memUsed[names.memories.first(m.name)])
             out.push_back(makeWarning(
-                "CAMJ-W001", "memories[" + elemSel(m.name, i) + "]",
+                "CAMJ-W001", elemPath("memories", m.name, i),
                 strf("memory '%s' is not referenced by any unit, "
                      "mapping, or adcOutputMemory",
                      m.name.c_str()),
@@ -1201,9 +1471,9 @@ checkDeadComponents(const DesignSpec &s, std::vector<Diagnostic> &out)
     }
     for (size_t i = 0; i < s.units.size(); ++i) {
         const UnitSpec &u = s.units[i];
-        if (!mappedHw.count(u.name()))
+        if (!unitUsed[names.units.first(u.name())])
             out.push_back(makeWarning(
-                "CAMJ-W001", "units[" + elemSel(u.name(), i) + "]",
+                "CAMJ-W001", elemPath("units", u.name(), i),
                 strf("compute unit '%s' has no mapped stages",
                      u.name().c_str()),
                 "map a stage onto it or remove it"));
@@ -1213,8 +1483,9 @@ checkDeadComponents(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ----------------------------------------------------------- rule W002
 
 void
-checkMagnitudes(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkMagnitudes(SpecView &v, std::vector<Diagnostic> &out)
 {
+    const DesignSpec &s = v.spec;
     if (s.fps > 1e5)
         out.push_back(makeWarning(
             "CAMJ-W002", "fps",
@@ -1232,18 +1503,19 @@ checkMagnitudes(const DesignSpec &s, std::vector<Diagnostic> &out)
                  s.digitalClock)));
     for (size_t i = 0; i < s.units.size(); ++i) {
         const UnitSpec &u = s.units[i];
-        const std::string base = "units[" + elemSel(u.name(), i) + "]";
         if (u.kind == UnitKind::Systolic &&
             u.systolic.energyPerMac > 1e-9)
             out.push_back(makeWarning(
-                "CAMJ-W002", base + ".energyPerMac",
+                "CAMJ-W002",
+                elemPath("units", u.name(), i) + ".energyPerMac",
                 strf("%g J per MAC is unusually large (typical: "
                      "0.1-10 pJ)",
                      u.systolic.energyPerMac)));
         if (u.kind == UnitKind::Pipeline &&
             u.pipeline.energyPerCycle > 1e-6)
             out.push_back(makeWarning(
-                "CAMJ-W002", base + ".energyPerCycle",
+                "CAMJ-W002",
+                elemPath("units", u.name(), i) + ".energyPerCycle",
                 strf("%g J per cycle is unusually large",
                      u.pipeline.energyPerCycle)));
     }
@@ -1253,7 +1525,7 @@ checkMagnitudes(const DesignSpec &s, std::vector<Diagnostic> &out)
             m.capacityWords * m.wordBits > (int64_t{1} << 33))
             out.push_back(makeWarning(
                 "CAMJ-W002",
-                "memories[" + elemSel(m.name, i) + "].capacityWords",
+                elemPath("memories", m.name, i) + ".capacityWords",
                 strf("memory '%s' holds more than 1 GB — unusual for "
                      "an in-sensor buffer",
                      m.name.c_str())));
@@ -1263,8 +1535,7 @@ checkMagnitudes(const DesignSpec &s, std::vector<Diagnostic> &out)
         if (a.componentArea > 1e-4)
             out.push_back(makeWarning(
                 "CAMJ-W002",
-                "analogArrays[" + elemSel(a.name, i) +
-                    "].componentArea",
+                elemPath("analogArrays", a.name, i) + ".componentArea",
                 strf("component area %g m^2 exceeds 1 cm^2",
                      a.componentArea)));
     }
@@ -1283,39 +1554,34 @@ checkMagnitudes(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ---------------------------------------------------- rule W007 / I001
 
 void
-checkResidentInputs(const DesignSpec &s, std::vector<Diagnostic> &out)
+checkResidentInputs(SpecView &v, std::vector<Diagnostic> &out)
 {
-    std::unordered_map<std::string, const StageSpec *> byName;
-    for (const StageSpec &st : s.stages)
-        byName.emplace(st.params.name, &st);
-    std::unordered_map<std::string, const MemorySpec *> mems;
-    for (const MemorySpec &m : s.memories)
-        mems.emplace(m.name, &m);
-
+    const DesignSpec &s = v.spec;
+    const Names &names = v.names();
     for (size_t i = 0; i < s.mapping.size(); ++i) {
         const auto &[stage, hw] = s.mapping[i];
-        auto st = byName.find(stage);
-        auto mem = mems.find(hw);
-        if (st == byName.end() || mem == mems.end())
+        const size_t st = names.mapping[i].stage;
+        const size_t m = names.mapping[i].hw.memory;
+        if (st == kNone || m == kNone)
             continue;
-        if (st->second->params.op != StageOp::Input)
+        if (s.stages[st].params.op != StageOp::Input)
             continue;
         out.push_back(makeInfo(
             "CAMJ-I001", "mapping[" + std::to_string(i) + "].hw",
             strf("Input stage '%s' resides in memory '%s' (prefilled "
                  "frame: reads always succeed)",
                  stage.c_str(), hw.c_str())));
-        auto probe = tryStage(st->second->params);
+        const Stage *probe = v.probe(st);
         if (!probe)
             continue;
+        const MemorySpec &mem = s.memories[m];
         const int64_t frameBits = probe->outputsPerFrame() *
                                   probe->bitDepth();
-        const int64_t memBits =
-            mem->second->capacityWords * mem->second->wordBits;
+        const int64_t memBits = mem.capacityWords * mem.wordBits;
         if (memBits > 0 && frameBits > memBits)
             out.push_back(makeWarning(
                 "CAMJ-W007",
-                "memories[" + mem->second->name + "].capacityWords",
+                "memories[" + mem.name + "].capacityWords",
                 strf("memory '%s' (%lld b) is smaller than the "
                      "resident frame of Input stage '%s' (%lld b)",
                      hw.c_str(), static_cast<long long>(memBits),
@@ -1329,7 +1595,7 @@ checkResidentInputs(const DesignSpec &s, std::vector<Diagnostic> &out)
 // ------------------------------------------------ W005/W006: key lint
 
 int
-editDistance(const std::string &a, const std::string &b)
+editDistance(std::string_view a, std::string_view b)
 {
     std::vector<int> prev(b.size() + 1), cur(b.size() + 1);
     for (size_t j = 0; j <= b.size(); ++j)
@@ -1347,56 +1613,10 @@ editDistance(const std::string &a, const std::string &b)
 
 struct KeyContext
 {
-    std::vector<const char *> known;
+    std::vector<std::string_view> known;
     /** Renamed keys the parser silently ignores: old -> current. */
-    std::vector<std::pair<const char *, const char *>> renamed;
+    std::vector<std::pair<std::string_view, std::string_view>> renamed;
 };
-
-void
-checkKeys(const Value &obj, const KeyContext &ctx,
-          const std::string &path, std::vector<Diagnostic> &out)
-{
-    if (!obj.isObject())
-        return;
-    for (const auto &[key, value] : obj.asObject()) {
-        (void)value;
-        bool known = false;
-        for (const char *k : ctx.known)
-            known |= key == k;
-        if (known)
-            continue;
-        const char *renamedTo = nullptr;
-        for (const auto &[from, to] : ctx.renamed) {
-            if (key == from)
-                renamedTo = to;
-        }
-        const std::string at =
-            path.empty() ? key : path + "." + key;
-        if (renamedTo) {
-            out.push_back(makeWarning(
-                "CAMJ-W006", at,
-                strf("key '%s' is an obsolete spelling and is "
-                     "ignored by the parser",
-                     key.c_str()),
-                strf("use '%s'", renamedTo)));
-            continue;
-        }
-        std::string hint;
-        int bestDist = 3; // suggest only close misses
-        for (const char *k : ctx.known) {
-            int d = editDistance(key, k);
-            if (d < bestDist) {
-                bestDist = d;
-                hint = strf("did you mean '%s'?", k);
-            }
-        }
-        out.push_back(makeWarning(
-            "CAMJ-W005", at,
-            strf("unknown key '%s' is ignored by the parser",
-                 key.c_str()),
-            hint));
-    }
-}
 
 const Value *
 member(const Value &obj, const char *key)
@@ -1404,23 +1624,111 @@ member(const Value &obj, const char *key)
     return obj.isObject() ? obj.find(key) : nullptr;
 }
 
-void
-lintArrayOfObjects(const Value *arr, const std::string &path,
-                   const std::function<void(const Value &,
-                                            const std::string &)> &fn)
+/**
+ * Where a linted object sits, as a chain of segments on the stack,
+ * spelled out only when a finding needs the path: a member name
+ * (joined with '.'), optionally selecting one element of that array
+ * ("[name]", or "[index]" when the element has no name).
+ */
+struct KeyPath
 {
+    const KeyPath *parent = nullptr;
+    const char *member = nullptr;
+    const Value *element = nullptr;
+    size_t index = 0;
+};
+
+void
+appendPath(const KeyPath *p, std::string &out)
+{
+    if (p == nullptr)
+        return;
+    appendPath(p->parent, out);
+    if (!out.empty())
+        out += '.';
+    out += p->member;
+    if (p->element == nullptr)
+        return;
+    out += '[';
+    if (const Value *n = member(*p->element, "name");
+        n && n->isString() && !n->asString().empty())
+        out += n->asString();
+    else
+        out += std::to_string(p->index);
+    out += ']';
+}
+
+void
+checkKeys(const Value &obj, const KeyContext &ctx, const KeyPath *path,
+          std::vector<Diagnostic> &out)
+{
+    if (!obj.isObject())
+        return;
+    for (const auto &[key, value] : obj.asObject()) {
+        (void)value;
+        const std::string_view k = key;
+        if (std::find(ctx.known.begin(), ctx.known.end(), k) !=
+            ctx.known.end())
+            continue;
+        std::string at;
+        appendPath(path, at);
+        if (!at.empty())
+            at += '.';
+        at += key;
+        auto renamed = std::find_if(
+            ctx.renamed.begin(), ctx.renamed.end(),
+            [&](const auto &r) { return r.first == k; });
+        if (renamed != ctx.renamed.end()) {
+            out.push_back(makeWarning(
+                "CAMJ-W006", std::move(at),
+                strf("key '%s' is an obsolete spelling and is "
+                     "ignored by the parser",
+                     key.c_str()),
+                "use '" + std::string(renamed->second) + "'"));
+            continue;
+        }
+        std::string hint;
+        int bestDist = 3; // suggest only close misses
+        for (std::string_view known : ctx.known) {
+            int d = editDistance(k, known);
+            if (d < bestDist) {
+                bestDist = d;
+                hint = "did you mean '" + std::string(known) + "'?";
+            }
+        }
+        out.push_back(makeWarning(
+            "CAMJ-W005", std::move(at),
+            strf("unknown key '%s' is ignored by the parser",
+                 key.c_str()),
+            std::move(hint)));
+    }
+}
+
+/** checkKeys over the member @p name of @p obj, when present. */
+void
+checkMember(const Value &obj, const char *name, const KeyContext &ctx,
+            const KeyPath *parent, std::vector<Diagnostic> &out)
+{
+    if (const Value *m = member(obj, name)) {
+        const KeyPath path{parent, name};
+        checkKeys(*m, ctx, &path, out);
+    }
+}
+
+/** Call @p fn(element, path) for each element of the array member
+ *  @p name of @p obj. */
+template <class Fn>
+void
+forEachElement(const Value &obj, const char *name, const KeyPath *parent,
+               Fn &&fn)
+{
+    const Value *arr = member(obj, name);
     if (!arr || !arr->isArray())
         return;
     const auto &elems = arr->asArray();
     for (size_t i = 0; i < elems.size(); ++i) {
-        std::string p = path + "[";
-        if (const Value *n = member(elems[i], "name");
-            n && n->isString() && !n->asString().empty())
-            p += n->asString();
-        else
-            p += std::to_string(i);
-        p += "]";
-        fn(elems[i], p);
+        const KeyPath path{parent, name, &elems[i], i};
+        fn(elems[i], &path);
     }
 }
 
@@ -1510,78 +1818,72 @@ lintDocumentKeys(const Value &doc)
          "indices", "sweepGrid"},
         {}};
 
-    checkKeys(doc, kTop, "", out);
-    lintArrayOfObjects(member(doc, "stages"), "stages",
-                       [&](const Value &v, const std::string &p) {
-                           checkKeys(v, kStage, p, out);
-                       });
-    lintArrayOfObjects(
-        member(doc, "memories"), "memories",
-        [&](const Value &v, const std::string &p) {
-            checkKeys(v, kMemory, p, out);
-        });
-    lintArrayOfObjects(
-        member(doc, "analogArrays"), "analogArrays",
-        [&](const Value &v, const std::string &p) {
+    checkKeys(doc, kTop, nullptr, out);
+    forEachElement(doc, "stages", nullptr,
+                   [&](const Value &v, const KeyPath *p) {
+                       checkKeys(v, kStage, p, out);
+                   });
+    forEachElement(doc, "memories", nullptr,
+                   [&](const Value &v, const KeyPath *p) {
+                       checkKeys(v, kMemory, p, out);
+                   });
+    forEachElement(
+        doc, "analogArrays", nullptr,
+        [&](const Value &v, const KeyPath *p) {
             checkKeys(v, kArray, p, out);
             const Value *c = member(v, "component");
             if (!c)
                 return;
-            checkKeys(*c, kComponent, p + ".component", out);
-            if (const Value *b = member(*c, "aps"))
-                checkKeys(*b, kAps, p + ".component.aps", out);
-            if (const Value *b = member(*c, "adc"))
-                checkKeys(*b, kAdc, p + ".component.adc", out);
-            if (const Value *b = member(*c, "switchedCap"))
-                checkKeys(*b, kSc, p + ".component.switchedCap", out);
-            if (const Value *b = member(*c, "analogMemory"))
-                checkKeys(*b, kAnalogMem,
-                          p + ".component.analogMemory", out);
-            if (const Value *b = member(*c, "converter"))
-                checkKeys(*b, kConv, p + ".component.converter", out);
+            const KeyPath cp{p, "component"};
+            checkKeys(*c, kComponent, &cp, out);
+            checkMember(*c, "aps", kAps, &cp, out);
+            checkMember(*c, "adc", kAdc, &cp, out);
+            checkMember(*c, "switchedCap", kSc, &cp, out);
+            checkMember(*c, "analogMemory", kAnalogMem, &cp, out);
+            checkMember(*c, "converter", kConv, &cp, out);
             if (const Value *cu = member(*c, "custom")) {
-                checkKeys(*cu, kCustom, p + ".component.custom", out);
-                lintArrayOfObjects(
-                    member(*cu, "cells"), p + ".component.custom.cells",
-                    [&](const Value &cell, const std::string &cp) {
-                        checkKeys(cell, kCell, cp, out);
-                        lintArrayOfObjects(
-                            member(cell, "caps"), cp + ".caps",
-                            [&](const Value &cap,
-                                const std::string &capp) {
-                                checkKeys(cap, kCap, capp, out);
-                            });
-                        if (const Value *b = member(cell, "bias"))
-                            checkKeys(*b, kBias, cp + ".bias", out);
+                const KeyPath up{&cp, "custom"};
+                checkKeys(*cu, kCustom, &up, out);
+                forEachElement(
+                    *cu, "cells", &up,
+                    [&](const Value &cell, const KeyPath *cellp) {
+                        checkKeys(cell, kCell, cellp, out);
+                        forEachElement(cell, "caps", cellp,
+                                       [&](const Value &cap,
+                                           const KeyPath *capp) {
+                                           checkKeys(cap, kCap, capp,
+                                                     out);
+                                       });
+                        checkMember(cell, "bias", kBias, cellp, out);
                     });
             }
         });
-    lintArrayOfObjects(
-        member(doc, "units"), "units",
-        [&](const Value &v, const std::string &p) {
-            const Value *kind = member(v, "kind");
-            const bool systolic = kind && kind->isString() &&
-                                  kind->asString() == "systolic";
-            checkKeys(v, systolic ? kSystolicUnit : kPipelineUnit, p,
-                      out);
-        });
-    if (const Value *m = member(doc, "mipi"))
-        checkKeys(*m, kComm, "mipi", out);
-    if (const Value *t = member(doc, "tsv"))
-        checkKeys(*t, kComm, "tsv", out);
-    lintArrayOfObjects(member(doc, "mapping"), "mapping",
-                       [&](const Value &v, const std::string &p) {
-                           checkKeys(v, kMapPair, p, out);
-                       });
+    forEachElement(doc, "units", nullptr,
+                   [&](const Value &v, const KeyPath *p) {
+                       const Value *kind = member(v, "kind");
+                       const bool systolic =
+                           kind && kind->isString() &&
+                           kind->asString() == "systolic";
+                       checkKeys(v,
+                                 systolic ? kSystolicUnit
+                                          : kPipelineUnit,
+                                 p, out);
+                   });
+    checkMember(doc, "mipi", kComm, nullptr, out);
+    checkMember(doc, "tsv", kComm, nullptr, out);
+    forEachElement(doc, "mapping", nullptr,
+                   [&](const Value &v, const KeyPath *p) {
+                       checkKeys(v, kMapPair, p, out);
+                   });
     if (const Value *g = member(doc, "sweepGrid")) {
-        checkKeys(*g, kGrid, "sweepGrid", out);
-        lintArrayOfObjects(member(*g, "axes"), "sweepGrid.axes",
-                           [&](const Value &v, const std::string &p) {
-                               checkKeys(v, kAxis, p, out);
-                           });
+        const KeyPath gp{nullptr, "sweepGrid"};
+        checkKeys(*g, kGrid, &gp, out);
+        forEachElement(*g, "axes", &gp,
+                       [&](const Value &v, const KeyPath *p) {
+                           checkKeys(v, kAxis, p, out);
+                       });
     }
-    if (const Value *sh = member(doc, "shard"))
-        checkKeys(*sh, kShard, "shard", out);
+    checkMember(doc, "shard", kShard, nullptr, out);
     return out;
 }
 
@@ -1633,38 +1935,61 @@ componentOutputDomain(const ComponentSpec &c)
 
 // ------------------------------------------------------- the analyzer
 
-SpecAnalyzer::SpecAnalyzer()
+namespace
 {
-    auto add = [&](const char *name, const char *code, auto fn) {
-        rules_.push_back({name, code, fn});
-    };
-    add("top-level-params", "CAMJ-E001", checkTopLevel);
-    add("duplicate-names", "CAMJ-E002", checkDuplicateNames);
-    add("dangling-references", "CAMJ-E003", checkDanglingRefs);
-    add("stage-arity", "CAMJ-E004", checkStageArity);
-    add("stage-geometry", "CAMJ-E005", checkStageGeometry);
-    add("dag-edge-shapes", "CAMJ-E006", checkDagShapes);
-    add("dag-structure", "CAMJ-E007", checkDagStructure);
-    add("mapping", "CAMJ-E008", checkMapping);
-    add("analog-presence", "CAMJ-E009", checkAnalogPresence);
-    add("analog-chain", "CAMJ-E010", checkAnalogChain);
-    add("digital-wiring", "CAMJ-E012", checkDigitalWiring);
-    add("memory-ranges", "CAMJ-E013", checkMemoryRanges);
-    add("component-params", "CAMJ-E014", checkComponentParams);
-    add("adc-throughput", "CAMJ-E015", checkAdcThroughput);
-    add("comm-boundary", "CAMJ-E016", checkCommBoundary);
-    add("unit-params", "CAMJ-E017", checkUnitParams);
-    add("dead-components", "CAMJ-W001", checkDeadComponents);
-    add("suspicious-magnitudes", "CAMJ-W002", checkMagnitudes);
-    add("resident-inputs", "CAMJ-I001", checkResidentInputs);
+
+/** The rule catalogue (docs/lint_rules.md), in run order. */
+constexpr AnalysisRule kCatalogue[] = {
+    {"top-level-params", "CAMJ-E001", checkTopLevel},
+    {"duplicate-names", "CAMJ-E002", checkDuplicateNames},
+    {"dangling-references", "CAMJ-E003", checkDanglingRefs},
+    {"stage-arity", "CAMJ-E004", checkStageArity},
+    {"stage-geometry", "CAMJ-E005", checkStageGeometry},
+    {"dag-edge-shapes", "CAMJ-E006", checkDagShapes},
+    {"dag-structure", "CAMJ-E007", checkDagStructure},
+    {"mapping", "CAMJ-E008", checkMapping},
+    {"analog-presence", "CAMJ-E009", checkAnalogPresence},
+    {"analog-chain", "CAMJ-E010", checkAnalogChain},
+    {"digital-wiring", "CAMJ-E012", checkDigitalWiring},
+    {"memory-ranges", "CAMJ-E013", checkMemoryRanges},
+    {"component-params", "CAMJ-E014", checkComponentParams},
+    {"adc-throughput", "CAMJ-E015", checkAdcThroughput},
+    {"comm-boundary", "CAMJ-E016", checkCommBoundary},
+    {"unit-params", "CAMJ-E017", checkUnitParams},
+    {"dead-components", "CAMJ-W001", checkDeadComponents},
+    {"suspicious-magnitudes", "CAMJ-W002", checkMagnitudes},
+    {"resident-inputs", "CAMJ-I001", checkResidentInputs},
+};
+
+void
+runCatalogue(const DesignSpec &spec, std::vector<Diagnostic> &out)
+{
+    SpecView view(spec);
+    for (const AnalysisRule &r : kCatalogue)
+        r.check(view, out);
+}
+
+} // namespace
+
+std::span<const AnalysisRule>
+SpecAnalyzer::rules()
+{
+    return kCatalogue;
+}
+
+void
+SpecAnalyzer::runRule(const AnalysisRule &rule, const DesignSpec &spec,
+                      std::vector<Diagnostic> &out)
+{
+    SpecView view(spec);
+    rule.check(view, out);
 }
 
 std::vector<Diagnostic>
 SpecAnalyzer::analyze(const DesignSpec &spec) const
 {
     std::vector<Diagnostic> out;
-    for (const AnalysisRule &r : rules_)
-        r.check(spec, out);
+    runCatalogue(spec, out);
     return out;
 }
 
@@ -1679,8 +2004,7 @@ SpecAnalyzer::analyzeDocument(const Value &doc) const
         out.push_back(makeError(e.code(), "", e.what()));
         return out;
     }
-    std::vector<Diagnostic> specDiags = analyze(parsed);
-    out.insert(out.end(), specDiags.begin(), specDiags.end());
+    runCatalogue(parsed, out);
     return out;
 }
 

@@ -9,18 +9,19 @@
  * magnitudes, unknown/deprecated JSON keys). The analyzer never
  * materializes: it builds at most value-type Stage objects (cheap
  * shape arithmetic) and a static component-kind -> signal-domain
- * table. That does not make it cheap next to simulation: with the
- * cycle sim answered in closed form, analyzing a paper study costs
- * more than materializing and evaluating it (14-83 us against 4-33 us
- * per study, best of 50 on one core of a 4-core x86 container). The
- * rule catalogue (docs/lint_rules.md) is registered by the
- * constructor.
+ * table. The rule catalogue (docs/lint_rules.md) is a static table;
+ * the rules of one analyze() call share one SpecView, each piece of
+ * it derived once, and build a field path only for a finding. So
+ * analyzing a paper study costs 1.6-8.4 us against 4-29 us for
+ * materializing and evaluating it, and analyzeDocument 7-27 us with
+ * the key lint and fromJsonValue (best of 60 on one core of a 4-core
+ * x86 container).
  */
 
 #ifndef CAMJ_ANALYSIS_ANALYZER_H
 #define CAMJ_ANALYSIS_ANALYZER_H
 
-#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,30 +34,37 @@
 namespace camj::analysis
 {
 
-/** One registered analysis rule. */
+/** What the rules derive from one spec (name lookups, stage probes,
+ *  topological order, complete mapping, analog walk), each built on
+ *  first use and shared by every rule run on it (analyzer.cc). */
+class SpecView;
+
+/** One rule of the catalogue. */
 struct AnalysisRule
 {
-    /** Short slug ("dangling-reference"). */
-    std::string name;
+    /** Short slug ("dangling-references"). */
+    const char *name;
     /** Primary code the rule emits ("CAMJ-E003"); a rule may emit
      *  related codes too (the analog-chain rule emits E010/E011/W003). */
-    std::string code;
-    /** Append findings for @p spec. Must not throw. */
-    std::function<void(const spec::DesignSpec &spec,
-                       std::vector<Diagnostic> &out)>
-        check;
+    const char *code;
+    /** Append findings for the view's spec. Must not throw. */
+    void (*check)(SpecView &view, std::vector<Diagnostic> &out);
 };
 
 /** The static analyzer: the rule catalogue run over a DesignSpec. */
 class SpecAnalyzer
 {
   public:
-    /** Registers the built-in rule catalogue. */
-    SpecAnalyzer();
+    /** The built-in rule catalogue, in run order. */
+    static std::span<const AnalysisRule> rules();
 
-    const std::vector<AnalysisRule> &rules() const { return rules_; }
+    /** Append @p rule's findings for @p spec, on a view of its own. */
+    static void runRule(const AnalysisRule &rule,
+                        const spec::DesignSpec &spec,
+                        std::vector<Diagnostic> &out);
 
-    /** Run every rule; diagnostics in registration order. */
+    /** Run every rule over one shared view of @p spec; diagnostics in
+     *  catalogue order. */
     std::vector<Diagnostic> analyze(const spec::DesignSpec &spec) const;
 
     /**
@@ -67,9 +75,6 @@ class SpecAnalyzer
      * document).
      */
     std::vector<Diagnostic> analyzeDocument(const json::Value &doc) const;
-
-  private:
-    std::vector<AnalysisRule> rules_;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "analysis/grid_analyzer.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -122,12 +123,15 @@ GridAnalyzer::GridAnalyzer()
          {"fps", "analogArrays", "stages", "mapping"}},
         {"unit-params", {"units"}},
     };
-    SpecAnalyzer base;
     for (const auto &entry : kLiftable) {
-        for (const AnalysisRule &r : base.rules()) {
-            if (r.name == entry.slug) {
-                rules_.push_back({"gr-" + r.name, r.code, entry.deps,
-                                  r.check});
+        for (const AnalysisRule &r : SpecAnalyzer::rules()) {
+            if (std::string_view(r.name) == entry.slug) {
+                rules_.push_back(
+                    {std::string("gr-") + r.name, r.code, entry.deps,
+                     [rule = &r](const DesignSpec &s,
+                                 std::vector<Diagnostic> &out) {
+                         SpecAnalyzer::runRule(*rule, s, out);
+                     }});
                 break;
             }
         }

@@ -43,11 +43,22 @@ streamJob(int fd, JobRecord &job)
 }
 
 bool
-sendError(int fd, const std::string &message)
+sendError(int fd, const std::string &message, const char *code = nullptr)
 {
     json::Value err = makeFrame("error");
+    if (code != nullptr)
+        err.set("code", code);
     err.set("message", message);
     return writeLine(fd, frameLine(err));
+}
+
+/** The error frame for @p e; a ConfigError names its rule code, as
+ *  a rejected frame's diagnostics do. */
+bool
+sendError(int fd, const std::exception &e)
+{
+    const auto *config = dynamic_cast<const ConfigError *>(&e);
+    return sendError(fd, e.what(), config ? config->code() : nullptr);
 }
 
 } // namespace
@@ -161,7 +172,7 @@ Server::handleConnection(int fd)
             try {
                 frame = parseFrame(*line);
             } catch (const ConfigError &e) {
-                if (!sendError(fd, e.what()))
+                if (!sendError(fd, e))
                     return;
                 continue;
             }
@@ -226,7 +237,7 @@ Server::handleConnection(int fd)
     } catch (const std::exception &e) {
         // An oversized line or a protocol invariant violation:
         // answer best-effort, then drop the connection.
-        sendError(fd, e.what());
+        sendError(fd, e);
     }
 }
 

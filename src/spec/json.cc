@@ -451,17 +451,17 @@ appendNumber(std::string &out, double d)
     if (!std::isfinite(d))
         fatal("json: cannot serialize a non-finite number");
     // Integers up to 2^53 print without an exponent for readability;
-    // everything else uses %.17g for exact double round-trips.
-    if (d == std::floor(d) && std::fabs(d) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(d));
-        out += buf;
-        return;
-    }
+    // everything else prints as %.17g would (to_chars with general
+    // format and precision 17 is specified to give printf's bytes),
+    // for exact double round-trips.
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
+    const std::to_chars_result r =
+        d == std::floor(d) && std::fabs(d) < 9.0e15
+            ? std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(d))
+            : std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 void

@@ -3,16 +3,23 @@
  * Tests for the static spec analyzer: the golden corpus lints clean,
  * every rule fires with its exact code and field path on an injected
  * defect, simulation reports the code lint does for the same defect,
- * and the grid prefilter never prunes a point full simulation would have
- * found feasible.
+ * the grid prefilter never prunes a point full simulation would have
+ * found feasible, and the formatted diagnostics of a seeded corpus
+ * match recorded hashes byte for byte.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -828,6 +835,379 @@ TEST(Diagnostic, FormatsLikeACompiler)
     const Diagnostic bare =
         analysis::makeWarning("CAMJ-W002", "", "odd");
     EXPECT_EQ(bare.format(), "warning CAMJ-W002: odd");
+}
+
+// ------------------------------------------------ byte-identical lint
+
+/** splitmix64: the corpus must replay identically on every host. */
+struct CorpusRng
+{
+    uint64_t state;
+    uint64_t next()
+    {
+        uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+    size_t below(size_t n) { return n == 0 ? 0 : next() % n; }
+    bool coin() { return (next() & 1) != 0; }
+};
+
+uint64_t
+fnv1a(std::string_view bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** The named elements of @p doc's @p collection. */
+std::vector<json::Value *>
+namedElements(json::Value &doc, const char *collection)
+{
+    std::vector<json::Value *> out;
+    json::Value *arr = doc.find(collection);
+    if (arr == nullptr || !arr->isArray())
+        return out;
+    for (json::Value &e : arr->mutableArray()) {
+        const json::Value *name = e.isObject() ? e.find("name") : nullptr;
+        if (name != nullptr && name->isString())
+            out.push_back(&e);
+    }
+    return out;
+}
+
+std::vector<json::Value *>
+hardware(json::Value &doc)
+{
+    std::vector<json::Value *> out;
+    for (const char *c : {"analogArrays", "memories", "units"}) {
+        for (json::Value *e : namedElements(doc, c))
+            out.push_back(e);
+    }
+    return out;
+}
+
+std::string
+nameOf(const json::Value &e)
+{
+    return e.find("name")->asString();
+}
+
+void
+collectObjectsAndNumbers(json::Value &v, std::vector<json::Value *> &objects,
+                         std::vector<json::Value *> &numbers)
+{
+    if (v.isNumber())
+        numbers.push_back(&v);
+    if (v.isArray()) {
+        for (json::Value &e : v.mutableArray())
+            collectObjectsAndNumbers(e, objects, numbers);
+    } else if (v.isObject()) {
+        objects.push_back(&v);
+        for (auto &[key, e] : v.mutableObject())
+            collectObjectsAndNumbers(e, objects, numbers);
+    }
+}
+
+template <class T>
+T &
+pick(std::vector<T> &items, CorpusRng &rng)
+{
+    return items[rng.below(items.size())];
+}
+
+const char *const kMutations[] = {
+    "empty-name",        "duplicate-name",  "renamed-name",
+    "dangling-mapping",  "retargeted-mapping", "self-loop",
+    "cycle",             "duplicate-edge",  "zero-number",
+    "negative-number",   "huge-number",     "layer-swap",
+    "dropped-comm",      "unknown-key",     "obsolete-key",
+};
+constexpr size_t kMutationKinds = std::size(kMutations);
+
+/** Mutation @p kind applied to @p doc at targets @p rng picks; false
+ *  (and @p doc untouched) when the document has nothing to target. */
+bool
+mutate(json::Value &doc, size_t kind, CorpusRng &rng)
+{
+    std::vector<json::Value *> stages = namedElements(doc, "stages");
+    std::vector<json::Value *> hw = hardware(doc);
+    std::vector<json::Value *> named = stages;
+    named.insert(named.end(), hw.begin(), hw.end());
+    std::vector<json::Value *> mapping;
+    if (json::Value *m = doc.find("mapping"); m && m->isArray()) {
+        for (json::Value &e : m->mutableArray()) {
+            if (e.isObject())
+                mapping.push_back(&e);
+        }
+    }
+    std::vector<json::Value *> objects;
+    std::vector<json::Value *> numbers;
+    collectObjectsAndNumbers(doc, objects, numbers);
+
+    switch (kind) {
+      case 0: // empty name, of any kind
+        if (named.empty())
+            return false;
+        pick(named, rng)->set("name", json::Value(""));
+        return true;
+      case 1: { // a name shared with another element of its namespace
+        if (named.empty())
+            return false;
+        const size_t i = rng.below(named.size());
+        const bool isStage = i < stages.size();
+        const std::vector<json::Value *> &pool = isStage ? stages : hw;
+        if (pool.size() < 2)
+            return false;
+        const size_t self = isStage ? i : i - stages.size();
+        const size_t other =
+            (self + 1 + rng.below(pool.size() - 1)) % pool.size();
+        named[i]->set("name", json::Value(nameOf(*pool[other])));
+        return true;
+      }
+      case 2: { // renamed: every reference to the old name dangles
+        if (named.empty())
+            return false;
+        json::Value *e = pick(named, rng);
+        e->set("name", json::Value(nameOf(*e) + "2"));
+        return true;
+      }
+      case 3: // dangling mapping
+        if (mapping.empty())
+            return false;
+        if (rng.coin())
+            pick(mapping, rng)->set("stage", json::Value("NoSuchStage"));
+        else
+            pick(mapping, rng)->set("hw", json::Value("NoSuchHw"));
+        return true;
+      case 4: // mapping retargeted onto another existing element
+        if (mapping.empty() || stages.empty() || hw.empty())
+            return false;
+        if (rng.coin())
+            pick(mapping, rng)->set("hw",
+                                    json::Value(nameOf(*pick(hw, rng))));
+        else
+            pick(mapping, rng)->set(
+                "stage", json::Value(nameOf(*pick(stages, rng))));
+        return true;
+      case 5: { // self-loop
+        if (stages.empty())
+            return false;
+        json::Value *s = pick(stages, rng);
+        json::Value *inputs = s->find("inputs");
+        if (inputs == nullptr || !inputs->isArray())
+            return false;
+        if (inputs->mutableArray().empty())
+            inputs->push(json::Value(nameOf(*s)));
+        else
+            pick(inputs->mutableArray(), rng) = json::Value(nameOf(*s));
+        return true;
+      }
+      case 6: { // two-stage cycle: a stage reads one of its consumers
+        if (stages.empty())
+            return false;
+        json::Value *s = pick(stages, rng);
+        std::vector<json::Value *> consumers;
+        for (json::Value *c : stages) {
+            const json::Value *in = c->find("inputs");
+            if (in == nullptr || !in->isArray())
+                continue;
+            for (const json::Value &v : in->asArray()) {
+                if (v.isString() && v.asString() == nameOf(*s))
+                    consumers.push_back(c);
+            }
+        }
+        json::Value *inputs = s->find("inputs");
+        if (consumers.empty() || inputs == nullptr || !inputs->isArray())
+            return false;
+        const std::string back = nameOf(*pick(consumers, rng));
+        if (inputs->mutableArray().empty())
+            inputs->push(json::Value(back));
+        else
+            inputs->mutableArray()[0] = json::Value(back);
+        return true;
+      }
+      case 7: { // duplicate edge
+        std::vector<json::Value *> readers;
+        for (json::Value *s : stages) {
+            const json::Value *in = s->find("inputs");
+            if (in != nullptr && in->isArray() && !in->asArray().empty())
+                readers.push_back(s);
+        }
+        if (readers.empty())
+            return false;
+        json::Value &in = *pick(readers, rng)->find("inputs");
+        const json::Value first = in.asArray()[0];
+        if (in.asArray().size() > 1 && rng.coin())
+            in.mutableArray()[1] = first;
+        else
+            in.push(first);
+        return true;
+      }
+      case 8: // zero
+      case 9: // negative
+      case 10: { // huge
+        if (numbers.empty())
+            return false;
+        json::Value *n = pick(numbers, rng);
+        const double d = n->asNumber();
+        if (kind == 8)
+            *n = json::Value(0.0);
+        else if (kind == 9)
+            *n = json::Value(d == 0.0 ? -1.0 : -d);
+        else
+            *n = json::Value(d == 0.0 ? 1e6 : d * 1e6);
+        return true;
+      }
+      case 11: { // layer swap
+        static const char *const kLayers[] = {
+            "sensor", "stacked-compute", "stacked-dram", "off-chip"};
+        std::vector<json::Value *> placed;
+        for (json::Value *e : hw) {
+            const json::Value *l = e->find("layer");
+            if (l != nullptr && l->isString())
+                placed.push_back(e);
+        }
+        if (placed.empty())
+            return false;
+        json::Value *e = pick(placed, rng);
+        size_t now = 0;
+        while (now < 4 && e->find("layer")->asString() != kLayers[now])
+            ++now;
+        e->set("layer",
+               json::Value(kLayers[(now + 1 + rng.below(3)) % 4]));
+        return true;
+      }
+      case 12: { // dropped mipi or tsv block
+        json::Value::Object &top = doc.mutableObject();
+        std::vector<size_t> comm;
+        for (size_t i = 0; i < top.size(); ++i) {
+            if (top[i].first == "mipi" || top[i].first == "tsv")
+                comm.push_back(i);
+        }
+        if (comm.empty())
+            return false;
+        top.erase(top.begin() +
+                  static_cast<std::ptrdiff_t>(pick(comm, rng)));
+        return true;
+      }
+      case 13: { // unknown key, often a near-miss of a real one
+        json::Value *o = pick(objects, rng);
+        std::string key = "bogusKey";
+        if (!o->asObject().empty() && rng.coin()) {
+            key = o->asObject()[rng.below(o->asObject().size())].first;
+            if (rng.coin() && key.size() > 1)
+                key.pop_back();
+            else
+                key += 's';
+        }
+        o->set(key, json::Value(1.0));
+        return true;
+      }
+      default: { // obsolete spelling
+        static const char *const kObsolete[] = {
+            "frame_rate", "frameRate", "clock", "sw_stages",
+            "mappings", "opsPerOutputOverride", "bit_depth",
+            "node_nm", "capacity", "comparatorEnergyOverride"};
+        pick(objects, rng)->set(
+            kObsolete[rng.below(std::size(kObsolete))],
+            json::Value(1.0));
+        return true;
+      }
+    }
+}
+
+/**
+ * The lint corpus: the 27 golden studies, the example sweep and every
+ * RuleCodes fixture, each followed by 40 seeded single mutations. A
+ * mutation with nothing to target becomes an unknown-key insertion.
+ */
+std::vector<std::pair<std::string, json::Value>>
+lintCorpus()
+{
+    std::vector<std::pair<std::string, json::Value>> bases;
+    std::vector<fs::path> goldens;
+    for (const auto &entry : fs::directory_iterator(CAMJ_GOLDEN_DIR)) {
+        if (entry.path().extension() == ".json" &&
+            entry.path().filename() != "energies.json")
+            goldens.push_back(entry.path());
+    }
+    std::sort(goldens.begin(), goldens.end());
+    for (const fs::path &p : goldens)
+        bases.emplace_back("golden/" + p.stem().string(),
+                           json::Value::parse(readFile(p)));
+    bases.emplace_back(
+        "example/detector_sweep",
+        json::Value::parse(readFile(fs::path(CAMJ_EXAMPLES_DIR) /
+                                    "detector_sweep.json")));
+    for (const CodeRow &row : codeRows()) {
+        std::string id = "row/" + row.name;
+        std::replace(id.begin(), id.end(), ' ', '-');
+        bases.emplace_back(std::move(id), spec::toJsonValue(row.spec));
+    }
+
+    constexpr size_t kMutationsPerBase = 40;
+    std::vector<std::pair<std::string, json::Value>> corpus;
+    for (const auto &[id, base] : bases) {
+        corpus.emplace_back(id, base);
+        for (size_t m = 0; m < kMutationsPerBase; ++m) {
+            CorpusRng rng{fnv1a(id) + m};
+            size_t kind = m % kMutationKinds;
+            json::Value doc = base;
+            if (!mutate(doc, kind, rng)) {
+                kind = 13;
+                mutate(doc, kind, rng);
+            }
+            char suffix[64];
+            std::snprintf(suffix, sizeof suffix, "/m%02zu:%s", m,
+                          kMutations[kind]);
+            corpus.emplace_back(id + suffix, std::move(doc));
+        }
+    }
+    return corpus;
+}
+
+TEST(LintCorpus, DiagnosticsMatchTheRecordedHashes)
+{
+    // Each line of lint_hashes.txt is the FNV-1a 64 of one corpus
+    // document's formatted diagnostics, so a change of rule order,
+    // path, message or hint anywhere in the corpus shows here.
+    const SpecAnalyzer analyzer;
+    std::vector<std::string> now;
+    size_t withFindings = 0;
+    for (const auto &[id, doc] : lintCorpus()) {
+        const std::string text =
+            analysis::formatDiagnostics(analyzer.analyzeDocument(doc));
+        withFindings += text.empty() ? 0 : 1;
+        char hash[17];
+        std::snprintf(hash, sizeof hash, "%016llx",
+                      static_cast<unsigned long long>(fnv1a(text)));
+        now.push_back(std::string(hash) + " " + id);
+    }
+    std::vector<std::string> recorded;
+    std::istringstream file(
+        readFile(fs::path(CAMJ_GOLDEN_DIR) / "lint_hashes.txt"));
+    for (std::string line; std::getline(file, line);) {
+        if (!line.empty() && line[0] != '#')
+            recorded.push_back(line);
+    }
+    ASSERT_EQ(now.size(), recorded.size());
+    size_t differing = 0;
+    for (size_t i = 0; i < now.size(); ++i) {
+        if (now[i] == recorded[i])
+            continue;
+        if (++differing <= 10)
+            ADD_FAILURE() << "recorded " << recorded[i] << "\n     now "
+                          << now[i];
+    }
+    EXPECT_EQ(differing, 0u) << "of " << now.size() << " documents";
+    // The mutations must reach the rules: most documents have findings.
+    EXPECT_GT(withFindings, now.size() / 2);
 }
 
 } // namespace

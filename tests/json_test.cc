@@ -10,7 +10,8 @@
  * (-0.0, NaN, integer-formatted doubles). The parser itself is pinned
  * too: every number token reads to the bits strtod gives, malformed
  * and out-of-range numbers keep their error texts, and nesting past
- * the limit is an error instead of a stack overflow.
+ * the limit is an error instead of a stack overflow. The writer
+ * prints every number with the bytes printf's %lld / %.17g give.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +19,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -451,6 +454,76 @@ TEST(JsonNumbers, EveryTokenReadsToTheBitsStrtodGives)
     };
     for (const char *token : edges)
         expectStrtodBits(token);
+}
+
+/** The writer's number rendering as printf spells it: "%lld" for
+ *  integers below 9e15, "%.17g" for everything else. */
+std::string
+printfNumber(double d)
+{
+    char buf[40];
+    if (d == std::floor(d) && std::fabs(d) < 9.0e15)
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(d));
+    else
+        std::snprintf(buf, sizeof(buf), "%.17g", d);
+    return buf;
+}
+
+void
+collectNumbers(const Value &v, std::vector<double> &out)
+{
+    if (v.isNumber()) {
+        out.push_back(v.asNumber());
+    } else if (v.isArray()) {
+        for (const Value &e : v.asArray())
+            collectNumbers(e, out);
+    } else if (v.isObject()) {
+        for (const auto &[k, e] : v.asObject())
+            collectNumbers(e, out);
+    }
+}
+
+TEST(JsonWriter, NumbersPrintLikePrintf)
+{
+    std::vector<double> numbers;
+    std::vector<fs::path> files = goldenDocs();
+    files.push_back(fs::path(CAMJ_EXAMPLES_DIR) / "detector_sweep.json");
+    for (const fs::path &file : files)
+        collectNumbers(Value::parse(readFile(file)), numbers);
+    EXPECT_GT(numbers.size(), 1000u); // the corpus was read
+
+    const double maxd = std::numeric_limits<double>::max();
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    const double edges[] = {0.0,           -0.0,
+                            denorm,        -denorm,
+                            denorm * 3,    std::bit_cast<double>(
+                                               uint64_t{0x000fffffffffffff}),
+                            9e15 - 1,      9e15,
+                            9e15 + 1,      -9e15 - 1,
+                            -9e15,         -9e15 + 1,
+                            maxd,          -maxd};
+    numbers.insert(numbers.end(), std::begin(edges), std::end(edges));
+
+    Rng rng{0x9e3779b97f4a7c15ull};
+    for (size_t i = 0; i < 1000000;) {
+        const double d = std::bit_cast<double>(rng.next());
+        if (!std::isfinite(d))
+            continue;
+        numbers.push_back(d);
+        ++i;
+    }
+
+    size_t mismatches = 0;
+    for (double d : numbers) {
+        const std::string want = printfNumber(d);
+        const std::string got = Value(d).dump(0);
+        if (got != want && ++mismatches <= 10)
+            ADD_FAILURE() << "bits " << std::hex
+                          << std::bit_cast<uint64_t>(d) << ": writer "
+                          << got << ", printf " << want;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << numbers.size() << " numbers";
 }
 
 TEST(JsonNumbers, MalformedAndOutOfRangeNumbersKeepTheirTexts)

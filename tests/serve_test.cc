@@ -415,6 +415,7 @@ TEST(ServedSweep, DeeplyNestedFrameIsAnErrorAndTheDaemonKeepsAnswering)
     ASSERT_TRUE(reply.has_value());
     const json::Value error = serve::parseFrame(*reply);
     EXPECT_EQ(error.getString("type", ""), "error");
+    EXPECT_EQ(error.getString("code", ""), "CAMJ-E018") << *reply;
     // The frame object is the first level, so the 512th '[' (column
     // 26 + 512) opens level 513.
     EXPECT_NE(error.getString("message", "").find(
@@ -432,6 +433,34 @@ TEST(ServedSweep, DeeplyNestedFrameIsAnErrorAndTheDaemonKeepsAnswering)
     ::close(fd);
     serve::Client client(harness.port());
     EXPECT_NO_THROW(client.ping());
+}
+
+TEST(ServedSweep, TruncatedFrameIsAnErrorCarryingItsRuleCode)
+{
+    const fs::path dir = scratchDir("serve_truncated_frame");
+    ServerHarness harness(inProcessOptions(dir));
+    const int fd = connectRaw(harness.port());
+    ASSERT_GE(fd, 0);
+    // A submit frame cut off inside its document.
+    ASSERT_TRUE(serve::writeLine(
+        fd, "{\"type\": \"submit\", \"doc\": {\"name\": \"cut"));
+    serve::LineReader reader(fd);
+    std::optional<std::string> reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    const json::Value error = serve::parseFrame(*reply);
+    EXPECT_EQ(error.getString("type", ""), "error");
+    EXPECT_EQ(error.getString("code", ""), "CAMJ-E018") << *reply;
+    EXPECT_NE(error.getString("message", "").find("json parse error"),
+              std::string::npos)
+        << *reply;
+
+    // The connection is still served.
+    ASSERT_TRUE(serve::writeLine(
+        fd, serve::frameLine(serve::makeFrame("ping"))));
+    reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(serve::parseFrame(*reply).getString("type", ""), "pong");
+    ::close(fd);
 }
 
 TEST(ServedSweep, UnknownJobsAnswerAnErrorFrame)
