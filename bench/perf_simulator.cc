@@ -17,26 +17,23 @@
  * the 108-point grid, plus the merge), the statically prefiltered sweep (a
  * widened grid with provably infeasible axis values, pruned by
  * GridAnalyzer with zero tolerated false positives), the strided
- * sweep (the cycle-sim memo's hits and misses over the canonical
- * grid in row-major and stride-12 order), the cached sweep
- * (the content-addressed on-disk outcome store, cold vs. warm), the
- * 27 paper studies' cycles ticked per pass and pass-B stall-check
- * routes, the heap allocations of lowering each study's one-point
- * document (studyFrontEnd) and of linting it (lint), the Fig. 7
- * validation MAPE and correlation, the cycle sim's ticking rate (a
+ * sweep (the cycle-sim memo's hits and misses and the cycles each
+ * pass ticks over the canonical grid with a 599-word ActBuf, in
+ * row-major and stride-12 order), the 27 paper studies' cycles
+ * ticked per pass and pass-B stall-check routes, the heap
+ * allocations of lowering each study's one-point document
+ * (studyFrontEnd) and of linting it (lint), the Fig. 7 validation
+ * MAPE and correlation, the cycle sim's ticking rate (a
  * cycle-dominated frame, every cycle ticked), and a per-stage
  * wall-clock profile of EvalPipeline over the canonical grid, so CI
  * can track the simulator's evaluation-throughput trajectory across
- * PRs. Every cached/incremental section hard-fails unless its output
- * is byte-identical to a full rebuild.
+ * PRs. Every memo section hard-fails unless its output is
+ * byte-identical to a full rebuild.
  *
  * `--points N` scales the artifact workload (batch copies and grid
  * size) so CI can run a quick smoke sweep: perf_simulator --points 8.
- * The strided and cached sections always run the full canonical
- * 108-point study so their tracked numbers stay comparable.
- * `--cache-dir DIR` makes the cached section reuse (and verify
- * against) a persistent outcome store — CI runs the binary twice
- * with a shared directory to prove cross-process reuse.
+ * The strided section always runs the full 108-point grid so its
+ * tracked counts stay exact.
  */
 
 #include <benchmark/benchmark.h>
@@ -139,9 +136,6 @@ int g_points = 64;
 /** True when --points was given: smoke runs also shrink the
  *  (otherwise canonical 108-point) sharded section. */
 bool g_points_set = false;
-/** Persistent outcome-store directory for the cached-sweep section;
- *  empty = use (and wipe) a local scratch directory. */
-std::string g_cache_dir;
 
 /** The sweep workload: the canonical sample detector over a fps x
  *  node grid spanning the feasibility boundary, repeated `copies`
@@ -651,6 +645,37 @@ setTimedRun(json::Value &obj, const char *key, size_t points,
     obj.set(key, std::move(run));
 }
 
+/** Write what the cycle-sim passes of @p p did into @p obj: cycles
+ *  ticked in total and per pass, how pass A's latency was answered
+ *  and how pass B's stall check was. */
+void
+setPassStats(json::Value &obj, const PassSimStats &p)
+{
+    obj.set("cyclesTicked",
+            json::Value(p.passA.cyclesTicked + p.passB.cyclesTicked));
+    json::Value pass_a = json::Value::makeObject();
+    pass_a.set("cyclesTicked", json::Value(p.passA.cyclesTicked));
+    pass_a.set("closedForm",
+               json::Value(static_cast<int64_t>(p.passAClosedForm)));
+    pass_a.set("simulated",
+               json::Value(static_cast<int64_t>(p.passASimulated)));
+    obj.set("passA", std::move(pass_a));
+    json::Value pass_b = json::Value::makeObject();
+    pass_b.set("cyclesTicked", json::Value(p.passB.cyclesTicked));
+    obj.set("passB", std::move(pass_b));
+    const StallRouteCounts &routes = p.stallRoutes;
+    json::Value stall_check = json::Value::makeObject();
+    stall_check.set("stallFree",
+                    json::Value(static_cast<int64_t>(routes.stallFree)));
+    stall_check.set("bounded",
+                    json::Value(static_cast<int64_t>(routes.bounded)));
+    stall_check.set("cone",
+                    json::Value(static_cast<int64_t>(routes.cone)));
+    stall_check.set("fullTopology", json::Value(static_cast<int64_t>(
+                                        routes.fullTopology)));
+    obj.set("stallCheck", std::move(stall_check));
+}
+
 /**
  * The CI artifact: serial vs. threaded sweep throughput over the same
  * batch, the streaming pipeline over that same spec set, and a lazily
@@ -749,32 +774,7 @@ writeBenchJson()
         }
         usecase_passes += pipeline.passStats();
     }
-    usecase.set("cyclesTicked",
-                json::Value(usecase_passes.passA.cyclesTicked +
-                            usecase_passes.passB.cyclesTicked));
-    json::Value usecase_a = json::Value::makeObject();
-    usecase_a.set("cyclesTicked",
-                  json::Value(usecase_passes.passA.cyclesTicked));
-    usecase_a.set("closedForm", json::Value(static_cast<int64_t>(
-                                    usecase_passes.passAClosedForm)));
-    usecase_a.set("simulated", json::Value(static_cast<int64_t>(
-                                   usecase_passes.passASimulated)));
-    usecase.set("passA", std::move(usecase_a));
-    json::Value usecase_b = json::Value::makeObject();
-    usecase_b.set("cyclesTicked",
-                  json::Value(usecase_passes.passB.cyclesTicked));
-    usecase.set("passB", std::move(usecase_b));
-    const StallRouteCounts &usecase_routes = usecase_passes.stallRoutes;
-    json::Value stall_check = json::Value::makeObject();
-    stall_check.set("stallFree", json::Value(static_cast<int64_t>(
-                                     usecase_routes.stallFree)));
-    stall_check.set("bounded", json::Value(static_cast<int64_t>(
-                                   usecase_routes.bounded)));
-    stall_check.set("cone", json::Value(static_cast<int64_t>(
-                                usecase_routes.cone)));
-    stall_check.set("fullTopology", json::Value(static_cast<int64_t>(
-                                        usecase_routes.fullTopology)));
-    usecase.set("stallCheck", std::move(stall_check));
+    setPassStats(usecase, usecase_passes);
     doc.set("usecaseSweep", std::move(usecase));
 
     // Study front end: each paper study as the one-point document a
@@ -1147,17 +1147,25 @@ writeBenchJson()
                     json::Value(unfiltered_seconds / filtered_seconds));
     doc.set("prefilteredSweep", std::move(prefiltered));
 
-    // Strided sweep: the canonical study through one memo evaluator
-    // in row-major order and in the stride-12 order of `camj_sweep
-    // plan --mode strided` (every 12th point, then the next column),
-    // which revisits every rate in each column. The strided pass is
-    // timed against a from-scratch Simulator in the same order and
-    // both passes must reproduce its bytes. Always the full 108-point
-    // grid, so the memo counts are exact: each order simulates each
-    // distinct cycle-sim topology at most once, and on this grid none
-    // at all, since every pass A drains in closed form and every stall
-    // check is static (floored in scripts/check_bench_floors.py).
-    const spec::SweepDocument strided_doc = spec::sampleDetectorStudy();
+    // Strided sweep: the canonical study's axes through one memo
+    // evaluator in row-major order and in the stride-12 order of
+    // `camj_sweep plan --mode strided` (every 12th point, then the
+    // next column), which revisits every rate in each column. ActBuf
+    // holds 599 words (4,792 of a frame's 4,800 elements), the design
+    // CycleSimMemoReuse.StridedShardOrderSimulatesEachTopologyOnce
+    // uses: the closed forms decline, so pass A simulates every point
+    // and pass B simulates a stall cone at 120 and 240 fps, and the
+    // memo answers all but the three distinct topologies. The strided
+    // pass is timed against a from-scratch Simulator in the same
+    // order and both passes must reproduce its bytes. Always the full
+    // 108-point grid, so the memo and cycle counts of each order are
+    // exact (floored in scripts/check_bench_floors.py).
+    spec::SweepDocument strided_doc = spec::sampleDetectorStudy();
+    const int strided_actbuf_words = 599;
+    for (spec::MemorySpec &m : strided_doc.base.memories) {
+        if (m.name == "ActBuf")
+            m.capacityWords = strided_actbuf_words;
+    }
     spec::GridSpecSource strided_grid = strided_doc.source();
     const size_t n_strided = strided_grid.totalPoints();
     const size_t stride = 12; // 4 buffer nodes x 3 duty cycles
@@ -1170,11 +1178,17 @@ writeBenchJson()
     SimulationOptions strided_opts;
     strided_opts.checkMode = CheckMode::Report;
 
+    // What one memo evaluator did over an order.
+    struct OrderStats
+    {
+        CycleSimMemoStats memo;
+        PassSimStats passes;
+    };
     // One JSONL line per grid index, in @p order, keyed by grid index
     // so orders compare line for line.
     auto time_order = [&](const std::vector<size_t> &order, bool memo,
                           std::vector<std::string> *lines,
-                          CycleSimMemoStats *memo_stats) {
+                          OrderStats *order_stats) {
         lines->assign(n_strided, {});
         const auto t0 = std::chrono::steady_clock::now();
         const Simulator sim(strided_opts);
@@ -1185,13 +1199,13 @@ writeBenchJson()
                 lineFor(idx, s, memo ? inc.evaluate(s) : sim.run(s));
         }
         const auto t1 = std::chrono::steady_clock::now();
-        if (memo_stats != nullptr)
-            *memo_stats = inc.memo().stats();
+        if (order_stats != nullptr)
+            *order_stats = {inc.memo().stats(), inc.passStats()};
         return std::chrono::duration<double>(t1 - t0).count();
     };
 
     std::vector<std::string> strided_ref, strided_lines, row_lines;
-    CycleSimMemoStats strided_memo, row_memo;
+    OrderStats strided_stats, row_stats;
     time_order(strided_order, false, &strided_ref, nullptr); // warm-up
     double strided_ref_seconds = 1e30, strided_memo_seconds = 1e30;
     for (int rep = 0; rep < 2; ++rep) {
@@ -1201,9 +1215,9 @@ writeBenchJson()
         strided_memo_seconds = std::min(
             strided_memo_seconds,
             time_order(strided_order, true, &strided_lines,
-                       &strided_memo));
+                       &strided_stats));
     }
-    time_order(row_major_order, true, &row_lines, &row_memo);
+    time_order(row_major_order, true, &row_lines, &row_stats);
     if (strided_lines != strided_ref || row_lines != strided_ref) {
         std::fprintf(stderr, "error: memo sweep output differs from "
                      "the from-scratch reference\n");
@@ -1213,100 +1227,28 @@ writeBenchJson()
     strided.set("designPoints",
                 json::Value(static_cast<int64_t>(n_strided)));
     strided.set("stride", json::Value(static_cast<int64_t>(stride)));
+    strided.set("actBufWords", json::Value(strided_actbuf_words));
     setTimedRun(strided, "fullRebuild", n_strided,
                 strided_ref_seconds);
     setTimedRun(strided, "memo", n_strided, strided_memo_seconds);
     strided.set("speedupVsFullRebuild",
                 json::Value(strided_ref_seconds / strided_memo_seconds));
     strided.set("memoHits", json::Value(static_cast<int64_t>(
-                                strided_memo.hits)));
+                                strided_stats.memo.hits)));
     strided.set("memoMisses", json::Value(static_cast<int64_t>(
-                                  strided_memo.misses)));
+                                  strided_stats.memo.misses)));
     strided.set("rowMajorMemoHits", json::Value(static_cast<int64_t>(
-                                        row_memo.hits)));
+                                        row_stats.memo.hits)));
     strided.set("rowMajorMemoMisses", json::Value(static_cast<int64_t>(
-                                          row_memo.misses)));
+                                          row_stats.memo.misses)));
+    json::Value strided_passes = json::Value::makeObject();
+    setPassStats(strided_passes, strided_stats.passes);
+    strided.set("passes", std::move(strided_passes));
+    json::Value row_passes = json::Value::makeObject();
+    setPassStats(row_passes, row_stats.passes);
+    strided.set("rowMajorPasses", std::move(row_passes));
     strided.set("identicalToFullRebuild", json::Value(true));
     doc.set("stridedSweep", std::move(strided));
-
-    // Cached sweep: the on-disk outcome store end to end through the
-    // SweepEngine. A full-rebuild reference run fixes the expected
-    // bytes; a cold incremental run populates the store; a warm run
-    // re-answers every point from it. With --cache-dir the directory
-    // persists across invocations and a cachedSweep.jsonl marker
-    // written on first run is byte-compared on every later one — the
-    // cross-process reuse proof CI exercises by running this binary
-    // twice. All runs must be byte-identical to the reference.
-    const spec::SweepDocument cached_doc = spec::sampleDetectorStudy();
-    const size_t n_cachedpts = cached_doc.grid.points();
-    auto time_cached = [&](bool incremental, const std::string &dir,
-                           std::string *bytes) {
-        std::ostringstream out;
-        spec::GridSpecSource source = cached_doc.source();
-        JsonlSink lines(out);
-        InOrderSink ordered(lines);
-        SweepOptions o;
-        o.threads = 1;
-        o.incremental = incremental;
-        o.cacheDir = dir;
-        SweepEngine cached_engine(o);
-        const auto t0 = std::chrono::steady_clock::now();
-        cached_engine.runStream(source, ordered);
-        const auto t1 = std::chrono::steady_clock::now();
-        if (bytes != nullptr)
-            *bytes = out.str();
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-    std::string cached_ref;
-    const double cached_full_seconds =
-        time_cached(false, "", &cached_ref);
-    const bool persistent_dir = !g_cache_dir.empty();
-    const std::string cache_dir =
-        persistent_dir ? g_cache_dir : "BENCH_cache";
-    if (!persistent_dir)
-        std::filesystem::remove_all(cache_dir); // guarantee a cold run
-    std::string cold_bytes, warm_bytes;
-    const double cold_seconds =
-        time_cached(true, cache_dir, &cold_bytes);
-    const double warm_seconds =
-        time_cached(true, cache_dir, &warm_bytes);
-    if (cold_bytes != cached_ref || warm_bytes != cached_ref) {
-        std::fprintf(stderr, "error: cached sweep output differs from "
-                     "the full-rebuild reference\n");
-        return false;
-    }
-    const std::string marker = cache_dir + "/cachedSweep.jsonl";
-    bool cross_process_verified = false;
-    if (std::filesystem::exists(marker)) {
-        std::ifstream in(marker, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (buf.str() != cached_ref) {
-            std::fprintf(stderr, "error: a previous process left "
-                         "different cachedSweep bytes in %s\n",
-                         marker.c_str());
-            return false;
-        }
-        cross_process_verified = true;
-    } else {
-        std::ofstream out(marker, std::ios::binary);
-        out << cached_ref;
-    }
-    json::Value cached = json::Value::makeObject();
-    cached.set("designPoints",
-               json::Value(static_cast<int64_t>(n_cachedpts)));
-    cached.set("cacheDir", json::Value(cache_dir));
-    cached.set("persistentCacheDir", json::Value(persistent_dir));
-    setTimedRun(cached, "fullRebuild", n_cachedpts,
-                cached_full_seconds);
-    setTimedRun(cached, "coldRun", n_cachedpts, cold_seconds);
-    setTimedRun(cached, "warmRun", n_cachedpts, warm_seconds);
-    cached.set("warmSpeedupVsFullRebuild",
-               json::Value(cached_full_seconds / warm_seconds));
-    cached.set("identicalToFullRebuild", json::Value(true));
-    cached.set("crossProcessVerified",
-               json::Value(cross_process_verified));
-    doc.set("cachedSweep", std::move(cached));
 
     // Served sweep: the camj_serve service end to end — a loopback
     // Server (2 in-process shard workers), a Client submitting the
@@ -1532,8 +1474,10 @@ writeBenchJson()
                 usecase_passes.passB.cyclesTicked,
                 usecase_passes.passAClosedForm,
                 usecase_passes.passASimulated,
-                usecase_routes.stallFree, usecase_routes.bounded,
-                usecase_routes.cone, usecase_routes.fullTopology);
+                usecase_passes.stallRoutes.stallFree,
+                usecase_passes.stallRoutes.bounded,
+                usecase_passes.stallRoutes.cone,
+                usecase_passes.stallRoutes.fullTopology);
     std::printf("fig07 validation: MAPE %.4f%%, r = %.5f\n",
                 fig07.mapePct, fig07.pearson);
     std::printf("streaming sweep: %.1f designs/sec (%.2fx of the "
@@ -1567,21 +1511,17 @@ writeBenchJson()
                 static_cast<double>(n_pre) / filtered_seconds,
                 unfiltered_seconds / filtered_seconds);
     std::printf("strided sweep: %zu points, %.1f designs/sec full "
-                "rebuild vs %.1f through the memo (%.2fx); memo misses "
-                "%zu strided, %zu row-major; outputs byte-identical\n",
+                "rebuild vs %.1f through the memo (%.2fx); memo hits/"
+                "misses %zu/%zu strided, %zu/%zu row-major; %" PRId64
+                " cycles ticked strided; outputs byte-identical\n",
                 n_strided,
                 static_cast<double>(n_strided) / strided_ref_seconds,
                 static_cast<double>(n_strided) / strided_memo_seconds,
                 strided_ref_seconds / strided_memo_seconds,
-                strided_memo.misses, row_memo.misses);
-    std::printf("cached sweep: %zu points through %s, %.3fs cold, "
-                "%.3fs warm (%.1fx vs full rebuild)%s, outputs "
-                "byte-identical\n", n_cachedpts, cache_dir.c_str(),
-                cold_seconds, warm_seconds,
-                cached_full_seconds / warm_seconds,
-                cross_process_verified
-                    ? ", verified against a previous process"
-                    : "");
+                strided_stats.memo.hits, strided_stats.memo.misses,
+                row_stats.memo.hits, row_stats.memo.misses,
+                strided_stats.passes.passA.cyclesTicked +
+                    strided_stats.passes.passB.cyclesTicked);
     std::printf("served sweep: %zu points over loopback TCP, %.1f "
                 "designs/sec served vs %.1f in-process (%.2fx "
                 "overhead), %" PRId64 " monitor poll(s), %" PRId64
@@ -1611,9 +1551,7 @@ writeBenchJson()
 }
 
 /** Strip and apply `--points N` / `--points=N` (the CI smoke-sweep
- *  knob) and `--cache-dir DIR` (the persistent outcome store of the
- *  cached-sweep section) before google-benchmark sees the argument
- *  list. */
+ *  knob) before google-benchmark sees the argument list. */
 void
 parsePointsFlag(int &argc, char **argv)
 {
@@ -1626,10 +1564,6 @@ parsePointsFlag(int &argc, char **argv)
         } else if (arg.rfind("--points=", 0) == 0) {
             g_points = std::atoi(arg.c_str() + std::strlen("--points="));
             g_points_set = true;
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            g_cache_dir = argv[++i];
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            g_cache_dir = arg.substr(std::strlen("--cache-dir="));
         } else {
             argv[out++] = argv[i];
         }

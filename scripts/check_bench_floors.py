@@ -15,11 +15,9 @@ to runner speed.
 
 Usage:
     check_bench_floors.py BENCH_simulator.json [--summary OUT.md]
-        [--baseline OLD.json]
 
 --summary writes a markdown table of every checked number next to its
-floor (and next to the baseline artifact's number when --baseline
-names one, the before/after view CI uploads).
+floor.
 """
 
 import argparse
@@ -71,21 +69,34 @@ FLOORS = [
     # closed form and every pass-B stall check is answered statically
     # (ActBuf holds the whole frame). So the plain per-point path and
     # the memo evaluator both tick exactly 0 cycles over the 108
-    # points, and the memo sees no lookup in row-major or stride-12
-    # order. A count above 0 means a closed-form route regressed. These
-    # exact counters replaced the wall-clock bar
+    # points. A count above 0 means a closed-form route regressed.
+    # These exact counters replaced the wall-clock bar
     # incrementalSweep.speedup >= 2.0, which measured the memo's win
-    # on pass A and reads about 1 now (still in the artifact as data),
-    # and the miss counts of 1 (pass A's topology).
+    # on pass A and reads about 1 now (still in the artifact as data).
     ("incrementalSweep.fullRebuildCyclesTicked", 0, "eq"),
     ("incrementalSweep.incrementalCyclesTicked", 0, "eq"),
     ("incrementalSweep.identicalToFullRebuild", None, "true"),
-    ("stridedSweep.memoMisses", 0, "eq"),
-    ("stridedSweep.rowMajorMemoMisses", 0, "eq"),
+    # The memo's traffic: the same axes with a 599-word ActBuf, where
+    # the closed forms decline. In stride-12 and in row-major order,
+    # pass A simulates all 108 points, pass B answers 60 stall checks
+    # within the backlog bound and 24 on a simulated cone (480 and
+    # 960 fps fail before pass B), and the memo simulates each of the
+    # three distinct topologies once and answers the other 129
+    # lookups. These replaced miss counts of 0 taken on the canonical
+    # grid, where the memo sees no lookup at all.
+    ("stridedSweep.memoHits", 129, "eq"),
+    ("stridedSweep.memoMisses", 3, "eq"),
+    ("stridedSweep.rowMajorMemoHits", 129, "eq"),
+    ("stridedSweep.rowMajorMemoMisses", 3, "eq"),
+    *[(f"stridedSweep.{order}.{path}", count, "eq")
+      for order in ("passes", "rowMajorPasses")
+      for path, count in (("passA.simulated", 108),
+                          ("passA.closedForm", 0),
+                          ("passA.cyclesTicked", 50358),
+                          ("passB.cyclesTicked", 100744),
+                          ("stallCheck.bounded", 60),
+                          ("stallCheck.cone", 24))],
     ("stridedSweep.identicalToFullRebuild", None, "true"),
-    # The on-disk outcome store must stay an optimization, never a
-    # different answer.
-    ("cachedSweep.identicalToFullRebuild", None, "true"),
     # The sweep service: a served stream is the same bytes as a local
     # run (the service contract), and the served jobs' end frames
     # count no monitor wait that timed out and no restarted worker:
@@ -171,24 +182,19 @@ def check(doc):
     return failures, rows
 
 
-def write_summary(out_path, rows, baseline):
+def write_summary(out_path, rows):
     lines = [
         "# Bench floor summary",
         "",
-        "| metric | value | " +
-        ("baseline | " if baseline else "") + "floor | ok |",
-        "|---|---|" + ("---|" if baseline else "") + "---|---|",
+        "| metric | value | floor | ok |",
+        "|---|---|---|---|",
     ]
     for path, value, floor, kind, ok in rows:
         bound = {"min": ">= ", "max": "<= ", "eq": "== ",
                  "true": "== true, "}[kind]
         floor_txt = bound + (fmt(floor) if kind != "true" else "")
         floor_txt = floor_txt.rstrip(", ")
-        cells = [path, fmt(value)]
-        if baseline:
-            base_value = lookup(baseline, path)
-            cells.append("-" if base_value is None else fmt(base_value))
-        cells += [floor_txt, "yes" if ok else "**NO**"]
+        cells = [path, fmt(value), floor_txt, "yes" if ok else "**NO**"]
         lines.append("| " + " | ".join(str(c) for c in cells) + " |")
     with open(out_path, "w") as out:
         out.write("\n".join(lines) + "\n")
@@ -198,25 +204,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("artifact", help="BENCH_simulator.json path")
     parser.add_argument("--summary", help="markdown summary to write")
-    parser.add_argument(
-        "--baseline",
-        help="a previous BENCH_simulator.json for the before/after "
-             "column (informational only — floors are what fail)")
     args = parser.parse_args()
 
     with open(args.artifact) as f:
         doc = json.load(f)
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except OSError as e:
-            print(f"note: baseline unreadable, skipping: {e}")
 
     failures, rows = check(doc)
     if args.summary:
-        write_summary(args.summary, rows, baseline)
+        write_summary(args.summary, rows)
 
     for path, value, floor, kind, ok in rows:
         mark = "ok " if ok else "FAIL"

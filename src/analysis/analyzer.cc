@@ -1996,16 +1996,25 @@ SpecAnalyzer::analyze(const DesignSpec &spec) const
 std::vector<Diagnostic>
 SpecAnalyzer::analyzeDocument(const Value &doc) const
 {
-    std::vector<Diagnostic> out = lintDocumentKeys(doc);
-    DesignSpec parsed;
+    std::vector<Diagnostic> out;
+    analyzeDocument(doc, out);
+    return out;
+}
+
+std::optional<DesignSpec>
+SpecAnalyzer::analyzeDocument(const Value &doc,
+                              std::vector<Diagnostic> &out) const
+{
+    out = lintDocumentKeys(doc);
+    std::optional<DesignSpec> lowered;
     try {
-        parsed = spec::fromJsonValue(doc);
+        lowered.emplace(spec::fromJsonValue(doc));
     } catch (const ConfigError &e) {
         out.push_back(makeError(e.code(), "", e.what()));
-        return out;
+        return std::nullopt;
     }
-    runCatalogue(parsed, out);
-    return out;
+    runCatalogue(*lowered, out);
+    return lowered;
 }
 
 } // namespace camj::analysis

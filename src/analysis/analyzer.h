@@ -21,6 +21,7 @@
 #ifndef CAMJ_ANALYSIS_ANALYZER_H
 #define CAMJ_ANALYSIS_ANALYZER_H
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,6 +76,15 @@ class SpecAnalyzer
      * document).
      */
     std::vector<Diagnostic> analyzeDocument(const json::Value &doc) const;
+
+    /**
+     * analyzeDocument, keeping the spec it lowers: sets @p out to the
+     * diagnostics analyzeDocument(@p doc) returns and returns the
+     * lowered DesignSpec, or nullopt when @p doc does not lower.
+     */
+    std::optional<spec::DesignSpec>
+    analyzeDocument(const json::Value &doc,
+                    std::vector<Diagnostic> &out) const;
 };
 
 /**

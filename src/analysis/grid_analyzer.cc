@@ -323,25 +323,36 @@ PrefilterSpecSource::globalIndex(size_t local) const
 DocumentLint
 lintDocument(const std::string &text)
 {
-    DocumentLint out;
-    json::Value raw;
+    json::Value doc;
     try {
-        raw = json::Value::parse(text);
+        doc = json::Value::parse(text);
     } catch (const ConfigError &e) {
+        DocumentLint out;
         out.diagnostics.push_back(makeError(e.code(), "", e.what()));
         out.rejection = "document does not parse";
         return out;
     }
-    out.diagnostics = SpecAnalyzer().analyzeDocument(raw);
-    if (hasErrors(out.diagnostics)) {
+    return lintDocument(doc);
+}
+
+DocumentLint
+lintDocument(const json::Value &doc)
+{
+    DocumentLint out;
+    std::optional<spec::DesignSpec> base =
+        SpecAnalyzer().analyzeDocument(doc, out.diagnostics);
+    if (!base || hasErrors(out.diagnostics)) {
         out.rejection = "static analysis found errors";
         return out;
     }
     try {
-        spec::SweepDocument doc = spec::sweepDocumentFromJson(raw);
+        spec::SweepDocument sweep;
+        if (const json::Value *block = doc.find("sweepGrid"))
+            sweep.grid = spec::gridFromJson(*block);
+        sweep.base = std::move(*base);
         // Building the grid source also validates every axis value.
-        out.grid = PrefilterSpecSource(doc).analysis();
-        out.sweep = std::move(doc);
+        out.grid = PrefilterSpecSource(sweep).analysis();
+        out.sweep = std::move(sweep);
     } catch (const ConfigError &e) {
         out.diagnostics.push_back(makeError(e.code(), "", e.what()));
         out.rejection = "invalid sweep document";

@@ -179,12 +179,12 @@ class PrefilterSpecSource : public spec::IndexableSpecSource
 };
 
 /**
- * What lint finds in one document's text, stage by stage: the JSON
- * parse, SpecAnalyzer::analyzeDocument, then the sweepGrid's
- * validation and infeasibility analysis. A stage that fails stops the
- * chain; each failure is one diagnostic carrying its thrown code (a
- * malformed document or grid is CAMJ-E018). `camj_sweep lint` prints
- * the result and camj_serve admits on it.
+ * What lint finds in one document, stage by stage: the JSON parse
+ * (text form only), SpecAnalyzer::analyzeDocument, then the
+ * sweepGrid's validation and infeasibility analysis. A stage that
+ * fails stops the chain; each failure is one diagnostic carrying its
+ * thrown code (a malformed document or grid is CAMJ-E018).
+ * `camj_sweep lint` prints the result and camj_serve admits on it.
  */
 struct DocumentLint
 {
@@ -200,8 +200,11 @@ struct DocumentLint
     GridAnalysis grid;
 };
 
-/** Lint one document's text; it is parsed once. */
+/** Lint one document's text: parse it, then lintDocument(doc). */
 DocumentLint lintDocument(const std::string &text);
+
+/** Lint one parsed document; its base spec is lowered once. */
+DocumentLint lintDocument(const json::Value &doc);
 
 } // namespace camj::analysis
 

@@ -9,25 +9,18 @@
  * (digital/cyclesim.h) keyed by exactly that stage input: the built
  * topology. Everything else is recomputed per point; it costs
  * microseconds.
- *
- * With a cache directory configured, finished outcomes are also
- * persisted content-addressed on disk (explore/cache.h) and reused
- * across evaluator instances, processes, and restarts.
  */
 
 #ifndef CAMJ_EXPLORE_INCREMENTAL_H
 #define CAMJ_EXPLORE_INCREMENTAL_H
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "digital/cyclesim.h"
-#include "explore/cache.h"
 #include "explore/simulator.h"
-#include "spec/json.h"
 #include "spec/spec.h"
 
 namespace camj
@@ -38,16 +31,13 @@ struct IncrementalStats
 {
     /** evaluate() calls. */
     size_t points = 0;
-    /** Points evaluated through the pipeline (every point the
-     *  on-disk store did not answer). */
+    /** Points evaluated through the pipeline; always equal to
+     *  points (the benchmark under perfbench/ reads it). */
     size_t fullBuilds = 0;
     /** Pipeline stages executed over all points. Only stages
      *  actually ENTERED count — a point aborted by a ConfigError
      *  counts the throwing stage but not the stages after it. */
     size_t stagesRun = 0;
-    /** Points answered from the on-disk outcome store without
-     *  touching the pipeline at all. */
-    size_t diskHits = 0;
 };
 
 /**
@@ -57,22 +47,13 @@ struct IncrementalStats
  * and tests/cache_test).
  *
  * NOT thread-safe: give each sweep worker its own evaluator (the
- * SweepEngine does, under SweepOptions::incremental). Distinct
- * evaluators MAY share one cache directory, concurrently and across
- * processes (the on-disk store is append-only and self-verifying).
+ * SweepEngine does, under SweepOptions::incremental).
  */
 class IncrementalEvaluator
 {
   public:
-    /**
-     * @param cache_dir When non-empty, the content-addressed on-disk
-     *        outcome store directory (created if needed, shared
-     *        across processes).
-     * @throws ConfigError on invalid options (as Simulator does) or
-     *         an unusable cache directory.
-     */
-    explicit IncrementalEvaluator(SimulationOptions options = {},
-                                  const std::string &cache_dir = {});
+    /** @throws ConfigError on invalid options (as Simulator does). */
+    explicit IncrementalEvaluator(SimulationOptions options = {});
 
     /**
      * Evaluate one design point. CheckMode::Report folds failed
@@ -108,16 +89,9 @@ class IncrementalEvaluator
      *  through the pipeline, feasible or not. */
     const PassSimStats &passStats() const { return passStats_; }
 
-    /** On-disk store traffic, or nullptr when no cache_dir is set. */
-    const OutcomeStoreStats *outcomeStoreStats() const
-    {
-        return store_ ? &store_->stats() : nullptr;
-    }
-
   private:
     SimulationOptions options_;
     CycleSimMemo memo_;
-    std::optional<OutcomeStore> store_;
     IncrementalStats stats_;
     PassSimStats passStats_;
 };

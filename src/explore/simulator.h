@@ -72,8 +72,8 @@ struct SimulationOutcome
     double snrPenaltyDb = 0.0;
     /**
      * Cycle-sim execution diagnostics of the evaluation that produced
-     * this outcome (zero when no simulation actually ran — memo and
-     * store hits, infeasible points). Never serialized: the same
+     * this outcome (zero when no simulation actually ran — memo
+     * hits, infeasible points). Never serialized: the same
      * outcome can legitimately carry different stats depending on
      * which evaluation path produced it.
      */

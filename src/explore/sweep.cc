@@ -170,10 +170,10 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
         // std::thread — that would terminate the process. Capture
         // the first error, stop the sweep, rethrow on the caller.
         try {
-            // Inside the try: an unusable cache directory throws
-            // from the evaluator constructor.
+            // Inside the try: invalid simulation options throw from
+            // the evaluator constructor.
             if (options_.incremental)
-                inc.emplace(options_.sim, options_.cacheDir);
+                inc.emplace(options_.sim);
             while (!stop.load(std::memory_order_relaxed)) {
                 if (cancel != nullptr && cancel->cancelled()) {
                     stop.store(true, std::memory_order_relaxed);
@@ -199,8 +199,6 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
         if (inc) {
             stats.cycleSimMemo += inc->memo().stats();
             stats.passes += inc->passStats();
-            if (inc->outcomeStoreStats() != nullptr)
-                stats.outcomeCacheHits += inc->outcomeStoreStats()->hits;
         }
     };
 

@@ -49,10 +49,6 @@ struct SweepOptions
      *  not simulated again. Results are bit-identical either way
      *  (pinned by tests/incremental_test.cc). */
     bool incremental = false;
-    /** When non-empty (and incremental), the content-addressed
-     *  on-disk outcome store directory, shared across workers,
-     *  processes, and repeated runs (created if needed). */
-    std::string cacheDir;
 };
 
 /**
@@ -82,10 +78,6 @@ struct StreamStats
     size_t delivered = 0;
     /** True when the sink or a CancelToken stopped the sweep early. */
     bool cancelled = false;
-    /** Points answered from the on-disk outcome store, summed over
-     *  all workers; 0 unless SweepOptions::cacheDir named one. The
-     *  sweep service reports this per job. */
-    size_t outcomeCacheHits = 0;
     /** Cycle-sim execution diagnostics summed over every evaluation
      *  the run performed (camj_sweep run --verbose prints these).
      *  Diagnostics only — never part of any serialized result. */

@@ -39,9 +39,9 @@ struct SweepResult
     /** SNR penalty [dB] when the sweep ran with noise enabled. */
     double snrPenaltyDb = 0.0;
     /** Cycle-sim execution diagnostics of this point's evaluation
-     *  (zero for what a memo or the outcome store answered, and for
-     *  infeasible points). Never serialized — how the engine ran,
-     *  not what it computed. */
+     *  (zero for what the memo answered, and for infeasible
+     *  points). Never serialized — how the engine ran, not what it
+     *  computed. */
     CycleSimStats simStats;
 
     /** Category breakdown row ("" label = the design name). */

@@ -105,9 +105,6 @@ JobRecord::statusFrame() const
     frame.set("pointsDone", static_cast<int64_t>(
                                 pointsDone.load(
                                     std::memory_order_relaxed)));
-    frame.set("cacheHits", static_cast<int64_t>(
-                               cacheHits.load(
-                                   std::memory_order_relaxed)));
     frame.set("workerRestarts",
               static_cast<int64_t>(
                   workerRestarts.load(std::memory_order_relaxed)));

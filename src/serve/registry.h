@@ -67,9 +67,6 @@ class JobRecord
     /** Points merged and committed to the spool (== the contiguous
      *  global prefix streamed so far). */
     std::atomic<size_t> pointsDone{0};
-    /** Points answered from the shared outcome store, over all
-     *  workers and attempts. */
-    std::atomic<size_t> cacheHits{0};
     /** Workers re-dispatched after a failure, kill, or stall. */
     std::atomic<size_t> workerRestarts{0};
     /** Monitor waits that ended on their timeout rather than on a

@@ -278,23 +278,22 @@ Scheduler::~Scheduler()
 }
 
 Scheduler::Admission
-Scheduler::submit(const std::string &doc_text, int frames,
-                  int threads)
+Scheduler::submit(const json::Value &doc, int frames, int threads)
 {
     Admission adm;
 
-    // Admission lint: the parse, the full static-analysis rule set,
-    // grid validation and the infeasibility prefilter. Provably
-    // doomed points are REPORTED, not pruned — the served stream must
-    // stay byte-identical to a local run over the full grid.
-    analysis::DocumentLint lint = analysis::lintDocument(doc_text);
+    // Admission lint: the full static-analysis rule set, grid
+    // validation and the infeasibility prefilter. Provably doomed
+    // points are REPORTED, not pruned — the served stream must stay
+    // byte-identical to a local run over the full grid.
+    analysis::DocumentLint lint = analysis::lintDocument(doc);
     adm.diagnostics = std::move(lint.diagnostics);
     if (!lint.sweep) {
         adm.reason = std::move(lint.rejection);
         return adm;
     }
-    spec::SweepDocument doc = std::move(*lint.sweep);
-    adm.points = doc.grid.points();
+    spec::SweepDocument sweep = std::move(*lint.sweep);
+    adm.points = sweep.grid.points();
     adm.pruned = lint.grid.prunedPoints();
 
     std::lock_guard<std::mutex> lock(threadsMutex_);
@@ -320,7 +319,7 @@ Scheduler::submit(const std::string &doc_text, int frames,
     const int t = threads > 0 ? threads : options_.threadsPerWorker;
     auto job = adm.job;
     threads_.push_back(
-        {job, std::thread([this, job, d = std::move(doc), f,
+        {job, std::thread([this, job, d = std::move(sweep), f,
                            t]() mutable {
              runJob(job, std::move(d), f, t);
          })});
@@ -407,11 +406,10 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         slot.failText = fail_text;
         const spec::ShardAssignment a = slot.current;
         const std::string path = slot.attemptPath;
-        const std::string cache_dir = options_.cacheDir;
         spec::GridSpecSource *parent = &*grid;
         slot.thread = std::thread([parent, &wake, job, a, path,
-                                   inject, frames, threads, cache_dir,
-                                   verdict, fail_text] {
+                                   inject, frames, threads, verdict,
+                                   fail_text] {
             int v = kOk;
             try {
                 std::ofstream out(path, std::ios::binary);
@@ -423,7 +421,6 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 options.threads = threads;
                 options.sim.frames = frames;
                 options.incremental = true;
-                options.cacheDir = cache_dir;
                 SweepEngine engine(options);
                 // The exact sink chain of `camj_sweep run`: local
                 // stream order -> global grid identity -> bytes.
@@ -437,8 +434,6 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 InOrderSink ordered(global);
                 const StreamStats stats =
                     engine.runStream(source, ordered, &job->cancel);
-                job->cacheHits.fetch_add(stats.outcomeCacheHits,
-                                         std::memory_order_relaxed);
                 if (job->cancel.cancelled())
                     v = kJobCancelled;
                 else if (stats.cancelled)
@@ -466,16 +461,12 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 fatal("serve: cannot write shard descriptor '%s'",
                       desc_path.c_str());
         }
-        std::vector<std::string> args = {
+        const std::vector<std::string> args = {
             options_.sweepBinary, "run",       desc_path,
             "--out",              slot.attemptPath,
             "--threads",          std::to_string(threads),
             "--frames",           std::to_string(frames),
             "--no-lint"};
-        if (!options_.cacheDir.empty()) {
-            args.push_back("--cache-dir");
-            args.push_back(options_.cacheDir);
-        }
         const std::string log_path = slot.attemptPath + ".log";
         const pid_t pid = ::fork();
         if (pid < 0)
@@ -698,9 +689,6 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         end.set("error", job_error);
     }
     end.set("pointsDone", static_cast<int64_t>(merge.next));
-    end.set("cacheHits",
-            static_cast<int64_t>(
-                job->cacheHits.load(std::memory_order_relaxed)));
     end.set("workerRestarts",
             static_cast<int64_t>(job->workerRestarts.load(
                 std::memory_order_relaxed)));

@@ -5,13 +5,15 @@
  *
  * Admission runs the full static-analysis stack BEFORE any worker
  * spins up, through the same analysis::lintDocument as `camj_sweep
- * lint` — SpecAnalyzer::analyzeDocument over the raw JSON (a parse
- * failure becomes one CAMJ-E018 diagnostic), then grid validation,
- * then the PrefilterSpecSource infeasibility analysis. Documents with
- * error diagnostics are rejected with their CAMJ-* codes; provably
- * infeasible points are REPORTED but still evaluated, because pruning
- * would change the output bytes and the service's contract is
- * byte-identity with a local `camj_sweep run`.
+ * lint` — the key lint and the spec rules over the document the
+ * submit frame carries (parsed once, with the frame; a document that
+ * does not lower becomes one CAMJ-E018 diagnostic), then grid
+ * validation, then the PrefilterSpecSource infeasibility analysis.
+ * Documents with error diagnostics are rejected with their CAMJ-*
+ * codes; provably infeasible points are REPORTED but still
+ * evaluated, because pruning would change the output bytes and the
+ * service's contract is byte-identity with a local `camj_sweep
+ * run`.
  *
  * Each admitted job gets its own thread running the dispatch/monitor
  * loop (submit() joins the threads of jobs that have finished, so the
@@ -63,6 +65,7 @@
 #include "analysis/diagnostic.h"
 #include "serve/registry.h"
 #include "spec/grid.h"
+#include "spec/json.h"
 
 namespace camj::serve
 {
@@ -81,10 +84,6 @@ struct SchedulerOptions
     bool subprocessWorkers = false;
     /** The camj_sweep binary (subprocess mode). */
     std::string sweepBinary;
-    /** Shared content-addressed outcome store directory; empty
-     *  disables it. Repeated or overlapping submissions answer from
-     *  the store instead of re-simulating. */
-    std::string cacheDir;
     /** Where attempt files and shard descriptors live. */
     std::string workDir;
     /** Top-K table size of the end-of-stream summary. */
@@ -129,13 +128,13 @@ class Scheduler
     ~Scheduler();
 
     /**
-     * Admission + dispatch. Lints @p doc_text, and either rejects
+     * Admission + dispatch. Lints @p doc, and either rejects
      * (Admission::job == nullptr, reason + diagnostics filled) or
      * creates a job and starts its dispatch thread. @p frames /
      * @p threads override the scheduler defaults when positive.
      * Never throws on a bad document — that is a rejection.
      */
-    Admission submit(const std::string &doc_text, int frames = 0,
+    Admission submit(const json::Value &doc, int frames = 0,
                      int threads = 0);
 
     /** Stop admitting (submit() rejects from now on) and wait for

@@ -252,8 +252,7 @@ Server::handleSubmit(int fd, const json::Value &frame)
     }
     const int frames = static_cast<int>(frame.getInt("frames", 0));
     const int threads = static_cast<int>(frame.getInt("threads", 0));
-    Scheduler::Admission adm =
-        scheduler_.submit(doc->dump(0), frames, threads);
+    Scheduler::Admission adm = scheduler_.submit(*doc, frames, threads);
     if (adm.job == nullptr) {
         json::Value rej = makeFrame("rejected");
         rej.set("reason", adm.reason);

@@ -172,12 +172,10 @@ main(int argc, char **argv)
             // Human-readable reporting goes to stderr so stdout
             // stays clean when it carries the result stream.
             std::fprintf(stderr,
-                         "%s: %s — %zu line(s), %lld cache hit(s), "
-                         "%lld worker restart(s)\n",
+                         "%s: %s — %zu line(s), %lld worker "
+                         "restart(s)\n",
                          outcome.jobId.c_str(), state.c_str(),
                          outcome.resultLines,
-                         static_cast<long long>(
-                             outcome.end.getInt("cacheHits", 0)),
                          static_cast<long long>(outcome.end.getInt(
                              "workerRestarts", 0)));
             if (const json::Value *summary =

@@ -53,7 +53,6 @@ usage(std::FILE *to)
 "  --frames F           default frames per design point (default 1)\n"
 "  --workers MODE       inprocess (default) or subprocess\n"
 "  --sweep-bin PATH     camj_sweep binary (subprocess mode)\n"
-"  --cache-dir DIR      shared content-addressed outcome store\n"
 "  --work-dir DIR       attempt files / shard descriptors\n"
 "  --top K              end-of-stream top-K table size (default 5)\n"
 "  --heartbeat-sec S    subprocess stall window (default 30)\n"
@@ -126,8 +125,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--sweep-bin")
             options.scheduler.sweepBinary = flagValue(argc, argv, i);
-        else if (arg == "--cache-dir")
-            options.scheduler.cacheDir = flagValue(argc, argv, i);
         else if (arg == "--work-dir")
             options.scheduler.workDir = flagValue(argc, argv, i);
         else if (arg == "--top")

@@ -62,9 +62,6 @@ usage(std::FILE *to)
 "      --threads T                 worker threads (default: all cores)\n"
 "      --frames F                  frames per design point (default 1)\n"
 "      --no-lint                   skip the pre-flight static analysis\n"
-"      --cache-dir DIR             content-addressed outcome cache,\n"
-"                                  shared across shards and re-runs\n"
-"                                  of the base spec\n"
 "      --verbose                   also print cycle-sim stats (cycles\n"
 "                                  ticked per pass, how pass A's\n"
 "                                  latency and pass B's stall check\n"
@@ -191,7 +188,7 @@ cmdPlan(int argc, char **argv)
 int
 cmdRun(int argc, char **argv)
 {
-    std::string input, out_path, shard_arg, cache_dir;
+    std::string input, out_path, shard_arg;
     spec::ShardMode mode = spec::ShardMode::Contiguous;
     int threads = 0, frames = 1;
     bool lint = true, verbose = false;
@@ -201,8 +198,6 @@ cmdRun(int argc, char **argv)
             out_path = flagValue(argc, argv, i);
         else if (arg == "--shard")
             shard_arg = flagValue(argc, argv, i);
-        else if (arg == "--cache-dir")
-            cache_dir = flagValue(argc, argv, i);
         else if (arg == "--mode")
             mode = spec::shardModeFromName(flagValue(argc, argv, i));
         else if (arg == "--no-lint")
@@ -278,9 +273,6 @@ cmdRun(int argc, char **argv)
     options.sim.frames = frames;
     // Each worker's points share one cycle-sim memo.
     options.incremental = true;
-    // Shard processes re-running (or re-trying) overlapping index
-    // ranges share finished outcomes through the on-disk store.
-    options.cacheDir = cache_dir;
     SweepEngine engine(options);
 
     // Local stream order -> global grid identity -> bytes: the

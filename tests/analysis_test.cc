@@ -670,6 +670,29 @@ TEST(RuleCodes, MalformedDocumentsAreOneE018)
     }
 }
 
+TEST(LintDocument, UnparseableDocumentsAreRejectedWithADiagnostic)
+{
+    const analysis::DocumentLint lint =
+        analysis::lintDocument(std::string("{ this is not json"));
+    EXPECT_FALSE(lint.sweep.has_value());
+    EXPECT_EQ(lint.rejection, "document does not parse");
+    ASSERT_EQ(lint.diagnostics.size(), 1u);
+    EXPECT_EQ(lint.diagnostics[0].code, "CAMJ-E018");
+}
+
+TEST(LintDocument, DeeplyNestedDocumentsAreRejectedWithAParseError)
+{
+    const analysis::DocumentLint lint = analysis::lintDocument(
+        std::string(100000, '[') + std::string(100000, ']'));
+    EXPECT_FALSE(lint.sweep.has_value());
+    EXPECT_EQ(lint.rejection, "document does not parse");
+    ASSERT_EQ(lint.diagnostics.size(), 1u);
+    EXPECT_EQ(lint.diagnostics[0].code, "CAMJ-E018");
+    EXPECT_NE(lint.diagnostics[0].message.find("nesting deeper than"),
+              std::string::npos)
+        << lint.diagnostics[0].message;
+}
+
 // -------------------------------------------------------- grid analysis
 
 /** The canonical detector study widened with provably infeasible

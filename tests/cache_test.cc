@@ -1,30 +1,21 @@
 /**
  * @file
- * Tests for the reuse layers under a sweep worker: the cycle-sim memo
+ * Tests for the reuse layer under a sweep worker: the cycle-sim memo
  * under strided sweep orders and infeasible bands, the evaluator's
- * stage accounting, and the content-addressed on-disk outcome store
- * of explore/cache.h (cross-instance round-trips, corruption
- * fallback, strict-mode rethrow, a directory shared by a sweep). The
- * bar everywhere is the same as tests/incremental_test.cc:
- * bit-identical outcomes — energies, verdicts, and error text —
- * versus a from-scratch Simulator run.
+ * stage accounting, and a worker whose setup fails. The bar
+ * everywhere is the same as tests/incremental_test.cc: bit-identical
+ * outcomes — energies, verdicts, and error text — versus a
+ * from-scratch Simulator run.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "digital/cyclesim.h"
-#include "explore/cache.h"
 #include "explore/incremental.h"
-#include "explore/sink.h"
 #include "explore/sweep.h"
 #include "spec/grid.h"
 #include "spec/samples.h"
@@ -34,8 +25,6 @@ namespace camj
 {
 namespace
 {
-
-namespace fs = std::filesystem;
 
 class QuietLogging : public ::testing::Environment
 {
@@ -99,43 +88,6 @@ expectIdenticalOutcome(const SimulationOutcome &inc,
     }
     EXPECT_EQ(a.pretty(), b.pretty()) << what;
     EXPECT_EQ(a.csv(), b.csv()) << what;
-}
-
-/** A fresh, unique cache directory under the test temp dir, removed
- *  on destruction. */
-class ScopedCacheDir
-{
-  public:
-    explicit ScopedCacheDir(const std::string &tag)
-        : path_((fs::path(::testing::TempDir()) /
-                 ("camj-cache-" + tag + "-" +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-    }
-    ~ScopedCacheDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-// -------------------------------------------------------- cache keys
-
-TEST(CacheKeys, OutcomeKeyCoversTheWholeDocument)
-{
-    spec::DesignSpec a = spec::sampleDetectorSpec(30.0, 65);
-    spec::DesignSpec b = spec::sampleDetectorSpec(120.0, 65);
-    // fps changes the outcome, so it must change the content address.
-    EXPECT_NE(outcomeCacheKey(spec::toJsonValue(a)),
-              outcomeCacheKey(spec::toJsonValue(b)));
-    EXPECT_EQ(outcomeCacheKey(spec::toJsonValue(a)),
-              outcomeCacheKey(spec::toJsonValue(a)));
 }
 
 // ------------------------------------------------- the cycle-sim memo
@@ -244,185 +196,21 @@ TEST(IncrementalStats, StagesRunCountsOnlyStagesActuallyEntered)
     EXPECT_EQ(inc.stats().stagesRun, 11u);
 }
 
-// --------------------------------------------- the on-disk store
-
-TEST(OutcomeStoreDisk, RoundTripsAcrossEvaluatorInstances)
-{
-    ScopedCacheDir dir("roundtrip");
-    SimulationOptions opts = reportOptions();
-    opts.withNoise = true; // exercises the derived-metric recompute
-    opts.frames = 3;
-
-    spec::DesignSpec good = spec::sampleDetectorSpec(30.0, 65);
-    spec::DesignSpec bad = spec::sampleDetectorSpec(100000.0, 65);
-
-    SimulationOutcome good_ref;
-    SimulationOutcome bad_ref;
-    {
-        IncrementalEvaluator writer(opts, dir.path());
-        good_ref = writer.evaluate(good);
-        bad_ref = writer.evaluate(bad);
-        ASSERT_TRUE(good_ref.feasible);
-        ASSERT_FALSE(bad_ref.feasible);
-        EXPECT_EQ(bad_ref.ruleCode, "CAMJ-D002") << bad_ref.error;
-        ASSERT_NE(writer.outcomeStoreStats(), nullptr);
-        EXPECT_EQ(writer.outcomeStoreStats()->stores, 2u);
-        EXPECT_EQ(writer.outcomeStoreStats()->hits, 0u);
-    }
-
-    // A second evaluator (fresh process in spirit): both outcomes
-    // must come back from disk, bit-identical — the stored rule code
-    // and the derived fields (frames, SNR penalty) included.
-    IncrementalEvaluator reader(opts, dir.path());
-    expectIdenticalOutcome(reader.evaluate(good), good_ref, good.name);
-    expectIdenticalOutcome(reader.evaluate(bad), bad_ref, bad.name);
-    EXPECT_EQ(reader.stats().diskHits, 2u);
-    EXPECT_EQ(reader.stats().fullBuilds, 0u);
-    ASSERT_NE(reader.outcomeStoreStats(), nullptr);
-    EXPECT_EQ(reader.outcomeStoreStats()->hits, 2u);
-
-    // And the disk answers must equal a from-scratch Simulator.
-    expectIdenticalOutcome(good_ref, referenceOutcome(good, opts),
-                           good.name);
-    expectIdenticalOutcome(bad_ref, referenceOutcome(bad, opts),
-                           bad.name);
-}
-
-TEST(OutcomeStoreDisk, StrictModeRethrowsStoredFailures)
-{
-    ScopedCacheDir dir("strict");
-    spec::DesignSpec bad = spec::sampleDetectorSpec(100000.0, 65);
-
-    SimulationOutcome ref;
-    {
-        IncrementalEvaluator writer(reportOptions(), dir.path());
-        ref = writer.evaluate(bad);
-        ASSERT_FALSE(ref.feasible);
-    }
-
-    SimulationOptions strict;
-    strict.checkMode = CheckMode::Strict;
-    IncrementalEvaluator reader(strict, dir.path());
-    try {
-        reader.evaluate(bad);
-        FAIL() << "stored infeasibility must rethrow under Strict";
-    } catch (const ConfigError &e) {
-        EXPECT_EQ(std::string(e.what()), ref.error);
-        EXPECT_EQ(e.code(), ref.ruleCode);
-    }
-    EXPECT_EQ(reader.stats().diskHits, 1u);
-}
-
-TEST(OutcomeStoreDisk, CorruptedFilesDegradeToRebuilds)
-{
-    ScopedCacheDir dir("corrupt");
-    spec::DesignSpec good = spec::sampleDetectorSpec(30.0, 65);
-    spec::DesignSpec bad = spec::sampleDetectorSpec(100000.0, 65);
-    {
-        IncrementalEvaluator writer(reportOptions(), dir.path());
-        writer.evaluate(good);
-        writer.evaluate(bad);
-    }
-
-    // Corrupt one record and truncate the other: both must read as
-    // misses, the points re-evaluate from scratch (bit-identical),
-    // and the rewritten files serve the next instance again.
-    size_t mangled = 0;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(dir.path())) {
-        std::ofstream out(entry.path(),
-                          std::ios::binary | std::ios::trunc);
-        if (mangled++ % 2 == 0)
-            out << "{\"format\": 1, \"key\": \"not the key\"";
-        // else: left empty (truncated record)
-    }
-    ASSERT_EQ(mangled, 2u);
-
-    IncrementalEvaluator reader(reportOptions(), dir.path());
-    expectIdenticalOutcome(reader.evaluate(good),
-                           referenceOutcome(good), good.name);
-    expectIdenticalOutcome(reader.evaluate(bad), referenceOutcome(bad),
-                           bad.name);
-    EXPECT_EQ(reader.stats().diskHits, 0u);
-    ASSERT_NE(reader.outcomeStoreStats(), nullptr);
-    EXPECT_EQ(reader.outcomeStoreStats()->rejected, 2u);
-    EXPECT_EQ(reader.outcomeStoreStats()->stores, 2u);
-
-    IncrementalEvaluator healed(reportOptions(), dir.path());
-    healed.evaluate(good);
-    healed.evaluate(bad);
-    EXPECT_EQ(healed.stats().diskHits, 2u);
-}
-
-TEST(OutcomeStoreDisk, UnusableCacheDirectoryThrows)
-{
-    // A path whose parent is a regular file can never become a
-    // directory.
-    ScopedCacheDir dir("baddir");
-    fs::create_directories(dir.path());
-    const std::string file = dir.path() + "/plain-file";
-    std::ofstream(file) << "x";
-    EXPECT_THROW(IncrementalEvaluator(reportOptions(), file + "/sub"),
-                 ConfigError);
-}
-
 // ------------------------------------------------- sweep wiring
 
-TEST(SweepCache, SharedCacheDirMakesTheSecondRunByteIdentical)
+TEST(SweepWorkers, SetupFailureSurfacesOnTheCallingThread)
 {
-    const spec::SweepDocument doc = spec::sampleDetectorStudy();
-    spec::GridSpecSource serial_source = doc.source();
-    std::vector<spec::DesignSpec> specs;
-    while (std::optional<spec::DesignSpec> s = serial_source.next())
-        specs.push_back(std::move(*s));
-    const std::vector<SweepResult> ref =
-        SweepEngine(SweepOptions{.threads = 1}).runSerial(specs);
-
-    ScopedCacheDir dir("sweep");
+    // Each worker builds its evaluator inside the try that captures
+    // worker errors; invalid options make that constructor throw on
+    // both pool threads, and run() rethrows on the caller.
     SweepOptions options;
     options.threads = 2;
     options.incremental = true;
-    options.cacheDir = dir.path();
-    SweepEngine engine(options);
-
-    auto run = [&] {
-        spec::GridSpecSource source = doc.source();
-        CollectSink collect;
-        InOrderSink ordered(collect);
-        engine.runStream(source, ordered);
-        std::string jsonl;
-        for (const SweepResult &r : collect.results())
-            jsonl += sweepResultToJsonl(r);
-        return jsonl;
-    };
-
-    std::string ref_jsonl;
-    for (const SweepResult &r : ref)
-        ref_jsonl += sweepResultToJsonl(r);
-
-    const std::string cold = run();
-    const std::string warm = run(); // answered from the shared store
-    EXPECT_EQ(cold, ref_jsonl);
-    EXPECT_EQ(warm, ref_jsonl);
-    EXPECT_GT(std::distance(fs::directory_iterator(dir.path()),
-                            fs::directory_iterator()),
-              0);
-}
-
-TEST(SweepCache, UnusableCacheDirSurfacesOnTheCallingThread)
-{
-    ScopedCacheDir dir("sweepbad");
-    fs::create_directories(dir.path());
-    const std::string file = dir.path() + "/plain-file";
-    std::ofstream(file) << "x";
-
-    SweepOptions options;
-    options.threads = 2;
-    options.incremental = true;
-    options.cacheDir = file + "/sub";
+    options.sim.frames = 0;
     SweepEngine engine(options);
     const std::vector<spec::DesignSpec> specs = {
-        spec::sampleDetectorSpec(30.0, 65)};
+        spec::sampleDetectorSpec(30.0, 65),
+        spec::sampleDetectorSpec(120.0, 65)};
     EXPECT_THROW(engine.run(specs), ConfigError);
 }
 

@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -74,6 +75,13 @@ smallStudy()
          {json::Value(110), json::Value(65), json::Value(45)}},
     };
     return doc;
+}
+
+/** @p doc as the parsed document a submit frame carries. */
+json::Value
+documentValue(const spec::SweepDocument &doc)
+{
+    return json::Value::parse(spec::toJson(doc));
 }
 
 /** The reference bytes: a single-process in-order run. */
@@ -213,38 +221,6 @@ TEST(Protocol, ControlFramesAreDistinguishedByTheirFirstMember)
 
 // ------------------------------------------------------------ admission
 
-TEST(Admission, UnparseableDocumentsAreRejectedWithADiagnostic)
-{
-    const fs::path dir = scratchDir("serve_admit_parse");
-    serve::JobRegistry registry;
-    serve::Scheduler scheduler(inProcessOptions(dir), registry);
-    const serve::Scheduler::Admission adm =
-        scheduler.submit("{ this is not json");
-    ASSERT_EQ(adm.job, nullptr);
-    EXPECT_EQ(adm.reason, "document does not parse");
-    ASSERT_EQ(adm.diagnostics.size(), 1u);
-    EXPECT_EQ(adm.diagnostics[0].code, "CAMJ-E018");
-    EXPECT_TRUE(registry.jobs().empty());
-}
-
-TEST(Admission, DeeplyNestedDocumentsAreRejectedWithAParseError)
-{
-    const fs::path dir = scratchDir("serve_admit_deep");
-    serve::JobRegistry registry;
-    serve::Scheduler scheduler(inProcessOptions(dir), registry);
-    const std::string deep =
-        std::string(100000, '[') + std::string(100000, ']');
-    const serve::Scheduler::Admission adm = scheduler.submit(deep);
-    ASSERT_EQ(adm.job, nullptr);
-    EXPECT_EQ(adm.reason, "document does not parse");
-    ASSERT_EQ(adm.diagnostics.size(), 1u);
-    EXPECT_EQ(adm.diagnostics[0].code, "CAMJ-E018");
-    EXPECT_NE(adm.diagnostics[0].message.find("nesting deeper than"),
-              std::string::npos)
-        << adm.diagnostics[0].message;
-    EXPECT_TRUE(registry.jobs().empty());
-}
-
 TEST(Admission, StaticAnalysisErrorsRejectBeforeAnyWorkerRuns)
 {
     const fs::path dir = scratchDir("serve_admit_lint");
@@ -253,7 +229,7 @@ TEST(Admission, StaticAnalysisErrorsRejectBeforeAnyWorkerRuns)
     serve::JobRegistry registry;
     serve::Scheduler scheduler(inProcessOptions(dir), registry);
     const serve::Scheduler::Admission adm =
-        scheduler.submit(spec::toJson(doc));
+        scheduler.submit(documentValue(doc));
     ASSERT_EQ(adm.job, nullptr);
     EXPECT_EQ(adm.reason, "static analysis found errors");
     bool saw_code = false;
@@ -280,6 +256,45 @@ TEST(Admission, RejectionReachesTheClientWithItsRuleCodes)
             << e.what();
     }
     EXPECT_TRUE(out.str().empty());
+}
+
+TEST(Admission, NonObjectDocumentIsRejectedAndTheDaemonKeepsAnswering)
+{
+    const fs::path dir = scratchDir("serve_reject_non_object");
+    ServerHarness harness(inProcessOptions(dir));
+    const int fd = connectRaw(harness.port());
+    ASSERT_GE(fd, 0);
+    serve::LineReader reader(fd);
+    const std::pair<const char *, const char *> cases[] = {
+        {"\"detector\"", "string"}, {"[1, 2]", "array"}};
+    for (const auto &[doc, kind] : cases) {
+        ASSERT_TRUE(serve::writeLine(
+            fd, std::string("{\"type\": \"submit\", \"doc\": ") + doc +
+                    "}"));
+        const std::optional<std::string> reply = reader.next();
+        ASSERT_TRUE(reply.has_value()) << kind;
+        const json::Value rejected = serve::parseFrame(*reply);
+        EXPECT_EQ(rejected.getString("type", ""), "rejected") << *reply;
+        EXPECT_EQ(rejected.getString("reason", ""),
+                  "static analysis found errors")
+            << *reply;
+        const json::Value *diags = rejected.find("diagnostics");
+        ASSERT_NE(diags, nullptr) << *reply;
+        ASSERT_EQ(diags->asArray().size(), 1u) << *reply;
+        const json::Value &d = diags->asArray()[0];
+        EXPECT_EQ(d.getString("code", ""), "CAMJ-E018") << *reply;
+        EXPECT_NE(d.getString("message", "").find(
+                      std::string("json: member 'name' requested from a ") +
+                      kind + " value"),
+                  std::string::npos)
+            << *reply;
+    }
+    ASSERT_TRUE(serve::writeLine(
+        fd, serve::frameLine(serve::makeFrame("ping"))));
+    const std::optional<std::string> pong = reader.next();
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(serve::parseFrame(*pong).getString("type", ""), "pong");
+    ::close(fd);
 }
 
 // -------------------------------------------------------- the contract
@@ -327,15 +342,13 @@ TEST(ServedSweep, KilledWorkerIsRedispatchedAndTheStreamStaysExact)
     EXPECT_GE(outcome.end.getInt("workerRestarts", 0), 1);
 }
 
-TEST(ServedSweep, ConcurrentJobsShareOneOutcomeStore)
+TEST(ServedSweep, ConcurrentJobsStreamTheLocalBytes)
 {
     const fs::path dir = scratchDir("serve_concurrent");
     const spec::SweepDocument doc = smallStudy();
     const std::string reference = singleProcessJsonl(doc);
 
-    serve::SchedulerOptions options = inProcessOptions(dir / "work");
-    options.cacheDir = (dir / "cache").string();
-    ServerHarness harness(std::move(options));
+    ServerHarness harness(inProcessOptions(dir));
 
     std::string streamed[2];
     std::string state[2];
@@ -496,7 +509,7 @@ TEST(ServedSweep, CancelStopsARunningJobBeforeItFinishes)
     serve::JobRegistry registry;
     serve::Scheduler scheduler(inProcessOptions(dir, 1), registry);
     const serve::Scheduler::Admission adm =
-        scheduler.submit(spec::toJson(doc));
+        scheduler.submit(documentValue(doc));
     ASSERT_NE(adm.job, nullptr);
     adm.job->cancel.cancel();
     scheduler.drain();
@@ -539,12 +552,13 @@ TEST(ServedSweep, FinishedJobThreadsAreReapedOnSubmit)
 {
     const fs::path dir = scratchDir("serve_reap");
     const spec::SweepDocument doc = smallStudy();
-    const std::string text = spec::toJson(doc);
+    const json::Value document = documentValue(doc);
     const std::string reference = singleProcessJsonl(doc);
     serve::JobRegistry registry;
     serve::Scheduler scheduler(inProcessOptions(dir), registry);
     for (int k = 0; k < 32; ++k) {
-        const serve::Scheduler::Admission adm = scheduler.submit(text);
+        const serve::Scheduler::Admission adm =
+            scheduler.submit(document);
         ASSERT_NE(adm.job, nullptr);
         EXPECT_LE(scheduler.jobThreads(), registry.activeCount() + 1)
             << "job " << k;

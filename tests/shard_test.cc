@@ -767,6 +767,25 @@ TEST(CamjSweepCli, ArgumentErrorsExitTwoWithUsage)
     EXPECT_EQ(cliExit("run " + study + " --shard nonsense"), 2);
 }
 
+TEST(CamjSweepCli, CacheDirFlagIsRejected)
+{
+    // `run` keeps no outcomes between processes: a script still
+    // passing the flag fails with usage instead of running without it.
+    const fs::path dir = scratchDir("cli_cache_dir");
+    writeFile(dir / "study.json", spec::toJson(smallStudy()));
+    const fs::path log = dir / "run.log";
+    const fs::path out = dir / "out.jsonl";
+    EXPECT_EQ(cliExit("run " + (dir / "study.json").string() +
+                          " --cache-dir " + (dir / "cache").string() +
+                          " --out " + out.string(),
+                      log.string()),
+              2);
+    EXPECT_NE(readFile(log).find("unexpected argument '--cache-dir'"),
+              std::string::npos)
+        << readFile(log);
+    EXPECT_FALSE(fs::exists(out));
+}
+
 TEST(CamjSweepCli, LintSubcommandReportsFindings)
 {
     const fs::path dir = scratchDir("cli_lint");
@@ -865,11 +884,10 @@ TEST(CamjSweepCli, VerboseTotalCountsInfeasiblePoints)
 
 TEST(CamjSweepCli, OutOfRangeNumberIsAParseError)
 {
-    // A number beyond double range used to parse as inf: the point
-    // failed, and its outcome then could not be written to the cache
-    // (an internal CAMJ-D003 error line); as a grid value it named
-    // points "rate=inf". Now the document itself is rejected with the
-    // parse error's position, before anything runs or is cached.
+    // A number beyond double range is not read as inf (as a grid
+    // value it would name points "rate=inf"): the document itself is
+    // rejected with the parse error's position, before anything
+    // runs.
     const fs::path dir = scratchDir("cli_overflow");
     std::string text = spec::toJson(smallStudy());
     const size_t fps = text.find("\"fps\": 30");
@@ -886,9 +904,7 @@ TEST(CamjSweepCli, OutOfRangeNumberIsAParseError)
         const fs::path log = dir / (name + ".log");
         const fs::path out = dir / (name + ".jsonl");
         EXPECT_EQ(cliExit("run " + (dir / name).string() +
-                              " --no-lint --cache-dir " +
-                              (dir / "cache").string() + " --out " +
-                              out.string(),
+                              " --no-lint --out " + out.string(),
                           log.string()),
                   1)
             << name;
@@ -902,9 +918,6 @@ TEST(CamjSweepCli, OutOfRangeNumberIsAParseError)
         EXPECT_EQ(report.find("internal error"), std::string::npos)
             << report;
         EXPECT_FALSE(fs::exists(out)) << name;
-        EXPECT_TRUE(!fs::exists(dir / "cache") ||
-                    fs::is_empty(dir / "cache"))
-            << name;
 
         const fs::path lint_log = dir / (name + ".lint.log");
         EXPECT_EQ(cliExit("lint " + (dir / name).string(),
