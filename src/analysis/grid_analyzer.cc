@@ -351,7 +351,10 @@ lintDocument(const json::Value &doc)
             sweep.grid = spec::gridFromJson(*block);
         sweep.base = std::move(*base);
         // Building the grid source also validates every axis value.
-        out.grid = PrefilterSpecSource(sweep).analysis();
+        auto source = std::make_shared<const spec::GridSpecSource>(
+            sweep.base, sweep.grid);
+        out.grid = GridAnalyzer().analyze(*source);
+        out.source = std::move(source);
         out.sweep = std::move(sweep);
     } catch (const ConfigError &e) {
         out.diagnostics.push_back(makeError(e.code(), "", e.what()));

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -196,6 +197,11 @@ struct DocumentLint
     std::string rejection;
     /** The sweep document, set when rejection is empty. */
     std::optional<spec::SweepDocument> sweep;
+    /** The grid source lint built over it (set with sweep), so a
+     *  caller that runs the document shards this one instead of
+     *  building and probing the grid again. Shared: a source cannot
+     *  be moved. */
+    std::shared_ptr<const spec::GridSpecSource> source;
     /** Its grid's infeasibility analysis, valid when sweep is set. */
     GridAnalysis grid;
 };

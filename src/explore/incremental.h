@@ -2,13 +2,17 @@
  * @file
  * The sweep worker's evaluator: a full evaluation per design point
  * (validate -> materialize -> the six stages of core/pipeline.h),
- * with the one expensive step memoized. Nearly all of a point's cost
- * is the cycle-level simulation behind the CycleSim and Timing
- * stages, and neighboring grid points keep rebuilding the same few
- * cycle-sim topologies, so each evaluator owns a CycleSimMemo
- * (digital/cyclesim.h) keyed by exactly that stage input: the built
- * topology. Everything else is recomputed per point; it costs
- * microseconds.
+ * with the cycle-level simulation behind the CycleSim and Timing
+ * stages memoized. Where a topology still has to be simulated, that
+ * simulation is the dearest step of a point, and neighboring grid
+ * points keep rebuilding the same few cycle-sim topologies, so each
+ * evaluator owns a CycleSimMemo (digital/cyclesim.h) keyed by exactly
+ * that stage input: the built topology. On the canonical grid and the
+ * paper studies the closed forms and the backlog bound leave nothing
+ * to simulate: there the six stages take about 37% of a grid job's
+ * time and validate plus materialize about 23%, beside expansion and
+ * the sinks (docs/performance.md). Everything but the memoized
+ * simulation is recomputed per point.
  */
 
 #ifndef CAMJ_EXPLORE_INCREMENTAL_H

@@ -293,6 +293,8 @@ Scheduler::submit(const json::Value &doc, int frames, int threads)
         return adm;
     }
     spec::SweepDocument sweep = std::move(*lint.sweep);
+    std::shared_ptr<const spec::GridSpecSource> grid =
+        std::move(lint.source);
     adm.points = sweep.grid.points();
     adm.pruned = lint.grid.prunedPoints();
 
@@ -319,9 +321,9 @@ Scheduler::submit(const json::Value &doc, int frames, int threads)
     const int t = threads > 0 ? threads : options_.threadsPerWorker;
     auto job = adm.job;
     threads_.push_back(
-        {job, std::thread([this, job, d = std::move(sweep), f,
-                           t]() mutable {
-             runJob(job, std::move(d), f, t);
+        {job, std::thread([this, job, d = std::move(sweep),
+                           g = std::move(grid), f, t]() mutable {
+             runJob(job, std::move(d), std::move(g), f, t);
          })});
     return adm;
 }
@@ -357,13 +359,14 @@ Scheduler::cancelAll()
 
 void
 Scheduler::runJob(std::shared_ptr<JobRecord> job,
-                  spec::SweepDocument doc, int frames, int threads)
+                  spec::SweepDocument doc,
+                  std::shared_ptr<const spec::GridSpecSource> grid,
+                  int frames, int threads)
 {
     std::string job_error;
     bool cancelled = false;
     MonitorWake wake; // outlives every worker: teardown joins them
     std::vector<std::unique_ptr<WorkerSlot>> slots;
-    std::optional<spec::GridSpecSource> grid;
     MergeState merge;
     merge.summary.topKLimit = options_.topK;
 
@@ -406,7 +409,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         slot.failText = fail_text;
         const spec::ShardAssignment a = slot.current;
         const std::string path = slot.attemptPath;
-        spec::GridSpecSource *parent = &*grid;
+        const spec::GridSpecSource *parent = grid.get();
         slot.thread = std::thread([parent, &wake, job, a, path,
                                    inject, frames, threads, verdict,
                                    fail_text] {
@@ -602,7 +605,6 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         const size_t total = doc.grid.points();
         merge.total = total;
         merge.seen.assign(total, false);
-        grid.emplace(doc.base, doc.grid);
         const size_t shard_count =
             std::min(options_.shards, std::max<size_t>(total, 1));
         const spec::ShardPlan plan = spec::planShards(

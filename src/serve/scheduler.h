@@ -8,9 +8,11 @@
  * lint` — the key lint and the spec rules over the document the
  * submit frame carries (parsed once, with the frame; a document that
  * does not lower becomes one CAMJ-E018 diagnostic), then grid
- * validation, then the PrefilterSpecSource infeasibility analysis.
- * Documents with error diagnostics are rejected with their CAMJ-*
- * codes; provably infeasible points are REPORTED but still
+ * validation, then the GridAnalyzer infeasibility analysis over the
+ * grid source lint builds. That source is handed to the job, so its
+ * in-process workers shard the grid admission already built and
+ * probed. Documents with error diagnostics are rejected with their
+ * CAMJ-* codes; provably infeasible points are REPORTED but still
  * evaluated, because pruning would change the output bytes and the
  * service's contract is byte-identity with a local `camj_sweep
  * run`.
@@ -158,8 +160,12 @@ class Scheduler
         std::thread thread;
     };
 
-    void runJob(std::shared_ptr<JobRecord> job,
-                spec::SweepDocument doc, int frames, int threads);
+    /** Run one admitted job. In-process workers shard @p grid, the
+     *  source admission built over @p doc; subprocess workers are
+     *  handed descriptors written from @p doc. */
+    void runJob(std::shared_ptr<JobRecord> job, spec::SweepDocument doc,
+                std::shared_ptr<const spec::GridSpecSource> grid,
+                int frames, int threads);
 
     SchedulerOptions options_;
     JobRegistry &registry_;

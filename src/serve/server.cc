@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -99,6 +100,14 @@ Server::Server(ServerOptions options)
         fatal("serve: getsockname failed: %s",
               std::strerror(errno));
     port_ = static_cast<int>(ntohs(addr.sin_port));
+    // Non-blocking, so a signal handler's write never blocks: a full
+    // pipe already wakes the loop.
+    if (::pipe2(wakeFds_, O_CLOEXEC | O_NONBLOCK) < 0) {
+        const int err = errno;
+        ::close(listenFd_);
+        listenFd_ = -1;
+        fatal("serve: pipe failed: %s", std::strerror(err));
+    }
 }
 
 Server::~Server()
@@ -116,20 +125,40 @@ Server::~Server()
     }
     for (std::thread &t : taken)
         t.join();
+    for (int &fd : wakeFds_) {
+        ::close(fd);
+        fd = -1;
+    }
+}
+
+void
+Server::requestStop()
+{
+    stop_.store(true, std::memory_order_relaxed);
+    // write() is async-signal-safe. A write that fails finds the pipe
+    // full, so the loop is already woken; errno is restored for the
+    // code a signal interrupted.
+    const int saved = errno;
+    const char byte = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wakeFds_[1], &byte, 1);
+    errno = saved;
 }
 
 void
 Server::serve()
 {
     while (!stop_.load(std::memory_order_relaxed)) {
-        struct pollfd p;
-        p.fd = listenFd_;
-        p.events = POLLIN;
-        p.revents = 0;
-        const int rc = ::poll(&p, 1, 200);
+        struct pollfd p[2];
+        p[0].fd = listenFd_;
+        p[1].fd = wakeFds_[0];
+        for (struct pollfd &q : p) {
+            q.events = POLLIN;
+            q.revents = 0;
+        }
+        const int rc = ::poll(p, 2, -1);
         if (stop_.load(std::memory_order_relaxed))
             break;
-        if (rc <= 0)
+        if (rc <= 0 || p[0].revents == 0)
             continue;
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)

@@ -22,9 +22,10 @@
  *
  * A submit connection that drops mid-stream cancels its job (the
  * client is gone; finish the work nobody will read — no). Shutdown is
- * a drain: requestStop() (async-signal-safe — it only stores an
- * atomic) stops the accept loop, new submits are rejected, running
- * jobs finish and their streams flush, then serve() returns.
+ * a drain: requestStop() (async-signal-safe — it stores an atomic and
+ * writes one byte to a self-pipe the accept loop polls beside the
+ * socket) stops the accept loop at once, new submits are rejected,
+ * running jobs finish and their streams flush, then serve() returns.
  */
 
 #ifndef CAMJ_SERVE_SERVER_H
@@ -74,11 +75,9 @@ class Server
      */
     void serve();
 
-    /** Stop accepting and drain. Async-signal-safe. */
-    void requestStop()
-    {
-        stop_.store(true, std::memory_order_relaxed);
-    }
+    /** Stop accepting and drain; wakes serve() at once.
+     *  Async-signal-safe. */
+    void requestStop();
 
     JobRegistry &registry() { return registry_; }
     Scheduler &scheduler() { return scheduler_; }
@@ -89,6 +88,9 @@ class Server
 
     ServerOptions options_;
     int listenFd_ = -1;
+    /** Self-pipe: requestStop() writes a byte to wakeFds_[1], which
+     *  ends serve()'s wait on wakeFds_[0]. */
+    int wakeFds_[2] = {-1, -1};
     int port_ = 0;
     std::atomic<bool> stop_{false};
     JobRegistry registry_;

@@ -1,5 +1,6 @@
 #include "spec/grid.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -174,19 +175,30 @@ forEachTarget(Value &node, const std::vector<SpecPathSegment> &segments,
         descend(*child);
 }
 
-/** Render an axis value for a point name ("30", "sram", "true"). */
-std::string
-renderAxisValue(const Value &v)
+/** Append an axis value as a point name spells it ("30", "sram",
+ *  "true"). A number is spelled as printf's "%g" would: to_chars's
+ *  general format at precision 6 is "%.6g" by definition. */
+void
+appendAxisValue(std::string &out, const Value &v)
 {
     switch (v.type()) {
       case Value::Type::String:
-        return v.asString();
-      case Value::Type::Number:
-        return strprintf("%g", v.asNumber());
+        out += v.asString();
+        break;
+      case Value::Type::Number: {
+        char buf[32];
+        const std::to_chars_result r =
+            std::to_chars(buf, buf + sizeof buf, v.asNumber(),
+                          std::chars_format::general, 6);
+        out.append(buf, r.ptr);
+        break;
+      }
       case Value::Type::Bool:
-        return v.asBool() ? "true" : "false";
+        out += v.asBool() ? "true" : "false";
+        break;
       default:
-        return v.dump(0);
+        out += v.dump(0);
+        break;
     }
 }
 
@@ -335,20 +347,28 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
     }
     // Axes expand from the canonical tree toJsonValue writes: a path
     // may name a member only that tree carries, such as a nodeNm the
-    // document left at its default.
+    // document left at its default. Every point starts from that
+    // tree's lowering, not from the spec given: the tree drops what
+    // the serializer drops (an Input stage's inputSize), and a point
+    // must be the lowering of its written tree.
     baseDoc_ = toJsonValue(base);
-    // Every point overwrites the top-level "name"; make sure the
-    // member exists up front so that write never grows the top-level
-    // object (growth reallocates its member vector, which would
-    // dangle logged slots that address top-level members).
-    if (baseDoc_.find("name") == nullptr)
-        baseDoc_.set("name", Value(baseName_));
+    baseSpec_ = fromJsonValue(baseDoc_);
     axisPaths_.reserve(grid_.axes.size());
     for (const GridAxis &axis : grid_.axes) {
         axisPaths_.push_back(parseSpecPath(axis.path));
         // The path must resolve in the base document.
         forEachTarget(baseDoc_, axisPaths_.back(), 0, axis.path,
                       [](Value &) {});
+    }
+    // An axis writes only inside the member its path is rooted at, so
+    // those members are all a point re-lowers.
+    for (const SpecMember &member : specMembers()) {
+        for (const std::vector<SpecPathSegment> &path : axisPaths_) {
+            if (path.front().member == member.key) {
+                axisMembers_.push_back(&member);
+                break;
+            }
+        }
     }
     // Build every distinct value of every axis, so a value that does
     // not produce a valid spec (a wrong type, an unknown enum token,
@@ -400,7 +420,7 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
 GridSpecSource::GridSpecSource(const GridSpecSource &other)
     : baseSpec_(other.baseSpec_), baseDoc_(other.baseDoc_),
       baseName_(other.baseName_), grid_(other.grid_),
-      axisPaths_(other.axisPaths_),
+      axisPaths_(other.axisPaths_), axisMembers_(other.axisMembers_),
       total_(other.total_),
       cursor_(other.cursor_.load(std::memory_order_relaxed))
 {
@@ -446,9 +466,11 @@ GridSpecSource::build(const std::vector<const Value *> &coords,
             forEachTarget(ws->doc, axisPaths_[a], 0, grid_.axes[a].path,
                           [&](Value &slot) { write(slot, *coords[a]); });
     }
+    DesignSpec spec = baseSpec_;
+    for (const SpecMember *member : axisMembers_)
+        member->lower(ws->doc, spec);
     if (!name.empty())
-        write(*ws->doc.find("name"), Value(std::move(name)));
-    DesignSpec spec = fromJsonValue(ws->doc);
+        spec.name = std::move(name);
     for (auto it = ws->undo.rbegin(); it != ws->undo.rend(); ++it)
         *it->first = std::move(it->second);
     ws->undo.clear();
@@ -485,7 +507,7 @@ GridSpecSource::at(size_t index) const
             name += ',';
         name += grid_.axes[a].name;
         name += '=';
-        name += renderAxisValue(*coords[a]);
+        appendAxisValue(name, *coords[a]);
     }
     return build(coords, std::move(name));
 }

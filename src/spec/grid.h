@@ -136,18 +136,29 @@ SweepGrid gridFromJson(const json::Value &block);
  *
  * A grid with axes expands from the canonical tree toJsonValue
  * writes, because an axis path may name a member only that tree
- * carries (a defaulted nodeNm, say). Cheap per point: the base
- * document is converted and every axis path parsed once, and each
- * point is built in a pooled workspace copy of the document. Axes
- * apply in declaration order, each path resolved against the
- * document as the earlier axes left it (so an axis may overlap or
- * rename what a later axis selects); every value a write displaces
- * goes to the workspace's undo log, and after the spec is converted
- * the log is replayed in reverse. No text re-parse, no per-point
- * document clone, no pre-materialized vector.
+ * carries (a defaulted nodeNm, say). Construction converts that base
+ * document once, lowers it once with fromJsonValue, parses every axis
+ * path once and records the member-table entries (specMembers()) the
+ * paths are rooted at. Each point is then built in a pooled workspace
+ * copy of the document: axes apply in declaration order, each path
+ * resolved against the document as the earlier axes left it (so an
+ * axis may overlap or rename what a later axis selects), and every
+ * value a write displaces goes to the workspace's undo log. The point
+ * is a copy of the lowered base with only the recorded members
+ * re-lowered from the workspace, in table order; then the log is
+ * replayed in reverse. No text re-parse, no per-point document clone
+ * or whole-document lowering, no pre-materialized vector.
+ *
+ * That equals fromJsonValue of the point's written tree: an axis
+ * writes only inside the member its path is rooted at, and every
+ * DesignSpec field is lowered from exactly one member, so a member no
+ * axis writes lowers to the base's value. A failing point throws the
+ * text fromJsonValue would, because the written members lower in the
+ * table's order and the others cannot fail.
  *
  * Supports concurrent pulls (sweep workers expand points in parallel
- * off an atomic cursor; workspaces are handed out under a mutex).
+ * off an atomic cursor; workspaces are handed out under a mutex; the
+ * lowered base is read-only after construction).
  */
 class GridSpecSource : public IndexableSpecSource
 {
@@ -191,7 +202,8 @@ class GridSpecSource : public IndexableSpecSource
      *  plus the undo log of the build in progress. */
     struct Workspace;
 
-    /** The one point of a grid without axes (unused otherwise). */
+    /** Every point starts as a copy of this: the base spec as given
+     *  without axes, fromJsonValue(baseDoc_) with axes. */
     DesignSpec baseSpec_;
     /** The canonical base document axes expand from (null without
      *  axes). */
@@ -201,6 +213,9 @@ class GridSpecSource : public IndexableSpecSource
     /** Axis paths parsed once at construction (same order as
      *  grid_.axes). */
     std::vector<std::vector<SpecPathSegment>> axisPaths_;
+    /** The specMembers() entries the axis paths are rooted at, in
+     *  table order: the only members a point re-lowers. */
+    std::vector<const SpecMember *> axisMembers_;
     size_t total_ = 0;
     std::atomic<size_t> cursor_{0};
     mutable std::mutex poolMutex_;
@@ -208,11 +223,16 @@ class GridSpecSource : public IndexableSpecSource
 
     /**
      * The spec with axis a set to *coords[a] for every non-null
-     * coordinate, in declaration order, and named @p name (the base
-     * name when empty). A throw drops the workspace.
+     * coordinate, in declaration order, and named @p name (when empty,
+     * the name the document lowers to: the base name unless an axis
+     * writes "name", which only probes read). The one routine behind
+     * every point, construction probe and GridAnalyzer probe: the
+     * axes are written into a workspace document, and the lowered
+     * base is copied with axisMembers_ re-lowered from it. A throw
+     * drops the workspace.
      *
-     * @throws ConfigError when a path does not resolve or the
-     *         document does not convert.
+     * @throws ConfigError when a path does not resolve or a written
+     *         member does not convert.
      */
     DesignSpec build(const std::vector<const json::Value *> &coords,
                      std::string name) const;

@@ -122,6 +122,14 @@ typeName(Value::Type t)
     return "?";
 }
 
+/** The indefinite article typeName(t) takes ("an array"). */
+const char *
+articleFor(Value::Type t)
+{
+    return t == Value::Type::Array || t == Value::Type::Object ? "an"
+                                                               : "a";
+}
+
 } // namespace
 
 bool
@@ -287,7 +295,8 @@ Value::push(Value v)
         payload_.arr = new Array();
     }
     if (type_ != Type::Array)
-        fatal("json: push on a %s value", typeName(type_));
+        fatal("json: push on %s %s value", articleFor(type_),
+              typeName(type_));
     payload_.arr->push_back(std::move(v));
 }
 
@@ -299,7 +308,8 @@ Value::reserve(size_t n)
     else if (type_ == Type::Object)
         payload_.obj->reserve(n);
     else
-        fatal("json: reserve on a %s value", typeName(type_));
+        fatal("json: reserve on %s %s value", articleFor(type_),
+              typeName(type_));
 }
 
 bool
@@ -348,8 +358,9 @@ Value::at(std::string_view key) const
 {
     const int klen = static_cast<int>(key.size());
     if (type_ != Type::Object)
-        fatal(Rule::E018, "json: member '%.*s' requested from a %s value",
-              klen, key.data(), typeName(type_));
+        fatal(Rule::E018,
+              "json: member '%.*s' requested from %s %s value", klen,
+              key.data(), articleFor(type_), typeName(type_));
     if (const Value *v = find(key))
         return *v;
     std::string keys;
@@ -368,7 +379,8 @@ Value::set(std::string key, Value v)
         payload_.obj = new Object();
     }
     if (type_ != Type::Object)
-        fatal("json: set on a %s value", typeName(type_));
+        fatal("json: set on %s %s value", articleFor(type_),
+              typeName(type_));
     for (auto &[k, old] : *payload_.obj) {
         if (k == key) {
             old = std::move(v);

@@ -1214,52 +1214,115 @@ toJson(const DesignSpec &spec)
     return toJsonValue(spec).dump(2) + "\n";
 }
 
+namespace
+{
+
+/** Lower array member @p key of @p o element by element into @p out
+ *  (empty when the member is absent). */
+template <typename T>
+void
+lowerArray(const Value &o, std::string_view key, std::vector<T> &out,
+           T (*element)(const Value &))
+{
+    out.clear();
+    if (const Value *v = o.find(key)) {
+        for (const Value &e : v->asArray())
+            out.push_back(element(e));
+    }
+}
+
+/** A link member: present exactly when the document carries it. */
+CommSpec
+commFromJson(const Value *v)
+{
+    CommSpec c;
+    if (v != nullptr) {
+        c.present = true;
+        c.energyPerByte = v->getNumber("energyPerByte", 0.0);
+    }
+    return c;
+}
+
+constexpr SpecMember kSpecMembers[] = {
+    {"camjSpecVersion",
+     [](const Value &o, DesignSpec &) {
+         const int64_t version = o.getInt("camjSpecVersion", 1);
+         if (version != 1)
+             fatal(Rule::E018,
+                   "spec: unsupported camjSpecVersion %lld (this build "
+                   "reads version 1)", static_cast<long long>(version));
+     }},
+    {"name",
+     [](const Value &o, DesignSpec &s) {
+         s.name = o.at("name").asString();
+     }},
+    {"fps",
+     [](const Value &o, DesignSpec &s) {
+         s.fps = o.getNumber("fps", 30.0);
+     }},
+    {"digitalClock",
+     [](const Value &o, DesignSpec &s) {
+         s.digitalClock = o.getNumber("digitalClock", 50e6);
+     }},
+    {"stages",
+     [](const Value &o, DesignSpec &s) {
+         lowerArray(o, "stages", s.stages, stageFromJson);
+     }},
+    {"analogArrays",
+     [](const Value &o, DesignSpec &s) {
+         lowerArray(o, "analogArrays", s.analogArrays,
+                    analogArrayFromJson);
+     }},
+    {"memories",
+     [](const Value &o, DesignSpec &s) {
+         lowerArray(o, "memories", s.memories, memoryFromJson);
+     }},
+    {"units",
+     [](const Value &o, DesignSpec &s) {
+         lowerArray(o, "units", s.units, unitFromJson);
+     }},
+    {"adcOutputMemory",
+     [](const Value &o, DesignSpec &s) {
+         s.adcOutputMemory = o.getString("adcOutputMemory", "");
+     }},
+    {"mipi",
+     [](const Value &o, DesignSpec &s) {
+         s.mipi = commFromJson(o.find("mipi"));
+     }},
+    {"tsv",
+     [](const Value &o, DesignSpec &s) {
+         s.tsv = commFromJson(o.find("tsv"));
+     }},
+    {"pipelineOutputBytes",
+     [](const Value &o, DesignSpec &s) {
+         s.pipelineOutputBytes = o.getInt("pipelineOutputBytes", -1);
+     }},
+    {"mapping",
+     [](const Value &o, DesignSpec &s) {
+         s.mapping.clear();
+         if (const Value *v = o.find("mapping")) {
+             for (const Value &pair : v->asArray()) {
+                 s.mapping.emplace_back(pair.at("stage").asString(),
+                                        pair.at("hw").asString());
+             }
+         }
+     }},
+};
+
+} // namespace
+
+std::span<const SpecMember>
+specMembers()
+{
+    return kSpecMembers;
+}
+
 DesignSpec
 fromJsonValue(const Value &o)
 {
-    const int64_t version = o.getInt("camjSpecVersion", 1);
-    if (version != 1)
-        fatal(Rule::E018,
-              "spec: unsupported camjSpecVersion %lld (this build "
-              "reads version 1)", static_cast<long long>(version));
-
     DesignSpec spec;
-    spec.name = o.at("name").asString();
-    spec.fps = o.getNumber("fps", 30.0);
-    spec.digitalClock = o.getNumber("digitalClock", 50e6);
-
-    if (const Value *v = o.find("stages")) {
-        for (const Value &s : v->asArray())
-            spec.stages.push_back(stageFromJson(s));
-    }
-    if (const Value *v = o.find("analogArrays")) {
-        for (const Value &a : v->asArray())
-            spec.analogArrays.push_back(analogArrayFromJson(a));
-    }
-    if (const Value *v = o.find("memories")) {
-        for (const Value &m : v->asArray())
-            spec.memories.push_back(memoryFromJson(m));
-    }
-    if (const Value *v = o.find("units")) {
-        for (const Value &u : v->asArray())
-            spec.units.push_back(unitFromJson(u));
-    }
-    spec.adcOutputMemory = o.getString("adcOutputMemory", "");
-    if (const Value *v = o.find("mipi")) {
-        spec.mipi.present = true;
-        spec.mipi.energyPerByte = v->getNumber("energyPerByte", 0.0);
-    }
-    if (const Value *v = o.find("tsv")) {
-        spec.tsv.present = true;
-        spec.tsv.energyPerByte = v->getNumber("energyPerByte", 0.0);
-    }
-    spec.pipelineOutputBytes = o.getInt("pipelineOutputBytes", -1);
-    if (const Value *v = o.find("mapping")) {
-        for (const Value &pair : v->asArray()) {
-            spec.mapping.emplace_back(pair.at("stage").asString(),
-                                      pair.at("hw").asString());
-        }
-    }
+    for (const SpecMember &member : kSpecMembers)
+        member.lower(o, spec);
     return spec;
 }
 

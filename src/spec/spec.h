@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -318,8 +319,33 @@ json::Value toJsonValue(const DesignSpec &spec);
 std::string toJson(const DesignSpec &spec);
 
 /**
- * Parsed JSON document -> spec. The tree-level twin of fromJson();
- * grid expansion uses it to avoid re-parsing text per design point.
+ * One top-level member of a spec document and the routine that lowers
+ * it. lower() reads only @p doc's member named key (an absent member
+ * lowers to the defaults) and sets every DesignSpec field that member
+ * describes, whatever the field held before. Each field is read from
+ * exactly one member, so re-lowering one member of an edited document
+ * into the spec of the unedited one gives the spec of the edited one.
+ */
+struct SpecMember
+{
+    const char *key;
+    void (*lower)(const json::Value &doc, DesignSpec &spec);
+};
+
+/**
+ * The member table: every top-level member fromJsonValue reads, in
+ * the order it lowers them (camjSpecVersion, name, fps, digitalClock,
+ * stages, analogArrays, memories, units, adcOutputMemory, mipi, tsv,
+ * pipelineOutputBytes, mapping). Grid expansion re-lowers only the
+ * entries its axes write, through the same routines.
+ */
+std::span<const SpecMember> specMembers();
+
+/**
+ * Parsed JSON document -> spec: every entry of specMembers(), in
+ * table order, so the first failing member names the error. The
+ * tree-level twin of fromJson(); grid expansion lowers its base
+ * document once through it.
  *
  * @throws ConfigError on unknown enum tokens or missing members.
  */

@@ -266,7 +266,7 @@ TEST(Admission, NonObjectDocumentIsRejectedAndTheDaemonKeepsAnswering)
     ASSERT_GE(fd, 0);
     serve::LineReader reader(fd);
     const std::pair<const char *, const char *> cases[] = {
-        {"\"detector\"", "string"}, {"[1, 2]", "array"}};
+        {"\"detector\"", "a string"}, {"[1, 2]", "an array"}};
     for (const auto &[doc, kind] : cases) {
         ASSERT_TRUE(serve::writeLine(
             fd, std::string("{\"type\": \"submit\", \"doc\": ") + doc +
@@ -284,7 +284,7 @@ TEST(Admission, NonObjectDocumentIsRejectedAndTheDaemonKeepsAnswering)
         const json::Value &d = diags->asArray()[0];
         EXPECT_EQ(d.getString("code", ""), "CAMJ-E018") << *reply;
         EXPECT_NE(d.getString("message", "").find(
-                      std::string("json: member 'name' requested from a ") +
+                      std::string("json: member 'name' requested from ") +
                       kind + " value"),
                   std::string::npos)
             << *reply;
@@ -569,6 +569,33 @@ TEST(ServedSweep, FinishedJobThreadsAreReapedOnSubmit)
         EXPECT_EQ(streamed, reference) << "job " << k;
         EXPECT_LE(scheduler.jobThreads(), registry.activeCount() + 1)
             << "job " << k;
+    }
+}
+
+TEST(Shutdown, RequestStopEndsServeAtOnce)
+{
+    // requestStop() wakes the accept loop through its self-pipe, so a
+    // daemon with nothing running drains without waiting out a poll
+    // timeout (200 ms each time while the loop polled the socket
+    // alone).
+    const fs::path dir = scratchDir("serve_stop");
+    for (int round = 0; round < 3; ++round) {
+        serve::ServerOptions options;
+        options.scheduler = inProcessOptions(dir);
+        serve::Server server(std::move(options));
+        std::thread loop([&server] { server.serve(); });
+        {
+            serve::Client client(server.port());
+            client.ping();
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        server.requestStop();
+        loop.join();
+        const auto waited = std::chrono::steady_clock::now() - t0;
+        EXPECT_LT(waited, std::chrono::milliseconds(100))
+            << "round " << round << ": serve() returned after "
+            << std::chrono::duration<double, std::milli>(waited).count()
+            << " ms";
     }
 }
 

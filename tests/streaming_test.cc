@@ -14,7 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -416,8 +420,9 @@ oracleResolve(json::Value &node,
 
 /** Point @p index by clone-and-apply: a fresh copy of the base
  *  document, each axis applied in declaration order against the
- *  document the earlier axes left, then the point name. */
-std::string
+ *  document the earlier axes left, then the point name, then the
+ *  whole tree lowered. */
+spec::DesignSpec
 oraclePoint(const spec::DesignSpec &base, const spec::SweepGrid &grid,
             size_t index)
 {
@@ -442,7 +447,110 @@ oraclePoint(const spec::DesignSpec &base, const spec::SweepGrid &grid,
     }
     if (!suffix.empty())
         doc.set("name", json::Value(base.name + "/" + suffix));
-    return spec::toJson(spec::fromJsonValue(doc));
+    return spec::fromJsonValue(doc);
+}
+
+/** The JSONL line a sweep streams for @p spec, evaluated by a
+ *  one-frame Simulator::run: the point as the engine sees it, beside
+ *  its serialized bytes. */
+std::string
+simulatedLine(const spec::DesignSpec &spec)
+{
+    SimulationOptions options;
+    options.checkMode = CheckMode::Report;
+    SimulationOutcome out = Simulator(options).run(spec);
+    SweepResult r;
+    r.designName = spec.name;
+    r.feasible = out.feasible;
+    r.error = std::move(out.error);
+    r.ruleCode = std::move(out.ruleCode);
+    r.report = std::move(out.report);
+    r.frames = out.frames;
+    r.snrPenaltyDb = out.snrPenaltyDb;
+    return sweepResultToJsonl(r);
+}
+
+/** Every point of @p grid over @p base against the oracle, by toJson
+ *  bytes and by simulated JSONL line. */
+void
+expectOracleExpansion(const spec::DesignSpec &base,
+                      const spec::SweepGrid &grid)
+{
+    spec::GridSpecSource source(base, grid);
+    ASSERT_EQ(source.totalPoints(), grid.points());
+    for (size_t i = 0; i < grid.points(); ++i) {
+        const spec::DesignSpec point = source.at(i);
+        const spec::DesignSpec oracle = oraclePoint(base, grid, i);
+        EXPECT_EQ(spec::toJson(point), spec::toJson(oracle))
+            << "point " << i << " of " << grid.axes[0].path;
+        EXPECT_EQ(simulatedLine(point), simulatedLine(oracle))
+            << "point " << i << " of " << grid.axes[0].path;
+        // Neither reads an Input stage's inputSize, which the
+        // canonical tree drops; a point still lowers from that tree.
+        ASSERT_EQ(point.stages.size(), oracle.stages.size());
+        for (size_t s = 0; s < point.stages.size(); ++s)
+            EXPECT_EQ(point.stages[s].params.inputSize.str(),
+                      oracle.stages[s].params.inputSize.str())
+                << "point " << i << " stage " << s;
+    }
+}
+
+/** One axis rooted at each member of the spec member table that
+ *  @p base's canonical document carries, each writing values that
+ *  change what the member lowers to. */
+std::vector<spec::GridAxis>
+memberAxes(const spec::DesignSpec &base)
+{
+    const json::Value doc = spec::toJsonValue(base);
+    auto nonEmpty = [&](const char *key) {
+        return !doc.at(key).asArray().empty();
+    };
+    std::vector<spec::GridAxis> axes;
+    for (const spec::SpecMember &member : spec::specMembers()) {
+        const std::string key = member.key;
+        const json::Value *held = doc.find(key);
+        if (held == nullptr)
+            continue;
+        spec::GridAxis axis{key, key, {}};
+        if (key == "camjSpecVersion") {
+            axis.values = {json::Value(1)};
+        } else if (key == "name") {
+            axis.values = {json::Value("renamed"), json::Value("other")};
+        } else if (key == "fps") {
+            axis.values = {json::Value(15.0), json::Value(60.0)};
+        } else if (key == "digitalClock") {
+            axis.values = {json::Value(25e6), json::Value(200e6)};
+        } else if (key == "stages") {
+            axis.path = "stages[*].bitDepth";
+            axis.values = {json::Value(8), json::Value(6)};
+        } else if (key == "analogArrays") {
+            axis.path = "analogArrays[*].componentArea";
+            axis.values = {json::Value(0.0), json::Value(1e-11)};
+        } else if (key == "memories" && nonEmpty("memories")) {
+            axis.path = "memories[*].activeFraction";
+            axis.values = {json::Value(0.5), json::Value(1.0)};
+        } else if (key == "units" && nonEmpty("units")) {
+            axis.path = "units[*].clock";
+            axis.values = {json::Value(25e6), json::Value(100e6)};
+        } else if (key == "adcOutputMemory") {
+            axis.values = {*held, json::Value("")};
+        } else if (key == "mipi" || key == "tsv") {
+            axis.path = key + ".energyPerByte";
+            axis.values = {json::Value(0.0), json::Value(5e-11)};
+        } else if (key == "pipelineOutputBytes") {
+            axis.values = {json::Value(4096), json::Value(1 << 20)};
+        } else if (key == "mapping") {
+            const json::Value::Array &pairs = held->asArray();
+            axis.path = "mapping[0].hw";
+            axis.values = {pairs.front().at("hw"),
+                           pairs.back().at("hw")};
+        } else {
+            // An empty array: the member as a whole.
+            axis.values = {*held};
+        }
+        axes.push_back(std::move(axis));
+    }
+    return axes;
 }
 
 TEST(SweepGrid, ExpansionMatchesACloneAndApplyOracle)
@@ -505,13 +613,142 @@ TEST(SweepGrid, ExpansionMatchesACloneAndApplyOracle)
           grid({ren, spares})})
         cases.push_back({base, g});
 
-    for (const auto &[b, g] : cases) {
-        spec::GridSpecSource source(b, g);
-        ASSERT_EQ(source.totalPoints(), g.points());
-        for (size_t i = 0; i < g.points(); ++i)
-            EXPECT_EQ(spec::toJson(source.at(i)), oraclePoint(b, g, i))
-                << "point " << i << " of " << g.axes[0].path;
+    for (const auto &[b, g] : cases)
+        expectOracleExpansion(b, g);
+
+    // Each member of the table is re-lowered on its own (a one-axis
+    // grid per member) and all at once (a point list over every
+    // axis), on a 3D base carrying every member of the table, on
+    // chips built from custom cell chains (one without memories or
+    // units), and on the detector; each base's Input stage carries an
+    // inputSize the canonical tree drops.
+    const std::vector<std::string> keys = {
+        "edgaze-3D-In-65nm", "isscc22-pis", "jssc21i-pwm",
+        "detector-65nm-30fps"};
+    const std::vector<PaperStudy> studies = allPaperStudies();
+    size_t bases = 0;
+    for (const PaperStudy &study : studies) {
+        if (std::find(keys.begin(), keys.end(), study.key) == keys.end())
+            continue;
+        ++bases;
+        spec::DesignSpec dropped = study.spec;
+        for (spec::StageSpec &stage : dropped.stages) {
+            if (stage.params.op == StageOp::Input)
+                stage.params.inputSize = {3, 5, 7};
+        }
+        const std::vector<spec::GridAxis> axes = memberAxes(dropped);
+        if (study.key == keys.front()) {
+            EXPECT_EQ(axes.size(), spec::specMembers().size());
+        }
+        for (const spec::GridAxis &axis : axes) {
+            spec::SweepGrid one;
+            one.axes = {axis};
+            expectOracleExpansion(dropped, one);
+        }
+        spec::SweepGrid every;
+        every.axes = axes;
+        for (size_t p = 0; p < 3; ++p) {
+            std::vector<json::Value> tuple;
+            for (size_t a = 0; a < axes.size(); ++a) {
+                const std::vector<json::Value> &v = axes[a].values;
+                tuple.push_back(v[(p + a) % v.size()]);
+            }
+            every.pointList.push_back(std::move(tuple));
+        }
+        expectOracleExpansion(dropped, every);
     }
+    EXPECT_EQ(bases, keys.size());
+}
+
+TEST(SweepGrid, PointNamesSpellNumbersAsPercentG)
+{
+    // About 10,000 seeded doubles: random finite bit patterns,
+    // integers, tiny and huge magnitudes of both signs, and scaled
+    // decimals; each point name must spell its value as "%g".
+    std::mt19937_64 rng(20261018);
+    std::vector<json::Value> values = {json::Value(0.0),
+                                       json::Value(-0.0)};
+    while (values.size() < 10000) {
+        double d = 0.0;
+        switch (values.size() % 5) {
+          case 0: {
+            const uint64_t bits = rng();
+            std::memcpy(&d, &bits, sizeof d);
+            if (!std::isfinite(d))
+                continue;
+            break;
+          }
+          case 1:
+            d = static_cast<double>(static_cast<int64_t>(rng() >> 20) -
+                                    (int64_t{1} << 43));
+            break;
+          case 2:
+            d = std::ldexp(static_cast<double>(rng() >> 11),
+                           -1100 + static_cast<int>(rng() % 100));
+            break;
+          case 3:
+            d = std::ldexp(static_cast<double>(rng() >> 11),
+                           900 + static_cast<int>(rng() % 70));
+            break;
+          default:
+            d = static_cast<double>(static_cast<int64_t>(rng() % 2000001) -
+                                    1000000) /
+                std::pow(10.0, static_cast<int>(rng() % 12));
+            break;
+        }
+        if (rng() % 2 == 0)
+            d = -d;
+        values.push_back(json::Value(d));
+    }
+    const spec::DesignSpec base = spec::sampleDetectorSpec(30.0, 65);
+    spec::SweepGrid grid;
+    grid.axes = {{"rate", "fps", values}};
+    spec::GridSpecSource source(base, grid);
+    ASSERT_EQ(source.totalPoints(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+        char expected[64];
+        std::snprintf(expected, sizeof expected, "%g",
+                      values[i].asNumber());
+        const spec::DesignSpec point = source.at(i);
+        ASSERT_EQ(point.name, base.name + "/rate=" + expected)
+            << "value " << values[i].dump(0);
+        EXPECT_EQ(point.fps, values[i].asNumber());
+    }
+}
+
+TEST(SweepGrid, ConstructionErrorsKeepTheirText)
+{
+    // A point lowers only the members its axes write, yet a bad value
+    // throws exactly what lowering the whole document throws.
+    const spec::DesignSpec base = spec::sampleDetectorSpec(30.0, 65);
+    auto error = [&](const char *name, const char *path,
+                     json::Value value) {
+        spec::SweepGrid grid;
+        grid.axes = {{name, path, {std::move(value)}}};
+        try {
+            spec::GridSpecSource source(base, grid);
+        } catch (const ConfigError &e) {
+            EXPECT_STREQ(e.code(), "CAMJ-E018") << e.what();
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(error("op", "stages[1].op", json::Value("bogus")),
+              "fatal: sweepGrid: axis 'op' value \"bogus\" does not "
+              "produce a valid spec: fatal: spec: unknown stage op "
+              "'bogus' (known: Input, Binning, Conv2d, DepthwiseConv2d, "
+              "FullyConnected, MaxPool, AvgPool, ElementwiseSub, "
+              "ElementwiseAdd, AbsDiff, Threshold, Scale, LogResponse, "
+              "Absolute, CompareSample, Identity)");
+    EXPECT_EQ(error("kind", "memories[ActBuf].kind", json::Value("lifo")),
+              "fatal: sweepGrid: axis 'kind' value \"lifo\" does not "
+              "produce a valid spec: fatal: spec: unknown memory kind "
+              "'lifo' (known: fifo, line-buffer, double-buffer, "
+              "frame-buffer)");
+    EXPECT_EQ(error("rate", "fps", json::Value("fast")),
+              "fatal: sweepGrid: axis 'rate' value \"fast\" does not "
+              "produce a valid spec: fatal: json: expected number, got "
+              "string");
 }
 
 TEST(SweepGrid, RenameALaterSelectorMissesFailsAtConstruction)
