@@ -51,6 +51,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <new>
 #include <sstream>
 #include <string>
@@ -1258,7 +1259,9 @@ writeBenchJson()
     // because that identity IS the service contract. The floors are
     // the end frames' exact counters, summed over the submissions: a
     // healthy in-process job's monitor never times out of its wait
-    // and restarts no worker. The throughput and the overhead ratio
+    // and restarts no worker; and the entries left in the work dir
+    // the server was given, since in-process workers hand their
+    // lines over in memory. The throughput and the overhead ratio
     // over the library path are wall clock and ride along as data.
     const spec::SweepDocument served_doc = shardedStudyDocument();
     const size_t n_served = served_doc.grid.points();
@@ -1273,7 +1276,7 @@ writeBenchJson()
     std::filesystem::remove_all(served_work);
     double served_seconds = 1e30;
     std::string served_bytes;
-    int64_t served_polls = 0, served_restarts = 0;
+    int64_t served_polls = 0, served_restarts = 0, served_entries = 0;
     try {
         serve::ServerOptions server_options;
         server_options.port = 0;
@@ -1303,6 +1306,11 @@ writeBenchJson()
         }
         server.requestStop();
         accept_thread.join();
+        std::error_code ec;
+        if (std::filesystem::exists(served_work, ec))
+            served_entries = std::distance(
+                std::filesystem::directory_iterator(served_work),
+                std::filesystem::directory_iterator());
         if (!served_done) {
             std::fprintf(stderr,
                          "error: a served sweep did not finish\n");
@@ -1334,6 +1342,7 @@ writeBenchJson()
     served.set("overheadRatio", json::Value(served_overhead));
     served.set("monitorPolls", json::Value(served_polls));
     served.set("workerRestarts", json::Value(served_restarts));
+    served.set("workDirEntries", json::Value(served_entries));
     served.set("identicalToInProcess", json::Value(true));
     doc.set("servedSweep", std::move(served));
 

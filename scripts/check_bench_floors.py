@@ -110,6 +110,12 @@ FLOORS = [
     ("servedSweep.identicalToInProcess", None, "true"),
     ("servedSweep.monitorPolls", 0, "eq"),
     ("servedSweep.workerRestarts", 0, "eq"),
+    # In-process workers hand each result line to the monitor in
+    # memory, so the two submissions leave no entry in the work dir
+    # the server was given (4 attempt files while every line went
+    # through a file that the monitor reopened and parsed back). An
+    # attempt file back on the in-process path shows here.
+    ("servedSweep.workDirEntries", 0, "eq"),
     ("servedSweep.served.designsPerSec", 10, "min"),
     # The cycle sim ticks every cycle of the synthetic frame, so the
     # count is exact and host speed cannot flake it. The serial sweep

@@ -16,10 +16,10 @@ constexpr const char *kRuleCodes[] = {
     "CAMJ-E006", "CAMJ-E007", "CAMJ-E008", "CAMJ-E009", "CAMJ-E010",
     "CAMJ-E011", "CAMJ-E012", "CAMJ-E013", "CAMJ-E014", "CAMJ-E015",
     "CAMJ-E016", "CAMJ-E017", "CAMJ-E018", "CAMJ-D001", "CAMJ-D002",
-    "CAMJ-D003",
+    "CAMJ-D003", "CAMJ-D004",
 };
 static_assert(std::size(kRuleCodes) ==
-              static_cast<size_t>(Rule::D003) + 1);
+              static_cast<size_t>(Rule::D004) + 1);
 } // namespace
 
 std::string

@@ -33,15 +33,16 @@ namespace camj
 /**
  * A rule code of the docs/lint_rules.md catalogue: Rule::E013 is
  * "CAMJ-E013". E codes name the static rule that catches the same
- * defect, D001/D002 the failures only simulation finds, and D003
- * everything uncoded (CLI, service and I/O errors). Append only,
- * like the catalogue.
+ * defect, D001/D002 the failures only simulation finds, D003
+ * everything uncoded (CLI, service and I/O errors), and D004 a
+ * result number that is not finite. Append only, like the
+ * catalogue.
  */
 enum class Rule : unsigned char
 {
     E001, E002, E003, E004, E005, E006, E007, E008, E009,
     E010, E011, E012, E013, E014, E015, E016, E017, E018,
-    D001, D002, D003,
+    D001, D002, D003, D004,
 };
 
 /** The catalogue code of @p rule ("CAMJ-E013"). */

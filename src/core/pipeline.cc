@@ -558,6 +558,25 @@ EvalPipeline::runEnergy(const Design &d)
     rep.sensorLayerArea = areas.sensorLayer;
     rep.computeLayerArea = areas.computeLayer;
     rep.footprint = areas.footprint();
+    // A result line prints the frame total and its categories, and
+    // unit energies are non-negative, so one check of the total per
+    // point classifies a parameter that overflows (1e308 J per MIPI
+    // byte) before it reaches the JSONL writer, which cannot print it.
+    const Energy total = rep.total();
+    if (!std::isfinite(total)) {
+        std::string culprit;
+        for (const UnitEnergy &u : rep.units) {
+            if (!std::isfinite(u.energy)) {
+                culprit = strprintf("; unit '%s' alone gives %g J",
+                                    u.name.c_str(), u.energy);
+                break;
+            }
+        }
+        fatal(Rule::D004,
+              "Design %s: the frame energy is %g J, not a finite "
+              "number%s", d.params_.name.c_str(), total,
+              culprit.c_str());
+    }
     report_ = std::move(rep);
 }
 

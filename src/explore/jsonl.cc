@@ -4,6 +4,8 @@
 
 #include "common/logging.h"
 #include "common/units.h"
+#include "core/report.h"
+#include "explore/sink.h"
 #include "spec/json.h"
 
 namespace camj
@@ -33,6 +35,28 @@ parseJsonlLine(const std::string &line)
             r.categories[name] = v.asNumber();
     }
     r.raw = line;
+    return r;
+}
+
+JsonlRecord
+jsonlRecordOf(const SweepResult &result)
+{
+    JsonlRecord r;
+    r.raw = sweepResultToJsonl(result);
+    r.index = result.index;
+    r.design = result.designName;
+    r.feasible = result.feasible;
+    if (!result.feasible) {
+        r.error = result.error;
+        r.ruleCode = result.ruleCode;
+        return r;
+    }
+    // Sums that start at +0.0 are never -0.0 (which the writer prints
+    // as "0"), so every value reads back as itself.
+    r.totalEnergy = result.totalEnergy();
+    for (EnergyCategory cat : allEnergyCategories())
+        r.categories.emplace(energyCategoryName(cat),
+                             result.report.category(cat));
     return r;
 }
 

@@ -30,6 +30,8 @@
 namespace camj
 {
 
+struct SweepResult;
+
 /** One parsed shard-file line (see sweepResultToJsonl). */
 struct JsonlRecord
 {
@@ -53,6 +55,17 @@ struct JsonlRecord
 /** Parse one shard-file line. @throws ConfigError on malformed JSON
  *  or a missing/negative "index". */
 JsonlRecord parseJsonlLine(const std::string &line);
+
+/**
+ * The record of @p result's line without parsing it back: raw is
+ * sweepResultToJsonl(result), and every other member holds what
+ * parseJsonlLine(raw) would read (numbers print as %.17g, so each
+ * reads back as the same double). What a worker that shares the
+ * reader's address space hands to a merge.
+ *
+ * @throws ConfigError when the line cannot be rendered.
+ */
+JsonlRecord jsonlRecordOf(const SweepResult &result);
 
 /**
  * Streaming reader over one shard JSONL file; skips blank lines.

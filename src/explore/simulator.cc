@@ -1,5 +1,7 @@
 #include "explore/simulator.h"
 
+#include <cmath>
+
 #include "common/logging.h"
 
 namespace camj
@@ -28,6 +30,13 @@ finishOutcome(const SimulationOptions &options, EnergyReport report)
     out.feasible = true;
     out.frames = options.frames;
     out.report = std::move(report);
+    // The Energy stage checked the frame total; these are the other
+    // numbers a result line prints.
+    if (!std::isfinite(out.totalEnergy()))
+        fatal(Rule::D004,
+              "Design %s: %d frames of %g J total %g J, not a finite "
+              "number", out.report.designName.c_str(), out.frames,
+              out.report.total(), out.totalEnergy());
     if (options.withNoise) {
         NoiseModel model(options.noise);
         const Time exposure = options.exposure > 0.0
@@ -35,6 +44,11 @@ finishOutcome(const SimulationOptions &options, EnergyReport report)
                                   : 0.5 * out.report.frameTime;
         out.snrPenaltyDb =
             model.snrPenaltyDb(out.report.powerDensity(), exposure);
+        if (!std::isfinite(out.snrPenaltyDb))
+            fatal(Rule::D004,
+                  "Design %s: the SNR penalty is %g dB, not a finite "
+                  "number", out.report.designName.c_str(),
+                  out.snrPenaltyDb);
     }
     return out;
 }

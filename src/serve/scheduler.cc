@@ -40,11 +40,12 @@ constexpr Clock::duration kSubprocessPoll =
     std::chrono::milliseconds(20);
 
 /**
- * The monitor's wake-up: in-process workers bump the event count
- * after each flushed line and after publishing their verdict, and
- * the monitor sleeps until the count moves past the value it read
- * BEFORE its last pass over the slots — so an event landing during
- * that pass ends the next wait at once instead of being missed.
+ * The monitor's wake-up and the job's inbox: in-process workers hand
+ * over each result line's merge record (bumping the event count) and
+ * bump the count again after publishing their verdict, and the
+ * monitor sleeps until the count moves past the value it read BEFORE
+ * its last pass over the slots — so an event landing during that
+ * pass ends the next wait at once instead of being missed.
  */
 class MonitorWake
 {
@@ -56,6 +57,27 @@ class MonitorWake
             ++events_;
         }
         cv_.notify_one();
+    }
+
+    /** Append @p record to the inbox and wake the monitor. */
+    void deliver(JsonlRecord record)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            inbox_.push_back(std::move(record));
+            ++events_;
+        }
+        cv_.notify_one();
+    }
+
+    /** Move every record handed over so far into @p out, which is
+     *  cleared first (the two buffers swap, so neither reallocates
+     *  once warm). */
+    void take(std::vector<JsonlRecord> &out)
+    {
+        out.clear();
+        std::lock_guard<std::mutex> lock(mutex_);
+        out.swap(inbox_);
     }
 
     uint64_t events()
@@ -78,39 +100,31 @@ class MonitorWake
   private:
     std::mutex mutex_;
     std::condition_variable cv_;
-    uint64_t events_ = 0; // guarded by mutex_
+    uint64_t events_ = 0;            // guarded by mutex_
+    std::vector<JsonlRecord> inbox_; // guarded by mutex_
 };
 
-/** JsonlSink with a per-line flush, so the monitor can tail an
- *  in-process worker's attempt file while the worker runs; each
- *  flushed line wakes the monitor. The bytes are sweepResultToJsonl
- *  verbatim — identical to JsonlSink's. */
-class FlushedJsonlSink : public ResultSink
+/** The last sink of an in-process worker: each line's merge record,
+ *  raw bytes included (sweepResultToJsonl verbatim, identical to
+ *  JsonlSink's), goes to the job's inbox. */
+class InboxSink : public ResultSink
 {
   public:
-    FlushedJsonlSink(std::ofstream &out, MonitorWake &wake)
-        : out_(out), wake_(wake)
-    {
-    }
+    explicit InboxSink(MonitorWake &wake) : wake_(wake) {}
 
     bool accept(SweepResult result) override
     {
-        out_ << sweepResultToJsonl(result) << "\n";
-        out_.flush();
-        if (!out_)
-            fatal("serve: worker attempt-file write failed");
-        wake_.signal();
+        wake_.deliver(jsonlRecordOf(result));
         return true;
     }
 
   private:
-    std::ofstream &out_;
     MonitorWake &wake_;
 };
 
 /** Fault injection: cancels the sweep (accept -> false) after a
- *  fixed number of accepted results, simulating a worker dying with
- *  a partial attempt file on disk. */
+ *  fixed number of accepted results, simulating a worker that dies
+ *  part way through its shard. */
 class LimitSink : public ResultSink
 {
   public:
@@ -140,9 +154,9 @@ class LimitSink : public ResultSink
 /**
  * The incremental in-order merge: the streaming twin of
  * mergeShardFiles. offer() keys on the global index, rejects
- * duplicates as loudly as the batch merge rejects overlaps, buffers
- * out-of-order arrivals, and commits the contiguous prefix to the
- * job's spool the moment it extends — summary reduction through the
+ * duplicates as loudly as the batch merge rejects overlaps, and
+ * buffers arrivals; commit() appends the newly contiguous prefix to
+ * the job's spool in one write — summary reduction through the
  * shared accumulateMergeRecord, so a streamed merge cannot drift
  * from a batch merge.
  */
@@ -154,7 +168,7 @@ struct MergeState
     size_t next = 0;
     MergeSummary summary;
 
-    void offer(JobRecord &job, JsonlRecord record)
+    void offer(JsonlRecord record)
     {
         if (record.index >= total)
             fatal("serve: worker produced index %zu but the grid "
@@ -164,6 +178,10 @@ struct MergeState
                   "overlap", record.index);
         seen[record.index] = true;
         pending.emplace(record.index, std::move(record));
+    }
+
+    void commit(JobRecord &job)
+    {
         std::string batch;
         while (!pending.empty() && pending.begin()->first == next) {
             JsonlRecord r = std::move(pending.begin()->second);
@@ -180,8 +198,8 @@ struct MergeState
     }
 };
 
-/** One shard's dispatch slot: its full ownership, the attempt
- *  currently running, and the tail state of that attempt's file. */
+/** One shard's dispatch slot: its full ownership and the attempt
+ *  currently running. */
 struct WorkerSlot
 {
     spec::ShardAssignment owned;
@@ -191,20 +209,19 @@ struct WorkerSlot
     bool active = false;
     bool done = false;
 
-    std::string attemptPath;
-    size_t consumed = 0;
-    std::string tailBytes;
-    Clock::time_point lastProgress;
-
-    // In-process attempt: worker publishes failText, then verdict
-    // (release); the monitor reads verdict (acquire), joins, then
-    // reads failText.
+    // In-process attempt: worker hands its records to the inbox,
+    // publishes failText, then verdict (release); the monitor reads
+    // verdict (acquire), joins, then reads failText.
     std::thread thread;
     std::shared_ptr<std::atomic<int>> verdict;
     std::shared_ptr<std::string> failText;
 
-    // Subprocess attempt.
+    // Subprocess attempt, and the tail state of its attempt file.
     pid_t pid = -1;
+    std::string attemptPath;
+    size_t consumed = 0;
+    std::string tailBytes;
+    Clock::time_point lastProgress;
 };
 
 /** Worker verdicts. */
@@ -257,6 +274,13 @@ Scheduler::Scheduler(SchedulerOptions options, JobRegistry &registry)
 {
     if (options_.shards == 0)
         options_.shards = 1;
+    // Only subprocess workers exchange files with the daemon; an
+    // in-process daemon writes nothing to disk.
+    if (!options_.subprocessWorkers)
+        return;
+    if (options_.sweepBinary.empty())
+        fatal("serve: subprocess workers need the camj_sweep binary "
+              "path");
     if (options_.workDir.empty())
         options_.workDir =
             (std::filesystem::temp_directory_path() /
@@ -267,9 +291,6 @@ Scheduler::Scheduler(SchedulerOptions options, JobRegistry &registry)
     if (ec)
         fatal("serve: cannot create work dir '%s': %s",
               options_.workDir.c_str(), ec.message().c_str());
-    if (options_.subprocessWorkers && options_.sweepBinary.empty())
-        fatal("serve: subprocess workers need the camj_sweep binary "
-              "path");
 }
 
 Scheduler::~Scheduler()
@@ -369,11 +390,18 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     std::vector<std::unique_ptr<WorkerSlot>> slots;
     MergeState merge;
     merge.summary.topKLimit = options_.topK;
+    std::vector<JsonlRecord> taken; // the inbox, as of the last take
 
-    // Tail @p slot's attempt file: consume the new COMPLETE lines
-    // (a partial trailing line stays in tailBytes until its newline
-    // lands — or is dropped with the attempt, which is exactly the
-    // salvage rule for a worker killed mid-write).
+    auto takeInbox = [&] {
+        wake.take(taken);
+        for (JsonlRecord &record : taken)
+            merge.offer(std::move(record));
+    };
+
+    // Tail @p slot's attempt file (subprocess workers): consume the
+    // new COMPLETE lines (a partial trailing line stays in tailBytes
+    // until its newline lands — or is dropped with the attempt, which
+    // is exactly the salvage rule for a worker killed mid-write).
     auto consume = [&](WorkerSlot &slot) {
         std::ifstream in(slot.attemptPath, std::ios::binary);
         if (!in)
@@ -398,7 +426,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 line.pop_back();
             if (line.empty())
                 continue;
-            merge.offer(*job, parseJsonlLine(line));
+            merge.offer(parseJsonlLine(line));
         }
     };
 
@@ -408,26 +436,22 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         slot.verdict = verdict;
         slot.failText = fail_text;
         const spec::ShardAssignment a = slot.current;
-        const std::string path = slot.attemptPath;
         const spec::GridSpecSource *parent = grid.get();
-        slot.thread = std::thread([parent, &wake, job, a, path,
-                                   inject, frames, threads, verdict,
+        slot.thread = std::thread([parent, &wake, job, a, inject,
+                                   frames, threads, verdict,
                                    fail_text] {
             int v = kOk;
             try {
-                std::ofstream out(path, std::ios::binary);
-                if (!out)
-                    fatal("serve: worker cannot write '%s'",
-                          path.c_str());
                 spec::ShardSpecSource source(*parent, a);
                 SweepOptions options;
                 options.threads = threads;
                 options.sim.frames = frames;
                 options.incremental = true;
                 SweepEngine engine(options);
-                // The exact sink chain of `camj_sweep run`: local
-                // stream order -> global grid identity -> bytes.
-                FlushedJsonlSink lines(out, wake);
+                // The sink chain of `camj_sweep run` up to its last
+                // sink: local stream order -> global grid identity
+                // -> the job's inbox.
+                InboxSink lines(wake);
                 LimitSink limited(
                     lines, std::max<size_t>(a.count() / 2, 1),
                     inject);
@@ -451,6 +475,13 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     };
 
     auto launchSubprocess = [&](WorkerSlot &slot, bool inject) {
+        slot.attemptPath = strprintf(
+            "%s/%s-shard-%zu-attempt-%zu.jsonl",
+            options_.workDir.c_str(), job->id().c_str(),
+            slot.shardIndex, slot.attempts);
+        slot.consumed = 0;
+        slot.tailBytes.clear();
+        slot.lastProgress = Clock::now();
         const std::string desc_path = strprintf(
             "%s/%s-shard-%zu-attempt-%zu.json",
             options_.workDir.c_str(), job->id().c_str(),
@@ -502,13 +533,6 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
 
     auto launch = [&](WorkerSlot &slot) {
         ++slot.attempts;
-        slot.attemptPath = strprintf(
-            "%s/%s-shard-%zu-attempt-%zu.jsonl",
-            options_.workDir.c_str(), job->id().c_str(),
-            slot.shardIndex, slot.attempts);
-        slot.consumed = 0;
-        slot.tailBytes.clear();
-        slot.lastProgress = Clock::now();
         slot.active = true;
         const bool inject =
             slot.attempts == 1 &&
@@ -523,8 +547,9 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     };
 
     // An attempt ended (worker finished, crashed, was killed, or
-    // stalled): everything its file holds is already merged, so the
-    // shard's remaining hole is exactly its owned-but-unseen indices.
+    // stalled): everything it handed over (its records, or its file's
+    // complete lines) is already merged, so the shard's remaining
+    // hole is exactly its owned-but-unseen indices.
     // Re-dispatch ONE explicit shard over that hole — the same
     // resume shape `camj_sweep merge --resume-plan` emits.
     auto finalize = [&](WorkerSlot &slot, int verdict,
@@ -569,8 +594,8 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     auto tick = [&](WorkerSlot &slot) {
         if (!slot.active)
             return;
-        consume(slot);
         if (slot.pid > 0) {
+            consume(slot);
             int status = 0;
             const pid_t r = ::waitpid(slot.pid, &status, WNOHANG);
             if (r == slot.pid) {
@@ -596,7 +621,9 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         if (v == kRunning)
             return;
         slot.thread.join();
-        consume(slot);
+        // The joined attempt handed over every record before its
+        // verdict: take them before finalize computes the hole.
+        takeInbox();
         finalize(slot, v, *slot.failText);
     };
 
@@ -635,6 +662,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 break;
             }
             const uint64_t seen = wake.events();
+            takeInbox();
             bool all_done = true;
             bool polling = false;
             for (const auto &slot : slots) {
@@ -644,6 +672,8 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 if (slot->pid > 0)
                     polling = true;
             }
+            // One spool append (and one streamer wake) per pass.
+            merge.commit(*job);
             if (all_done)
                 break;
             if (!wake.waitPast(seen,
@@ -654,6 +684,8 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         }
     } catch (const std::exception &e) {
         job_error = e.what();
+        // A failing job still streams the prefix it merged.
+        merge.commit(*job);
     }
 
     // Teardown: stop whatever is still running. In-process workers

@@ -20,38 +20,46 @@
  * Each admitted job gets its own thread running the dispatch/monitor
  * loop (submit() joins the threads of jobs that have finished, so the
  * scheduler holds one per running job plus the newest): planShards
- * partitions the grid, every shard runs as either an
- * in-process worker (a SweepEngine over a ShardSpecSource on a
- * std::thread) or a subprocess worker (fork/exec of `camj_sweep run`
- * over a shard descriptor file), and every attempt writes an ordinary
- * shard JSONL file. The monitor tails those files, folding complete
- * lines into the merge state — at-least-once dispatch made
- * exactly-once output by construction: a failed, killed, or stalled
- * attempt is salvaged up to its last complete line, the shard's
+ * partitions the grid, and every shard runs as either an in-process
+ * worker (a SweepEngine over a ShardSpecSource on a std::thread) or
+ * a subprocess worker (fork/exec of `camj_sweep run` over a shard
+ * descriptor file). An in-process worker renders each result line
+ * and hands its merge record (jsonlRecordOf: the line's bytes plus
+ * the fields the summary reduces) to the job's inbox in memory; a
+ * subprocess attempt writes an ordinary shard JSONL file, which the
+ * monitor tails and parses line by line. Either way the monitor
+ * folds the records into the merge state — at-least-once dispatch
+ * made exactly-once output by construction: a failed, killed, or
+ * stalled attempt is salvaged up to what it handed over (its last
+ * record, or its file's last complete line), the shard's
  * still-missing indices are re-dispatched as ONE explicitShard over
  * exactly the hole (the resume-plan shape of `camj_sweep merge`), and
  * any index arriving twice fails the job loudly, mirroring
- * mergeShardFiles's duplicate/overlap errors. Merged lines are
- * committed to the job's spool the moment the global prefix extends,
- * so clients stream results while later shards still run, and the
- * end-of-stream MergeSummary is reduced through the same
- * accumulateMergeRecord that batch merges use.
+ * mergeShardFiles's duplicate/overlap errors. Each monitor pass
+ * commits the newly contiguous global prefix to the job's spool in
+ * one append, so clients stream results while later shards still
+ * run, and the end-of-stream MergeSummary is reduced through the
+ * same accumulateMergeRecord that batch merges use.
  *
  * The monitor runs on events, not a timer: in-process workers bump a
- * per-job event count after every flushed line and after publishing
- * their verdict, and the monitor sleeps until the count moves past
- * the value it read before its last pass over the workers. A
- * subprocess attempt signals nothing, so while one runs the wait is
- * bounded by 20 ms and the monitor polls; otherwise the bound is
- * heartbeatSeconds (at least 20 ms), a backstop. Waits that end on
- * their bound are counted in JobRecord::monitorPolls.
+ * per-job event count with every record they hand over and after
+ * publishing their verdict, and the monitor sleeps until the count
+ * moves past the value it read before its last pass over the
+ * workers. A subprocess attempt signals nothing, so while one runs
+ * the wait is bounded by 20 ms and the monitor polls; otherwise the
+ * bound is heartbeatSeconds (at least 20 ms), a backstop. Waits that
+ * end on their bound are counted in JobRecord::monitorPolls.
  *
  * Failure detection: subprocess workers by waitpid plus an
  * output-growth heartbeat (a worker whose attempt file stops growing
  * for heartbeatSeconds is presumed wedged, killed, and re-dispatched);
  * in-process workers by exception capture and the job's CancelToken
  * (a stuck in-process worker cannot be killed — that mode trades
- * isolation for latency, and docs/service.md says so).
+ * isolation for latency, and docs/service.md says so). A point that
+ * fails is a coded infeasible line, not a failed attempt, so what
+ * still fails an in-process attempt is fault injection, an exception
+ * escaping a sink or the source, or an allocation failure; such an
+ * attempt is retried like a subprocess one.
  */
 
 #ifndef CAMJ_SERVE_SCHEDULER_H
@@ -86,7 +94,10 @@ struct SchedulerOptions
     bool subprocessWorkers = false;
     /** The camj_sweep binary (subprocess mode). */
     std::string sweepBinary;
-    /** Where attempt files and shard descriptors live. */
+    /** Where subprocess workers' attempt files and shard descriptors
+     *  live (default: a camj-serve-<pid> directory under the system
+     *  temp dir). Created only when subprocessWorkers is set: an
+     *  in-process scheduler writes nothing to disk. */
     std::string workDir;
     /** Top-K table size of the end-of-stream summary. */
     size_t topK = 5;
@@ -99,8 +110,8 @@ struct SchedulerOptions
     size_t maxAttempts = 3;
     /** Fault injection for tests and CI: the listed shard indices
      *  fail their FIRST attempt deterministically (in-process: the
-     *  worker dies after half its points; subprocess: the worker is
-     *  SIGKILLed at spawn), exercising the salvage +
+     *  worker stops after handing over half its points; subprocess:
+     *  the worker is SIGKILLed at spawn), exercising the salvage +
      *  re-dispatch path on an otherwise healthy run. */
     std::vector<size_t> testFailShards;
 };

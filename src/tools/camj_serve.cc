@@ -53,7 +53,9 @@ usage(std::FILE *to)
 "  --frames F           default frames per design point (default 1)\n"
 "  --workers MODE       inprocess (default) or subprocess\n"
 "  --sweep-bin PATH     camj_sweep binary (subprocess mode)\n"
-"  --work-dir DIR       attempt files / shard descriptors\n"
+"  --work-dir DIR       subprocess workers' attempt files and shard\n"
+"                       descriptors (default: camj-serve-<pid> under\n"
+"                       the temp dir; unused by in-process workers)\n"
 "  --top K              end-of-stream top-K table size (default 5)\n"
 "  --heartbeat-sec S    subprocess stall window (default 30)\n"
 "  --max-attempts M     dispatch attempts per shard (default 3)\n"

@@ -644,6 +644,22 @@ TEST(RuleCodes, LintAndSimulationAgree)
     }
 }
 
+TEST(RuleCodes, OverflowingEnergyIsDynamicD004)
+{
+    // Kept out of codeRows(), whose rows seed the LintCorpus: a finite
+    // but huge parameter lints without an error, and only evaluation
+    // finds that the frame energy overflows.
+    spec::DesignSpec s = detector();
+    s.mipi.energyPerByte = 1e308;
+    const std::vector<Diagnostic> diags = analyze(s);
+    EXPECT_FALSE(analysis::hasErrors(diags)) << dumpDiags(diags);
+    SimulationOptions options;
+    options.checkMode = CheckMode::Report;
+    const SimulationOutcome out = Simulator(options).run(s);
+    ASSERT_FALSE(out.feasible);
+    EXPECT_EQ(out.ruleCode, "CAMJ-D004") << out.error;
+}
+
 TEST(RuleCodes, MalformedDocumentsAreOneE018)
 {
     const std::string text = spec::toJson(spec::sampleDetectorStudy());

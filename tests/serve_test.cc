@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "explore/jsonl.h"
 #include "explore/sweep.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -95,6 +97,14 @@ singleProcessJsonl(const spec::SweepDocument &doc)
     SweepEngine engine(SweepOptions{.threads = 2});
     engine.runStream(source, ordered);
     return out.str();
+}
+
+/** True when @p dir is absent or holds no entry: in-process workers
+ *  hand their lines over in memory, so the daemon writes no file. */
+bool
+absentOrEmpty(const fs::path &dir)
+{
+    return !fs::exists(dir) || fs::is_empty(dir);
 }
 
 /** A Server on an ephemeral loopback port with serve() running on
@@ -316,11 +326,20 @@ TEST(ServedSweep, StreamedResultsAreByteIdenticalToALocalRun)
     EXPECT_EQ(outcome.end.getString("state", ""), "done");
     EXPECT_EQ(outcome.accepted.getInt("points", 0),
               static_cast<int64_t>(doc.grid.points()));
-    // The end frame carries the same summary a batch merge reduces.
+    // The end frame carries the same summary a batch merge of the
+    // local run's file reduces, to the last printed digit.
     const json::Value *summary = outcome.end.find("summary");
     ASSERT_NE(summary, nullptr);
     EXPECT_EQ(summary->getInt("records", 0),
               static_cast<int64_t>(doc.grid.points()));
+    const fs::path local = dir.parent_path() / "serve_identity.jsonl";
+    std::ofstream(local, std::ios::binary) << reference;
+    std::ostringstream merged;
+    EXPECT_EQ(summary->getString("text", ""),
+              formatMergeSummary(mergeShardFiles({local.string()},
+                                                 merged)));
+    EXPECT_EQ(merged.str(), reference);
+    EXPECT_TRUE(absentOrEmpty(dir));
 }
 
 TEST(ServedSweep, KilledWorkerIsRedispatchedAndTheStreamStaysExact)
@@ -340,6 +359,34 @@ TEST(ServedSweep, KilledWorkerIsRedispatchedAndTheStreamStaysExact)
     EXPECT_EQ(out.str(), reference);
     EXPECT_EQ(outcome.end.getString("state", ""), "done");
     EXPECT_GE(outcome.end.getInt("workerRestarts", 0), 1);
+    EXPECT_TRUE(absentOrEmpty(dir));
+}
+
+TEST(ServedSweep, OverflowingPointStreamsAsOneCodedLineWithoutARestart)
+{
+    // 1e308 J per MIPI byte overflows the middle point's energy. It
+    // is one infeasible CAMJ-D004 line, as in a local run, and no
+    // worker fails on it.
+    const fs::path dir = scratchDir("serve_overflow");
+    spec::SweepDocument doc;
+    doc.base = spec::sampleDetectorSpec(30.0, 65);
+    doc.grid.axes = {{"mipi", "mipi.energyPerByte",
+                      {json::Value(1e-12), json::Value(1e308),
+                       json::Value(2e-12)}}};
+    const std::string reference = singleProcessJsonl(doc);
+
+    ServerHarness harness(inProcessOptions(dir));
+    serve::Client client(harness.port());
+    std::ostringstream out;
+    const serve::Client::SubmitOutcome outcome =
+        client.submitAndStream(spec::toJson(doc), out);
+    EXPECT_EQ(out.str(), reference);
+    EXPECT_EQ(outcome.resultLines, 3u);
+    EXPECT_NE(reference.find("\"ruleCode\":\"CAMJ-D004\""),
+              std::string::npos)
+        << reference;
+    EXPECT_EQ(outcome.end.getString("state", ""), "done");
+    EXPECT_EQ(outcome.end.getInt("workerRestarts", -1), 0);
 }
 
 TEST(ServedSweep, ConcurrentJobsStreamTheLocalBytes)

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "explore/jsonl.h"
 #include "explore/sweep.h"
 #include "spec/grid.h"
 #include "spec/samples.h"
@@ -993,6 +996,187 @@ TEST(StreamingSweep, InOrderSinkReordersCompletions)
     EXPECT_TRUE(inorder.accept(result(1)));
     inorder.finish();
     EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(StreamingSweep, OverflowingPointIsOneCodedInfeasibleLine)
+{
+    // 1e308 J per MIPI byte overflows the frame energy to +inf; the
+    // writer cannot print it, so the Energy stage classifies it and
+    // the sweep writes every line. Both evaluators, 1 and 4 threads.
+    spec::SweepDocument doc;
+    doc.base = spec::sampleDetectorSpec(30.0, 65);
+    doc.grid.axes = {{"mipi", "mipi.energyPerByte",
+                      {json::Value(1e-12), json::Value(1e308),
+                       json::Value(2e-12)}}};
+    auto linesOf = [&](int threads, bool incremental, int frames) {
+        spec::GridSpecSource source = doc.source();
+        std::ostringstream out;
+        JsonlSink lines(out);
+        InOrderSink ordered(lines);
+        SweepOptions options;
+        options.threads = threads;
+        options.incremental = incremental;
+        options.sim.frames = frames;
+        SweepEngine(options).runStream(source, ordered);
+        std::vector<JsonlRecord> records;
+        std::istringstream in(out.str());
+        for (std::string line; std::getline(in, line);)
+            records.push_back(parseJsonlLine(line));
+        return std::make_pair(out.str(), records);
+    };
+    const std::string reference = linesOf(1, true, 1).first;
+    for (const int threads : {1, 4}) {
+        for (const bool incremental : {false, true}) {
+            SCOPED_TRACE(strprintf("threads %d, incremental %d", threads,
+                                   incremental));
+            const auto [bytes, records] =
+                linesOf(threads, incremental, 1);
+            EXPECT_EQ(bytes, reference);
+            ASSERT_EQ(records.size(), 3u);
+            EXPECT_TRUE(records[0].feasible);
+            EXPECT_FALSE(records[1].feasible);
+            EXPECT_EQ(records[1].ruleCode, "CAMJ-D004");
+            EXPECT_NE(records[1].error.find("unit 'MIPI-CSI2' alone "
+                                            "gives inf J"),
+                      std::string::npos)
+                << records[1].error;
+            EXPECT_TRUE(records[2].feasible);
+        }
+    }
+
+    // A finite frame energy (about 4e307 J) over 5 frames totals past
+    // the largest double: finishOutcome classifies the product.
+    doc.grid.axes[0].values = {json::Value(1e-12), json::Value(1e307)};
+    EXPECT_TRUE(linesOf(1, true, 1).second[1].feasible);
+    for (const bool incremental : {false, true}) {
+        const std::vector<JsonlRecord> records =
+            linesOf(2, incremental, 5).second;
+        ASSERT_EQ(records.size(), 2u);
+        EXPECT_TRUE(records[0].feasible);
+        EXPECT_FALSE(records[1].feasible);
+        EXPECT_EQ(records[1].ruleCode, "CAMJ-D004");
+        EXPECT_NE(records[1].error.find("5 frames of"),
+                  std::string::npos)
+            << records[1].error;
+    }
+}
+
+// -------------------------------------------------- JSONL merge records
+
+/** @p got equals @p want member by member: doubles bit for bit, raw
+ *  byte for byte. */
+void
+expectSameRecord(const JsonlRecord &got, const JsonlRecord &want)
+{
+    SCOPED_TRACE(want.raw);
+    EXPECT_EQ(got.index, want.index);
+    EXPECT_EQ(got.design, want.design);
+    EXPECT_EQ(got.feasible, want.feasible);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.ruleCode, want.ruleCode);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.totalEnergy),
+              std::bit_cast<uint64_t>(want.totalEnergy));
+    ASSERT_EQ(got.categories.size(), want.categories.size());
+    for (const auto &[name, e] : want.categories) {
+        const auto it = got.categories.find(name);
+        ASSERT_NE(it, got.categories.end()) << name;
+        EXPECT_EQ(std::bit_cast<uint64_t>(it->second),
+                  std::bit_cast<uint64_t>(e))
+            << name;
+    }
+    EXPECT_EQ(got.raw, want.raw);
+}
+
+/** Checks jsonlRecordOf against parsing the line back, over every
+ *  result of @p results; @return how many were feasible. */
+size_t
+expectRecordsMatchTheirLines(const std::vector<SweepResult> &results)
+{
+    size_t feasible = 0;
+    for (const SweepResult &r : results) {
+        expectSameRecord(jsonlRecordOf(r),
+                         parseJsonlLine(sweepResultToJsonl(r)));
+        feasible += r.feasible ? 1 : 0;
+    }
+    return feasible;
+}
+
+std::vector<SweepResult>
+sweepResults(spec::SpecSource &source, SimulationOptions sim)
+{
+    SweepOptions options;
+    options.threads = 2;
+    options.sim = sim;
+    options.incremental = true;
+    CollectSink sink;
+    SweepEngine(options).runStream(source, sink);
+    return sink.take();
+}
+
+TEST(JsonlRecord, BuiltRecordEqualsTheParsedLine)
+{
+    // The 27 paper studies.
+    spec::GeneratorSpecSource studies = paperStudySource();
+    EXPECT_EQ(expectRecordsMatchTheirLines(sweepResults(studies, {})),
+              27u);
+
+    // The 108 canonical points (feasible and infeasible), at 1 and 3
+    // frames, and with the noise metric.
+    const spec::SweepDocument canonical = spec::sampleDetectorStudy();
+    for (const int frames : {1, 3}) {
+        SimulationOptions sim;
+        sim.frames = frames;
+        spec::GridSpecSource grid = canonical.source();
+        const std::vector<SweepResult> results = sweepResults(grid, sim);
+        ASSERT_EQ(results.size(), 108u);
+        const size_t feasible = expectRecordsMatchTheirLines(results);
+        EXPECT_GT(feasible, 0u);
+        EXPECT_LT(feasible, 108u);
+    }
+    SimulationOptions noisy;
+    noisy.withNoise = true;
+    spec::GridSpecSource grid = canonical.source();
+    const std::vector<SweepResult> results = sweepResults(grid, noisy);
+    ASSERT_TRUE(results[0].feasible);
+    EXPECT_NE(results[0].snrPenaltyDb, 0.0);
+    expectRecordsMatchTheirLines(results);
+
+    // Seeded texts with quotes, backslashes, control bytes and UTF-8
+    // in the design name and the error, and numbers the writer spells
+    // specially: -0.0 (printed "0"), subnormals, and both sides of
+    // the 2^53 integer boundary.
+    const std::string alphabet[] = {
+        "\"", "\\", "\n", "\t", std::string(1, '\0'), "\x01", "\x1f",
+        "\x7f", "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x93\xb7", "a",
+        " ", "/", "{", "}"};
+    std::mt19937 rng(4242);
+    auto seededText = [&] {
+        std::string text;
+        const size_t n = rng() % 24;
+        for (size_t i = 0; i < n; ++i)
+            text += alphabet[rng() % std::size(alphabet)];
+        return text;
+    };
+    const double numbers[] = {
+        -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 9007199254740992.0,
+        9007199254740993.0, 9.0e15, 8999999999999999.0, 0.1, 1e300};
+    std::vector<SweepResult> seeded;
+    for (size_t k = 0; k < 200; ++k) {
+        SweepResult r = results[k % results.size()];
+        r.index = k;
+        r.designName = seededText();
+        if (k % 2 == 0) {
+            r.feasible = false;
+            r.error = seededText();
+            r.ruleCode = k % 4 == 0 ? "CAMJ-D004" : "";
+        } else if (r.feasible) {
+            for (UnitEnergy &u : r.report.units)
+                u.energy = numbers[rng() % std::size(numbers)];
+            r.frames = 1 + static_cast<int>(rng() % 3);
+        }
+        seeded.push_back(std::move(r));
+    }
+    EXPECT_GT(expectRecordsMatchTheirLines(seeded), 0u);
 }
 
 // ------------------------------------------------- thread-count policy
