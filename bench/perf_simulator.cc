@@ -533,25 +533,15 @@ shardedStudyDocument()
     return doc;
 }
 
-/** One shard's JSONL bytes, exactly as `camj_sweep run` writes them
- *  (in-order, global indices), on a 1-thread engine — the unit of
- *  work one shard process performs. */
+/** One shard's JSONL bytes through the call `camj_sweep run` makes,
+ *  on 1 thread — the unit of work one shard process performs. */
 std::string
 runShardJsonl(const spec::SweepDocument &doc,
               const spec::ShardAssignment &assignment)
 {
     std::ostringstream out;
-    spec::GridSpecSource grid = doc.source();
-    spec::ShardSpecSource source(grid, assignment);
     JsonlSink lines(out);
-    ReindexSink global(lines, [&](size_t local) {
-        return assignment.globalIndex(local);
-    });
-    InOrderSink ordered(global);
-    SweepOptions options;
-    options.threads = 1;
-    SweepEngine engine(options);
-    engine.runStream(source, ordered);
+    runShard(doc.source(), assignment, 1, {}, lines);
     return out.str();
 }
 

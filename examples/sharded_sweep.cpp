@@ -4,11 +4,10 @@
  * what `camj_sweep plan / run / merge` does.
  *
  * A 108-point sweepGrid study is planned into 3 shards, each shard is
- * evaluated by its own single-threaded engine exactly as a separate
- * worker process would (ShardSpecSource -> InOrderSink -> ReindexSink
- * -> JsonlSink), and the merge reducer folds the shard files back
- * into one in-order result stream — byte-identical to a 1-process
- * run — plus summary statistics.
+ * evaluated on one thread exactly as a separate worker process would
+ * (runShard into a JsonlSink), and the merge reducer folds the shard
+ * files back into one in-order result stream — byte-identical to a
+ * 1-process run — plus summary statistics.
  *
  * In production the three run steps execute on three hosts; the only
  * things that travel are one descriptor JSON per shard (self-
@@ -62,22 +61,19 @@ main()
     // range, write an in-order JSONL shard file with GLOBAL indices.
     std::vector<std::string> shard_files;
     for (const std::string &path : descriptors) {
-        const spec::ShardDescriptor d = spec::loadShardFile(path);
-        spec::GridSpecSource grid = d.gridSource();
-        spec::ShardSpecSource source(grid, d.shard);
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        const spec::ShardDescriptor d =
+            spec::shardDescriptorFromJson(text.str());
 
         const std::string out_path = strprintf(
             "%s/shard-%zu.jsonl", work.string().c_str(),
             d.shard.shardIndex);
         std::ofstream out(out_path, std::ios::binary);
         JsonlSink lines(out);
-        ReindexSink global(lines, [&](size_t local) {
-            return d.shard.globalIndex(local);
-        });
-        InOrderSink ordered(global);
-        SweepEngine engine(SweepOptions{.threads = 1,
-                                        .incremental = true});
-        const StreamStats stats = engine.runStream(source, ordered);
+        const StreamStats stats =
+            runShard(d.doc.source(), d.shard, /*threads=*/1, {}, lines);
         std::printf("shard %zu/%zu: [%zu, %zu) -> %zu line(s)\n",
                     d.shard.shardIndex, d.shard.shardCount,
                     d.shard.begin, d.shard.end, stats.delivered);

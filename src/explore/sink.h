@@ -111,8 +111,8 @@ class InOrderSink : public ResultSink
 
 /**
  * Index-remapping adapter: rewrites each result's stream index
- * through a mapper before forwarding. The shard runner composes
- * InOrderSink -> ReindexSink -> JsonlSink: the engine and the
+ * through a mapper before forwarding. runShard composes
+ * InOrderSink -> ReindexSink -> its caller's sink: the engine and the
  * in-order adapter see a shard's dense LOCAL indices (0, 1, ...),
  * while the JSONL lines carry the GLOBAL grid indices the merge
  * reducer keys on (assignment.globalIndex).

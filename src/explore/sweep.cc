@@ -286,6 +286,23 @@ SweepEngine::run(const std::vector<spec::DesignSpec> &specs) const
     return sink.take();
 }
 
+StreamStats
+runShard(const spec::IndexableSpecSource &source,
+         const spec::ShardAssignment &shard, int threads,
+         const SimulationOptions &sim, ResultSink &sink,
+         const CancelToken *cancel)
+{
+    spec::ShardSpecSource points(source, shard);
+    // Local stream order -> global grid identity: ascending lines,
+    // which the merge's one-line lookahead relies on.
+    ReindexSink global(sink, [&shard](size_t local) {
+        return shard.globalIndex(local);
+    });
+    InOrderSink ordered(global);
+    return SweepEngine({.threads = threads, .sim = sim, .incremental = true})
+        .runStream(points, ordered, cancel);
+}
+
 std::string
 formatSweepTable(const std::vector<SweepResult> &results)
 {

@@ -28,6 +28,7 @@
 #include "explore/simulator.h"
 #include "explore/sink.h"
 #include "explore/sweep_result.h"
+#include "spec/shard.h"
 #include "spec/source.h"
 #include "spec/spec.h"
 
@@ -149,6 +150,20 @@ class SweepEngine
     SweepResult evaluateOne(const spec::DesignSpec &spec, size_t index,
                             IncrementalEvaluator *evaluator) const;
 };
+
+/**
+ * Run the points @p shard owns out of @p source on @p threads workers
+ * (0 = all cores), each with an IncrementalEvaluator. @p sink gets the
+ * results in ascending order, stamped with their GLOBAL grid index:
+ * the lines of a `camj_sweep run` shard file or a served attempt. The
+ * one place the chain ShardSpecSource -> SweepEngine -> InOrderSink ->
+ * ReindexSink is built. Stops and throws as SweepEngine::runStream
+ * does, and @throws ConfigError when @p shard does not fit @p source.
+ */
+StreamStats runShard(const spec::IndexableSpecSource &source,
+                     const spec::ShardAssignment &shard, int threads,
+                     const SimulationOptions &sim, ResultSink &sink,
+                     const CancelToken *cancel = nullptr);
 
 /** Render the feasible rows as a breakdown table; infeasible rows
  *  render as one-line verdicts. */

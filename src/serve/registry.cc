@@ -124,6 +124,11 @@ std::shared_ptr<JobRecord>
 JobRegistry::create()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    size_t finished = 0;
+    for (size_t i = jobs_.size(); i-- > 0;) {
+        if (jobs_[i]->terminal() && ++finished > kRetainedFinishedJobs)
+            jobs_.erase(jobs_.begin() + static_cast<ptrdiff_t>(i));
+    }
     auto job = std::make_shared<JobRecord>(
         strprintf("job-%zu", nextId_++));
     jobs_.push_back(job);

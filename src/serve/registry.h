@@ -128,10 +128,17 @@ class JobRecord
 class JobRegistry
 {
   public:
-    /** A fresh Queued job ("job-1", "job-2", ...). */
+    /** Finished jobs create() keeps for status and re-streaming, the
+     *  newest ones: a long-lived daemon's memory stays bounded. */
+    static constexpr size_t kRetainedFinishedJobs = 64;
+
+    /** A fresh Queued job ("job-1", "job-2", ...). Drops the finished
+     *  jobs older than the newest kRetainedFinishedJobs; a running job
+     *  is never dropped, and a connection streaming a dropped job
+     *  holds its own reference. */
     std::shared_ptr<JobRecord> create();
 
-    /** Lookup; nullptr when unknown. */
+    /** Lookup; nullptr when unknown or dropped. */
     std::shared_ptr<JobRecord> find(const std::string &id) const;
 
     /** Every job, in creation order. */

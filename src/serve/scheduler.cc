@@ -442,25 +442,16 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                                    fail_text] {
             int v = kOk;
             try {
-                spec::ShardSpecSource source(*parent, a);
-                SweepOptions options;
-                options.threads = threads;
-                options.sim.frames = frames;
-                options.incremental = true;
-                SweepEngine engine(options);
-                // The sink chain of `camj_sweep run` up to its last
-                // sink: local stream order -> global grid identity
-                // -> the job's inbox.
+                // The shard `camj_sweep run` evaluates, its lines
+                // handed to the job's inbox instead of a file.
                 InboxSink lines(wake);
                 LimitSink limited(
                     lines, std::max<size_t>(a.count() / 2, 1),
                     inject);
-                ReindexSink global(limited, [a](size_t local) {
-                    return a.globalIndex(local);
-                });
-                InOrderSink ordered(global);
-                const StreamStats stats =
-                    engine.runStream(source, ordered, &job->cancel);
+                SimulationOptions sim;
+                sim.frames = frames;
+                const StreamStats stats = runShard(
+                    *parent, a, threads, sim, limited, &job->cancel);
                 if (job->cancel.cancelled())
                     v = kJobCancelled;
                 else if (stats.cancelled)

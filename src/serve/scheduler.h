@@ -21,8 +21,8 @@
  * loop (submit() joins the threads of jobs that have finished, so the
  * scheduler holds one per running job plus the newest): planShards
  * partitions the grid, and every shard runs as either an in-process
- * worker (a SweepEngine over a ShardSpecSource on a std::thread) or
- * a subprocess worker (fork/exec of `camj_sweep run` over a shard
+ * worker (runShard, the call `camj_sweep run` makes, on a
+ * std::thread) or a subprocess worker (fork/exec of `camj_sweep run` over a shard
  * descriptor file). An in-process worker renders each result line
  * and hands its merge record (jsonlRecordOf: the line's bytes plus
  * the fields the summary reduces) to the job's inbox in memory; a

@@ -1,7 +1,11 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <thread>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -60,6 +64,21 @@ sendError(int fd, const std::exception &e)
 {
     const auto *config = dynamic_cast<const ConfigError *>(&e);
     return sendError(fd, e.what(), config ? config->code() : nullptr);
+}
+
+/** The number member @p key of @p frame, rounded, 0 when absent.
+ *  @throws ConfigError when it is not a number or does not fit an
+ *  int. */
+int
+intMember(const json::Value &frame, const char *key)
+{
+    const json::Value *member = frame.find(key);
+    const double v = member ? std::round(member->asNumber()) : 0.0;
+    if (!(v >= std::numeric_limits<int>::min() &&
+          v <= std::numeric_limits<int>::max()))
+        fatal(Rule::E018, "submit: %s %.17g does not fit an int", key,
+              v);
+    return static_cast<int>(v);
 }
 
 } // namespace
@@ -279,8 +298,24 @@ Server::handleSubmit(int fd, const json::Value &frame)
                       "sweep document");
         return;
     }
-    const int frames = static_cast<int>(frame.getInt("frames", 0));
-    const int threads = static_cast<int>(frame.getInt("threads", 0));
+    // Client input, checked before anything starts: every shard's
+    // engine starts `threads` threads.
+    int frames = 0, threads = 0;
+    try {
+        frames = intMember(frame, "frames");
+        threads = intMember(frame, "threads");
+    } catch (const ConfigError &e) {
+        sendError(fd, e);
+        return;
+    }
+    const unsigned cores =
+        std::max(std::thread::hardware_concurrency(), 1u);
+    if (threads > 0 && static_cast<unsigned>(threads) > cores) {
+        sendError(fd, strprintf("submit asks for %d threads per worker "
+                                "but the host has %u core(s)",
+                                threads, cores));
+        return;
+    }
     Scheduler::Admission adm = scheduler_.submit(*doc, frames, threads);
     if (adm.job == nullptr) {
         json::Value rej = makeFrame("rejected");

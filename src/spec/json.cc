@@ -151,7 +151,16 @@ Value::asNumber() const
 int64_t
 Value::asInt() const
 {
-    return static_cast<int64_t>(std::llround(asNumber()));
+    const double d = asNumber();
+    // Outside [-2^63, 2^63) llround's result is unspecified.
+    if (!(d >= -0x1p63 && d < 0x1p63)) {
+        char buf[32];
+        const std::to_chars_result r =
+            std::to_chars(buf, buf + sizeof(buf), d);
+        fatal(Rule::E018, "json: number %.*s does not fit a 64-bit "
+              "integer", static_cast<int>(r.ptr - buf), buf);
+    }
+    return static_cast<int64_t>(std::llround(d));
 }
 
 const std::string &

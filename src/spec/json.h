@@ -122,7 +122,8 @@ class Value
     /** @throws ConfigError if the value is not of the asked type. */
     bool asBool() const;
     double asNumber() const;
-    /** Number as a (rounded) 64-bit integer. */
+    /** Number as a (rounded) 64-bit integer; a number outside
+     *  [-2^63, 2^63) throws CAMJ-E018 naming it. */
     int64_t asInt() const;
     const std::string &asString() const;
     const Array &asArray() const;

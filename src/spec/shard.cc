@@ -247,41 +247,28 @@ shardDescriptorToJson(const ShardDescriptor &descriptor)
     return doc.dump(2) + "\n";
 }
 
-ShardDescriptor
-shardDescriptorFromJson(const std::string &text)
+ShardAssignment
+documentShard(const Value &doc, size_t points)
 {
-    Value doc = Value::parse(text);
-    ShardDescriptor out;
-    if (const Value *block = doc.find("sweepGrid"))
-        out.doc.grid = gridFromJson(*block);
-    out.doc.base = fromJsonValue(doc);
-    const size_t points = out.doc.grid.points();
-    if (const Value *block = doc.find("shard")) {
-        out.shard = shardFromJson(*block);
-    } else {
-        // A plain sweep document is the whole sweep: shard 0 of 1.
-        out.shard = planShards(points, 1).shards.front();
-    }
-    if (out.shard.total != points)
+    const Value *block = doc.find("shard");
+    if (block == nullptr)
+        return planShards(points, 1).shards.front();
+    ShardAssignment shard = shardFromJson(*block);
+    if (shard.total != points)
         fatal("shard: descriptor says %zu total points but its own "
               "sweepGrid expands to %zu — the plan and the document "
-              "disagree", out.shard.total, points);
-    return out;
+              "disagree", shard.total, points);
+    return shard;
 }
 
 ShardDescriptor
-loadShardFile(const std::string &path)
+shardDescriptorFromJson(const std::string &text)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("shard: cannot open '%s' for reading", path.c_str());
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    try {
-        return shardDescriptorFromJson(text);
-    } catch (const ConfigError &e) {
-        fatal("shard: %s: %s", path.c_str(), e.what());
-    }
+    const Value doc = Value::parse(text);
+    ShardDescriptor out;
+    out.doc = sweepDocumentFromJson(doc);
+    out.shard = documentShard(doc, out.doc.grid.points());
+    return out;
 }
 
 std::vector<std::string>

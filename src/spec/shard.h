@@ -126,7 +126,7 @@ ShardPlan planShards(size_t total, size_t shard_count,
  * numbered by LOCAL stream index (0-based, dense) so InOrderSink and
  * StreamStats behave as for any other source. Map results back to
  * grid identity with assignment().globalIndex(result.index) — or let
- * ReindexSink do it (see explore/sink.h).
+ * runShard (explore/sweep.h) do it.
  *
  * Supports concurrent pulls; @p parent must outlive the source and
  * its at() must be thread-safe (GridSpecSource and VectorSpecSource
@@ -150,9 +150,6 @@ class ShardSpecSource : public SpecSource
 
     const ShardAssignment &assignment() const { return assignment_; }
 
-    /** Rewind to the first point (not thread-safe). */
-    void reset() { cursor_.store(0, std::memory_order_relaxed); }
-
   private:
     const IndexableSpecSource &parent_;
     ShardAssignment assignment_;
@@ -169,25 +166,21 @@ struct ShardDescriptor
 {
     SweepDocument doc;
     ShardAssignment shard;
-
-    /** The lazy source over exactly this shard's points. The returned
-     *  GridSpecSource (first) must outlive the ShardSpecSource. */
-    GridSpecSource gridSource() const { return doc.source(); }
 };
 
 /** Descriptor -> one JSON document (spec + sweepGrid + shard). */
 std::string shardDescriptorToJson(const ShardDescriptor &descriptor);
 
+/** The "shard" block of the parsed document @p doc, whose own grid
+ *  expands to @p points; without one, shard 0 of 1. @throws
+ *  ConfigError when it is malformed or its total is not @p points. */
+ShardAssignment documentShard(const json::Value &doc, size_t points);
+
 /**
- * Parse a shard descriptor document. The shard block is validated
- * against the document's own grid (shard.total must equal
- * grid.points()). @throws ConfigError.
+ * Parse a shard descriptor document: sweepDocumentFromJson, then
+ * documentShard against its grid. @throws ConfigError.
  */
 ShardDescriptor shardDescriptorFromJson(const std::string &text);
-
-/** Load a descriptor file. A plain sweep document (no "shard" block)
- *  loads as the whole sweep: shard 0 of 1. @throws ConfigError. */
-ShardDescriptor loadShardFile(const std::string &path);
 
 /**
  * Write one descriptor file per shard of @p plan into @p out_dir,

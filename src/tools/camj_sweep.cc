@@ -28,12 +28,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.h"
 #include "analysis/grid_analyzer.h"
 #include "common/logging.h"
 #include "explore/jsonl.h"
@@ -190,7 +190,8 @@ cmdRun(int argc, char **argv)
 {
     std::string input, out_path, shard_arg;
     spec::ShardMode mode = spec::ShardMode::Contiguous;
-    int threads = 0, frames = 1;
+    int threads = 0;
+    SimulationOptions sim;
     bool lint = true, verbose = false;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -208,7 +209,7 @@ cmdRun(int argc, char **argv)
             threads = static_cast<int>(
                 parseCount(flagValue(argc, argv, i), "--threads"));
         else if (arg == "--frames")
-            frames = static_cast<int>(
+            sim.frames = static_cast<int>(
                 parseCount(flagValue(argc, argv, i), "--frames"));
         else if (input.empty() && arg[0] != '-')
             input = arg;
@@ -225,7 +226,45 @@ cmdRun(int argc, char **argv)
         return usage(stderr);
     }
 
-    spec::ShardDescriptor descriptor = spec::loadShardFile(input);
+    // Read and parse once. Lint checks the whole document and builds
+    // the grid source that runs; --no-lint only lowers and expands.
+    std::ifstream in(input, std::ios::binary);
+    if (!in)
+        fatal("run: cannot read '%s'", input.c_str());
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto refuse = [&](const std::vector<analysis::Diagnostic> &diags) {
+        std::fprintf(stderr,
+                     "%serror: run: base spec fails static analysis "
+                     "(re-run with --no-lint to force, or see "
+                     "camj_sweep lint)\n",
+                     analysis::formatDiagnostics(diags, input).c_str());
+        return 1;
+    };
+    json::Value doc;
+    try {
+        doc = json::Value::parse(text.str());
+    } catch (const ConfigError &e) {
+        if (!lint)
+            throw;
+        // As lintDocument(text) reports it: one coded diagnostic.
+        return refuse({analysis::makeError(e.code(), "", e.what())});
+    }
+    std::shared_ptr<const spec::GridSpecSource> grid;
+    if (lint) {
+        analysis::DocumentLint result = analysis::lintDocument(doc);
+        if (!result.sweep)
+            return refuse(result.diagnostics);
+        grid = std::move(result.source);
+    } else {
+        const spec::SweepDocument sweep =
+            spec::sweepDocumentFromJson(doc);
+        grid = std::make_shared<const spec::GridSpecSource>(sweep.base,
+                                                            sweep.grid);
+    }
+
+    spec::ShardAssignment shard =
+        spec::documentShard(doc, grid->totalPoints());
     if (!shard_arg.empty()) {
         size_t k = 0, n = 0;
         parseShardSpec(shard_arg, k, n);
@@ -237,59 +276,19 @@ cmdRun(int argc, char **argv)
                          n);
             return usage(stderr);
         }
-        const spec::ShardPlan plan =
-            spec::planShards(descriptor.shard.total, n, mode);
-        descriptor.shard = plan.shards[k];
-    }
-
-    if (lint) {
-        // Pre-flight: a base spec the static analyzer can prove
-        // broken would fail on every design point — abort before
-        // spinning up workers. --no-lint opts out.
-        analysis::SpecAnalyzer analyzer;
-        const std::vector<analysis::Diagnostic> diags =
-            analyzer.analyze(descriptor.doc.base);
-        if (analysis::hasErrors(diags)) {
-            std::fputs(
-                analysis::formatDiagnostics(diags, input).c_str(),
-                stderr);
-            std::fprintf(stderr,
-                         "error: run: base spec fails static "
-                         "analysis (re-run with --no-lint to force, "
-                         "or see camj_sweep lint)\n");
-            return 1;
-        }
+        shard = spec::planShards(shard.total, n, mode).shards[k];
     }
 
     std::ofstream out(out_path, std::ios::binary);
     if (!out)
         fatal("run: cannot write '%s'", out_path.c_str());
-
-    spec::GridSpecSource grid = descriptor.gridSource();
-    spec::ShardSpecSource source(grid, descriptor.shard);
-
-    SweepOptions options;
-    options.threads = threads;
-    options.sim.frames = frames;
-    // Each worker's points share one cycle-sim memo.
-    options.incremental = true;
-    SweepEngine engine(options);
-
-    // Local stream order -> global grid identity -> bytes: the
-    // in-order adapter guarantees ascending-index shard files (what
-    // the merge's one-line lookahead relies on).
     JsonlSink lines(out);
-    ReindexSink global(lines, [&](size_t local) {
-        return descriptor.shard.globalIndex(local);
-    });
-    InOrderSink ordered(global);
-    const StreamStats stats = engine.runStream(source, ordered);
+    const StreamStats stats = runShard(*grid, shard, threads, sim, lines);
 
     std::printf("shard %zu/%zu: evaluated %zu of %zu global point(s) "
-                "-> %s (%zu line(s))\n", descriptor.shard.shardIndex,
-                descriptor.shard.shardCount, stats.delivered,
-                descriptor.shard.total, out_path.c_str(),
-                lines.written());
+                "-> %s (%zu line(s))\n", shard.shardIndex,
+                shard.shardCount, stats.delivered, shard.total,
+                out_path.c_str(), lines.written());
     if (verbose) {
         // Every point counts, infeasible ones included.
         const int64_t pass_a = stats.passes.passA.cyclesTicked;

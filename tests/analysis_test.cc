@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -683,6 +684,33 @@ TEST(RuleCodes, MalformedDocumentsAreOneE018)
             if (d.severity == Severity::Error)
                 EXPECT_EQ(d.code, "CAMJ-E018") << d.format();
         }
+    }
+}
+
+TEST(LintDocument, IntegersOutsideInt64AreOneE018NamingTheNumber)
+{
+    // A capacity of 1e19 words and a spec version of 1e308 used to
+    // read as INT64_MIN and be reported as that value.
+    json::Value capacity = spec::toJsonValue(detector());
+    for (json::Value &m : capacity.find("memories")->mutableArray()) {
+        if (m.getString("name", "") == "ActBuf")
+            m.set("capacityWords", json::Value(1e19));
+    }
+    json::Value version = spec::toJsonValue(detector());
+    version.set("camjSpecVersion", json::Value(1e308));
+    const std::pair<const json::Value *, const char *> cases[] = {
+        {&capacity, "json: number 1e+19 does not fit a 64-bit integer"},
+        {&version, "json: number 1e+308 does not fit a 64-bit integer"},
+    };
+    for (const auto &[doc, text] : cases) {
+        const analysis::DocumentLint lint = analysis::lintDocument(*doc);
+        EXPECT_FALSE(lint.sweep.has_value());
+        ASSERT_EQ(lint.diagnostics.size(), 1u)
+            << dumpDiags(lint.diagnostics);
+        EXPECT_EQ(lint.diagnostics[0].code, "CAMJ-E018");
+        EXPECT_NE(lint.diagnostics[0].message.find(text),
+                  std::string::npos)
+            << lint.diagnostics[0].message;
     }
 }
 

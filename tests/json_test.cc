@@ -572,6 +572,40 @@ TEST(JsonNumbers, MalformedAndOutOfRangeNumbersKeepTheirTexts)
     }
 }
 
+TEST(JsonNumbers, AsIntRejectsNumbersOutsideInt64)
+{
+    // [-2^63, 2^63) converts; anything past it throws CAMJ-E018
+    // naming the number, where llround's result would be unspecified.
+    EXPECT_EQ(Value(-0x1p63).asInt(), INT64_MIN);
+    EXPECT_EQ(Value(0x1p63 - 1024.0).asInt(), INT64_MAX - 1023);
+    EXPECT_EQ(Value(2.5).asInt(), 3);
+    EXPECT_EQ(Value(-2.5).asInt(), -3);
+    const struct
+    {
+        double value;
+        const char *text;
+    } cases[] = {
+        {0x1p63, "9223372036854775808"},
+        {-0x1p63 - 2048.0, "-9223372036854777856"},
+        {1e19, "1e+19"},
+        {-1e19, "-1e+19"},
+        {1e308, "1e+308"},
+    };
+    for (const auto &c : cases) {
+        try {
+            Value(c.value).asInt();
+            ADD_FAILURE() << c.text << " converted";
+        } catch (const ConfigError &e) {
+            EXPECT_STREQ(e.code(), "CAMJ-E018") << c.text;
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("json: number ") + c.text +
+                          " does not fit a 64-bit integer"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // ------------------------------------------------------------- nesting
 
 /** @p depth arrays, each inside the one before: [[...]]. */

@@ -17,6 +17,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -307,6 +308,54 @@ TEST(Admission, NonObjectDocumentIsRejectedAndTheDaemonKeepsAnswering)
     ::close(fd);
 }
 
+TEST(Admission, SubmitAskingForMoreThreadsThanCoresIsRefused)
+{
+    // `threads` is client input that every shard's engine starts: a
+    // submit asking for more than the host's cores, or for a count
+    // that does not fit an int, is one error frame before anything
+    // runs, and the connection keeps being served.
+    const fs::path dir = scratchDir("serve_threads_bound");
+    const spec::SweepDocument doc = smallStudy();
+    ServerHarness harness(inProcessOptions(dir));
+    const int fd = connectRaw(harness.port());
+    ASSERT_GE(fd, 0);
+    serve::LineReader reader(fd);
+    const unsigned cores =
+        std::max(std::thread::hardware_concurrency(), 1u);
+    const std::pair<const char *, json::Value> cases[] = {
+        {"threads", json::Value(static_cast<int64_t>(cores) + 1)},
+        {"threads", json::Value(static_cast<int64_t>(1) << 40)},
+        {"frames", json::Value(static_cast<int64_t>(1) << 40)},
+        {"threads", json::Value(1e19)},
+    };
+    for (const auto &[member, value] : cases) {
+        json::Value submit = serve::makeFrame("submit");
+        submit.set("doc", documentValue(doc));
+        submit.set(member, value);
+        ASSERT_TRUE(serve::writeLine(fd, serve::frameLine(submit)));
+        const std::optional<std::string> reply = reader.next();
+        ASSERT_TRUE(reply.has_value()) << member;
+        const json::Value error = serve::parseFrame(*reply);
+        EXPECT_EQ(error.getString("type", ""), "error") << *reply;
+        EXPECT_NE(error.getString("message", "").find(member),
+                  std::string::npos)
+            << *reply;
+    }
+    ASSERT_TRUE(serve::writeLine(
+        fd, serve::frameLine(serve::makeFrame("ping"))));
+    const std::optional<std::string> pong = reader.next();
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(serve::parseFrame(*pong).getString("type", ""), "pong");
+    ::close(fd);
+    EXPECT_TRUE(harness.server().registry().jobs().empty());
+
+    // One thread per worker is in bounds and streams the local bytes.
+    serve::Client client(harness.port());
+    std::ostringstream out;
+    client.submitAndStream(spec::toJson(doc), out, 0, 1);
+    EXPECT_EQ(out.str(), singleProcessJsonl(doc));
+}
+
 // -------------------------------------------------------- the contract
 
 TEST(ServedSweep, StreamedResultsAreByteIdenticalToALocalRun)
@@ -456,6 +505,83 @@ TEST(ServedSweep, CompletedJobsRestreamFromByteZero)
     EXPECT_EQ(replayed, reference);
     EXPECT_EQ(end.getString("type", ""), "end");
     EXPECT_EQ(end.getString("state", ""), "done");
+}
+
+TEST(JobRegistry, KeepsTheNewestFinishedJobsAndEveryRunningOne)
+{
+    constexpr size_t kKept = serve::JobRegistry::kRetainedFinishedJobs;
+    serve::JobRegistry registry;
+    const auto running = registry.create();
+    running->setState(serve::JobState::Running);
+    std::vector<std::shared_ptr<serve::JobRecord>> finished;
+    for (size_t i = 0; i < kKept + 10; ++i) {
+        finished.push_back(registry.create());
+        finished.back()->appendSpool("line\n");
+        finished.back()->setState(serve::JobState::Done);
+    }
+    // This create drops the 10 oldest finished jobs: the registry
+    // holds the running job, the newest kKept finished ones and the
+    // new job.
+    registry.create();
+    EXPECT_EQ(registry.jobs().size(), kKept + 2);
+    EXPECT_EQ(registry.find(running->id()), running);
+    for (size_t i = 0; i < finished.size(); ++i) {
+        EXPECT_EQ(registry.find(finished[i]->id()) != nullptr, i >= 10)
+            << finished[i]->id();
+    }
+    // A holder of a dropped job still reads its whole spool.
+    finished[0]->finishStream(serve::makeFrame("end"));
+    size_t offset = 0;
+    std::string spool;
+    while (finished[0]->waitSpool(offset, spool)) {
+    }
+    EXPECT_EQ(spool, "line\n");
+}
+
+TEST(ServedSweep, OnlyTheNewestFinishedJobsAreKept)
+{
+    // More jobs than the registry keeps, one after another: the
+    // oldest is unknown, the newest restreams from byte 0.
+    constexpr size_t kKept = serve::JobRegistry::kRetainedFinishedJobs;
+    const fs::path dir = scratchDir("serve_retention");
+    const spec::SweepDocument doc = smallStudy();
+    const std::string text = spec::toJson(doc);
+    const std::string reference = singleProcessJsonl(doc);
+    ServerHarness harness(inProcessOptions(dir));
+    serve::Client client(harness.port());
+    std::vector<std::string> ids;
+    for (size_t k = 0; k < kKept + 2; ++k) {
+        std::ostringstream out;
+        ids.push_back(client.submitAndStream(text, out).jobId);
+        ASSERT_EQ(out.str(), reference) << ids.back();
+    }
+    // The last submit dropped the oldest; the newest kKept that had
+    // finished by then stay, plus the last one.
+    EXPECT_EQ(harness.server().registry().jobs().size(), kKept + 1);
+    try {
+        client.status(ids.front());
+        FAIL() << ids.front() << " is still known";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("unknown job"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(client.status(ids[1]).getString("state", ""), "done");
+
+    const int fd = connectRaw(harness.port());
+    ASSERT_GE(fd, 0);
+    json::Value frame = serve::makeFrame("stream");
+    frame.set("job", ids.back());
+    ASSERT_TRUE(serve::writeLine(fd, serve::frameLine(frame)));
+    serve::LineReader reader(fd);
+    std::string replayed;
+    while (std::optional<std::string> line = reader.next()) {
+        if (serve::isControlFrame(*line))
+            break;
+        replayed += *line + "\n";
+    }
+    ::close(fd);
+    EXPECT_EQ(replayed, reference);
 }
 
 TEST(ServedSweep, DeeplyNestedFrameIsAnErrorAndTheDaemonKeepsAnswering)

@@ -288,6 +288,26 @@ TEST(ShardDescriptor, RejectsPlanDisagreeingWithItsOwnGrid)
     EXPECT_THROW(spec::shardDescriptorFromJson(text), ConfigError);
 }
 
+TEST(ShardDescriptor, TotalOutsideInt64IsE018)
+{
+    // 1e19 used to read as INT64_MIN and fail as a negative member.
+    const spec::SweepDocument doc = smallStudy();
+    std::string text = spec::shardDescriptorToJson(
+        spec::ShardDescriptor{doc, spec::planShards(12, 2).shards[0]});
+    const size_t pos = text.find("\"total\": 12");
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, 11, "\"total\": 1e19");
+    try {
+        spec::shardDescriptorFromJson(text);
+        FAIL() << "a total of 1e19 loaded";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.code(), "CAMJ-E018") << e.what();
+        EXPECT_NE(std::string(e.what()).find("number 1e+19"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ShardDescriptor, WriteShardPlanEmitsLoadableFiles)
 {
     const fs::path dir = scratchDir("plan_files");
@@ -297,7 +317,8 @@ TEST(ShardDescriptor, WriteShardPlanEmitsLoadableFiles)
     ASSERT_EQ(paths.size(), 3u);
     size_t covered = 0;
     for (size_t k = 0; k < paths.size(); ++k) {
-        const spec::ShardDescriptor d = spec::loadShardFile(paths[k]);
+        const spec::ShardDescriptor d =
+            spec::shardDescriptorFromJson(readFile(paths[k]));
         EXPECT_EQ(d.shard.shardIndex, k);
         EXPECT_EQ(d.doc.grid.points(), doc.grid.points());
         covered += d.shard.count();
@@ -552,6 +573,89 @@ TEST(ExplicitShard, DescriptorRoundTripsAndYieldsItsSlice)
     const std::string slice = shardJsonl(doc, back.shard);
     EXPECT_EQ(slice,
               lines[2] + "\n" + lines[3] + "\n" + lines[7] + "\n");
+}
+
+// ------------------------------------------------------------- runShard
+
+/** runShard's bytes for @p assignment of @p source on @p threads. */
+std::string
+runShardBytes(const spec::IndexableSpecSource &source,
+              const spec::ShardAssignment &assignment, int threads)
+{
+    std::ostringstream out;
+    JsonlSink lines(out);
+    runShard(source, assignment, threads, {}, lines);
+    return out.str();
+}
+
+TEST(RunShard, MatchesTheReferenceChainByteForByte)
+{
+    // The canonical 108-point grid: 3 contiguous shards, 4 strided
+    // ones, and the explicit shard `merge --resume-plan` writes for a
+    // lost contiguous shard 1 of 3 plus a stray point.
+    const spec::SweepDocument doc = spec::sampleDetectorStudy();
+    const spec::GridSpecSource grid = doc.source();
+    const size_t total = grid.totalPoints();
+    ASSERT_EQ(total, 108u);
+    std::vector<spec::ShardAssignment> shards =
+        spec::planShards(total, 3).shards;
+    for (const spec::ShardAssignment &a :
+         spec::planShards(total, 4, spec::ShardMode::Strided).shards)
+        shards.push_back(a);
+    std::vector<size_t> hole;
+    for (size_t i = shards[1].begin; i < shards[1].end; ++i)
+        hole.push_back(i);
+    hole.push_back(total - 1);
+    shards.push_back(spec::explicitShard(total, hole));
+
+    for (const spec::ShardAssignment &a : shards) {
+        const std::string reference = shardJsonl(doc, a);
+        ASSERT_FALSE(reference.empty());
+        for (int threads : {1, 4}) {
+            EXPECT_EQ(runShardBytes(grid, a, threads), reference)
+                << spec::shardModeName(a.mode) << " shard "
+                << a.shardIndex << "/" << a.shardCount << ", "
+                << threads << " thread(s)";
+        }
+    }
+}
+
+TEST(RunShard, StopsWhenTheSinkRefusesOrTheTokenFires)
+{
+    const spec::SweepDocument doc = spec::sampleDetectorStudy();
+    const spec::GridSpecSource grid = doc.source();
+    const spec::ShardAssignment shard = spec::planShards(
+        grid.totalPoints(), 2, spec::ShardMode::Strided).shards[1];
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        // The fifth result is refused: the sink saw exactly five, in
+        // ascending global order.
+        std::vector<size_t> seen;
+        CallbackSink refuse_fifth([&](SweepResult r) {
+            seen.push_back(r.index);
+            return seen.size() < 5;
+        });
+        StreamStats stats =
+            runShard(grid, shard, threads, {}, refuse_fifth);
+        EXPECT_TRUE(stats.cancelled);
+        ASSERT_EQ(seen.size(), 5u);
+        for (size_t local = 0; local < seen.size(); ++local)
+            EXPECT_EQ(seen[local], shard.globalIndex(local));
+
+        // A token fired after the third result stops the workers.
+        CancelToken token;
+        size_t accepted = 0;
+        CallbackSink fire_at_third([&](SweepResult) {
+            if (++accepted == 3)
+                token.cancel();
+            return true;
+        });
+        stats = runShard(grid, shard, threads, {}, fire_at_third,
+                         &token);
+        EXPECT_TRUE(stats.cancelled);
+        EXPECT_GE(accepted, 3u);
+        EXPECT_LT(accepted, shard.count());
+    }
 }
 
 TEST(ShardMerge, MissingIndicesScanToleratesGapsAndDuplicates)
@@ -849,6 +953,73 @@ TEST(CamjSweepCli, RunPreflightAbortsOnBrokenBaseUnlessDisabled)
     ASSERT_TRUE(record.has_value());
     EXPECT_FALSE(record->feasible);
     EXPECT_EQ(record->ruleCode, "CAMJ-E008") << record->error;
+}
+
+/** The lines `camj_sweep lint` prints for @p path, less its per-file
+ *  count line: the diagnostics. */
+std::vector<std::string>
+lintDiagnosticLines(const fs::path &path, const fs::path &log)
+{
+    EXPECT_EQ(cliExit("lint " + path.string(), log.string()), 1) << path;
+    std::vector<std::string> lines;
+    std::istringstream in(readFile(log));
+    for (std::string line; std::getline(in, line);) {
+        if (line.find(" error(s), ") == std::string::npos)
+            lines.push_back(line);
+    }
+    return lines;
+}
+
+TEST(CamjSweepCli, RunRejectsWhatLintRejects)
+{
+    // `run` lints the whole document through lintDocument, as `lint`
+    // does: each document below fails with lint's own lines, before
+    // the output file is opened. The last two hold integers outside
+    // int64, which used to run as INT64_MIN (analysis_test pins their
+    // one E018 naming the number).
+    const fs::path dir = scratchDir("cli_run_lint");
+    const std::string text = spec::toJson(smallStudy());
+    writeFile(dir / "truncated.json", text.substr(0, text.size() / 2));
+    json::Value unlowered = json::Value::parse(text);
+    unlowered.set("fps", json::Value(std::string("fast")));
+    writeFile(dir / "unlowered.json", unlowered.dump(2));
+    spec::SweepDocument dangling = smallStudy();
+    dangling.base.mapping.back().second = "Classifer";
+    writeFile(dir / "dangling.json", spec::toJson(dangling));
+    spec::SweepDocument bad_axis = smallStudy();
+    bad_axis.grid.axes[0].values[2] = json::Value(std::string("fast"));
+    writeFile(dir / "axis.json", spec::toJson(bad_axis));
+    json::Value capacity = json::Value::parse(text);
+    for (json::Value &m : capacity.find("memories")->mutableArray()) {
+        if (m.getString("name", "") == "ActBuf")
+            m.set("capacityWords", json::Value(1e19));
+    }
+    writeFile(dir / "capacity.json", capacity.dump(2));
+    json::Value version = json::Value::parse(text);
+    version.set("camjSpecVersion", json::Value(1e308));
+    writeFile(dir / "version.json", version.dump(2));
+
+    for (const std::string name :
+         {"truncated.json", "unlowered.json", "dangling.json",
+          "axis.json", "capacity.json", "version.json"}) {
+        SCOPED_TRACE(name);
+        const std::vector<std::string> expected =
+            lintDiagnosticLines(dir / name, dir / (name + ".lint"));
+        ASSERT_FALSE(expected.empty());
+        const fs::path out = dir / (name + ".jsonl");
+        const fs::path log = dir / (name + ".run");
+        EXPECT_EQ(cliExit("run " + (dir / name).string() + " --out " +
+                              out.string(),
+                          log.string()),
+                  1);
+        EXPECT_FALSE(fs::exists(out));
+        const std::string report = readFile(log);
+        for (const std::string &line : expected)
+            EXPECT_NE(report.find(line + "\n"), std::string::npos)
+                << line << "\n--- run printed:\n" << report;
+        EXPECT_NE(report.find("error: run: "), std::string::npos)
+            << report;
+    }
 }
 
 TEST(CamjSweepCli, VerboseTotalCountsInfeasiblePoints)

@@ -362,7 +362,7 @@ TEST(SweepGrid, PointListDocumentRoundTripsAndShards)
     spec::ShardDescriptor loaded =
         spec::shardDescriptorFromJson(spec::shardDescriptorToJson(d));
     EXPECT_EQ(loaded.shard.count(), 2u);
-    spec::GridSpecSource grid_source = loaded.gridSource();
+    spec::GridSpecSource grid_source = loaded.doc.source();
     spec::ShardSpecSource source(grid_source, loaded.shard);
     std::vector<spec::DesignSpec> points = drain(source);
     ASSERT_EQ(points.size(), 2u);
