@@ -22,7 +22,10 @@
  * row-major and stride-12 order), the 27 paper studies' cycles
  * ticked per pass and pass-B stall-check routes, the heap
  * allocations of lowering each study's one-point document
- * (studyFrontEnd) and of linting it (lint), the Fig. 7 validation
+ * (studyFrontEnd), of linting it (lint) and of materializing it
+ * (materialize), those of a canonical grid point's materialization
+ * on a worker's point path and of writing a result line (render),
+ * the Fig. 7 validation
  * MAPE and correlation, the cycle sim's ticking rate (a
  * cycle-dominated frame, every cycle ticked), and a per-stage
  * wall-clock profile of EvalPipeline over the canonical grid, so CI
@@ -821,6 +824,90 @@ writeBenchJson()
         lint_cost.set("allocsPerStudy", json::Value(c.allocsPerOp));
         lint_cost.set("usPerStudy", json::Value(c.nsPerOp / 1e3));
         doc.set("lint", std::move(lint_cost));
+    }
+
+    // Materialize, in heap allocations: each canonical grid point on
+    // a sweep worker's point path (GridSpecSource::pointAt rebuilds
+    // only what the point's axes and name feed in the SpecPoint the
+    // worker keeps), less the expansion that builds its spec; and
+    // each paper study through the whole path, validate() and every
+    // part. Both counts are exact, so each is its floor; the
+    // whole-path count per grid point and the timings are data.
+    {
+        json::Value materialize = json::Value::makeObject();
+        const spec::SweepDocument canonical = spec::sampleDetectorStudy();
+        const spec::GridSpecSource grid = canonical.source();
+        const size_t n = grid.totalPoints();
+        spec::SpecPoint point;
+        auto point_path = [&](size_t i) {
+            grid.pointAt(i % n, point);
+            benchmark::DoNotOptimize(point.error);
+        };
+        auto expansion = [&](size_t i) {
+            const spec::DesignSpec s = grid.at(i % n);
+            benchmark::DoNotOptimize(s.fps);
+        };
+        auto whole_path = [&](size_t i) {
+            const spec::DesignSpec s = grid.at(i % n);
+            try {
+                const Design d = s.materialize();
+                benchmark::DoNotOptimize(d.fps());
+            } catch (const ConfigError &) {
+            }
+        };
+        for (size_t i = 0; i < n; ++i)
+            point_path(i); // the point holds the base's copy from here
+        const OpCost built = measureOp(n * 20, point_path);
+        const OpCost expanded = measureOp(n * 20, expansion);
+        const OpCost whole = measureOp(n * 20, whole_path);
+        materialize.set("gridPoints",
+                        json::Value(static_cast<int64_t>(n)));
+        materialize.set("allocsPerPoint",
+                        json::Value(built.allocsPerOp -
+                                    expanded.allocsPerOp));
+        materialize.set("usPerPoint",
+                        json::Value((built.nsPerOp - expanded.nsPerOp) /
+                                    1e3));
+        materialize.set("wholePathAllocsPerPoint",
+                        json::Value(whole.allocsPerOp -
+                                    expanded.allocsPerOp));
+        materialize.set("wholePathUsPerPoint",
+                        json::Value((whole.nsPerOp - expanded.nsPerOp) /
+                                    1e3));
+        auto study = [&](size_t i) {
+            const Design d = uspecs[i % uspecs.size()].materialize();
+            benchmark::DoNotOptimize(d.fps());
+        };
+        for (size_t i = 0; i < uspecs.size(); ++i)
+            study(i);
+        const OpCost studies = measureOp(uspecs.size() * 20, study);
+        materialize.set("studies",
+                        json::Value(static_cast<int64_t>(uspecs.size())));
+        materialize.set("allocsPerStudy", json::Value(studies.allocsPerOp));
+        materialize.set("usPerStudy", json::Value(studies.nsPerOp / 1e3));
+        doc.set("materialize", std::move(materialize));
+
+        // Render: each of the canonical points' result lines (feasible
+        // and infeasible) written by sweepResultToJsonl into a string
+        // of its own, in heap allocations per line: the string's one
+        // buffer. Exact, so the count is the floor.
+        CollectSink collected;
+        spec::GridSpecSource lines_source = canonical.source();
+        SweepEngine(SweepOptions{.threads = 1, .incremental = true})
+            .runStream(lines_source, collected);
+        const std::vector<SweepResult> &results = collected.results();
+        auto line = [&](size_t i) {
+            const std::string text =
+                sweepResultToJsonl(results[i % results.size()]);
+            benchmark::DoNotOptimize(text.size());
+        };
+        const OpCost rendered = measureOp(results.size() * 20, line);
+        json::Value render = json::Value::makeObject();
+        render.set("lines",
+                   json::Value(static_cast<int64_t>(results.size())));
+        render.set("allocsPerLine", json::Value(rendered.allocsPerOp));
+        render.set("usPerLine", json::Value(rendered.nsPerOp / 1e3));
+        doc.set("render", std::move(render));
     }
 
     // Paper accuracy: the Fig. 7 validation statistics, pinned so

@@ -66,6 +66,27 @@ FLOORS = [
     # topological order, analog walk and field paths). Exact, so the
     # bar is the count.
     ("lint.allocsPerStudy", 44.8, "max"),
+    # Materialize: each canonical grid point on a sweep worker's point
+    # path, beyond the expansion that builds its spec (0: the worker's
+    # SpecPoint holds a copy of the grid's materialized base, and a
+    # point re-runs only the checks and rebuilds in place only the
+    # parts its axes and its name feed; 54 while every point
+    # validated and materialized its whole spec), and each of the 27
+    # paper studies through the whole path (58.8; 74.5 while
+    # validation built four std::set<std::string> per call and the
+    # wiring looked names up). Exact, so each bar is the count. The
+    # point path's bytes are pinned in ctest against the whole path
+    # (SweepGrid.ExpansionMatchesACloneAndApplyOracle).
+    ("materialize.allocsPerPoint", 0, "max"),
+    ("materialize.allocsPerStudy", 58.8, "max"),
+    # Render: one canonical result line written by sweepResultToJsonl
+    # into a string of its own, in heap allocations (1, the string's
+    # buffer; 16.4 while each line was a json::Value tree dumped to
+    # text). The sinks reuse one buffer and allocate none. The bytes
+    # are pinned against that tree renderer
+    # (JsonlWriter.WritesTheTreeRenderersBytes) and by hash
+    # (JsonlHashes.RunShardWritesThePinnedBytes).
+    ("render.allocsPerLine", 1, "max"),
     ("gridSweep.expansion.inPlace.designsPerSec", 20000, "min"),
     # The canonical grid simulates nothing: every pass A drains in
     # closed form and every pass-B stall check is answered statically

@@ -33,6 +33,11 @@ namespace camj
 
 struct CycleSimStats;
 
+namespace spec
+{
+class MaterializedSpec;
+} // namespace spec
+
 /** Role of an analog array, for energy-category accounting. */
 enum class AnalogRole
 {
@@ -133,6 +138,14 @@ class Design
 
   private:
     friend class EvalPipeline;
+    /** Builds a Design part by part from a DesignSpec, and rebuilds
+     *  only the parts an edit of that spec feeds (spec/spec.h). */
+    friend class spec::MaterializedSpec;
+
+    /** An empty design for MaterializedSpec to fill in; its checks
+     *  stand in for the constructor's. */
+    Design() = default;
+
     struct AnalogEntry
     {
         AnalogArray array;

@@ -18,15 +18,16 @@ IncrementalEvaluator::IncrementalEvaluator(SimulationOptions options)
         fatal("IncrementalEvaluator: negative exposure");
 }
 
+template <typename Build>
 SimulationOutcome
-IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
+IncrementalEvaluator::run(Build build)
 {
     ++stats_.points;
     ++stats_.fullBuilds;
-    // Materialize and run every stage through the memo.
+    // Run every stage through the memo.
     EvalPipeline pipeline;
     try {
-        const Design design = spec.materialize();
+        const Design &design = build();
         EnergyReport report = pipeline.runAll(design, &memo_);
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
         passStats_ += pipeline.passStats();
@@ -34,13 +35,31 @@ IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
         out.simStats = pipeline.simStats();
         return out;
     } catch (const ConfigError &e) {
-        // Zero when materialize() threw: the pipeline never started.
+        // Zero when materializing threw: the pipeline never started.
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
         passStats_ += pipeline.passStats();
         if (options_.checkMode == CheckMode::Strict)
             throw;
         return failureOutcome(options_, e.what(), e.code());
     }
+}
+
+SimulationOutcome
+IncrementalEvaluator::evaluate(const spec::DesignSpec &spec)
+{
+    return run([&spec] { return spec.materialize(); });
+}
+
+SimulationOutcome
+IncrementalEvaluator::evaluate(const spec::SpecPoint &point)
+{
+    if (!point.built)
+        return evaluate(point.spec);
+    return run([&point]() -> const Design & {
+        if (point.error)
+            std::rethrow_exception(point.error);
+        return point.design();
+    });
 }
 
 SimulationOutcome

@@ -9,10 +9,10 @@
  * evaluator owns a CycleSimMemo (digital/cyclesim.h) keyed by exactly
  * that stage input: the built topology. On the canonical grid and the
  * paper studies the closed forms and the backlog bound leave nothing
- * to simulate: there the six stages take about 37% of a grid job's
- * time and validate plus materialize about 23%, beside expansion and
- * the sinks (docs/performance.md). Everything but the memoized
- * simulation is recomputed per point.
+ * to simulate, and the six stages are most of a point's time beside
+ * expansion and the sinks (docs/performance.md). A grid point arrives
+ * materialized from its grid's base (SpecPoint); everything else but
+ * the memoized simulation is recomputed per point.
  */
 
 #ifndef CAMJ_EXPLORE_INCREMENTAL_H
@@ -25,6 +25,7 @@
 #include "core/pipeline.h"
 #include "digital/cyclesim.h"
 #include "explore/simulator.h"
+#include "spec/source.h"
 #include "spec/spec.h"
 
 namespace camj
@@ -67,6 +68,13 @@ class IncrementalEvaluator
     SimulationOutcome evaluate(const spec::DesignSpec &spec);
 
     /**
+     * The same for a point a source handed over (SpecSource::
+     * nextPoint): its Design, or the error materializing it threw,
+     * when the source materialized it, else evaluate(point.spec).
+     */
+    SimulationOutcome evaluate(const spec::SpecPoint &point);
+
+    /**
      * The same as evaluate(spec); @p changed_paths is ignored. It
      * remains for callers written against the changed-path hints
      * earlier evaluators took (the benchmark under perfbench/ still
@@ -98,6 +106,11 @@ class IncrementalEvaluator
     CycleSimMemo memo_;
     IncrementalStats stats_;
     PassSimStats passStats_;
+
+    /** Run the stages over the Design @p build returns (a ConfigError
+     *  it throws is the point's verdict, as the stages' are). */
+    template <typename Build>
+    SimulationOutcome run(Build build);
 };
 
 } // namespace camj

@@ -1,6 +1,7 @@
 #include "explore/jsonl.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/logging.h"
 #include "common/units.h"
@@ -20,7 +21,17 @@ parseJsonlLine(const std::string &line)
 {
     const Value o = Value::parse(line);
     JsonlRecord r;
-    const int64_t index = o.at("index").asInt();
+    const Value &index_value = o.at("index");
+    const int64_t index = index_value.asInt();
+    // asInt rounds; the merge re-emits the line's own bytes, so an
+    // index must be the integer it is read as.
+    if (static_cast<double>(index) != index_value.asNumber()) {
+        char buf[32];
+        const std::to_chars_result end = std::to_chars(
+            buf, buf + sizeof(buf), index_value.asNumber());
+        fatal(Rule::E018, "jsonl: index %.*s is not an integer",
+              static_cast<int>(end.ptr - buf), buf);
+    }
     if (index < 0)
         fatal("jsonl: negative index %lld",
               static_cast<long long>(index));
@@ -39,10 +50,12 @@ parseJsonlLine(const std::string &line)
 }
 
 JsonlRecord
-jsonlRecordOf(const SweepResult &result)
+jsonlRecordOf(const SweepResult &result, std::string &scratch)
 {
     JsonlRecord r;
-    r.raw = sweepResultToJsonl(result);
+    scratch.clear();
+    sweepResultToJsonl(result, scratch);
+    r.raw = scratch;
     r.index = result.index;
     r.design = result.designName;
     r.feasible = result.feasible;
@@ -86,8 +99,8 @@ JsonlReader::next()
         try {
             return parseJsonlLine(line);
         } catch (const ConfigError &e) {
-            fatal("jsonl: %s:%zu: %s", path_.c_str(), lineNo_,
-                  e.what());
+            fatal(e.rule(), "jsonl: %s:%zu: %s", path_.c_str(),
+                  lineNo_, e.what());
         }
     }
     return std::nullopt;

@@ -53,7 +53,8 @@ struct JsonlRecord
 };
 
 /** Parse one shard-file line. @throws ConfigError on malformed JSON
- *  or a missing/negative "index". */
+ *  or a missing, negative or non-integral "index" (CAMJ-E018 when it
+ *  is not an integer). */
 JsonlRecord parseJsonlLine(const std::string &line);
 
 /**
@@ -61,11 +62,15 @@ JsonlRecord parseJsonlLine(const std::string &line);
  * sweepResultToJsonl(result), and every other member holds what
  * parseJsonlLine(raw) would read (numbers print as %.17g, so each
  * reads back as the same double). What a worker that shares the
- * reader's address space hands to a merge.
+ * reader's address space hands to a merge. The line is rendered in
+ * @p scratch first, so raw is allocated once at its size; a caller
+ * that keeps @p scratch from line to line allocates nothing else for
+ * it.
  *
  * @throws ConfigError when the line cannot be rendered.
  */
-JsonlRecord jsonlRecordOf(const SweepResult &result);
+JsonlRecord jsonlRecordOf(const SweepResult &result,
+                          std::string &scratch);
 
 /**
  * Streaming reader over one shard JSONL file; skips blank lines.
@@ -83,7 +88,8 @@ class JsonlReader
     explicit JsonlReader(const std::string &path);
 
     /** The next record, or nullopt at end of file. @throws
-     *  ConfigError naming the file and line on a malformed line. */
+     *  ConfigError naming the file and line on a malformed line, with
+     *  the rule of the error that line raised. */
     std::optional<JsonlRecord> next();
 
     const std::string &path() const { return path_; }

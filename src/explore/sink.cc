@@ -139,36 +139,64 @@ TopKSink::finish()
 
 // ---------------------------------------------------------- JsonlSink
 
+void
+sweepResultToJsonl(const SweepResult &result, std::string &out)
+{
+    json::Writer w(out);
+    w.beginObject();
+    w.key("index");
+    w.number(static_cast<double>(result.index));
+    w.key("design");
+    w.string(result.designName);
+    w.key("feasible");
+    w.boolean(result.feasible);
+    if (!result.feasible) {
+        w.key("error");
+        w.string(result.error);
+        if (!result.ruleCode.empty()) {
+            w.key("ruleCode");
+            w.string(result.ruleCode);
+        }
+        w.endObject();
+        return;
+    }
+    w.key("frames");
+    w.number(result.frames);
+    w.key("frameEnergy");
+    w.number(result.report.total());
+    w.key("totalEnergy");
+    w.number(result.totalEnergy());
+    w.key("categories");
+    w.beginObject();
+    for (EnergyCategory cat : allEnergyCategories()) {
+        w.key(energyCategoryName(cat));
+        w.number(result.report.category(cat));
+    }
+    w.endObject();
+    if (result.snrPenaltyDb != 0.0) {
+        w.key("snrPenaltyDb");
+        w.number(result.snrPenaltyDb);
+    }
+    w.endObject();
+}
+
 std::string
 sweepResultToJsonl(const SweepResult &result)
 {
-    json::Value o = json::Value::makeObject();
-    o.set("index", json::Value(static_cast<int64_t>(result.index)));
-    o.set("design", json::Value(result.designName));
-    o.set("feasible", json::Value(result.feasible));
-    if (!result.feasible) {
-        o.set("error", json::Value(result.error));
-        if (!result.ruleCode.empty())
-            o.set("ruleCode", json::Value(result.ruleCode));
-        return o.dump(0);
-    }
-    o.set("frames", json::Value(result.frames));
-    o.set("frameEnergy", json::Value(result.report.total()));
-    o.set("totalEnergy", json::Value(result.totalEnergy()));
-    json::Value categories = json::Value::makeObject();
-    for (EnergyCategory cat : allEnergyCategories())
-        categories.set(energyCategoryName(cat),
-                       json::Value(result.report.category(cat)));
-    o.set("categories", std::move(categories));
-    if (result.snrPenaltyDb != 0.0)
-        o.set("snrPenaltyDb", json::Value(result.snrPenaltyDb));
-    return o.dump(0);
+    std::string line;
+    // A feasible line is about 320 bytes: one allocation holds it.
+    line.reserve(512);
+    sweepResultToJsonl(result, line);
+    return line;
 }
 
 bool
 JsonlSink::accept(SweepResult result)
 {
-    out_ << sweepResultToJsonl(result) << "\n";
+    line_.clear();
+    sweepResultToJsonl(result, line_);
+    line_ += '\n';
+    out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
     if (!out_)
         fatal("JsonlSink: write failed after %zu line(s)", written_);
     ++written_;

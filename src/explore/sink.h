@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "explore/sweep_result.h"
@@ -182,7 +183,18 @@ class JsonlSink : public ResultSink
   private:
     std::ostream &out_;
     size_t written_ = 0;
+    /** The line being written, reused from line to line. */
+    std::string line_;
 };
+
+/**
+ * Append @p result's JSONL line (no trailing newline) to @p out,
+ * written member by member through json::Writer. A sink that keeps
+ * one buffer renders every line without allocating once the buffer
+ * has grown. @throws ConfigError when a number is not finite; @p out
+ * then holds a partial line.
+ */
+void sweepResultToJsonl(const SweepResult &result, std::string &out);
 
 /** One result -> its JSONL line (no trailing newline). */
 std::string sweepResultToJsonl(const SweepResult &result);

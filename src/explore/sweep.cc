@@ -69,21 +69,43 @@ SweepEngine::effectiveThreads(size_t jobs) const
                           : 0);
 }
 
+namespace
+{
+
+/** A plain Simulator's outcome for @p point, materialized or not. */
+SimulationOutcome
+simulatePoint(const SimulationOptions &options,
+              const spec::SpecPoint &point)
+{
+    const Simulator simulator(options);
+    if (!point.built)
+        return simulator.run(point.spec);
+    if (!point.error)
+        return simulator.run(point.design());
+    try {
+        std::rethrow_exception(point.error);
+    } catch (const ConfigError &e) {
+        return failureOutcome(options, e.what(), e.code());
+    }
+}
+
+} // namespace
+
 SweepResult
-SweepEngine::evaluateOne(const spec::DesignSpec &spec, size_t index,
+SweepEngine::evaluateOne(const spec::SpecPoint &point, size_t index,
                          IncrementalEvaluator *evaluator) const
 {
     SweepResult r;
     r.index = index;
-    r.designName = spec.name;
+    r.designName = point.spec.name;
     // ConfigErrors are folded into the outcome by CheckMode::Report.
     // Anything else (InternalError, bad_alloc) is a CamJ bug; capture
     // it identically on the serial and parallel paths so the same
     // batch can never behave differently across thread counts.
     try {
         SimulationOutcome out = evaluator != nullptr
-                                    ? evaluator->evaluate(spec)
-                                    : Simulator(options_.sim).run(spec);
+                                    ? evaluator->evaluate(point)
+                                    : simulatePoint(options_.sim, point);
         r.feasible = out.feasible;
         r.error = std::move(out.error);
         r.ruleCode = std::move(out.ruleCode);
@@ -120,29 +142,34 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
     size_t next_index = 0; // guarded by source_mutex
     const bool concurrent = source.concurrentPulls();
 
-    // Pull one point off the source and stamp it with its stream
-    // index — the streaming equivalent of the old atomic vector
-    // cursor, generalized to any SpecSource. Sources that support
-    // concurrent pulls assign indices themselves off their own
-    // atomic cursor, so production never serializes; everything else
-    // is pulled under the source lock.
-    auto pull = [&](size_t &index) -> std::optional<spec::DesignSpec> {
-        std::optional<spec::DesignSpec> spec;
+    // Pull one point off the source into the worker's @p point and
+    // stamp it with its stream index — the streaming equivalent of
+    // the old atomic vector cursor, generalized to any SpecSource.
+    // Sources that support concurrent pulls assign indices themselves
+    // off their own atomic cursor, so production never serializes,
+    // and may hand the point over materialized (nextPoint);
+    // everything else is pulled under the source lock.
+    auto pull = [&](size_t &index, spec::SpecPoint &point) {
+        bool pulled = false;
         if (concurrent) {
             if (stop.load(std::memory_order_relaxed))
-                return std::nullopt;
-            spec = source.nextIndexed(index);
+                return false;
+            pulled = source.nextPoint(index, point);
         } else {
             std::lock_guard<std::mutex> lock(source_mutex);
             if (stop.load(std::memory_order_relaxed))
-                return std::nullopt;
-            spec = source.next();
-            if (spec)
+                return false;
+            std::optional<spec::DesignSpec> spec = source.next();
+            if (spec) {
                 index = next_index++;
+                point.spec = std::move(*spec);
+                point.built.reset();
+                pulled = true;
+            }
         }
-        if (spec)
+        if (pulled)
             produced.fetch_add(1, std::memory_order_relaxed);
-        return spec;
+        return pulled;
     };
 
     auto deliver = [&](SweepResult result) {
@@ -165,6 +192,9 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
         // IncrementalEvaluator, whose cycle-sim memo spans the points
         // THIS worker pulls.
         std::optional<IncrementalEvaluator> inc;
+        // The worker's point, kept across pulls so a source can
+        // rebuild the Design in it in place.
+        spec::SpecPoint point;
         // Anything escaping the source or the sink (a generator
         // throwing, a JsonlSink write failure) must not unwind a
         // std::thread — that would terminate the process. Capture
@@ -180,11 +210,10 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
                     break;
                 }
                 size_t index = 0;
-                std::optional<spec::DesignSpec> spec = pull(index);
-                if (!spec)
+                if (!pull(index, point))
                     break;
                 SweepResult result =
-                    evaluateOne(*spec, index, inc ? &*inc : nullptr);
+                    evaluateOne(point, index, inc ? &*inc : nullptr);
                 local_sim += result.simStats;
                 deliver(std::move(result));
             }
@@ -272,8 +301,11 @@ std::vector<SweepResult>
 SweepEngine::runSerial(const std::vector<spec::DesignSpec> &specs) const
 {
     std::vector<SweepResult> results(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i)
-        results[i] = evaluateOne(specs[i], i, nullptr);
+    spec::SpecPoint point;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        point.spec = specs[i];
+        results[i] = evaluateOne(point, i, nullptr);
+    }
     return results;
 }
 

@@ -147,7 +147,7 @@ class SweepEngine
 
     /** Evaluate one point through @p evaluator, or a plain Simulator
      *  when it is null. */
-    SweepResult evaluateOne(const spec::DesignSpec &spec, size_t index,
+    SweepResult evaluateOne(const spec::SpecPoint &point, size_t index,
                             IncrementalEvaluator *evaluator) const;
 };
 

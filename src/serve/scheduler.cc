@@ -114,12 +114,14 @@ class InboxSink : public ResultSink
 
     bool accept(SweepResult result) override
     {
-        wake_.deliver(jsonlRecordOf(result));
+        wake_.deliver(jsonlRecordOf(result, line_));
         return true;
     }
 
   private:
     MonitorWake &wake_;
+    /** The line being rendered, reused from line to line. */
+    std::string line_;
 };
 
 /** Fault injection: cancels the sweep (accept -> false) after a

@@ -415,12 +415,25 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
         }
         coords[a] = held;
     }
+    // Every point is the base with its axes' members and its name
+    // rewritten, so it is materialized from the base by redoing what
+    // those members feed. A base that does not build leaves every
+    // point on the whole path, which reports the failure per point.
+    pointMembers_ = specMemberBit("name");
+    for (const SpecMember *member : axisMembers_)
+        pointMembers_ |= specMemberBit(member->key);
+    try {
+        baseBuilt_ = std::make_shared<const MaterializedSpec>(baseSpec_);
+    } catch (const std::exception &) {
+        // baseBuilt_ stays null.
+    }
 }
 
 GridSpecSource::GridSpecSource(const GridSpecSource &other)
     : baseSpec_(other.baseSpec_), baseDoc_(other.baseDoc_),
       baseName_(other.baseName_), grid_(other.grid_),
       axisPaths_(other.axisPaths_), axisMembers_(other.axisMembers_),
+      baseBuilt_(other.baseBuilt_), pointMembers_(other.pointMembers_),
       total_(other.total_),
       cursor_(other.cursor_.load(std::memory_order_relaxed))
 {
@@ -510,6 +523,39 @@ GridSpecSource::at(size_t index) const
         appendAxisValue(name, *coords[a]);
     }
     return build(coords, std::move(name));
+}
+
+void
+GridSpecSource::pointAt(size_t index, SpecPoint &point) const
+{
+    point.spec = at(index);
+    if (!baseBuilt_) {
+        point.built.reset();
+        return;
+    }
+    // An earlier point of this source left every member outside
+    // pointMembers_ as the base has it.
+    if (!point.built)
+        point.built = *baseBuilt_;
+    // What spec.materialize() would throw is handed over, not thrown:
+    // the evaluator reports it as the whole path does.
+    point.error = nullptr;
+    try {
+        point.built->rebuild(point.spec, pointMembers_);
+    } catch (...) {
+        point.error = std::current_exception();
+    }
+}
+
+bool
+GridSpecSource::nextPoint(size_t &index, SpecPoint &point)
+{
+    const size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= total_)
+        return false;
+    index = i;
+    pointAt(i, point);
+    return true;
 }
 
 std::optional<DesignSpec>

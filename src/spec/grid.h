@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -156,9 +157,20 @@ SweepGrid gridFromJson(const json::Value &block);
  * text fromJsonValue would, because the written members lower in the
  * table's order and the others cannot fail.
  *
+ * A grid with axes also validates and materializes its lowered base
+ * once, at construction (MaterializedSpec). nextPoint() and pointAt()
+ * then hand a sweep worker each point materialized from it: the
+ * worker's SpecPoint holds a copy of the materialized base, and each
+ * point re-runs only the checks and parts that its axes' members and
+ * its name feed (MaterializedSpec::rebuild), so the point's Design, or
+ * the error it fails with, is the one spec.materialize() gives. When
+ * the base does not validate or materialize, points are handed over
+ * unmaterialized and take the whole path; so are the points of a grid
+ * without axes, which is materialized once, by its evaluator.
+ *
  * Supports concurrent pulls (sweep workers expand points in parallel
  * off an atomic cursor; workspaces are handed out under a mutex; the
- * lowered base is read-only after construction).
+ * lowered and materialized bases are read-only after construction).
  */
 class GridSpecSource : public IndexableSpecSource
 {
@@ -185,12 +197,15 @@ class GridSpecSource : public IndexableSpecSource
     std::optional<size_t> sizeHint() const override { return total_; }
     bool concurrentPulls() const override { return true; }
     std::optional<DesignSpec> nextIndexed(size_t &index) override;
+    bool nextPoint(size_t &index, SpecPoint &point) override;
 
     /** Rewind to the first point (not thread-safe). */
     void reset() { cursor_.store(0, std::memory_order_relaxed); }
 
     /** The spec of point @p index without advancing the stream. */
     DesignSpec at(size_t index) const override;
+    /** Point @p index, materialized from the base when there is one. */
+    void pointAt(size_t index, SpecPoint &point) const override;
     size_t totalPoints() const override { return total_; }
 
   private:
@@ -216,6 +231,12 @@ class GridSpecSource : public IndexableSpecSource
     /** The specMembers() entries the axis paths are rooted at, in
      *  table order: the only members a point re-lowers. */
     std::vector<const SpecMember *> axisMembers_;
+    /** baseSpec_ materialized, when the grid has axes and the base
+     *  validates and materializes; null otherwise. Shared by copies. */
+    std::shared_ptr<const MaterializedSpec> baseBuilt_;
+    /** The members a point may differ from baseSpec_ in: the axes'
+     *  root members and the name. */
+    SpecMemberMask pointMembers_ = 0;
     size_t total_ = 0;
     std::atomic<size_t> cursor_{0};
     mutable std::mutex poolMutex_;

@@ -430,11 +430,8 @@ Value::getString(std::string_view key,
 
 // ------------------------------------------------------------- writing
 
-namespace
-{
-
 void
-appendEscaped(std::string &out, const std::string &s)
+appendEscaped(std::string &out, std::string_view s)
 {
     out += '"';
     // Single pass: copy maximal runs of plain characters in one
@@ -484,6 +481,9 @@ appendNumber(std::string &out, double d)
                             std::chars_format::general, 17);
     out.append(buf, r.ptr);
 }
+
+namespace
+{
 
 void
 appendNewline(std::string &out, int indent, int depth)

@@ -59,6 +59,96 @@ uint64_t hashBytes(uint64_t h, const void *data, size_t len);
  *  nest about 8 deep); one level more is a CAMJ-E018 parse error. */
 inline constexpr int kMaxNestingDepth = 512;
 
+/**
+ * Append @p s to @p out as a quoted JSON string: quotes, backslashes
+ * and control bytes escaped, every other byte (UTF-8 included) as
+ * is. The one spelling of a string that Value::dump and Writer share.
+ */
+void appendEscaped(std::string &out, std::string_view s);
+
+/**
+ * Append @p d to @p out as a JSON number: an integer of magnitude
+ * below 9e15 without an exponent, anything else as %.17g, so a
+ * double reads back as itself. The one spelling of a number that
+ * Value::dump and Writer share.
+ *
+ * @throws ConfigError on a non-finite number.
+ */
+void appendNumber(std::string &out, double d);
+
+/**
+ * An append-only JSON writer into a caller-owned buffer: a document
+ * written member by member, with no Value tree in between (a sweep
+ * result line). Output is compact, with the bytes Value::dump(0)
+ * gives the same members. Keys are written as given, so a key must
+ * need no escaping: a literal or a fixed name.
+ */
+class Writer
+{
+  public:
+    /** Appends to @p out, which must outlive the writer. */
+    explicit Writer(std::string &out) : out_(out) {}
+
+    void beginObject() { open('{'); }
+    void endObject() { close('}'); }
+    void beginArray() { open('['); }
+    void endArray() { close(']'); }
+
+    /** The next member's key; @p plain needs no escaping. */
+    void key(std::string_view plain)
+    {
+        separate();
+        out_ += '"';
+        out_ += plain;
+        out_ += "\":";
+        first_ = true;
+    }
+
+    void number(double d)
+    {
+        separate();
+        appendNumber(out_, d);
+        first_ = false;
+    }
+
+    void boolean(bool b)
+    {
+        separate();
+        out_ += b ? "true" : "false";
+        first_ = false;
+    }
+
+    void string(std::string_view s)
+    {
+        separate();
+        appendEscaped(out_, s);
+        first_ = false;
+    }
+
+  private:
+    std::string &out_;
+    /** True where the next value needs no comma before it: after an
+     *  opening bracket or a key. */
+    bool first_ = true;
+
+    void separate()
+    {
+        if (!first_)
+            out_ += ',';
+    }
+    void open(char bracket)
+    {
+        separate();
+        out_ += bracket;
+        first_ = true;
+    }
+    void close(char bracket)
+    {
+        out_ += bracket;
+        first_ = false;
+    }
+};
+
 /** One JSON value; a tree of these represents a document. */
 class Value
 {

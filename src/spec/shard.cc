@@ -181,6 +181,17 @@ ShardSpecSource::nextIndexed(size_t &index)
     return parent_.at(assignment_.globalIndex(local));
 }
 
+bool
+ShardSpecSource::nextPoint(size_t &index, SpecPoint &point)
+{
+    const size_t local = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (local >= assignment_.count())
+        return false;
+    index = local;
+    parent_.pointAt(assignment_.globalIndex(local), point);
+    return true;
+}
+
 // ---------------------------------------------------------- descriptors
 
 namespace

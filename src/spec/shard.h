@@ -147,6 +147,9 @@ class ShardSpecSource : public SpecSource
     }
     bool concurrentPulls() const override { return true; }
     std::optional<DesignSpec> nextIndexed(size_t &index) override;
+    /** The parent's pointAt() of the next owned point, so a grid's
+     *  points keep their point path through a shard. */
+    bool nextPoint(size_t &index, SpecPoint &point) override;
 
     const ShardAssignment &assignment() const { return assignment_; }
 

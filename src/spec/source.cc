@@ -12,6 +12,24 @@ SpecSource::nextIndexed(size_t &)
           "not support concurrent pulls");
 }
 
+bool
+SpecSource::nextPoint(size_t &index, SpecPoint &point)
+{
+    std::optional<DesignSpec> spec = nextIndexed(index);
+    if (!spec)
+        return false;
+    point.spec = std::move(*spec);
+    point.built.reset();
+    return true;
+}
+
+void
+IndexableSpecSource::pointAt(size_t index, SpecPoint &point) const
+{
+    point.spec = at(index);
+    point.built.reset();
+}
+
 std::optional<DesignSpec>
 VectorSpecSource::next()
 {

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -25,6 +26,31 @@
 
 namespace camj::spec
 {
+
+/**
+ * One design point as a sweep worker holds it: the spec and, when the
+ * source built it, its materialization. A worker keeps one SpecPoint
+ * for all its pulls from one source (SpecSource::nextPoint), so the
+ * source can rebuild the Design held here in place instead of
+ * materializing every point from its spec. A SpecPoint serves one
+ * source: what a source left in it is meaningless to another.
+ */
+struct SpecPoint
+{
+    DesignSpec spec;
+    /**
+     * Set when the source materialized spec: then either error is
+     * null and design() is what spec.materialize() returns, or error
+     * holds what spec.materialize() throws. Empty: the evaluator
+     * materializes spec itself. The source's workspace: a copy of its
+     * materialized base, rebuilt in place for each point.
+     */
+    std::optional<MaterializedSpec> built;
+    std::exception_ptr error;
+
+    /** The Design; valid when built is set and error is null. */
+    const Design &design() const { return built->design(); }
+};
 
 /** A pull-based stream of design points. */
 class SpecSource
@@ -63,6 +89,18 @@ class SpecSource
     virtual std::optional<DesignSpec> nextIndexed(size_t &index);
 
     /**
+     * Pull the next point into @p point together with its stream
+     * index, as nextIndexed() does. A source that can materialize a
+     * point more cheaply than spec.materialize() does so here (see
+     * SpecPoint); the default pulls nextIndexed() and leaves the point
+     * unmaterialized. Only called when concurrentPulls() is true, and
+     * thread-safe as nextIndexed() is.
+     *
+     * @return false when the stream is done.
+     */
+    virtual bool nextPoint(size_t &index, SpecPoint &point);
+
+    /**
      * Always nullopt. Earlier evaluators took the spec field paths
      * that differ between two points as a re-run hint; none does
      * now, and this stays only so callers written against it (the
@@ -89,6 +127,10 @@ class IndexableSpecSource : public SpecSource
     /** The spec of point @p index without advancing the stream.
      *  Thread-safe. @throws ConfigError when out of range. */
     virtual DesignSpec at(size_t index) const = 0;
+
+    /** Point @p index into @p point, as nextPoint() fills it; the
+     *  default is at(index), unmaterialized. Thread-safe. */
+    virtual void pointAt(size_t index, SpecPoint &point) const;
 
     /** Total points the source covers (same value sizeHint()
      *  reports, but never unknown). */

@@ -1,7 +1,8 @@
 #include "spec/spec.h"
 
+#include <algorithm>
 #include <fstream>
-#include <set>
+#include <iterator>
 #include <sstream>
 
 #include "common/logging.h"
@@ -560,183 +561,6 @@ joinNames(const std::vector<std::string> &names)
     for (const std::string &n : names)
         out += (out.empty() ? "" : ", ") + n;
     return out;
-}
-
-// ------------------------------------------------------------ validation
-
-void
-DesignSpec::validate() const
-{
-    if (name.empty())
-        fatal(Rule::E001, "DesignSpec: empty design name");
-    if (fps <= 0.0)
-        fatal(Rule::E001, "DesignSpec %s: fps must be positive", name.c_str());
-    if (digitalClock <= 0.0)
-        fatal(Rule::E001, "DesignSpec %s: digital clock must be positive",
-              name.c_str());
-
-    // Stage names unique; producers resolve; arity matches.
-    std::set<std::string> stageNames;
-    for (const StageSpec &s : stages) {
-        if (s.params.name.empty())
-            fatal(Rule::E002, "DesignSpec %s: a stage has an empty name",
-                  name.c_str());
-        if (!stageNames.insert(s.params.name).second)
-            fatal(Rule::E002,
-                  "DesignSpec %s: duplicate stage '%s'", name.c_str(),
-                  s.params.name.c_str());
-    }
-    for (const StageSpec &s : stages) {
-        const int arity = stageOpArity(s.params.op);
-        if (static_cast<int>(s.inputs.size()) != arity)
-            fatal(Rule::E004,
-                  "DesignSpec %s: stage '%s' (%s) needs %d input(s), "
-                  "spec lists %zu", name.c_str(),
-                  s.params.name.c_str(), stageOpName(s.params.op),
-                  arity, s.inputs.size());
-        for (const std::string &in : s.inputs) {
-            if (!stageNames.count(in))
-                fatal(Rule::E003,
-                      "DesignSpec %s: stage '%s' reads unknown stage "
-                      "'%s'", name.c_str(), s.params.name.c_str(),
-                      in.c_str());
-        }
-    }
-
-    // Hardware names unique across every hardware class.
-    std::set<std::string> hwNames;
-    auto addHw = [&](const std::string &hw, const char *what) {
-        if (hw.empty())
-            fatal(Rule::E002, "DesignSpec %s: a %s has an empty name",
-                  name.c_str(), what);
-        if (!hwNames.insert(hw).second)
-            fatal(Rule::E002, "DesignSpec %s: duplicate hardware name '%s'",
-                  name.c_str(), hw.c_str());
-    };
-    std::set<std::string> memNames;
-    for (const AnalogArraySpec &a : analogArrays)
-        addHw(a.name, "analog array");
-    for (const MemorySpec &m : memories) {
-        addHw(m.name, "memory");
-        memNames.insert(m.name);
-    }
-    for (const UnitSpec &u : units)
-        addHw(u.name(), "digital unit");
-
-    // Wiring references resolve to memories. Errors name the exact
-    // spec field holding the dangling reference so a bad JSON document
-    // can be fixed without reading the materializer.
-    auto needMem = [&](const std::string &mem, const std::string &field) {
-        if (!memNames.count(mem)) {
-            fatal(Rule::E003,
-                  "DesignSpec %s: field '%s' references unknown memory "
-                  "'%s' (registered memories: %s)", name.c_str(),
-                  field.c_str(), mem.c_str(),
-                  joinNames({memNames.begin(), memNames.end()})
-                      .c_str());
-        }
-    };
-    for (const UnitSpec &u : units) {
-        for (size_t i = 0; i < u.inputMemories.size(); ++i)
-            needMem(u.inputMemories[i],
-                    "units['" + u.name() + "'].inputMemories[" +
-                        std::to_string(i) + "]");
-        for (size_t i = 0; i < u.outputMemories.size(); ++i)
-            needMem(u.outputMemories[i],
-                    "units['" + u.name() + "'].outputMemories[" +
-                        std::to_string(i) + "]");
-    }
-    if (!adcOutputMemory.empty())
-        needMem(adcOutputMemory, "adcOutputMemory");
-
-    // Mapping targets exist; no stage mapped twice.
-    std::set<std::string> mapped;
-    for (const auto &[stage, hw] : mapping) {
-        if (!stageNames.count(stage))
-            fatal(Rule::E003,
-                  "DesignSpec %s: field 'mapping' references unknown "
-                  "stage '%s'", name.c_str(), stage.c_str());
-        if (!hwNames.count(hw)) {
-            fatal(Rule::E003,
-                  "DesignSpec %s: field 'mapping[\"%s\"]' targets "
-                  "unknown hardware '%s' (registered hardware: %s)",
-                  name.c_str(), stage.c_str(), hw.c_str(),
-                  joinNames({hwNames.begin(), hwNames.end()}).c_str());
-        }
-        if (!mapped.insert(stage).second)
-            fatal(Rule::E008,
-                  "DesignSpec %s: field 'mapping' lists stage '%s' "
-                  "twice", name.c_str(), stage.c_str());
-    }
-}
-
-// --------------------------------------------------------- materialize
-
-Design
-DesignSpec::materialize() const
-{
-    validate();
-
-    Design d(DesignParams{name, fps, digitalClock});
-
-    // Algorithm DAG. Stage order defines StageIds and the topological
-    // tiebreak, so spec order is preserved exactly.
-    SwGraph &sw = d.sw();
-    for (const StageSpec &s : stages)
-        sw.addStage(s.params);
-    for (const StageSpec &s : stages) {
-        StageId consumer = sw.findStage(s.params.name);
-        for (const std::string &in : s.inputs)
-            sw.connect(sw.findStage(in), consumer);
-    }
-
-    // Hardware, in declaration order (= analog chain / report order).
-    for (const AnalogArraySpec &a : analogArrays) {
-        AnalogArrayParams p;
-        p.name = a.name;
-        p.layer = a.layer;
-        p.numComponents = a.numComponents;
-        p.inputShape = a.inputShape;
-        p.outputShape = a.outputShape;
-        p.componentArea = a.componentArea;
-        d.addAnalogArray(AnalogArray(p, a.component.instantiate()),
-                         a.role);
-    }
-    for (const MemorySpec &m : memories)
-        d.addMemory(m.instantiate());
-    for (const UnitSpec &u : units) {
-        if (u.kind == UnitKind::Pipeline)
-            d.addComputeUnit(ComputeUnit(u.pipeline));
-        else
-            d.addSystolicArray(SystolicArray(u.systolic));
-    }
-
-    if (!adcOutputMemory.empty())
-        d.setAdcOutput(adcOutputMemory);
-    for (const UnitSpec &u : units) {
-        for (const std::string &m : u.inputMemories)
-            d.connectMemoryToUnit(m, u.name());
-        for (const std::string &m : u.outputMemories)
-            d.connectUnitToMemory(u.name(), m);
-    }
-
-    if (mipi.present) {
-        d.setMipi(makeMipiCsi2(mipi.energyPerByte > 0.0
-                                   ? mipi.energyPerByte
-                                   : mipiDefaultEnergyPerByte));
-    }
-    if (tsv.present) {
-        d.setTsv(makeMicroTsv(tsv.energyPerByte > 0.0
-                                  ? tsv.energyPerByte
-                                  : tsvDefaultEnergyPerByte));
-    }
-    if (pipelineOutputBytes >= 0)
-        d.setPipelineOutputBytes(pipelineOutputBytes);
-
-    for (const auto &[stage, hw] : mapping)
-        d.mapping().map(stage, hw);
-
-    return d;
 }
 
 // -------------------------------------------------------- serialization
@@ -1324,6 +1148,500 @@ fromJsonValue(const Value &o)
     for (const SpecMember &member : kSpecMembers)
         member.lower(o, spec);
     return spec;
+}
+
+// ------------------------------------------------- validate, materialize
+
+namespace
+{
+
+/** The bit of the member-table entry named @p key; a key the table
+ *  lacks is not a constant expression, so a misspelt read does not
+ *  compile. */
+constexpr SpecMemberMask
+memberBit(std::string_view key)
+{
+    for (size_t i = 0; i < std::size(kSpecMembers); ++i) {
+        if (key == kSpecMembers[i].key)
+            return SpecMemberMask{1} << i;
+    }
+    throw ConfigError("spec: no member table entry for this key");
+}
+
+constexpr SpecMemberMask kName = memberBit("name");
+constexpr SpecMemberMask kFps = memberBit("fps");
+constexpr SpecMemberMask kClock = memberBit("digitalClock");
+constexpr SpecMemberMask kStages = memberBit("stages");
+constexpr SpecMemberMask kAnalog = memberBit("analogArrays");
+constexpr SpecMemberMask kMemories = memberBit("memories");
+constexpr SpecMemberMask kUnits = memberBit("units");
+constexpr SpecMemberMask kAdcMemory = memberBit("adcOutputMemory");
+constexpr SpecMemberMask kMipi = memberBit("mipi");
+constexpr SpecMemberMask kTsv = memberBit("tsv");
+constexpr SpecMemberMask kOutputBytes = memberBit("pipelineOutputBytes");
+constexpr SpecMemberMask kMapping = memberBit("mapping");
+constexpr SpecMemberMask kEveryMember =
+    (SpecMemberMask{1} << std::size(kSpecMembers)) - 1;
+
+// The results a later routine reads, one bit each above the members.
+constexpr SpecMemberMask kProducers = kEveryMember + 1;
+constexpr SpecMemberMask kWiring = kProducers << 1;
+constexpr SpecMemberMask kUnitParts = kProducers << 2;
+static_assert(std::size(kSpecMembers) + 3 <= 32);
+
+/** The hardware names of a spec as one sequence: analog arrays, then
+ *  memories, then units (the order validation reports them in). */
+struct Hardware
+{
+    const std::vector<AnalogArraySpec> &analog;
+    const std::vector<MemorySpec> &memories;
+    const std::vector<UnitSpec> &units;
+
+    size_t size() const
+    {
+        return analog.size() + memories.size() + units.size();
+    }
+
+    const std::string &name(size_t i) const
+    {
+        if (i < analog.size())
+            return analog[i].name;
+        i -= analog.size();
+        if (i < memories.size())
+            return memories[i].name;
+        return units[i - memories.size()].name();
+    }
+
+    const char *kind(size_t i) const
+    {
+        if (i < analog.size())
+            return "analog array";
+        return i < analog.size() + memories.size() ? "memory"
+                                                   : "digital unit";
+    }
+
+    /** Index of the first name equal to @p hw, or size(). */
+    size_t find(const std::string &hw) const
+    {
+        for (size_t i = 0; i < size(); ++i) {
+            if (name(i) == hw)
+                return i;
+        }
+        return size();
+    }
+};
+
+/** Every name in @p names sorted and joined, as the "registered ..."
+ *  lists spell them. */
+std::string
+sortedNames(std::vector<std::string> names)
+{
+    std::sort(names.begin(), names.end());
+    return joinNames(names);
+}
+
+/** Index of the stage named @p name; -1 for none. */
+int
+stageIndex(const std::vector<StageSpec> &stages, const std::string &name)
+{
+    for (size_t i = 0; i < stages.size(); ++i) {
+        if (stages[i].params.name == name)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+/** Index of the memory named @p name; -1 for none. */
+int
+memoryIndex(const std::vector<MemorySpec> &memories,
+            const std::string &name)
+{
+    for (size_t i = 0; i < memories.size(); ++i) {
+        if (memories[i].name == name)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+// The checks. @p design only labels a message.
+
+void
+checkName(const std::string &name)
+{
+    if (name.empty())
+        fatal(Rule::E001, "DesignSpec: empty design name");
+}
+
+void
+checkFps(const std::string &design, double fps)
+{
+    if (fps <= 0.0)
+        fatal(Rule::E001, "DesignSpec %s: fps must be positive",
+              design.c_str());
+}
+
+void
+checkClock(const std::string &design, Frequency clock)
+{
+    if (clock <= 0.0)
+        fatal(Rule::E001, "DesignSpec %s: digital clock must be positive",
+              design.c_str());
+}
+
+/** Stage names are non-empty and unique. */
+void
+checkStageNames(const std::string &design,
+                const std::vector<StageSpec> &stages)
+{
+    for (size_t i = 0; i < stages.size(); ++i) {
+        const std::string &stage = stages[i].params.name;
+        if (stage.empty())
+            fatal(Rule::E002, "DesignSpec %s: a stage has an empty name",
+                  design.c_str());
+        if (stageIndex(stages, stage) != static_cast<int>(i))
+            fatal(Rule::E002, "DesignSpec %s: duplicate stage '%s'",
+                  design.c_str(), stage.c_str());
+    }
+}
+
+/** Each stage lists its arity of producers, and each resolves. */
+void
+resolveProducers(const std::string &design,
+                 const std::vector<StageSpec> &stages,
+                 std::vector<std::vector<StageId>> &producers)
+{
+    producers.resize(stages.size());
+    for (size_t i = 0; i < stages.size(); ++i) {
+        const StageSpec &s = stages[i];
+        const int arity = stageOpArity(s.params.op);
+        if (static_cast<int>(s.inputs.size()) != arity)
+            fatal(Rule::E004,
+                  "DesignSpec %s: stage '%s' (%s) needs %d input(s), "
+                  "spec lists %zu", design.c_str(),
+                  s.params.name.c_str(), stageOpName(s.params.op),
+                  arity, s.inputs.size());
+        producers[i].clear();
+        for (const std::string &in : s.inputs) {
+            const int producer = stageIndex(stages, in);
+            if (producer < 0)
+                fatal(Rule::E003,
+                      "DesignSpec %s: stage '%s' reads unknown stage "
+                      "'%s'", design.c_str(), s.params.name.c_str(),
+                      in.c_str());
+            producers[i].push_back(producer);
+        }
+    }
+}
+
+/** Hardware names are non-empty and unique across every class. */
+void
+checkHardwareNames(const std::string &design, const Hardware &hw)
+{
+    for (size_t i = 0; i < hw.size(); ++i) {
+        const std::string &name = hw.name(i);
+        if (name.empty())
+            fatal(Rule::E002, "DesignSpec %s: a %s has an empty name",
+                  design.c_str(), hw.kind(i));
+        if (hw.find(name) != i)
+            fatal(Rule::E002,
+                  "DesignSpec %s: duplicate hardware name '%s'",
+                  design.c_str(), name.c_str());
+    }
+}
+
+/** Unit ports and the ADC output resolve to memories. Errors name the
+ *  exact spec field holding the dangling reference, so a bad JSON
+ *  document can be fixed without reading the materializer. */
+void
+resolveWiring(const std::string &design,
+              const std::vector<MemorySpec> &memories,
+              const std::vector<UnitSpec> &units,
+              const std::string &adc_memory, ResolvedNames &names)
+{
+    auto need = [&](const std::string &mem, auto &&field) {
+        const int index = memoryIndex(memories, mem);
+        if (index < 0) {
+            std::vector<std::string> registered;
+            for (const MemorySpec &m : memories)
+                registered.push_back(m.name);
+            fatal(Rule::E003,
+                  "DesignSpec %s: field '%s' references unknown memory "
+                  "'%s' (registered memories: %s)", design.c_str(),
+                  field().c_str(), mem.c_str(),
+                  sortedNames(std::move(registered)).c_str());
+        }
+        return index;
+    };
+    auto port = [](const UnitSpec &u, const char *side, size_t i) {
+        return [&u, side, i] {
+            return "units['" + u.name() + "']." + side + "[" +
+                   std::to_string(i) + "]";
+        };
+    };
+    names.unitInputs.resize(units.size());
+    names.unitOutputs.resize(units.size());
+    for (size_t u = 0; u < units.size(); ++u) {
+        const UnitSpec &unit = units[u];
+        names.unitInputs[u].clear();
+        for (size_t i = 0; i < unit.inputMemories.size(); ++i)
+            names.unitInputs[u].push_back(
+                need(unit.inputMemories[i], port(unit, "inputMemories", i)));
+        names.unitOutputs[u].clear();
+        for (size_t i = 0; i < unit.outputMemories.size(); ++i)
+            names.unitOutputs[u].push_back(need(
+                unit.outputMemories[i], port(unit, "outputMemories", i)));
+    }
+    names.adcMemory = -1;
+    if (!adc_memory.empty())
+        names.adcMemory = need(adc_memory, [] {
+            return std::string("adcOutputMemory");
+        });
+}
+
+/** Mapping targets exist; no stage is mapped twice. */
+void
+checkMapping(const std::string &design,
+             const std::vector<std::pair<std::string, std::string>> &mapping,
+             const std::vector<StageSpec> &stages, const Hardware &hw)
+{
+    for (size_t i = 0; i < mapping.size(); ++i) {
+        const auto &[stage, target] = mapping[i];
+        if (stageIndex(stages, stage) < 0)
+            fatal(Rule::E003,
+                  "DesignSpec %s: field 'mapping' references unknown "
+                  "stage '%s'", design.c_str(), stage.c_str());
+        if (hw.find(target) == hw.size()) {
+            std::vector<std::string> registered;
+            for (size_t h = 0; h < hw.size(); ++h)
+                registered.push_back(hw.name(h));
+            fatal(Rule::E003,
+                  "DesignSpec %s: field 'mapping[\"%s\"]' targets "
+                  "unknown hardware '%s' (registered hardware: %s)",
+                  design.c_str(), stage.c_str(), target.c_str(),
+                  sortedNames(std::move(registered)).c_str());
+        }
+        for (size_t j = 0; j < i; ++j) {
+            if (mapping[j].first == stage)
+                fatal(Rule::E008,
+                      "DesignSpec %s: field 'mapping' lists stage '%s' "
+                      "twice", design.c_str(), stage.c_str());
+        }
+    }
+}
+
+/** One check of validate(): the members and results it reads, the
+ *  result it writes (0 for none), and the call, which passes the
+ *  routine exactly those reads. */
+struct Check
+{
+    SpecMemberMask reads;
+    SpecMemberMask writes;
+    void (*run)(const DesignSpec &spec, ResolvedNames &names);
+};
+
+/** validate()'s checks in order; the design name only labels. */
+constexpr Check kChecks[] = {
+    {kName, 0,
+     [](const DesignSpec &s, ResolvedNames &) { checkName(s.name); }},
+    {kFps, 0,
+     [](const DesignSpec &s, ResolvedNames &) { checkFps(s.name, s.fps); }},
+    {kClock, 0,
+     [](const DesignSpec &s, ResolvedNames &) {
+         checkClock(s.name, s.digitalClock);
+     }},
+    {kStages, 0,
+     [](const DesignSpec &s, ResolvedNames &) {
+         checkStageNames(s.name, s.stages);
+     }},
+    {kStages, kProducers,
+     [](const DesignSpec &s, ResolvedNames &n) {
+         resolveProducers(s.name, s.stages, n.producers);
+     }},
+    {kAnalog | kMemories | kUnits, 0,
+     [](const DesignSpec &s, ResolvedNames &) {
+         checkHardwareNames(s.name,
+                            {s.analogArrays, s.memories, s.units});
+     }},
+    {kMemories | kUnits | kAdcMemory, kWiring,
+     [](const DesignSpec &s, ResolvedNames &n) {
+         resolveWiring(s.name, s.memories, s.units, s.adcOutputMemory, n);
+     }},
+    {kMapping | kStages | kAnalog | kMemories | kUnits, 0,
+     [](const DesignSpec &s, ResolvedNames &) {
+         checkMapping(s.name, s.mapping, s.stages,
+                      {s.analogArrays, s.memories, s.units});
+     }},
+};
+
+/** Run the checks @p dirty reaches, in order; @return @p dirty with
+ *  the results they rewrote. */
+SpecMemberMask
+runChecks(const DesignSpec &spec, ResolvedNames &names,
+          SpecMemberMask dirty)
+{
+    for (const Check &check : kChecks) {
+        if ((check.reads & dirty) != 0) {
+            check.run(spec, names);
+            dirty |= check.writes;
+        }
+    }
+    return dirty;
+}
+
+/** Make @p out the elements @p make builds from @p in, in order,
+ *  assigning over the slots @p out already has. */
+template <typename T, typename S, typename Make>
+void
+rebuildEach(std::vector<T> &out, const std::vector<S> &in, Make make)
+{
+    if (out.size() > in.size())
+        out.erase(out.begin() + static_cast<std::ptrdiff_t>(in.size()),
+                  out.end());
+    for (size_t i = 0; i < in.size(); ++i) {
+        if (i < out.size())
+            out[i] = make(in[i]);
+        else
+            out.push_back(make(in[i]));
+    }
+}
+
+} // namespace
+
+SpecMemberMask
+specMemberBit(std::string_view key)
+{
+    return memberBit(key);
+}
+
+void
+DesignSpec::validate() const
+{
+    ResolvedNames names;
+    runChecks(*this, names, kEveryMember);
+}
+
+Design
+DesignSpec::materialize() const
+{
+    return MaterializedSpec(*this).release();
+}
+
+MaterializedSpec::MaterializedSpec(const DesignSpec &spec)
+{
+    rebuild(spec, kEveryMember);
+}
+
+void
+MaterializedSpec::rebuild(const DesignSpec &spec, SpecMemberMask changed)
+{
+    buildParts(spec, runChecks(spec, names_, changed));
+}
+
+void
+MaterializedSpec::buildParts(const DesignSpec &spec, SpecMemberMask dirty)
+{
+    // The parts of the Design in the order the engine registers them
+    // (stage order defines StageIds and the topological tiebreak;
+    // hardware order is the analog chain and report order). The
+    // checks above made every name unique and every reference
+    // resolve, so no part repeats a name check or lookup.
+    struct Part
+    {
+        SpecMemberMask reads;
+        SpecMemberMask writes;
+        void (*run)(const DesignSpec &spec, const ResolvedNames &names,
+                    Design &d);
+    };
+    static constexpr Part kParts[] = {
+        {kName | kFps | kClock, 0,
+         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
+             d.params_.name = s.name;
+             d.params_.fps = s.fps;
+             d.params_.digitalClock = s.digitalClock;
+         }},
+        {kStages | kProducers, 0,
+         [](const DesignSpec &s, const ResolvedNames &n, Design &d) {
+             d.sw_ = SwGraph();
+             for (const StageSpec &stage : s.stages)
+                 d.sw_.addStage(stage.params);
+             for (size_t i = 0; i < n.producers.size(); ++i) {
+                 for (StageId producer : n.producers[i])
+                     d.sw_.connect(producer, static_cast<StageId>(i));
+             }
+         }},
+        {kAnalog, 0,
+         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
+             rebuildEach(d.analog_, s.analogArrays,
+                         [](const AnalogArraySpec &a) {
+                 AnalogArrayParams p;
+                 p.name = a.name;
+                 p.layer = a.layer;
+                 p.numComponents = a.numComponents;
+                 p.inputShape = a.inputShape;
+                 p.outputShape = a.outputShape;
+                 p.componentArea = a.componentArea;
+                 return Design::AnalogEntry{
+                     AnalogArray(p, a.component.instantiate()), a.role};
+             });
+         }},
+        {kMemories, 0,
+         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
+             rebuildEach(d.mems_, s.memories, [](const MemorySpec &m) {
+                 return m.instantiate();
+             });
+         }},
+        {kUnits, kUnitParts,
+         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
+             rebuildEach(d.units_, s.units, [](const UnitSpec &u) {
+                 if (u.kind == UnitKind::Pipeline)
+                     return Design::UnitEntry{ComputeUnit(u.pipeline), {},
+                                              {}};
+                 return Design::UnitEntry{SystolicArray(u.systolic), {},
+                                          {}};
+             });
+         }},
+        {kWiring | kUnitParts, 0,
+         [](const DesignSpec &, const ResolvedNames &n, Design &d) {
+             d.adcOutputMem_ = n.adcMemory;
+             for (size_t u = 0; u < d.units_.size(); ++u) {
+                 d.units_[u].inputMems = n.unitInputs[u];
+                 d.units_[u].outputMems = n.unitOutputs[u];
+             }
+         }},
+        {kMipi, 0,
+         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
+             d.mipi_.reset();
+             if (s.mipi.present)
+                 d.mipi_ = makeMipiCsi2(s.mipi.energyPerByte > 0.0
+                                            ? s.mipi.energyPerByte
+                                            : mipiDefaultEnergyPerByte);
+         }},
+        {kTsv, 0,
+         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
+             d.tsv_.reset();
+             if (s.tsv.present)
+                 d.tsv_ = makeMicroTsv(s.tsv.energyPerByte > 0.0
+                                           ? s.tsv.energyPerByte
+                                           : tsvDefaultEnergyPerByte);
+         }},
+        {kOutputBytes, 0,
+         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
+             d.outputBytesOverride_ =
+                 s.pipelineOutputBytes >= 0 ? s.pipelineOutputBytes : -1;
+         }},
+        {kMapping, 0,
+         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
+             d.mapping_ = Mapping();
+             for (const auto &[stage, hw] : s.mapping)
+                 d.mapping_.map(stage, hw);
+         }},
+    };
+    for (const Part &part : kParts) {
+        if ((part.reads & dirty) != 0) {
+            part.run(spec, names_, design_);
+            dirty |= part.writes;
+        }
+    }
 }
 
 DesignSpec

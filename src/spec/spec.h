@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -290,18 +291,96 @@ struct DesignSpec
     /**
      * Structural validation without building anything: unique names,
      * edge/wiring references resolve, mapping targets exist. The
-     * deeper physics checks still run inside simulate().
+     * deeper physics checks still run inside simulate(). Every check
+     * of MaterializedSpec, in order.
      *
      * @throws ConfigError describing the first violation.
      */
     void validate() const;
 
     /**
-     * Lower onto the imperative Design engine.
+     * Lower onto the imperative Design engine: MaterializedSpec's
+     * whole path, every check and then every part.
      *
      * @throws ConfigError on any invalid parameter or reference.
      */
     Design materialize() const;
+};
+
+// ------------------------------------------------------- materialization
+
+/** One bit per specMembers() entry, in table order. */
+using SpecMemberMask = uint32_t;
+
+/** The bit of the specMembers() entry named @p key.
+ *  @throws ConfigError for a key the table lacks. */
+SpecMemberMask specMemberBit(std::string_view key);
+
+/**
+ * The name references of a spec that validation resolves to indices,
+ * so the Design parts that wire by them look nothing up by name.
+ */
+struct ResolvedNames
+{
+    /** Per stage, its producers' stage indices in operand order. */
+    std::vector<std::vector<StageId>> producers;
+    /** Per unit, the memory indices of its input ports in port order,
+     *  and of its outputs. */
+    std::vector<std::vector<int>> unitInputs;
+    std::vector<std::vector<int>> unitOutputs;
+    /** The ADC output memory's index; -1 for none. */
+    int adcMemory = -1;
+};
+
+/**
+ * A spec validated and lowered onto a Design, kept so that a spec
+ * which differs from it in a few members is materialized by redoing
+ * only what those members feed.
+ *
+ * validate() and materialize() are two ordered lists of routines:
+ * the checks, which also resolve names to indices (ResolvedNames),
+ * and then the parts of the Design. Each routine takes only the spec
+ * members and earlier results it reads, plus the design name, which
+ * only labels its messages (no verdict depends on it), and its table
+ * entry names those reads. The whole path runs every routine.
+ * rebuild() runs the routines whose reads an edit reaches, in the
+ * same order: every other routine reads what it read before, so its
+ * check passes again and its part stands, and the first error
+ * rebuild() meets is the one the whole path throws.
+ */
+class MaterializedSpec
+{
+  public:
+    /** Validate and materialize @p spec: every routine in order.
+     *  @throws ConfigError, the one spec.materialize() throws. */
+    explicit MaterializedSpec(const DesignSpec &spec);
+
+    /** spec.materialize() of the spec last built. */
+    const Design &design() const { return design_; }
+
+    /** Move the Design out. */
+    Design release() && { return std::move(design_); }
+
+    /**
+     * Rebuild in place for @p spec, which differs from every spec
+     * this was built or rebuilt for only in the members of
+     * @p changed: run the routines those members reach, in order.
+     * design() then equals spec.materialize(), and a spec that fails
+     * throws what spec.materialize() throws. After a throw, design()
+     * is unspecified until a rebuild with the same @p changed
+     * succeeds, since that reruns every routine the failed one left
+     * undone.
+     *
+     * @throws ConfigError.
+     */
+    void rebuild(const DesignSpec &spec, SpecMemberMask changed);
+
+  private:
+    Design design_;
+    ResolvedNames names_;
+
+    /** Build the parts of design_ that @p dirty reaches, in order. */
+    void buildParts(const DesignSpec &spec, SpecMemberMask dirty);
 };
 
 // ---------------------------------------------------------- diagnostics

@@ -37,9 +37,11 @@
 
 #include "common/logging.h"
 #include "core/report.h"
+#include "explore/sink.h"
 #include "explore/sweep.h"
 #include "spec/grid.h"
 #include "spec/json.h"
+#include "spec/shard.h"
 #include "study_fixture.h"
 #include "usecases/edgaze.h"
 #include "usecases/rhythmic.h"
@@ -432,6 +434,63 @@ TEST(GoldenRegistry, NoStrayGoldenFixtures)
             << " has no study in allPaperStudies() — delete it (or "
                "re-add the study)";
     }
+}
+
+// ------------------------------------------------ pinned JSONL bytes
+
+/** The JSONL `camj_sweep run` writes for the document at @p path: one
+ *  shard, through runShard on @p threads workers. */
+std::string
+runShardJsonl(const std::string &path, int threads)
+{
+    std::string text;
+    EXPECT_TRUE(readFile(path, text)) << path;
+    const json::Value doc = json::Value::parse(text);
+    const spec::SweepDocument sweep = spec::sweepDocumentFromJson(doc);
+    const spec::GridSpecSource grid(sweep.base, sweep.grid);
+    std::ostringstream out;
+    JsonlSink lines(out);
+    runShard(grid, spec::documentShard(doc, grid.totalPoints()), threads,
+             SimulationOptions{}, lines);
+    return out.str();
+}
+
+TEST(JsonlHashes, RunShardWritesThePinnedBytes)
+{
+    // Each line of jsonl_hashes.txt is the FNV-1a 64 and size of the
+    // bytes one document's run wrote when the file was made: an
+    // oracle outside the writer and the point path, so a drift in a
+    // routine the tree renderer and json::Writer share still shows.
+    namespace fs = std::filesystem;
+    const fs::path root = fs::path(goldenDir()).parent_path().parent_path();
+    std::string table;
+    ASSERT_TRUE(readFile(goldenDir() + "/jsonl_hashes.txt", table));
+    std::istringstream rows(table);
+    std::string row;
+    size_t documents = 0;
+    while (std::getline(rows, row)) {
+        if (row.empty() || row[0] == '#')
+            continue;
+        std::istringstream fields(row);
+        std::string hash, path;
+        size_t bytes = 0;
+        ASSERT_TRUE(fields >> hash >> bytes >> path) << row;
+        ++documents;
+        for (const int threads : {1, 4}) {
+            const std::string jsonl =
+                runShardJsonl((root / path).string(), threads);
+            char got[17];
+            std::snprintf(got, sizeof got, "%016llx",
+                          static_cast<unsigned long long>(json::hashBytes(
+                              json::kHashSeed, jsonl.data(),
+                              jsonl.size())));
+            EXPECT_EQ(got, hash) << path << " at --threads " << threads;
+            EXPECT_EQ(jsonl.size(), bytes)
+                << path << " at --threads " << threads;
+        }
+    }
+    // The example sweep and every golden study.
+    EXPECT_EQ(documents, studies().size() + 1);
 }
 
 // ------------------------------- negative diagnostics (per study)

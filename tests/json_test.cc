@@ -526,6 +526,68 @@ TEST(JsonWriter, NumbersPrintLikePrintf)
     EXPECT_EQ(mismatches, 0u) << "of " << numbers.size() << " numbers";
 }
 
+TEST(JsonWriter, WritesTheBytesOfTheTreeItMirrors)
+{
+    // Nested objects and arrays, empty ones, every scalar kind, and
+    // strings that need every escape, written member by member and
+    // built as a tree: the same bytes, appended after what the buffer
+    // held.
+    const std::string texts[] = {
+        "", "plain", "det \"q\" \\ \xc3\xa9\x01",
+        std::string("nul\0byte", 8), "\n\t\r\b\f\x1f\x7f",
+        "\xf0\x9f\x93\xb7 {}/[]"};
+    const double numbers[] = {0.0, -0.0, 5e-324, -2.5,
+                              9007199254740993.0, 9e15, 0.1, 1e300};
+    std::string out = "kept|";
+    json::Writer w(out);
+    Value tree = Value::makeObject();
+    w.beginObject();
+    w.key("texts");
+    w.beginArray();
+    Value text_array = Value::makeArray();
+    for (const std::string &t : texts) {
+        w.string(t);
+        text_array.push(Value(t));
+    }
+    w.endArray();
+    tree.set("texts", std::move(text_array));
+    w.key("numbers");
+    w.beginObject();
+    Value number_object = Value::makeObject();
+    for (size_t i = 0; i < std::size(numbers); ++i) {
+        const std::string key = "n" + std::to_string(i);
+        w.key(key);
+        w.number(numbers[i]);
+        number_object.set(key, Value(numbers[i]));
+    }
+    w.endObject();
+    tree.set("numbers", std::move(number_object));
+    w.key("flags");
+    w.beginArray();
+    w.boolean(true);
+    w.beginArray();
+    w.endArray();
+    w.beginObject();
+    w.endObject();
+    w.boolean(false);
+    w.endArray();
+    Value flags = Value::makeArray();
+    flags.push(Value(true));
+    flags.push(Value::makeArray());
+    flags.push(Value::makeObject());
+    flags.push(Value(false));
+    tree.set("flags", std::move(flags));
+    w.endObject();
+    EXPECT_EQ(out, "kept|" + tree.dump(0));
+
+    std::string bad;
+    json::Writer nonfinite(bad);
+    EXPECT_THROW(
+        nonfinite.number(std::numeric_limits<double>::infinity()),
+        ConfigError);
+    EXPECT_THROW(nonfinite.number(std::nan("")), ConfigError);
+}
+
 TEST(JsonNumbers, MalformedAndOutOfRangeNumbersKeepTheirTexts)
 {
     const struct

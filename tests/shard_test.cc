@@ -524,7 +524,36 @@ TEST(ShardMerge, NamesFileAndLineOnMalformedInput)
         EXPECT_NE(std::string(e.what()).find("bad.jsonl:2"),
                   std::string::npos)
             << e.what();
+        // The parser's rule, not the uncoded CAMJ-D003.
+        EXPECT_STREQ(e.code(), "CAMJ-E018") << e.what();
     }
+
+    // An index that is not an integer is refused, not rounded: 0.6
+    // used to merge as index 1 and re-emit its raw "index":0.6 bytes.
+    const std::string fractional =
+        "{\"index\":0,\"design\":\"a\",\"feasible\":false}\n"
+        "{\"index\":0.6,\"design\":\"b\",\"feasible\":false}\n";
+    writeFile(dir / "fractional.jsonl", fractional);
+    JsonlReader frac((dir / "fractional.jsonl").string());
+    EXPECT_TRUE(frac.next().has_value());
+    try {
+        frac.next();
+        FAIL() << "fractional index not detected";
+    } catch (const ConfigError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("fractional.jsonl:2"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("index 0.6 is not an integer"),
+                  std::string::npos)
+            << what;
+        EXPECT_STREQ(e.code(), "CAMJ-E018") << what;
+    }
+    std::ostringstream merged;
+    EXPECT_THROW(mergeShardFiles({(dir / "fractional.jsonl").string()},
+                                 merged, 5, 2),
+                 ConfigError);
+    EXPECT_THROW(parseJsonlLine("{\"index\":1.5}"), ConfigError);
+    EXPECT_EQ(parseJsonlLine("{\"index\":1e0}").index, 1u);
 }
 
 // -------------------------------------------------- explicit + resume

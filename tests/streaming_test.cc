@@ -453,16 +453,17 @@ oraclePoint(const spec::DesignSpec &base, const spec::SweepGrid &grid,
     return spec::fromJsonValue(doc);
 }
 
-/** The JSONL line a sweep streams for @p spec, evaluated by a
- *  one-frame Simulator::run: the point as the engine sees it, beside
- *  its serialized bytes. */
+/** The JSONL line a sweep streams for @p spec as point @p index,
+ *  evaluated by a one-frame Simulator::run: the whole path (validate,
+ *  materialize, the stages), beside its serialized bytes. */
 std::string
-simulatedLine(const spec::DesignSpec &spec)
+simulatedLine(const spec::DesignSpec &spec, size_t index = 0)
 {
     SimulationOptions options;
     options.checkMode = CheckMode::Report;
     SimulationOutcome out = Simulator(options).run(spec);
     SweepResult r;
+    r.index = index;
     r.designName = spec.name;
     r.feasible = out.feasible;
     r.error = std::move(out.error);
@@ -473,13 +474,50 @@ simulatedLine(const spec::DesignSpec &spec)
     return sweepResultToJsonl(r);
 }
 
+/** The lines runShard streams for every point of @p source on
+ *  @p threads workers: each point through a worker's point path
+ *  (SpecSource::nextPoint), materialized from the grid's base. */
+std::vector<std::string>
+engineLines(const spec::GridSpecSource &source, int threads)
+{
+    std::ostringstream out;
+    JsonlSink sink(out);
+    runShard(source, spec::planShards(source.totalPoints(), 1).shards[0],
+             threads, SimulationOptions{}, sink);
+    std::vector<std::string> lines;
+    std::istringstream in(out.str());
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/** Every point's line through the engine, at 1 and 4 threads, against
+ *  the line of Simulator::run(source.at(i)): the point path against
+ *  the whole path, failure texts and rule codes included. */
+void
+expectPointPathMatchesWholePath(const spec::GridSpecSource &source)
+{
+    std::vector<std::string> want;
+    for (size_t i = 0; i < source.totalPoints(); ++i)
+        want.push_back(simulatedLine(source.at(i), i));
+    for (const int threads : {1, 4}) {
+        const std::vector<std::string> got = engineLines(source, threads);
+        ASSERT_EQ(got.size(), want.size()) << threads << " threads";
+        for (size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i], want[i])
+                << "point " << i << " at " << threads << " threads";
+    }
+}
+
 /** Every point of @p grid over @p base against the oracle, by toJson
- *  bytes and by simulated JSONL line. */
+ *  bytes and by simulated JSONL line, and through the engine's point
+ *  path against the whole path. */
 void
 expectOracleExpansion(const spec::DesignSpec &base,
                       const spec::SweepGrid &grid)
 {
     spec::GridSpecSource source(base, grid);
+    expectPointPathMatchesWholePath(source);
     ASSERT_EQ(source.totalPoints(), grid.points());
     for (size_t i = 0; i < grid.points(); ++i) {
         const spec::DesignSpec point = source.at(i);
@@ -496,6 +534,58 @@ expectOracleExpansion(const spec::DesignSpec &base,
                       oracle.stages[s].params.inputSize.str())
                 << "point " << i << " stage " << s;
     }
+}
+
+/** A seeded path to a scalar of @p doc that a grid axis can address
+ *  ("memories[0].nodeNm", "stages[2].outputSize[1]"), and the value
+ *  there; false when the walk ends at an empty or nested array. */
+bool
+seededLeaf(const json::Value &doc, std::mt19937_64 &rng, std::string &path,
+           json::Value &leaf)
+{
+    const json::Value *node = &doc;
+    path.clear();
+    while (node->isObject()) {
+        const json::Value::Object &members = node->asObject();
+        if (members.empty())
+            return false;
+        const auto &[key, value] = members[rng() % members.size()];
+        path += (path.empty() ? "" : ".") + key;
+        node = &value;
+        if (node->isArray()) {
+            const json::Value::Array &elements = node->asArray();
+            if (elements.empty())
+                return false;
+            const size_t i = rng() % elements.size();
+            path += "[" + std::to_string(i) + "]";
+            node = &elements[i];
+            if (node->isArray())
+                return false;
+        }
+    }
+    leaf = *node;
+    return true;
+}
+
+/** Seeded replacements for the scalar @p leaf: numbers that break a
+ *  bound, strings that break a name or a reference, a flipped bool. */
+std::vector<json::Value>
+leafMutations(const json::Value &leaf, std::mt19937_64 &rng)
+{
+    if (leaf.isNumber()) {
+        const double v = leaf.asNumber();
+        std::vector<json::Value> out = {json::Value(-1.0), json::Value(0.0),
+                                        json::Value(3.0),
+                                        json::Value(2.0 * v + 1.0)};
+        std::shuffle(out.begin(), out.end(), rng);
+        out.resize(2);
+        return out;
+    }
+    if (leaf.isString())
+        return {json::Value(""), json::Value("Other"), json::Value("Input")};
+    if (leaf.isBool())
+        return {json::Value(!leaf.asBool())};
+    return {};
 }
 
 /** One axis rooted at each member of the spec member table that
@@ -661,6 +751,79 @@ TEST(SweepGrid, ExpansionMatchesACloneAndApplyOracle)
         expectOracleExpansion(dropped, every);
     }
     EXPECT_EQ(bases, keys.size());
+
+    // Axes that break a member at each step of validate and
+    // materialize: the point path fails with the whole path's text
+    // and rule code (compared line by line above), which is the one
+    // each check or part throws.
+    const spec::DesignSpec detector = spec::sampleDetectorSpec(30.0, 65);
+    ASSERT_GE(detector.stages.size(), 2u);
+    const std::string first_stage = detector.stages[0].params.name;
+    const std::string second_stage = detector.stages[1].params.name;
+    const struct
+    {
+        spec::GridAxis axis;
+        const char *code;
+        const char *text;
+    } breaks[] = {
+        {{"rate", "fps", {json::Value(30.0), json::Value(-1.0)}},
+         "CAMJ-E001", "fps must be positive"},
+        {{"buf", "memories[ActBuf].name",
+          {json::Value("ActBuf"), json::Value("Other")}},
+         "CAMJ-E003", "references unknown memory 'ActBuf'"},
+        {{"duty", "memories[ActBuf].activeFraction",
+          {json::Value(1.0), json::Value(1.5)}},
+         "CAMJ-E013", ""},
+        {{"node", "memories[ActBuf].nodeNm",
+          {json::Value(65), json::Value(3)}},
+         "CAMJ-E013", ""},
+        {{"dup", "stages[1].name",
+          {json::Value(second_stage), json::Value(first_stage)}},
+         "CAMJ-E002", "duplicate stage"},
+    };
+    for (const auto &b : breaks) {
+        spec::SweepGrid g;
+        g.axes = {b.axis};
+        expectOracleExpansion(detector, g);
+        const std::vector<std::string> lines =
+            engineLines(spec::GridSpecSource(detector, g), 1);
+        ASSERT_EQ(lines.size(), 2u);
+        const JsonlRecord broken = parseJsonlLine(lines[1]);
+        EXPECT_FALSE(broken.feasible) << b.axis.path;
+        EXPECT_EQ(broken.ruleCode, b.code) << broken.error;
+        EXPECT_NE(broken.error.find(b.text), std::string::npos)
+            << broken.error;
+    }
+
+    // Seeded single-member mutations of every paper study, each a
+    // one-axis point list. A value the member's lowering refuses
+    // fails at construction instead, and is skipped.
+    std::mt19937_64 rng(20261019);
+    size_t mutated = 0;
+    for (const PaperStudy &study : studies) {
+        const json::Value doc = spec::toJsonValue(study.spec);
+        for (int k = 0; k < 4; ++k) {
+            std::string path;
+            json::Value leaf;
+            if (!seededLeaf(doc, rng, path, leaf))
+                continue;
+            spec::SweepGrid one;
+            one.axes = {{"m", path, {}}};
+            for (const json::Value &v : leafMutations(leaf, rng))
+                one.pointList.push_back({v});
+            if (one.pointList.empty())
+                continue;
+            try {
+                spec::GridSpecSource probe(study.spec, one);
+            } catch (const ConfigError &) {
+                continue;
+            }
+            ++mutated;
+            SCOPED_TRACE(study.key + " " + path);
+            expectOracleExpansion(study.spec, one);
+        }
+    }
+    EXPECT_GE(mutated, 40u);
 }
 
 TEST(SweepGrid, PointNamesSpellNumbersAsPercentG)
@@ -1088,17 +1251,14 @@ expectSameRecord(const JsonlRecord &got, const JsonlRecord &want)
 }
 
 /** Checks jsonlRecordOf against parsing the line back, over every
- *  result of @p results; @return how many were feasible. */
-size_t
+ *  result of @p results. */
+void
 expectRecordsMatchTheirLines(const std::vector<SweepResult> &results)
 {
-    size_t feasible = 0;
-    for (const SweepResult &r : results) {
-        expectSameRecord(jsonlRecordOf(r),
+    std::string scratch = "stale";
+    for (const SweepResult &r : results)
+        expectSameRecord(jsonlRecordOf(r, scratch),
                          parseJsonlLine(sweepResultToJsonl(r)));
-        feasible += r.feasible ? 1 : 0;
-    }
-    return feasible;
 }
 
 std::vector<SweepResult>
@@ -1113,15 +1273,30 @@ sweepResults(spec::SpecSource &source, SimulationOptions sim)
     return sink.take();
 }
 
-TEST(JsonlRecord, BuiltRecordEqualsTheParsedLine)
+/**
+ * Fills @p corpus with results whose lines cover what the writer
+ * spells: the 27 paper studies (all feasible); the 108 canonical
+ * points (feasible and infeasible) at 1 and 3 frames and with the
+ * noise metric; and seeded texts with quotes, backslashes, control
+ * bytes and UTF-8 in the design name and the error, with numbers the
+ * writer spells specially: -0.0 (printed "0"), subnormals, and both
+ * sides of the 2^53 integer boundary. Call it under
+ * ASSERT_NO_FATAL_FAILURE.
+ */
+void
+lineCorpus(std::vector<SweepResult> &corpus)
 {
+    auto feasibleIn = [](const std::vector<SweepResult> &results) {
+        return static_cast<size_t>(std::count_if(
+            results.begin(), results.end(),
+            [](const SweepResult &r) { return r.feasible; }));
+    };
     // The 27 paper studies.
     spec::GeneratorSpecSource studies = paperStudySource();
-    EXPECT_EQ(expectRecordsMatchTheirLines(sweepResults(studies, {})),
-              27u);
+    corpus = sweepResults(studies, {});
+    ASSERT_EQ(corpus.size(), 27u);
+    EXPECT_EQ(feasibleIn(corpus), 27u);
 
-    // The 108 canonical points (feasible and infeasible), at 1 and 3
-    // frames, and with the noise metric.
     const spec::SweepDocument canonical = spec::sampleDetectorStudy();
     for (const int frames : {1, 3}) {
         SimulationOptions sim;
@@ -1129,22 +1304,20 @@ TEST(JsonlRecord, BuiltRecordEqualsTheParsedLine)
         spec::GridSpecSource grid = canonical.source();
         const std::vector<SweepResult> results = sweepResults(grid, sim);
         ASSERT_EQ(results.size(), 108u);
-        const size_t feasible = expectRecordsMatchTheirLines(results);
-        EXPECT_GT(feasible, 0u);
-        EXPECT_LT(feasible, 108u);
+        const size_t feasible = feasibleIn(results);
+        EXPECT_GT(feasible, 0u) << frames << " frames";
+        EXPECT_LT(feasible, 108u) << frames << " frames";
+        corpus.insert(corpus.end(), results.begin(), results.end());
     }
     SimulationOptions noisy;
     noisy.withNoise = true;
     spec::GridSpecSource grid = canonical.source();
     const std::vector<SweepResult> results = sweepResults(grid, noisy);
+    ASSERT_EQ(results.size(), 108u);
     ASSERT_TRUE(results[0].feasible);
     EXPECT_NE(results[0].snrPenaltyDb, 0.0);
-    expectRecordsMatchTheirLines(results);
+    corpus.insert(corpus.end(), results.begin(), results.end());
 
-    // Seeded texts with quotes, backslashes, control bytes and UTF-8
-    // in the design name and the error, and numbers the writer spells
-    // specially: -0.0 (printed "0"), subnormals, and both sides of
-    // the 2^53 integer boundary.
     const std::string alphabet[] = {
         "\"", "\\", "\n", "\t", std::string(1, '\0'), "\x01", "\x1f",
         "\x7f", "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x93\xb7", "a",
@@ -1160,11 +1333,11 @@ TEST(JsonlRecord, BuiltRecordEqualsTheParsedLine)
     const double numbers[] = {
         -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 9007199254740992.0,
         9007199254740993.0, 9.0e15, 8999999999999999.0, 0.1, 1e300};
-    std::vector<SweepResult> seeded;
     for (size_t k = 0; k < 200; ++k) {
         SweepResult r = results[k % results.size()];
         r.index = k;
-        r.designName = seededText();
+        // A name `camj_sweep run` accepts as it is.
+        r.designName = k == 0 ? "det \"q\" \\ \xc3\xa9\x01" : seededText();
         if (k % 2 == 0) {
             r.feasible = false;
             r.error = seededText();
@@ -1173,10 +1346,69 @@ TEST(JsonlRecord, BuiltRecordEqualsTheParsedLine)
             for (UnitEnergy &u : r.report.units)
                 u.energy = numbers[rng() % std::size(numbers)];
             r.frames = 1 + static_cast<int>(rng() % 3);
+            r.snrPenaltyDb = numbers[rng() % std::size(numbers)];
         }
-        seeded.push_back(std::move(r));
+        corpus.push_back(std::move(r));
     }
-    EXPECT_GT(expectRecordsMatchTheirLines(seeded), 0u);
+}
+
+TEST(JsonlRecord, BuiltRecordEqualsTheParsedLine)
+{
+    std::vector<SweepResult> corpus;
+    ASSERT_NO_FATAL_FAILURE(lineCorpus(corpus));
+    expectRecordsMatchTheirLines(corpus);
+}
+
+/** The line as a json::Value tree renders it: how result lines were
+ *  written before json::Writer, kept as the writer's oracle. */
+std::string
+treeLine(const SweepResult &result)
+{
+    json::Value o = json::Value::makeObject();
+    o.set("index", json::Value(static_cast<int64_t>(result.index)));
+    o.set("design", json::Value(result.designName));
+    o.set("feasible", json::Value(result.feasible));
+    if (!result.feasible) {
+        o.set("error", json::Value(result.error));
+        if (!result.ruleCode.empty())
+            o.set("ruleCode", json::Value(result.ruleCode));
+        return o.dump(0);
+    }
+    o.set("frames", json::Value(result.frames));
+    o.set("frameEnergy", json::Value(result.report.total()));
+    o.set("totalEnergy", json::Value(result.totalEnergy()));
+    json::Value categories = json::Value::makeObject();
+    for (EnergyCategory cat : allEnergyCategories())
+        categories.set(energyCategoryName(cat),
+                       json::Value(result.report.category(cat)));
+    o.set("categories", std::move(categories));
+    if (result.snrPenaltyDb != 0.0)
+        o.set("snrPenaltyDb", json::Value(result.snrPenaltyDb));
+    return o.dump(0);
+}
+
+TEST(JsonlWriter, WritesTheTreeRenderersBytes)
+{
+    std::vector<SweepResult> corpus;
+    ASSERT_NO_FATAL_FAILURE(lineCorpus(corpus));
+    std::string want_file;
+    std::string buffer = "kept|";
+    for (const SweepResult &r : corpus) {
+        const std::string want = treeLine(r);
+        EXPECT_EQ(sweepResultToJsonl(r), want);
+        // Into a caller's buffer, after what it held.
+        buffer.resize(5);
+        sweepResultToJsonl(r, buffer);
+        EXPECT_EQ(buffer, "kept|" + want);
+        want_file += want + "\n";
+    }
+    // JsonlSink reuses one buffer across lines.
+    std::ostringstream out;
+    JsonlSink sink(out);
+    for (const SweepResult &r : corpus)
+        sink.accept(r);
+    sink.finish();
+    EXPECT_EQ(out.str(), want_file);
 }
 
 // ------------------------------------------------- thread-count policy
