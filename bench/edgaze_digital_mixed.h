@@ -35,10 +35,7 @@ sweepEdgazeDigitalMixed()
         },
         4);
     CollectSink sink;
-    // Memo evaluation: each worker's points share one cycle-sim memo
-    // (bit-identical to plain runs; see explore/incremental.h).
-    SweepEngine(SweepOptions{.incremental = true})
-        .runStream(source, sink);
+    SweepEngine().runStream(source, sink);
     for (const SweepResult &r : sink.results()) {
         if (!r.feasible) {
             std::fprintf(stderr, "error: %s is infeasible: %s\n",

@@ -37,7 +37,7 @@ main()
     setLoggingEnabled(false);
     std::printf("Fig. 9a | Rhythmic Pixel Regions energy per frame\n\n");
 
-    // Each pull builds one variant's serializable spec.
+    // Each point builds one variant's serializable spec.
     spec::GeneratorSpecSource source(
         [](size_t i) -> std::optional<spec::DesignSpec> {
             return rhythmicSpec(kVariants[i % 3], kNodes[i / 3]);
@@ -77,9 +77,7 @@ main()
         return true;
     });
     InOrderSink inorder(print);
-    // Memo evaluation: each worker's points share one cycle-sim memo
-    // (bit-identical to plain runs; see explore/incremental.h).
-    SweepEngine(SweepOptions{.incremental = true}).runStream(source, inorder);
+    SweepEngine().runStream(source, inorder);
     if (failed)
         return 1;
 

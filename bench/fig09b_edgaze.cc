@@ -80,9 +80,7 @@ main()
         return true;
     });
     InOrderSink inorder(print);
-    // Memo evaluation: each worker's points share one cycle-sim memo
-    // (bit-identical to plain runs; see explore/incremental.h).
-    SweepEngine(SweepOptions{.incremental = true}).runStream(source, inorder);
+    SweepEngine().runStream(source, inorder);
     if (failed)
         return 1;
 

@@ -329,11 +329,11 @@ BM_GridExpansion(benchmark::State &state)
     setLoggingEnabled(false);
     spec::SweepDocument doc = gridDocument(256);
     for (auto _ : state) {
-        spec::GridSpecSource source = doc.source();
-        size_t n = 0;
-        while (source.next())
-            ++n;
-        benchmark::DoNotOptimize(n);
+        const spec::GridSpecSource source = doc.source();
+        for (size_t i = 0; i < source.totalPoints(); ++i) {
+            const spec::DesignSpec s = source.at(i);
+            benchmark::DoNotOptimize(s.fps);
+        }
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(doc.grid.points()));
@@ -893,7 +893,7 @@ writeBenchJson()
         // buffer. Exact, so the count is the floor.
         CollectSink collected;
         spec::GridSpecSource lines_source = canonical.source();
-        SweepEngine(SweepOptions{.threads = 1, .incremental = true})
+        SweepEngine(SweepOptions{.threads = 1})
             .runStream(lines_source, collected);
         const std::vector<SweepResult> &results = collected.results();
         auto line = [&](size_t i) {
@@ -997,11 +997,12 @@ writeBenchJson()
     grid.set("expansion", std::move(expansion));
     doc.set("gridSweep", std::move(grid));
 
-    // Incremental sweep: the canonical grid once through plain
-    // per-point Simulator runs and once through per-worker memo
-    // evaluators (SweepOptions::incremental), single thread each. The
-    // two in-order JSONL outputs must be byte-identical — the memo is
-    // an optimization, never a different answer. Every pass A on the
+    // Incremental sweep: the canonical grid once memo-free (each point
+    // expanded and run through a fresh Simulator by runSerial, the
+    // lines rendered in order) and once through the engine, whose
+    // worker evaluates through a memo evaluator, single thread each.
+    // The two JSONL outputs must be byte-identical — the memo is an
+    // optimization, never a different answer. Every pass A on the
     // grid drains in closed form and every stall check is static, so
     // neither path ticks a cycle (the floor) and the memo sees no
     // lookup: the speedup is data, near 1.
@@ -1009,21 +1010,29 @@ writeBenchJson()
     const size_t n_inc = inc_doc.grid.points();
     CycleSimMemoStats inc_memo;
     CycleSimStats inc_sim[2];
-    auto time_grid_jsonl = [&](bool incremental, std::string *bytes) {
+    SweepEngine inc_engine(SweepOptions{.threads = 1});
+    auto time_grid_jsonl = [&](bool memo, std::string *bytes) {
         std::ostringstream out;
-        spec::GridSpecSource source = inc_doc.source();
-        JsonlSink lines(out);
-        InOrderSink ordered(lines);
-        SweepOptions o;
-        o.threads = 1;
-        o.incremental = incremental;
-        SweepEngine inc_engine(o);
+        const spec::GridSpecSource source = inc_doc.source();
         const auto t0 = std::chrono::steady_clock::now();
-        const StreamStats st = inc_engine.runStream(source, ordered);
-        const auto t1 = std::chrono::steady_clock::now();
-        if (incremental)
+        if (memo) {
+            JsonlSink lines(out);
+            InOrderSink ordered(lines);
+            const StreamStats st = inc_engine.runStream(source, ordered);
             inc_memo = st.cycleSimMemo;
-        inc_sim[incremental ? 1 : 0] = st.cycleSim;
+            inc_sim[1] = st.cycleSim;
+        } else {
+            std::vector<spec::DesignSpec> specs;
+            specs.reserve(source.totalPoints());
+            for (size_t i = 0; i < source.totalPoints(); ++i)
+                specs.push_back(source.at(i));
+            inc_sim[0] = {};
+            for (const SweepResult &r : inc_engine.runSerial(specs)) {
+                out << sweepResultToJsonl(r) << '\n';
+                inc_sim[0] += r.simStats;
+            }
+        }
+        const auto t1 = std::chrono::steady_clock::now();
         if (bytes != nullptr)
             *bytes = out.str();
         return std::chrono::duration<double>(t1 - t0).count();
@@ -1039,7 +1048,7 @@ writeBenchJson()
     }
     if (inc_bytes != full_bytes) {
         std::fprintf(stderr, "error: memo sweep output differs from "
-                     "the plain per-point run\n");
+                     "the memo-free per-point run\n");
         return false;
     }
     const double n_incd = static_cast<double>(n_inc);

@@ -52,7 +52,6 @@ main()
     SweepOptions options;
     options.threads = 4;
     options.sim.withNoise = true;
-    options.incremental = true; // per-worker cycle-sim memo
     SweepEngine engine(options);
 
     std::printf("Design-space sweep: always-on detector, FPS x node "

@@ -46,7 +46,6 @@ main()
 
     SweepOptions options;
     options.threads = 4;
-    options.incremental = true; // per-worker cycle-sim memo
     SweepEngine engine(options);
 
     TopKSink best(5);

@@ -280,32 +280,10 @@ PrefilterSpecSource::PrefilterSpecSource(const SweepDocument &doc)
     }
 }
 
-std::optional<DesignSpec>
-PrefilterSpecSource::next()
-{
-    size_t unused = 0;
-    return nextIndexed(unused);
-}
-
-std::optional<DesignSpec>
-PrefilterSpecSource::nextIndexed(size_t &index)
-{
-    const size_t local =
-        cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (local >= survivors_.size())
-        return std::nullopt;
-    index = local;
-    return inner_.at(survivors_[local]);
-}
-
 DesignSpec
 PrefilterSpecSource::at(size_t index) const
 {
-    if (index >= survivors_.size())
-        fatal("PrefilterSpecSource: index %zu out of range (%zu "
-              "surviving points)",
-              index, survivors_.size());
-    return inner_.at(survivors_[index]);
+    return inner_.at(globalIndex(index));
 }
 
 size_t

@@ -14,14 +14,13 @@
  * the verdict — and whenever a proof would be too expensive (combo
  * blow-up) it simply proves nothing.
  *
- * PrefilterSpecSource packages the analysis as a drop-in
- * IndexableSpecSource that yields only the surviving points.
+ * PrefilterSpecSource packages the analysis as a drop-in SpecSource
+ * over only the surviving points.
  */
 
 #ifndef CAMJ_ANALYSIS_GRID_ANALYZER_H
 #define CAMJ_ANALYSIS_GRID_ANALYZER_H
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -138,29 +137,20 @@ class GridAnalyzer
 };
 
 /**
- * An IndexableSpecSource yielding only the points a GridAnalysis
- * could not prove infeasible. Local indices are dense (0..N-1 over
- * survivors); globalIndex() recovers a point's identity in the
- * unfiltered grid. Supports concurrent pulls like the grid source it
- * wraps.
+ * A SpecSource over only the points a GridAnalysis could not prove
+ * infeasible. Local indices are dense (0..N-1 over survivors);
+ * globalIndex() recovers a point's identity in the unfiltered grid.
+ * Thread-safe like the grid source it wraps.
  */
-class PrefilterSpecSource : public spec::IndexableSpecSource
+class PrefilterSpecSource : public spec::SpecSource
 {
   public:
     /** @throws ConfigError when the document's grid fails
      *  validation (see GridSpecSource). */
     explicit PrefilterSpecSource(const spec::SweepDocument &doc);
 
-    std::optional<spec::DesignSpec> next() override;
-    std::optional<size_t> sizeHint() const override
-    {
-        return survivors_.size();
-    }
-    bool concurrentPulls() const override { return true; }
-    std::optional<spec::DesignSpec> nextIndexed(size_t &index) override;
-
-    spec::DesignSpec at(size_t index) const override;
     size_t totalPoints() const override { return survivors_.size(); }
+    spec::DesignSpec at(size_t index) const override;
 
     /** Unfiltered grid index of surviving point @p local. */
     size_t globalIndex(size_t local) const;
@@ -176,7 +166,6 @@ class PrefilterSpecSource : public spec::IndexableSpecSource
     GridAnalysis analysis_;
     std::vector<size_t> survivors_;
     std::vector<size_t> pruned_;
-    std::atomic<size_t> cursor_{0};
 };
 
 /**

@@ -63,6 +63,16 @@ ruleFromCode(std::string_view code)
     return std::nullopt;
 }
 
+const char *
+ConfigError::message() const
+{
+    constexpr std::string_view kPrefix = "fatal: ";
+    const char *text = what();
+    return std::string_view(text).starts_with(kPrefix)
+               ? text + kPrefix.size()
+               : text;
+}
+
 void
 fatal(const char *fmt, ...)
 {

@@ -64,6 +64,11 @@ class ConfigError : public std::runtime_error
     /** ruleCode(rule()): "CAMJ-E013". */
     const char *code() const { return ruleCode(rule_); }
 
+    /** what() without the "fatal: " prefix fatal() gives it: the text
+     *  an error that wraps this one quotes, so the wrapped message
+     *  reads "fatal:" once. */
+    const char *message() const;
+
   private:
     Rule rule_;
 };

@@ -13,6 +13,12 @@
  * expansion and the sinks (docs/performance.md). A grid point arrives
  * materialized from its grid's base (SpecPoint); everything else but
  * the memoized simulation is recomputed per point.
+ *
+ * Every SweepEngine worker evaluates through one of these, so every
+ * sweep (runStream, run, runShard, and through it `camj_sweep run` and
+ * the served workers) takes this path. Simulator::run and
+ * SweepEngine::runSerial stay memo-free: they are the reference the
+ * memo is checked against.
  */
 
 #ifndef CAMJ_EXPLORE_INCREMENTAL_H
@@ -52,7 +58,7 @@ struct IncrementalStats
  * and tests/cache_test).
  *
  * NOT thread-safe: give each sweep worker its own evaluator (the
- * SweepEngine does, under SweepOptions::incremental).
+ * SweepEngine does).
  */
 class IncrementalEvaluator
 {
@@ -69,7 +75,7 @@ class IncrementalEvaluator
 
     /**
      * The same for a point a source handed over (SpecSource::
-     * nextPoint): its Design, or the error materializing it threw,
+     * pointAt): its Design, or the error materializing it threw,
      * when the source materialized it, else evaluate(point.spec).
      */
     SimulationOutcome evaluate(const spec::SpecPoint &point);

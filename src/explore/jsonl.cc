@@ -33,7 +33,7 @@ parseJsonlLine(const std::string &line)
               static_cast<int>(end.ptr - buf), buf);
     }
     if (index < 0)
-        fatal("jsonl: negative index %lld",
+        fatal(Rule::E018, "jsonl: negative index %lld",
               static_cast<long long>(index));
     r.index = static_cast<size_t>(index);
     r.design = o.getString("design", "");
@@ -100,7 +100,7 @@ JsonlReader::next()
             return parseJsonlLine(line);
         } catch (const ConfigError &e) {
             fatal(e.rule(), "jsonl: %s:%zu: %s", path_.c_str(),
-                  lineNo_, e.what());
+                  lineNo_, e.message());
         }
     }
     return std::nullopt;

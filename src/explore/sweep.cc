@@ -1,6 +1,5 @@
 #include "explore/sweep.h"
 
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -72,40 +71,22 @@ SweepEngine::effectiveThreads(size_t jobs) const
 namespace
 {
 
-/** A plain Simulator's outcome for @p point, materialized or not. */
-SimulationOutcome
-simulatePoint(const SimulationOptions &options,
-              const spec::SpecPoint &point)
-{
-    const Simulator simulator(options);
-    if (!point.built)
-        return simulator.run(point.spec);
-    if (!point.error)
-        return simulator.run(point.design());
-    try {
-        std::rethrow_exception(point.error);
-    } catch (const ConfigError &e) {
-        return failureOutcome(options, e.what(), e.code());
-    }
-}
-
-} // namespace
-
+/**
+ * Point @p index's result from @p evaluate, which returns its
+ * SimulationOutcome. ConfigErrors are folded into the outcome by
+ * CheckMode::Report; anything else (InternalError, bad_alloc) is a
+ * CamJ bug, captured identically on the serial and parallel paths so
+ * the same batch can never behave differently across thread counts.
+ */
+template <typename Evaluate>
 SweepResult
-SweepEngine::evaluateOne(const spec::SpecPoint &point, size_t index,
-                         IncrementalEvaluator *evaluator) const
+resultOf(size_t index, const std::string &name, Evaluate evaluate)
 {
     SweepResult r;
     r.index = index;
-    r.designName = point.spec.name;
-    // ConfigErrors are folded into the outcome by CheckMode::Report.
-    // Anything else (InternalError, bad_alloc) is a CamJ bug; capture
-    // it identically on the serial and parallel paths so the same
-    // batch can never behave differently across thread counts.
+    r.designName = name;
     try {
-        SimulationOutcome out = evaluator != nullptr
-                                    ? evaluator->evaluate(point)
-                                    : simulatePoint(options_.sim, point);
+        SimulationOutcome out = evaluate();
         r.feasible = out.feasible;
         r.error = std::move(out.error);
         r.ruleCode = std::move(out.ruleCode);
@@ -121,56 +102,27 @@ SweepEngine::evaluateOne(const spec::SpecPoint &point, size_t index,
     return r;
 }
 
+} // namespace
+
 StreamStats
-SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
+SweepEngine::runStream(const spec::SpecSource &source, ResultSink &sink,
                        const CancelToken *cancel) const
 {
-    const size_t jobs = source.sizeHint().value_or(
-        std::numeric_limits<size_t>::max());
-    const int workers = effectiveThreads(jobs);
+    const size_t total = source.totalPoints();
+    const int workers = effectiveThreads(total);
 
     StreamStats stats;
     std::atomic<bool> stop{false};
+    // The one cursor over [0, total): each worker claims the next
+    // index and asks the source for that point.
+    std::atomic<size_t> cursor{0};
     std::atomic<size_t> produced{0};
     std::atomic<size_t> delivered{0};
     std::atomic<bool> sink_cancelled{false};
-    std::mutex source_mutex; // serial sources only
     std::mutex sink_mutex;
     std::mutex error_mutex;
     std::mutex stats_mutex; // guards the diagnostics in `stats`
     std::exception_ptr first_error; // guarded by error_mutex
-    size_t next_index = 0; // guarded by source_mutex
-    const bool concurrent = source.concurrentPulls();
-
-    // Pull one point off the source into the worker's @p point and
-    // stamp it with its stream index — the streaming equivalent of
-    // the old atomic vector cursor, generalized to any SpecSource.
-    // Sources that support concurrent pulls assign indices themselves
-    // off their own atomic cursor, so production never serializes,
-    // and may hand the point over materialized (nextPoint);
-    // everything else is pulled under the source lock.
-    auto pull = [&](size_t &index, spec::SpecPoint &point) {
-        bool pulled = false;
-        if (concurrent) {
-            if (stop.load(std::memory_order_relaxed))
-                return false;
-            pulled = source.nextPoint(index, point);
-        } else {
-            std::lock_guard<std::mutex> lock(source_mutex);
-            if (stop.load(std::memory_order_relaxed))
-                return false;
-            std::optional<spec::DesignSpec> spec = source.next();
-            if (spec) {
-                index = next_index++;
-                point.spec = std::move(*spec);
-                point.built.reset();
-                pulled = true;
-            }
-        }
-        if (pulled)
-            produced.fetch_add(1, std::memory_order_relaxed);
-        return pulled;
-    };
 
     auto deliver = [&](SweepResult result) {
         std::lock_guard<std::mutex> lock(sink_mutex);
@@ -188,11 +140,10 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
 
     auto worker = [&] {
         CycleSimStats local_sim;
-        // Under SweepOptions::incremental each worker owns an
-        // IncrementalEvaluator, whose cycle-sim memo spans the points
-        // THIS worker pulls.
-        std::optional<IncrementalEvaluator> inc;
-        // The worker's point, kept across pulls so a source can
+        // The worker's evaluator: its cycle-sim memo spans the points
+        // THIS worker takes.
+        std::optional<IncrementalEvaluator> evaluator;
+        // The worker's point, kept across points so a source can
         // rebuild the Design in it in place.
         spec::SpecPoint point;
         // Anything escaping the source or the sink (a generator
@@ -202,18 +153,21 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
         try {
             // Inside the try: invalid simulation options throw from
             // the evaluator constructor.
-            if (options_.incremental)
-                inc.emplace(options_.sim);
+            evaluator.emplace(options_.sim);
             while (!stop.load(std::memory_order_relaxed)) {
                 if (cancel != nullptr && cancel->cancelled()) {
                     stop.store(true, std::memory_order_relaxed);
                     break;
                 }
-                size_t index = 0;
-                if (!pull(index, point))
+                const size_t index =
+                    cursor.fetch_add(1, std::memory_order_relaxed);
+                if (index >= total)
                     break;
-                SweepResult result =
-                    evaluateOne(point, index, inc ? &*inc : nullptr);
+                source.pointAt(index, point);
+                produced.fetch_add(1, std::memory_order_relaxed);
+                SweepResult result = resultOf(
+                    index, point.spec.name,
+                    [&] { return evaluator->evaluate(point); });
                 local_sim += result.simStats;
                 deliver(std::move(result));
             }
@@ -225,9 +179,9 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
         }
         std::lock_guard<std::mutex> lock(stats_mutex);
         stats.cycleSim += local_sim;
-        if (inc) {
-            stats.cycleSimMemo += inc->memo().stats();
-            stats.passes += inc->passStats();
+        if (evaluator) {
+            stats.cycleSimMemo += evaluator->memo().stats();
+            stats.passes += evaluator->passStats();
         }
     };
 
@@ -256,9 +210,7 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
 namespace
 {
 
-/** Non-owning source over the batch API's input vector; concurrent
- *  pulls keep batch production lock-free, as the old atomic-cursor
- *  loop was. */
+/** Non-owning source over the batch API's input vector. */
 class RefVectorSource : public spec::SpecSource
 {
   public:
@@ -267,32 +219,14 @@ class RefVectorSource : public spec::SpecSource
     {
     }
 
-    std::optional<spec::DesignSpec> next() override
+    size_t totalPoints() const override { return specs_.size(); }
+    spec::DesignSpec at(size_t index) const override
     {
-        size_t index = 0;
-        return nextIndexed(index);
-    }
-
-    std::optional<spec::DesignSpec> nextIndexed(size_t &index) override
-    {
-        const size_t i =
-            cursor_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= specs_.size())
-            return std::nullopt;
-        index = i;
-        return specs_[i];
-    }
-
-    bool concurrentPulls() const override { return true; }
-
-    std::optional<size_t> sizeHint() const override
-    {
-        return specs_.size();
+        return specs_.at(index);
     }
 
   private:
     const std::vector<spec::DesignSpec> &specs_;
-    std::atomic<size_t> cursor_{0};
 };
 
 } // namespace
@@ -301,10 +235,10 @@ std::vector<SweepResult>
 SweepEngine::runSerial(const std::vector<spec::DesignSpec> &specs) const
 {
     std::vector<SweepResult> results(specs.size());
-    spec::SpecPoint point;
     for (size_t i = 0; i < specs.size(); ++i) {
-        point.spec = specs[i];
-        results[i] = evaluateOne(point, i, nullptr);
+        results[i] = resultOf(i, specs[i].name, [&] {
+            return Simulator(options_.sim).run(specs[i]);
+        });
     }
     return results;
 }
@@ -319,7 +253,7 @@ SweepEngine::run(const std::vector<spec::DesignSpec> &specs) const
 }
 
 StreamStats
-runShard(const spec::IndexableSpecSource &source,
+runShard(const spec::SpecSource &source,
          const spec::ShardAssignment &shard, int threads,
          const SimulationOptions &sim, ResultSink &sink,
          const CancelToken *cancel)
@@ -331,7 +265,7 @@ runShard(const spec::IndexableSpecSource &source,
         return shard.globalIndex(local);
     });
     InOrderSink ordered(global);
-    return SweepEngine({.threads = threads, .sim = sim, .incremental = true})
+    return SweepEngine({.threads = threads, .sim = sim})
         .runStream(points, ordered, cancel);
 }
 

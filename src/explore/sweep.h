@@ -1,19 +1,22 @@
 /**
  * @file
  * SweepEngine: the Fig. 4 exploration feedback loop as a streaming
- * pipeline. A sweep pulls DesignSpecs from a SpecSource (a vector, a
- * lazy SweepGrid expansion, a generator), evaluates each point on a
- * std::thread pool (materialize -> simulate), and pushes structured
- * SweepResults into a ResultSink as they complete — no ConfigError
- * ever escapes a sweep, results stream instead of accumulating, and
- * a sink (or a CancelToken) can stop the sweep early.
+ * pipeline. A sweep walks the points of a SpecSource (a vector, a
+ * lazy SweepGrid expansion, a generator, a shard of any of them) with
+ * one atomic cursor, evaluates each point on a std::thread pool, and
+ * pushes structured SweepResults into a ResultSink as they complete —
+ * no ConfigError ever escapes a sweep, results stream instead of
+ * accumulating, and a sink (or a CancelToken) can stop the sweep
+ * early.
  *
- * Specs are value types and the engine is stateless; the source is
- * pulled and the sink is fed under per-side locks, so neither needs
- * to be thread-safe. Evaluation itself shares nothing, which keeps
- * every result bit-identical to a serial loop over the same specs —
- * the classic run(vector) API survives as a thin wrapper (ref-source
- * + CollectSink) over the streaming core.
+ * Every worker evaluates through its own IncrementalEvaluator
+ * (explore/incremental.h), so the points one worker takes share one
+ * cycle-sim memo; results are bit-identical to a memo-free Simulator
+ * run of each point (runSerial is that reference). The sink is fed
+ * under a lock, so it need not be thread-safe; the source is asked for
+ * points by index from every worker, so it must be. The classic
+ * run(vector) API survives as a thin wrapper (ref-source +
+ * CollectSink) over the streaming core.
  */
 
 #ifndef CAMJ_EXPLORE_SWEEP_H
@@ -44,11 +47,9 @@ struct SweepOptions
      *  Report inside the sweep: infeasibility is a result, not an
      *  exception. */
     SimulationOptions sim;
-    /** Give each worker an IncrementalEvaluator (explore/incremental.h)
-     *  instead of a plain Simulator: the worker's points share one
-     *  cycle-sim memo, so a topology the worker already simulated is
-     *  not simulated again. Results are bit-identical either way
-     *  (pinned by tests/incremental_test.cc). */
+    /** Selects nothing: every worker evaluates through an
+     *  IncrementalEvaluator. Kept only because the benchmark under
+     *  perfbench/ assigns it (ROADMAP item 8 deletes it). */
     bool incremental = false;
 };
 
@@ -73,7 +74,7 @@ class CancelToken
 /** What one streaming run did. */
 struct StreamStats
 {
-    /** Design points pulled from the source. */
+    /** Design points taken from the source. */
     size_t produced = 0;
     /** Results the sink accepted. */
     size_t delivered = 0;
@@ -83,13 +84,11 @@ struct StreamStats
      *  the run performed (camj_sweep run --verbose prints these).
      *  Diagnostics only — never part of any serialized result. */
     CycleSimStats cycleSim;
-    /** Cycle-sim memo lookups summed over all workers; zero unless
-     *  SweepOptions::incremental. */
+    /** Cycle-sim memo lookups summed over all workers' memos. */
     CycleSimMemoStats cycleSimMemo;
     /** Cycle-sim diagnostics per pass, with how pass A's latency and
      *  pass B's stall check were answered, over every point evaluated
-     *  (feasible or not) summed over all workers; zero unless
-     *  SweepOptions::incremental. */
+     *  (feasible or not) summed over all workers. */
     PassSimStats passes;
 };
 
@@ -115,18 +114,23 @@ class SweepEngine
                           unsigned hardware_concurrency);
 
     /**
-     * The streaming core: pull every point of @p source, evaluate
-     * across the worker pool, push each completed SweepResult into
+     * The streaming core: take every point of @p source in index
+     * order off one atomic cursor, evaluate across the worker pool
+     * (at most totalPoints() workers, each with its own
+     * IncrementalEvaluator), push each completed SweepResult into
      * @p sink (calls serialized, completion order — wrap the sink in
      * InOrderSink for input order). Stops early when the sink's
      * accept() returns false or @p cancel fires; either way the
      * sink's finish() runs exactly once before returning.
      *
      * Evaluation never throws (infeasibility is data), but the
-     * source or sink itself may: such an exception stops the sweep
-     * and is rethrown here on the calling thread, after finish().
+     * source or sink itself may, and so may the evaluator's
+     * constructor on invalid options: such an exception stops the
+     * sweep and is rethrown here on the calling thread, after
+     * finish().
      */
-    StreamStats runStream(spec::SpecSource &source, ResultSink &sink,
+    StreamStats runStream(const spec::SpecSource &source,
+                          ResultSink &sink,
                           const CancelToken *cancel = nullptr) const;
 
     /**
@@ -137,30 +141,26 @@ class SweepEngine
     std::vector<SweepResult> run(
         const std::vector<spec::DesignSpec> &specs) const;
 
-    /** Single-threaded reference implementation (identical results;
-     *  used for verification and speedup baselines). */
+    /** Single-threaded, memo-free reference: a fresh Simulator::run
+     *  per spec, with results identical to run()'s. Tests and benches
+     *  check the memo path against it. */
     std::vector<SweepResult> runSerial(
         const std::vector<spec::DesignSpec> &specs) const;
 
   private:
     SweepOptions options_;
-
-    /** Evaluate one point through @p evaluator, or a plain Simulator
-     *  when it is null. */
-    SweepResult evaluateOne(const spec::SpecPoint &point, size_t index,
-                            IncrementalEvaluator *evaluator) const;
 };
 
 /**
  * Run the points @p shard owns out of @p source on @p threads workers
- * (0 = all cores), each with an IncrementalEvaluator. @p sink gets the
- * results in ascending order, stamped with their GLOBAL grid index:
- * the lines of a `camj_sweep run` shard file or a served attempt. The
- * one place the chain ShardSpecSource -> SweepEngine -> InOrderSink ->
- * ReindexSink is built. Stops and throws as SweepEngine::runStream
- * does, and @throws ConfigError when @p shard does not fit @p source.
+ * (0 = all cores). @p sink gets the results in ascending order,
+ * stamped with their GLOBAL grid index: the lines of a `camj_sweep
+ * run` shard file or a served attempt. The one place the chain
+ * ShardSpecSource -> SweepEngine -> InOrderSink -> ReindexSink is
+ * built. Stops and throws as SweepEngine::runStream does, and
+ * @throws ConfigError when @p shard does not fit @p source.
  */
-StreamStats runShard(const spec::IndexableSpecSource &source,
+StreamStats runShard(const spec::SpecSource &source,
                      const spec::ShardAssignment &shard, int threads,
                      const SimulationOptions &sim, ResultSink &sink,
                      const CancelToken *cancel = nullptr);

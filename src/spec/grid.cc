@@ -403,7 +403,7 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
                       "sweepGrid: axis '%s' %s %s does not produce a "
                       "valid spec: %s", grid_.axes[a].name.c_str(),
                       listed ? "point-list value" : "value",
-                      v.dump(0).c_str(), e.what());
+                      v.dump(0).c_str(), e.message());
             }
         };
         if (listed) {
@@ -434,8 +434,7 @@ GridSpecSource::GridSpecSource(const GridSpecSource &other)
       baseName_(other.baseName_), grid_(other.grid_),
       axisPaths_(other.axisPaths_), axisMembers_(other.axisMembers_),
       baseBuilt_(other.baseBuilt_), pointMembers_(other.pointMembers_),
-      total_(other.total_),
-      cursor_(other.cursor_.load(std::memory_order_relaxed))
+      total_(other.total_)
 {
     // The workspace pool is per-instance: the copy starts empty.
 }
@@ -547,42 +546,14 @@ GridSpecSource::pointAt(size_t index, SpecPoint &point) const
     }
 }
 
-bool
-GridSpecSource::nextPoint(size_t &index, SpecPoint &point)
-{
-    const size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= total_)
-        return false;
-    index = i;
-    pointAt(i, point);
-    return true;
-}
-
-std::optional<DesignSpec>
-GridSpecSource::next()
-{
-    size_t index = 0;
-    return nextIndexed(index);
-}
-
-std::optional<DesignSpec>
-GridSpecSource::nextIndexed(size_t &index)
-{
-    const size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= total_)
-        return std::nullopt;
-    index = i;
-    return at(i);
-}
-
 std::vector<DesignSpec>
 expandGrid(const DesignSpec &base, const SweepGrid &grid)
 {
     GridSpecSource source(base, grid);
     std::vector<DesignSpec> specs;
-    specs.reserve(grid.points());
-    while (std::optional<DesignSpec> spec = source.next())
-        specs.push_back(std::move(*spec));
+    specs.reserve(source.totalPoints());
+    for (size_t i = 0; i < source.totalPoints(); ++i)
+        specs.push_back(source.at(i));
     return specs;
 }
 

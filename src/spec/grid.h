@@ -21,9 +21,9 @@
  * Paths are dot-separated member names; a segment may carry a
  * selector — `memories[ActBuf]` (element whose "name" is ActBuf),
  * `stages[2]` (index), `memories[*]` (every element). Expansion is
- * LAZY: GridSpecSource yields one point at a time off a shared parsed
- * base document, so a 10k-point grid never exists as a vector. Each
- * point's design name is suffixed with its coordinates
+ * LAZY: GridSpecSource builds point i when a sweep asks for it, off a
+ * shared parsed base document, so a 10k-point grid never exists as a
+ * vector. Each point's design name is suffixed with its coordinates
  * ("detector/rate=30,node=65"), keeping every point's identity stable
  * and diffable.
  */
@@ -31,7 +31,6 @@
 #ifndef CAMJ_SPEC_GRID_H
 #define CAMJ_SPEC_GRID_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -127,7 +126,7 @@ json::Value gridToJson(const SweepGrid &grid);
 SweepGrid gridFromJson(const json::Value &block);
 
 /**
- * The lazy cartesian expander: yields one DesignSpec per grid point
+ * The lazy cartesian expander: one DesignSpec per grid point, indexed
  * in row-major order (first axis outermost, last axis fastest).
  *
  * A grid without axes has one point, the base spec itself: the source
@@ -158,21 +157,21 @@ SweepGrid gridFromJson(const json::Value &block);
  * table's order and the others cannot fail.
  *
  * A grid with axes also validates and materializes its lowered base
- * once, at construction (MaterializedSpec). nextPoint() and pointAt()
- * then hand a sweep worker each point materialized from it: the
- * worker's SpecPoint holds a copy of the materialized base, and each
- * point re-runs only the checks and parts that its axes' members and
- * its name feed (MaterializedSpec::rebuild), so the point's Design, or
+ * once, at construction (MaterializedSpec). pointAt() then hands a
+ * sweep worker each point materialized from it: the worker's
+ * SpecPoint holds a copy of the materialized base, and each point
+ * re-runs only the checks and parts that its axes' members and its
+ * name feed (MaterializedSpec::rebuild), so the point's Design, or
  * the error it fails with, is the one spec.materialize() gives. When
  * the base does not validate or materialize, points are handed over
  * unmaterialized and take the whole path; so are the points of a grid
  * without axes, which is materialized once, by its evaluator.
  *
- * Supports concurrent pulls (sweep workers expand points in parallel
- * off an atomic cursor; workspaces are handed out under a mutex; the
- * lowered and materialized bases are read-only after construction).
+ * at() and pointAt() are thread-safe, so sweep workers expand points
+ * in parallel: workspaces are handed out under a mutex, and the
+ * lowered and materialized bases are read-only after construction.
  */
-class GridSpecSource : public IndexableSpecSource
+class GridSpecSource : public SpecSource
 {
   public:
     /**
@@ -193,16 +192,7 @@ class GridSpecSource : public IndexableSpecSource
      *  here. */
     ~GridSpecSource() override;
 
-    std::optional<DesignSpec> next() override;
-    std::optional<size_t> sizeHint() const override { return total_; }
-    bool concurrentPulls() const override { return true; }
-    std::optional<DesignSpec> nextIndexed(size_t &index) override;
-    bool nextPoint(size_t &index, SpecPoint &point) override;
-
-    /** Rewind to the first point (not thread-safe). */
-    void reset() { cursor_.store(0, std::memory_order_relaxed); }
-
-    /** The spec of point @p index without advancing the stream. */
+    /** The spec of point @p index. */
     DesignSpec at(size_t index) const override;
     /** Point @p index, materialized from the base when there is one. */
     void pointAt(size_t index, SpecPoint &point) const override;
@@ -238,7 +228,6 @@ class GridSpecSource : public IndexableSpecSource
      *  root members and the name. */
     SpecMemberMask pointMembers_ = 0;
     size_t total_ = 0;
-    std::atomic<size_t> cursor_{0};
     mutable std::mutex poolMutex_;
     mutable std::vector<std::unique_ptr<Workspace>> pool_;
 

@@ -152,7 +152,7 @@ planShards(size_t total, size_t shard_count, ShardMode mode)
 
 // -------------------------------------------------------------- sources
 
-ShardSpecSource::ShardSpecSource(const IndexableSpecSource &parent,
+ShardSpecSource::ShardSpecSource(const SpecSource &parent,
                                  ShardAssignment assignment)
     : parent_(parent), assignment_(assignment)
 {
@@ -164,11 +164,16 @@ ShardSpecSource::ShardSpecSource(const IndexableSpecSource &parent,
               parent.totalPoints());
 }
 
-std::optional<DesignSpec>
-ShardSpecSource::next()
+DesignSpec
+ShardSpecSource::at(size_t index) const
 {
-    size_t index = 0;
-    return nextIndexed(index);
+    return parent_.at(assignment_.globalIndex(index));
+}
+
+void
+ShardSpecSource::pointAt(size_t index, SpecPoint &point) const
+{
+    parent_.pointAt(assignment_.globalIndex(index), point);
 }
 
 std::optional<DesignSpec>
@@ -178,18 +183,7 @@ ShardSpecSource::nextIndexed(size_t &index)
     if (local >= assignment_.count())
         return std::nullopt;
     index = local;
-    return parent_.at(assignment_.globalIndex(local));
-}
-
-bool
-ShardSpecSource::nextPoint(size_t &index, SpecPoint &point)
-{
-    const size_t local = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (local >= assignment_.count())
-        return false;
-    index = local;
-    parent_.pointAt(assignment_.globalIndex(local), point);
-    return true;
+    return at(local);
 }
 
 // ---------------------------------------------------------- descriptors

@@ -1,7 +1,7 @@
 /**
  * @file
  * ShardPlan: splitting one sweep across processes and hosts. A
- * SweepGrid (or any IndexableSpecSource) enumerates its design points
+ * SweepGrid (or any SpecSource) enumerates its design points
  * by a global 0-based index; a shard plan partitions [0, total) into
  * N disjoint index sets, one per worker process, in one of two modes:
  *
@@ -22,11 +22,11 @@
  *   camj_sweep run study-shard-2-of-4.json ...   # on any host
  *   camj_sweep merge study-shard-*.jsonl ...     # back to one file
  *
- * ShardSpecSource re-enumerates a shard's subset of the global index
- * space: it yields LOCAL indices (0, 1, ..., count) so the engine's
- * InOrderSink works unchanged, and globalIndex() maps a local index
- * back to the grid point it names — the identity shard JSONL lines
- * carry and the merge reducer keys on.
+ * ShardSpecSource re-indexes a shard's subset of the global index
+ * space: its points have LOCAL indices (0, 1, ..., count) so the
+ * engine's InOrderSink works unchanged, and globalIndex() maps a local
+ * index back to the grid point it names — the identity shard JSONL
+ * lines carry and the merge reducer keys on.
  */
 
 #ifndef CAMJ_SPEC_SHARD_H
@@ -121,40 +121,38 @@ ShardPlan planShards(size_t total, size_t shard_count,
                      ShardMode mode = ShardMode::Contiguous);
 
 /**
- * The per-process view of a sweep: yields exactly the points of
- * @p assignment out of @p parent, in ascending GLOBAL order, but
- * numbered by LOCAL stream index (0-based, dense) so InOrderSink and
- * StreamStats behave as for any other source. Map results back to
- * grid identity with assignment().globalIndex(result.index) — or let
- * runShard (explore/sweep.h) do it.
- *
- * Supports concurrent pulls; @p parent must outlive the source and
- * its at() must be thread-safe (GridSpecSource and VectorSpecSource
- * both are).
+ * The per-process view of a sweep: exactly the points of @p assignment
+ * out of @p parent, in ascending GLOBAL order, but numbered by LOCAL
+ * index (0-based, dense) so InOrderSink and StreamStats behave as for
+ * any other source. Map results back to grid identity with
+ * assignment().globalIndex(result.index) — or let runShard
+ * (explore/sweep.h) do it. @p parent must outlive the source.
  */
 class ShardSpecSource : public SpecSource
 {
   public:
     /** @throws ConfigError when the assignment does not fit the
      *  parent (totals disagree) or is internally inconsistent. */
-    ShardSpecSource(const IndexableSpecSource &parent,
-                    ShardAssignment assignment);
+    ShardSpecSource(const SpecSource &parent, ShardAssignment assignment);
 
-    std::optional<DesignSpec> next() override;
-    std::optional<size_t> sizeHint() const override
-    {
-        return assignment_.count();
-    }
-    bool concurrentPulls() const override { return true; }
-    std::optional<DesignSpec> nextIndexed(size_t &index) override;
-    /** The parent's pointAt() of the next owned point, so a grid's
-     *  points keep their point path through a shard. */
-    bool nextPoint(size_t &index, SpecPoint &point) override;
+    size_t totalPoints() const override { return assignment_.count(); }
+    DesignSpec at(size_t index) const override;
+    /** The parent's pointAt() of the owned point, so a grid's points
+     *  keep their point path through a shard. */
+    void pointAt(size_t index, SpecPoint &point) const override;
+
+    /**
+     * The next owned point and its local index, off a cursor of this
+     * source's own; nullopt once all are taken. Kept only for the
+     * benchmark under perfbench/, whose replay walks a shard this way;
+     * a sweep walks the source by index instead.
+     */
+    std::optional<DesignSpec> nextIndexed(size_t &index);
 
     const ShardAssignment &assignment() const { return assignment_; }
 
   private:
-    const IndexableSpecSource &parent_;
+    const SpecSource &parent_;
     ShardAssignment assignment_;
     std::atomic<size_t> cursor_{0};
 };

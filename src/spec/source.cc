@@ -5,46 +5,11 @@
 namespace camj::spec
 {
 
-std::optional<DesignSpec>
-SpecSource::nextIndexed(size_t &)
-{
-    panic("SpecSource: nextIndexed() called on a source that does "
-          "not support concurrent pulls");
-}
-
-bool
-SpecSource::nextPoint(size_t &index, SpecPoint &point)
-{
-    std::optional<DesignSpec> spec = nextIndexed(index);
-    if (!spec)
-        return false;
-    point.spec = std::move(*spec);
-    point.built.reset();
-    return true;
-}
-
 void
-IndexableSpecSource::pointAt(size_t index, SpecPoint &point) const
+SpecSource::pointAt(size_t index, SpecPoint &point) const
 {
     point.spec = at(index);
     point.built.reset();
-}
-
-std::optional<DesignSpec>
-VectorSpecSource::next()
-{
-    size_t index = 0;
-    return nextIndexed(index);
-}
-
-std::optional<DesignSpec>
-VectorSpecSource::nextIndexed(size_t &index)
-{
-    const size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= specs_.size())
-        return std::nullopt;
-    index = i;
-    return specs_[i];
 }
 
 DesignSpec
@@ -57,29 +22,28 @@ VectorSpecSource::at(size_t index) const
 }
 
 GeneratorSpecSource::GeneratorSpecSource(Generator generate,
-                                         std::optional<size_t> size_hint)
-    : generate_(std::move(generate)), hint_(size_hint)
+                                         size_t points)
+    : generate_(std::move(generate)), points_(points)
 {
     if (!generate_)
         fatal("GeneratorSpecSource: null generator function");
 }
 
-std::optional<DesignSpec>
-GeneratorSpecSource::next()
+DesignSpec
+GeneratorSpecSource::at(size_t index) const
 {
-    if (done_)
-        return std::nullopt;
-    if (hint_ && cursor_ >= *hint_) {
-        done_ = true;
-        return std::nullopt;
+    if (index >= points_)
+        fatal("GeneratorSpecSource: point %zu out of range (%zu "
+              "points)", index, points_);
+    std::optional<DesignSpec> spec;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        spec = generate_(index);
     }
-    std::optional<DesignSpec> spec = generate_(cursor_);
-    if (!spec) {
-        done_ = true;
-        return std::nullopt;
-    }
-    ++cursor_;
-    return spec;
+    if (!spec)
+        fatal("GeneratorSpecSource: the generator gave no point %zu "
+              "of its %zu", index, points_);
+    return std::move(*spec);
 }
 
 } // namespace camj::spec

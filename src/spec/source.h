@@ -1,25 +1,29 @@
 /**
  * @file
- * SpecSource: a pull-based stream of DesignSpecs — the producer side
+ * SpecSource: a finite, indexed set of DesignSpecs — the producer side
  * of the streaming sweep pipeline. Where a std::vector<DesignSpec>
  * forces every design point of a sweep to exist in memory up front, a
- * SpecSource yields points one at a time, so a 10k-point grid is
- * never materialized as a whole and a sweep can start evaluating
- * before the last point is even generated.
+ * SpecSource builds point i when it is asked for it, so a 10k-point
+ * grid is never materialized as a whole and a sweep can start
+ * evaluating before the last point is even built.
  *
- * Sources are single-consumer iterators: next() is not thread-safe
- * (the SweepEngine serializes its pulls), and a drained source stays
- * drained unless it documents a reset().
+ * A source has no cursor of its own: the SweepEngine walks
+ * [0, totalPoints()) with one atomic cursor and asks for each point
+ * by index, from any worker thread. Every index is a point's identity
+ * (the one InOrderSink and shard mergers key on), so at(i) and
+ * pointAt(i) must be thread-safe and give the same point however
+ * often and in whatever order they are called.
  */
 
 #ifndef CAMJ_SPEC_SOURCE_H
 #define CAMJ_SPEC_SOURCE_H
 
-#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "spec/spec.h"
@@ -30,8 +34,8 @@ namespace camj::spec
 /**
  * One design point as a sweep worker holds it: the spec and, when the
  * source built it, its materialization. A worker keeps one SpecPoint
- * for all its pulls from one source (SpecSource::nextPoint), so the
- * source can rebuild the Design held here in place instead of
+ * for all the points it takes from one source (SpecSource::pointAt),
+ * so the source can rebuild the Design held here in place instead of
  * materializing every point from its spec. A SpecPoint serves one
  * source: what a source left in it is meaningless to another.
  */
@@ -52,53 +56,32 @@ struct SpecPoint
     const Design &design() const { return built->design(); }
 };
 
-/** A pull-based stream of design points. */
+/**
+ * A finite set of design points, each produced by its 0-based index.
+ * This is also the contract sharding builds on: a ShardSpecSource
+ * re-indexes an arbitrary index subset of any source, so the same
+ * grid document can be split across processes and hosts while every
+ * point keeps its global identity.
+ */
 class SpecSource
 {
   public:
     virtual ~SpecSource() = default;
 
-    /** The next design point, or nullopt when the stream is done. */
-    virtual std::optional<DesignSpec> next() = 0;
+    /** Points the source covers: indices [0, totalPoints()). */
+    virtual size_t totalPoints() const = 0;
+
+    /** The spec of point @p index. Thread-safe.
+     *  @throws ConfigError when out of range. */
+    virtual DesignSpec at(size_t index) const = 0;
 
     /**
-     * Total points the source will yield (including already-yielded
-     * ones), when known; nullopt for unbounded/unknown streams. Used
-     * by the SweepEngine to clamp its worker count.
+     * Point @p index into a sweep worker's @p point. A source that can
+     * materialize a point more cheaply than spec.materialize() does so
+     * here (see SpecPoint); the default is at(index), unmaterialized.
+     * Thread-safe.
      */
-    virtual std::optional<size_t> sizeHint() const
-    {
-        return std::nullopt;
-    }
-
-    /**
-     * True when nextIndexed() may be called from several threads at
-     * once. Sources backed by random access (a vector, a grid
-     * expansion) claim this so sweep workers can produce points
-     * concurrently off an atomic cursor instead of serializing under
-     * the engine's source lock.
-     */
-    virtual bool concurrentPulls() const { return false; }
-
-    /**
-     * Pull one point together with its 0-based stream index (the
-     * identity InOrderSink and shard mergers key on). Only called by
-     * the engine when concurrentPulls() is true; such sources must
-     * make it thread-safe. @throws InternalError by default.
-     */
-    virtual std::optional<DesignSpec> nextIndexed(size_t &index);
-
-    /**
-     * Pull the next point into @p point together with its stream
-     * index, as nextIndexed() does. A source that can materialize a
-     * point more cheaply than spec.materialize() does so here (see
-     * SpecPoint); the default pulls nextIndexed() and leaves the point
-     * unmaterialized. Only called when concurrentPulls() is true, and
-     * thread-safe as nextIndexed() is.
-     *
-     * @return false when the stream is done.
-     */
-    virtual bool nextPoint(size_t &index, SpecPoint &point);
+    virtual void pointAt(size_t index, SpecPoint &point) const;
 
     /**
      * Always nullopt. Earlier evaluators took the spec field paths
@@ -113,33 +96,8 @@ class SpecSource
     }
 };
 
-/**
- * A SpecSource with random access: every point can be produced by its
- * 0-based index without disturbing the stream cursor. This is the
- * contract sharding builds on — a ShardSpecSource re-enumerates an
- * arbitrary index subset of any indexable source, so the same grid
- * document can be split across processes and hosts while every point
- * keeps its global identity.
- */
-class IndexableSpecSource : public SpecSource
-{
-  public:
-    /** The spec of point @p index without advancing the stream.
-     *  Thread-safe. @throws ConfigError when out of range. */
-    virtual DesignSpec at(size_t index) const = 0;
-
-    /** Point @p index into @p point, as nextPoint() fills it; the
-     *  default is at(index), unmaterialized. Thread-safe. */
-    virtual void pointAt(size_t index, SpecPoint &point) const;
-
-    /** Total points the source covers (same value sizeHint()
-     *  reports, but never unknown). */
-    virtual size_t totalPoints() const = 0;
-};
-
-/** A source over an owned vector (the batch API's adapter).
- *  Supports concurrent pulls. */
-class VectorSpecSource : public IndexableSpecSource
+/** A source over an owned vector (the batch API's adapter). */
+class VectorSpecSource : public SpecSource
 {
   public:
     explicit VectorSpecSource(std::vector<DesignSpec> specs)
@@ -147,49 +105,41 @@ class VectorSpecSource : public IndexableSpecSource
     {
     }
 
-    std::optional<DesignSpec> next() override;
-    std::optional<size_t> sizeHint() const override
-    {
-        return specs_.size();
-    }
-    bool concurrentPulls() const override { return true; }
-    std::optional<DesignSpec> nextIndexed(size_t &index) override;
-
-    DesignSpec at(size_t index) const override;
     size_t totalPoints() const override { return specs_.size(); }
-
-    /** Rewind to the first point (not thread-safe). */
-    void reset() { cursor_.store(0, std::memory_order_relaxed); }
+    DesignSpec at(size_t index) const override;
 
   private:
     std::vector<DesignSpec> specs_;
-    std::atomic<size_t> cursor_{0};
 };
 
 /**
- * A source driven by a generator function: the callback receives the
- * running point index (0, 1, 2, ...) and returns the spec for that
- * index, or nullopt to end the stream. Lets procedural generators
+ * A source driven by a generator function: at(i) calls the generator
+ * with i and returns the spec it builds. Lets procedural generators
  * (e.g. the paper-study registry) feed a sweep lazily.
+ *
+ * The generator runs under the source's mutex, so it is never called
+ * from two threads at once, but a sweep may ask for its indices in
+ * any order: it must be a pure function of the index.
  */
 class GeneratorSpecSource : public SpecSource
 {
   public:
     using Generator = std::function<std::optional<DesignSpec>(size_t)>;
 
-    /** @param size_hint Total points when known (see sizeHint()). */
-    explicit GeneratorSpecSource(
-        Generator generate,
-        std::optional<size_t> size_hint = std::nullopt);
+    /** @param points The indices the generator covers, [0, points).
+     *  @throws ConfigError on a null generator. */
+    GeneratorSpecSource(Generator generate, size_t points);
 
-    std::optional<DesignSpec> next() override;
-    std::optional<size_t> sizeHint() const override { return hint_; }
+    size_t totalPoints() const override { return points_; }
+
+    /** @throws ConfigError when @p index is out of range or the
+     *  generator returns nullopt for it. */
+    DesignSpec at(size_t index) const override;
 
   private:
     Generator generate_;
-    std::optional<size_t> hint_;
-    size_t cursor_ = 0;
-    bool done_ = false;
+    size_t points_;
+    mutable std::mutex mutex_;
 };
 
 } // namespace camj::spec

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/cli.h"
 #include "common/logging.h"
 #include "serve/client.h"
 
@@ -57,19 +58,6 @@ flagValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-long
-parseCount(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "error: %s wants a non-negative "
-                     "integer, got '%s'\n", what, text);
-        std::exit(2);
-    }
-    return v;
-}
-
 struct CommonArgs
 {
     int port = 0;
@@ -95,21 +83,20 @@ main(int argc, char **argv)
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port")
-            common.port = static_cast<int>(
-                parseCount(flagValue(argc, argv, i), "--port"));
+            common.port = parseFlag<int>(
+                "--port", flagValue(argc, argv, i), 0, 65535);
         else if (arg == "--host")
             common.host = flagValue(argc, argv, i);
         else if (arg == "--out")
             out_path = flagValue(argc, argv, i);
         else if (arg == "--frames")
-            frames = static_cast<int>(
-                parseCount(flagValue(argc, argv, i), "--frames"));
+            frames = parseFlag<int>("--frames", flagValue(argc, argv, i),
+                                    1);
         else if (arg == "--threads")
-            threads = static_cast<int>(
-                parseCount(flagValue(argc, argv, i), "--threads"));
+            threads = parseFlag<int>("--threads", flagValue(argc, argv, i));
         else if (arg == "--wait-sec")
             wait_sec = static_cast<double>(
-                parseCount(flagValue(argc, argv, i), "--wait-sec"));
+                parseFlag<int>("--wait-sec", flagValue(argc, argv, i)));
         else if (positional.empty() && arg[0] != '-')
             positional = arg;
         else {

@@ -22,6 +22,7 @@
 
 #include <signal.h>
 
+#include "common/cli.h"
 #include "common/logging.h"
 #include "serve/server.h"
 
@@ -74,19 +75,6 @@ flagValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-long
-parseCount(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "error: %s wants a non-negative "
-                     "integer, got '%s'\n", what, text);
-        std::exit(2);
-    }
-    return v;
-}
-
 } // namespace
 
 int
@@ -100,19 +88,19 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
         else if (arg == "--port")
-            options.port = static_cast<int>(
-                parseCount(flagValue(argc, argv, i), "--port"));
+            options.port = parseFlag<int>(
+                "--port", flagValue(argc, argv, i), 0, 65535);
         else if (arg == "--port-file")
             port_file = flagValue(argc, argv, i);
         else if (arg == "--shards")
-            options.scheduler.shards = static_cast<size_t>(
-                parseCount(flagValue(argc, argv, i), "--shards"));
+            options.scheduler.shards = parseFlag<size_t>(
+                "--shards", flagValue(argc, argv, i));
         else if (arg == "--threads")
-            options.scheduler.threadsPerWorker = static_cast<int>(
-                parseCount(flagValue(argc, argv, i), "--threads"));
+            options.scheduler.threadsPerWorker = parseFlag<int>(
+                "--threads", flagValue(argc, argv, i));
         else if (arg == "--frames")
-            options.scheduler.frames = static_cast<int>(
-                parseCount(flagValue(argc, argv, i), "--frames"));
+            options.scheduler.frames = parseFlag<int>(
+                "--frames", flagValue(argc, argv, i), 1);
         else if (arg == "--workers") {
             const std::string mode = flagValue(argc, argv, i);
             if (mode == "inprocess")
@@ -130,20 +118,18 @@ main(int argc, char **argv)
         else if (arg == "--work-dir")
             options.scheduler.workDir = flagValue(argc, argv, i);
         else if (arg == "--top")
-            options.scheduler.topK = static_cast<size_t>(
-                parseCount(flagValue(argc, argv, i), "--top"));
+            options.scheduler.topK = parseFlag<size_t>(
+                "--top", flagValue(argc, argv, i));
         else if (arg == "--heartbeat-sec")
             options.scheduler.heartbeatSeconds = static_cast<double>(
-                parseCount(flagValue(argc, argv, i),
-                           "--heartbeat-sec"));
+                parseFlag<int>("--heartbeat-sec",
+                               flagValue(argc, argv, i)));
         else if (arg == "--max-attempts")
-            options.scheduler.maxAttempts = static_cast<size_t>(
-                parseCount(flagValue(argc, argv, i),
-                           "--max-attempts"));
+            options.scheduler.maxAttempts = parseFlag<size_t>(
+                "--max-attempts", flagValue(argc, argv, i));
         else if (arg == "--test-fail-shard")
-            options.scheduler.testFailShards.push_back(
-                static_cast<size_t>(parseCount(
-                    flagValue(argc, argv, i), "--test-fail-shard")));
+            options.scheduler.testFailShards.push_back(parseFlag<size_t>(
+                "--test-fail-shard", flagValue(argc, argv, i)));
         else {
             std::fprintf(stderr, "error: unexpected argument '%s'\n",
                          arg.c_str());

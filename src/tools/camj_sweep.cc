@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "analysis/grid_analyzer.h"
+#include "common/cli.h"
 #include "common/logging.h"
 #include "explore/jsonl.h"
 #include "explore/sweep.h"
@@ -97,19 +98,6 @@ flagValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-long
-parseCount(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "error: %s wants a non-negative "
-                     "integer, got '%s'\n", what, text);
-        std::exit(2);
-    }
-    return v;
-}
-
 /** Parse "k/N" (e.g. "2/4"). */
 void
 parseShardSpec(const std::string &text, size_t &k, size_t &n)
@@ -122,10 +110,8 @@ parseShardSpec(const std::string &text, size_t &k, size_t &n)
                      text.c_str());
         std::exit(2);
     }
-    k = static_cast<size_t>(
-        parseCount(text.substr(0, slash).c_str(), "--shard k"));
-    n = static_cast<size_t>(
-        parseCount(text.substr(slash + 1).c_str(), "--shard N"));
+    k = parseFlag<size_t>("--shard k", text.substr(0, slash).c_str());
+    n = parseFlag<size_t>("--shard N", text.substr(slash + 1).c_str());
 }
 
 // ------------------------------------------------------------------ plan
@@ -139,8 +125,8 @@ cmdPlan(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--shards")
-            shards = static_cast<size_t>(
-                parseCount(flagValue(argc, argv, i), "--shards"));
+            shards = parseFlag<size_t>("--shards",
+                                       flagValue(argc, argv, i));
         else if (arg == "--mode")
             mode = spec::shardModeFromName(flagValue(argc, argv, i));
         else if (arg == "--outdir")
@@ -206,11 +192,11 @@ cmdRun(int argc, char **argv)
         else if (arg == "--verbose")
             verbose = true;
         else if (arg == "--threads")
-            threads = static_cast<int>(
-                parseCount(flagValue(argc, argv, i), "--threads"));
+            threads = parseFlag<int>("--threads",
+                                     flagValue(argc, argv, i));
         else if (arg == "--frames")
-            sim.frames = static_cast<int>(
-                parseCount(flagValue(argc, argv, i), "--frames"));
+            sim.frames = parseFlag<int>("--frames",
+                                        flagValue(argc, argv, i), 1);
         else if (input.empty() && arg[0] != '-')
             input = arg;
         else {
@@ -327,11 +313,10 @@ cmdMerge(int argc, char **argv)
         if (arg == "--out")
             out_path = flagValue(argc, argv, i);
         else if (arg == "--top")
-            top_k = static_cast<size_t>(
-                parseCount(flagValue(argc, argv, i), "--top"));
+            top_k = parseFlag<size_t>("--top", flagValue(argc, argv, i));
         else if (arg == "--total")
-            expected_total = static_cast<size_t>(
-                parseCount(flagValue(argc, argv, i), "--total"));
+            expected_total = parseFlag<size_t>("--total",
+                                               flagValue(argc, argv, i));
         else if (arg == "--resume-plan")
             resume_path = flagValue(argc, argv, i);
         else if (arg == "--doc")

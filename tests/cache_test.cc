@@ -205,7 +205,6 @@ TEST(SweepWorkers, SetupFailureSurfacesOnTheCallingThread)
     // both pool threads, and run() rethrows on the caller.
     SweepOptions options;
     options.threads = 2;
-    options.incremental = true;
     options.sim.frames = 0;
     SweepEngine engine(options);
     const std::vector<spec::DesignSpec> specs = {

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for src/common: units/formatting, statistics helpers,
- * error reporting, and shape arithmetic.
+ * error reporting, command-line integers and shape arithmetic.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "common/cli.h"
 #include "common/logging.h"
 #include "common/shape.h"
 #include "common/stats.h"
@@ -87,9 +89,41 @@ TEST(Logging, FatalMessageContainsFormattedText)
     }
 }
 
+TEST(Logging, MessageDropsOnlyFatalsPrefix)
+{
+    try {
+        fatal(Rule::E018, "json: bad %s", "token");
+        FAIL() << "fatal() returned";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(), "fatal: json: bad token");
+        EXPECT_STREQ(e.message(), "json: bad token");
+    }
+    EXPECT_STREQ(ConfigError("plain text").message(), "plain text");
+}
+
 TEST(Logging, StrprintfFormats)
 {
     EXPECT_EQ(strprintf("%s-%03d", "x", 7), "x-007");
+}
+
+// ------------------------------------------------------------------ cli
+
+TEST(Cli, IntegerFlagsAreRangeChecked)
+{
+    EXPECT_EQ(parseIntInRange("7", 0, 10), 7);
+    EXPECT_EQ(parseIntInRange("0", 0, 10), 0);
+    EXPECT_EQ(parseIntInRange("10", 0, 10), 10);
+    EXPECT_EQ(parseIntInRange("-3", -5, 10), -3);
+    // Outside the range, past a long long, or not a whole integer.
+    EXPECT_FALSE(parseIntInRange("11", 0, 10));
+    EXPECT_FALSE(parseIntInRange("0", 1, 10));
+    EXPECT_FALSE(parseIntInRange("-1", 0, 10));
+    EXPECT_FALSE(parseIntInRange("4294967297", 0, 2147483647));
+    EXPECT_FALSE(parseIntInRange("99999999999999999999", 0,
+                                 std::numeric_limits<long long>::max()));
+    for (const char *text : {"", "-", "+5", " 5", "5 ", "5x", "0x10",
+                             "1.5", "1e3"})
+        EXPECT_FALSE(parseIntInRange(text, -100, 100)) << text;
 }
 
 // ---------------------------------------------------------------- stats

@@ -305,11 +305,7 @@ gridlessJsonl(const std::string &text)
     std::ostringstream out;
     JsonlSink lines(out);
     InOrderSink ordered(lines);
-    SweepOptions options;
-    options.threads = 1;
-    options.incremental = true;
-    SweepEngine engine(options);
-    engine.runStream(source, ordered);
+    SweepEngine(SweepOptions{.threads = 1}).runStream(source, ordered);
     return out.str();
 }
 

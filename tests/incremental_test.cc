@@ -488,24 +488,22 @@ TEST(IncrementalIdentity, CanonicalGridRowMajorAndStrided)
 
 TEST(IncrementalIdentity, SweepEngineIncrementalMatchesSerial)
 {
-    // The engine-level wiring: a 2-thread incremental streaming run
-    // over the canonical grid delivers the exact results (and JSONL
-    // bytes) of the classic serial full-rebuild path.
+    // The engine-level wiring: a 2-thread streaming run (each worker
+    // on its own memo evaluator) over the canonical grid delivers the
+    // exact results (and JSONL bytes) of the memo-free serial path.
     const spec::SweepDocument doc = spec::sampleDetectorStudy();
 
-    spec::GridSpecSource serial_source = doc.source();
+    const spec::GridSpecSource source = doc.source();
     std::vector<spec::DesignSpec> specs;
-    while (std::optional<spec::DesignSpec> s = serial_source.next())
-        specs.push_back(std::move(*s));
+    for (size_t i = 0; i < source.totalPoints(); ++i)
+        specs.push_back(source.at(i));
     SweepEngine reference_engine(SweepOptions{.threads = 1});
     const std::vector<SweepResult> ref =
         reference_engine.runSerial(specs);
 
     SweepOptions options;
     options.threads = 2;
-    options.incremental = true;
     SweepEngine engine(options);
-    spec::GridSpecSource source = doc.source();
     CollectSink collect;
     InOrderSink ordered(collect);
     engine.runStream(source, ordered);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -816,6 +818,67 @@ TEST(ServedSweep, SigkilledSubprocessIsRedispatchedGapFree)
 }
 
 #endif // CAMJ_SWEEP_BIN
+
+// ------------------------------------------------------ argument errors
+
+#if defined(CAMJ_SERVE_BIN) && defined(CAMJ_CLIENT_BIN)
+
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/** WEXITSTATUS of @p command run under a 20 s timeout (124 when it
+ *  ran out), with stdout and stderr written to @p log. */
+int
+exitUnderTimeout(const std::string &command, const fs::path &log)
+{
+    const std::string cmd =
+        "timeout 20 " + command + " > " + log.string() + " 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CamjServeCli, OutOfRangeFlagIsAUsageError)
+{
+    // 4294967297 read into an int used to become 1: the daemon then
+    // served with one frame per point instead of refusing the flag.
+    const fs::path dir = scratchDir("serve_cli_range");
+    const fs::path log = dir / "serve.log";
+    EXPECT_EQ(exitUnderTimeout(std::string(CAMJ_SERVE_BIN) +
+                                   " --port 0 --frames 4294967297",
+                               log),
+              2);
+    EXPECT_NE(readFile(log).find("--frames wants an integer in [1, "),
+              std::string::npos)
+        << readFile(log);
+}
+
+TEST(CamjClientCli, OutOfRangeFlagIsAUsageError)
+{
+    // Refused before the document is read, the --out file opened or
+    // a socket connected (no daemon listens on port 1).
+    const fs::path dir = scratchDir("client_cli_range");
+    std::ofstream(dir / "study.json") << spec::toJson(smallStudy());
+    const fs::path out = dir / "out.jsonl";
+    const fs::path log = dir / "client.log";
+    EXPECT_EQ(exitUnderTimeout(std::string(CAMJ_CLIENT_BIN) + " submit " +
+                                   (dir / "study.json").string() +
+                                   " --port 1 --threads 4294967297" +
+                                   " --out " + out.string(),
+                               log),
+              2);
+    EXPECT_NE(readFile(log).find("--threads wants an integer in [0, "),
+              std::string::npos)
+        << readFile(log);
+    EXPECT_FALSE(fs::exists(out));
+}
+
+#endif // CAMJ_SERVE_BIN && CAMJ_CLIENT_BIN
 
 } // namespace
 } // namespace camj

@@ -203,14 +203,24 @@ TEST(ShardSpecSource, YieldsExactlyTheAssignedSlice)
     const spec::ShardPlan plan = spec::planShards(grid.totalPoints(), 3);
     for (const spec::ShardAssignment &a : plan.shards) {
         spec::ShardSpecSource source(grid, a);
-        ASSERT_EQ(source.sizeHint(), a.count());
+        ASSERT_EQ(source.totalPoints(), a.count());
+        spec::SpecPoint point;
+        for (size_t local = 0; local < a.count(); ++local) {
+            // The shard's point IS the grid's point, by global index.
+            const std::string name = grid.at(a.globalIndex(local)).name;
+            EXPECT_EQ(source.at(local).name, name);
+            source.pointAt(local, point);
+            EXPECT_EQ(point.spec.name, name);
+        }
+        EXPECT_THROW(source.at(a.count()), ConfigError);
+        // The cursor the benchmark's replay walks a shard with numbers
+        // the same points by the same local indices.
         size_t local = 0;
         size_t reported = 0;
         while (std::optional<spec::DesignSpec> s =
                    source.nextIndexed(reported)) {
             EXPECT_EQ(reported, local);
-            // The shard's point IS the grid's point, by global index.
-            EXPECT_EQ(s->name, grid.at(a.globalIndex(local)).name);
+            EXPECT_EQ(s->name, source.at(local).name);
             ++local;
         }
         EXPECT_EQ(local, a.count());
@@ -226,8 +236,8 @@ TEST(ShardSpecSource, WorksOverAnyIndexableSource)
     const spec::ShardPlan plan = spec::planShards(5, 2);
     spec::ShardSpecSource tail(vec, plan.shards[1]); // [3, 5)
     std::vector<std::string> names;
-    while (std::optional<spec::DesignSpec> s = tail.next())
-        names.push_back(s->name);
+    for (size_t i = 0; i < tail.totalPoints(); ++i)
+        names.push_back(tail.at(i).name);
     ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], specs[3].name);
     EXPECT_EQ(names[1], specs[4].name);
@@ -513,6 +523,14 @@ TEST(ShardMerge, TornFinalLineStillFailsLoudly)
 
 TEST(ShardMerge, NamesFileAndLineOnMalformedInput)
 {
+    // The reader wraps the line's error once: "fatal:" appears once.
+    auto fatalPrefixes = [](const std::string &what) {
+        size_t n = 0;
+        for (size_t at = what.find("fatal:"); at != std::string::npos;
+             at = what.find("fatal:", at + 1))
+            ++n;
+        return n;
+    };
     const fs::path dir = scratchDir("merge_malformed");
     writeFile(dir / "bad.jsonl", "{\"index\": 0}\nnot json\n");
     JsonlReader reader((dir / "bad.jsonl").string());
@@ -526,6 +544,23 @@ TEST(ShardMerge, NamesFileAndLineOnMalformedInput)
             << e.what();
         // The parser's rule, not the uncoded CAMJ-D003.
         EXPECT_STREQ(e.code(), "CAMJ-E018") << e.what();
+        EXPECT_EQ(fatalPrefixes(e.what()), 1u) << e.what();
+    }
+
+    // A negative index is refused under the same rule; it used to be
+    // the uncoded CAMJ-D003, its text reading "fatal:" twice.
+    writeFile(dir / "neg.jsonl",
+              "{\"index\":-1,\"design\":\"a\",\"feasible\":false}\n");
+    JsonlReader negative((dir / "neg.jsonl").string());
+    try {
+        negative.next();
+        FAIL() << "negative index not detected";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "fatal: jsonl: " + (dir / "neg.jsonl").string() +
+                      ":1: jsonl: negative index -1");
+        EXPECT_STREQ(e.code(), "CAMJ-E018") << e.what();
+        EXPECT_EQ(fatalPrefixes(e.what()), 1u) << e.what();
     }
 
     // An index that is not an integer is refused, not rounded: 0.6
@@ -547,6 +582,7 @@ TEST(ShardMerge, NamesFileAndLineOnMalformedInput)
                   std::string::npos)
             << what;
         EXPECT_STREQ(e.code(), "CAMJ-E018") << what;
+        EXPECT_EQ(fatalPrefixes(what), 1u) << what;
     }
     std::ostringstream merged;
     EXPECT_THROW(mergeShardFiles({(dir / "fractional.jsonl").string()},
@@ -608,7 +644,7 @@ TEST(ExplicitShard, DescriptorRoundTripsAndYieldsItsSlice)
 
 /** runShard's bytes for @p assignment of @p source on @p threads. */
 std::string
-runShardBytes(const spec::IndexableSpecSource &source,
+runShardBytes(const spec::SpecSource &source,
               const spec::ShardAssignment &assignment, int threads)
 {
     std::ostringstream out;
@@ -898,6 +934,34 @@ TEST(CamjSweepCli, ArgumentErrorsExitTwoWithUsage)
     EXPECT_EQ(cliExit("run " + study + " --shard 5/2"), 2);
     EXPECT_EQ(cliExit("run " + study + " --shard 0/0"), 2);
     EXPECT_EQ(cliExit("run " + study + " --shard nonsense"), 2);
+}
+
+TEST(CamjSweepCli, OutOfRangeCountsAreUsageErrors)
+{
+    // Each count is checked against the int it is read into, before
+    // the document is read or the --out file opened. 4294967297 used
+    // to run as 1 and 2147483648 to fail as -2147483648; --frames 0
+    // failed in the evaluator (exit 1) after creating an empty --out
+    // file.
+    const fs::path dir = scratchDir("cli_counts");
+    writeFile(dir / "study.json", spec::toJson(smallStudy()));
+    const fs::path out = dir / "out.jsonl";
+    for (const std::string flag :
+         {"--frames 4294967297", "--frames 2147483648", "--frames 0",
+          "--threads 4294967297"}) {
+        SCOPED_TRACE(flag);
+        const fs::path log = dir / "run.log";
+        EXPECT_EQ(cliExit("run " + (dir / "study.json").string() + " " +
+                              flag + " --out " + out.string(),
+                          log.string()),
+                  2);
+        const std::string name = flag.substr(0, flag.find(' '));
+        EXPECT_NE(readFile(log).find("error: " + name + " wants an "
+                                     "integer in ["),
+                  std::string::npos)
+            << readFile(log);
+        EXPECT_FALSE(fs::exists(out));
+    }
 }
 
 TEST(CamjSweepCli, CacheDirFlagIsRejected)

@@ -47,13 +47,13 @@ class QuietLogging : public ::testing::Environment
 ::testing::Environment *const quiet_env =
     ::testing::AddGlobalTestEnvironment(new QuietLogging);
 
-/** Every spec a source yields, drained in order. */
+/** Every point of a source, in index order. */
 std::vector<spec::DesignSpec>
-drain(spec::SpecSource &source)
+pointsOf(const spec::SpecSource &source)
 {
     std::vector<spec::DesignSpec> specs;
-    while (std::optional<spec::DesignSpec> s = source.next())
-        specs.push_back(std::move(*s));
+    for (size_t i = 0; i < source.totalPoints(); ++i)
+        specs.push_back(source.at(i));
     return specs;
 }
 
@@ -81,46 +81,58 @@ expectSameResults(const std::vector<SweepResult> &a,
 
 // --------------------------------------------------------- SpecSource
 
-TEST(SpecSource, VectorSourceYieldsAllInOrderThenDrains)
+TEST(SpecSource, VectorSourceIndexesItsVector)
 {
     std::vector<spec::DesignSpec> specs = {
         spec::sampleDetectorSpec(30.0, 130),
         spec::sampleDetectorSpec(30.0, 65)};
     spec::VectorSpecSource source(specs);
-    ASSERT_EQ(source.sizeHint(), specs.size());
-    std::vector<spec::DesignSpec> out = drain(source);
+    ASSERT_EQ(source.totalPoints(), specs.size());
+    std::vector<spec::DesignSpec> out = pointsOf(source);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].name, specs[0].name);
     EXPECT_EQ(out[1].name, specs[1].name);
-    EXPECT_FALSE(source.next().has_value());
-    source.reset();
-    EXPECT_TRUE(source.next().has_value());
+    // Asking again gives the same point: a source has no cursor.
+    EXPECT_EQ(source.at(0).name, specs[0].name);
+    EXPECT_THROW(source.at(2), ConfigError);
 }
 
-TEST(SpecSource, GeneratorSourceStopsOnNulloptOrHint)
+TEST(SpecSource, GeneratorSourceCoversItsCount)
 {
-    spec::GeneratorSpecSource hinted(
+    spec::GeneratorSpecSource counted(
         [](size_t) { return spec::sampleDetectorSpec(30.0, 65); }, 3);
-    EXPECT_EQ(drain(hinted).size(), 3u);
+    EXPECT_EQ(counted.totalPoints(), 3u);
+    EXPECT_EQ(pointsOf(counted).size(), 3u);
+    EXPECT_THROW(counted.at(3), ConfigError);
 
-    spec::GeneratorSpecSource open_ended(
+    // A generator that gives no point inside its count is an error
+    // naming the index, not a shorter sweep.
+    spec::GeneratorSpecSource short_one(
         [](size_t i) -> std::optional<spec::DesignSpec> {
             if (i >= 2)
                 return std::nullopt;
             return spec::sampleDetectorSpec(30.0, 65);
-        });
-    EXPECT_FALSE(open_ended.sizeHint().has_value());
-    EXPECT_EQ(drain(open_ended).size(), 2u);
+        },
+        3);
+    EXPECT_EQ(short_one.at(1).name, spec::sampleDetectorSpec(30.0, 65).name);
+    try {
+        short_one.at(2);
+        FAIL() << "a missing point inside the count was not refused";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("no point 2 of its 3"),
+                  std::string::npos)
+            << e.what();
+    }
 
-    EXPECT_THROW(spec::GeneratorSpecSource(nullptr), ConfigError);
+    EXPECT_THROW(spec::GeneratorSpecSource(nullptr, 1), ConfigError);
 }
 
 TEST(SpecSource, PaperStudySourceMatchesRegistryExactly)
 {
     std::vector<spec::DesignSpec> registry = allPaperStudySpecs();
     spec::GeneratorSpecSource source = paperStudySource();
-    ASSERT_EQ(source.sizeHint(), registry.size());
-    std::vector<spec::DesignSpec> streamed = drain(source);
+    ASSERT_EQ(source.totalPoints(), registry.size());
+    std::vector<spec::DesignSpec> streamed = pointsOf(source);
     ASSERT_EQ(streamed.size(), registry.size());
     for (size_t i = 0; i < registry.size(); ++i) {
         EXPECT_EQ(streamed[i].name, registry[i].name) << i;
@@ -155,9 +167,9 @@ TEST(SweepGrid, LazyExpansionAppliesAxesAndEncodesCoordinates)
 {
     spec::DesignSpec base = spec::sampleDetectorSpec(30.0, 65);
     spec::GridSpecSource source(base, detectorGrid());
-    ASSERT_EQ(source.sizeHint(), 6u);
+    ASSERT_EQ(source.totalPoints(), 6u);
 
-    std::vector<spec::DesignSpec> points = drain(source);
+    std::vector<spec::DesignSpec> points = pointsOf(source);
     ASSERT_EQ(points.size(), 6u);
     // Row-major: first axis outermost, last axis fastest.
     EXPECT_EQ(points[0].name, base.name + "/rate=15,bufnode=130");
@@ -280,7 +292,7 @@ TEST(SweepGrid, ExplicitPointListExpandsNonCartesian)
     EXPECT_EQ(grid.points(), 3u);
 
     spec::GridSpecSource source(base, grid);
-    std::vector<spec::DesignSpec> points = drain(source);
+    std::vector<spec::DesignSpec> points = pointsOf(source);
     ASSERT_EQ(points.size(), 3u);
     EXPECT_EQ(points[0].name, base.name + "/rate=15,node=130");
     EXPECT_EQ(points[2].name, base.name + "/rate=120,node=65");
@@ -355,7 +367,7 @@ TEST(SweepGrid, PointListDocumentRoundTripsAndShards)
     ASSERT_EQ(back.grid.pointList.size(), 4u);
 
     // Point-list documents shard like any other sweep: a descriptor
-    // embedding the grid round-trips and its source yields exactly
+    // embedding the grid round-trips and its source holds exactly
     // the assigned tuples.
     const spec::ShardPlan plan = spec::planShards(4, 2);
     spec::ShardDescriptor d{back, plan.shards[1]};
@@ -364,7 +376,7 @@ TEST(SweepGrid, PointListDocumentRoundTripsAndShards)
     EXPECT_EQ(loaded.shard.count(), 2u);
     spec::GridSpecSource grid_source = loaded.doc.source();
     spec::ShardSpecSource source(grid_source, loaded.shard);
-    std::vector<spec::DesignSpec> points = drain(source);
+    std::vector<spec::DesignSpec> points = pointsOf(source);
     ASSERT_EQ(points.size(), 2u);
     EXPECT_DOUBLE_EQ(points[0].fps, 120.0);
     EXPECT_DOUBLE_EQ(points[1].fps, 240.0);
@@ -476,7 +488,7 @@ simulatedLine(const spec::DesignSpec &spec, size_t index = 0)
 
 /** The lines runShard streams for every point of @p source on
  *  @p threads workers: each point through a worker's point path
- *  (SpecSource::nextPoint), materialized from the grid's base. */
+ *  (SpecSource::pointAt), materialized from the grid's base. */
 std::vector<std::string>
 engineLines(const spec::GridSpecSource &source, int threads)
 {
@@ -901,20 +913,19 @@ TEST(SweepGrid, ConstructionErrorsKeepTheirText)
     };
     EXPECT_EQ(error("op", "stages[1].op", json::Value("bogus")),
               "fatal: sweepGrid: axis 'op' value \"bogus\" does not "
-              "produce a valid spec: fatal: spec: unknown stage op "
+              "produce a valid spec: spec: unknown stage op "
               "'bogus' (known: Input, Binning, Conv2d, DepthwiseConv2d, "
               "FullyConnected, MaxPool, AvgPool, ElementwiseSub, "
               "ElementwiseAdd, AbsDiff, Threshold, Scale, LogResponse, "
               "Absolute, CompareSample, Identity)");
     EXPECT_EQ(error("kind", "memories[ActBuf].kind", json::Value("lifo")),
               "fatal: sweepGrid: axis 'kind' value \"lifo\" does not "
-              "produce a valid spec: fatal: spec: unknown memory kind "
+              "produce a valid spec: spec: unknown memory kind "
               "'lifo' (known: fifo, line-buffer, double-buffer, "
               "frame-buffer)");
     EXPECT_EQ(error("rate", "fps", json::Value("fast")),
               "fatal: sweepGrid: axis 'rate' value \"fast\" does not "
-              "produce a valid spec: fatal: json: expected number, got "
-              "string");
+              "produce a valid spec: json: expected number, got string");
 }
 
 TEST(SweepGrid, RenameALaterSelectorMissesFailsAtConstruction)
@@ -1165,20 +1176,20 @@ TEST(StreamingSweep, OverflowingPointIsOneCodedInfeasibleLine)
 {
     // 1e308 J per MIPI byte overflows the frame energy to +inf; the
     // writer cannot print it, so the Energy stage classifies it and
-    // the sweep writes every line. Both evaluators, 1 and 4 threads.
+    // the sweep writes every line. The engine at 1 and 4 threads
+    // writes the bytes of the memo-free runSerial.
     spec::SweepDocument doc;
     doc.base = spec::sampleDetectorSpec(30.0, 65);
     doc.grid.axes = {{"mipi", "mipi.energyPerByte",
                       {json::Value(1e-12), json::Value(1e308),
                        json::Value(2e-12)}}};
-    auto linesOf = [&](int threads, bool incremental, int frames) {
+    auto linesOf = [&](int threads, int frames) {
         spec::GridSpecSource source = doc.source();
         std::ostringstream out;
         JsonlSink lines(out);
         InOrderSink ordered(lines);
         SweepOptions options;
         options.threads = threads;
-        options.incremental = incremental;
         options.sim.frames = frames;
         SweepEngine(options).runStream(source, ordered);
         std::vector<JsonlRecord> records;
@@ -1187,41 +1198,118 @@ TEST(StreamingSweep, OverflowingPointIsOneCodedInfeasibleLine)
             records.push_back(parseJsonlLine(line));
         return std::make_pair(out.str(), records);
     };
-    const std::string reference = linesOf(1, true, 1).first;
+    auto serialBytes = [&](int frames) {
+        SweepOptions options;
+        options.sim.frames = frames;
+        std::string bytes;
+        for (const SweepResult &r :
+             SweepEngine(options).runSerial(pointsOf(doc.source())))
+            bytes += sweepResultToJsonl(r) + "\n";
+        return bytes;
+    };
+    const std::string reference = serialBytes(1);
     for (const int threads : {1, 4}) {
-        for (const bool incremental : {false, true}) {
-            SCOPED_TRACE(strprintf("threads %d, incremental %d", threads,
-                                   incremental));
-            const auto [bytes, records] =
-                linesOf(threads, incremental, 1);
-            EXPECT_EQ(bytes, reference);
-            ASSERT_EQ(records.size(), 3u);
-            EXPECT_TRUE(records[0].feasible);
-            EXPECT_FALSE(records[1].feasible);
-            EXPECT_EQ(records[1].ruleCode, "CAMJ-D004");
-            EXPECT_NE(records[1].error.find("unit 'MIPI-CSI2' alone "
-                                            "gives inf J"),
-                      std::string::npos)
-                << records[1].error;
-            EXPECT_TRUE(records[2].feasible);
-        }
+        SCOPED_TRACE(strprintf("threads %d", threads));
+        const auto [bytes, records] = linesOf(threads, 1);
+        EXPECT_EQ(bytes, reference);
+        ASSERT_EQ(records.size(), 3u);
+        EXPECT_TRUE(records[0].feasible);
+        EXPECT_FALSE(records[1].feasible);
+        EXPECT_EQ(records[1].ruleCode, "CAMJ-D004");
+        EXPECT_NE(records[1].error.find("unit 'MIPI-CSI2' alone "
+                                        "gives inf J"),
+                  std::string::npos)
+            << records[1].error;
+        EXPECT_TRUE(records[2].feasible);
     }
 
     // A finite frame energy (about 4e307 J) over 5 frames totals past
     // the largest double: finishOutcome classifies the product.
     doc.grid.axes[0].values = {json::Value(1e-12), json::Value(1e307)};
-    EXPECT_TRUE(linesOf(1, true, 1).second[1].feasible);
-    for (const bool incremental : {false, true}) {
-        const std::vector<JsonlRecord> records =
-            linesOf(2, incremental, 5).second;
-        ASSERT_EQ(records.size(), 2u);
-        EXPECT_TRUE(records[0].feasible);
-        EXPECT_FALSE(records[1].feasible);
-        EXPECT_EQ(records[1].ruleCode, "CAMJ-D004");
-        EXPECT_NE(records[1].error.find("5 frames of"),
-                  std::string::npos)
-            << records[1].error;
+    EXPECT_TRUE(linesOf(1, 1).second[1].feasible);
+    const auto [bytes, records] = linesOf(2, 5);
+    EXPECT_EQ(bytes, serialBytes(5));
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_TRUE(records[0].feasible);
+    EXPECT_FALSE(records[1].feasible);
+    EXPECT_EQ(records[1].ruleCode, "CAMJ-D004");
+    EXPECT_NE(records[1].error.find("5 frames of"), std::string::npos)
+        << records[1].error;
+}
+
+TEST(StreamingSweep, DefaultEngineEvaluatesThroughTheMemo)
+{
+    // The canonical axes with a 599-word ActBuf: the closed forms
+    // decline, so pass A simulates every point and the memo answers
+    // all but the three distinct topologies (the counts of
+    // perf_simulator's stridedSweep floors). An engine with default
+    // options takes that path and writes the bytes of the memo-free
+    // runSerial.
+    spec::SweepDocument doc = spec::sampleDetectorStudy();
+    for (spec::MemorySpec &m : doc.base.memories) {
+        if (m.name == "ActBuf")
+            m.capacityWords = 599;
     }
+    const spec::GridSpecSource source = doc.source();
+    ASSERT_EQ(source.totalPoints(), 108u);
+    const SweepEngine engine(SweepOptions{.threads = 1});
+    std::ostringstream out;
+    JsonlSink lines(out);
+    InOrderSink ordered(lines);
+    const StreamStats stats = engine.runStream(source, ordered);
+    EXPECT_EQ(stats.cycleSimMemo.hits, 129u);
+    EXPECT_EQ(stats.cycleSimMemo.misses, 3u);
+    EXPECT_EQ(stats.passes.passASimulated, 108u);
+
+    std::string want;
+    for (const SweepResult &r : engine.runSerial(pointsOf(source)))
+        want += sweepResultToJsonl(r) + "\n";
+    EXPECT_EQ(out.str(), want);
+}
+
+TEST(StreamingSweep, GeneratorSourceRunsEachIndexOnceAtAnyThreadCount)
+{
+    // Workers ask a generator source for its points in any order; the
+    // generator runs once per index, one call at a time (so the
+    // counts below need no lock of their own), and the bytes do not
+    // depend on the thread count.
+    constexpr size_t kPoints = 24;
+    static constexpr double kRates[] = {1.0, 30.0, 120.0, 3840.0};
+    auto bytesOf = [](int threads, std::vector<int> &calls) {
+        calls.assign(kPoints, 0);
+        spec::GeneratorSpecSource source(
+            [&calls](size_t i) -> std::optional<spec::DesignSpec> {
+                ++calls[i];
+                return spec::sampleDetectorSpec(
+                    kRates[i % 4], i < kPoints / 2 ? 130 : 65);
+            },
+            kPoints);
+        std::ostringstream out;
+        JsonlSink lines(out);
+        InOrderSink ordered(lines);
+        SweepEngine(SweepOptions{.threads = threads})
+            .runStream(source, ordered);
+        return out.str();
+    };
+    std::vector<int> serial_calls, parallel_calls;
+    const std::string serial = bytesOf(1, serial_calls);
+    EXPECT_EQ(bytesOf(4, parallel_calls), serial);
+    EXPECT_EQ(serial_calls, std::vector<int>(kPoints, 1));
+    EXPECT_EQ(parallel_calls, std::vector<int>(kPoints, 1));
+
+    // No point inside the count stops the sweep with the source's
+    // error, rethrown on the calling thread.
+    spec::GeneratorSpecSource short_one(
+        [](size_t i) -> std::optional<spec::DesignSpec> {
+            if (i == 5)
+                return std::nullopt;
+            return spec::sampleDetectorSpec(30.0, 65);
+        },
+        8);
+    CallbackSink sink([](SweepResult) { return true; });
+    EXPECT_THROW(SweepEngine(SweepOptions{.threads = 4})
+                     .runStream(short_one, sink),
+                 ConfigError);
 }
 
 // -------------------------------------------------- JSONL merge records
@@ -1262,12 +1350,11 @@ expectRecordsMatchTheirLines(const std::vector<SweepResult> &results)
 }
 
 std::vector<SweepResult>
-sweepResults(spec::SpecSource &source, SimulationOptions sim)
+sweepResults(const spec::SpecSource &source, SimulationOptions sim)
 {
     SweepOptions options;
     options.threads = 2;
     options.sim = sim;
-    options.incremental = true;
     CollectSink sink;
     SweepEngine(options).runStream(source, sink);
     return sink.take();
