@@ -63,6 +63,8 @@ struct CapNode
 {
     Capacitance capacitance = 0.0;
     Voltage voltageSwing = 0.0;
+
+    bool operator==(const CapNode &) const = default;
 };
 
 /**
@@ -135,6 +137,8 @@ struct StaticBiasParams
      */
     Frequency fixedBandwidth = 0.0;
     BiasMode mode = BiasMode::DirectDrive;
+
+    bool operator==(const StaticBiasParams &) const = default;
 };
 
 /**

@@ -135,6 +135,8 @@ struct ApsParams
     bool correlatedDoubleSampling = true;
     /** Photodiodes sharing the readout (charge-binning cluster). */
     int pixelsPerComponent = 1;
+
+    bool operator==(const ApsParams &) const = default;
 };
 
 /** 4T APS: photodiode + floating diffusion + source follower. */
@@ -155,6 +157,8 @@ struct AdcParams
     int bits = 10;
     /** Optional fixed energy per conversion [J]; 0 = FoM survey. */
     Energy energyPerConversionOverride = 0.0;
+
+    bool operator==(const AdcParams &) const = default;
 };
 
 /** Column/chip ADC: voltage in, digital out. */
@@ -179,6 +183,8 @@ struct SwitchedCapParams
     double gain = 1.0;
     /** Opamp gm/Id factor. */
     double gmOverId = 15.0;
+
+    bool operator==(const SwitchedCapParams &) const = default;
 };
 
 /** Switched-capacitor multiply-accumulate unit. */
@@ -217,6 +223,8 @@ struct AnalogMemoryParams
     Capacitance readoutLoadCap = 0.5e-12;
     /** Average reads of each stored value per frame. */
     int readsPerValue = 1;
+
+    bool operator==(const AnalogMemoryParams &) const = default;
 };
 
 /** Passive sample-and-hold memory: write charges the cap, read
@@ -245,6 +253,8 @@ struct ConverterParams
     Voltage vdda = 2.5;
     /** Active buffer gm/Id factor. */
     double gmOverId = 15.0;
+
+    bool operator==(const ConverterParams &) const = default;
 };
 
 /** Charge-to-voltage converter: integration cap + amplifier (the

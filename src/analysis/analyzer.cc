@@ -1,11 +1,13 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -1611,91 +1613,93 @@ editDistance(std::string_view a, std::string_view b)
     return prev[b.size()];
 }
 
-struct KeyContext
+using spec::KeyPath;
+
+/** An obsolete spelling the reader ignores in the objects of one
+ *  table: old -> current. */
+struct Renamed
 {
-    std::vector<std::string_view> known;
-    /** Renamed keys the parser silently ignores: old -> current. */
-    std::vector<std::pair<std::string_view, std::string_view>> renamed;
+    const spec::FieldTable *table;
+    std::string_view from;
+    std::string_view to;
 };
 
+constexpr Renamed kRenamed[] = {
+    {&spec::kSpecTable, "frame_rate", "fps"},
+    {&spec::kSpecTable, "frameRate", "fps"},
+    {&spec::kSpecTable, "clock", "digitalClock"},
+    {&spec::kSpecTable, "sw_stages", "stages"},
+    {&spec::kSpecTable, "mappings", "mapping"},
+    {&spec::kStageTable, "opsPerOutputOverride", "opsPerOutput"},
+    {&spec::kStageTable, "bit_depth", "bitDepth"},
+    {&spec::kMemoryTable, "node_nm", "nodeNm"},
+    {&spec::kMemoryTable, "capacity", "capacityWords"},
+    {&spec::kComponentTable, "comparatorEnergyOverride", "energyOverride"},
+};
+
+// The blocks a document carries besides the spec: their readers are
+// not spec objects, so their keys are listed here.
+constexpr std::string_view kTopBlocks[] = {"sweepGrid", "shard"};
+constexpr std::string_view kGridKeys[] = {"axes", "points"};
+constexpr std::string_view kAxisKeys[] = {"name", "path", "values"};
+constexpr std::string_view kShardKeys[] = {
+    "mode", "index", "count", "total", "begin", "end", "indices",
+    "sweepGrid"};
+
 const Value *
-member(const Value &obj, const char *key)
+member(const Value &obj, std::string_view key)
 {
     return obj.isObject() ? obj.find(key) : nullptr;
 }
 
 /**
- * Where a linted object sits, as a chain of segments on the stack,
- * spelled out only when a finding needs the path: a member name
- * (joined with '.'), optionally selecting one element of that array
- * ("[name]", or "[index]" when the element has no name).
+ * W006 or W005 for each key of the object @p obj the known keys do
+ * not list. @p known(fn) calls fn on each known key, in the order a
+ * did-you-mean hint prefers them (the first closest wins), until fn
+ * returns true; @p table selects the renames that apply.
  */
-struct KeyPath
-{
-    const KeyPath *parent = nullptr;
-    const char *member = nullptr;
-    const Value *element = nullptr;
-    size_t index = 0;
-};
-
+template <class Known>
 void
-appendPath(const KeyPath *p, std::string &out)
+checkKeys(const Value &obj, Known &&known, const spec::FieldTable *table,
+          const KeyPath *path, std::vector<Diagnostic> &out)
 {
-    if (p == nullptr)
-        return;
-    appendPath(p->parent, out);
-    if (!out.empty())
-        out += '.';
-    out += p->member;
-    if (p->element == nullptr)
-        return;
-    out += '[';
-    if (const Value *n = member(*p->element, "name");
-        n && n->isString() && !n->asString().empty())
-        out += n->asString();
-    else
-        out += std::to_string(p->index);
-    out += ']';
-}
-
-void
-checkKeys(const Value &obj, const KeyContext &ctx, const KeyPath *path,
-          std::vector<Diagnostic> &out)
-{
-    if (!obj.isObject())
-        return;
     for (const auto &[key, value] : obj.asObject()) {
         (void)value;
         const std::string_view k = key;
-        if (std::find(ctx.known.begin(), ctx.known.end(), k) !=
-            ctx.known.end())
+        bool isKnown = false;
+        known([&](std::string_view candidate) {
+            return isKnown = candidate == k;
+        });
+        if (isKnown)
             continue;
         std::string at;
-        appendPath(path, at);
+        spec::appendPath(at, path);
         if (!at.empty())
             at += '.';
         at += key;
-        auto renamed = std::find_if(
-            ctx.renamed.begin(), ctx.renamed.end(),
-            [&](const auto &r) { return r.first == k; });
-        if (renamed != ctx.renamed.end()) {
+        const Renamed *renamed = std::find_if(
+            std::begin(kRenamed), std::end(kRenamed), [&](const Renamed &r) {
+                return r.table == table && r.from == k;
+            });
+        if (renamed != std::end(kRenamed)) {
             out.push_back(makeWarning(
                 "CAMJ-W006", std::move(at),
                 strf("key '%s' is an obsolete spelling and is "
                      "ignored by the parser",
                      key.c_str()),
-                "use '" + std::string(renamed->second) + "'"));
+                "use '" + std::string(renamed->to) + "'"));
             continue;
         }
         std::string hint;
         int bestDist = 3; // suggest only close misses
-        for (std::string_view known : ctx.known) {
-            int d = editDistance(k, known);
+        known([&](std::string_view candidate) {
+            const int d = editDistance(k, candidate);
             if (d < bestDist) {
                 bestDist = d;
-                hint = "did you mean '" + std::string(known) + "'?";
+                hint = "did you mean '" + std::string(candidate) + "'?";
             }
-        }
+            return false;
+        });
         out.push_back(makeWarning(
             "CAMJ-W005", std::move(at),
             strf("unknown key '%s' is ignored by the parser",
@@ -1704,23 +1708,25 @@ checkKeys(const Value &obj, const KeyContext &ctx, const KeyPath *path,
     }
 }
 
-/** checkKeys over the member @p name of @p obj, when present. */
+/** checkKeys over a plain key list. */
 void
-checkMember(const Value &obj, const char *name, const KeyContext &ctx,
-            const KeyPath *parent, std::vector<Diagnostic> &out)
+checkKeyList(const Value &obj, std::span<const std::string_view> keys,
+             const KeyPath *path, std::vector<Diagnostic> &out)
 {
-    if (const Value *m = member(obj, name)) {
-        const KeyPath path{parent, name};
-        checkKeys(*m, ctx, &path, out);
-    }
+    if (!obj.isObject())
+        return;
+    checkKeys(
+        obj,
+        [&](auto fn) { std::find_if(keys.begin(), keys.end(), fn); },
+        nullptr, path, out);
 }
 
 /** Call @p fn(element, path) for each element of the array member
  *  @p name of @p obj. */
 template <class Fn>
 void
-forEachElement(const Value &obj, const char *name, const KeyPath *parent,
-               Fn &&fn)
+forEachElement(const Value &obj, std::string_view name,
+               const KeyPath *parent, Fn &&fn)
 {
     const Value *arr = member(obj, name);
     if (!arr || !arr->isArray())
@@ -1732,6 +1738,67 @@ forEachElement(const Value &obj, const char *name, const KeyPath *parent,
     }
 }
 
+void lintObject(const Value &obj, const spec::FieldTable &t,
+                const KeyPath *path, std::vector<Diagnostic> &out);
+
+/** Lint the nested objects @p fields declare in @p obj. */
+void
+lintNested(const Value &obj, std::span<const spec::Field> fields,
+           const KeyPath *path, std::vector<Diagnostic> &out)
+{
+    for (const spec::Field &f : fields) {
+        if (f.kind == spec::FieldKind::Object) {
+            if (const Value *m = member(obj, f.key)) {
+                const KeyPath mp{path, f.key};
+                lintObject(*m, *f.nested, &mp, out);
+            }
+        } else if (f.kind == spec::FieldKind::ObjectList) {
+            forEachElement(obj, f.key, path,
+                           [&](const Value &e, const KeyPath *ep) {
+                               lintObject(e, *f.nested, ep, out);
+                           });
+        }
+    }
+}
+
+/** The keys of @p obj against table @p t (and the variant its enum
+ *  token picks; the first for a missing or unknown token), then its
+ *  nested objects. */
+void
+lintObject(const Value &obj, const spec::FieldTable &t, const KeyPath *path,
+           std::vector<Diagnostic> &out)
+{
+    if (!obj.isObject())
+        return;
+    std::span<const spec::Field> variant;
+    if (!t.variants.empty()) {
+        const spec::Field &kind = t.fields[0];
+        const Value *token = obj.find(kind.key);
+        size_t picked = 0;
+        for (int v = 0; v < kind.tokens->count; ++v) {
+            if (token != nullptr && token->isString() &&
+                token->asString() == kind.tokens->name(v))
+                picked = static_cast<size_t>(v);
+        }
+        variant = t.variants[picked]->fields;
+    }
+    checkKeys(
+        obj,
+        [&](auto fn) {
+            for (const spec::Field &f : t.fields) {
+                if (fn(f.key))
+                    return;
+            }
+            for (const spec::Field &f : variant) {
+                if (fn(f.key))
+                    return;
+            }
+        },
+        &t, path, out);
+    lintNested(obj, t.fields, path, out);
+    lintNested(obj, variant, path, out);
+}
+
 } // namespace
 
 std::vector<Diagnostic>
@@ -1740,150 +1807,31 @@ lintDocumentKeys(const Value &doc)
     std::vector<Diagnostic> out;
     if (!doc.isObject())
         return out;
-
-    static const KeyContext kTop{
-        {"camjSpecVersion", "name", "fps", "digitalClock", "stages",
-         "analogArrays", "memories", "units", "adcOutputMemory",
-         "mipi", "tsv", "pipelineOutputBytes", "mapping", "sweepGrid",
-         "shard"},
-        {{"frame_rate", "fps"},
-         {"frameRate", "fps"},
-         {"clock", "digitalClock"},
-         {"sw_stages", "stages"},
-         {"mappings", "mapping"}}};
-    static const KeyContext kStage{
-        {"name", "op", "inputSize", "outputSize", "kernel", "stride",
-         "bitDepth", "opsPerOutput", "inputs"},
-        {{"opsPerOutputOverride", "opsPerOutput"},
-         {"bit_depth", "bitDepth"}}};
-    static const KeyContext kMemory{
-        {"name", "layer", "kind", "model", "capacityWords",
-         "wordBits", "activeFraction", "nodeNm", "readEnergyPerWord",
-         "writeEnergyPerWord", "leakagePower", "readPorts",
-         "writePorts", "area"},
-        {{"node_nm", "nodeNm"}, {"capacity", "capacityWords"}}};
-    static const KeyContext kArray{
-        {"name", "layer", "role", "numComponents", "inputShape",
-         "outputShape", "componentArea", "component"},
-        {}};
-    static const KeyContext kComponent{
-        {"kind", "aps", "adc", "switchedCap", "maxInputs",
-         "energyOverride", "loadCap", "vdda", "analogMemory",
-         "converter", "custom"},
-        {{"comparatorEnergyOverride", "energyOverride"}}};
-    static const KeyContext kAps{
-        {"photodiodeCap", "floatingDiffusionCap", "columnLoadCap",
-         "pixelSwing", "vdda", "correlatedDoubleSampling",
-         "pixelsPerComponent"},
-        {}};
-    static const KeyContext kAdc{
-        {"bits", "energyPerConversionOverride"}, {}};
-    static const KeyContext kSc{
-        {"unitCap", "numCaps", "vswing", "vdda", "bits", "active",
-         "gain", "gmOverId"},
-        {}};
-    static const KeyContext kAnalogMem{
-        {"bits", "vswing", "vdda", "storageCap", "readoutLoadCap",
-         "readsPerValue"},
-        {}};
-    static const KeyContext kConv{
-        {"cap", "bits", "vswing", "vdda", "gmOverId"}, {}};
-    static const KeyContext kCustom{
-        {"name", "inputDomain", "outputDomain", "cells"}, {}};
-    static const KeyContext kCell{
-        {"class", "name", "caps", "bias", "bits", "energyOverride",
-         "spatial", "temporal", "scope"},
-        {}};
-    static const KeyContext kCap{{"capacitance", "swing"}, {}};
-    static const KeyContext kBias{
-        {"loadCapacitance", "voltageSwing", "vdda", "gain",
-         "gmOverId", "fixedBandwidth", "mode"},
-        {}};
-    static const KeyContext kPipelineUnit{
-        {"kind", "name", "layer", "inputPixelsPerCycle",
-         "outputPixelsPerCycle", "energyPerCycle", "numStages",
-         "clock", "opsPerCycle", "area", "inputMemories",
-         "outputMemories"},
-        {}};
-    static const KeyContext kSystolicUnit{
-        {"kind", "name", "layer", "rows", "cols", "energyPerMac",
-         "clock", "peArea", "inputMemories", "outputMemories"},
-        {}};
-    static const KeyContext kComm{{"energyPerByte"}, {}};
-    static const KeyContext kMapPair{{"stage", "hw"}, {}};
-    static const KeyContext kGrid{{"axes", "points"}, {}};
-    static const KeyContext kAxis{{"name", "path", "values"}, {}};
-    static const KeyContext kShard{
-        {"mode", "index", "count", "total", "begin", "end",
-         "indices", "sweepGrid"},
-        {}};
-
-    checkKeys(doc, kTop, nullptr, out);
-    forEachElement(doc, "stages", nullptr,
-                   [&](const Value &v, const KeyPath *p) {
-                       checkKeys(v, kStage, p, out);
-                   });
-    forEachElement(doc, "memories", nullptr,
-                   [&](const Value &v, const KeyPath *p) {
-                       checkKeys(v, kMemory, p, out);
-                   });
-    forEachElement(
-        doc, "analogArrays", nullptr,
-        [&](const Value &v, const KeyPath *p) {
-            checkKeys(v, kArray, p, out);
-            const Value *c = member(v, "component");
-            if (!c)
+    checkKeys(
+        doc,
+        [](auto fn) {
+            if (fn(spec::kSpecVersionKey))
                 return;
-            const KeyPath cp{p, "component"};
-            checkKeys(*c, kComponent, &cp, out);
-            checkMember(*c, "aps", kAps, &cp, out);
-            checkMember(*c, "adc", kAdc, &cp, out);
-            checkMember(*c, "switchedCap", kSc, &cp, out);
-            checkMember(*c, "analogMemory", kAnalogMem, &cp, out);
-            checkMember(*c, "converter", kConv, &cp, out);
-            if (const Value *cu = member(*c, "custom")) {
-                const KeyPath up{&cp, "custom"};
-                checkKeys(*cu, kCustom, &up, out);
-                forEachElement(
-                    *cu, "cells", &up,
-                    [&](const Value &cell, const KeyPath *cellp) {
-                        checkKeys(cell, kCell, cellp, out);
-                        forEachElement(cell, "caps", cellp,
-                                       [&](const Value &cap,
-                                           const KeyPath *capp) {
-                                           checkKeys(cap, kCap, capp,
-                                                     out);
-                                       });
-                        checkMember(cell, "bias", kBias, cellp, out);
-                    });
+            for (const spec::Field &f : spec::kSpecFields) {
+                if (fn(f.key))
+                    return;
             }
-        });
-    forEachElement(doc, "units", nullptr,
-                   [&](const Value &v, const KeyPath *p) {
-                       const Value *kind = member(v, "kind");
-                       const bool systolic =
-                           kind && kind->isString() &&
-                           kind->asString() == "systolic";
-                       checkKeys(v,
-                                 systolic ? kSystolicUnit
-                                          : kPipelineUnit,
-                                 p, out);
-                   });
-    checkMember(doc, "mipi", kComm, nullptr, out);
-    checkMember(doc, "tsv", kComm, nullptr, out);
-    forEachElement(doc, "mapping", nullptr,
-                   [&](const Value &v, const KeyPath *p) {
-                       checkKeys(v, kMapPair, p, out);
-                   });
-    if (const Value *g = member(doc, "sweepGrid")) {
+            std::find_if(std::begin(kTopBlocks), std::end(kTopBlocks), fn);
+        },
+        &spec::kSpecTable, nullptr, out);
+    lintNested(doc, spec::kSpecFields, nullptr, out);
+    if (const Value *grid = member(doc, "sweepGrid")) {
         const KeyPath gp{nullptr, "sweepGrid"};
-        checkKeys(*g, kGrid, &gp, out);
-        forEachElement(*g, "axes", &gp,
-                       [&](const Value &v, const KeyPath *p) {
-                           checkKeys(v, kAxis, p, out);
+        checkKeyList(*grid, kGridKeys, &gp, out);
+        forEachElement(*grid, "axes", &gp,
+                       [&](const Value &axis, const KeyPath *p) {
+                           checkKeyList(axis, kAxisKeys, p, out);
                        });
     }
-    checkMember(doc, "shard", kShard, nullptr, out);
+    if (const Value *shard = member(doc, "shard")) {
+        const KeyPath sp{nullptr, "shard"};
+        checkKeyList(*shard, kShardKeys, &sp, out);
+    }
     return out;
 }
 

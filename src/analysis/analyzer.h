@@ -89,9 +89,12 @@ class SpecAnalyzer
 
 /**
  * The unknown/deprecated-key lint alone (CAMJ-W005/W006): walks the
- * raw JSON tree against the serializer's known-key tables, with
- * did-you-mean hints for near-misses and a rename table for the
- * paper-era key spellings the parser silently ignores.
+ * raw JSON tree through the spec's field tables (spec.h, JSON shape),
+ * the ones toJsonValue and fromJsonValue walk, so an object knows
+ * exactly the keys the reader reads. Did-you-mean hints pick the
+ * first closest key in table order; a rename table names the
+ * paper-era spellings the parser silently ignores. The sweepGrid,
+ * axis and shard blocks, read outside the spec, keep key lists here.
  */
 std::vector<Diagnostic> lintDocumentKeys(const json::Value &doc);
 

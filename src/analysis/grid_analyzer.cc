@@ -104,42 +104,55 @@ GridAnalysis::summary() const
 
 // --------------------------------------------------------- GridAnalyzer
 
-GridAnalyzer::GridAnalyzer()
+namespace
 {
-    // Lift the SpecAnalyzer rules whose dependency sets are known.
-    // Each entry's deps list every top-level member the rule reads —
-    // the soundness contract of GridRule.
-    static const struct
-    {
-        const char *slug;
-        std::vector<std::string> deps;
-    } kLiftable[] = {
-        {"top-level-params", {"name", "fps", "digitalClock"}},
-        {"stage-arity", {"stages"}},
-        {"stage-geometry", {"stages"}},
-        {"memory-ranges", {"memories"}},
-        {"component-params", {"analogArrays"}},
-        {"adc-throughput",
-         {"fps", "analogArrays", "stages", "mapping"}},
-        {"unit-params", {"units"}},
-    };
-    for (const auto &entry : kLiftable) {
-        for (const AnalysisRule &r : SpecAnalyzer::rules()) {
-            if (std::string_view(r.name) == entry.slug) {
-                rules_.push_back(
-                    {std::string("gr-") + r.name, r.code, entry.deps,
-                     [rule = &r](const DesignSpec &s,
-                                 std::vector<Diagnostic> &out) {
-                         SpecAnalyzer::runRule(*rule, s, out);
-                     }});
-                break;
-            }
-        }
+
+using spec::specMemberBit;
+
+/**
+ * A SpecAnalyzer rule the grid analyzer lifts to axis intervals. The
+ * soundness contract: the rule reads ONLY the top-level members in
+ * reads (plus the design name, which the analyzer neutralizes — grid
+ * points always get a non-empty coordinate suffix), so its verdict is
+ * constant across the values of every axis outside reads.
+ */
+struct GridRule
+{
+    std::string_view rule;
+    spec::SpecMemberMask reads;
+};
+
+// A key the member table lacks does not compile.
+constexpr GridRule kLiftable[] = {
+    {"top-level-params",
+     specMemberBit("name") | specMemberBit("fps") |
+         specMemberBit("digitalClock")},
+    {"stage-arity", specMemberBit("stages")},
+    {"stage-geometry", specMemberBit("stages")},
+    {"memory-ranges", specMemberBit("memories")},
+    {"component-params", specMemberBit("analogArrays")},
+    {"adc-throughput",
+     specMemberBit("fps") | specMemberBit("analogArrays") |
+         specMemberBit("stages") | specMemberBit("mapping")},
+    {"unit-params", specMemberBit("units")},
+};
+
+/** The SpecAnalyzer rule @p lifted lifts. */
+const AnalysisRule &
+analysisRule(const GridRule &lifted)
+{
+    for (const AnalysisRule &r : SpecAnalyzer::rules()) {
+        if (lifted.rule == r.name)
+            return r;
     }
+    panic("GridAnalyzer: no SpecAnalyzer rule named '%.*s'",
+          static_cast<int>(lifted.rule.size()), lifted.rule.data());
 }
 
+} // namespace
+
 std::vector<Diagnostic>
-GridAnalyzer::evalRule(const GridRule &rule, const GridSpecSource &source,
+GridAnalyzer::evalRule(const AnalysisRule &rule, const GridSpecSource &source,
                        const std::vector<const json::Value *> &coords)
 {
     // An evaluation throw IS an error finding: expanding that point in
@@ -153,7 +166,7 @@ GridAnalyzer::evalRule(const GridRule &rule, const GridSpecSource &source,
         if (s.name.empty())
             s.name = "grid-probe";
         std::vector<Diagnostic> all;
-        rule.check(s, all);
+        SpecAnalyzer::runRule(rule, s, all);
         for (Diagnostic &d : all) {
             if (d.severity == Severity::Error)
                 errors.push_back(std::move(d));
@@ -179,8 +192,9 @@ GridAnalyzer::analyze(const GridSpecSource &source) const
             for (size_t a = 0; a < grid.axes.size(); ++a)
                 coords[a] = &grid.pointList[p][a];
             std::vector<Diagnostic> why;
-            for (const GridRule &r : rules_) {
-                std::vector<Diagnostic> errs = evalRule(r, source, coords);
+            for (const GridRule &r : kLiftable) {
+                std::vector<Diagnostic> errs =
+                    evalRule(analysisRule(r), source, coords);
                 why.insert(why.end(), errs.begin(), errs.end());
             }
             if (!why.empty())
@@ -197,15 +211,15 @@ GridAnalyzer::analyze(const GridSpecSource &source) const
     }
     out.doomedValues_.resize(grid.axes.size());
 
-    for (const GridRule &rule : rules_) {
+    for (const GridRule &lifted : kLiftable) {
+        const AnalysisRule &rule = analysisRule(lifted);
         // Axes the rule's verdict can depend on; the others stay at
         // their base values in every probe.
         std::vector<const json::Value *> coords(grid.axes.size(), nullptr);
         std::vector<size_t> depAxes;
         for (size_t a = 0; a < grid.axes.size(); ++a) {
             const std::string &root = source.axisPaths_[a][0].member;
-            if (std::find(rule.deps.begin(), rule.deps.end(), root) !=
-                rule.deps.end())
+            if ((lifted.reads & specMemberBit(root)) != 0)
                 depAxes.push_back(a);
         }
         for (size_t ai = 0; ai < depAxes.size(); ++ai) {

@@ -22,7 +22,6 @@
 #define CAMJ_ANALYSIS_GRID_ANALYZER_H
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -35,29 +34,6 @@
 
 namespace camj::analysis
 {
-
-/**
- * A spec rule the grid analyzer may lift to axis intervals. The
- * soundness contract: check() reads ONLY the top-level DesignSpec
- * members named in deps (plus the design name, which the analyzer
- * neutralizes — grid points always get a non-empty coordinate
- * suffix), so its verdict is constant across the values of every
- * axis outside deps.
- */
-struct GridRule
-{
-    /** Short slug ("gr-memory-ranges"). */
-    std::string name;
-    /** Primary diagnostic code the rule emits. */
-    std::string code;
-    /** Top-level spec members (first path segment: "fps",
-     *  "memories", ...) the verdict depends on. */
-    std::vector<std::string> deps;
-    /** The underlying spec rule; only Error diagnostics doom. */
-    std::function<void(const spec::DesignSpec &spec,
-                       std::vector<Diagnostic> &out)>
-        check;
-};
 
 /** The result of analyzing one sweep document. */
 class GridAnalysis
@@ -105,12 +81,6 @@ class GridAnalysis
 class GridAnalyzer
 {
   public:
-    /** Registers the built-in liftable rules (the SpecAnalyzer rules
-     *  whose dependency sets are known). */
-    GridAnalyzer();
-
-    const std::vector<GridRule> &rules() const { return rules_; }
-
     /**
      * Prove what can be proven about @p source's grid. Every probe is
      * built by the source itself, as the sweep builds its points: a
@@ -127,12 +97,10 @@ class GridAnalyzer
     static constexpr size_t kMaxCombos = 256;
 
   private:
-    std::vector<GridRule> rules_;
-
     /** @p rule's Error diagnostics on the spec @p source builds at
      *  @p coords (a build throw is one error finding). */
     static std::vector<Diagnostic>
-    evalRule(const GridRule &rule, const spec::GridSpecSource &source,
+    evalRule(const AnalysisRule &rule, const spec::GridSpecSource &source,
              const std::vector<const json::Value *> &coords);
 };
 

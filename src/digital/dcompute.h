@@ -46,6 +46,8 @@ struct ComputeUnitParams
     int64_t opsPerCycle = 0;
     /** Silicon area [m^2] (0 = unknown). */
     Area area = 0.0;
+
+    bool operator==(const ComputeUnitParams &) const = default;
 };
 
 /** A generic pipelined accelerator. */
@@ -102,6 +104,8 @@ struct SystolicArrayParams
     Frequency clock = 100e6;
     /** Area of one PE [m^2] (0 = unknown). */
     Area peArea = 0.0;
+
+    bool operator==(const SystolicArrayParams &) const = default;
 };
 
 /** Cycle/energy estimate of one DNN stage on a systolic array. */

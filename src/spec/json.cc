@@ -148,19 +148,40 @@ Value::asNumber() const
     return payload_.num;
 }
 
+namespace
+{
+
+/** Refuse @p d as CAMJ-E018: it does not fit a @p bits-bit integer. */
+[[noreturn]] void
+doesNotFit(double d, int bits)
+{
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), d);
+    fatal(Rule::E018, "json: number %.*s does not fit a %d-bit integer",
+          static_cast<int>(r.ptr - buf), buf, bits);
+}
+
+} // namespace
+
 int64_t
 Value::asInt() const
 {
     const double d = asNumber();
     // Outside [-2^63, 2^63) llround's result is unspecified.
-    if (!(d >= -0x1p63 && d < 0x1p63)) {
-        char buf[32];
-        const std::to_chars_result r =
-            std::to_chars(buf, buf + sizeof(buf), d);
-        fatal(Rule::E018, "json: number %.*s does not fit a 64-bit "
-              "integer", static_cast<int>(r.ptr - buf), buf);
-    }
+    if (!(d >= -0x1p63 && d < 0x1p63))
+        doesNotFit(d, 64);
     return static_cast<int64_t>(std::llround(d));
+}
+
+int
+Value::asInt32() const
+{
+    const double d = asNumber();
+    // llround rounds halves away from zero, so these are the numbers
+    // that round into [-2^31, 2^31).
+    if (!(d > -0x1p31 - 0.5 && d < 0x1p31 - 0.5))
+        doesNotFit(d, 32);
+    return static_cast<int>(std::llround(d));
 }
 
 const std::string &

@@ -215,6 +215,9 @@ class Value
     /** Number as a (rounded) 64-bit integer; a number outside
      *  [-2^63, 2^63) throws CAMJ-E018 naming it. */
     int64_t asInt() const;
+    /** Number as a (rounded) 32-bit integer; a number outside
+     *  [-2^31, 2^31) throws CAMJ-E018 naming it. */
+    int asInt32() const;
     const std::string &asString() const;
     const Array &asArray() const;
     const Object &asObject() const;

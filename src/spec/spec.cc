@@ -1,6 +1,8 @@
 #include "spec/spec.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -77,106 +79,6 @@ biasModeName(BiasMode mode)
 namespace
 {
 
-/** All component kinds, for token lookup and error messages. */
-const std::vector<ComponentKind> &
-allComponentKinds()
-{
-    static const std::vector<ComponentKind> kinds = {
-        ComponentKind::Aps4T, ComponentKind::Aps3T, ComponentKind::Dps,
-        ComponentKind::PwmPixel, ComponentKind::DvsPixel,
-        ComponentKind::ColumnAdc, ComponentKind::SwitchedCapMac,
-        ComponentKind::ChargeAdder, ComponentKind::Scaler,
-        ComponentKind::AbsUnit, ComponentKind::MaxUnit,
-        ComponentKind::Comparator, ComponentKind::LogUnit,
-        ComponentKind::PassiveAnalogMemory,
-        ComponentKind::ActiveAnalogMemory,
-        ComponentKind::ChargeToVoltage,
-        ComponentKind::CurrentToVoltage,
-        ComponentKind::TimeToVoltage, ComponentKind::SampleHold,
-        ComponentKind::Custom,
-    };
-    return kinds;
-}
-
-const std::vector<CellClass> &
-allCellClasses()
-{
-    static const std::vector<CellClass> classes = {
-        CellClass::Dynamic, CellClass::StaticBias, CellClass::NonLinear,
-    };
-    return classes;
-}
-
-const std::vector<TimingScope> &
-allTimingScopes()
-{
-    static const std::vector<TimingScope> scopes = {
-        TimingScope::SelfSlot, TimingScope::ComponentSpan,
-        TimingScope::Frame,
-    };
-    return scopes;
-}
-
-const std::vector<BiasMode> &
-allBiasModes()
-{
-    static const std::vector<BiasMode> modes = {
-        BiasMode::DirectDrive, BiasMode::GmOverId,
-    };
-    return modes;
-}
-
-const std::vector<SignalDomain> &
-allSignalDomains()
-{
-    static const std::vector<SignalDomain> domains = {
-        SignalDomain::Optical, SignalDomain::Charge,
-        SignalDomain::Voltage, SignalDomain::Current,
-        SignalDomain::Time, SignalDomain::Digital,
-    };
-    return domains;
-}
-
-/** Generic reverse lookup with a known-token error message. */
-template <typename Enum, typename NameFn>
-Enum
-enumFromToken(const std::string &token, const std::vector<Enum> &all,
-              NameFn name, const char *what)
-{
-    for (Enum e : all) {
-        if (token == name(e))
-            return e;
-    }
-    std::string known;
-    for (Enum e : all)
-        known += (known.empty() ? "" : ", ") + std::string(name(e));
-    fatal(Rule::E018, "spec: unknown %s '%s' (known: %s)", what, token.c_str(),
-          known.c_str());
-}
-
-const std::vector<StageOp> &
-allStageOps()
-{
-    static const std::vector<StageOp> ops = {
-        StageOp::Input, StageOp::Binning, StageOp::Conv2d,
-        StageOp::DepthwiseConv2d, StageOp::FullyConnected,
-        StageOp::MaxPool, StageOp::AvgPool, StageOp::ElementwiseSub,
-        StageOp::ElementwiseAdd, StageOp::AbsDiff, StageOp::Threshold,
-        StageOp::Scale, StageOp::LogResponse, StageOp::Absolute,
-        StageOp::CompareSample, StageOp::Identity,
-    };
-    return ops;
-}
-
-const std::vector<Layer> &
-allLayers()
-{
-    static const std::vector<Layer> layers = {
-        Layer::Sensor, Layer::Compute, Layer::Dram, Layer::OffChip,
-    };
-    return layers;
-}
-
 const char *
 analogRoleName(AnalogRole role)
 {
@@ -189,188 +91,66 @@ analogRoleName(AnalogRole role)
     return "?";
 }
 
-const std::vector<AnalogRole> &
-allAnalogRoles()
+const char *
+unitKindName(UnitKind kind)
 {
-    static const std::vector<AnalogRole> roles = {
-        AnalogRole::Sensing, AnalogRole::Adc,
-        AnalogRole::AnalogCompute, AnalogRole::AnalogMemory,
-    };
-    return roles;
+    return kind == UnitKind::Pipeline ? "pipeline" : "systolic";
 }
 
-const std::vector<MemoryKind> &
-allMemoryKinds()
+template <class E, const char *(*Name)(E)>
+const char *
+tokenName(int value)
 {
-    static const std::vector<MemoryKind> kinds = {
-        MemoryKind::Fifo, MemoryKind::LineBuffer,
-        MemoryKind::DoubleBuffer, MemoryKind::FrameBuffer,
-    };
-    return kinds;
+    return Name(static_cast<E>(value));
 }
 
-// --------------------------------------------------- shape/param helpers
-
-Value
-shapeToJson(const Shape &s)
+/** The tokens of enum E, whose last value is @p last. */
+template <class E, const char *(*Name)(E)>
+constexpr EnumTokens
+tokens(const char *what, E last)
 {
-    Value arr = Value::makeArray();
-    arr.push(Value(s.width));
-    arr.push(Value(s.height));
-    arr.push(Value(s.channels));
-    return arr;
+    return {what, static_cast<int>(last) + 1, tokenName<E, Name>};
 }
 
-Shape
-shapeFromJson(const Value &v)
-{
-    const auto &arr = v.asArray();
-    if (arr.empty() || arr.size() > 3)
-        fatal(Rule::E018,
-              "spec: a shape is a 1-3 element array, got %zu elements",
-              arr.size());
-    Shape s;
-    s.width = arr[0].asInt();
-    s.height = arr.size() > 1 ? arr[1].asInt() : 1;
-    s.channels = arr.size() > 2 ? arr[2].asInt() : 1;
-    return s;
-}
+constexpr EnumTokens kStageOps =
+    tokens<StageOp, stageOpName>("stage op", StageOp::Identity);
+constexpr EnumTokens kLayers =
+    tokens<Layer, layerName>("layer", Layer::OffChip);
+constexpr EnumTokens kAnalogRoles = tokens<AnalogRole, analogRoleName>(
+    "analog role", AnalogRole::AnalogMemory);
+constexpr EnumTokens kMemoryKinds = tokens<MemoryKind, memoryKindName>(
+    "memory kind", MemoryKind::FrameBuffer);
+constexpr EnumTokens kMemoryModels = tokens<MemoryModel, memoryModelName>(
+    "memory model", MemoryModel::Regfile);
+constexpr EnumTokens kComponentKinds =
+    tokens<ComponentKind, componentKindName>("component kind",
+                                             ComponentKind::Custom);
+constexpr EnumTokens kCellClasses =
+    tokens<CellClass, cellClassName>("cell class", CellClass::NonLinear);
+constexpr EnumTokens kTimingScopes = tokens<TimingScope, timingScopeName>(
+    "timing scope", TimingScope::Frame);
+constexpr EnumTokens kBiasModes =
+    tokens<BiasMode, biasModeName>("bias mode", BiasMode::GmOverId);
+constexpr EnumTokens kSignalDomains =
+    tokens<SignalDomain, signalDomainName>("signal domain",
+                                           SignalDomain::Digital);
+constexpr EnumTokens kUnitKinds =
+    tokens<UnitKind, unitKindName>("unit kind", UnitKind::Systolic);
 
-Value
-apsToJson(const ApsParams &p)
+/** The value of @p token; an unknown token is CAMJ-E018 listing the
+ *  known ones. */
+int
+tokenValue(const EnumTokens &t, const std::string &token)
 {
-    Value o = Value::makeObject();
-    o.set("photodiodeCap", Value(p.photodiodeCap));
-    o.set("floatingDiffusionCap", Value(p.floatingDiffusionCap));
-    o.set("columnLoadCap", Value(p.columnLoadCap));
-    o.set("pixelSwing", Value(p.pixelSwing));
-    o.set("vdda", Value(p.vdda));
-    o.set("correlatedDoubleSampling", Value(p.correlatedDoubleSampling));
-    o.set("pixelsPerComponent", Value(p.pixelsPerComponent));
-    return o;
-}
-
-ApsParams
-apsFromJson(const Value &o)
-{
-    ApsParams d;
-    ApsParams p;
-    p.photodiodeCap = o.getNumber("photodiodeCap", d.photodiodeCap);
-    p.floatingDiffusionCap =
-        o.getNumber("floatingDiffusionCap", d.floatingDiffusionCap);
-    p.columnLoadCap = o.getNumber("columnLoadCap", d.columnLoadCap);
-    p.pixelSwing = o.getNumber("pixelSwing", d.pixelSwing);
-    p.vdda = o.getNumber("vdda", d.vdda);
-    p.correlatedDoubleSampling =
-        o.getBool("correlatedDoubleSampling", d.correlatedDoubleSampling);
-    p.pixelsPerComponent = static_cast<int>(
-        o.getInt("pixelsPerComponent", d.pixelsPerComponent));
-    return p;
-}
-
-Value
-adcToJson(const AdcParams &p)
-{
-    Value o = Value::makeObject();
-    o.set("bits", Value(p.bits));
-    o.set("energyPerConversionOverride",
-          Value(p.energyPerConversionOverride));
-    return o;
-}
-
-AdcParams
-adcFromJson(const Value &o)
-{
-    AdcParams d;
-    AdcParams p;
-    p.bits = static_cast<int>(o.getInt("bits", d.bits));
-    p.energyPerConversionOverride = o.getNumber(
-        "energyPerConversionOverride", d.energyPerConversionOverride);
-    return p;
-}
-
-Value
-scToJson(const SwitchedCapParams &p)
-{
-    Value o = Value::makeObject();
-    o.set("unitCap", Value(p.unitCap));
-    o.set("numCaps", Value(p.numCaps));
-    o.set("vswing", Value(p.vswing));
-    o.set("vdda", Value(p.vdda));
-    o.set("bits", Value(p.bits));
-    o.set("active", Value(p.active));
-    o.set("gain", Value(p.gain));
-    o.set("gmOverId", Value(p.gmOverId));
-    return o;
-}
-
-SwitchedCapParams
-scFromJson(const Value &o)
-{
-    SwitchedCapParams d;
-    SwitchedCapParams p;
-    p.unitCap = o.getNumber("unitCap", d.unitCap);
-    p.numCaps = static_cast<int>(o.getInt("numCaps", d.numCaps));
-    p.vswing = o.getNumber("vswing", d.vswing);
-    p.vdda = o.getNumber("vdda", d.vdda);
-    p.bits = static_cast<int>(o.getInt("bits", d.bits));
-    p.active = o.getBool("active", d.active);
-    p.gain = o.getNumber("gain", d.gain);
-    p.gmOverId = o.getNumber("gmOverId", d.gmOverId);
-    return p;
-}
-
-Value
-analogMemToJson(const AnalogMemoryParams &p)
-{
-    Value o = Value::makeObject();
-    o.set("bits", Value(p.bits));
-    o.set("vswing", Value(p.vswing));
-    o.set("vdda", Value(p.vdda));
-    o.set("storageCap", Value(p.storageCap));
-    o.set("readoutLoadCap", Value(p.readoutLoadCap));
-    o.set("readsPerValue", Value(p.readsPerValue));
-    return o;
-}
-
-AnalogMemoryParams
-analogMemFromJson(const Value &o)
-{
-    AnalogMemoryParams d;
-    AnalogMemoryParams p;
-    p.bits = static_cast<int>(o.getInt("bits", d.bits));
-    p.vswing = o.getNumber("vswing", d.vswing);
-    p.vdda = o.getNumber("vdda", d.vdda);
-    p.storageCap = o.getNumber("storageCap", d.storageCap);
-    p.readoutLoadCap = o.getNumber("readoutLoadCap", d.readoutLoadCap);
-    p.readsPerValue =
-        static_cast<int>(o.getInt("readsPerValue", d.readsPerValue));
-    return p;
-}
-
-Value
-convToJson(const ConverterParams &p)
-{
-    Value o = Value::makeObject();
-    o.set("cap", Value(p.cap));
-    o.set("bits", Value(p.bits));
-    o.set("vswing", Value(p.vswing));
-    o.set("vdda", Value(p.vdda));
-    o.set("gmOverId", Value(p.gmOverId));
-    return o;
-}
-
-ConverterParams
-convFromJson(const Value &o)
-{
-    ConverterParams d;
-    ConverterParams p;
-    p.cap = o.getNumber("cap", d.cap);
-    p.bits = static_cast<int>(o.getInt("bits", d.bits));
-    p.vswing = o.getNumber("vswing", d.vswing);
-    p.vdda = o.getNumber("vdda", d.vdda);
-    p.gmOverId = o.getNumber("gmOverId", d.gmOverId);
-    return p;
+    for (int v = 0; v < t.count; ++v) {
+        if (token == t.name(v))
+            return v;
+    }
+    std::string known;
+    for (int v = 0; v < t.count; ++v)
+        known += (known.empty() ? "" : ", ") + std::string(t.name(v));
+    fatal(Rule::E018, "spec: unknown %s '%s' (known: %s)", t.what,
+          token.c_str(), known.c_str());
 }
 
 } // namespace
@@ -378,36 +158,7 @@ convFromJson(const Value &o)
 ComponentKind
 componentKindFromName(const std::string &name)
 {
-    return enumFromToken(name, allComponentKinds(), componentKindName,
-                         "component kind");
-}
-
-CellClass
-cellClassFromName(const std::string &name)
-{
-    return enumFromToken(name, allCellClasses(), cellClassName,
-                         "cell class");
-}
-
-TimingScope
-timingScopeFromName(const std::string &name)
-{
-    return enumFromToken(name, allTimingScopes(), timingScopeName,
-                         "timing scope");
-}
-
-BiasMode
-biasModeFromName(const std::string &name)
-{
-    return enumFromToken(name, allBiasModes(), biasModeName,
-                         "bias mode");
-}
-
-SignalDomain
-signalDomainFromName(const std::string &name)
-{
-    return enumFromToken(name, allSignalDomains(), signalDomainName,
-                         "signal domain");
+    return static_cast<ComponentKind>(tokenValue(kComponentKinds, name));
 }
 
 const char *
@@ -420,16 +171,6 @@ memoryModelName(MemoryModel model)
       case MemoryModel::Regfile: return "regfile";
     }
     return "?";
-}
-
-MemoryModel
-memoryModelFromName(const std::string &name)
-{
-    static const std::vector<MemoryModel> all = {
-        MemoryModel::Explicit, MemoryModel::Sram, MemoryModel::Sttram,
-        MemoryModel::Regfile,
-    };
-    return enumFromToken(name, all, memoryModelName, "memory model");
 }
 
 // --------------------------------------------------------- instantiation
@@ -563,410 +304,542 @@ joinNames(const std::vector<std::string> &names)
     return out;
 }
 
+// ----------------------------------------------------------- JSON shape
+
+namespace
+{
+
+// The writer's conditions, each asked of the object holding the field.
+
+template <ComponentKind... Kinds>
+bool
+componentIs(const void *c)
+{
+    const ComponentKind kind = static_cast<const ComponentSpec *>(c)->kind;
+    return ((kind == Kinds) || ...);
+}
+
+template <CellClass Class>
+bool
+cellIs(const void *c)
+{
+    return static_cast<const CellSpec *>(c)->cls == Class;
+}
+
+template <bool Explicit>
+bool
+memoryModelIsExplicit(const void *m)
+{
+    return (static_cast<const MemorySpec *>(m)->model ==
+            MemoryModel::Explicit) == Explicit;
+}
+
+bool
+stageReadsInput(const void *s)
+{
+    return static_cast<const StageSpec *>(s)->params.op != StageOp::Input;
+}
+
+bool
+stageOverridesOps(const void *s)
+{
+    return static_cast<const StageSpec *>(s)->params.opsPerOutputOverride !=
+           0;
+}
+
+using fields::field;
+using fields::Required;
+using CK = ComponentKind;
+using CU = ComputeUnitParams;
+using SA = SystolicArrayParams;
+using StagePair = std::pair<std::string, std::string>;
+
+} // namespace
+
+constexpr Field kApsFields[] = {
+    field<&ApsParams::photodiodeCap>("photodiodeCap"),
+    field<&ApsParams::floatingDiffusionCap>("floatingDiffusionCap"),
+    field<&ApsParams::columnLoadCap>("columnLoadCap"),
+    field<&ApsParams::pixelSwing>("pixelSwing"),
+    field<&ApsParams::vdda>("vdda"),
+    field<&ApsParams::correlatedDoubleSampling>("correlatedDoubleSampling"),
+    field<&ApsParams::pixelsPerComponent>("pixelsPerComponent"),
+};
+constexpr FieldTable kApsTable = fields::table<ApsParams>(kApsFields);
+
+constexpr Field kAdcFields[] = {
+    field<&AdcParams::bits>("bits"),
+    field<&AdcParams::energyPerConversionOverride>(
+        "energyPerConversionOverride"),
+};
+constexpr FieldTable kAdcTable = fields::table<AdcParams>(kAdcFields);
+
+constexpr Field kSwitchedCapFields[] = {
+    field<&SwitchedCapParams::unitCap>("unitCap"),
+    field<&SwitchedCapParams::numCaps>("numCaps"),
+    field<&SwitchedCapParams::vswing>("vswing"),
+    field<&SwitchedCapParams::vdda>("vdda"),
+    field<&SwitchedCapParams::bits>("bits"),
+    field<&SwitchedCapParams::active>("active"),
+    field<&SwitchedCapParams::gain>("gain"),
+    field<&SwitchedCapParams::gmOverId>("gmOverId"),
+};
+constexpr FieldTable kSwitchedCapTable =
+    fields::table<SwitchedCapParams>(kSwitchedCapFields);
+
+constexpr Field kAnalogMemoryFields[] = {
+    field<&AnalogMemoryParams::bits>("bits"),
+    field<&AnalogMemoryParams::vswing>("vswing"),
+    field<&AnalogMemoryParams::vdda>("vdda"),
+    field<&AnalogMemoryParams::storageCap>("storageCap"),
+    field<&AnalogMemoryParams::readoutLoadCap>("readoutLoadCap"),
+    field<&AnalogMemoryParams::readsPerValue>("readsPerValue"),
+};
+constexpr FieldTable kAnalogMemoryTable =
+    fields::table<AnalogMemoryParams>(kAnalogMemoryFields);
+
+constexpr Field kConverterFields[] = {
+    field<&ConverterParams::cap>("cap"),
+    field<&ConverterParams::bits>("bits"),
+    field<&ConverterParams::vswing>("vswing"),
+    field<&ConverterParams::vdda>("vdda"),
+    field<&ConverterParams::gmOverId>("gmOverId"),
+};
+constexpr FieldTable kConverterTable =
+    fields::table<ConverterParams>(kConverterFields);
+
+// Both keys are required: a defaulted 0 F / 0 V node would silently
+// zero the cell's energy.
+constexpr Field kCapNodeFields[] = {
+    field<&CapNode::capacitance>("capacitance", Required{}),
+    field<&CapNode::voltageSwing>("swing", Required{}),
+};
+constexpr FieldTable kCapNodeTable = fields::table<CapNode>(kCapNodeFields);
+
+constexpr Field kStaticBiasFields[] = {
+    field<&StaticBiasParams::loadCapacitance>("loadCapacitance"),
+    field<&StaticBiasParams::voltageSwing>("voltageSwing"),
+    field<&StaticBiasParams::vdda>("vdda"),
+    field<&StaticBiasParams::gain>("gain"),
+    field<&StaticBiasParams::gmOverId>("gmOverId"),
+    field<&StaticBiasParams::fixedBandwidth>("fixedBandwidth"),
+    field<&StaticBiasParams::mode>("mode", &kBiasModes),
+};
+constexpr FieldTable kStaticBiasTable =
+    fields::table<StaticBiasParams>(kStaticBiasFields);
+
+constexpr Field kCellFields[] = {
+    field<&CellSpec::cls>("class", Required{}, &kCellClasses),
+    field<&CellSpec::name>("name", Required{}),
+    field<&CellSpec::caps>("caps", &kCapNodeTable,
+                           cellIs<CellClass::Dynamic>),
+    field<&CellSpec::bias>("bias", &kStaticBiasTable,
+                           cellIs<CellClass::StaticBias>),
+    field<&CellSpec::bits>("bits", cellIs<CellClass::NonLinear>),
+    field<&CellSpec::energyOverride>("energyOverride",
+                                     cellIs<CellClass::NonLinear>),
+    field<&CellSpec::spatial>("spatial"),
+    field<&CellSpec::temporal>("temporal"),
+    field<&CellSpec::scope>("scope", &kTimingScopes),
+};
+constexpr FieldTable kCellTable = fields::table<CellSpec>(kCellFields);
+
+constexpr Field kCustomComponentFields[] = {
+    field<&CustomComponentSpec::name>("name", Required{}),
+    field<&CustomComponentSpec::input>("inputDomain", Required{},
+                                       &kSignalDomains),
+    field<&CustomComponentSpec::output>("outputDomain", Required{},
+                                        &kSignalDomains),
+    field<&CustomComponentSpec::cells>("cells", &kCellTable),
+};
+constexpr FieldTable kCustomComponentTable =
+    fields::table<CustomComponentSpec>(kCustomComponentFields);
+
+// A component writes the blocks of its kind only.
+constexpr Field kComponentFields[] = {
+    field<&ComponentSpec::kind>("kind", Required{}, &kComponentKinds),
+    field<&ComponentSpec::aps>(
+        "aps", &kApsTable,
+        componentIs<CK::Aps4T, CK::Aps3T, CK::Dps, CK::PwmPixel,
+                    CK::DvsPixel>),
+    field<&ComponentSpec::adc>("adc", &kAdcTable,
+                               componentIs<CK::Dps, CK::ColumnAdc>),
+    field<&ComponentSpec::sc>(
+        "switchedCap", &kSwitchedCapTable,
+        componentIs<CK::SwitchedCapMac, CK::ChargeAdder, CK::Scaler,
+                    CK::AbsUnit>),
+    field<&ComponentSpec::maxInputs>("maxInputs",
+                                     componentIs<CK::MaxUnit>),
+    field<&ComponentSpec::comparatorEnergyOverride>(
+        "energyOverride", componentIs<CK::Comparator>),
+    field<&ComponentSpec::logLoadCap>("loadCap", componentIs<CK::LogUnit>),
+    field<&ComponentSpec::logVdda>("vdda", componentIs<CK::LogUnit>),
+    field<&ComponentSpec::analogMem>(
+        "analogMemory", &kAnalogMemoryTable,
+        componentIs<CK::PassiveAnalogMemory, CK::ActiveAnalogMemory>),
+    field<&ComponentSpec::conv>(
+        "converter", &kConverterTable,
+        componentIs<CK::ChargeToVoltage, CK::CurrentToVoltage,
+                    CK::TimeToVoltage, CK::SampleHold>),
+    field<&ComponentSpec::custom>("custom", &kCustomComponentTable,
+                                  componentIs<CK::Custom>),
+};
+constexpr FieldTable kComponentTable =
+    fields::table<ComponentSpec>(kComponentFields);
+
+constexpr Field kStageFields[] = {
+    field<&StageSpec::params, &StageParams::name>("name", Required{}),
+    field<&StageSpec::params, &StageParams::op>("op", Required{},
+                                                &kStageOps),
+    field<&StageSpec::params, &StageParams::inputSize>("inputSize",
+                                                       stageReadsInput),
+    field<&StageSpec::params, &StageParams::outputSize>("outputSize",
+                                                        Required{}),
+    field<&StageSpec::params, &StageParams::kernel>("kernel"),
+    field<&StageSpec::params, &StageParams::stride>("stride"),
+    field<&StageSpec::params, &StageParams::bitDepth>("bitDepth"),
+    field<&StageSpec::params, &StageParams::opsPerOutputOverride>(
+        "opsPerOutput", stageOverridesOps),
+    field<&StageSpec::inputs>("inputs"),
+};
+constexpr FieldTable kStageTable = fields::table<StageSpec>(kStageFields);
+
+constexpr Field kAnalogArrayFields[] = {
+    field<&AnalogArraySpec::name>("name", Required{}),
+    field<&AnalogArraySpec::layer>("layer", &kLayers),
+    field<&AnalogArraySpec::role>("role", Required{}, &kAnalogRoles),
+    field<&AnalogArraySpec::numComponents>("numComponents", Required{}),
+    field<&AnalogArraySpec::inputShape>("inputShape"),
+    field<&AnalogArraySpec::outputShape>("outputShape"),
+    field<&AnalogArraySpec::componentArea>("componentArea"),
+    field<&AnalogArraySpec::component>("component", Required{},
+                                       &kComponentTable),
+};
+constexpr FieldTable kAnalogArrayTable =
+    fields::table<AnalogArraySpec>(kAnalogArrayFields);
+
+// nodeNm feeds the derived models and the electricals the explicit
+// one: the writer emits one group or the other.
+constexpr Field kMemoryFields[] = {
+    field<&MemorySpec::name>("name", Required{}),
+    field<&MemorySpec::layer>("layer", &kLayers),
+    field<&MemorySpec::kind>("kind", &kMemoryKinds),
+    field<&MemorySpec::model>("model", &kMemoryModels),
+    field<&MemorySpec::capacityWords>("capacityWords", Required{}),
+    field<&MemorySpec::wordBits>("wordBits"),
+    field<&MemorySpec::activeFraction>("activeFraction"),
+    field<&MemorySpec::nodeNm>("nodeNm", memoryModelIsExplicit<false>),
+    field<&MemorySpec::readEnergyPerWord>("readEnergyPerWord",
+                                          memoryModelIsExplicit<true>),
+    field<&MemorySpec::writeEnergyPerWord>("writeEnergyPerWord",
+                                           memoryModelIsExplicit<true>),
+    field<&MemorySpec::leakagePower>("leakagePower",
+                                     memoryModelIsExplicit<true>),
+    field<&MemorySpec::readPorts>("readPorts", memoryModelIsExplicit<true>),
+    field<&MemorySpec::writePorts>("writePorts",
+                                   memoryModelIsExplicit<true>),
+    field<&MemorySpec::area>("area", memoryModelIsExplicit<true>),
+};
+constexpr FieldTable kMemoryTable = fields::table<MemorySpec>(kMemoryFields);
+
+constexpr Field kPipelineUnitFields[] = {
+    field<&UnitSpec::pipeline, &CU::name>("name", Required{}),
+    field<&UnitSpec::pipeline, &CU::layer>("layer", &kLayers),
+    field<&UnitSpec::pipeline, &CU::inputPixelsPerCycle>(
+        "inputPixelsPerCycle"),
+    field<&UnitSpec::pipeline, &CU::outputPixelsPerCycle>(
+        "outputPixelsPerCycle"),
+    field<&UnitSpec::pipeline, &CU::energyPerCycle>("energyPerCycle"),
+    field<&UnitSpec::pipeline, &CU::numStages>("numStages"),
+    field<&UnitSpec::pipeline, &CU::clock>("clock"),
+    field<&UnitSpec::pipeline, &CU::opsPerCycle>("opsPerCycle"),
+    field<&UnitSpec::pipeline, &CU::area>("area"),
+    field<&UnitSpec::inputMemories>("inputMemories"),
+    field<&UnitSpec::outputMemories>("outputMemories"),
+};
+constexpr FieldTable kPipelineUnitTable =
+    fields::table<UnitSpec>(kPipelineUnitFields);
+
+constexpr Field kSystolicUnitFields[] = {
+    field<&UnitSpec::systolic, &SA::name>("name", Required{}),
+    field<&UnitSpec::systolic, &SA::layer>("layer", &kLayers),
+    field<&UnitSpec::systolic, &SA::rows>("rows"),
+    field<&UnitSpec::systolic, &SA::cols>("cols"),
+    field<&UnitSpec::systolic, &SA::energyPerMac>("energyPerMac"),
+    field<&UnitSpec::systolic, &SA::clock>("clock"),
+    field<&UnitSpec::systolic, &SA::peArea>("peArea"),
+    field<&UnitSpec::inputMemories>("inputMemories"),
+    field<&UnitSpec::outputMemories>("outputMemories"),
+};
+constexpr FieldTable kSystolicUnitTable =
+    fields::table<UnitSpec>(kSystolicUnitFields);
+
+// A unit's kind picks the table of the rest of its fields.
+constexpr Field kUnitKindField[] = {
+    field<&UnitSpec::kind>("kind", Required{}, &kUnitKinds),
+};
+constexpr const FieldTable *kUnitVariants[] = {&kPipelineUnitTable,
+                                               &kSystolicUnitTable};
+constexpr FieldTable kUnitTable =
+    fields::table<UnitSpec>(kUnitKindField, kUnitVariants);
+
+constexpr Field kCommFields[] = {
+    field<&CommSpec::energyPerByte>("energyPerByte"),
+};
+constexpr FieldTable kCommTable = fields::table<CommSpec>(
+    kCommFields, {}, fields::fieldAt<&CommSpec::present>);
+
+constexpr Field kMappingFields[] = {
+    field<&StagePair::first>("stage", Required{}),
+    field<&StagePair::second>("hw", Required{}),
+};
+constexpr FieldTable kMappingTable = fields::table<StagePair>(kMappingFields);
+
+void
+appendPath(std::string &out, const KeyPath *p)
+{
+    if (p == nullptr)
+        return;
+    appendPath(out, p->parent);
+    if (!out.empty())
+        out += '.';
+    out += p->member;
+    if (p->element == nullptr)
+        return;
+    out += '[';
+    if (const Value *n = p->element->find("name");
+        n != nullptr && n->isString() && !n->asString().empty())
+        out += n->asString();
+    else
+        out += std::to_string(p->index);
+    out += ']';
+}
+
 // -------------------------------------------------------- serialization
 
 namespace
 {
 
 Value
-cellToJson(const CellSpec &cell)
+shapeToJson(const Shape &s)
 {
-    Value o = Value::makeObject();
-    o.set("class", Value(cellClassName(cell.cls)));
-    o.set("name", Value(cell.name));
-    switch (cell.cls) {
-      case CellClass::Dynamic: {
-        Value caps = Value::makeArray();
-        for (const CapNode &n : cell.caps) {
-            Value cap = Value::makeObject();
-            cap.set("capacitance", Value(n.capacitance));
-            cap.set("swing", Value(n.voltageSwing));
-            caps.push(std::move(cap));
-        }
-        o.set("caps", std::move(caps));
-        break;
-      }
-      case CellClass::StaticBias: {
-        Value b = Value::makeObject();
-        b.set("loadCapacitance", Value(cell.bias.loadCapacitance));
-        b.set("voltageSwing", Value(cell.bias.voltageSwing));
-        b.set("vdda", Value(cell.bias.vdda));
-        b.set("gain", Value(cell.bias.gain));
-        b.set("gmOverId", Value(cell.bias.gmOverId));
-        b.set("fixedBandwidth", Value(cell.bias.fixedBandwidth));
-        b.set("mode", Value(biasModeName(cell.bias.mode)));
-        o.set("bias", std::move(b));
-        break;
-      }
-      case CellClass::NonLinear:
-        o.set("bits", Value(cell.bits));
-        o.set("energyOverride", Value(cell.energyOverride));
-        break;
-    }
-    o.set("spatial", Value(cell.spatial));
-    o.set("temporal", Value(cell.temporal));
-    o.set("scope", Value(timingScopeName(cell.scope)));
-    return o;
+    Value arr = Value::makeArray();
+    arr.reserve(3);
+    arr.push(Value(s.width));
+    arr.push(Value(s.height));
+    arr.push(Value(s.channels));
+    return arr;
 }
 
-CellSpec
-cellFromJson(const Value &o)
+Shape
+shapeFromJson(const Value &v)
 {
-    CellSpec cell;
-    cell.cls = cellClassFromName(o.at("class").asString());
-    cell.name = o.at("name").asString();
-    if (const Value *v = o.find("caps")) {
-        for (const Value &cap : v->asArray()) {
-            // Both keys are required: a defaulted 0 F / 0 V node
-            // would silently zero the cell's energy.
-            CapNode n;
-            n.capacitance = cap.at("capacitance").asNumber();
-            n.voltageSwing = cap.at("swing").asNumber();
-            cell.caps.push_back(n);
-        }
-    }
-    if (const Value *v = o.find("bias")) {
-        StaticBiasParams d;
-        cell.bias.loadCapacitance =
-            v->getNumber("loadCapacitance", d.loadCapacitance);
-        cell.bias.voltageSwing =
-            v->getNumber("voltageSwing", d.voltageSwing);
-        cell.bias.vdda = v->getNumber("vdda", d.vdda);
-        cell.bias.gain = v->getNumber("gain", d.gain);
-        cell.bias.gmOverId = v->getNumber("gmOverId", d.gmOverId);
-        cell.bias.fixedBandwidth =
-            v->getNumber("fixedBandwidth", d.fixedBandwidth);
-        cell.bias.mode = biasModeFromName(
-            v->getString("mode", biasModeName(d.mode)));
-    }
-    cell.bits = static_cast<int>(o.getInt("bits", cell.bits));
-    cell.energyOverride =
-        o.getNumber("energyOverride", cell.energyOverride);
-    cell.spatial = static_cast<int>(o.getInt("spatial", 1));
-    cell.temporal = static_cast<int>(o.getInt("temporal", 1));
-    cell.scope = timingScopeFromName(
-        o.getString("scope", timingScopeName(TimingScope::SelfSlot)));
-    return cell;
-}
-
-Value
-customToJson(const CustomComponentSpec &c)
-{
-    Value o = Value::makeObject();
-    o.set("name", Value(c.name));
-    o.set("inputDomain", Value(signalDomainName(c.input)));
-    o.set("outputDomain", Value(signalDomainName(c.output)));
-    Value cells = Value::makeArray();
-    for (const CellSpec &cell : c.cells)
-        cells.push(cellToJson(cell));
-    o.set("cells", std::move(cells));
-    return o;
-}
-
-CustomComponentSpec
-customFromJson(const Value &o)
-{
-    CustomComponentSpec c;
-    c.name = o.at("name").asString();
-    c.input = signalDomainFromName(o.at("inputDomain").asString());
-    c.output = signalDomainFromName(o.at("outputDomain").asString());
-    if (const Value *v = o.find("cells")) {
-        for (const Value &cell : v->asArray())
-            c.cells.push_back(cellFromJson(cell));
-    }
-    return c;
-}
-
-Value
-componentToJson(const ComponentSpec &c)
-{
-    Value o = Value::makeObject();
-    o.set("kind", Value(componentKindName(c.kind)));
-    switch (c.kind) {
-      case ComponentKind::Aps4T:
-      case ComponentKind::Aps3T:
-      case ComponentKind::PwmPixel:
-      case ComponentKind::DvsPixel:
-        o.set("aps", apsToJson(c.aps));
-        break;
-      case ComponentKind::Dps:
-        o.set("aps", apsToJson(c.aps));
-        o.set("adc", adcToJson(c.adc));
-        break;
-      case ComponentKind::ColumnAdc:
-        o.set("adc", adcToJson(c.adc));
-        break;
-      case ComponentKind::SwitchedCapMac:
-      case ComponentKind::ChargeAdder:
-      case ComponentKind::Scaler:
-      case ComponentKind::AbsUnit:
-        o.set("switchedCap", scToJson(c.sc));
-        break;
-      case ComponentKind::MaxUnit:
-        o.set("maxInputs", Value(c.maxInputs));
-        break;
-      case ComponentKind::Comparator:
-        o.set("energyOverride", Value(c.comparatorEnergyOverride));
-        break;
-      case ComponentKind::LogUnit:
-        o.set("loadCap", Value(c.logLoadCap));
-        o.set("vdda", Value(c.logVdda));
-        break;
-      case ComponentKind::PassiveAnalogMemory:
-      case ComponentKind::ActiveAnalogMemory:
-        o.set("analogMemory", analogMemToJson(c.analogMem));
-        break;
-      case ComponentKind::ChargeToVoltage:
-      case ComponentKind::CurrentToVoltage:
-      case ComponentKind::TimeToVoltage:
-      case ComponentKind::SampleHold:
-        o.set("converter", convToJson(c.conv));
-        break;
-      case ComponentKind::Custom:
-        o.set("custom", customToJson(c.custom));
-        break;
-    }
-    return o;
-}
-
-ComponentSpec
-componentFromJson(const Value &o)
-{
-    ComponentSpec c;
-    c.kind = componentKindFromName(o.at("kind").asString());
-    if (const Value *v = o.find("custom"))
-        c.custom = customFromJson(*v);
-    if (const Value *v = o.find("aps"))
-        c.aps = apsFromJson(*v);
-    if (const Value *v = o.find("adc"))
-        c.adc = adcFromJson(*v);
-    if (const Value *v = o.find("switchedCap"))
-        c.sc = scFromJson(*v);
-    if (const Value *v = o.find("analogMemory"))
-        c.analogMem = analogMemFromJson(*v);
-    if (const Value *v = o.find("converter"))
-        c.conv = convFromJson(*v);
-    c.maxInputs = static_cast<int>(o.getInt("maxInputs", c.maxInputs));
-    c.comparatorEnergyOverride =
-        o.getNumber("energyOverride", c.comparatorEnergyOverride);
-    c.logLoadCap = o.getNumber("loadCap", c.logLoadCap);
-    c.logVdda = o.getNumber("vdda", c.logVdda);
-    return c;
-}
-
-Value
-stageToJson(const StageSpec &s)
-{
-    Value o = Value::makeObject();
-    o.set("name", Value(s.params.name));
-    o.set("op", Value(stageOpName(s.params.op)));
-    if (s.params.op != StageOp::Input)
-        o.set("inputSize", shapeToJson(s.params.inputSize));
-    o.set("outputSize", shapeToJson(s.params.outputSize));
-    o.set("kernel", shapeToJson(s.params.kernel));
-    o.set("stride", shapeToJson(s.params.stride));
-    o.set("bitDepth", Value(s.params.bitDepth));
-    if (s.params.opsPerOutputOverride != 0)
-        o.set("opsPerOutput", Value(s.params.opsPerOutputOverride));
-    Value ins = Value::makeArray();
-    for (const std::string &in : s.inputs)
-        ins.push(Value(in));
-    o.set("inputs", std::move(ins));
-    return o;
-}
-
-StageSpec
-stageFromJson(const Value &o)
-{
-    StageSpec s;
-    s.params.name = o.at("name").asString();
-    s.params.op = enumFromToken(o.at("op").asString(), allStageOps(),
-                                stageOpName, "stage op");
-    if (const Value *v = o.find("inputSize"))
-        s.params.inputSize = shapeFromJson(*v);
-    s.params.outputSize = shapeFromJson(o.at("outputSize"));
-    if (const Value *v = o.find("kernel"))
-        s.params.kernel = shapeFromJson(*v);
-    if (const Value *v = o.find("stride"))
-        s.params.stride = shapeFromJson(*v);
-    s.params.bitDepth = static_cast<int>(o.getInt("bitDepth", 8));
-    s.params.opsPerOutputOverride = o.getInt("opsPerOutput", 0);
-    if (const Value *v = o.find("inputs")) {
-        for (const Value &in : v->asArray())
-            s.inputs.push_back(in.asString());
-    }
+    const auto &arr = v.asArray();
+    if (arr.empty() || arr.size() > 3)
+        fatal(Rule::E018,
+              "spec: a shape is a 1-3 element array, got %zu elements",
+              arr.size());
+    Shape s;
+    s.width = arr[0].asInt();
+    s.height = arr.size() > 1 ? arr[1].asInt() : 1;
+    s.channels = arr.size() > 2 ? arr[2].asInt() : 1;
     return s;
 }
 
-Value
-analogArrayToJson(const AnalogArraySpec &a)
+template <class T>
+T &
+as(void *field)
 {
-    Value o = Value::makeObject();
-    o.set("name", Value(a.name));
-    o.set("layer", Value(layerName(a.layer)));
-    o.set("role", Value(analogRoleName(a.role)));
-    o.set("numComponents", shapeToJson(a.numComponents));
-    o.set("inputShape", shapeToJson(a.inputShape));
-    o.set("outputShape", shapeToJson(a.outputShape));
-    o.set("componentArea", Value(a.componentArea));
-    o.set("component", componentToJson(a.component));
-    return o;
+    return *static_cast<T *>(field);
 }
 
-AnalogArraySpec
-analogArrayFromJson(const Value &o)
+int
+enumValue(const void *field)
 {
-    AnalogArraySpec a;
-    a.name = o.at("name").asString();
-    a.layer = enumFromToken(o.getString("layer", "sensor"),
-                            allLayers(), layerName, "layer");
-    a.role = enumFromToken(o.at("role").asString(), allAnalogRoles(),
-                           analogRoleName, "analog role");
-    a.numComponents = shapeFromJson(o.at("numComponents"));
-    if (const Value *v = o.find("inputShape"))
-        a.inputShape = shapeFromJson(*v);
-    if (const Value *v = o.find("outputShape"))
-        a.outputShape = shapeFromJson(*v);
-    a.componentArea = o.getNumber("componentArea", 0.0);
-    a.component = componentFromJson(o.at("component"));
-    return a;
+    int value;
+    std::memcpy(&value, field, sizeof value);
+    return value;
 }
 
-Value
-memoryToJson(const MemorySpec &m)
+/** The table of @p owner's variant, whose fields follow @p t's. */
+const FieldTable *
+variantOf(const FieldTable &t, void *owner)
 {
-    Value o = Value::makeObject();
-    o.set("name", Value(m.name));
-    o.set("layer", Value(layerName(m.layer)));
-    o.set("kind", Value(memoryKindName(m.kind)));
-    o.set("model", Value(memoryModelName(m.model)));
-    o.set("capacityWords", Value(m.capacityWords));
-    o.set("wordBits", Value(m.wordBits));
-    o.set("activeFraction", Value(m.activeFraction));
-    if (m.model == MemoryModel::Explicit) {
-        o.set("readEnergyPerWord", Value(m.readEnergyPerWord));
-        o.set("writeEnergyPerWord", Value(m.writeEnergyPerWord));
-        o.set("leakagePower", Value(m.leakagePower));
-        o.set("readPorts", Value(m.readPorts));
-        o.set("writePorts", Value(m.writePorts));
-        o.set("area", Value(m.area));
-    } else {
-        o.set("nodeNm", Value(m.nodeNm));
+    if (t.variants.empty())
+        return nullptr;
+    return t.variants[static_cast<size_t>(enumValue(t.fields[0].at(owner)))];
+}
+
+Value writeObject(const FieldTable &t, void *owner);
+
+void
+writeFields(std::span<const Field> fs, void *owner, Value::Object &out)
+{
+    for (const Field &f : fs) {
+        if (f.written != nullptr && !f.written(owner))
+            continue;
+        void *p = f.at(owner);
+        Value v;
+        switch (f.kind) {
+          case FieldKind::Number: v = Value(as<double>(p)); break;
+          case FieldKind::Int32: v = Value(as<int>(p)); break;
+          case FieldKind::Int64: v = Value(as<int64_t>(p)); break;
+          case FieldKind::Bool: v = Value(as<bool>(p)); break;
+          case FieldKind::String: v = Value(as<std::string>(p)); break;
+          case FieldKind::Enum: v = Value(f.tokens->name(enumValue(p))); break;
+          case FieldKind::Shape: v = shapeToJson(as<Shape>(p)); break;
+          case FieldKind::StringList:
+            v = Value::makeArray();
+            for (const std::string &e : as<std::vector<std::string>>(p))
+                v.push(Value(e));
+            break;
+          case FieldKind::Object:
+            if (f.nested->present != nullptr &&
+                !as<bool>(f.nested->present(p)))
+                continue;
+            v = writeObject(*f.nested, p);
+            break;
+          case FieldKind::ObjectList:
+            v = Value::makeArray();
+            v.reserve(f.nested->size(p));
+            for (size_t i = 0; i < f.nested->size(p); ++i)
+                v.push(writeObject(*f.nested, f.nested->element(p, i)));
+            break;
+        }
+        out.emplace_back(std::string(f.key), std::move(v));
     }
-    return o;
-}
-
-MemorySpec
-memoryFromJson(const Value &o)
-{
-    MemorySpec m;
-    m.name = o.at("name").asString();
-    m.layer = enumFromToken(o.getString("layer", "sensor"),
-                            allLayers(), layerName, "layer");
-    m.kind = enumFromToken(o.getString("kind", "fifo"),
-                           allMemoryKinds(), memoryKindName,
-                           "memory kind");
-    m.model = memoryModelFromName(o.getString("model", "sram"));
-    m.capacityWords = o.at("capacityWords").asInt();
-    m.wordBits = static_cast<int>(o.getInt("wordBits", 8));
-    m.nodeNm = static_cast<int>(o.getInt("nodeNm", 65));
-    m.activeFraction = o.getNumber("activeFraction", 1.0);
-    m.readEnergyPerWord = o.getNumber("readEnergyPerWord", 0.0);
-    m.writeEnergyPerWord = o.getNumber("writeEnergyPerWord", 0.0);
-    m.leakagePower = o.getNumber("leakagePower", 0.0);
-    m.readPorts = static_cast<int>(o.getInt("readPorts", 1));
-    m.writePorts = static_cast<int>(o.getInt("writePorts", 1));
-    m.area = o.getNumber("area", 0.0);
-    return m;
 }
 
 Value
-unitToJson(const UnitSpec &u)
+writeObject(const FieldTable &t, void *owner)
 {
     Value o = Value::makeObject();
-    if (u.kind == UnitKind::Pipeline) {
-        const ComputeUnitParams &p = u.pipeline;
-        o.set("kind", Value("pipeline"));
-        o.set("name", Value(p.name));
-        o.set("layer", Value(layerName(p.layer)));
-        o.set("inputPixelsPerCycle", shapeToJson(p.inputPixelsPerCycle));
-        o.set("outputPixelsPerCycle",
-              shapeToJson(p.outputPixelsPerCycle));
-        o.set("energyPerCycle", Value(p.energyPerCycle));
-        o.set("numStages", Value(p.numStages));
-        o.set("clock", Value(p.clock));
-        o.set("opsPerCycle", Value(p.opsPerCycle));
-        o.set("area", Value(p.area));
-    } else {
-        const SystolicArrayParams &p = u.systolic;
-        o.set("kind", Value("systolic"));
-        o.set("name", Value(p.name));
-        o.set("layer", Value(layerName(p.layer)));
-        o.set("rows", Value(p.rows));
-        o.set("cols", Value(p.cols));
-        o.set("energyPerMac", Value(p.energyPerMac));
-        o.set("clock", Value(p.clock));
-        o.set("peArea", Value(p.peArea));
-    }
-    Value ins = Value::makeArray();
-    for (const std::string &m : u.inputMemories)
-        ins.push(Value(m));
-    o.set("inputMemories", std::move(ins));
-    Value outs = Value::makeArray();
-    for (const std::string &m : u.outputMemories)
-        outs.push(Value(m));
-    o.set("outputMemories", std::move(outs));
+    writeFields(t.fields, owner, o.mutableObject());
+    if (const FieldTable *variant = variantOf(t, owner))
+        writeFields(variant->fields, owner, o.mutableObject());
     return o;
 }
 
-UnitSpec
-unitFromJson(const Value &o)
+/** Rethrow @p e as raised at @p path, keeping its rule. */
+[[noreturn]] void
+throwAt(const KeyPath &path, const ConfigError &e)
 {
-    UnitSpec u;
-    const std::string kind = o.at("kind").asString();
-    if (kind == "pipeline") {
-        u.kind = UnitKind::Pipeline;
-        ComputeUnitParams p;
-        p.name = o.at("name").asString();
-        p.layer = enumFromToken(o.getString("layer", "sensor"),
-                                allLayers(), layerName, "layer");
-        if (const Value *v = o.find("inputPixelsPerCycle"))
-            p.inputPixelsPerCycle = shapeFromJson(*v);
-        if (const Value *v = o.find("outputPixelsPerCycle"))
-            p.outputPixelsPerCycle = shapeFromJson(*v);
-        p.energyPerCycle = o.getNumber("energyPerCycle", 0.0);
-        p.numStages = static_cast<int>(o.getInt("numStages", 1));
-        p.clock = o.getNumber("clock", 50e6);
-        p.opsPerCycle = o.getInt("opsPerCycle", 0);
-        p.area = o.getNumber("area", 0.0);
-        u.pipeline = std::move(p);
-    } else if (kind == "systolic") {
-        u.kind = UnitKind::Systolic;
-        SystolicArrayParams p;
-        p.name = o.at("name").asString();
-        p.layer = enumFromToken(o.getString("layer", "sensor"),
-                                allLayers(), layerName, "layer");
-        p.rows = static_cast<int>(o.getInt("rows", 16));
-        p.cols = static_cast<int>(o.getInt("cols", 16));
-        p.energyPerMac = o.getNumber("energyPerMac", 0.0);
-        p.clock = o.getNumber("clock", 100e6);
-        p.peArea = o.getNumber("peArea", 0.0);
-        u.systolic = std::move(p);
-    } else {
+    std::string at;
+    appendPath(at, &path);
+    throw ConfigError("fatal: " + at + ": " + e.message(), e.rule());
+}
+
+void readObject(const FieldTable &t, const Value &obj, void *owner,
+                const KeyPath *path);
+
+/** Read member @p f of @p obj into @p owner, a struct built with its
+ *  defaults, which an absent member leaves in place. An error
+ *  converting the member names its path; a nested object's fields
+ *  name their own. */
+void
+readField(const Field &f, const Value &obj, void *owner,
+          const KeyPath *parent)
+{
+    const KeyPath path{parent, f.key};
+    const Value *m = obj.find(f.key);
+    void *p = f.at(owner);
+    try {
+        if (m == nullptr) {
+            if (f.required)
+                obj.at(f.key); // throws, naming what the object has
+            return;
+        }
+        switch (f.kind) {
+          case FieldKind::Number: as<double>(p) = m->asNumber(); return;
+          case FieldKind::Int32: as<int>(p) = m->asInt32(); return;
+          case FieldKind::Int64: as<int64_t>(p) = m->asInt(); return;
+          case FieldKind::Bool: as<bool>(p) = m->asBool(); return;
+          case FieldKind::String: as<std::string>(p) = m->asString(); return;
+          case FieldKind::Enum: {
+            const int value = tokenValue(*f.tokens, m->asString());
+            std::memcpy(p, &value, sizeof value);
+            return;
+          }
+          case FieldKind::Shape: as<Shape>(p) = shapeFromJson(*m); return;
+          case FieldKind::StringList: {
+            auto &list = as<std::vector<std::string>>(p);
+            list.clear();
+            list.reserve(m->asArray().size());
+            for (const Value &e : m->asArray())
+                list.push_back(e.asString());
+            return;
+          }
+          case FieldKind::Object:
+            break;
+          case FieldKind::ObjectList:
+            f.nested->resize(p, m->asArray().size());
+            break;
+        }
+    } catch (const ConfigError &e) {
+        throwAt(path, e);
+    }
+    if (f.kind == FieldKind::Object) {
+        readObject(*f.nested, *m, p, &path);
+        if (f.nested->present != nullptr)
+            as<bool>(f.nested->present(p)) = true;
+        return;
+    }
+    const Value::Array &arr = m->asArray();
+    for (size_t i = 0; i < arr.size(); ++i) {
+        const KeyPath element{parent, f.key, &arr[i], i};
+        readObject(*f.nested, arr[i], f.nested->element(p, i), &element);
+    }
+}
+
+/** Read the object @p obj (an object value or not) into @p owner. */
+void
+readObject(const FieldTable &t, const Value &obj, void *owner,
+           const KeyPath *path)
+{
+    for (const Field &f : t.fields)
+        readField(f, obj, owner, path);
+    if (const FieldTable *variant = variantOf(t, owner)) {
+        for (const Field &f : variant->fields)
+            readField(f, obj, owner, path);
+    }
+}
+
+void
+lowerVersion(const Value &doc, DesignSpec &)
+{
+    int64_t version = 1;
+    if (const Value *v = doc.find(kSpecVersionKey)) {
+        try {
+            version = v->asInt();
+        } catch (const ConfigError &e) {
+            throwAt({nullptr, kSpecVersionKey}, e);
+        }
+    }
+    if (version != 1)
         fatal(Rule::E018,
-              "spec: unknown unit kind '%s' (known: pipeline, "
-              "systolic)", kind.c_str());
-    }
-    if (const Value *v = o.find("inputMemories")) {
-        for (const Value &m : v->asArray())
-            u.inputMemories.push_back(m.asString());
-    }
-    if (const Value *v = o.find("outputMemories")) {
-        for (const Value &m : v->asArray())
-            u.outputMemories.push_back(m.asString());
-    }
-    return u;
+              "spec: unsupported camjSpecVersion %lld (this build "
+              "reads version 1)", static_cast<long long>(version));
 }
+
+/** Lower top-level member I into @p spec, whatever its field held. */
+template <size_t I>
+void
+lowerField(const Value &doc, DesignSpec &spec)
+{
+    kSpecFields[I].reset(&spec);
+    readField(kSpecFields[I], doc, &spec, nullptr);
+}
+
+template <size_t... I>
+constexpr std::array<SpecMember, 1 + sizeof...(I)>
+memberTable(std::index_sequence<I...>)
+{
+    return {{{kSpecVersionKey.data(), lowerVersion},
+             {kSpecFields[I].key.data(), lowerField<I>}...}};
+}
+
+constexpr std::array kSpecMembers =
+    memberTable(std::make_index_sequence<std::size(kSpecFields)>());
 
 } // namespace
 
@@ -974,61 +847,10 @@ json::Value
 toJsonValue(const DesignSpec &spec)
 {
     Value o = Value::makeObject();
-    o.reserve(13);
-    o.set("camjSpecVersion", Value(1));
-    o.set("name", Value(spec.name));
-    o.set("fps", Value(spec.fps));
-    o.set("digitalClock", Value(spec.digitalClock));
-
-    Value stages = Value::makeArray();
-    stages.reserve(spec.stages.size());
-    for (const StageSpec &s : spec.stages)
-        stages.push(stageToJson(s));
-    o.set("stages", std::move(stages));
-
-    Value analog = Value::makeArray();
-    analog.reserve(spec.analogArrays.size());
-    for (const AnalogArraySpec &a : spec.analogArrays)
-        analog.push(analogArrayToJson(a));
-    o.set("analogArrays", std::move(analog));
-
-    Value mems = Value::makeArray();
-    mems.reserve(spec.memories.size());
-    for (const MemorySpec &m : spec.memories)
-        mems.push(memoryToJson(m));
-    o.set("memories", std::move(mems));
-
-    Value units = Value::makeArray();
-    units.reserve(spec.units.size());
-    for (const UnitSpec &u : spec.units)
-        units.push(unitToJson(u));
-    o.set("units", std::move(units));
-
-    if (!spec.adcOutputMemory.empty())
-        o.set("adcOutputMemory", Value(spec.adcOutputMemory));
-    if (spec.mipi.present) {
-        Value m = Value::makeObject();
-        m.set("energyPerByte", Value(spec.mipi.energyPerByte));
-        o.set("mipi", std::move(m));
-    }
-    if (spec.tsv.present) {
-        Value t = Value::makeObject();
-        t.set("energyPerByte", Value(spec.tsv.energyPerByte));
-        o.set("tsv", std::move(t));
-    }
-    if (spec.pipelineOutputBytes >= 0)
-        o.set("pipelineOutputBytes", Value(spec.pipelineOutputBytes));
-
-    Value mapping = Value::makeArray();
-    mapping.reserve(spec.mapping.size());
-    for (const auto &[stage, hw] : spec.mapping) {
-        Value pair = Value::makeObject();
-        pair.set("stage", Value(stage));
-        pair.set("hw", Value(hw));
-        mapping.push(std::move(pair));
-    }
-    o.set("mapping", std::move(mapping));
-
+    o.reserve(kSpecMembers.size());
+    o.set(std::string(kSpecVersionKey), Value(1));
+    writeFields(kSpecFields, const_cast<DesignSpec *>(&spec),
+                o.mutableObject());
     return o;
 }
 
@@ -1037,103 +859,6 @@ toJson(const DesignSpec &spec)
 {
     return toJsonValue(spec).dump(2) + "\n";
 }
-
-namespace
-{
-
-/** Lower array member @p key of @p o element by element into @p out
- *  (empty when the member is absent). */
-template <typename T>
-void
-lowerArray(const Value &o, std::string_view key, std::vector<T> &out,
-           T (*element)(const Value &))
-{
-    out.clear();
-    if (const Value *v = o.find(key)) {
-        for (const Value &e : v->asArray())
-            out.push_back(element(e));
-    }
-}
-
-/** A link member: present exactly when the document carries it. */
-CommSpec
-commFromJson(const Value *v)
-{
-    CommSpec c;
-    if (v != nullptr) {
-        c.present = true;
-        c.energyPerByte = v->getNumber("energyPerByte", 0.0);
-    }
-    return c;
-}
-
-constexpr SpecMember kSpecMembers[] = {
-    {"camjSpecVersion",
-     [](const Value &o, DesignSpec &) {
-         const int64_t version = o.getInt("camjSpecVersion", 1);
-         if (version != 1)
-             fatal(Rule::E018,
-                   "spec: unsupported camjSpecVersion %lld (this build "
-                   "reads version 1)", static_cast<long long>(version));
-     }},
-    {"name",
-     [](const Value &o, DesignSpec &s) {
-         s.name = o.at("name").asString();
-     }},
-    {"fps",
-     [](const Value &o, DesignSpec &s) {
-         s.fps = o.getNumber("fps", 30.0);
-     }},
-    {"digitalClock",
-     [](const Value &o, DesignSpec &s) {
-         s.digitalClock = o.getNumber("digitalClock", 50e6);
-     }},
-    {"stages",
-     [](const Value &o, DesignSpec &s) {
-         lowerArray(o, "stages", s.stages, stageFromJson);
-     }},
-    {"analogArrays",
-     [](const Value &o, DesignSpec &s) {
-         lowerArray(o, "analogArrays", s.analogArrays,
-                    analogArrayFromJson);
-     }},
-    {"memories",
-     [](const Value &o, DesignSpec &s) {
-         lowerArray(o, "memories", s.memories, memoryFromJson);
-     }},
-    {"units",
-     [](const Value &o, DesignSpec &s) {
-         lowerArray(o, "units", s.units, unitFromJson);
-     }},
-    {"adcOutputMemory",
-     [](const Value &o, DesignSpec &s) {
-         s.adcOutputMemory = o.getString("adcOutputMemory", "");
-     }},
-    {"mipi",
-     [](const Value &o, DesignSpec &s) {
-         s.mipi = commFromJson(o.find("mipi"));
-     }},
-    {"tsv",
-     [](const Value &o, DesignSpec &s) {
-         s.tsv = commFromJson(o.find("tsv"));
-     }},
-    {"pipelineOutputBytes",
-     [](const Value &o, DesignSpec &s) {
-         s.pipelineOutputBytes = o.getInt("pipelineOutputBytes", -1);
-     }},
-    {"mapping",
-     [](const Value &o, DesignSpec &s) {
-         s.mapping.clear();
-         if (const Value *v = o.find("mapping")) {
-             for (const Value &pair : v->asArray()) {
-                 s.mapping.emplace_back(pair.at("stage").asString(),
-                                        pair.at("hw").asString());
-             }
-         }
-     }},
-};
-
-} // namespace
 
 std::span<const SpecMember>
 specMembers()
@@ -1155,31 +880,18 @@ fromJsonValue(const Value &o)
 namespace
 {
 
-/** The bit of the member-table entry named @p key; a key the table
- *  lacks is not a constant expression, so a misspelt read does not
- *  compile. */
-constexpr SpecMemberMask
-memberBit(std::string_view key)
-{
-    for (size_t i = 0; i < std::size(kSpecMembers); ++i) {
-        if (key == kSpecMembers[i].key)
-            return SpecMemberMask{1} << i;
-    }
-    throw ConfigError("spec: no member table entry for this key");
-}
-
-constexpr SpecMemberMask kName = memberBit("name");
-constexpr SpecMemberMask kFps = memberBit("fps");
-constexpr SpecMemberMask kClock = memberBit("digitalClock");
-constexpr SpecMemberMask kStages = memberBit("stages");
-constexpr SpecMemberMask kAnalog = memberBit("analogArrays");
-constexpr SpecMemberMask kMemories = memberBit("memories");
-constexpr SpecMemberMask kUnits = memberBit("units");
-constexpr SpecMemberMask kAdcMemory = memberBit("adcOutputMemory");
-constexpr SpecMemberMask kMipi = memberBit("mipi");
-constexpr SpecMemberMask kTsv = memberBit("tsv");
-constexpr SpecMemberMask kOutputBytes = memberBit("pipelineOutputBytes");
-constexpr SpecMemberMask kMapping = memberBit("mapping");
+constexpr SpecMemberMask kName = specMemberBit("name");
+constexpr SpecMemberMask kFps = specMemberBit("fps");
+constexpr SpecMemberMask kClock = specMemberBit("digitalClock");
+constexpr SpecMemberMask kStages = specMemberBit("stages");
+constexpr SpecMemberMask kAnalog = specMemberBit("analogArrays");
+constexpr SpecMemberMask kMemories = specMemberBit("memories");
+constexpr SpecMemberMask kUnits = specMemberBit("units");
+constexpr SpecMemberMask kAdcMemory = specMemberBit("adcOutputMemory");
+constexpr SpecMemberMask kMipi = specMemberBit("mipi");
+constexpr SpecMemberMask kTsv = specMemberBit("tsv");
+constexpr SpecMemberMask kOutputBytes = specMemberBit("pipelineOutputBytes");
+constexpr SpecMemberMask kMapping = specMemberBit("mapping");
 constexpr SpecMemberMask kEveryMember =
     (SpecMemberMask{1} << std::size(kSpecMembers)) - 1;
 
@@ -1506,12 +1218,6 @@ rebuildEach(std::vector<T> &out, const std::vector<S> &in, Make make)
 }
 
 } // namespace
-
-SpecMemberMask
-specMemberBit(std::string_view key)
-{
-    return memberBit(key);
-}
 
 void
 DesignSpec::validate() const

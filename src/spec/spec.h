@@ -26,9 +26,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,6 +48,8 @@ struct StageSpec
     StageParams params;
     /** Names of producer stages, in operand order. */
     std::vector<std::string> inputs;
+
+    bool operator==(const StageSpec &) const = default;
 };
 
 // ----------------------------------------------------- analog hardware
@@ -94,15 +98,11 @@ enum class CellClass
 };
 
 const char *cellClassName(CellClass cls);
-CellClass cellClassFromName(const std::string &name);
 
 const char *timingScopeName(TimingScope scope);
-TimingScope timingScopeFromName(const std::string &name);
 
 const char *biasModeName(BiasMode mode);
-BiasMode biasModeFromName(const std::string &name);
 
-SignalDomain signalDomainFromName(const std::string &name);
 
 /** One cell on a custom component's critical path. */
 struct CellSpec
@@ -125,6 +125,8 @@ struct CellSpec
 
     /** Build the A-Cell. @throws ConfigError. */
     std::shared_ptr<const ACell> instantiate() const;
+
+    bool operator==(const CellSpec &) const = default;
 };
 
 /**
@@ -138,6 +140,8 @@ struct CustomComponentSpec
     SignalDomain input = SignalDomain::Voltage;
     SignalDomain output = SignalDomain::Voltage;
     std::vector<CellSpec> cells;
+
+    bool operator==(const CustomComponentSpec &) const = default;
 };
 
 /**
@@ -171,6 +175,8 @@ struct ComponentSpec
 
     /** Instantiate the library component. @throws ConfigError. */
     AComponent instantiate() const;
+
+    bool operator==(const ComponentSpec &) const = default;
 };
 
 /** One analog array of the chain (insertion order = pipeline order). */
@@ -184,6 +190,8 @@ struct AnalogArraySpec
     Shape outputShape = {1, 1, 1};
     Area componentArea = 0.0;
     ComponentSpec component;
+
+    bool operator==(const AnalogArraySpec &) const = default;
 };
 
 // ---------------------------------------------------- digital hardware
@@ -203,7 +211,6 @@ enum class MemoryModel
 };
 
 const char *memoryModelName(MemoryModel model);
-MemoryModel memoryModelFromName(const std::string &name);
 
 /** One digital memory. */
 struct MemorySpec
@@ -227,6 +234,8 @@ struct MemorySpec
 
     /** Build the DigitalMemory. @throws ConfigError. */
     DigitalMemory instantiate() const;
+
+    bool operator==(const MemorySpec &) const = default;
 };
 
 /** Digital execution-unit kinds. */
@@ -254,6 +263,8 @@ struct UnitSpec
     std::vector<std::string> outputMemories;
 
     const std::string &name() const;
+
+    bool operator==(const UnitSpec &) const = default;
 };
 
 // --------------------------------------------------------- design spec
@@ -264,6 +275,8 @@ struct CommSpec
     bool present = false;
     /** Energy per byte [J/B]; 0 = the surveyed default. */
     Energy energyPerByte = 0.0;
+
+    bool operator==(const CommSpec &) const = default;
 };
 
 /** A complete, serializable design point. */
@@ -305,16 +318,264 @@ struct DesignSpec
      * @throws ConfigError on any invalid parameter or reference.
      */
     Design materialize() const;
+
+    bool operator==(const DesignSpec &) const = default;
 };
+
+// ----------------------------------------------------------- JSON shape
+
+/**
+ * How a document spells one field: a double, an int (a number outside
+ * [-2^31, 2^31) is CAMJ-E018), an int64_t, a bool, a string, an enum
+ * token (Field::tokens), a Shape (a 1-3 element array), a string list,
+ * a nested struct or a std::vector of them (Field::nested). field()
+ * derives it from the field's C++ type.
+ */
+enum class FieldKind : unsigned char
+{
+    Number, Int32, Int64, Bool, String, Enum, Shape, StringList, Object,
+    ObjectList,
+};
+
+/** The tokens of an enum whose values run 0..count-1, in the order an
+ *  unknown token's error lists them. */
+struct EnumTokens
+{
+    /** What a token names ("memory kind"). */
+    const char *what;
+    int count;
+    const char *(*name)(int value);
+};
+
+struct FieldTable;
+
+/**
+ * One member of a spec object's JSON form: the key, the struct field
+ * it holds (at), whether a document must carry it, and when the
+ * writer emits it (written; nullptr: always). An absent member that
+ * is not required keeps the field's default, which reset() restores.
+ */
+struct Field
+{
+    std::string_view key;
+    FieldKind kind;
+    bool required;
+    void *(*at)(void *owner);
+    void (*reset)(void *owner);
+    bool (*written)(const void *owner);
+    const EnumTokens *tokens;
+    const FieldTable *nested;
+};
+
+/**
+ * The JSON shape of one spec object: its fields in document order,
+ * the order toJsonValue writes, fromJsonValue reads and the key lint
+ * lists them (a did-you-mean hint takes the first closest key).
+ */
+struct FieldTable
+{
+    std::span<const Field> fields;
+    /** A variant object: fields[0] is an enum whose value picks the
+     *  table whose fields follow. */
+    std::span<const FieldTable *const> variants;
+    /** A link's presence flag, set exactly when the document carries
+     *  the object; the writer writes only a present one. */
+    void *(*present)(void *owner);
+    // The std::vector of these structs an ObjectList holds.
+    void (*resize)(void *list, size_t n);
+    size_t (*size)(const void *list);
+    void *(*element)(void *list, size_t i);
+};
+
+namespace fields
+{
+
+template <class M>
+struct MemberOf;
+
+template <class C, class T>
+struct MemberOf<T C::*>
+{
+    using Owner = C;
+    using Type = T;
+};
+
+/** The field a chain of member pointers reaches from @p owner. */
+template <auto First, auto... Rest>
+void *
+fieldAt(void *owner)
+{
+    using Owner = typename MemberOf<decltype(First)>::Owner;
+    void *field = &(static_cast<Owner *>(owner)->*First);
+    if constexpr (sizeof...(Rest) == 0)
+        return field;
+    else
+        return fieldAt<Rest...>(field);
+}
+
+/** Set the field to its value in a value-initialized owner. */
+template <class T, auto First, auto... Rest>
+void
+resetAt(void *owner)
+{
+    using Owner = typename MemberOf<decltype(First)>::Owner;
+    static const Owner d{};
+    *static_cast<T *>(fieldAt<First, Rest...>(owner)) =
+        *static_cast<const T *>(fieldAt<First, Rest...>(
+            const_cast<Owner *>(&d)));
+}
+
+template <class T>
+constexpr FieldKind
+kindOf()
+{
+    if constexpr (std::is_same_v<T, double>)
+        return FieldKind::Number;
+    else if constexpr (std::is_same_v<T, int>)
+        return FieldKind::Int32;
+    else if constexpr (std::is_same_v<T, int64_t>)
+        return FieldKind::Int64;
+    else if constexpr (std::is_same_v<T, bool>)
+        return FieldKind::Bool;
+    else if constexpr (std::is_same_v<T, std::string>)
+        return FieldKind::String;
+    else if constexpr (std::is_enum_v<T>) {
+        static_assert(std::is_same_v<std::underlying_type_t<T>, int>);
+        return FieldKind::Enum;
+    } else if constexpr (std::is_same_v<T, Shape>)
+        return FieldKind::Shape;
+    else if constexpr (std::is_same_v<T, std::vector<std::string>>)
+        return FieldKind::StringList;
+    else if constexpr (requires { typename T::value_type; })
+        return FieldKind::ObjectList;
+    else
+        return FieldKind::Object;
+}
+
+/** A document must carry the field. */
+struct Required {};
+
+constexpr void apply(Field &f, Required) { f.required = true; }
+constexpr void apply(Field &f, const EnumTokens *t) { f.tokens = t; }
+constexpr void apply(Field &f, const FieldTable *t) { f.nested = t; }
+constexpr void apply(Field &f, bool (*when)(const void *)) { f.written = when; }
+
+/** The entry of the field the member pointers reach, spelled @p key;
+ *  each option sets Required, the tokens of an enum, the table of a
+ *  nested struct or the writer's condition. */
+template <auto... Path, class... Options>
+constexpr Field
+field(std::string_view key, Options... options)
+{
+    using T = typename MemberOf<decltype((Path, ...))>::Type;
+    Field f{key,     kindOf<T>(), false,   fieldAt<Path...>,
+            resetAt<T, Path...>, nullptr, nullptr, nullptr};
+    (apply(f, options), ...);
+    return f;
+}
+
+/** The table of struct T. */
+template <class T>
+constexpr FieldTable
+table(std::span<const Field> fields,
+      std::span<const FieldTable *const> variants = {},
+      void *(*present)(void *) = nullptr)
+{
+    return {fields, variants, present,
+            [](void *list, size_t n) {
+                auto &v = *static_cast<std::vector<T> *>(list);
+                v.clear();
+                v.resize(n);
+            },
+            [](const void *list) {
+                return static_cast<const std::vector<T> *>(list)->size();
+            },
+            [](void *list, size_t i) -> void * {
+                return &(*static_cast<std::vector<T> *>(list))[i];
+            }};
+}
+
+} // namespace fields
+
+/** The tables of the objects a document nests (spec.cc). */
+extern const FieldTable kApsTable, kAdcTable, kSwitchedCapTable,
+    kAnalogMemoryTable, kConverterTable, kCapNodeTable, kStaticBiasTable,
+    kCellTable, kCustomComponentTable, kComponentTable, kStageTable,
+    kAnalogArrayTable, kMemoryTable, kPipelineUnitTable,
+    kSystolicUnitTable, kUnitTable, kCommTable, kMappingTable;
+
+/** The member a document may lead with, its format version: it holds
+ *  no DesignSpec field. */
+inline constexpr std::string_view kSpecVersionKey = "camjSpecVersion";
+
+/** The top-level members after the version. */
+inline constexpr Field kSpecFields[] = {
+    fields::field<&DesignSpec::name>("name", fields::Required{}),
+    fields::field<&DesignSpec::fps>("fps"),
+    fields::field<&DesignSpec::digitalClock>("digitalClock"),
+    fields::field<&DesignSpec::stages>("stages", &kStageTable),
+    fields::field<&DesignSpec::analogArrays>("analogArrays",
+                                             &kAnalogArrayTable),
+    fields::field<&DesignSpec::memories>("memories", &kMemoryTable),
+    fields::field<&DesignSpec::units>("units", &kUnitTable),
+    fields::field<&DesignSpec::adcOutputMemory>(
+        "adcOutputMemory", +[](const void *s) {
+            return !static_cast<const DesignSpec *>(s)
+                        ->adcOutputMemory.empty();
+        }),
+    fields::field<&DesignSpec::mipi>("mipi", &kCommTable),
+    fields::field<&DesignSpec::tsv>("tsv", &kCommTable),
+    fields::field<&DesignSpec::pipelineOutputBytes>(
+        "pipelineOutputBytes", +[](const void *s) {
+            return static_cast<const DesignSpec *>(s)
+                       ->pipelineOutputBytes >= 0;
+        }),
+    fields::field<&DesignSpec::mapping>("mapping", &kMappingTable),
+};
+
+inline constexpr FieldTable kSpecTable =
+    fields::table<DesignSpec>(kSpecFields);
+
+/**
+ * Where a value sits in a document, as a chain of segments on the
+ * stack, spelled only when an error or a finding needs it: a member
+ * key (joined with '.'), optionally selecting one element of that
+ * array, labelled by the element's non-empty string "name" or else its
+ * index ("memories[ActBuf].capacityWords", "mapping[2].hw"). Lowering
+ * errors and the key lint spell paths with it.
+ */
+struct KeyPath
+{
+    const KeyPath *parent = nullptr;
+    std::string_view member;
+    const json::Value *element = nullptr;
+    size_t index = 0;
+};
+
+/** Append @p path's spelling to @p out. */
+void appendPath(std::string &out, const KeyPath *path);
 
 // ------------------------------------------------------- materialization
 
-/** One bit per specMembers() entry, in table order. */
+/** One bit per specMembers() entry, in table order: the version, then
+ *  kSpecFields. */
 using SpecMemberMask = uint32_t;
 
-/** The bit of the specMembers() entry named @p key.
+/** The bit of the specMembers() entry named @p key; a constant
+ *  expression for a key the table has, so a misspelt constant does
+ *  not compile.
  *  @throws ConfigError for a key the table lacks. */
-SpecMemberMask specMemberBit(std::string_view key);
+constexpr SpecMemberMask
+specMemberBit(std::string_view key)
+{
+    if (key == kSpecVersionKey)
+        return 1;
+    for (size_t i = 0; i < std::size(kSpecFields); ++i) {
+        if (key == kSpecFields[i].key)
+            return SpecMemberMask{2} << i;
+    }
+    throw ConfigError("spec: no member table entry for this key");
+}
 
 /**
  * The name references of a spec that validation resolves to indices,
@@ -390,8 +651,17 @@ class MaterializedSpec
 std::string joinNames(const std::vector<std::string> &names);
 
 // -------------------------------------------------------- serialization
+//
+// A document is read and written through the tables of the JSON shape
+// section: toJsonValue, fromJsonValue and the key lint
+// (analysis::lintDocumentKeys) each walk them, so a new spec field is
+// one table entry. A lowering error raised while reading a field
+// carries the field's path in the key lint's spelling
+// ("memories[ActBuf].wordBits: json: number 4294967360 does not fit a
+// 32-bit integer") and keeps its rule code.
 
-/** Spec -> JSON value tree (the document toJson() renders). */
+/** Spec -> JSON value tree (the document toJson() renders): the
+ *  version, then kSpecTable's fields the writer emits. */
 json::Value toJsonValue(const DesignSpec &spec);
 
 /** Spec -> pretty-printed JSON document. */
@@ -413,10 +683,10 @@ struct SpecMember
 
 /**
  * The member table: every top-level member fromJsonValue reads, in
- * the order it lowers them (camjSpecVersion, name, fps, digitalClock,
- * stages, analogArrays, memories, units, adcOutputMemory, mipi, tsv,
- * pipelineOutputBytes, mapping). Grid expansion re-lowers only the
- * entries its axes write, through the same routines.
+ * the order it lowers them: the version check, then one entry per
+ * kSpecFields field, read through its table. Grid expansion
+ * re-lowers only the entries its axes write, through the same
+ * routines.
  */
 std::span<const SpecMember> specMembers();
 
@@ -426,7 +696,8 @@ std::span<const SpecMember> specMembers();
  * tree-level twin of fromJson(); grid expansion lowers its base
  * document once through it.
  *
- * @throws ConfigError on unknown enum tokens or missing members.
+ * @throws ConfigError on unknown enum tokens, missing members, values
+ *         of the wrong type or out of their field's range.
  */
 DesignSpec fromJsonValue(const json::Value &doc);
 

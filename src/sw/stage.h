@@ -92,6 +92,8 @@ struct StageParams
      * workload-specific cost (CompareSample). 0 keeps the default.
      */
     int64_t opsPerOutputOverride = 0;
+
+    bool operator==(const StageParams &) const = default;
 };
 
 /**

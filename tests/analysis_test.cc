@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -714,6 +715,49 @@ TEST(LintDocument, IntegersOutsideInt64AreOneE018NamingTheNumber)
     }
 }
 
+TEST(LintDocument, Int32FieldsOutsideTheirRangeAreOneE018NamingTheField)
+{
+    // A 32-bit field used to keep the low 32 bits of what it read:
+    // wordBits 2^32 + 64 ran as 64.
+    const json::Value golden = json::Value::parse(readFile(
+        fs::path(CAMJ_GOLDEN_DIR) / "detector-65nm-30fps.json"));
+    const json::Value tooSmall(-2147483649.0);
+    auto setIn = [&](const char *list, const char *name, const char *key) {
+        json::Value doc = golden;
+        for (json::Value &e : doc.find(list)->mutableArray()) {
+            if (e.getString("name", "") == name)
+                e.set(key, tooSmall);
+        }
+        return doc;
+    };
+    const std::pair<json::Value, const char *> cases[] = {
+        {setIn("memories", "ActBuf", "wordBits"),
+         "memories[ActBuf].wordBits: json: number -2147483649 does not "
+         "fit a 32-bit integer"},
+        {setIn("stages", "Bin", "bitDepth"),
+         "stages[Bin].bitDepth: json: number -2147483649 does not fit a "
+         "32-bit integer"},
+        {setIn("units", "Classifier", "rows"),
+         "units[Classifier].rows: json: number -2147483649 does not fit "
+         "a 32-bit integer"},
+    };
+    for (const auto &[doc, text] : cases) {
+        const analysis::DocumentLint lint = analysis::lintDocument(doc);
+        EXPECT_FALSE(lint.sweep.has_value());
+        ASSERT_EQ(lint.diagnostics.size(), 1u)
+            << dumpDiags(lint.diagnostics);
+        EXPECT_EQ(lint.diagnostics[0].code, "CAMJ-E018");
+        EXPECT_EQ(lint.diagnostics[0].message, std::string("fatal: ") + text);
+        try {
+            spec::fromJsonValue(doc);
+            ADD_FAILURE() << text << " lowered";
+        } catch (const ConfigError &e) {
+            EXPECT_STREQ(e.code(), "CAMJ-E018");
+            EXPECT_EQ(e.message(), std::string(text));
+        }
+    }
+}
+
 TEST(LintDocument, UnparseableDocumentsAreRejectedWithADiagnostic)
 {
     const analysis::DocumentLint lint =
@@ -1270,6 +1314,147 @@ TEST(LintCorpus, DiagnosticsMatchTheRecordedHashes)
     EXPECT_EQ(differing, 0u) << "of " << now.size() << " documents";
     // The mutations must reach the rules: most documents have findings.
     EXPECT_GT(withFindings, now.size() / 2);
+}
+
+// ------------------------------------------------------ lowering corpus
+
+/** One step from a JSON value to a child: a member or an element. */
+struct Step
+{
+    std::string key;
+    size_t index = 0;
+};
+
+/** The route to every leaf (a non-container value) under @p v. */
+void
+collectLeaves(const json::Value &v, std::vector<Step> &route,
+              std::vector<std::vector<Step>> &out)
+{
+    if (v.isObject()) {
+        for (const auto &[key, child] : v.asObject()) {
+            route.push_back({key, 0});
+            collectLeaves(child, route, out);
+            route.pop_back();
+        }
+    } else if (v.isArray()) {
+        for (size_t i = 0; i < v.asArray().size(); ++i) {
+            route.push_back({"", i});
+            collectLeaves(v.asArray()[i], route, out);
+            route.pop_back();
+        }
+    } else {
+        out.push_back(route);
+    }
+}
+
+json::Value &
+follow(json::Value &doc, const std::vector<Step> &route)
+{
+    json::Value *v = &doc;
+    for (const Step &step : route)
+        v = step.key.empty() ? &v->mutableArray()[step.index]
+                             : v->find(step.key);
+    return *v;
+}
+
+/** The path a lowering error names for the leaf at @p route: the
+ *  field the leaf sits in (a shape or a string list holds elements),
+ *  each element labelled by its non-empty string name, else its
+ *  index. */
+std::string
+fieldPath(const json::Value &doc, const std::vector<Step> &route)
+{
+    size_t end = route.size();
+    while (end > 0 && route[end - 1].key.empty())
+        --end;
+    std::string out;
+    const json::Value *v = &doc;
+    for (size_t i = 0; i < end; ++i) {
+        if (route[i].key.empty()) {
+            v = &v->asArray()[route[i].index];
+            const json::Value *name = v->find("name");
+            out += '[';
+            out += name != nullptr && name->isString() &&
+                           !name->asString().empty()
+                       ? name->asString()
+                       : std::to_string(route[i].index);
+            out += ']';
+        } else {
+            if (!out.empty())
+                out += '.';
+            out += route[i].key;
+            v = v->find(route[i].key);
+        }
+    }
+    return out;
+}
+
+TEST(LoweringCorpus, TypeMutationsLowerOrEndInOneE018NamingTheField)
+{
+    // Seeded leaf mutations of the 27 goldens and the example: each
+    // leaf becomes a value of another JSON type, and an integer leaf
+    // also 2^31 or -2^31 - 1. Lowering either succeeds or throws one
+    // CAMJ-E018 whose text names the field the leaf sits in.
+    std::vector<fs::path> files;
+    for (const auto &entry : fs::directory_iterator(CAMJ_GOLDEN_DIR)) {
+        if (entry.path().extension() == ".json" &&
+            entry.path().filename() != "energies.json")
+            files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    files.push_back(fs::path(CAMJ_EXAMPLES_DIR) / "detector_sweep.json");
+    ASSERT_EQ(files.size(), 28u);
+
+    constexpr size_t kMutationsPerDocument = 60;
+    size_t refused = 0, outOfRange = 0, lowered = 0;
+    for (const fs::path &file : files) {
+        const json::Value base = json::Value::parse(readFile(file));
+        std::vector<std::vector<Step>> leaves;
+        std::vector<Step> route;
+        collectLeaves(base, route, leaves);
+        CorpusRng rng{fnv1a(file.filename().string())};
+        for (size_t m = 0; m < kMutationsPerDocument; ++m) {
+            const std::vector<Step> &leaf = leaves[rng.below(leaves.size())];
+            json::Value doc = base;
+            json::Value &slot = follow(doc, leaf);
+            std::vector<json::Value> other;
+            if (!slot.isNumber())
+                other.emplace_back(0.5);
+            if (!slot.isString())
+                other.emplace_back("text");
+            if (!slot.isBool())
+                other.emplace_back(true);
+            if (!slot.isNull())
+                other.emplace_back();
+            other.push_back(json::Value::makeArray());
+            other.push_back(json::Value::makeObject());
+            if (slot.isNumber() &&
+                slot.asNumber() == std::floor(slot.asNumber())) {
+                other.emplace_back(2147483648.0);
+                other.emplace_back(-2147483649.0);
+            }
+            slot = other[rng.below(other.size())];
+            const std::string path = fieldPath(doc, leaf);
+            SCOPED_TRACE(file.filename().string() + " " + path + " = " +
+                         slot.dump(0));
+            try {
+                spec::fromJsonValue(doc);
+                ++lowered;
+            } catch (const ConfigError &e) {
+                ++refused;
+                EXPECT_STREQ(e.code(), "CAMJ-E018") << e.what();
+                EXPECT_NE(std::string(e.what()).find(path),
+                          std::string::npos)
+                    << e.what();
+                if (std::string(e.what()).find("32-bit") !=
+                    std::string::npos)
+                    ++outOfRange;
+            }
+        }
+    }
+    // The mutations reach the reader, its 32-bit range included.
+    EXPECT_GT(refused, lowered);
+    EXPECT_GT(outOfRange, 0u);
 }
 
 } // namespace

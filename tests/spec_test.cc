@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/analyzer.h"
 #include "common/logging.h"
 #include "common/units.h"
 #include "core/design.h"
@@ -479,6 +480,173 @@ TEST(DesignBuilder, VariantDerivation)
     EnergyReport slow = base.materialize().simulate();
     EnergyReport quick = fast.materialize().simulate();
     EXPECT_NEAR(quick.frameTime * 4.0, slow.frameTime, 1e-9);
+}
+
+// ------------------------------------------------------------ JSON shape
+
+/**
+ * A spec whose every object kind appears with every field the writer
+ * emits for it set away from its default: each component block (the
+ * kinds pick them), each cell class, both memory-model families, both
+ * unit kinds, and every optional top-level member.
+ */
+spec::DesignSpec
+everyFieldSet()
+{
+    spec::DesignSpec s;
+    s.name = "every-field";
+    s.fps = 12.5;
+    s.digitalClock = 75e6;
+
+    spec::StageSpec in;
+    in.params.name = "In";
+    in.params.op = StageOp::Input;
+    in.params.outputSize = {64, 48, 3};
+    in.params.kernel = {2, 3, 1};
+    in.params.stride = {3, 2, 1};
+    in.params.bitDepth = 10;
+    spec::StageSpec conv;
+    conv.params.name = "Conv";
+    conv.params.op = StageOp::CompareSample;
+    conv.params.inputSize = {64, 48, 3};
+    conv.params.outputSize = {32, 24, 7};
+    conv.params.kernel = {3, 3, 3};
+    conv.params.stride = {2, 2, 1};
+    conv.params.bitDepth = 4;
+    conv.params.opsPerOutputOverride = 9;
+    conv.inputs = {"In"};
+    s.stages = {in, conv};
+
+    auto array = [&](const char *name, spec::ComponentKind kind) {
+        spec::AnalogArraySpec a;
+        a.name = name;
+        a.layer = Layer::Compute;
+        a.role = AnalogRole::AnalogCompute;
+        a.numComponents = {4, 5, 2};
+        a.inputShape = {2, 1, 3};
+        a.outputShape = {1, 2, 3};
+        a.componentArea = 7e-12;
+        a.component.kind = kind;
+        s.analogArrays.push_back(a);
+        return &s.analogArrays.back().component;
+    };
+    spec::ComponentSpec *c = array("Dps", spec::ComponentKind::Dps);
+    c->aps = {6e-15, 3e-15, 2e-12, 0.8, 3.3, false, 4};
+    c->adc = {12, 4e-12};
+    c = array("Mac", spec::ComponentKind::SwitchedCapMac);
+    c->sc = {1e-15, 16, 0.7, 1.8, 6, false, 2.0, 12.0};
+    c = array("Max", spec::ComponentKind::MaxUnit);
+    c->maxInputs = 9;
+    c = array("Cmp", spec::ComponentKind::Comparator);
+    c->comparatorEnergyOverride = 3e-14;
+    c = array("Log", spec::ComponentKind::LogUnit);
+    c->logLoadCap = 70e-15;
+    c->logVdda = 1.2;
+    c = array("Mem", spec::ComponentKind::ActiveAnalogMemory);
+    c->analogMem = {6, 0.9, 1.5, 2e-15, 0.7e-12, 3};
+    c = array("Ctv", spec::ComponentKind::ChargeToVoltage);
+    c->conv = {3e-15, 7, 0.6, 1.1, 11.0};
+    c = array("Custom", spec::ComponentKind::Custom);
+    c->custom.name = "chain";
+    c->custom.input = SignalDomain::Current;
+    c->custom.output = SignalDomain::Time;
+    spec::CellSpec dynamic;
+    dynamic.name = "caps";
+    dynamic.caps = {{1e-15, 0.5}, {2e-15, 0.25}};
+    dynamic.spatial = 3;
+    dynamic.temporal = 2;
+    dynamic.scope = TimingScope::Frame;
+    spec::CellSpec bias;
+    bias.cls = spec::CellClass::StaticBias;
+    bias.name = "amp";
+    bias.bias = {4e-15, 0.6, 1.7, 3.0, 18.0, 2e6, BiasMode::GmOverId};
+    bias.scope = TimingScope::ComponentSpan;
+    spec::CellSpec nonLinear;
+    nonLinear.cls = spec::CellClass::NonLinear;
+    nonLinear.name = "adc";
+    nonLinear.bits = 9;
+    nonLinear.energyOverride = 5e-13;
+    c->custom.cells = {dynamic, bias, nonLinear};
+
+    spec::MemorySpec explicitModel;
+    explicitModel.name = "Explicit";
+    explicitModel.layer = Layer::Dram;
+    explicitModel.kind = MemoryKind::DoubleBuffer;
+    explicitModel.model = spec::MemoryModel::Explicit;
+    explicitModel.capacityWords = 4096;
+    explicitModel.wordBits = 16;
+    explicitModel.activeFraction = 0.5;
+    explicitModel.readEnergyPerWord = 1e-12;
+    explicitModel.writeEnergyPerWord = 2e-12;
+    explicitModel.leakagePower = 3e-6;
+    explicitModel.readPorts = 2;
+    explicitModel.writePorts = 3;
+    explicitModel.area = 4e-9;
+    spec::MemorySpec derived;
+    derived.name = "Derived";
+    derived.layer = Layer::OffChip;
+    derived.kind = MemoryKind::LineBuffer;
+    derived.model = spec::MemoryModel::Sttram;
+    derived.capacityWords = 1 << 20;
+    derived.wordBits = 32;
+    derived.nodeNm = 22;
+    derived.activeFraction = 0.25;
+    s.memories = {explicitModel, derived};
+
+    spec::UnitSpec pipeline;
+    pipeline.pipeline = {"Pipe", Layer::Compute, {2, 1, 1}, {1, 2, 1},
+                         5e-12, 3, 80e6, 4, 6e-9};
+    pipeline.inputMemories = {"Explicit", "Derived"};
+    pipeline.outputMemories = {"Derived"};
+    spec::UnitSpec systolic;
+    systolic.kind = spec::UnitKind::Systolic;
+    systolic.systolic = {"Array", Layer::Compute, 8, 4, 2e-13, 200e6,
+                         1e-10};
+    systolic.inputMemories = {"Derived"};
+    systolic.outputMemories = {"Explicit"};
+    s.units = {pipeline, systolic};
+
+    s.adcOutputMemory = "Explicit";
+    s.mipi = {true, 1e-10};
+    s.tsv = {true, 2e-12};
+    s.pipelineOutputBytes = 123;
+    s.mapping = {{"In", "Dps"}, {"Conv", "Pipe"}};
+    return s;
+}
+
+TEST(SpecFields, EveryObjectRoundTripsWithEveryFieldSet)
+{
+    // Each table is the format of its object: whatever the writer
+    // emits, the reader reads back into the same field.
+    const spec::DesignSpec s = everyFieldSet();
+    const spec::DesignSpec back = spec::fromJsonValue(spec::toJsonValue(s));
+    EXPECT_TRUE(back == s) << spec::toJson(s) << "read back as\n"
+                           << spec::toJson(back);
+    EXPECT_TRUE(spec::fromJson(spec::toJson(s)) == s);
+    // No field is left at its default, so a field the writer or the
+    // reader dropped would show above.
+    EXPECT_FALSE(s == spec::DesignSpec{});
+}
+
+TEST(SpecFields, EveryWrittenKeyIsKnownToTheKeyLint)
+{
+    // The key lint reads the same tables, so no key toJsonValue can
+    // emit is reported as unknown or obsolete.
+    const json::Value doc = spec::toJsonValue(everyFieldSet());
+    const std::vector<analysis::Diagnostic> diags =
+        analysis::lintDocumentKeys(doc);
+    for (const analysis::Diagnostic &d : diags)
+        ADD_FAILURE() << d.format();
+    // And a misspelt key still is, with the nearest key as its hint.
+    json::Value misspelt = doc;
+    misspelt.find("memories")->mutableArray()[0].set("wordBit",
+                                                      json::Value(8));
+    const std::vector<analysis::Diagnostic> one =
+        analysis::lintDocumentKeys(misspelt);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].code, "CAMJ-W005");
+    EXPECT_EQ(one[0].path, "memories[Explicit].wordBit");
+    EXPECT_EQ(one[0].hint, "did you mean 'wordBits'?");
 }
 
 } // namespace

@@ -897,7 +897,8 @@ TEST(SweepGrid, PointNamesSpellNumbersAsPercentG)
 TEST(SweepGrid, ConstructionErrorsKeepTheirText)
 {
     // A point lowers only the members its axes write, yet a bad value
-    // throws exactly what lowering the whole document throws.
+    // throws exactly what lowering the whole document throws, naming
+    // the field it was read from.
     const spec::DesignSpec base = spec::sampleDetectorSpec(30.0, 65);
     auto error = [&](const char *name, const char *path,
                      json::Value value) {
@@ -913,19 +914,21 @@ TEST(SweepGrid, ConstructionErrorsKeepTheirText)
     };
     EXPECT_EQ(error("op", "stages[1].op", json::Value("bogus")),
               "fatal: sweepGrid: axis 'op' value \"bogus\" does not "
-              "produce a valid spec: spec: unknown stage op "
+              "produce a valid spec: stages[Bin].op: spec: unknown stage op "
               "'bogus' (known: Input, Binning, Conv2d, DepthwiseConv2d, "
               "FullyConnected, MaxPool, AvgPool, ElementwiseSub, "
               "ElementwiseAdd, AbsDiff, Threshold, Scale, LogResponse, "
               "Absolute, CompareSample, Identity)");
     EXPECT_EQ(error("kind", "memories[ActBuf].kind", json::Value("lifo")),
               "fatal: sweepGrid: axis 'kind' value \"lifo\" does not "
-              "produce a valid spec: spec: unknown memory kind "
+              "produce a valid spec: memories[ActBuf].kind: spec: unknown "
+              "memory kind "
               "'lifo' (known: fifo, line-buffer, double-buffer, "
               "frame-buffer)");
     EXPECT_EQ(error("rate", "fps", json::Value("fast")),
               "fatal: sweepGrid: axis 'rate' value \"fast\" does not "
-              "produce a valid spec: json: expected number, got string");
+              "produce a valid spec: fps: json: expected number, got "
+              "string");
 }
 
 TEST(SweepGrid, RenameALaterSelectorMissesFailsAtConstruction)
