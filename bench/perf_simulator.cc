@@ -25,7 +25,9 @@
  * (studyFrontEnd), of linting it (lint) and of materializing it
  * (materialize), those of a canonical grid point's materialization
  * on a worker's point path and of writing a result line (render),
- * the Fig. 7 validation
+ * those of a canonical grid point through runShard and through the
+ * worker's evaluator, feasible or D002 (pointLoop), the Fig. 7
+ * validation
  * MAPE and correlation, the cycle sim's ticking rate (a
  * cycle-dominated frame, every cycle ticked), and a per-stage
  * wall-clock profile of EvalPipeline over the canonical grid, so CI
@@ -48,6 +50,7 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +60,7 @@
 #include <iterator>
 #include <new>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -209,6 +213,26 @@ measureOp(size_t iters, Fn &&fn)
     c.allocsPerOp = static_cast<double>(allocs1 - allocs0) / n;
     return c;
 }
+
+/** @p x rounded to two decimals: an allocation count per point that an
+ *  exact floor can compare. */
+double
+hundredths(double x)
+{
+    return std::round(x * 100.0) / 100.0;
+}
+
+/** A stream buffer that drops what it is given: a sink's output that
+ *  only its cost matters for. */
+class DiscardBuf : public std::streambuf
+{
+  protected:
+    int overflow(int c) override { return c; }
+    std::streamsize xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+};
 
 /** Write one {nsPerOp, allocsPerOp, opsPerSec} group under @p key. */
 void
@@ -827,12 +851,14 @@ writeBenchJson()
     }
 
     // Materialize, in heap allocations: each canonical grid point on
-    // a sweep worker's point path (GridSpecSource::pointAt rebuilds
-    // only what the point's axes and name feed in the SpecPoint the
-    // worker keeps), less the expansion that builds its spec; and
-    // each paper study through the whole path, validate() and every
-    // part. Both counts are exact, so each is its floor; the
-    // whole-path count per grid point and the timings are data.
+    // a sweep worker's point path (GridSpecSource::pointAt re-lowers
+    // the point's axis members and rewrites its name in the spec the
+    // worker's SpecPoint keeps, then rebuilds only what those feed in
+    // its Design), expansion included, since the spec is built in
+    // place too; and each paper study through the whole path,
+    // validate() and every part. Both counts are exact, so each is
+    // its floor; the whole-path count per grid point (beyond the
+    // expansion of a fresh spec by at()) and the timings are data.
     {
         json::Value materialize = json::Value::makeObject();
         const spec::SweepDocument canonical = spec::sampleDetectorStudy();
@@ -862,12 +888,8 @@ writeBenchJson()
         const OpCost whole = measureOp(n * 20, whole_path);
         materialize.set("gridPoints",
                         json::Value(static_cast<int64_t>(n)));
-        materialize.set("allocsPerPoint",
-                        json::Value(built.allocsPerOp -
-                                    expanded.allocsPerOp));
-        materialize.set("usPerPoint",
-                        json::Value((built.nsPerOp - expanded.nsPerOp) /
-                                    1e3));
+        materialize.set("allocsPerPoint", json::Value(built.allocsPerOp));
+        materialize.set("usPerPoint", json::Value(built.nsPerOp / 1e3));
         materialize.set("wholePathAllocsPerPoint",
                         json::Value(whole.allocsPerOp -
                                     expanded.allocsPerOp));
@@ -908,6 +930,79 @@ writeBenchJson()
         render.set("allocsPerLine", json::Value(rendered.allocsPerOp));
         render.set("usPerLine", json::Value(rendered.nsPerOp / 1e3));
         doc.set("render", std::move(render));
+
+        // Point loop: heap allocations per canonical grid point
+        // through runShard (the point built in place, the worker's
+        // evaluator, the sinks and a JSONL line into a stream that
+        // discards it; one worker, so a run's setup is shared by its
+        // 108 points), and through IncrementalEvaluator::
+        // evaluate(SpecPoint) alone, on the grid's feasible points and
+        // on its D002 points, each timed too. The counts are exact,
+        // so each is its floor; the timings are data.
+        json::Value loop = json::Value::makeObject();
+        loop.set("gridPoints", json::Value(static_cast<int64_t>(n)));
+        DiscardBuf discard;
+        std::ostream discarded(&discard);
+        spec::ShardAssignment every;
+        every.total = n;
+        every.end = n;
+        SimulationOptions report;
+        report.checkMode = CheckMode::Report;
+        const OpCost shard = measureOp(20, [&](size_t) {
+            JsonlSink lines(discarded);
+            runShard(grid, every, 1, report, lines);
+        });
+        json::Value shard_cost = json::Value::makeObject();
+        shard_cost.set("allocsPerPoint",
+                       json::Value(hundredths(shard.allocsPerOp / n)));
+        shard_cost.set("usPerPoint",
+                       json::Value(shard.nsPerOp / 1e3 / n));
+        loop.set("runShard", std::move(shard_cost));
+
+        IncrementalEvaluator evaluator(report);
+        std::vector<size_t> feasible, d002;
+        for (size_t i = 0; i < n; ++i) {
+            grid.pointAt(i, point);
+            const SimulationOutcome out = evaluator.evaluate(point);
+            if (out.feasible)
+                feasible.push_back(i);
+            else if (out.ruleCode == "CAMJ-D002")
+                d002.push_back(i);
+        }
+        auto evaluate = [&](const char *key,
+                            const std::vector<size_t> &indices) {
+            uint64_t allocs = 0;
+            double seconds = 0.0;
+            constexpr int kReps = 20;
+            for (int rep = 0; rep < kReps; ++rep) {
+                for (size_t i : indices) {
+                    grid.pointAt(i, point);
+                    const uint64_t allocs0 =
+                        g_heapAllocs.load(std::memory_order_relaxed);
+                    const auto t0 = std::chrono::steady_clock::now();
+                    const SimulationOutcome out = evaluator.evaluate(point);
+                    const auto t1 = std::chrono::steady_clock::now();
+                    allocs += g_heapAllocs.load(std::memory_order_relaxed) -
+                              allocs0;
+                    seconds += std::chrono::duration<double>(t1 - t0).count();
+                    benchmark::DoNotOptimize(out.feasible);
+                }
+            }
+            const double calls =
+                static_cast<double>(kReps) *
+                static_cast<double>(std::max<size_t>(indices.size(), 1));
+            json::Value cost = json::Value::makeObject();
+            cost.set("points",
+                     json::Value(static_cast<int64_t>(indices.size())));
+            cost.set("allocsPerPoint",
+                     json::Value(hundredths(static_cast<double>(allocs) /
+                                            calls)));
+            cost.set("usPerPoint", json::Value(seconds * 1e6 / calls));
+            loop.set(key, std::move(cost));
+        };
+        evaluate("evaluateFeasible", feasible);
+        evaluate("evaluateD002", d002);
+        doc.set("pointLoop", std::move(loop));
     }
 
     // Paper accuracy: the Fig. 7 validation statistics, pinned so

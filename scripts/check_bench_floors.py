@@ -67,12 +67,14 @@ FLOORS = [
     # bar is the count.
     ("lint.allocsPerStudy", 44.8, "max"),
     # Materialize: each canonical grid point on a sweep worker's point
-    # path, beyond the expansion that builds its spec (0: the worker's
-    # SpecPoint holds a copy of the grid's materialized base, and a
-    # point re-runs only the checks and rebuilds in place only the
-    # parts its axes and its name feed; 54 while every point
-    # validated and materialized its whole spec), and each of the 27
-    # paper studies through the whole path (58.8; 74.5 while
+    # path, whose spec is built in place as well (0: the worker's
+    # SpecPoint holds a copy of the grid's lowered and of its
+    # materialized base, and a point re-lowers only its axes' members,
+    # rewrites its name in the spec's own buffer and re-runs only the
+    # checks and parts those feed; 14 while every point copied the
+    # whole spec, all of them expansion's, and 54 more while every
+    # point validated and materialized its whole spec), and each of
+    # the 27 paper studies through the whole path (58.8; 74.5 while
     # validation built four std::set<std::string> per call and the
     # wiring looked names up). Exact, so each bar is the count. The
     # point path's bytes are pinned in ctest against the whole path
@@ -87,6 +89,21 @@ FLOORS = [
     # (JsonlWriter.WritesTheTreeRenderersBytes) and by hash
     # (JsonlHashes.RunShardWritesThePinnedBytes).
     ("render.allocsPerLine", 1, "max"),
+    # The point loop: heap allocations per canonical grid point through
+    # runShard with one worker (4.96: 536 per 108-point run, setup
+    # included; 64.55 while every point copied its spec, built a fresh
+    # EvalPipeline, CycleSim and stall-check lists, copied the report
+    # out and threw its D002), and per point through
+    # IncrementalEvaluator::evaluate(SpecPoint): 3 on a feasible point
+    # (the report's unit list and name, pass A's one port list; 51
+    # before) and 4 on a D002 point (the verdict's text, the
+    # ConfigError's copy of it, the outcome's error string and that
+    # port list; 43 before, when the verdict was thrown). Exact, so
+    # each bar is the count,
+    # rounded to hundredths; the timings beside them are data.
+    ("pointLoop.runShard.allocsPerPoint", 4.96, "eq"),
+    ("pointLoop.evaluateFeasible.allocsPerPoint", 3, "eq"),
+    ("pointLoop.evaluateD002.allocsPerPoint", 4, "eq"),
     ("gridSweep.expansion.inPlace.designsPerSec", 20000, "min"),
     # The canonical grid simulates nothing: every pass A drains in
     # closed form and every pass-B stall check is answered statically

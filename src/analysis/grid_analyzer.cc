@@ -160,7 +160,7 @@ GridAnalyzer::evalRule(const AnalysisRule &rule, const GridSpecSource &source,
     // sound.
     std::vector<Diagnostic> errors;
     try {
-        DesignSpec s = source.build(coords, {});
+        DesignSpec s = source.probe(coords);
         // Grid points always get a non-empty "/axis=value" name
         // suffix, so an empty base name never dooms a point.
         if (s.name.empty())

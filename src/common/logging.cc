@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <iterator>
-#include <vector>
 
 namespace camj
 {
@@ -20,21 +19,35 @@ constexpr const char *kRuleCodes[] = {
 };
 static_assert(std::size(kRuleCodes) ==
               static_cast<size_t>(Rule::D004) + 1);
+
+/** Append printf-style @p fmt to @p out, or @p fmt itself when it
+ *  cannot be formatted. */
+void
+appendVprintf(std::string &out, const char *fmt, std::va_list args)
+{
+    std::va_list args_copy;
+    va_copy(args_copy, args);
+    const int len = std::vsnprintf(nullptr, 0, fmt, args_copy);
+    va_end(args_copy);
+    if (len < 0) {
+        out += fmt;
+        return;
+    }
+    const size_t at = out.size();
+    out.resize(at + static_cast<size_t>(len));
+    // vsnprintf writes its terminator into the string's own.
+    std::vsnprintf(out.data() + at, static_cast<size_t>(len) + 1, fmt,
+                   args);
+}
+
 } // namespace
 
 std::string
 vstrprintf(const char *fmt, std::va_list args)
 {
-    std::va_list args_copy;
-    va_copy(args_copy, args);
-    int len = std::vsnprintf(nullptr, 0, fmt, args_copy);
-    va_end(args_copy);
-    if (len < 0)
-        return fmt;
-
-    std::vector<char> buf(static_cast<size_t>(len) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, args);
-    return std::string(buf.data(), static_cast<size_t>(len));
+    std::string s;
+    appendVprintf(s, fmt, args);
+    return s;
 }
 
 std::string
@@ -73,24 +86,37 @@ ConfigError::message() const
                : text;
 }
 
+ConfigError
+configError(Rule rule, const char *fmt, ...)
+{
+    std::string text = "fatal: ";
+    std::va_list args;
+    va_start(args, fmt);
+    appendVprintf(text, fmt, args);
+    va_end(args);
+    return ConfigError(text, rule);
+}
+
 void
 fatal(const char *fmt, ...)
 {
+    std::string text = "fatal: ";
     std::va_list args;
     va_start(args, fmt);
-    std::string msg = vstrprintf(fmt, args);
+    appendVprintf(text, fmt, args);
     va_end(args);
-    throw ConfigError("fatal: " + msg);
+    throw ConfigError(text);
 }
 
 void
 fatal(Rule rule, const char *fmt, ...)
 {
+    std::string text = "fatal: ";
     std::va_list args;
     va_start(args, fmt);
-    std::string msg = vstrprintf(fmt, args);
+    appendVprintf(text, fmt, args);
     va_end(args);
-    throw ConfigError("fatal: " + msg, rule);
+    throw ConfigError(text, rule);
 }
 
 void

@@ -89,6 +89,15 @@ std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /**
+ * The ConfigError fatal(rule, ...) throws, built without throwing it:
+ * for a check whose failure is a verdict its caller reports rather
+ * than unwinds (the Timing stage's D001 and D002), with the text and
+ * rule the throw would carry.
+ */
+ConfigError configError(Rule rule, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/**
  * Report a user configuration error no catalogue rule covers (its
  * code is CAMJ-D003). Never returns.
  *

@@ -5,9 +5,9 @@
 namespace camj
 {
 
-DelayEstimate
-estimateDelays(Time frame_time, Time digital_latency,
-               int num_analog_arrays)
+std::optional<ConfigError>
+estimateDelaysInto(Time frame_time, Time digital_latency,
+                   int num_analog_arrays, DelayEstimate &out)
 {
     if (frame_time <= 0.0)
         fatal(Rule::E001, "estimateDelays: frame time must be positive");
@@ -16,21 +16,33 @@ estimateDelays(Time frame_time, Time digital_latency,
     if (num_analog_arrays < 1)
         fatal(Rule::E009, "estimateDelays: need at least one analog array");
 
-    DelayEstimate d;
-    d.frameTime = frame_time;
-    d.digitalLatency = digital_latency;
-    d.numSlots = num_analog_arrays + 1;
+    out = DelayEstimate{};
+    out.frameTime = frame_time;
+    out.digitalLatency = digital_latency;
+    out.numSlots = num_analog_arrays + 1;
 
     Time analog_budget = frame_time - digital_latency;
     if (analog_budget <= 0.0) {
-        fatal(Rule::D002,
-              "estimateDelays: digital latency %s exceeds the frame "
-              "time %s; the pipeline would stall — redesign the "
-              "digital units or lower the FPS target",
-              formatTime(digital_latency).c_str(),
-              formatTime(frame_time).c_str());
+        return configError(
+            Rule::D002,
+            "estimateDelays: digital latency %s exceeds the frame "
+            "time %s; the pipeline would stall — redesign the "
+            "digital units or lower the FPS target",
+            formatTime(digital_latency).c_str(),
+            formatTime(frame_time).c_str());
     }
-    d.analogUnitTime = analog_budget / static_cast<double>(d.numSlots);
+    out.analogUnitTime = analog_budget / static_cast<double>(out.numSlots);
+    return std::nullopt;
+}
+
+DelayEstimate
+estimateDelays(Time frame_time, Time digital_latency,
+               int num_analog_arrays)
+{
+    DelayEstimate d;
+    if (std::optional<ConfigError> verdict = estimateDelaysInto(
+            frame_time, digital_latency, num_analog_arrays, d))
+        throw *verdict;
     return d;
 }
 

@@ -15,6 +15,9 @@
 #ifndef CAMJ_CORE_DELAY_H
 #define CAMJ_CORE_DELAY_H
 
+#include <optional>
+
+#include "common/logging.h"
 #include "common/units.h"
 
 namespace camj
@@ -44,6 +47,21 @@ struct DelayEstimate
  */
 DelayEstimate estimateDelays(Time frame_time, Time digital_latency,
                              int num_analog_arrays);
+
+/**
+ * estimateDelays() into @p out, for a caller that reports the D002
+ * verdict instead of unwinding it: when the digital latency consumes
+ * the frame budget, returns the ConfigError estimateDelays() throws
+ * (same text, rule CAMJ-D002) and leaves @p out's analogUnitTime
+ * unset; nullopt otherwise.
+ *
+ * @throws ConfigError on the argument errors estimateDelays() throws
+ *         (non-positive frame time, negative latency, no array).
+ */
+std::optional<ConfigError> estimateDelaysInto(Time frame_time,
+                                              Time digital_latency,
+                                              int num_analog_arrays,
+                                              DelayEstimate &out);
 
 } // namespace camj
 

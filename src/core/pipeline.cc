@@ -35,6 +35,15 @@ elemsToBytes(int64_t elems, int elem_bits)
     return ceilDiv(elems * elem_bits, 8);
 }
 
+/** @p lists as @p n empty lists, each keeping its storage. */
+void
+clearLists(std::vector<std::vector<StageId>> &lists, size_t n)
+{
+    lists.resize(n);
+    for (std::vector<StageId> &l : lists)
+        l.clear();
+}
+
 } // namespace
 
 const char *
@@ -62,21 +71,21 @@ evalStageName(EvalStage stage)
 void
 EvalPipeline::runMap(const Design &d)
 {
-    // DAG well-formedness and mapping completeness.
-    d.sw_.validate();
+    // DAG well-formedness (its acyclicity check leaves the
+    // topological order) and mapping completeness.
+    d.sw_.validate(topo_, indegree_);
     if (d.analog_.empty())
         fatal(Rule::E009,
               "Design %s: no analog arrays (a CIS starts with a pixel "
               "array)", d.params_.name.c_str());
 
-    topo_ = d.sw_.topoOrder();
     topoPos_.assign(static_cast<size_t>(d.sw_.size()), 0);
     for (size_t i = 0; i < topo_.size(); ++i)
         topoPos_[static_cast<size_t>(topo_[i])] = static_cast<int>(i);
 
     // Per-target mapped stage ids.
-    analogStages_.assign(d.analog_.size(), {});
-    unitStages_.assign(d.units_.size(), {});
+    clearLists(analogStages_, d.analog_.size());
+    clearLists(unitStages_, d.units_.size());
     memPrefilled_.assign(d.mems_.size(), false);
 
     for (StageId id = 0; id < d.sw_.size(); ++id) {
@@ -159,13 +168,12 @@ EvalPipeline::runAnalog(const Design &d)
         }
     }
 
-    std::vector<const AnalogArray *> chain;
-    chain.reserve(d.analog_.size());
+    chain_.clear();
     for (const auto &e : d.analog_)
-        chain.push_back(&e.array);
-    checkAnalogDomains(chain);
-    checkAnalogThroughput(chain);
-    checkAdcBoundary(chain);
+        chain_.push_back(&e.array);
+    checkAnalogDomains(chain_);
+    checkAnalogThroughput(chain_);
+    checkAdcBoundary(chain_);
 
     // A FoM-surveyed converter samples at least ceil(accesses) x
     // slots x fps times per second per cell (its slot is at most
@@ -194,7 +202,9 @@ void
 EvalPipeline::runDigital(const Design &d)
 {
     // Digital pipeline analytics: fires, access counts, volumes.
-    ustats_.assign(d.units_.size(), {});
+    ustats_.resize(d.units_.size());
+    for (UnitStats &st : ustats_)
+        st.clear();
     memReadWords_.assign(d.mems_.size(), 0);
     memWriteWords_.assign(d.mems_.size(), 0);
     // Element-granularity counts for the cycle simulation.
@@ -307,10 +317,11 @@ EvalPipeline::runDigital(const Design &d)
 
 // ------------------------------------------------------------- CycleSim
 
-CycleSim
-EvalPipeline::buildSim(const Design &d, double source_rate_elems) const
+void
+EvalPipeline::buildSim(const Design &d, double source_rate_elems)
 {
-    CycleSim sim;
+    CycleSim &sim = sim_;
+    sim.clear();
     for (size_t m = 0; m < d.mems_.size(); ++m) {
         SimMemory sm;
         sm.name = d.mems_[m].name();
@@ -366,9 +377,8 @@ EvalPipeline::buildSim(const Design &d, double source_rate_elems) const
             1, ustats_[u].writeElems / ustats_[u].fires);
         su.totalFires = ustats_[u].fires;
         su.latency = ustats_[u].latency;
-        sim.addUnit(su);
+        sim.addUnit(std::move(su));
     }
-    return sim;
 }
 
 void
@@ -391,9 +401,10 @@ EvalPipeline::runCycleSim(const Design &d, CycleSimMemo *memo)
             }
         }
     }
-    sim_ = buildSim(d, fast_rate);
+    buildSim(d, fast_rate);
     // Source-rooted chains drain in closed form; the rest simulates.
-    if (const std::optional<int64_t> drain = chainDrainCycle(sim_)) {
+    if (const std::optional<int64_t> drain =
+            chainDrainCycle(sim_, stallScratch_)) {
         cyclesA_ = *drain;
         ++passStats_.passAClosedForm;
         return;
@@ -406,7 +417,7 @@ EvalPipeline::runCycleSim(const Design &d, CycleSimMemo *memo)
 
 // --------------------------------------------------------------- Timing
 
-void
+std::optional<ConfigError>
 EvalPipeline::runTiming(const Design &d, CycleSimMemo *memo)
 {
     const Time digital_latency =
@@ -414,8 +425,10 @@ EvalPipeline::runTiming(const Design &d, CycleSimMemo *memo)
                            d.params_.digitalClock
                      : 0.0;
 
-    delay_ = estimateDelays(1.0 / d.params_.fps, digital_latency,
-                            static_cast<int>(d.analog_.size()));
+    if (std::optional<ConfigError> verdict = estimateDelaysInto(
+            1.0 / d.params_.fps, digital_latency,
+            static_cast<int>(d.analog_.size()), delay_))
+        return verdict;
 
     if (haveDigital_ && volume_ > 0) {
         // Pass B: stall check at the true ADC production rate.
@@ -427,18 +440,20 @@ EvalPipeline::runTiming(const Design &d, CycleSimMemo *memo)
         // needed, so the stall check simulates no more of the
         // topology than can influence it.
         sim_.setSourceRate(0, adc_rate);
-        const StallCheck rb = checkSourceStall(sim_, memo);
+        const StallCheck rb = checkSourceStall(sim_, stallScratch_, memo);
         passStats_.passB = rb.stats;
         passStats_.stallRoutes.add(rb.route);
         if (rb.sourceBlocked) {
-            fatal(Rule::D001,
-                  "Design %s: pipeline stall — the ADC output memory "
-                  "fills up at the required frame rate (%lld blocked "
-                  "cycles); enlarge the buffer or speed up the "
-                  "consumer", d.params_.name.c_str(),
-                  static_cast<long long>(rb.sourceBlockedCycles));
+            return configError(
+                Rule::D001,
+                "Design %s: pipeline stall — the ADC output memory "
+                "fills up at the required frame rate (%lld blocked "
+                "cycles); enlarge the buffer or speed up the "
+                "consumer", d.params_.name.c_str(),
+                static_cast<long long>(rb.sourceBlockedCycles));
         }
     }
+    return std::nullopt;
 }
 
 // --------------------------------------------------------------- Energy
@@ -447,6 +462,8 @@ void
 EvalPipeline::runEnergy(const Design &d)
 {
     EnergyReport rep;
+    rep.units.reserve(d.analog_.size() + d.units_.size() +
+                      d.mems_.size() + 2);
     rep.designName = d.params_.name;
     rep.fps = d.params_.fps;
     rep.frameTime = delay_.frameTime;
@@ -582,7 +599,7 @@ EvalPipeline::runEnergy(const Design &d)
 
 // ------------------------------------------------------------- the run
 
-void
+std::optional<ConfigError>
 EvalPipeline::runStage(const Design &design, EvalStage stage,
                        CycleSimMemo *memo)
 {
@@ -600,15 +617,15 @@ EvalPipeline::runStage(const Design &design, EvalStage stage,
         runCycleSim(design, memo);
         break;
       case EvalStage::Timing:
-        runTiming(design, memo);
-        break;
+        return runTiming(design, memo);
       case EvalStage::Energy:
         runEnergy(design);
         break;
     }
+    return std::nullopt;
 }
 
-EnergyReport
+std::optional<ConfigError>
 EvalPipeline::run(const Design &design, CycleSimMemo *memo,
                   double *seconds_out)
 {
@@ -617,30 +634,43 @@ EvalPipeline::run(const Design &design, CycleSimMemo *memo,
     for (int s = 0; s < kEvalStageCount; ++s) {
         ++stagesEntered_;
         const EvalStage stage = static_cast<EvalStage>(s);
-        if (seconds_out == nullptr) {
-            runStage(design, stage, memo);
-            continue;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        runStage(design, stage, memo);
-        seconds_out[s] += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
+        std::chrono::steady_clock::time_point t0;
+        if (seconds_out != nullptr)
+            t0 = std::chrono::steady_clock::now();
+        // A stage that fails adds no time, as one that throws.
+        if (std::optional<ConfigError> verdict =
+                runStage(design, stage, memo))
+            return verdict;
+        if (seconds_out != nullptr)
+            seconds_out[s] += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
     }
-    return report_;
+    return std::nullopt;
+}
+
+std::optional<ConfigError>
+EvalPipeline::runToVerdict(const Design &design, CycleSimMemo *memo)
+{
+    return run(design, memo, nullptr);
 }
 
 EnergyReport
 EvalPipeline::runAll(const Design &design, CycleSimMemo *memo)
 {
-    return run(design, memo, nullptr);
+    if (std::optional<ConfigError> verdict = run(design, memo, nullptr))
+        throw *verdict;
+    return takeReport();
 }
 
 EnergyReport
 EvalPipeline::runAllTimed(const Design &design,
                           double seconds_out[/*kEvalStageCount*/])
 {
-    return run(design, nullptr, seconds_out);
+    if (std::optional<ConfigError> verdict =
+            run(design, nullptr, seconds_out))
+        throw *verdict;
+    return takeReport();
 }
 
 } // namespace camj

@@ -40,14 +40,26 @@
  * (digital/cyclesim.h) and consults it for a pass A that is not
  * answered in closed form and for whatever topology the stall check
  * simulates.
+ *
+ * A sweep worker keeps one pipeline for all its points
+ * (explore/incremental.h): every stage overwrites its outputs in
+ * storage the previous point left (nested lists cleared, not
+ * replaced; pass A's CycleSim refilled; the stall check's lists kept
+ * in a StallScratch), and the report leaves by move. The Timing
+ * stage's two dynamic verdicts, D002 and D001, are what such a sweep
+ * meets on a point that misses its frame rate, so runToVerdict()
+ * returns them as values instead of unwinding them; runAll() and
+ * runAllTimed() throw them as before.
  */
 
 #ifndef CAMJ_CORE_PIPELINE_H
 #define CAMJ_CORE_PIPELINE_H
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/delay.h"
 #include "core/report.h"
 #include "digital/cyclesim.h"
@@ -57,6 +69,7 @@
 namespace camj
 {
 
+class AnalogArray;
 class Design;
 
 /** The ordered stages of one design-point evaluation. */
@@ -104,8 +117,9 @@ struct PassSimStats
 /**
  * The intermediate state of one evaluated design point. Each runX()
  * stage reads the design plus the outputs of earlier stages and
- * overwrites its own outputs; any failed check throws ConfigError
- * exactly where the monolithic simulate() did.
+ * overwrites its own outputs, whatever an earlier run left there, so
+ * one pipeline can evaluate point after point; any failed check
+ * throws ConfigError exactly where the monolithic simulate() did.
  */
 class EvalPipeline
 {
@@ -118,6 +132,22 @@ class EvalPipeline
      */
     EnergyReport runAll(const Design &design,
                         CycleSimMemo *memo = nullptr);
+
+    /**
+     * runAll() for a caller that reports the Timing stage's dynamic
+     * verdicts instead of unwinding them: a D002 (the digital latency
+     * consumes the frame budget) or a D001 (the ADC source stalls)
+     * ends the run after Timing and is returned, holding exactly the
+     * ConfigError runAll() throws for it. nullopt when every stage
+     * passed; takeReport() then holds the report. Every other failed
+     * check still throws.
+     */
+    std::optional<ConfigError> runToVerdict(const Design &design,
+                                            CycleSimMemo *memo = nullptr);
+
+    /** The report of the last run that passed every stage, moved
+     *  out: valid once per such run. */
+    EnergyReport takeReport() { return std::move(report_); }
 
     /**
      * runAll() with a per-stage wall-clock breakdown: the time spent
@@ -159,10 +189,23 @@ class EvalPipeline
         std::vector<int64_t> portReadElems;
         int64_t writeElems = 0;
         int elemBits = 8;
+
+        /** A fresh entry's values, keeping portReadElems' storage. */
+        void clear()
+        {
+            fires = 0;
+            energy = 0.0;
+            latency = 1;
+            portReadElems.clear();
+            writeElems = 0;
+            elemBits = 8;
+        }
     };
 
     // ----- Map outputs -----
     std::vector<StageId> topo_;
+    /** Scratch of the topological sort. */
+    std::vector<int> indegree_;
     std::vector<int> topoPos_;
     std::vector<std::vector<StageId>> analogStages_;
     std::vector<std::vector<StageId>> unitStages_;
@@ -172,6 +215,8 @@ class EvalPipeline
     std::vector<int64_t> analogOps_;
     int64_t volume_ = 0;
     int volumeBits_ = 8;
+    /** Scratch: the analog chain the checks walk. */
+    std::vector<const AnalogArray *> chain_;
 
     // ----- Digital outputs -----
     std::vector<UnitStats> ustats_;
@@ -186,8 +231,10 @@ class EvalPipeline
     int64_t cyclesA_ = 0;
     /** Pass A's built topology, reused by the Timing stage's pass B
      *  through CycleSim::setSourceRate() instead of a second
-     *  buildSim(). */
+     *  buildSim(); refilled in place by the next point's pass A. */
     CycleSim sim_;
+    /** The lists chainDrainCycle() and checkSourceStall() walk. */
+    StallScratch stallScratch_;
 
     // ----- Timing outputs -----
     DelayEstimate delay_;
@@ -200,22 +247,24 @@ class EvalPipeline
     /** Cycle-sim diagnostics of the last run. */
     PassSimStats passStats_;
 
-    /** Run every stage; time each into @p seconds_out when
-     *  non-null. */
-    EnergyReport run(const Design &d, CycleSimMemo *memo,
-                     double *seconds_out);
-    void runStage(const Design &d, EvalStage stage, CycleSimMemo *memo);
+    /** Run every stage until one returns a verdict (only Timing
+     *  does); time each into @p seconds_out when non-null. */
+    std::optional<ConfigError> run(const Design &d, CycleSimMemo *memo,
+                                   double *seconds_out);
+    std::optional<ConfigError> runStage(const Design &d, EvalStage stage,
+                                        CycleSimMemo *memo);
 
     void runMap(const Design &d);
     void runAnalog(const Design &d);
     void runDigital(const Design &d);
     void runCycleSim(const Design &d, CycleSimMemo *memo);
-    void runTiming(const Design &d, CycleSimMemo *memo);
+    std::optional<ConfigError> runTiming(const Design &d,
+                                         CycleSimMemo *memo);
     void runEnergy(const Design &d);
 
-    /** The cycle-level model shared by pass A (CycleSim stage) and
-     *  pass B (Timing stage's stall check). */
-    CycleSim buildSim(const Design &d, double source_rate_elems) const;
+    /** Refill sim_ with the cycle-level model shared by pass A
+     *  (CycleSim stage) and pass B (Timing stage's stall check). */
+    void buildSim(const Design &d, double source_rate_elems);
 };
 
 } // namespace camj

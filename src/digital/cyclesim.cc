@@ -94,6 +94,14 @@ CycleSim::addUnit(SimUnit unit)
 }
 
 void
+CycleSim::clear()
+{
+    mems_.clear();
+    sources_.clear();
+    units_.clear();
+}
+
+void
 CycleSim::setSourceRate(int idx, double words_per_cycle)
 {
     if (idx < 0 || idx >= static_cast<int>(sources_.size()))

@@ -189,6 +189,11 @@ class CycleSim
     /** @return unit index. @throws ConfigError on bad params. */
     int addUnit(SimUnit unit);
 
+    /** Forget the topology but keep the storage of its lists, so a
+     *  caller that refills one CycleSim point after point (the
+     *  pipeline's pass A) does not allocate them again. */
+    void clear();
+
     /** Re-point source @p idx at a new production rate, keeping the
      *  rest of the topology (pass A -> pass B reuse).
      *  @throws ConfigError on a bad index or rate. */

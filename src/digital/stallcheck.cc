@@ -48,10 +48,9 @@ struct Flows
     std::vector<int> readers;
 };
 
-Flows
-flowsOf(const CycleSim &sim)
+void
+flowsOf(const CycleSim &sim, Flows &f)
 {
-    Flows f;
     f.inflow.assign(sim.memories().size(), 0);
     f.writers.assign(sim.memories().size(), 0);
     f.readers.assign(sim.memories().size(), 0);
@@ -72,7 +71,6 @@ flowsOf(const CycleSim &sim)
         for (const SimPort &p : u.inputs)
             ++f.readers[static_cast<size_t>(p.memIdx)];
     }
-    return f;
 }
 
 /** Whether memory @p m can ever refuse a unit's output: it is not
@@ -106,13 +104,13 @@ struct Cone
     bool empty = true;
 };
 
-Cone
-coneOf(const CycleSim &sim, const Flows &f)
+void
+coneOf(const CycleSim &sim, const Flows &f, Cone &c)
 {
     const auto &units = sim.units();
-    Cone c;
     c.mem.assign(sim.memories().size(), 0);
     c.unit.assign(units.size(), 0);
+    c.empty = true;
     for (const SimSource &s : sim.sources()) {
         if (canBlock(sim, f, s)) {
             c.mem[static_cast<size_t>(s.memIdx)] = 1;
@@ -146,7 +144,6 @@ coneOf(const CycleSim &sim, const Flows &f)
                 grew = add(unit.outMemIdx) || grew;
         }
     }
-    return c;
 }
 
 /** The cone as a topology of its own: cone memories, the sources
@@ -188,10 +185,11 @@ buildCone(const CycleSim &sim, const Cone &c)
  * with no landing in flight, the first unfinished unit always fires.
  */
 bool
-remainderIsDrainSafe(const CycleSim &sim, const Flows &f, const Cone &c)
+remainderIsDrainSafe(const CycleSim &sim, const Flows &f, const Cone &c,
+                     std::vector<int64_t> &lastWriter)
 {
     const auto &units = sim.units();
-    std::vector<int64_t> lastWriter(sim.memories().size(), -1);
+    lastWriter.assign(sim.memories().size(), -1);
     for (size_t u = 0; u < units.size(); ++u) {
         if (!c.unit[u] && units[u].outMemIdx >= 0)
             lastWriter[static_cast<size_t>(units[u].outMemIdx)] =
@@ -273,9 +271,19 @@ struct ChainLink
     const SimSource *source = nullptr;
 };
 
+/** chainsThrough()'s lists: its answer (links) and its scratch. */
+struct ChainWalk
+{
+    std::vector<ChainLink> links;
+    std::vector<const SimPort *> chainPort;
+    std::vector<int> chainReader;
+    std::vector<char> visited;
+};
+
 /**
  * The source-rooted chains through the units marked in @p on, link by
- * link in walk order, or nullopt when those units are no such chains.
+ * link in walk order into @p w.links; false when those units are no
+ * such chains.
  *
  * A chain runs source -> m0 -> u0 -> m1 -> u1 -> ...: it starts at
  * each source whose memory is marked in @p through and continues
@@ -294,17 +302,19 @@ struct ChainLink
  * the occupancy clamp never fires, so a reader whose output is never
  * refused fires in every cycle its readiness holds.
  */
-std::optional<std::vector<ChainLink>>
+bool
 chainsThrough(const CycleSim &sim, const Flows &f,
               const std::vector<char> &on,
-              const std::vector<char> &through)
+              const std::vector<char> &through, ChainWalk &w)
 {
     const auto &mems = sim.memories();
     const auto &units = sim.units();
 
     // Each marked unit's chain port, indexed by the memory it reads.
-    std::vector<const SimPort *> chainPort(mems.size(), nullptr);
-    std::vector<int> chainReader(mems.size(), -1);
+    std::vector<const SimPort *> &chainPort = w.chainPort;
+    std::vector<int> &chainReader = w.chainReader;
+    chainPort.assign(mems.size(), nullptr);
+    chainReader.assign(mems.size(), -1);
     for (size_t u = 0; u < units.size(); ++u) {
         if (!on[u])
             continue;
@@ -313,15 +323,15 @@ chainsThrough(const CycleSim &sim, const Flows &f,
             const size_t m = static_cast<size_t>(p.memIdx);
             if (mems[m].prefilled) {
                 if (f.readers[m] > mems[m].readPorts)
-                    return std::nullopt; // oversubscribed read ports
+                    return false; // oversubscribed read ports
                 continue;
             }
             if (chain != nullptr)
-                return std::nullopt; // a join
+                return false; // a join
             chain = &p;
         }
         if (chain == nullptr)
-            return std::nullopt;
+            return false;
         const size_t m = static_cast<size_t>(chain->memIdx);
         const double inflow = static_cast<double>(f.inflow[m]);
         const double retired =
@@ -332,13 +342,15 @@ chainsThrough(const CycleSim &sim, const Flows &f,
             !exactUpTo(chain->retireWords,
                        inflow + retired +
                            static_cast<double>(chain->needWords)))
-            return std::nullopt;
+            return false;
         chainPort[m] = chain;
         chainReader[m] = static_cast<int>(u);
     }
 
-    std::vector<ChainLink> links;
-    std::vector<char> visited(units.size(), 0);
+    std::vector<ChainLink> &links = w.links;
+    std::vector<char> &visited = w.visited;
+    links.clear();
+    visited.assign(units.size(), 0);
     for (const SimSource &s : sim.sources()) {
         size_t m = static_cast<size_t>(s.memIdx);
         if (!through[m])
@@ -347,7 +359,7 @@ chainsThrough(const CycleSim &sim, const Flows &f,
         for (;;) {
             const int r = chainReader[m];
             if (r < 0 || visited[static_cast<size_t>(r)])
-                return std::nullopt;
+                return false;
             visited[static_cast<size_t>(r)] = 1;
             const SimUnit &u = units[static_cast<size_t>(r)];
             links.push_back({m, &u, chainPort[m], source});
@@ -360,9 +372,9 @@ chainsThrough(const CycleSim &sim, const Flows &f,
     }
     for (size_t u = 0; u < units.size(); ++u) {
         if (on[u] && !visited[u])
-            return std::nullopt;
+            return false;
     }
-    return links;
+    return true;
 }
 
 /**
@@ -405,17 +417,16 @@ backlogFits(const CycleSim &sim, const Flows &f, const ChainLink &l,
  * by the source's drain bound plus totalFires + latency per unit.
  */
 int64_t
-boundedConeFinish(const CycleSim &sim, const Flows &f, const Cone &c)
+boundedConeFinish(const CycleSim &sim, const Flows &f, const Cone &c,
+                  ChainWalk &w)
 {
-    const std::optional<std::vector<ChainLink>> links =
-        chainsThrough(sim, f, c.unit, c.mem);
-    if (!links)
+    if (!chainsThrough(sim, f, c.unit, c.mem, w))
         return -1;
     int64_t finish = 0;
     int64_t done = 0;
     double burst = 0.0;
     int64_t extra = 0;
-    for (const ChainLink &l : *links) {
+    for (const ChainLink &l : w.links) {
         if (l.source != nullptr) {
             done = sourceDrainBound(*l.source);
             if (done < 0)
@@ -525,6 +536,25 @@ std::atomic<SimRoutes> g_routes{SimRoutes::Proven};
 
 } // namespace
 
+struct StallScratch::Lists
+{
+    Flows flows;
+    Cone cone;
+    ChainWalk chains;
+    /** chainDrainCycle(): the memories its chains run through, and
+     *  every unit marked. */
+    std::vector<char> through;
+    std::vector<char> everyUnit;
+    /** remainderIsDrainSafe(): each memory's last writer outside the
+     *  cone. */
+    std::vector<int64_t> lastWriter;
+};
+
+StallScratch::StallScratch() : lists_(std::make_unique<Lists>()) {}
+StallScratch::~StallScratch() = default;
+StallScratch::StallScratch(StallScratch &&) noexcept = default;
+StallScratch &StallScratch::operator=(StallScratch &&) noexcept = default;
+
 SimRoutes
 simRoutes()
 {
@@ -540,6 +570,14 @@ setSimRoutes(SimRoutes routes)
 StallCheck
 checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
                  int64_t max_cycles)
+{
+    StallScratch scratch;
+    return checkSourceStall(sim, scratch, memo, max_cycles);
+}
+
+StallCheck
+checkSourceStall(const CycleSim &sim, StallScratch &scratch,
+                 CycleSimMemo *memo, int64_t max_cycles)
 {
     auto simulate = [&](CycleSim &s) {
         return memo != nullptr ? memo->run(s, max_cycles)
@@ -561,9 +599,12 @@ checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
     if (simRoutes() == SimRoutes::FullTopology)
         return runFull();
 
-    const Flows f = flowsOf(sim);
-    const Cone c = coneOf(sim, f);
-    if (!remainderIsDrainSafe(sim, f, c))
+    StallScratch::Lists &lists = scratch.lists();
+    const Flows &f = lists.flows;
+    const Cone &c = lists.cone;
+    flowsOf(sim, lists.flows);
+    coneOf(sim, f, lists.cone);
+    if (!remainderIsDrainSafe(sim, f, c, lists.lastWriter))
         return runFull();
 
     // Sources outside the cone never block; the rest of the topology
@@ -580,7 +621,7 @@ checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
 
     if (!c.empty) {
         // A cone of chains that provably never fill needs no run.
-        const int64_t finish = boundedConeFinish(sim, f, c);
+        const int64_t finish = boundedConeFinish(sim, f, c, lists.chains);
         if (finish >= 0 &&
             drainBound(sim, c, std::max(start, finish)) <= max_cycles) {
             out.route = StallRoute::Bounded;
@@ -609,18 +650,28 @@ checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
 std::optional<int64_t>
 chainDrainCycle(const CycleSim &sim, int64_t max_cycles)
 {
+    StallScratch scratch;
+    return chainDrainCycle(sim, scratch, max_cycles);
+}
+
+std::optional<int64_t>
+chainDrainCycle(const CycleSim &sim, StallScratch &scratch,
+                int64_t max_cycles)
+{
     if (simRoutes() == SimRoutes::FullTopology)
         return std::nullopt;
     const auto &mems = sim.memories();
-    const Flows f = flowsOf(sim);
+    StallScratch::Lists &lists = scratch.lists();
+    const Flows &f = lists.flows;
+    flowsOf(sim, lists.flows);
 
     // Chains run through every memory a unit port streams from.
-    std::vector<char> through(mems.size(), 0);
+    std::vector<char> &through = lists.through;
+    through.assign(mems.size(), 0);
     for (size_t m = 0; m < mems.size(); ++m)
         through[m] = !mems[m].prefilled && f.readers[m] > 0;
-    const std::optional<std::vector<ChainLink>> links = chainsThrough(
-        sim, f, std::vector<char>(sim.units().size(), 1), through);
-    if (!links)
+    lists.everyUnit.assign(sim.units().size(), 1);
+    if (!chainsThrough(sim, f, lists.everyUnit, through, lists.chains))
         return std::nullopt;
     // Every other memory only takes words: it must never refuse one,
     // nor run out of write ports.
@@ -649,7 +700,7 @@ chainDrainCycle(const CycleSim &sim, int64_t max_cycles)
     // can fire; it then fires in every cycle until done.
     int64_t start = 0;
     const SimUnit *writer = nullptr;
-    for (const ChainLink &l : *links) {
+    for (const ChainLink &l : lists.chains.links) {
         const SimUnit &u = *l.reader;
         if (l.source != nullptr) {
             start = sourceFedStart(sim, f, l);

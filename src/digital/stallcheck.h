@@ -68,6 +68,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "digital/cyclesim.h"
@@ -158,6 +159,29 @@ struct StallCheck
 };
 
 /**
+ * Working storage for checkSourceStall() and chainDrainCycle(): the
+ * per-memory and per-unit lists an answer walks. A caller that asks
+ * about one topology after another (a sweep worker's pipeline) keeps
+ * one, so that an answer allocates nothing once the lists have grown.
+ * Nothing carries over from one call to the next.
+ */
+class StallScratch
+{
+  public:
+    StallScratch();
+    ~StallScratch();
+    StallScratch(StallScratch &&) noexcept;
+    StallScratch &operator=(StallScratch &&) noexcept;
+
+    /** The lists (digital/stallcheck.cc). */
+    struct Lists;
+    Lists &lists() { return *lists_; }
+
+  private:
+    std::unique_ptr<Lists> lists_;
+};
+
+/**
  * The stall verdict of @p sim: sourceBlocked and sourceBlockedCycles
  * equal to those of sim.run(max_cycles), and the same ConfigError
  * when that run would not drain. Simulations go through @p memo when
@@ -171,6 +195,12 @@ StallCheck checkSourceStall(const CycleSim &sim,
                             int64_t max_cycles =
                                 CycleSim::kDefaultMaxCycles);
 
+/** The same, walking the topology in @p scratch's lists. */
+StallCheck checkSourceStall(const CycleSim &sim, StallScratch &scratch,
+                            CycleSimMemo *memo = nullptr,
+                            int64_t max_cycles =
+                                CycleSim::kDefaultMaxCycles);
+
 /**
  * Pass A's drain cycle without a run: exactly sim.run(max_cycles)
  * .cycles when every unit of @p sim lies on a source-rooted chain
@@ -179,6 +209,12 @@ StallCheck checkSourceStall(const CycleSim &sim,
  * under SimRoutes::FullTopology.
  */
 std::optional<int64_t> chainDrainCycle(const CycleSim &sim,
+                                       int64_t max_cycles =
+                                           CycleSim::kDefaultMaxCycles);
+
+/** The same, walking the topology in @p scratch's lists. */
+std::optional<int64_t> chainDrainCycle(const CycleSim &sim,
+                                       StallScratch &scratch,
                                        int64_t max_cycles =
                                            CycleSim::kDefaultMaxCycles);
 

@@ -18,30 +18,47 @@ IncrementalEvaluator::IncrementalEvaluator(SimulationOptions options)
         fatal("IncrementalEvaluator: negative exposure");
 }
 
+std::optional<ConfigError>
+IncrementalEvaluator::runStages(const Design &design)
+{
+    // Counted however the run ends: a stage that throws still counts.
+    struct Tally
+    {
+        IncrementalEvaluator &e;
+        ~Tally()
+        {
+            e.stats_.stagesRun +=
+                static_cast<size_t>(e.pipeline_.stagesEntered());
+            e.passStats_ += e.pipeline_.passStats();
+        }
+    } tally{*this};
+    return pipeline_.runToVerdict(design, &memo_);
+}
+
 template <typename Build>
 SimulationOutcome
 IncrementalEvaluator::run(Build build)
 {
     ++stats_.points;
     ++stats_.fullBuilds;
-    // Run every stage through the memo.
-    EvalPipeline pipeline;
+    std::optional<ConfigError> verdict;
     try {
-        const Design &design = build();
-        EnergyReport report = pipeline.runAll(design, &memo_);
-        stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
-        passStats_ += pipeline.passStats();
-        SimulationOutcome out = finishOutcome(options_, std::move(report));
-        out.simStats = pipeline.simStats();
-        return out;
+        verdict = runStages(build());
+        if (!verdict) {
+            SimulationOutcome out =
+                finishOutcome(options_, pipeline_.takeReport());
+            out.simStats = pipeline_.simStats();
+            return out;
+        }
     } catch (const ConfigError &e) {
-        // Zero when materializing threw: the pipeline never started.
-        stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
-        passStats_ += pipeline.passStats();
         if (options_.checkMode == CheckMode::Strict)
             throw;
         return failureOutcome(options_, e.what(), e.code());
     }
+    // D001 or D002: the error runAll() throws, reported unthrown.
+    if (options_.checkMode == CheckMode::Strict)
+        throw *verdict;
+    return failureOutcome(options_, verdict->what(), verdict->code());
 }
 
 SimulationOutcome

@@ -12,7 +12,11 @@
  * to simulate, and the six stages are most of a point's time beside
  * expansion and the sinks (docs/performance.md). A grid point arrives
  * materialized from its grid's base (SpecPoint); everything else but
- * the memoized simulation is recomputed per point.
+ * the memoized simulation is recomputed per point, in one EvalPipeline
+ * the evaluator keeps for its lifetime, so a point reuses the storage
+ * the one before it left. A point that misses its frame rate (D002)
+ * or stalls its ADC source (D001) is a verdict the pipeline returns,
+ * not an exception: the sweep reports it without unwinding.
  *
  * Every SweepEngine worker evaluates through one of these, so every
  * sweep (runStream, run, runShard, and through it `camj_sweep run` and
@@ -25,6 +29,7 @@
 #define CAMJ_EXPLORE_INCREMENTAL_H
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,7 +52,8 @@ struct IncrementalStats
     size_t fullBuilds = 0;
     /** Pipeline stages executed over all points. Only stages
      *  actually ENTERED count — a point aborted by a ConfigError
-     *  counts the throwing stage but not the stages after it. */
+     *  counts the throwing stage but not the stages after it, and a
+     *  D001 or D002 verdict counts Timing as entered. */
     size_t stagesRun = 0;
 };
 
@@ -68,8 +74,9 @@ class IncrementalEvaluator
 
     /**
      * Evaluate one design point. CheckMode::Report folds failed
-     * checks into the outcome; CheckMode::Strict rethrows them (like
-     * Simulator::run).
+     * checks into the outcome; CheckMode::Strict throws them (like
+     * Simulator::run), a D001 or D002 verdict included, as the
+     * ConfigError Simulator::run throws.
      */
     SimulationOutcome evaluate(const spec::DesignSpec &spec);
 
@@ -110,8 +117,16 @@ class IncrementalEvaluator
   private:
     SimulationOptions options_;
     CycleSimMemo memo_;
+    /** Every point's stages run here, each overwriting what the
+     *  point before it left. */
+    EvalPipeline pipeline_;
     IncrementalStats stats_;
     PassSimStats passStats_;
+
+    /** The stages over @p design, counted into stats_ and
+     *  passStats_: a D001/D002 verdict, or nullopt and the report in
+     *  pipeline_. @throws ConfigError as runAll() does otherwise. */
+    std::optional<ConfigError> runStages(const Design &design);
 
     /** Run the stages over the Design @p build returns (a ConfigError
      *  it throws is the point's verdict, as the stages' are). */

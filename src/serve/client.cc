@@ -70,6 +70,16 @@ Client::SubmitOutcome
 Client::submitAndStream(const std::string &doc_text,
                         std::ostream &out, int frames, int threads)
 {
+    return submitAndStream(
+        doc_text, [&out]() -> std::ostream & { return out; }, frames,
+        threads);
+}
+
+Client::SubmitOutcome
+Client::submitAndStream(const std::string &doc_text,
+                        const std::function<std::ostream &()> &open_out,
+                        int frames, int threads)
+{
     json::Value submit = makeFrame("submit");
     submit.set("doc", json::Value::parse(doc_text));
     if (frames > 0)
@@ -98,6 +108,7 @@ Client::submitAndStream(const std::string &doc_text,
     SubmitOutcome outcome;
     outcome.jobId = reply.getString("job", "");
     outcome.accepted = std::move(reply);
+    std::ostream &out = open_out();
 
     for (;;) {
         std::optional<std::string> line = reader_.next();

@@ -60,6 +60,14 @@ class Client
                                   std::ostream &out, int frames = 0,
                                   int threads = 0);
 
+    /** The same, with the stream the lines go to opened by
+     *  @p open_out once the daemon has accepted the job: a refused
+     *  submission opens none (camj_client's --out file). */
+    SubmitOutcome submitAndStream(
+        const std::string &doc_text,
+        const std::function<std::ostream &()> &open_out, int frames = 0,
+        int threads = 0);
+
     /** One "status" frame for @p job. @throws ConfigError on an
      *  unknown job or connection failure. */
     json::Value status(const std::string &job);

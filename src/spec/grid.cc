@@ -1,5 +1,6 @@
 #include "spec/grid.h"
 
+#include <atomic>
 #include <charconv>
 #include <fstream>
 #include <sstream>
@@ -175,6 +176,14 @@ forEachTarget(Value &node, const std::vector<SpecPathSegment> &segments,
         descend(*child);
 }
 
+/** A GridSpecSource id no other instance of this process has had. */
+uint64_t
+nextSourceId()
+{
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 /** Append an axis value as a point name spells it ("30", "sram",
  *  "true"). A number is spelled as printf's "%g" would: to_chars's
  *  general format at precision 6 is "%.6g" by definition. */
@@ -335,10 +344,17 @@ struct GridSpecSource::Workspace
 };
 
 GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
-    : baseName_(base.name), grid_(std::move(grid))
+    : baseName_(base.name), grid_(std::move(grid)), id_(nextSourceId())
 {
     grid_.validate();
     total_ = grid_.points();
+    if (grid_.pointList.empty()) {
+        size_t stride = total_;
+        for (const GridAxis &axis : grid_.axes) {
+            stride /= axis.values.size();
+            strides_.push_back(stride);
+        }
+    }
     if (grid_.axes.empty()) {
         // The one point is the base spec as given: there is nothing to
         // write into a document, so no document is built.
@@ -388,7 +404,7 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
         const Value *const held = coords[a];
         // Dedup by hash fast-path + structural equality.
         std::unordered_map<uint64_t, std::vector<const Value *>> seen;
-        auto probe = [&](const Value &v) {
+        auto tryValue = [&](const Value &v) {
             auto &bucket = seen[v.hash()];
             for (const Value *p : bucket) {
                 if (*p == v)
@@ -397,7 +413,7 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
             bucket.push_back(&v);
             coords[a] = &v;
             try {
-                build(coords, {});
+                probe(coords);
             } catch (const ConfigError &e) {
                 fatal(e.rule(),
                       "sweepGrid: axis '%s' %s %s does not produce a "
@@ -408,10 +424,10 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
         };
         if (listed) {
             for (const auto &tuple : grid_.pointList)
-                probe(tuple[a]);
+                tryValue(tuple[a]);
         } else {
             for (const Value &v : grid_.axes[a].values)
-                probe(v);
+                tryValue(v);
         }
         coords[a] = held;
     }
@@ -434,9 +450,10 @@ GridSpecSource::GridSpecSource(const GridSpecSource &other)
       baseName_(other.baseName_), grid_(other.grid_),
       axisPaths_(other.axisPaths_), axisMembers_(other.axisMembers_),
       baseBuilt_(other.baseBuilt_), pointMembers_(other.pointMembers_),
-      total_(other.total_)
+      total_(other.total_), strides_(other.strides_), id_(nextSourceId())
 {
-    // The workspace pool is per-instance: the copy starts empty.
+    // The workspace pool and the id are per-instance: the copy starts
+    // with an empty pool and fills SpecPoints of its own.
 }
 
 GridSpecSource::~GridSpecSource() = default;
@@ -464,30 +481,58 @@ GridSpecSource::releaseWorkspace(std::unique_ptr<Workspace> ws) const
     pool_.push_back(std::move(ws));
 }
 
-DesignSpec
-GridSpecSource::build(const std::vector<const Value *> &coords,
-                      std::string name) const
+template <typename Coord>
+void
+GridSpecSource::build(Coord coord, DesignSpec &spec) const
 {
     std::unique_ptr<Workspace> ws = acquireWorkspace();
-    auto write = [&ws](Value &slot, Value value) {
+    auto write = [&ws](Value &slot, const Value &value) {
         ws->undo.emplace_back(&slot, std::move(slot));
-        slot = std::move(value);
+        slot = value;
     };
-    for (size_t a = 0; a < coords.size(); ++a) {
-        if (coords[a] != nullptr)
+    for (size_t a = 0; a < grid_.axes.size(); ++a) {
+        if (const Value *v = coord(a))
             forEachTarget(ws->doc, axisPaths_[a], 0, grid_.axes[a].path,
-                          [&](Value &slot) { write(slot, *coords[a]); });
+                          [&](Value &slot) { write(slot, *v); });
     }
-    DesignSpec spec = baseSpec_;
     for (const SpecMember *member : axisMembers_)
         member->lower(ws->doc, spec);
-    if (!name.empty())
-        spec.name = std::move(name);
     for (auto it = ws->undo.rbegin(); it != ws->undo.rend(); ++it)
         *it->first = std::move(it->second);
     ws->undo.clear();
     releaseWorkspace(std::move(ws));
+}
+
+DesignSpec
+GridSpecSource::probe(const std::vector<const Value *> &coords) const
+{
+    DesignSpec spec = baseSpec_;
+    build([&coords](size_t a) { return coords[a]; }, spec);
     return spec;
+}
+
+const Value *
+GridSpecSource::coord(size_t index, size_t a) const
+{
+    // Row-major for cartesian grids: first axis outermost.
+    if (!grid_.pointList.empty())
+        return &grid_.pointList[index][a];
+    const std::vector<Value> &values = grid_.axes[a].values;
+    return &values[(index / strides_[a]) % values.size()];
+}
+
+void
+GridSpecSource::pointName(size_t index, std::string &name) const
+{
+    name.assign(baseName_);
+    name += '/';
+    for (size_t a = 0; a < grid_.axes.size(); ++a) {
+        if (a > 0)
+            name += ',';
+        name += grid_.axes[a].name;
+        name += '=';
+        appendAxisValue(name, *coord(index, a));
+    }
 }
 
 DesignSpec
@@ -498,42 +543,34 @@ GridSpecSource::at(size_t index) const
               "points)", index, total_);
     if (grid_.axes.empty())
         return baseSpec_;
-    // Resolve this point's coordinates (row-major for cartesian
-    // grids: first axis outermost) and its name.
-    std::vector<const Value *> coords(grid_.axes.size());
-    if (!grid_.pointList.empty()) {
-        for (size_t a = 0; a < grid_.axes.size(); ++a)
-            coords[a] = &grid_.pointList[index][a];
-    } else {
-        size_t stride = total_;
-        for (size_t a = 0; a < grid_.axes.size(); ++a) {
-            const GridAxis &axis = grid_.axes[a];
-            stride /= axis.values.size();
-            coords[a] = &axis.values[(index / stride) %
-                                     axis.values.size()];
-        }
-    }
-    std::string name = baseName_ + "/";
-    for (size_t a = 0; a < grid_.axes.size(); ++a) {
-        if (a > 0)
-            name += ',';
-        name += grid_.axes[a].name;
-        name += '=';
-        appendAxisValue(name, *coords[a]);
-    }
-    return build(coords, std::move(name));
+    DesignSpec spec = baseSpec_;
+    build([&](size_t a) { return coord(index, a); }, spec);
+    pointName(index, spec.name);
+    return spec;
 }
 
 void
 GridSpecSource::pointAt(size_t index, SpecPoint &point) const
 {
-    point.spec = at(index);
-    if (!baseBuilt_) {
+    if (index >= total_)
+        fatal("GridSpecSource: point %zu out of range (grid has %zu "
+              "points)", index, total_);
+    // A point this source filled holds the base in every member but
+    // the axes' and the name, which are rewritten below; any other
+    // starts over.
+    if (point.sourceId != id_) {
+        point.spec = baseSpec_;
         point.built.reset();
-        return;
+        point.error = nullptr;
+        point.sourceId = id_;
     }
-    // An earlier point of this source left every member outside
-    // pointMembers_ as the base has it.
+    if (grid_.axes.empty())
+        return;
+    build([&](size_t a) { return coord(index, a); }, point.spec);
+    pointName(index, point.spec.name);
+    if (!baseBuilt_)
+        return;
+    // Every member outside pointMembers_ is the base's here too.
     if (!point.built)
         point.built = *baseBuilt_;
     // What spec.materialize() would throw is handed over, not thrown:

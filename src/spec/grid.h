@@ -158,14 +158,18 @@ SweepGrid gridFromJson(const json::Value &block);
  *
  * A grid with axes also validates and materializes its lowered base
  * once, at construction (MaterializedSpec). pointAt() then hands a
- * sweep worker each point materialized from it: the worker's
- * SpecPoint holds a copy of the materialized base, and each point
- * re-runs only the checks and parts that its axes' members and its
- * name feed (MaterializedSpec::rebuild), so the point's Design, or
- * the error it fails with, is the one spec.materialize() gives. When
- * the base does not validate or materialize, points are handed over
- * unmaterialized and take the whole path; so are the points of a grid
- * without axes, which is materialized once, by its evaluator.
+ * sweep worker each point built in place: the worker's SpecPoint
+ * holds a copy of the lowered base, made once, into which each point
+ * re-lowers only its axes' members and rewrites its name, and a copy
+ * of the materialized base, in which each point re-runs only the
+ * checks and parts that those members and its name feed
+ * (MaterializedSpec::rebuild), so the point's spec is at(index) and
+ * its Design, or the error it fails with, is the one
+ * spec.materialize() gives. A point another source filled starts
+ * over from the base (SpecPoint::sourceId). When the base does not
+ * validate or materialize, points are handed over unmaterialized and
+ * take the whole path; so are the points of a grid without axes,
+ * which is materialized once, by its evaluator.
  *
  * at() and pointAt() are thread-safe, so sweep workers expand points
  * in parallel: workspaces are handed out under a mutex, and the
@@ -192,9 +196,11 @@ class GridSpecSource : public SpecSource
      *  here. */
     ~GridSpecSource() override;
 
-    /** The spec of point @p index. */
+    /** The spec of point @p index: a copy of the base built by the
+     *  routine pointAt() builds in place with. */
     DesignSpec at(size_t index) const override;
-    /** Point @p index, materialized from the base when there is one. */
+    /** Point @p index, built in place in @p point, and materialized
+     *  from the base when there is one. */
     void pointAt(size_t index, SpecPoint &point) const override;
     size_t totalPoints() const override { return total_; }
 
@@ -228,24 +234,42 @@ class GridSpecSource : public SpecSource
      *  root members and the name. */
     SpecMemberMask pointMembers_ = 0;
     size_t total_ = 0;
+    /** Per axis of a cartesian grid, the points between two of its
+     *  values in row-major order. */
+    std::vector<size_t> strides_;
+    /** This instance's SpecPoint::sourceId, unique in the process
+     *  (a copy gets its own). */
+    uint64_t id_ = 0;
     mutable std::mutex poolMutex_;
     mutable std::vector<std::unique_ptr<Workspace>> pool_;
 
+    /** Point @p index's value of axis @p a. */
+    const json::Value *coord(size_t index, size_t a) const;
+
+    /** Point @p index's name ("base/rate=30,node=65") into @p name,
+     *  replacing what it held. */
+    void pointName(size_t index, std::string &name) const;
+
     /**
-     * The spec with axis a set to *coords[a] for every non-null
-     * coordinate, in declaration order, and named @p name (when empty,
-     * the name the document lowers to: the base name unless an axis
-     * writes "name", which only probes read). The one routine behind
+     * Set axis a to coord(a) for every axis whose coord(a) is not
+     * null, in declaration order, in @p spec, which holds the lowered
+     * base in every member no axis is rooted at (a copy of baseSpec_,
+     * or a spec this routine wrote before). The one routine behind
      * every point, construction probe and GridAnalyzer probe: the
-     * axes are written into a workspace document, and the lowered
-     * base is copied with axisMembers_ re-lowered from it. A throw
-     * drops the workspace.
+     * axes are written into a workspace document, and axisMembers_
+     * are re-lowered from it into @p spec; the name is left as the
+     * lowering leaves it (the base name unless an axis writes "name",
+     * which only probes read). A throw drops the workspace.
      *
      * @throws ConfigError when a path does not resolve or a written
      *         member does not convert.
      */
-    DesignSpec build(const std::vector<const json::Value *> &coords,
-                     std::string name) const;
+    template <typename Coord>
+    void build(Coord coord, DesignSpec &spec) const;
+
+    /** A copy of the base with axis a at *coords[a] where that is not
+     *  null (build()): a construction or GridAnalyzer probe. */
+    DesignSpec probe(const std::vector<const json::Value *> &coords) const;
     std::unique_ptr<Workspace> acquireWorkspace() const;
     void releaseWorkspace(std::unique_ptr<Workspace> ws) const;
 };

@@ -10,6 +10,7 @@ SpecSource::pointAt(size_t index, SpecPoint &point) const
 {
     point.spec = at(index);
     point.built.reset();
+    point.sourceId = 0;
 }
 
 DesignSpec

@@ -19,6 +19,7 @@
 #define CAMJ_SPEC_SOURCE_H
 
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -35,12 +36,15 @@ namespace camj::spec
  * One design point as a sweep worker holds it: the spec and, when the
  * source built it, its materialization. A worker keeps one SpecPoint
  * for all the points it takes from one source (SpecSource::pointAt),
- * so the source can rebuild the Design held here in place instead of
- * materializing every point from its spec. A SpecPoint serves one
- * source: what a source left in it is meaningless to another.
+ * so the source can rebuild the spec and the Design held here in
+ * place instead of building every point anew. A SpecPoint serves one
+ * source at a time: what a source left in it is meaningless to
+ * another, which starts over (sourceId).
  */
 struct SpecPoint
 {
+    /** The point's spec. A source may leave it to rebuild in place:
+     *  change nothing in the point between two calls. */
     DesignSpec spec;
     /**
      * Set when the source materialized spec: then either error is
@@ -51,6 +55,13 @@ struct SpecPoint
      */
     std::optional<MaterializedSpec> built;
     std::exception_ptr error;
+    /**
+     * Which source filled the point last: a source that builds points
+     * in place (GridSpecSource numbers its instances from 1) does so
+     * only over a point it filled itself, and starts over from its
+     * base otherwise. 0: no such source.
+     */
+    uint64_t sourceId = 0;
 
     /** The Design; valid when built is set and error is null. */
     const Design &design() const { return built->design(); }

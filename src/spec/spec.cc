@@ -791,11 +791,19 @@ readField(const Field &f, const Value &obj, void *owner,
     }
 }
 
-/** Read the object @p obj (an object value or not) into @p owner. */
+/** Read the object @p obj into @p owner. A value of another JSON
+ *  type is refused as every kind refuses one, naming @p path. */
 void
 readObject(const FieldTable &t, const Value &obj, void *owner,
            const KeyPath *path)
 {
+    if (!obj.isObject()) {
+        try {
+            obj.asObject(); // throws "json: expected object, got ..."
+        } catch (const ConfigError &e) {
+            throwAt(*path, e);
+        }
+    }
     for (const Field &f : t.fields)
         readField(f, obj, owner, path);
     if (const FieldTable *variant = variantOf(t, owner)) {

@@ -1,7 +1,6 @@
 #include "sw/graph.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/logging.h"
 
@@ -112,25 +111,32 @@ SwGraph::inputs() const
 std::vector<StageId>
 SwGraph::topoOrder() const
 {
-    std::vector<int> indegree(stages_.size());
+    std::vector<StageId> order;
+    std::vector<int> indegree;
+    topoOrder(order, indegree);
+    return order;
+}
+
+void
+SwGraph::topoOrder(std::vector<StageId> &order,
+                   std::vector<int> &indegree) const
+{
+    indegree.resize(stages_.size());
     for (StageId i = 0; i < size(); ++i)
         indegree[i] = static_cast<int>(inEdges_[i].size());
 
-    std::queue<StageId> ready;
+    // Kahn's algorithm, FIFO: order doubles as the queue, its
+    // unvisited tail the stages ready but not yet expanded.
+    order.clear();
+    order.reserve(stages_.size());
     for (StageId i = 0; i < size(); ++i) {
         if (indegree[i] == 0)
-            ready.push(i);
+            order.push_back(i);
     }
-
-    std::vector<StageId> order;
-    order.reserve(stages_.size());
-    while (!ready.empty()) {
-        StageId id = ready.front();
-        ready.pop();
-        order.push_back(id);
-        for (StageId next : outEdges_[id]) {
+    for (size_t head = 0; head < order.size(); ++head) {
+        for (StageId next : outEdges_[order[head]]) {
             if (--indegree[next] == 0)
-                ready.push(next);
+                order.push_back(next);
         }
     }
 
@@ -138,15 +144,25 @@ SwGraph::topoOrder() const
         fatal(Rule::E007,
               "SwGraph: cycle detected (%zu of %zu stages orderable)",
               order.size(), stages_.size());
-    return order;
 }
 
 void
 SwGraph::validate() const
 {
+    std::vector<StageId> order;
+    std::vector<int> indegree;
+    validate(order, indegree);
+}
+
+void
+SwGraph::validate(std::vector<StageId> &order,
+                  std::vector<int> &indegree) const
+{
     if (stages_.empty())
         fatal(Rule::E007, "SwGraph: empty graph");
-    if (inputs().empty())
+    if (std::none_of(stages_.begin(), stages_.end(), [](const Stage &s) {
+            return s.op() == StageOp::Input;
+        }))
         fatal(Rule::E007, "SwGraph: no Input stage");
 
     for (StageId i = 0; i < size(); ++i) {
@@ -171,7 +187,7 @@ SwGraph::validate() const
     }
 
     // Acyclicity (throws on failure).
-    topoOrder();
+    topoOrder(order, indegree);
 }
 
 int64_t

@@ -84,6 +84,13 @@ class SwGraph
      */
     void validate() const;
 
+    /** validate(), leaving the topological order in @p order (the
+     *  acyclicity check computes it) with @p indegree as scratch: a
+     *  caller that keeps both allocates nothing once they have
+     *  grown. */
+    void validate(std::vector<StageId> &order,
+                  std::vector<int> &indegree) const;
+
     /** Sum of opsPerFrame over all stages. */
     int64_t totalOpsPerFrame() const;
 
@@ -93,6 +100,11 @@ class SwGraph
     std::vector<std::vector<StageId>> outEdges_;
 
     void checkId(StageId id, const char *who) const;
+
+    /** topoOrder() into @p order, with @p indegree as scratch.
+     *  @throws ConfigError if the graph contains a cycle. */
+    void topoOrder(std::vector<StageId> &order,
+                   std::vector<int> &indegree) const;
 };
 
 } // namespace camj

@@ -141,18 +141,21 @@ main(int argc, char **argv)
             std::ostringstream buf;
             buf << in.rdbuf();
 
+            // The --out file is opened once the job is accepted, so a
+            // refused submission leaves none behind.
             std::ofstream file;
-            std::ostream *out = &std::cout;
-            if (!out_path.empty()) {
+            auto open_out = [&]() -> std::ostream & {
+                if (out_path.empty())
+                    return std::cout;
                 file.open(out_path, std::ios::binary);
                 if (!file)
                     fatal("client: cannot write '%s'",
                           out_path.c_str());
-                out = &file;
-            }
+                return file;
+            };
             serve::Client client(common.port, common.host);
             const serve::Client::SubmitOutcome outcome =
-                client.submitAndStream(buf.str(), *out, frames,
+                client.submitAndStream(buf.str(), open_out, frames,
                                        threads);
             const std::string state =
                 outcome.end.getString("state", "failed");

@@ -1457,5 +1457,99 @@ TEST(LoweringCorpus, TypeMutationsLowerOrEndInOneE018NamingTheField)
     EXPECT_GT(outOfRange, 0u);
 }
 
+/** The route to every container (an object or an array) under @p v,
+ *  @p v itself excluded. */
+void
+collectContainers(const json::Value &v, std::vector<Step> &route,
+                  std::vector<std::vector<Step>> &out)
+{
+    auto visit = [&](const json::Value &child) {
+        if (child.isObject() || child.isArray()) {
+            out.push_back(route);
+            collectContainers(child, route, out);
+        }
+    };
+    if (v.isObject()) {
+        for (const auto &[key, child] : v.asObject()) {
+            route.push_back({key, 0});
+            visit(child);
+            route.pop_back();
+        }
+    } else if (v.isArray()) {
+        for (size_t i = 0; i < v.asArray().size(); ++i) {
+            route.push_back({"", i});
+            visit(v.asArray()[i]);
+            route.pop_back();
+        }
+    }
+}
+
+TEST(LoweringCorpus, ContainerMutationsEndInOneE018NamingTheField)
+{
+    // Seeded container mutations of the 27 goldens and the example:
+    // an object or an array becomes a number, a string, a bool or
+    // null. Every container a spec member holds is an object, a list
+    // of objects, a shape or a string list, so lowering throws one
+    // CAMJ-E018 whose text names the field or element ("mipi",
+    // "memories[0]"); only the example's sweepGrid block, which
+    // fromJsonValue does not read, lowers.
+    std::vector<fs::path> files;
+    for (const auto &entry : fs::directory_iterator(CAMJ_GOLDEN_DIR)) {
+        if (entry.path().extension() == ".json" &&
+            entry.path().filename() != "energies.json")
+            files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    files.push_back(fs::path(CAMJ_EXAMPLES_DIR) / "detector_sweep.json");
+    ASSERT_EQ(files.size(), 28u);
+
+    constexpr size_t kMutationsPerDocument = 40;
+    size_t refused = 0, objects = 0;
+    for (const fs::path &file : files) {
+        const json::Value base = json::Value::parse(readFile(file));
+        std::vector<std::vector<Step>> containers;
+        std::vector<Step> route;
+        collectContainers(base, route, containers);
+        CorpusRng rng{fnv1a("containers/" + file.filename().string())};
+        for (size_t m = 0; m < kMutationsPerDocument; ++m) {
+            const std::vector<Step> &at =
+                containers[rng.below(containers.size())];
+            json::Value doc = base;
+            json::Value &slot = follow(doc, at);
+            const bool was_object = slot.isObject();
+            const json::Value scalars[] = {json::Value(0.5),
+                                           json::Value("text"),
+                                           json::Value(true),
+                                           json::Value()};
+            slot = scalars[rng.below(std::size(scalars))];
+            // The element itself when the container was one, else the
+            // field holding it.
+            std::string path = fieldPath(doc, at);
+            if (at.back().key.empty())
+                path += '[' + std::to_string(at.back().index) + ']';
+            SCOPED_TRACE(file.filename().string() + " " + path + " = " +
+                         slot.dump(0));
+            if (at.front().key == "sweepGrid") {
+                EXPECT_NO_THROW(spec::fromJsonValue(doc));
+                continue;
+            }
+            try {
+                spec::fromJsonValue(doc);
+                ADD_FAILURE() << "lowered a scalar in place of a container";
+            } catch (const ConfigError &e) {
+                ++refused;
+                objects += was_object;
+                EXPECT_STREQ(e.code(), "CAMJ-E018") << e.what();
+                EXPECT_NE(std::string(e.what()).find(path),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    // Objects as well as arrays were replaced.
+    EXPECT_GT(objects, 0u);
+    EXPECT_GT(refused, objects);
+}
+
 } // namespace
 } // namespace camj

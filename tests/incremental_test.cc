@@ -13,9 +13,11 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "core/pipeline.h"
 #include "digital/cyclesim.h"
 #include "explore/incremental.h"
 #include "explore/sink.h"
@@ -518,6 +520,225 @@ TEST(IncrementalIdentity, SweepEngineIncrementalMatchesSerial)
         EXPECT_EQ(sweepResultToJsonl(inc[i]),
                   sweepResultToJsonl(ref[i]))
             << inc[i].designName;
+    }
+}
+
+// ------------------------------------------------ reuse leaks no state
+
+/** Points drawn from several sources in a given order, each asked for
+ *  by pointAt, so the sources that build in place take turns filling
+ *  one worker's SpecPoint. */
+class InterleavedSource : public spec::SpecSource
+{
+  public:
+    void add(const spec::SpecSource &source, size_t index)
+    {
+        order_.emplace_back(&source, index);
+    }
+
+    size_t totalPoints() const override { return order_.size(); }
+    spec::DesignSpec at(size_t i) const override
+    {
+        return order_.at(i).first->at(order_.at(i).second);
+    }
+    void pointAt(size_t i, spec::SpecPoint &point) const override
+    {
+        order_.at(i).first->pointAt(order_.at(i).second, point);
+    }
+
+  private:
+    std::vector<std::pair<const spec::SpecSource *, size_t>> order_;
+};
+
+/** One design per pipeline stage that fails in it, in stage order:
+ *  Map (E008), Analog (E010), Digital (E012), CycleSim (pass A's
+ *  deadlock, a thrown D001: no E rule reaches that stage from a valid
+ *  spec) and Energy (E016). Timing fails only with D001 and D002. */
+std::vector<spec::DesignSpec>
+stageFailures()
+{
+    std::vector<spec::DesignSpec> specs(5, spec::sampleDetectorSpec(30.0, 65));
+    specs[0].mapping[1].second = "ActBuf"; // only Input maps to a memory
+    specs[1].analogArrays[1].component.kind = spec::ComponentKind::Aps4T;
+    specs[2].units[0].inputMemories.clear();
+    specs[3] = edgazeSpec(EdgazeVariant::TwoDIn, 65);
+    for (spec::MemorySpec &m : specs[3].memories) {
+        if (m.name == "DnnBuffer")
+            m.capacityWords = 8;
+    }
+    specs[4].mipi.present = false;
+    return specs;
+}
+
+/** The canonical grid's base with ActBuf cut to 40 words: 24 of its
+ *  108 points stall the ADC source (D001) at 120 and 240 fps. */
+spec::SweepDocument
+cutActBufStudy()
+{
+    spec::SweepDocument doc = spec::sampleDetectorStudy();
+    for (spec::MemorySpec &m : doc.base.memories) {
+        if (m.name == "ActBuf")
+            m.capacityWords = 40;
+    }
+    return doc;
+}
+
+/** The indices of @p source's points whose reference outcome carries
+ *  @p code. */
+std::vector<size_t>
+pointsWithCode(const spec::SpecSource &source, const std::string &code)
+{
+    std::vector<size_t> out;
+    for (size_t i = 0; i < source.totalPoints(); ++i) {
+        if (referenceOutcome(source.at(i)).ruleCode == code)
+            out.push_back(i);
+    }
+    return out;
+}
+
+TEST(IncrementalReuse, NoStateLeaksBetweenPoints)
+{
+    // One evaluator keeps one pipeline, and a grid builds each point
+    // into the worker's SpecPoint: every stage output, the report and
+    // the point's spec are overwritten, never rebuilt. A seeded
+    // interleaving of the 27 studies, the canonical grid's 24 D002
+    // points, the 24 D001 points of that grid with a 40-word ActBuf
+    // and one failure per stage, each point visited twice, puts every
+    // kind of point after every other; each line must be the bytes of
+    // a fresh Simulator::run of the same spec.
+    spec::VectorSpecSource studies([] {
+        std::vector<spec::DesignSpec> specs;
+        for (const PaperStudy &study : allPaperStudies())
+            specs.push_back(study.spec);
+        return specs;
+    }());
+    const spec::GridSpecSource canonical =
+        spec::sampleDetectorStudy().source();
+    const spec::GridSpecSource cut = cutActBufStudy().source();
+    spec::VectorSpecSource failures(stageFailures());
+    const std::vector<size_t> d002 = pointsWithCode(canonical, "CAMJ-D002");
+    const std::vector<size_t> d001 = pointsWithCode(cut, "CAMJ-D001");
+    ASSERT_EQ(d002.size(), 24u);
+    ASSERT_EQ(d001.size(), 24u);
+
+    std::vector<std::pair<const spec::SpecSource *, size_t>> pool;
+    for (int visit = 0; visit < 2; ++visit) {
+        for (size_t i = 0; i < studies.totalPoints(); ++i)
+            pool.emplace_back(&studies, i);
+        for (size_t i : d002)
+            pool.emplace_back(&canonical, i);
+        for (size_t i : d001)
+            pool.emplace_back(&cut, i);
+        for (size_t i = 0; i < failures.totalPoints(); ++i)
+            pool.emplace_back(&failures, i);
+    }
+    // Fisher-Yates over a splitmix64 stream: the same order everywhere.
+    uint64_t state = 2024;
+    auto next = [&state] {
+        uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    };
+    for (size_t i = pool.size(); i > 1; --i)
+        std::swap(pool[i - 1], pool[next() % i]);
+
+    InterleavedSource mixed;
+    std::vector<std::string> reference;
+    for (const auto &[source, index] : pool) {
+        mixed.add(*source, index);
+        const spec::DesignSpec spec = source->at(index);
+        reference.push_back(
+            jsonlLine(reference.size(), spec, referenceOutcome(spec)));
+    }
+
+    // One evaluator over the specs.
+    IncrementalEvaluator inc(reportOptions());
+    for (size_t k = 0; k < mixed.totalPoints(); ++k) {
+        const spec::DesignSpec spec = mixed.at(k);
+        EXPECT_EQ(jsonlLine(k, spec, inc.evaluate(spec)), reference[k])
+            << spec.name;
+    }
+
+    // One worker over the points: the grids build theirs in place.
+    CollectSink collect;
+    SweepEngine(SweepOptions{.threads = 1}).runStream(mixed, collect);
+    ASSERT_EQ(collect.results().size(), reference.size());
+    for (size_t k = 0; k < reference.size(); ++k)
+        EXPECT_EQ(sweepResultToJsonl(collect.results()[k]), reference[k])
+            << collect.results()[k].designName;
+}
+
+TEST(IncrementalReuse, StrictModeThrowsTheDynamicVerdicts)
+{
+    // D001 and D002 leave the pipeline as values in Report mode; in
+    // Strict mode they are thrown, through the evaluator as through
+    // Design::simulate, Simulator::run and runAll: one ConfigError,
+    // its text and rule those of the throw inside the stage.
+    const spec::GridSpecSource canonical =
+        spec::sampleDetectorStudy().source();
+    const spec::GridSpecSource cut = cutActBufStudy().source();
+    struct Verdict
+    {
+        spec::DesignSpec spec;
+        std::string what;
+        Rule rule;
+    };
+    const Verdict pinned[] = {
+        {canonical.at(84),
+         "fatal: estimateDelays: digital latency 2.518 ms exceeds the "
+         "frame time 2.083 ms; the pipeline would stall — redesign the "
+         "digital units or lower the FPS target",
+         Rule::D002},
+        {cut.at(60),
+         "fatal: Design detector-65nm-30fps/rate=120,bufnode=180,"
+         "duty=0.25: pipeline stall — the ADC output memory fills up at "
+         "the required frame rate (35785 blocked cycles); enlarge the "
+         "buffer or speed up the consumer",
+         Rule::D001},
+    };
+    SimulationOptions strict;
+    strict.checkMode = CheckMode::Strict;
+    IncrementalEvaluator inc(strict);
+    auto expectThrows = [](const Verdict &v, auto &&run, const char *how) {
+        try {
+            run();
+            ADD_FAILURE() << how << " did not throw for " << v.spec.name;
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(std::string(e.what()), v.what) << how;
+            EXPECT_EQ(e.rule(), v.rule) << how;
+        }
+    };
+    for (const Verdict &v : pinned) {
+        // A feasible point first, so the evaluator's pipeline holds
+        // another point's outputs when the verdict is reached.
+        inc.evaluate(canonical.at(0));
+        expectThrows(v, [&] { inc.evaluate(v.spec); }, "evaluator");
+        expectThrows(v, [&] { v.spec.materialize().simulate(); },
+                     "Design::simulate");
+        expectThrows(v, [&] { Simulator(strict).run(v.spec); },
+                     "Simulator::run");
+        expectThrows(v, [&] { EvalPipeline().runAll(v.spec.materialize()); },
+                     "EvalPipeline::runAll");
+        // Report mode returns the same text and code.
+        const SimulationOutcome out = IncrementalEvaluator(reportOptions())
+                                          .evaluate(v.spec);
+        EXPECT_EQ(out.error, v.what);
+        EXPECT_EQ(out.ruleCode, ruleCode(v.rule));
+    }
+    // Every D001 and D002 point of the two grids throws the text its
+    // Report-mode line carries.
+    for (const spec::GridSpecSource *grid : {&canonical, &cut}) {
+        for (size_t i = 0; i < grid->totalPoints(); ++i) {
+            const spec::DesignSpec spec = grid->at(i);
+            const SimulationOutcome out = referenceOutcome(spec);
+            if (out.ruleCode != "CAMJ-D001" && out.ruleCode != "CAMJ-D002")
+                continue;
+            const Verdict v{spec, out.error, *ruleFromCode(out.ruleCode)};
+            expectThrows(v, [&] { inc.evaluate(spec); }, "evaluator");
+            expectThrows(v, [&] { spec.materialize().simulate(); },
+                         "Design::simulate");
+        }
     }
 }
 

@@ -878,6 +878,58 @@ TEST(CamjClientCli, OutOfRangeFlagIsAUsageError)
     EXPECT_FALSE(fs::exists(out));
 }
 
+TEST(CamjClientCli, RefusedSubmissionOpensNoOutFile)
+{
+    // --out is opened once the daemon accepts the job, so a refusal
+    // leaves no file behind, as `camj_sweep run` leaves none.
+    const fs::path dir = scratchDir("client_cli_refused");
+    spec::SweepDocument doc = smallStudy();
+    doc.base.mapping.pop_back(); // Classify unmapped: CAMJ-E008
+    std::ofstream(dir / "study.json") << spec::toJson(doc);
+    const fs::path out = dir / "out.jsonl";
+    const fs::path log = dir / "client.log";
+    ServerHarness harness(inProcessOptions(dir / "work"));
+    EXPECT_EQ(exitUnderTimeout(std::string(CAMJ_CLIENT_BIN) + " submit " +
+                                   (dir / "study.json").string() +
+                                   " --port " +
+                                   std::to_string(harness.port()) +
+                                   " --out " + out.string(),
+                               log),
+              1);
+    EXPECT_NE(readFile(log).find("CAMJ-E008"), std::string::npos)
+        << readFile(log);
+    EXPECT_FALSE(fs::exists(out));
+}
+
+#ifdef CAMJ_SWEEP_BIN
+TEST(CamjClientCli, AcceptedJobWithoutLinesStillCreatesItsOutFile)
+{
+    // One shard with one attempt, whose subprocess is killed at spawn:
+    // the job is accepted and fails before any line, and --out is
+    // still created, empty.
+    const fs::path dir = scratchDir("client_cli_no_lines");
+    std::ofstream(dir / "study.json") << spec::toJson(smallStudy());
+    const fs::path out = dir / "out.jsonl";
+    const fs::path log = dir / "client.log";
+    serve::SchedulerOptions options = subprocessOptions(dir / "work");
+    options.shards = 1;
+    options.maxAttempts = 1;
+    options.testFailShards = {0};
+    ServerHarness harness(std::move(options));
+    EXPECT_EQ(exitUnderTimeout(std::string(CAMJ_CLIENT_BIN) + " submit " +
+                                   (dir / "study.json").string() +
+                                   " --port " +
+                                   std::to_string(harness.port()) +
+                                   " --out " + out.string(),
+                               log),
+              1);
+    EXPECT_NE(readFile(log).find("0 line(s)"), std::string::npos)
+        << readFile(log);
+    ASSERT_TRUE(fs::exists(out)) << readFile(log);
+    EXPECT_EQ(fs::file_size(out), 0u);
+}
+#endif // CAMJ_SWEEP_BIN
+
 #endif // CAMJ_SERVE_BIN && CAMJ_CLIENT_BIN
 
 } // namespace

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "explore/incremental.h"
 #include "explore/jsonl.h"
 #include "explore/sweep.h"
 #include "spec/grid.h"
@@ -966,6 +967,41 @@ TEST(SweepGrid, GridStreamMatchesBatchOverExpandedSpecs)
     std::vector<SweepResult> batch =
         engine.run(spec::expandGrid(base, detectorGrid()));
     expectSameResults(sink.results(), batch);
+}
+
+TEST(SweepGrid, APointFilledByAnotherSourceStartsOver)
+{
+    // pointAt builds a point into the spec and Design the worker's
+    // SpecPoint keeps, re-lowering only the axes' members. Two grids
+    // over the same axes whose bases differ outside those members,
+    // a copy of the first, and a vector source take turns filling one
+    // SpecPoint: every point is still at(i), and evaluates as it.
+    spec::SweepDocument doc = spec::sampleDetectorStudy();
+    const spec::GridSpecSource first = doc.source();
+    doc.base.digitalClock *= 2.0;
+    doc.base.mipi.energyPerByte *= 3.0;
+    const spec::GridSpecSource second = doc.source();
+    const spec::GridSpecSource copy = first;
+    const spec::VectorSpecSource vector({spec::sampleDetectorSpec(60.0, 45)});
+    const spec::SpecSource *sources[] = {&first, &second, &first,
+                                         &copy,  &vector, &second};
+    SimulationOptions report;
+    report.checkMode = CheckMode::Report;
+    const Simulator reference(report);
+    IncrementalEvaluator evaluator(report);
+    spec::SpecPoint point;
+    for (size_t k = 0; k < 60; ++k) {
+        const spec::SpecSource &source = *sources[k % std::size(sources)];
+        const size_t i = (k * 37) % source.totalPoints();
+        source.pointAt(i, point);
+        const spec::DesignSpec want = source.at(i);
+        ASSERT_EQ(point.spec, want) << k << ": " << want.name;
+        const SimulationOutcome got = evaluator.evaluate(point);
+        const SimulationOutcome ref = reference.run(want);
+        EXPECT_EQ(got.feasible, ref.feasible) << want.name;
+        EXPECT_EQ(got.error, ref.error) << want.name;
+        EXPECT_EQ(got.report.csv(), ref.report.csv()) << want.name;
+    }
 }
 
 // ------------------------------------------------- streaming semantics
