@@ -11,11 +11,10 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "common/units.h"
-#include "core/design.h"
 #include "memmodel/dram.h"
+#include "spec/builder.h"
 #include "tech/process_node.h"
 #include "tech/scaling.h"
 #include "usecases/explorer.h"
@@ -28,168 +27,145 @@ namespace
 constexpr int64_t kWidth = 640, kHeight = 480;
 constexpr double kFps = 30.0;
 
-void
-addFrontEnd(Design &d, bool analog_conv)
+/** The pixel array, an optional analog MAC row and the column ADCs,
+ *  with the feature-extraction workload and a MIPI link. */
+spec::DesignBuilder
+frontEnd(const char *name, bool analog_conv)
 {
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input", .op = StageOp::Input,
-                              .outputSize = {kWidth, kHeight, 1}});
-    StageId conv = sw.addStage({.name = "Feature",
-                                .op = StageOp::Conv2d,
-                                .inputSize = {kWidth, kHeight, 1},
-                                .outputSize = {319, 239, 1},
-                                .kernel = {4, 4, 1},
-                                .stride = {2, 2, 1}});
-    sw.connect(in, conv);
-
-    ApsParams aps;
-    aps.vdda = nodeParams(65).vdda;
-    AnalogArrayParams pa;
-    pa.name = "PixelArray";
-    pa.numComponents = {kWidth, kHeight, 1};
-    pa.inputShape = {1, kWidth, 1};
-    pa.outputShape = {1, kWidth, 1};
-    pa.componentArea = 9.0 * units::um2;
-    d.addAnalogArray(AnalogArray(pa, makeAps4T(aps)),
-                     AnalogRole::Sensing);
-
+    spec::DesignBuilder b(name);
+    b.fps(kFps)
+        .digitalClock(100e6)
+        .inputStage("Input", {kWidth, kHeight, 1})
+        .stage({.name = "Feature",
+                .op = StageOp::Conv2d,
+                .inputSize = {kWidth, kHeight, 1},
+                .outputSize = {319, 239, 1},
+                .kernel = {4, 4, 1},
+                .stride = {2, 2, 1}},
+               {"Input"})
+        .analogArray({.name = "PixelArray",
+                      .role = AnalogRole::Sensing,
+                      .numComponents = {kWidth, kHeight, 1},
+                      .inputShape = {1, kWidth, 1},
+                      .outputShape = {1, kWidth, 1},
+                      .componentArea = 9.0 * units::um2,
+                      .component = {.kind = spec::ComponentKind::Aps4T,
+                                    .aps = {.vdda = nodeParams(65).vdda}}});
     if (analog_conv) {
-        AnalogArrayParams ma;
-        ma.name = "AnalogMac";
-        ma.numComponents = {kWidth, 1, 1};
-        ma.inputShape = {1, kWidth, 1};
-        ma.outputShape = {1, kWidth, 1};
-        ma.componentArea = 2e-10;
-        d.addAnalogArray(AnalogArray(ma, makeSwitchedCapMac()),
-                         AnalogRole::AnalogCompute);
+        b.analogArray(
+            {.name = "AnalogMac",
+             .role = AnalogRole::AnalogCompute,
+             .numComponents = {kWidth, 1, 1},
+             .inputShape = {1, kWidth, 1},
+             .outputShape = {1, kWidth, 1},
+             .componentArea = 2e-10,
+             .component = {.kind = spec::ComponentKind::SwitchedCapMac}});
     }
-
-    AnalogArrayParams aa;
-    aa.name = "Adc";
-    aa.numComponents = {kWidth, 1, 1};
-    aa.inputShape = {1, kWidth, 1};
-    aa.outputShape = {1, kWidth, 1};
-    aa.componentArea = 1e-9;
-    d.addAnalogArray(AnalogArray(aa, makeColumnAdc({.bits = 8})),
-                     AnalogRole::Adc);
-    d.setMipi(makeMipiCsi2());
+    b.analogArray({.name = "Adc",
+                   .role = AnalogRole::Adc,
+                   .numComponents = {kWidth, 1, 1},
+                   .inputShape = {1, kWidth, 1},
+                   .outputShape = {1, kWidth, 1},
+                   .componentArea = 1e-9,
+                   .component = {.kind = spec::ComponentKind::ColumnAdc,
+                                 .adc = {.bits = 8}}})
+        .mipi()
+        .map("Input", "PixelArray");
+    return b;
 }
 
-void
-addDigitalConv(Design &d, Layer layer, int nm)
+/** The 4x4 convolution unit on @p layer, fed by the ADC. */
+ComputeUnitParams
+convUnit(Layer layer, int nm)
 {
-    d.addMemory(makeSramMemory("LineBuf", layer,
-                               MemoryKind::LineBuffer, 4 * kWidth, 8,
-                               nm, 0.5));
-    ComputeUnitParams cu;
-    cu.name = "ConvUnit";
-    cu.layer = layer;
-    cu.inputPixelsPerCycle = {4, 4, 1};
-    cu.outputPixelsPerCycle = {1, 1, 1};
-    cu.energyPerCycle = 16.0 * macEnergy8bit(nm);
-    cu.numStages = 4;
-    cu.opsPerCycle = 16;
-    d.addComputeUnit(ComputeUnit(cu));
-    d.setAdcOutput("LineBuf");
-    d.connectMemoryToUnit("LineBuf", "ConvUnit");
-    d.mapping().map("Feature", "ConvUnit");
+    return {.name = "ConvUnit",
+            .layer = layer,
+            .inputPixelsPerCycle = {4, 4, 1},
+            .outputPixelsPerCycle = {1, 1, 1},
+            .energyPerCycle = 16.0 * macEnergy8bit(nm),
+            .numStages = 4,
+            .opsPerCycle = 16};
+}
+
+/** Digital feature extraction behind a line buffer on @p layer. */
+spec::DesignBuilder
+digitalConv(const char *name, Layer layer, int nm)
+{
+    spec::DesignBuilder b = frontEnd(name, false);
+    b.sram("LineBuf", layer, MemoryKind::LineBuffer, 4 * kWidth, 8, nm,
+           0.5)
+        .computeUnit(convUnit(layer, nm), {"LineBuf"})
+        .adcOutput("LineBuf")
+        .map("Feature", "ConvUnit");
+    return b;
 }
 
 /** (a) Imaging-only: full frame out, feature extraction on the SoC. */
-std::shared_ptr<Design>
+Design
 imagingOnly()
 {
-    auto d = std::make_shared<Design>(
-        DesignParams{"fig2a-imaging", kFps, 100e6});
-    addFrontEnd(*d, false);
-    addDigitalConv(*d, Layer::OffChip, 22);
-    d->mapping().map("Input", "PixelArray");
-    return d;
+    return digitalConv("fig2a-imaging", Layer::OffChip, 22).build();
 }
 
 /** (b) Analog in-sensor processing. */
-std::shared_ptr<Design>
+Design
 analogCompute()
 {
-    auto d = std::make_shared<Design>(
-        DesignParams{"fig2b-analog", kFps, 100e6});
-    addFrontEnd(*d, true);
-    d->mapping().map("Input", "PixelArray");
-    d->mapping().map("Feature", "AnalogMac");
-    d->setPipelineOutputBytes(319 * 239);
-    return d;
+    return frontEnd("fig2b-analog", true)
+        .map("Feature", "AnalogMac")
+        .pipelineOutputBytes(319 * 239)
+        .build();
 }
 
 /** (c) Digital in-sensor processing on the sensor die. */
-std::shared_ptr<Design>
+Design
 digitalCompute()
 {
-    auto d = std::make_shared<Design>(
-        DesignParams{"fig2c-digital", kFps, 100e6});
-    addFrontEnd(*d, false);
-    addDigitalConv(*d, Layer::Sensor, 65);
-    d->mapping().map("Input", "PixelArray");
-    d->setPipelineOutputBytes(319 * 239);
-    return d;
+    return digitalConv("fig2c-digital", Layer::Sensor, 65)
+        .pipelineOutputBytes(319 * 239)
+        .build();
 }
 
 /** (d) Two-layer stack: digital processing on a 22 nm die. */
-std::shared_ptr<Design>
+Design
 stackedCompute()
 {
-    auto d = std::make_shared<Design>(
-        DesignParams{"fig2d-stacked", kFps, 100e6});
-    addFrontEnd(*d, false);
-    addDigitalConv(*d, Layer::Compute, 22);
-    d->setTsv(makeMicroTsv());
-    d->mapping().map("Input", "PixelArray");
-    d->setPipelineOutputBytes(319 * 239);
-    return d;
+    return digitalConv("fig2d-stacked", Layer::Compute, 22)
+        .tsv()
+        .pipelineOutputBytes(319 * 239)
+        .build();
 }
 
 /** Three-layer pixel/DRAM/logic stack (IMX400 class): the frame is
  *  buffered in a stacked DRAM die between readout and processing. */
-std::shared_ptr<Design>
+Design
 threeLayerDram()
 {
-    auto d = std::make_shared<Design>(
-        DesignParams{"fig2e-3layer-dram", kFps, 100e6});
-    addFrontEnd(*d, false);
-
     // Middle DRAM die as the frame store; model its per-access
     // energy with the DRAMPower-substitute numbers.
     DramParams dp;
-    DigitalMemoryParams mp;
-    mp.name = "DramFrameStore";
-    mp.layer = Layer::Dram;
-    mp.kind = MemoryKind::FrameBuffer;
-    mp.capacityWords = kWidth * kHeight;
-    mp.wordBits = 8;
-    mp.readEnergyPerWord = dp.readBurstEnergy / dp.burstBytes;
-    mp.writeEnergyPerWord = dp.writeBurstEnergy / dp.burstBytes;
-    mp.leakagePower = dp.backgroundPower;
-    mp.activeFraction = 0.25; // self-refresh outside the burst window
-    mp.area = 4.0e-6;         // a small DRAM die
-    mp.readPorts = 2;
-    mp.writePorts = 2;
-    d->addMemory(DigitalMemory(mp));
-
-    ComputeUnitParams cu;
-    cu.name = "ConvUnit";
-    cu.layer = Layer::Compute;
-    cu.inputPixelsPerCycle = {4, 4, 1};
-    cu.outputPixelsPerCycle = {1, 1, 1};
-    cu.energyPerCycle = 16.0 * macEnergy8bit(22);
-    cu.numStages = 4;
-    cu.opsPerCycle = 16;
-    d->addComputeUnit(ComputeUnit(cu));
-    d->setAdcOutput("DramFrameStore");
-    d->connectMemoryToUnit("DramFrameStore", "ConvUnit");
-    d->setTsv(makeMicroTsv());
-    d->mapping().map("Input", "PixelArray");
-    d->mapping().map("Feature", "ConvUnit");
-    d->setPipelineOutputBytes(319 * 239);
-    return d;
+    return frontEnd("fig2e-3layer-dram", false)
+        .memory({.name = "DramFrameStore",
+                 .layer = Layer::Dram,
+                 .kind = MemoryKind::FrameBuffer,
+                 .model = spec::MemoryModel::Explicit,
+                 .capacityWords = kWidth * kHeight,
+                 .wordBits = 8,
+                 // self-refresh outside the burst window
+                 .activeFraction = 0.25,
+                 .readEnergyPerWord = dp.readBurstEnergy / dp.burstBytes,
+                 .writeEnergyPerWord =
+                     dp.writeBurstEnergy / dp.burstBytes,
+                 .leakagePower = dp.backgroundPower,
+                 .readPorts = 2,
+                 .writePorts = 2,
+                 .area = 4.0e-6}) // a small DRAM die
+        .computeUnit(convUnit(Layer::Compute, 22), {"DramFrameStore"})
+        .adcOutput("DramFrameStore")
+        .tsv()
+        .map("Feature", "ConvUnit")
+        .pipelineOutputBytes(319 * 239)
+        .build();
 }
 
 } // namespace
@@ -202,10 +178,10 @@ main()
                 "640x480 feature-extraction workload\n\n");
 
     std::vector<BreakdownRow> rows;
-    for (auto &builder :
+    for (const Design &d :
          {imagingOnly(), analogCompute(), digitalCompute(),
           stackedCompute(), threeLayerDram()}) {
-        EnergyReport r = builder->simulate();
+        EnergyReport r = d.simulate();
         rows.push_back(breakdownOf(r.designName, r));
     }
     std::printf("%s", formatBreakdownTable(rows).c_str());

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "core/design.h"
+#include "spec/builder.h"
 
 using namespace camj;
 
@@ -18,65 +18,56 @@ namespace
 Design
 fig5Design(double fps)
 {
-    Design d({.name = "fig5", .fps = fps, .digitalClock = 10e6});
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input", .op = StageOp::Input,
-                              .outputSize = {32, 32, 1}});
-    StageId bin = sw.addStage({.name = "Binning",
-                               .op = StageOp::Binning,
-                               .inputSize = {32, 32, 1},
-                               .outputSize = {16, 16, 1},
-                               .kernel = {2, 2, 1},
-                               .stride = {2, 2, 1}});
-    StageId edge = sw.addStage({.name = "EdgeDetection",
-                                .op = StageOp::DepthwiseConv2d,
-                                .inputSize = {16, 16, 1},
-                                .outputSize = {14, 14, 1},
-                                .kernel = {3, 3, 1},
-                                .stride = {1, 1, 1}});
-    sw.connect(in, bin);
-    sw.connect(bin, edge);
-
-    ApsParams aps;
-    aps.pixelsPerComponent = 4;
-    AnalogArrayParams pa;
-    pa.name = "PixelArray";
-    pa.numComponents = {16, 16, 1};
-    pa.inputShape = {1, 32, 1};
-    pa.outputShape = {1, 16, 1};
-    pa.componentArea = 36e-12;
-    d.addAnalogArray(AnalogArray(pa, makeAps4T(aps)),
-                     AnalogRole::Sensing);
-
-    AnalogArrayParams aa;
-    aa.name = "ADCArray";
-    aa.numComponents = {16, 1, 1};
-    aa.inputShape = {1, 16, 1};
-    aa.outputShape = {1, 16, 1};
-    aa.componentArea = 1e-9;
-    d.addAnalogArray(AnalogArray(aa, makeColumnAdc({.bits = 10})),
-                     AnalogRole::Adc);
-
-    d.addMemory(makeSramMemory("LineBuffer", Layer::Sensor,
-                               MemoryKind::LineBuffer, 48, 8, 65,
-                               1.0));
-    ComputeUnitParams cu;
-    cu.name = "EdgeUnit";
-    cu.layer = Layer::Sensor;
-    cu.inputPixelsPerCycle = {1, 3, 1};
-    cu.outputPixelsPerCycle = {1, 1, 1};
-    cu.energyPerCycle = 3e-12;
-    cu.numStages = 2;
-    cu.opsPerCycle = 9;
-    d.addComputeUnit(ComputeUnit(cu));
-    d.setAdcOutput("LineBuffer");
-    d.connectMemoryToUnit("LineBuffer", "EdgeUnit");
-    d.setMipi(makeMipiCsi2());
-
-    d.mapping().map("Input", "PixelArray");
-    d.mapping().map("Binning", "PixelArray");
-    d.mapping().map("EdgeDetection", "EdgeUnit");
-    return d;
+    return spec::DesignBuilder("fig5")
+        .fps(fps)
+        .digitalClock(10e6)
+        .inputStage("Input", {32, 32, 1})
+        .stage({.name = "Binning",
+                .op = StageOp::Binning,
+                .inputSize = {32, 32, 1},
+                .outputSize = {16, 16, 1},
+                .kernel = {2, 2, 1},
+                .stride = {2, 2, 1}},
+               {"Input"})
+        .stage({.name = "EdgeDetection",
+                .op = StageOp::DepthwiseConv2d,
+                .inputSize = {16, 16, 1},
+                .outputSize = {14, 14, 1},
+                .kernel = {3, 3, 1},
+                .stride = {1, 1, 1}},
+               {"Binning"})
+        .analogArray({.name = "PixelArray",
+                      .role = AnalogRole::Sensing,
+                      .numComponents = {16, 16, 1},
+                      .inputShape = {1, 32, 1},
+                      .outputShape = {1, 16, 1},
+                      .componentArea = 36e-12,
+                      .component = {.kind = spec::ComponentKind::Aps4T,
+                                    .aps = {.pixelsPerComponent = 4}}})
+        .analogArray({.name = "ADCArray",
+                      .role = AnalogRole::Adc,
+                      .numComponents = {16, 1, 1},
+                      .inputShape = {1, 16, 1},
+                      .outputShape = {1, 16, 1},
+                      .componentArea = 1e-9,
+                      .component = {.kind = spec::ComponentKind::ColumnAdc,
+                                    .adc = {.bits = 10}}})
+        .sram("LineBuffer", Layer::Sensor, MemoryKind::LineBuffer, 48, 8,
+              65, 1.0)
+        .computeUnit({.name = "EdgeUnit",
+                      .layer = Layer::Sensor,
+                      .inputPixelsPerCycle = {1, 3, 1},
+                      .outputPixelsPerCycle = {1, 1, 1},
+                      .energyPerCycle = 3e-12,
+                      .numStages = 2,
+                      .opsPerCycle = 9},
+                     {"LineBuffer"})
+        .adcOutput("LineBuffer")
+        .mipi()
+        .map("Input", "PixelArray")
+        .map("Binning", "PixelArray")
+        .map("EdgeDetection", "EdgeUnit")
+        .build();
 }
 
 } // namespace

@@ -55,17 +55,18 @@ FLOORS = [
     ("gridSweep.expansion.inPlace.allocsPerPoint", 14, "max"),
     # The single-point front end: each of the 27 paper studies' one-
     # point documents through sweepDocumentFromJson(text), source()
-    # and at(0), in heap allocations per study (243.5; 757.6 while a
+    # and at(0), in heap allocations per study (234.04; 243.5 while
+    # strprintf formatted into a scratch buffer first, 757.6 while a
     # grid without axes re-serialized the parsed spec, copied the
     # tree and converted it back). Exact, so the bar is the count.
-    ("studyFrontEnd.allocsPerStudy", 243.5, "max"),
+    ("studyFrontEnd.allocsPerStudy", 234.04, "max"),
     # Lint: SpecAnalyzer().analyzeDocument over each of the 27 study
-    # documents, in heap allocations per study (44.7: 21.9 of them in
-    # fromJsonValue; 410.2 while every SpecAnalyzer built its
-    # std::function catalogue and each rule rebuilt its own name maps,
-    # topological order, analog walk and field paths). Exact, so the
-    # bar is the count.
-    ("lint.allocsPerStudy", 44.8, "max"),
+    # documents, in heap allocations per study (35.26; 44.7 while
+    # strprintf formatted into a scratch buffer first, 410.2 while
+    # every SpecAnalyzer built its std::function catalogue and each
+    # rule rebuilt its own name maps, topological order, analog walk
+    # and field paths). Exact, so the bar is the count.
+    ("lint.allocsPerStudy", 35.26, "max"),
     # Materialize: each canonical grid point on a sweep worker's point
     # path, whose spec is built in place as well (0: the worker's
     # SpecPoint holds a copy of the grid's lowered and of its
@@ -74,13 +75,14 @@ FLOORS = [
     # checks and parts those feed; 14 while every point copied the
     # whole spec, all of them expansion's, and 54 more while every
     # point validated and materialized its whole spec), and each of
-    # the 27 paper studies through the whole path (58.8; 74.5 while
-    # validation built four std::set<std::string> per call and the
-    # wiring looked names up). Exact, so each bar is the count. The
-    # point path's bytes are pinned in ctest against the whole path
-    # (SweepGrid.ExpansionMatchesACloneAndApplyOracle).
+    # the 27 paper studies through the whole path (51.56; 58.78 while
+    # the Design held its mapping as a std::map of stage and hardware
+    # names, 74.5 while validation built four std::set<std::string>
+    # per call and the wiring looked names up). Exact, so each bar is
+    # the count. The point path's bytes are pinned in ctest against
+    # the whole path (SweepGrid.ExpansionMatchesACloneAndApplyOracle).
     ("materialize.allocsPerPoint", 0, "max"),
-    ("materialize.allocsPerStudy", 58.8, "max"),
+    ("materialize.allocsPerStudy", 51.56, "max"),
     # Render: one canonical result line written by sweepResultToJsonl
     # into a string of its own, in heap allocations (1, the string's
     # buffer; 16.4 while each line was a json::Value tree dumped to
@@ -90,18 +92,19 @@ FLOORS = [
     # (JsonlHashes.RunShardWritesThePinnedBytes).
     ("render.allocsPerLine", 1, "max"),
     # The point loop: heap allocations per canonical grid point through
-    # runShard with one worker (4.96: 536 per 108-point run, setup
-    # included; 64.55 while every point copied its spec, built a fresh
-    # EvalPipeline, CycleSim and stall-check lists, copied the report
-    # out and threw its D002), and per point through
-    # IncrementalEvaluator::evaluate(SpecPoint): 3 on a feasible point
-    # (the report's unit list and name, pass A's one port list; 51
-    # before) and 4 on a D002 point (the verdict's text, the
-    # ConfigError's copy of it, the outcome's error string and that
-    # port list; 43 before, when the verdict was thrown). Exact, so
-    # each bar is the count,
-    # rounded to hundredths; the timings beside them are data.
-    ("pointLoop.runShard.allocsPerPoint", 4.96, "eq"),
+    # runShard with one worker (4.94: 533 per 108-point run, setup
+    # included; 536 while the worker's copy of the materialized base
+    # copied a name-keyed mapping, 64.55 while every point copied its
+    # spec, built a fresh EvalPipeline, CycleSim and stall-check
+    # lists, copied the report out and threw its D002), and per point
+    # through IncrementalEvaluator::evaluate(SpecPoint): 3 on a
+    # feasible point (the report's unit list and name, pass A's one
+    # port list; 51 before) and 4 on a D002 point (the verdict's text,
+    # the ConfigError's copy of it, the outcome's error string and
+    # that port list; 43 before, when the verdict was thrown). Exact,
+    # so each bar is the count, rounded to hundredths; the timings
+    # beside them are data.
+    ("pointLoop.runShard.allocsPerPoint", 4.94, "eq"),
     ("pointLoop.evaluateFeasible.allocsPerPoint", 3, "eq"),
     ("pointLoop.evaluateD002.allocsPerPoint", 4, "eq"),
     ("gridSweep.expansion.inPlace.designsPerSec", 20000, "min"),

@@ -35,15 +35,4 @@ estimateDelaysInto(Time frame_time, Time digital_latency,
     return std::nullopt;
 }
 
-DelayEstimate
-estimateDelays(Time frame_time, Time digital_latency,
-               int num_analog_arrays)
-{
-    DelayEstimate d;
-    if (std::optional<ConfigError> verdict = estimateDelaysInto(
-            frame_time, digital_latency, num_analog_arrays, d))
-        throw *verdict;
-    return d;
-}
-
 } // namespace camj

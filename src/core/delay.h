@@ -37,26 +37,16 @@ struct DelayEstimate
 };
 
 /**
- * Derive per-analog-unit time from the frame budget.
+ * Derive per-analog-unit time from the frame budget into @p out. The
+ * design cannot meet its FPS target when the digital latency consumes
+ * the frame budget; that verdict (rule CAMJ-D002) is returned rather
+ * than thrown, so a caller may report it, and @p out's analogUnitTime
+ * is then unset. nullopt otherwise.
  *
  * @param frame_time T_FR; must be positive.
  * @param digital_latency T_D; must be non-negative.
  * @param num_analog_arrays Analog arrays on the pipeline path (>= 1).
- * @throws ConfigError if the digital latency consumes the frame
- *         budget (the design cannot meet the FPS target — redesign).
- */
-DelayEstimate estimateDelays(Time frame_time, Time digital_latency,
-                             int num_analog_arrays);
-
-/**
- * estimateDelays() into @p out, for a caller that reports the D002
- * verdict instead of unwinding it: when the digital latency consumes
- * the frame budget, returns the ConfigError estimateDelays() throws
- * (same text, rule CAMJ-D002) and leaves @p out's analogUnitTime
- * unset; nullopt otherwise.
- *
- * @throws ConfigError on the argument errors estimateDelays() throws
- *         (non-positive frame time, negative latency, no array).
+ * @throws ConfigError on those argument errors.
  */
 std::optional<ConfigError> estimateDelaysInto(Time frame_time,
                                               Time digital_latency,

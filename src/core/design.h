@@ -1,14 +1,20 @@
 /**
  * @file
- * The Design: CamJ's top-level object. It owns the three decoupled
+ * The Design: CamJ's top-level object. It holds the three decoupled
  * descriptions of Sec. 3.3 — the algorithm DAG (SwGraph), the
  * hardware (an ordered analog chain plus a digital memory/compute
- * pipeline and communication interfaces), and the Mapping between
- * them — and runs the full Sec. 4 methodology in simulate():
+ * pipeline and communication interfaces), and the mapping between
+ * them, one hardware target per stage — and runs the full Sec. 4
+ * methodology in simulate():
  *
  *   pre-simulation checks -> cycle-level digital simulation ->
  *   delay estimation -> analog / digital / communication energy
  *   models -> EnergyReport.
+ *
+ * A Design is built from a validated spec::DesignSpec and only so
+ * (DesignSpec::materialize(), spec::DesignBuilder::build(),
+ * spec::MaterializedSpec), so every name it holds is unique and every
+ * reference between its parts is an index validation resolved.
  */
 
 #ifndef CAMJ_CORE_DESIGN_H
@@ -22,7 +28,6 @@
 
 #include "analog/afa.h"
 #include "comm/interface.h"
-#include "core/mapping.h"
 #include "core/report.h"
 #include "digital/dcompute.h"
 #include "digital/dmemory.h"
@@ -62,67 +67,31 @@ struct DesignParams
     Frequency digitalClock = 50e6;
 };
 
-/** A computational-CIS design under construction. */
+/** The class of hardware a stage is mapped onto; None marks a stage
+ *  the mapping leaves out. */
+enum class HwKind : unsigned char
+{
+    None,
+    Analog,
+    Memory,
+    Unit,
+};
+
+/** Where one stage runs (the paper's camj_mapping()): the class of
+ *  its hardware and the hardware's index among that class, in
+ *  registration order. */
+struct HwTarget
+{
+    HwKind kind = HwKind::None;
+    int index = -1;
+};
+
+/** A computational-CIS design, ready to simulate. */
 class Design
 {
   public:
-    /** @throws ConfigError on invalid parameters. */
-    explicit Design(DesignParams params);
-
     const std::string &name() const { return params_.name; }
     double fps() const { return params_.fps; }
-
-    /** The algorithm DAG (camj_sw_config). */
-    SwGraph &sw() { return sw_; }
-    const SwGraph &sw() const { return sw_; }
-
-    /** The algorithm-to-hardware mapping (camj_mapping). */
-    Mapping &mapping() { return mapping_; }
-    const Mapping &mapping() const { return mapping_; }
-
-    // ----- analog hardware (insertion order = pipeline order) -----
-
-    /** Append an analog array to the chain. @throws ConfigError on a
-     *  duplicate name. */
-    void addAnalogArray(AnalogArray array, AnalogRole role);
-
-    // ----- digital hardware -----
-
-    /** Register a digital memory. @throws ConfigError on duplicates. */
-    void addMemory(DigitalMemory mem);
-
-    /** Register a pipelined accelerator. */
-    void addComputeUnit(ComputeUnit unit);
-
-    /** Register a systolic array. */
-    void addSystolicArray(SystolicArray array);
-
-    /** Route the ADC (last analog array) output into a memory. */
-    void setAdcOutput(const std::string &mem_name);
-
-    /** Wire a memory as the next input port of a unit (port order =
-     *  call order). */
-    void connectMemoryToUnit(const std::string &mem_name,
-                             const std::string &unit_name);
-
-    /** Wire a unit's output into a memory (multiple allowed). */
-    void connectUnitToMemory(const std::string &unit_name,
-                             const std::string &mem_name);
-
-    // ----- communication -----
-
-    /** Configure the MIPI CSI-2 interface. */
-    void setMipi(CommInterface iface);
-
-    /** Configure the uTSV interface for stacked designs. */
-    void setTsv(CommInterface iface);
-
-    /**
-     * Override the data volume of the pipeline's final output (e.g.
-     * ROI encoding shrinks the transmitted image below the produced
-     * element count). Defaults to the last stage's output bytes.
-     */
-    void setPipelineOutputBytes(int64_t bytes);
 
     /**
      * Run all checks and the energy estimation for one frame — every
@@ -142,8 +111,8 @@ class Design
      *  only the parts an edit of that spec feeds (spec/spec.h). */
     friend class spec::MaterializedSpec;
 
-    /** An empty design for MaterializedSpec to fill in; its checks
-     *  stand in for the constructor's. */
+    /** An empty design for MaterializedSpec to fill in; the spec's
+     *  checks stand in for a constructor's. */
     Design() = default;
 
     struct AnalogEntry
@@ -155,6 +124,7 @@ class Design
     struct UnitEntry
     {
         std::variant<ComputeUnit, SystolicArray> unit;
+        /** Memory indices of the input ports, in port order. */
         std::vector<int> inputMems;
         std::vector<int> outputMems;
 
@@ -165,19 +135,19 @@ class Design
 
     DesignParams params_;
     SwGraph sw_;
-    Mapping mapping_;
+    /** Per StageId, the hardware it is mapped onto. */
+    std::vector<HwTarget> targets_;
+    /** Insertion order = pipeline order. */
     std::vector<AnalogEntry> analog_;
     std::vector<DigitalMemory> mems_;
     std::vector<UnitEntry> units_;
+    /** The memory the ADC (last analog array) writes; -1 for none. */
     int adcOutputMem_ = -1;
     std::optional<CommInterface> mipi_;
     std::optional<CommInterface> tsv_;
+    /** The final output's data volume [B] when it overrides the last
+     *  stage's output bytes (ROI encoding); -1 for none. */
     int64_t outputBytesOverride_ = -1;
-
-    int findMemory(const std::string &name, const char *who) const;
-    int findUnit(const std::string &name, const char *who) const;
-    int findAnalog(const std::string &name) const;
-    void checkUniqueHwName(const std::string &name) const;
 };
 
 } // namespace camj

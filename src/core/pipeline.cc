@@ -90,36 +90,30 @@ EvalPipeline::runMap(const Design &d)
 
     for (StageId id = 0; id < d.sw_.size(); ++id) {
         const Stage &s = d.sw_.stage(id);
-        if (!d.mapping_.isMapped(s.name()))
+        const HwTarget t = d.targets_[static_cast<size_t>(id)];
+        const size_t i = static_cast<size_t>(t.index);
+        switch (t.kind) {
+          case HwKind::None:
             fatal(Rule::E008,
                   "Design %s: stage '%s' is not mapped to hardware",
                   d.params_.name.c_str(), s.name().c_str());
-        const std::string &hw = d.mapping_.hwUnitOf(s.name());
-
-        int ai = d.findAnalog(hw);
-        if (ai >= 0) {
-            analogStages_[static_cast<size_t>(ai)].push_back(id);
-            continue;
+          case HwKind::Analog:
+            analogStages_[i].push_back(id);
+            break;
+          case HwKind::Memory:
+            if (s.op() != StageOp::Input)
+                fatal(Rule::E008,
+                      "Design %s: only Input stages may map onto a "
+                      "memory ('%s' -> '%s')",
+                      d.params_.name.c_str(), s.name().c_str(),
+                      d.mems_[i].name().c_str());
+            // Residency of a retained frame: reads always succeed.
+            memPrefilled_[i] = true;
+            break;
+          case HwKind::Unit:
+            unitStages_[i].push_back(id);
+            break;
         }
-        bool is_mem = false;
-        for (size_t m = 0; m < d.mems_.size(); ++m) {
-            if (d.mems_[m].name() == hw) {
-                if (s.op() != StageOp::Input)
-                    fatal(Rule::E008,
-                          "Design %s: only Input stages may map onto a "
-                          "memory ('%s' -> '%s')",
-                          d.params_.name.c_str(), s.name().c_str(),
-                          hw.c_str());
-                // Residency of a retained frame: reads always succeed.
-                memPrefilled_[m] = true;
-                is_mem = true;
-                break;
-            }
-        }
-        if (is_mem)
-            continue;
-        int ui = d.findUnit(hw, "mapping");
-        unitStages_[static_cast<size_t>(ui)].push_back(id);
     }
 
     auto by_topo = [&](StageId a, StageId b) {
@@ -297,8 +291,8 @@ EvalPipeline::runDigital(const Design &d)
     // ADC output into the digital pipeline.
     if (!d.units_.empty() && d.adcOutputMem_ < 0)
         fatal(Rule::E012,
-              "Design %s: digital units exist but setAdcOutput() was "
-              "not called", d.params_.name.c_str());
+              "Design %s: digital units exist but no adcOutputMemory "
+              "is configured", d.params_.name.c_str());
     if (d.adcOutputMem_ >= 0) {
         const size_t m = static_cast<size_t>(d.adcOutputMem_);
         memWriteWords_[m] += elemsToWords(volume_, volumeBits_,
@@ -522,27 +516,13 @@ EvalPipeline::runEnergy(const Design &d)
         int64_t out_bytes = d.outputBytesOverride_ >= 0
                                 ? d.outputBytesOverride_
                                 : s.outputBytesPerFrame();
-        const std::string &hw = d.mapping_.hwUnitOf(s.name());
-        Layer out_layer;
-        int ai = d.findAnalog(hw);
-        if (ai >= 0) {
-            out_layer =
-                d.analog_[static_cast<size_t>(ai)].array.layer();
-        } else {
-            bool found = false;
-            for (const auto &mem : d.mems_) {
-                if (mem.name() == hw) {
-                    out_layer = mem.layer();
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                out_layer = d.units_[static_cast<size_t>(
-                                         d.findUnit(hw, "output"))]
-                                .layer();
-            }
-        }
+        // The Map stage has checked that every stage has a target.
+        const HwTarget t = d.targets_[static_cast<size_t>(last_stage)];
+        const size_t i = static_cast<size_t>(t.index);
+        const Layer out_layer =
+            t.kind == HwKind::Analog   ? d.analog_[i].array.layer()
+            : t.kind == HwKind::Memory ? d.mems_[i].layer()
+                                       : d.units_[i].layer();
         if (out_layer != Layer::OffChip)
             mipi_bytes += out_bytes;
     }

@@ -568,14 +568,6 @@ setSimRoutes(SimRoutes routes)
 }
 
 StallCheck
-checkSourceStall(const CycleSim &sim, CycleSimMemo *memo,
-                 int64_t max_cycles)
-{
-    StallScratch scratch;
-    return checkSourceStall(sim, scratch, memo, max_cycles);
-}
-
-StallCheck
 checkSourceStall(const CycleSim &sim, StallScratch &scratch,
                  CycleSimMemo *memo, int64_t max_cycles)
 {
@@ -645,13 +637,6 @@ checkSourceStall(const CycleSim &sim, StallScratch &scratch,
     if (drainBound(sim, c, start) > max_cycles)
         return runFull();
     return out;
-}
-
-std::optional<int64_t>
-chainDrainCycle(const CycleSim &sim, int64_t max_cycles)
-{
-    StallScratch scratch;
-    return chainDrainCycle(sim, scratch, max_cycles);
 }
 
 std::optional<int64_t>

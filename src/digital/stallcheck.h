@@ -184,18 +184,13 @@ class StallScratch
 /**
  * The stall verdict of @p sim: sourceBlocked and sourceBlockedCycles
  * equal to those of sim.run(max_cycles), and the same ConfigError
- * when that run would not drain. Simulations go through @p memo when
- * one is given, keyed by the topology actually simulated.
+ * when that run would not drain. The topology is walked in
+ * @p scratch's lists. Simulations go through @p memo when one is
+ * given, keyed by the topology actually simulated.
  *
  * @throws ConfigError exactly when sim.run(max_cycles) would, with
  *         the same text.
  */
-StallCheck checkSourceStall(const CycleSim &sim,
-                            CycleSimMemo *memo = nullptr,
-                            int64_t max_cycles =
-                                CycleSim::kDefaultMaxCycles);
-
-/** The same, walking the topology in @p scratch's lists. */
 StallCheck checkSourceStall(const CycleSim &sim, StallScratch &scratch,
                             CycleSimMemo *memo = nullptr,
                             int64_t max_cycles =
@@ -206,13 +201,9 @@ StallCheck checkSourceStall(const CycleSim &sim, StallScratch &scratch,
  * .cycles when every unit of @p sim lies on a source-rooted chain
  * that provably fires in every cycle from its first ready cycle, and
  * that cycle is within @p max_cycles; nullopt otherwise, and always
- * under SimRoutes::FullTopology.
+ * under SimRoutes::FullTopology. The topology is walked in
+ * @p scratch's lists.
  */
-std::optional<int64_t> chainDrainCycle(const CycleSim &sim,
-                                       int64_t max_cycles =
-                                           CycleSim::kDefaultMaxCycles);
-
-/** The same, walking the topology in @p scratch's lists. */
 std::optional<int64_t> chainDrainCycle(const CycleSim &sim,
                                        StallScratch &scratch,
                                        int64_t max_cycles =

@@ -6,8 +6,7 @@
  * references, and arity mistakes surface at the call site instead of
  * deep inside simulate(). The builder produces either the plain-data
  * DesignSpec (spec()) for serialization/sweeping, or a materialized
- * Design (build()) ready to simulate. The raw Design setter API
- * remains available but is considered an internal layer.
+ * Design (build()) ready to simulate.
  *
  *   Design d = DesignBuilder("fig5")
  *                  .fps(30.0)

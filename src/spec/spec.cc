@@ -907,7 +907,8 @@ constexpr SpecMemberMask kEveryMember =
 constexpr SpecMemberMask kProducers = kEveryMember + 1;
 constexpr SpecMemberMask kWiring = kProducers << 1;
 constexpr SpecMemberMask kUnitParts = kProducers << 2;
-static_assert(std::size(kSpecMembers) + 3 <= 32);
+constexpr SpecMemberMask kTargets = kProducers << 3;
+static_assert(std::size(kSpecMembers) + 4 <= 32);
 
 /** The hardware names of a spec as one sequence: analog arrays, then
  *  memories, then units (the order validation reports them in). */
@@ -938,6 +939,17 @@ struct Hardware
             return "analog array";
         return i < analog.size() + memories.size() ? "memory"
                                                    : "digital unit";
+    }
+
+    /** The hardware at @p i as a class and an index within it. */
+    HwTarget target(size_t i) const
+    {
+        if (i < analog.size())
+            return {HwKind::Analog, static_cast<int>(i)};
+        i -= analog.size();
+        if (i < memories.size())
+            return {HwKind::Memory, static_cast<int>(i)};
+        return {HwKind::Unit, static_cast<int>(i - memories.size())};
     }
 
     /** Index of the first name equal to @p hw, or size(). */
@@ -1118,19 +1130,24 @@ resolveWiring(const std::string &design,
         });
 }
 
-/** Mapping targets exist; no stage is mapped twice. */
+/** Mapping targets exist; no stage is mapped twice. Records each
+ *  stage's target in @p targets. */
 void
-checkMapping(const std::string &design,
-             const std::vector<std::pair<std::string, std::string>> &mapping,
-             const std::vector<StageSpec> &stages, const Hardware &hw)
+resolveMapping(const std::string &design,
+               const std::vector<std::pair<std::string, std::string>> &mapping,
+               const std::vector<StageSpec> &stages, const Hardware &hw,
+               std::vector<HwTarget> &targets)
 {
+    targets.assign(stages.size(), HwTarget{});
     for (size_t i = 0; i < mapping.size(); ++i) {
         const auto &[stage, target] = mapping[i];
-        if (stageIndex(stages, stage) < 0)
+        const int stage_index = stageIndex(stages, stage);
+        if (stage_index < 0)
             fatal(Rule::E003,
                   "DesignSpec %s: field 'mapping' references unknown "
                   "stage '%s'", design.c_str(), stage.c_str());
-        if (hw.find(target) == hw.size()) {
+        const size_t hw_index = hw.find(target);
+        if (hw_index == hw.size()) {
             std::vector<std::string> registered;
             for (size_t h = 0; h < hw.size(); ++h)
                 registered.push_back(hw.name(h));
@@ -1146,6 +1163,7 @@ checkMapping(const std::string &design,
                       "DesignSpec %s: field 'mapping' lists stage '%s' "
                       "twice", design.c_str(), stage.c_str());
         }
+        targets[static_cast<size_t>(stage_index)] = hw.target(hw_index);
     }
 }
 
@@ -1186,10 +1204,10 @@ constexpr Check kChecks[] = {
      [](const DesignSpec &s, ResolvedNames &n) {
          resolveWiring(s.name, s.memories, s.units, s.adcOutputMemory, n);
      }},
-    {kMapping | kStages | kAnalog | kMemories | kUnits, 0,
-     [](const DesignSpec &s, ResolvedNames &) {
-         checkMapping(s.name, s.mapping, s.stages,
-                      {s.analogArrays, s.memories, s.units});
+    {kMapping | kStages | kAnalog | kMemories | kUnits, kTargets,
+     [](const DesignSpec &s, ResolvedNames &n) {
+         resolveMapping(s.name, s.mapping, s.stages,
+                        {s.analogArrays, s.memories, s.units}, n.targets);
      }},
 };
 
@@ -1343,11 +1361,9 @@ MaterializedSpec::buildParts(const DesignSpec &spec, SpecMemberMask dirty)
              d.outputBytesOverride_ =
                  s.pipelineOutputBytes >= 0 ? s.pipelineOutputBytes : -1;
          }},
-        {kMapping, 0,
-         [](const DesignSpec &s, const ResolvedNames &, Design &d) {
-             d.mapping_ = Mapping();
-             for (const auto &[stage, hw] : s.mapping)
-                 d.mapping_.map(stage, hw);
+        {kTargets, 0,
+         [](const DesignSpec &, const ResolvedNames &n, Design &d) {
+             d.targets_ = n.targets;
          }},
     };
     for (const Part &part : kParts) {

@@ -4,12 +4,11 @@
  * computational-CIS design point — the three decoupled descriptions
  * of Sec. 3.3 (algorithm DAG, hardware, mapping) as plain data.
  *
- * Where the Design class is an imperative object assembled through
- * mutating setters, a DesignSpec is a document: it can be loaded from
- * and saved to JSON (camj::spec::fromJson / toJson), diffed, swept,
- * and shipped between processes. materialize() lowers a spec onto the
- * existing Design engine, which becomes a thin internal layer under
- * this front-end.
+ * Where a Design is the engine's object, wired by index and ready to
+ * simulate, a DesignSpec is a document: it can be loaded from and
+ * saved to JSON (camj::spec::fromJson / toJson), diffed, swept, and
+ * shipped between processes. materialize() lowers a spec onto the
+ * Design engine, and is the only way a Design gets built.
  *
  * Analog components are described by *kind* plus the corresponding
  * factory parameter struct (the Table 1 component library), so a spec
@@ -312,8 +311,8 @@ struct DesignSpec
     void validate() const;
 
     /**
-     * Lower onto the imperative Design engine: MaterializedSpec's
-     * whole path, every check and then every part.
+     * Lower onto the Design engine: MaterializedSpec's whole path,
+     * every check and then every part.
      *
      * @throws ConfigError on any invalid parameter or reference.
      */
@@ -591,6 +590,9 @@ struct ResolvedNames
     std::vector<std::vector<int>> unitOutputs;
     /** The ADC output memory's index; -1 for none. */
     int adcMemory = -1;
+    /** Per stage, the hardware its mapping entry names; HwKind::None
+     *  for a stage the mapping leaves out. */
+    std::vector<HwTarget> targets;
 };
 
 /**

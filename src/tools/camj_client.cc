@@ -11,9 +11,12 @@
  *   camj_client cancel job-1 --port 7070
  */
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -56,6 +59,25 @@ flagValue(int argc, char **argv, int &i)
         std::exit(usage(stderr));
     }
     return argv[++i];
+}
+
+/** Whether a file can be written at @p path, found without creating
+ *  one: the path is not a directory, and either names a writable file
+ *  or has an existing writable directory as its parent. */
+bool
+canWriteFile(const std::string &path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::path file(path);
+    if (fs::is_directory(file, ec))
+        return false;
+    if (fs::exists(file, ec))
+        return ::access(path.c_str(), W_OK) == 0;
+    const fs::path parent =
+        file.parent_path().empty() ? fs::path(".") : file.parent_path();
+    return fs::is_directory(parent, ec) &&
+           ::access(parent.c_str(), W_OK) == 0;
 }
 
 struct CommonArgs
@@ -142,7 +164,10 @@ main(int argc, char **argv)
             buf << in.rdbuf();
 
             // The --out file is opened once the job is accepted, so a
-            // refused submission leaves none behind.
+            // refused submission leaves none behind; one that could
+            // not be opened then is refused before submitting.
+            if (!out_path.empty() && !canWriteFile(out_path))
+                fatal("client: cannot write '%s'", out_path.c_str());
             std::ofstream file;
             auto open_out = [&]() -> std::ostream & {
                 if (out_path.empty())

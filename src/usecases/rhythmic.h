@@ -9,7 +9,7 @@
  * The study is defined as a DesignSpec generator (rhythmicSpec), so
  * every variant is a serializable document that can be saved, swept,
  * and diffed; buildRhythmic() is a thin materializing wrapper kept
- * for callers that want the imperative Design directly.
+ * for callers that want the materialized Design directly.
  */
 
 #ifndef CAMJ_USECASES_RHYTHMIC_H

@@ -9,7 +9,7 @@
  * Each chip is defined as a DesignSpec generator (isscc17Spec(), ...)
  * returning a fully serializable ChipSpec; the buildXxx() functions
  * are thin wrappers that materialize the spec onto the Design engine
- * for callers that want the imperative object.
+ * for callers that want the materialized object.
  */
 
 #ifndef CAMJ_VALIDATION_CHIPS_H

@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "core/checks.h"
 #include "core/design.h"
+#include "spec/builder.h"
 
 namespace camj
 {
@@ -147,34 +148,47 @@ TEST(Converters, DvsChainPassesAdcBoundary)
 // + ADC: four analog arrays end to end.
 TEST(Converters, FullMixedDomainDesignSimulates)
 {
-    Design d({.name = "pwm-chain", .fps = 30.0});
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input", .op = StageOp::Input,
-                              .outputSize = {32, 32, 1}});
-    StageId conv = sw.addStage({.name = "Conv", .op = StageOp::Conv2d,
-                                .inputSize = {32, 32, 1},
-                                .outputSize = {30, 30, 1},
-                                .kernel = {3, 3, 1},
-                                .stride = {1, 1, 1}});
-    sw.connect(in, conv);
+    // A row of 32 components, as arrayOf() lays one out.
+    auto row = [](const char *name, AnalogRole role,
+                  spec::ComponentSpec component) {
+        return spec::AnalogArraySpec{.name = name,
+                                     .role = role,
+                                     .numComponents = {32, 1, 1},
+                                     .inputShape = {1, 32, 1},
+                                     .outputShape = {1, 32, 1},
+                                     .component = component};
+    };
 
-    AnalogArrayParams pp;
-    pp.name = "PwmArray";
-    pp.numComponents = {32, 32, 1};
-    pp.inputShape = {1, 32, 1};
-    pp.outputShape = {1, 32, 1};
-    d.addAnalogArray(AnalogArray(pp, makePwmPixel()),
-                     AnalogRole::Sensing);
-    d.addAnalogArray(arrayOf("T2V", makeTimeToVoltage(), 32),
-                     AnalogRole::AnalogCompute);
-    d.addAnalogArray(arrayOf("Mac", makeSwitchedCapMac(), 32),
-                     AnalogRole::AnalogCompute);
-    d.addAnalogArray(arrayOf("Adc", makeColumnAdc({.bits = 8}), 32),
-                     AnalogRole::Adc);
-    d.setMipi(makeMipiCsi2());
-
-    d.mapping().map("Input", "PwmArray");
-    d.mapping().map("Conv", "Mac");
+    Design d = spec::DesignBuilder("pwm-chain")
+                   .fps(30.0)
+                   .inputStage("Input", {32, 32, 1})
+                   .stage({.name = "Conv",
+                           .op = StageOp::Conv2d,
+                           .inputSize = {32, 32, 1},
+                           .outputSize = {30, 30, 1},
+                           .kernel = {3, 3, 1},
+                           .stride = {1, 1, 1}},
+                          {"Input"})
+                   .analogArray(
+                       {.name = "PwmArray",
+                        .role = AnalogRole::Sensing,
+                        .numComponents = {32, 32, 1},
+                        .inputShape = {1, 32, 1},
+                        .outputShape = {1, 32, 1},
+                        .component = {.kind = spec::ComponentKind::PwmPixel}})
+                   .analogArray(
+                       row("T2V", AnalogRole::AnalogCompute,
+                           {.kind = spec::ComponentKind::TimeToVoltage}))
+                   .analogArray(
+                       row("Mac", AnalogRole::AnalogCompute,
+                           {.kind = spec::ComponentKind::SwitchedCapMac}))
+                   .analogArray(row("Adc", AnalogRole::Adc,
+                                    {.kind = spec::ComponentKind::ColumnAdc,
+                                     .adc = {.bits = 8}}))
+                   .mipi()
+                   .map("Input", "PwmArray")
+                   .map("Conv", "Mac")
+                   .build();
 
     EnergyReport r = d.simulate();
     EXPECT_GT(r.total(), 0.0);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for src/core's building blocks: mapping, delay estimation
+ * Tests for src/core's building blocks: delay estimation
  * (Sec. 4.1), the analog pre-simulation checks, the footprint model,
  * communication interfaces, and the energy report.
  */
@@ -14,7 +14,6 @@
 #include "core/area.h"
 #include "core/checks.h"
 #include "core/delay.h"
-#include "core/mapping.h"
 #include "core/report.h"
 
 namespace camj
@@ -22,47 +21,23 @@ namespace camj
 namespace
 {
 
-// -------------------------------------------------------------- mapping
-
-TEST(Mapping, MapAndLookup)
-{
-    Mapping m;
-    m.map("Input", "PixelArray");
-    m.map("Binning", "PixelArray");
-    m.map("Edge", "EdgeUnit");
-    EXPECT_TRUE(m.isMapped("Input"));
-    EXPECT_FALSE(m.isMapped("Other"));
-    EXPECT_EQ(m.hwUnitOf("Edge"), "EdgeUnit");
-    EXPECT_EQ(m.size(), 3u);
-}
-
-TEST(Mapping, StagesOnPreservesOrder)
-{
-    Mapping m;
-    m.map("A", "hw");
-    m.map("B", "other");
-    m.map("C", "hw");
-    auto stages = m.stagesOn("hw");
-    ASSERT_EQ(stages.size(), 2u);
-    EXPECT_EQ(stages[0], "A");
-    EXPECT_EQ(stages[1], "C");
-}
-
-TEST(Mapping, RejectsDuplicatesAndUnknown)
-{
-    Mapping m;
-    m.map("A", "hw");
-    EXPECT_THROW(m.map("A", "hw2"), ConfigError);
-    EXPECT_THROW(m.map("", "hw"), ConfigError);
-    EXPECT_THROW(m.hwUnitOf("nope"), ConfigError);
-}
-
 // ---------------------------------------------------------------- delay
+
+/** The estimate of a frame budget the digital side fits in. */
+DelayEstimate
+delaysOf(Time frame_time, Time digital_latency, int num_analog_arrays)
+{
+    DelayEstimate d;
+    const std::optional<ConfigError> verdict = estimateDelaysInto(
+        frame_time, digital_latency, num_analog_arrays, d);
+    EXPECT_FALSE(verdict.has_value()) << verdict->what();
+    return d;
+}
 
 TEST(Delay, Fig6Relation)
 {
     // Two analog units -> 3 slots: 3 * T_A + T_D = T_FR.
-    DelayEstimate d = estimateDelays(33.3e-3, 3.3e-3, 2);
+    DelayEstimate d = delaysOf(33.3e-3, 3.3e-3, 2);
     EXPECT_EQ(d.numSlots, 3);
     EXPECT_NEAR(3.0 * d.analogUnitTime + d.digitalLatency, 33.3e-3,
                 1e-9);
@@ -70,22 +45,28 @@ TEST(Delay, Fig6Relation)
 
 TEST(Delay, PureAnalogUsesWholeFrame)
 {
-    DelayEstimate d = estimateDelays(10e-3, 0.0, 3);
+    DelayEstimate d = delaysOf(10e-3, 0.0, 3);
     EXPECT_EQ(d.numSlots, 4);
     EXPECT_NEAR(d.analogUnitTime, 2.5e-3, 1e-12);
 }
 
 TEST(Delay, DigitalOverrunIsFatal)
 {
-    EXPECT_THROW(estimateDelays(10e-3, 11e-3, 2), ConfigError);
-    EXPECT_THROW(estimateDelays(10e-3, 10e-3, 2), ConfigError);
+    for (Time latency : {11e-3, 10e-3}) {
+        DelayEstimate d;
+        const std::optional<ConfigError> verdict =
+            estimateDelaysInto(10e-3, latency, 2, d);
+        ASSERT_TRUE(verdict.has_value());
+        EXPECT_EQ(verdict->rule(), Rule::D002);
+    }
 }
 
 TEST(Delay, RejectsBadArguments)
 {
-    EXPECT_THROW(estimateDelays(0.0, 1e-3, 2), ConfigError);
-    EXPECT_THROW(estimateDelays(10e-3, -1e-3, 2), ConfigError);
-    EXPECT_THROW(estimateDelays(10e-3, 1e-3, 0), ConfigError);
+    DelayEstimate d;
+    EXPECT_THROW(estimateDelaysInto(0.0, 1e-3, 2, d), ConfigError);
+    EXPECT_THROW(estimateDelaysInto(10e-3, -1e-3, 2, d), ConfigError);
+    EXPECT_THROW(estimateDelaysInto(10e-3, 1e-3, 0, d), ConfigError);
 }
 
 // --------------------------------------------------------------- checks

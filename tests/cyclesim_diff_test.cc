@@ -489,8 +489,10 @@ StallOutcome
 checkedStall(const CycleSim &sim, int64_t max_cycles)
 {
     StallOutcome out;
+    StallScratch scratch;
     try {
-        const StallCheck c = checkSourceStall(sim, nullptr, max_cycles);
+        const StallCheck c =
+            checkSourceStall(sim, scratch, nullptr, max_cycles);
         out.blocked = c.sourceBlocked;
         out.blockedCycles = c.sourceBlockedCycles;
         out.route = c.route;
@@ -514,8 +516,9 @@ expectSameStall(const CycleSim &sim, int64_t max_cycles,
     EXPECT_EQ(got.error, ref.error) << label;
     EXPECT_EQ(got.blocked, ref.blocked) << label;
     EXPECT_EQ(got.blockedCycles, ref.blockedCycles) << label;
+    StallScratch scratch;
     if (const std::optional<int64_t> drain =
-            chainDrainCycle(sim, max_cycles)) {
+            chainDrainCycle(sim, scratch, max_cycles)) {
         got.closedForm = true;
         got.cycles = *drain;
         EXPECT_FALSE(ref.threw) << label << ": closed form over a "
@@ -801,7 +804,8 @@ TEST(StallCheckDiff, SourceThatCannotBlockIsNotSimulated)
     sim.addUnit(u);
     const StallOutcome got = expectSameStall(sim, 200000, "stall-free");
     EXPECT_EQ(got.route, StallRoute::StallFree);
-    EXPECT_EQ(checkSourceStall(sim).stats, CycleSimStats{});
+    StallScratch scratch;
+    EXPECT_EQ(checkSourceStall(sim, scratch).stats, CycleSimStats{});
 }
 
 // --------------------------------------------- the backlog bound
@@ -862,7 +866,8 @@ TEST(StallCheckBound, ChainAtItsBoundsIsProvenWithoutSimulating)
               StallRoute::Bounded);
     CycleSim sim = boundedChain().build();
     CycleSimMemo memo;
-    const StallCheck c = checkSourceStall(sim, &memo);
+    StallScratch scratch;
+    const StallCheck c = checkSourceStall(sim, scratch, &memo);
     EXPECT_FALSE(c.sourceBlocked);
     EXPECT_EQ(c.sourceBlockedCycles, 0);
     EXPECT_EQ(c.stats, CycleSimStats{});
@@ -1129,12 +1134,14 @@ TEST(DrainBound, ChainAtItsConditionsDrainsInClosedForm)
 {
     setLoggingEnabled(false);
     CycleSim sim = drainingChain().build();
-    EXPECT_EQ(chainDrainCycle(sim), 1027);
+    StallScratch scratch;
+    EXPECT_EQ(chainDrainCycle(sim, scratch), 1027);
     EXPECT_TRUE(closedForm(drainingChain(), "at the conditions"));
     // The reference routes always simulate the full topology.
     ScopedRoutes reference(SimRoutes::FullTopology);
-    EXPECT_EQ(chainDrainCycle(sim), std::nullopt);
-    EXPECT_EQ(checkSourceStall(sim).route, StallRoute::FullTopology);
+    EXPECT_EQ(chainDrainCycle(sim, scratch), std::nullopt);
+    EXPECT_EQ(checkSourceStall(sim, scratch).route,
+              StallRoute::FullTopology);
 }
 
 TEST(DrainBound, SourceMustKeepPaceWithItsReader)
@@ -1239,7 +1246,8 @@ TEST(DrainBound, LastLandingNeedsRoomAndAWritePort)
     };
     // 1,024 landings plus 64 idle words, latency 2: 1027 + 2.
     CycleSim sim = landingIn(1088, 2).build();
-    EXPECT_EQ(chainDrainCycle(sim), 1029);
+    StallScratch scratch;
+    EXPECT_EQ(chainDrainCycle(sim, scratch), 1029);
     EXPECT_TRUE(closedForm(landingIn(1088, 2), "room and two ports"));
     EXPECT_FALSE(closedForm(landingIn(1087, 2), "one word short"));
     EXPECT_FALSE(closedForm(landingIn(1088, 1), "one write port"));
@@ -1306,7 +1314,8 @@ TEST(DrainBound, InexactArithmeticSimulatesWhateverTheBudget)
 {
     setLoggingEnabled(false);
     auto drainOf = [](const Topology &t) {
-        return chainDrainCycle(t.build(),
+        StallScratch scratch;
+        return chainDrainCycle(t.build(), scratch,
                                std::numeric_limits<int64_t>::max());
     };
     // A source too slow for exact credit arithmetic (which never

@@ -11,6 +11,9 @@
 #include "common/logging.h"
 #include "common/units.h"
 #include "core/design.h"
+#include "explore/simulator.h"
+#include "spec/builder.h"
+#include "spec/samples.h"
 
 namespace camj
 {
@@ -26,83 +29,77 @@ class QuietLogging : public ::testing::Environment
 ::testing::Environment *const quiet_env =
     ::testing::AddGlobalTestEnvironment(new QuietLogging);
 
+/** A DPS pixel with an in-pixel converter of 8 bits. */
+const spec::ComponentSpec kDps8{.kind = spec::ComponentKind::Dps,
+                                .adc = {.bits = 8}};
+
 /** The Fig. 5 quickstart design, parameterized for negative tests. */
 struct Fig5Builder
 {
-    DesignParams params{"fig5", 30.0, 10e6};
+    double fps = 30.0;
     bool map_edge = true;
     bool add_mipi = true;
     bool add_adc = true;
     int64_t line_buffer_words = 48;
 
-    Design
-    build() const
+    spec::DesignBuilder
+    builder() const
     {
-        Design d(params);
-        SwGraph &sw = d.sw();
-        StageId in = sw.addStage({.name = "Input",
-                                  .op = StageOp::Input,
-                                  .outputSize = {32, 32, 1}});
-        StageId bin = sw.addStage({.name = "Binning",
-                                   .op = StageOp::Binning,
-                                   .inputSize = {32, 32, 1},
-                                   .outputSize = {16, 16, 1},
-                                   .kernel = {2, 2, 1},
-                                   .stride = {2, 2, 1}});
-        StageId edge = sw.addStage({.name = "Edge",
-                                    .op = StageOp::DepthwiseConv2d,
-                                    .inputSize = {16, 16, 1},
-                                    .outputSize = {14, 14, 1},
-                                    .kernel = {3, 3, 1},
-                                    .stride = {1, 1, 1}});
-        sw.connect(in, bin);
-        sw.connect(bin, edge);
-
-        ApsParams aps;
-        aps.pixelsPerComponent = 4;
-        AnalogArrayParams pa;
-        pa.name = "PixelArray";
-        pa.numComponents = {16, 16, 1};
-        pa.inputShape = {1, 32, 1};
-        pa.outputShape = {1, 16, 1};
-        pa.componentArea = 36e-12;
-        d.addAnalogArray(AnalogArray(pa, makeAps4T(aps)),
-                         AnalogRole::Sensing);
-
+        spec::DesignBuilder b("fig5");
+        b.fps(fps)
+            .digitalClock(10e6)
+            .inputStage("Input", {32, 32, 1})
+            .stage({.name = "Binning",
+                    .op = StageOp::Binning,
+                    .inputSize = {32, 32, 1},
+                    .outputSize = {16, 16, 1},
+                    .kernel = {2, 2, 1},
+                    .stride = {2, 2, 1}},
+                   {"Input"})
+            .stage({.name = "Edge",
+                    .op = StageOp::DepthwiseConv2d,
+                    .inputSize = {16, 16, 1},
+                    .outputSize = {14, 14, 1},
+                    .kernel = {3, 3, 1},
+                    .stride = {1, 1, 1}},
+                   {"Binning"})
+            .analogArray({.name = "PixelArray",
+                          .role = AnalogRole::Sensing,
+                          .numComponents = {16, 16, 1},
+                          .inputShape = {1, 32, 1},
+                          .outputShape = {1, 16, 1},
+                          .componentArea = 36e-12,
+                          .component = {.kind = spec::ComponentKind::Aps4T,
+                                        .aps = {.pixelsPerComponent = 4}}});
         if (add_adc) {
-            AnalogArrayParams aa;
-            aa.name = "AdcArray";
-            aa.numComponents = {16, 1, 1};
-            aa.inputShape = {1, 16, 1};
-            aa.outputShape = {1, 16, 1};
-            aa.componentArea = 1e-9;
-            d.addAnalogArray(AnalogArray(aa, makeColumnAdc()),
-                             AnalogRole::Adc);
+            b.analogArray(
+                {.name = "AdcArray",
+                 .role = AnalogRole::Adc,
+                 .numComponents = {16, 1, 1},
+                 .inputShape = {1, 16, 1},
+                 .outputShape = {1, 16, 1},
+                 .componentArea = 1e-9,
+                 .component = {.kind = spec::ComponentKind::ColumnAdc}});
         }
-
-        d.addMemory(makeSramMemory("LineBuffer", Layer::Sensor,
-                                   MemoryKind::LineBuffer,
-                                   line_buffer_words, 8, 65, 1.0));
-        ComputeUnitParams cu;
-        cu.name = "EdgeUnit";
-        cu.layer = Layer::Sensor;
-        cu.inputPixelsPerCycle = {1, 3, 1};
-        cu.outputPixelsPerCycle = {1, 1, 1};
-        cu.energyPerCycle = 3e-12;
-        cu.numStages = 2;
-        d.addComputeUnit(ComputeUnit(cu));
-        d.setAdcOutput("LineBuffer");
-        d.connectMemoryToUnit("LineBuffer", "EdgeUnit");
-
+        b.sram("LineBuffer", Layer::Sensor, MemoryKind::LineBuffer,
+               line_buffer_words, 8, 65, 1.0)
+            .computeUnit({.name = "EdgeUnit",
+                          .layer = Layer::Sensor,
+                          .inputPixelsPerCycle = {1, 3, 1},
+                          .outputPixelsPerCycle = {1, 1, 1},
+                          .energyPerCycle = 3e-12,
+                          .numStages = 2},
+                         {"LineBuffer"})
+            .adcOutput("LineBuffer");
         if (add_mipi)
-            d.setMipi(makeMipiCsi2());
-
-        d.mapping().map("Input", "PixelArray");
-        d.mapping().map("Binning", "PixelArray");
+            b.mipi();
+        b.map("Input", "PixelArray").map("Binning", "PixelArray");
         if (map_edge)
-            d.mapping().map("Edge", "EdgeUnit");
-        return d;
+            b.map("Edge", "EdgeUnit");
+        return b;
     }
+
+    Design build() const { return builder().build(); }
 };
 
 TEST(Design, Fig5SimulatesEndToEnd)
@@ -141,9 +138,7 @@ TEST(Design, OutputVolumeReachesMipi)
 
 TEST(Design, OutputBytesOverrideWins)
 {
-    Fig5Builder b;
-    Design d = b.build();
-    d.setPipelineOutputBytes(977);
+    Design d = Fig5Builder{}.builder().pipelineOutputBytes(977).build();
     EnergyReport r = d.simulate();
     EXPECT_EQ(r.mipiBytes, 977);
 }
@@ -186,7 +181,7 @@ TEST(Design, FpsBeyondDigitalThroughputIsFatal)
     // 196 edge cycles at 10 MHz ~= 20 us; a 60 kHz frame rate leaves
     // no analog budget.
     Fig5Builder b;
-    b.params.fps = 60000.0;
+    b.fps = 60000.0;
     Design d = b.build();
     EXPECT_THROW(d.simulate(), ConfigError);
 }
@@ -195,7 +190,7 @@ TEST(Design, HigherFpsRaisesAnalogPower)
 {
     Fig5Builder b30;
     Fig5Builder b120;
-    b120.params.fps = 120.0;
+    b120.fps = 120.0;
     EnergyReport r30 = b30.build().simulate();
     EnergyReport r120 = b120.build().simulate();
     // Same per-frame access counts, but 4x the frames per second.
@@ -203,96 +198,53 @@ TEST(Design, HigherFpsRaisesAnalogPower)
     EXPECT_LT(r120.analogUnitTime, r30.analogUnitTime);
 }
 
-TEST(Design, DuplicateHardwareNamesRejected)
-{
-    Design d({.name = "dup", .fps = 30.0});
-    d.addMemory(makeSramMemory("X", Layer::Sensor, MemoryKind::Fifo,
-                               64, 8, 65, 1.0));
-    EXPECT_THROW(d.addMemory(makeSramMemory("X", Layer::Sensor,
-                                            MemoryKind::Fifo, 64, 8,
-                                            65, 1.0)),
-                 ConfigError);
-}
-
-TEST(Design, UnknownHardwareReferencesRejected)
-{
-    Design d({.name = "refs", .fps = 30.0});
-    EXPECT_THROW(d.setAdcOutput("nope"), ConfigError);
-    EXPECT_THROW(d.connectMemoryToUnit("nope", "nope"), ConfigError);
-    EXPECT_THROW(d.setPipelineOutputBytes(-1), ConfigError);
-}
-
-TEST(Design, CommKindsAreChecked)
-{
-    Design d({.name = "comm", .fps = 30.0});
-    EXPECT_THROW(d.setMipi(makeMicroTsv()), ConfigError);
-    EXPECT_THROW(d.setTsv(makeMipiCsi2()), ConfigError);
-}
-
-TEST(Design, BadParamsRejected)
-{
-    EXPECT_THROW(Design({.name = "", .fps = 30.0}), ConfigError);
-    EXPECT_THROW(Design({.name = "x", .fps = 0.0}), ConfigError);
-    EXPECT_THROW(Design({.name = "x", .fps = 30.0,
-                         .digitalClock = 0.0}),
-                 ConfigError);
-}
-
 // ---------------------------------------------------- stacked variants
 
-Design
-stackedDesign(bool set_tsv)
+spec::DesignSpec
+stackedSpec(bool set_tsv)
 {
-    Design d({.name = "stacked", .fps = 30.0, .digitalClock = 10e6});
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input", .op = StageOp::Input,
-                              .outputSize = {32, 32, 1}});
-    StageId th = sw.addStage({.name = "Th", .op = StageOp::Threshold,
-                              .inputSize = {32, 32, 1},
-                              .outputSize = {32, 32, 1}});
-    sw.connect(in, th);
-
-    AnalogArrayParams pa;
-    pa.name = "PixelArray";
-    pa.numComponents = {32, 32, 1};
-    pa.inputShape = {1, 32, 1};
-    pa.outputShape = {1, 32, 1};
-    pa.componentArea = 9e-12;
-    d.addAnalogArray(AnalogArray(pa, makeAps4T()),
-                     AnalogRole::Sensing);
-    AnalogArrayParams aa;
-    aa.name = "Adc";
-    aa.numComponents = {32, 1, 1};
-    aa.inputShape = {1, 32, 1};
-    aa.outputShape = {1, 32, 1};
-    d.addAnalogArray(AnalogArray(aa, makeColumnAdc()),
-                     AnalogRole::Adc);
-
-    // Digital processing on the stacked die.
-    d.addMemory(makeSramMemory("Buf", Layer::Compute,
-                               MemoryKind::Fifo, 2048, 8, 22, 1.0));
-    ComputeUnitParams cu;
-    cu.name = "ThUnit";
-    cu.layer = Layer::Compute;
-    cu.inputPixelsPerCycle = {1, 1, 1};
-    cu.outputPixelsPerCycle = {1, 1, 1};
-    cu.energyPerCycle = 1e-12;
-    cu.numStages = 1;
-    d.addComputeUnit(ComputeUnit(cu));
-    d.setAdcOutput("Buf");
-    d.connectMemoryToUnit("Buf", "ThUnit");
-    d.setMipi(makeMipiCsi2());
+    spec::DesignBuilder b("stacked");
+    b.fps(30.0)
+        .digitalClock(10e6)
+        .inputStage("Input", {32, 32, 1})
+        .stage({.name = "Th",
+                .op = StageOp::Threshold,
+                .inputSize = {32, 32, 1},
+                .outputSize = {32, 32, 1}},
+               {"Input"})
+        .analogArray({.name = "PixelArray",
+                      .role = AnalogRole::Sensing,
+                      .numComponents = {32, 32, 1},
+                      .inputShape = {1, 32, 1},
+                      .outputShape = {1, 32, 1},
+                      .componentArea = 9e-12,
+                      .component = {.kind = spec::ComponentKind::Aps4T}})
+        .analogArray(
+            {.name = "Adc",
+             .role = AnalogRole::Adc,
+             .numComponents = {32, 1, 1},
+             .inputShape = {1, 32, 1},
+             .outputShape = {1, 32, 1},
+             .component = {.kind = spec::ComponentKind::ColumnAdc}})
+        // Digital processing on the stacked die.
+        .sram("Buf", Layer::Compute, MemoryKind::Fifo, 2048, 8, 22, 1.0)
+        .computeUnit({.name = "ThUnit",
+                      .layer = Layer::Compute,
+                      .inputPixelsPerCycle = {1, 1, 1},
+                      .outputPixelsPerCycle = {1, 1, 1},
+                      .energyPerCycle = 1e-12,
+                      .numStages = 1},
+                     {"Buf"})
+        .adcOutput("Buf")
+        .mipi();
     if (set_tsv)
-        d.setTsv(makeMicroTsv());
-
-    d.mapping().map("Input", "PixelArray");
-    d.mapping().map("Th", "ThUnit");
-    return d;
+        b.tsv();
+    return b.map("Input", "PixelArray").map("Th", "ThUnit").spec();
 }
 
 TEST(Design, StackedCrossingCountsTsvBytes)
 {
-    Design d = stackedDesign(true);
+    Design d = stackedSpec(true).materialize();
     EnergyReport r = d.simulate();
     // 1024 pixels cross from the sensor die to the compute die.
     EXPECT_EQ(r.tsvBytes, 1024);
@@ -301,13 +253,13 @@ TEST(Design, StackedCrossingCountsTsvBytes)
 
 TEST(Design, StackedWithoutTsvInterfaceIsFatal)
 {
-    Design d = stackedDesign(false);
+    Design d = stackedSpec(false).materialize();
     EXPECT_THROW(d.simulate(), ConfigError);
 }
 
 TEST(Design, StackedFootprintIsMaxOfLayers)
 {
-    Design d = stackedDesign(true);
+    Design d = stackedSpec(true).materialize();
     EnergyReport r = d.simulate();
     EXPECT_GT(r.sensorLayerArea, 0.0);
     EXPECT_GT(r.computeLayerArea, 0.0);
@@ -322,55 +274,47 @@ TEST(Design, PrevFrameInputOnMemorySimulates)
 {
     // A miniature Ed-Gaze: frame subtraction against a retained
     // previous frame mapped onto a FrameBuffer memory.
-    Design d({.name = "framesub", .fps = 30.0, .digitalClock = 10e6});
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input", .op = StageOp::Input,
-                              .outputSize = {16, 16, 1}});
-    StageId prev = sw.addStage({.name = "Prev", .op = StageOp::Input,
-                                .outputSize = {16, 16, 1}});
-    StageId sub = sw.addStage({.name = "Sub",
-                               .op = StageOp::ElementwiseSub,
-                               .inputSize = {16, 16, 1},
-                               .outputSize = {16, 16, 1}});
-    sw.connect(in, sub);
-    sw.connect(prev, sub);
-
-    AnalogArrayParams pa;
-    pa.name = "PixelArray";
-    pa.numComponents = {16, 16, 1};
-    pa.inputShape = {1, 16, 1};
-    pa.outputShape = {1, 16, 1};
-    d.addAnalogArray(AnalogArray(pa, makeAps4T()),
-                     AnalogRole::Sensing);
-    AnalogArrayParams aa;
-    aa.name = "Adc";
-    aa.numComponents = {16, 1, 1};
-    aa.inputShape = {1, 16, 1};
-    aa.outputShape = {1, 16, 1};
-    d.addAnalogArray(AnalogArray(aa, makeColumnAdc()),
-                     AnalogRole::Adc);
-
-    d.addMemory(makeSramMemory("Fifo", Layer::Sensor,
-                               MemoryKind::Fifo, 256, 8, 65, 1.0));
-    d.addMemory(makeSramMemory("FrameBuf", Layer::Sensor,
-                               MemoryKind::FrameBuffer, 256, 8, 65,
-                               1.0));
-    ComputeUnitParams cu;
-    cu.name = "SubUnit";
-    cu.layer = Layer::Sensor;
-    cu.inputPixelsPerCycle = {1, 1, 1};
-    cu.outputPixelsPerCycle = {1, 1, 1};
-    cu.energyPerCycle = 1e-12;
-    cu.numStages = 1;
-    d.addComputeUnit(ComputeUnit(cu));
-    d.setAdcOutput("Fifo");
-    d.connectMemoryToUnit("Fifo", "SubUnit");
-    d.connectMemoryToUnit("FrameBuf", "SubUnit");
-    d.setMipi(makeMipiCsi2());
-
-    d.mapping().map("Input", "PixelArray");
-    d.mapping().map("Prev", "FrameBuf"); // residency, prefilled
-    d.mapping().map("Sub", "SubUnit");
+    Design d =
+        spec::DesignBuilder("framesub")
+            .fps(30.0)
+            .digitalClock(10e6)
+            .inputStage("Input", {16, 16, 1})
+            .inputStage("Prev", {16, 16, 1})
+            .stage({.name = "Sub",
+                    .op = StageOp::ElementwiseSub,
+                    .inputSize = {16, 16, 1},
+                    .outputSize = {16, 16, 1}},
+                   {"Input", "Prev"})
+            .analogArray(
+                {.name = "PixelArray",
+                 .role = AnalogRole::Sensing,
+                 .numComponents = {16, 16, 1},
+                 .inputShape = {1, 16, 1},
+                 .outputShape = {1, 16, 1},
+                 .component = {.kind = spec::ComponentKind::Aps4T}})
+            .analogArray(
+                {.name = "Adc",
+                 .role = AnalogRole::Adc,
+                 .numComponents = {16, 1, 1},
+                 .inputShape = {1, 16, 1},
+                 .outputShape = {1, 16, 1},
+                 .component = {.kind = spec::ComponentKind::ColumnAdc}})
+            .sram("Fifo", Layer::Sensor, MemoryKind::Fifo, 256, 8, 65, 1.0)
+            .sram("FrameBuf", Layer::Sensor, MemoryKind::FrameBuffer, 256,
+                  8, 65, 1.0)
+            .computeUnit({.name = "SubUnit",
+                          .layer = Layer::Sensor,
+                          .inputPixelsPerCycle = {1, 1, 1},
+                          .outputPixelsPerCycle = {1, 1, 1},
+                          .energyPerCycle = 1e-12,
+                          .numStages = 1},
+                         {"Fifo", "FrameBuf"})
+            .adcOutput("Fifo")
+            .mipi()
+            .map("Input", "PixelArray")
+            .map("Prev", "FrameBuf") // residency, prefilled
+            .map("Sub", "SubUnit")
+            .build();
 
     EnergyReport r = d.simulate();
     EXPECT_GT(r.energyOf("FrameBuf"), 0.0);
@@ -379,24 +323,24 @@ TEST(Design, PrevFrameInputOnMemorySimulates)
 
 TEST(Design, NonInputStageOnMemoryRejected)
 {
-    Design d({.name = "bad", .fps = 30.0});
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input", .op = StageOp::Input,
-                              .outputSize = {8, 8, 1}});
-    StageId th = sw.addStage({.name = "Th", .op = StageOp::Threshold,
-                              .inputSize = {8, 8, 1},
-                              .outputSize = {8, 8, 1}});
-    sw.connect(in, th);
-
-    AnalogArrayParams pa;
-    pa.name = "Pixel";
-    pa.numComponents = {8, 8, 1};
-    d.addAnalogArray(AnalogArray(pa, makeDps(8)), AnalogRole::Sensing);
-    d.addMemory(makeSramMemory("Mem", Layer::Sensor, MemoryKind::Fifo,
-                               64, 8, 65, 1.0));
-    d.setMipi(makeMipiCsi2());
-    d.mapping().map("Input", "Pixel");
-    d.mapping().map("Th", "Mem"); // compute on a memory: nonsense
+    Design d = spec::DesignBuilder("bad")
+                   .fps(30.0)
+                   .inputStage("Input", {8, 8, 1})
+                   .stage({.name = "Th",
+                           .op = StageOp::Threshold,
+                           .inputSize = {8, 8, 1},
+                           .outputSize = {8, 8, 1}},
+                          {"Input"})
+                   .analogArray({.name = "Pixel",
+                                 .role = AnalogRole::Sensing,
+                                 .numComponents = {8, 8, 1},
+                                 .component = kDps8})
+                   .sram("Mem", Layer::Sensor, MemoryKind::Fifo, 64, 8,
+                         65, 1.0)
+                   .mipi()
+                   .map("Input", "Pixel")
+                   .map("Th", "Mem") // compute on a memory: nonsense
+                   .build();
     EXPECT_THROW(d.simulate(), ConfigError);
 }
 
@@ -404,60 +348,56 @@ TEST(Design, UnmappedLeadingAnalogArrayRejected)
 {
     // An analog array that precedes any mapped stage has no defined
     // workload: the volume rule cannot seed it.
-    Design d({.name = "leading", .fps = 30.0});
-    SwGraph &sw = d.sw();
-    sw.addStage({.name = "Input", .op = StageOp::Input,
-                 .outputSize = {8, 8, 1}});
-
-    AnalogArrayParams ua;
-    ua.name = "Unmapped";
-    ua.numComponents = {8, 1, 1};
-    d.addAnalogArray(AnalogArray(ua, makeColumnAdc()),
-                     AnalogRole::Adc);
-    AnalogArrayParams pa;
-    pa.name = "Pixel";
-    pa.numComponents = {8, 8, 1};
-    d.addAnalogArray(AnalogArray(pa, makeDps(8)),
-                     AnalogRole::Sensing);
-    d.setMipi(makeMipiCsi2());
-    d.mapping().map("Input", "Pixel");
+    Design d =
+        spec::DesignBuilder("leading")
+            .fps(30.0)
+            .inputStage("Input", {8, 8, 1})
+            .analogArray(
+                {.name = "Unmapped",
+                 .role = AnalogRole::Adc,
+                 .numComponents = {8, 1, 1},
+                 .component = {.kind = spec::ComponentKind::ColumnAdc}})
+            .analogArray({.name = "Pixel",
+                          .role = AnalogRole::Sensing,
+                          .numComponents = {8, 8, 1},
+                          .component = kDps8})
+            .mipi()
+            .map("Input", "Pixel")
+            .build();
     EXPECT_THROW(d.simulate(), ConfigError);
 }
 
 TEST(Design, SystolicNeedsExactlyOneInputBuffer)
 {
-    Design d({.name = "sys2", .fps = 30.0, .digitalClock = 50e6});
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input", .op = StageOp::Input,
-                              .outputSize = {16, 16, 1}});
-    StageId conv = sw.addStage({.name = "Conv", .op = StageOp::Conv2d,
-                                .inputSize = {16, 16, 1},
-                                .outputSize = {14, 14, 4},
-                                .kernel = {3, 3, 1},
-                                .stride = {1, 1, 1}});
-    sw.connect(in, conv);
-
-    AnalogArrayParams pa;
-    pa.name = "Pixel";
-    pa.numComponents = {16, 16, 1};
-    d.addAnalogArray(AnalogArray(pa, makeDps(8)),
-                     AnalogRole::Sensing);
-    d.addMemory(makeSramMemory("A", Layer::Sensor, MemoryKind::Fifo,
-                               512, 8, 65, 1.0));
-    d.addMemory(makeSramMemory("B", Layer::Sensor, MemoryKind::Fifo,
-                               512, 8, 65, 1.0));
-    SystolicArrayParams sp;
-    sp.name = "Sa";
-    sp.rows = 4;
-    sp.cols = 4;
-    sp.energyPerMac = 1e-12;
-    d.addSystolicArray(SystolicArray(sp));
-    d.setAdcOutput("A");
-    d.connectMemoryToUnit("A", "Sa");
-    d.connectMemoryToUnit("B", "Sa"); // second buffer: rejected
-    d.setMipi(makeMipiCsi2());
-    d.mapping().map("Input", "Pixel");
-    d.mapping().map("Conv", "Sa");
+    Design d = spec::DesignBuilder("sys2")
+                   .fps(30.0)
+                   .digitalClock(50e6)
+                   .inputStage("Input", {16, 16, 1})
+                   .stage({.name = "Conv",
+                           .op = StageOp::Conv2d,
+                           .inputSize = {16, 16, 1},
+                           .outputSize = {14, 14, 4},
+                           .kernel = {3, 3, 1},
+                           .stride = {1, 1, 1}},
+                          {"Input"})
+                   .analogArray({.name = "Pixel",
+                                 .role = AnalogRole::Sensing,
+                                 .numComponents = {16, 16, 1},
+                                 .component = kDps8})
+                   .sram("A", Layer::Sensor, MemoryKind::Fifo, 512, 8, 65,
+                         1.0)
+                   .sram("B", Layer::Sensor, MemoryKind::Fifo, 512, 8, 65,
+                         1.0)
+                   .systolicArray({.name = "Sa",
+                                   .rows = 4,
+                                   .cols = 4,
+                                   .energyPerMac = 1e-12},
+                                  {"A", "B"}) // second buffer: rejected
+                   .adcOutput("A")
+                   .mipi()
+                   .map("Input", "Pixel")
+                   .map("Conv", "Sa")
+                   .build();
     EXPECT_THROW(d.simulate(), ConfigError);
 }
 
@@ -466,10 +406,11 @@ TEST(Design, ResidentInputDoesNotBecomeTheOutput)
     // A design whose last-added stage is a resident-data Input (the
     // Rhythmic RegionState pattern): the pipeline output must still
     // be the processing sink, not the resident input.
-    Design d = Fig5Builder{}.build();
-    d.sw().addStage({.name = "Resident", .op = StageOp::Input,
-                     .outputSize = {4, 4, 1}});
-    d.mapping().map("Resident", "LineBuffer");
+    Design d = Fig5Builder{}
+                   .builder()
+                   .inputStage("Resident", {4, 4, 1})
+                   .map("Resident", "LineBuffer")
+                   .build();
     EnergyReport r = d.simulate();
     EXPECT_EQ(r.mipiBytes, 196); // the 14x14 edge map, unchanged
 }
@@ -482,7 +423,7 @@ TEST(Design, UndersizedBufferStallsPipeline)
     // drains through a tiny line buffer: Sec. 4.1 stall -> fatal.
     Fig5Builder b;
     b.line_buffer_words = 4;
-    b.params.fps = 25000.0; // extreme, but digital still fits
+    b.fps = 25000.0; // extreme, but digital still fits
     Design d = b.build();
     EXPECT_THROW(
         {
@@ -495,6 +436,76 @@ TEST(Design, UndersizedBufferStallsPipeline)
             }
         },
         ConfigError);
+}
+
+// ------------------------------------------------------ failure texts
+
+/** One failing design and the outcome it must be reported with. */
+struct FailureRow
+{
+    const char *name;
+    spec::DesignSpec spec;
+    const char *ruleCode;
+    const char *error;
+};
+
+TEST(Design, StageFailureTextsArePinned)
+{
+    // The texts of the failures the Map, Analog, Digital and Energy
+    // stages raise from a design's mapping, wiring and links, as a
+    // sweep reports them.
+    using S = spec::DesignSpec;
+    auto detector = [](void (*edit)(S &)) {
+        S s = spec::sampleDetectorSpec(30.0, 65);
+        edit(s);
+        return s;
+    };
+    const FailureRow rows[] = {
+        {"unmapped stage (Map)",
+         detector([](S &s) { s.mapping.pop_back(); }), "CAMJ-E008",
+         "fatal: Design detector-65nm-30fps: stage 'Classify' is not "
+         "mapped to hardware"},
+        {"non-Input stage on a memory (Map)",
+         detector([](S &s) { s.mapping[1].second = "ActBuf"; }),
+         "CAMJ-E008",
+         "fatal: Design detector-65nm-30fps: only Input stages may map "
+         "onto a memory ('Bin' -> 'ActBuf')"},
+        {"unmapped leading analog array (Analog)", detector([](S &s) {
+             s.mapping[0].second = "Adc";
+             s.mapping[1].second = "Adc";
+         }),
+         "CAMJ-E008",
+         "fatal: Design detector-65nm-30fps: analog array 'PixelArray' "
+         "precedes any mapped stage; map the Input stage to the pixel "
+         "array"},
+        {"no adc output (Digital)",
+         detector([](S &s) { s.adcOutputMemory.clear(); }), "CAMJ-E012",
+         "fatal: Design detector-65nm-30fps: digital units exist but no "
+         "adcOutputMemory is configured"},
+        {"unit without an input memory (Digital)",
+         detector([](S &s) { s.units[0].inputMemories.clear(); }),
+         "CAMJ-E012",
+         "fatal: Design detector-65nm-30fps: unit 'Classifier' has no "
+         "input memory"},
+        {"no MIPI (Energy)",
+         detector([](S &s) { s.mipi.present = false; }), "CAMJ-E016",
+         "fatal: Design detector-65nm-30fps: 4 B cross the package "
+         "boundary but no MIPI interface is configured"},
+        {"stacked without a uTSV (Energy)", stackedSpec(false),
+         "CAMJ-E016",
+         "fatal: Design stacked: 1024 B cross between stacked layers but "
+         "no uTSV interface is configured"},
+    };
+    SimulationOptions options;
+    options.checkMode = CheckMode::Report;
+    const Simulator simulator(options);
+    for (const FailureRow &row : rows) {
+        SCOPED_TRACE(row.name);
+        const SimulationOutcome out = simulator.run(row.spec);
+        EXPECT_FALSE(out.feasible);
+        EXPECT_EQ(out.ruleCode, row.ruleCode);
+        EXPECT_EQ(out.error, row.error);
+    }
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "core/area.h"
 #include "core/design.h"
 #include "memmodel/dram.h"
+#include "spec/builder.h"
 #include "study_fixture.h"
 #include "tech/scaling.h"
 #include "usecases/edgaze.h"
@@ -335,61 +336,55 @@ TEST(ThreeLayer, DramLayerNamed)
 
 TEST(ThreeLayer, DesignWithDramLayerSimulates)
 {
-    Design d({.name = "threelayer", .fps = 30.0,
-              .digitalClock = 50e6});
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input", .op = StageOp::Input,
-                              .outputSize = {64, 64, 1}});
-    StageId th = sw.addStage({.name = "Th", .op = StageOp::Threshold,
-                              .inputSize = {64, 64, 1},
-                              .outputSize = {64, 64, 1}});
-    sw.connect(in, th);
-
-    AnalogArrayParams pa;
-    pa.name = "Pixel";
-    pa.numComponents = {64, 64, 1};
-    pa.inputShape = {1, 64, 1};
-    pa.outputShape = {1, 64, 1};
-    pa.componentArea = 9e-12;
-    d.addAnalogArray(AnalogArray(pa, makeAps4T()),
-                     AnalogRole::Sensing);
-    AnalogArrayParams aa;
-    aa.name = "Adc";
-    aa.numComponents = {64, 1, 1};
-    aa.inputShape = {1, 64, 1};
-    aa.outputShape = {1, 64, 1};
-    d.addAnalogArray(AnalogArray(aa, makeColumnAdc()),
-                     AnalogRole::Adc);
-
-    DigitalMemoryParams mp;
-    mp.name = "DramStore";
-    mp.layer = Layer::Dram;
-    mp.kind = MemoryKind::FrameBuffer;
-    mp.capacityWords = 4096;
-    mp.wordBits = 8;
-    mp.readEnergyPerWord = 15e-12;
-    mp.writeEnergyPerWord = 17e-12;
-    mp.leakagePower = 1e-3;
-    mp.activeFraction = 0.2;
-    mp.area = 2e-6;
-    d.addMemory(DigitalMemory(mp));
-
-    ComputeUnitParams cu;
-    cu.name = "ThUnit";
-    cu.layer = Layer::Compute;
-    cu.inputPixelsPerCycle = {1, 1, 1};
-    cu.outputPixelsPerCycle = {1, 1, 1};
-    cu.energyPerCycle = 1e-12;
-    cu.numStages = 1;
-    cu.area = 0.5e-6;
-    d.addComputeUnit(ComputeUnit(cu));
-    d.setAdcOutput("DramStore");
-    d.connectMemoryToUnit("DramStore", "ThUnit");
-    d.setMipi(makeMipiCsi2());
-    d.setTsv(makeMicroTsv());
-
-    d.mapping().map("Input", "Pixel");
-    d.mapping().map("Th", "ThUnit");
+    using spec::ComponentKind;
+    Design d = spec::DesignBuilder("threelayer")
+                   .fps(30.0)
+                   .digitalClock(50e6)
+                   .inputStage("Input", {64, 64, 1})
+                   .stage({.name = "Th",
+                           .op = StageOp::Threshold,
+                           .inputSize = {64, 64, 1},
+                           .outputSize = {64, 64, 1}},
+                          {"Input"})
+                   .analogArray({.name = "Pixel",
+                                 .role = AnalogRole::Sensing,
+                                 .numComponents = {64, 64, 1},
+                                 .inputShape = {1, 64, 1},
+                                 .outputShape = {1, 64, 1},
+                                 .componentArea = 9e-12,
+                                 .component = {.kind = ComponentKind::Aps4T}})
+                   .analogArray({.name = "Adc",
+                                 .role = AnalogRole::Adc,
+                                 .numComponents = {64, 1, 1},
+                                 .inputShape = {1, 64, 1},
+                                 .outputShape = {1, 64, 1},
+                                 .component = {.kind =
+                                                   ComponentKind::ColumnAdc}})
+                   .memory({.name = "DramStore",
+                            .layer = Layer::Dram,
+                            .kind = MemoryKind::FrameBuffer,
+                            .model = spec::MemoryModel::Explicit,
+                            .capacityWords = 4096,
+                            .wordBits = 8,
+                            .activeFraction = 0.2,
+                            .readEnergyPerWord = 15e-12,
+                            .writeEnergyPerWord = 17e-12,
+                            .leakagePower = 1e-3,
+                            .area = 2e-6})
+                   .computeUnit({.name = "ThUnit",
+                                 .layer = Layer::Compute,
+                                 .inputPixelsPerCycle = {1, 1, 1},
+                                 .outputPixelsPerCycle = {1, 1, 1},
+                                 .energyPerCycle = 1e-12,
+                                 .numStages = 1,
+                                 .area = 0.5e-6},
+                                {"DramStore"})
+                   .adcOutput("DramStore")
+                   .mipi()
+                   .tsv()
+                   .map("Input", "Pixel")
+                   .map("Th", "ThUnit")
+                   .build();
 
     EnergyReport r = d.simulate();
     // Two uTSV crossings: ADC -> DRAM die, DRAM die -> logic die.

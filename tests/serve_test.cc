@@ -901,6 +901,32 @@ TEST(CamjClientCli, RefusedSubmissionOpensNoOutFile)
     EXPECT_FALSE(fs::exists(out));
 }
 
+TEST(CamjClientCli, UnwritableOutFileIsRefusedBeforeSubmitting)
+{
+    // An --out in a directory that does not exist used to fail only
+    // once the daemon had accepted the job, which it then cancelled
+    // part done.
+    const fs::path dir = scratchDir("client_cli_unwritable");
+    std::ofstream(dir / "study.json") << spec::toJson(smallStudy());
+    const fs::path out = dir / "missing" / "out.jsonl";
+    const fs::path log = dir / "client.log";
+    ServerHarness harness(inProcessOptions(dir / "work"));
+    EXPECT_EQ(exitUnderTimeout(std::string(CAMJ_CLIENT_BIN) + " submit " +
+                                   (dir / "study.json").string() +
+                                   " --port " +
+                                   std::to_string(harness.port()) +
+                                   " --out " + out.string(),
+                               log),
+              1);
+    EXPECT_NE(readFile(log).find("cannot write"), std::string::npos)
+        << readFile(log);
+    EXPECT_FALSE(fs::exists(out));
+    serve::Client client(harness.port());
+    const json::Value jobs = client.jobs();
+    ASSERT_NE(jobs.find("jobs"), nullptr) << jobs.dump(0);
+    EXPECT_TRUE(jobs.find("jobs")->asArray().empty()) << jobs.dump(0);
+}
+
 #ifdef CAMJ_SWEEP_BIN
 TEST(CamjClientCli, AcceptedJobWithoutLinesStillCreatesItsOutFile)
 {

@@ -96,68 +96,37 @@ TEST(Json, MissingMemberListsExistingKeys)
 
 // ---------------------------------------------- spec <-> design parity
 
-/** The Fig. 5 quickstart, hand-assembled through the raw setters. */
-Design
-handBuiltFig5()
+/** The Fig. 5 quickstart's report as a Design assembled part by part,
+ *  without a spec, simulated it, pinned bit for bit: the spec path
+ *  must reproduce it. */
+EnergyReport
+pinnedFig5Report()
 {
-    Design d(DesignParams{"fig5", 30.0, 10e6});
-    SwGraph &sw = d.sw();
-    StageId in = sw.addStage({.name = "Input",
-                              .op = StageOp::Input,
-                              .outputSize = {32, 32, 1}});
-    StageId bin = sw.addStage({.name = "Binning",
-                               .op = StageOp::Binning,
-                               .inputSize = {32, 32, 1},
-                               .outputSize = {16, 16, 1},
-                               .kernel = {2, 2, 1},
-                               .stride = {2, 2, 1}});
-    StageId edge = sw.addStage({.name = "Edge",
-                                .op = StageOp::DepthwiseConv2d,
-                                .inputSize = {16, 16, 1},
-                                .outputSize = {14, 14, 1},
-                                .kernel = {3, 3, 1},
-                                .stride = {1, 1, 1}});
-    sw.connect(in, bin);
-    sw.connect(bin, edge);
-
-    ApsParams aps;
-    aps.pixelsPerComponent = 4;
-    AnalogArrayParams pa;
-    pa.name = "PixelArray";
-    pa.numComponents = {16, 16, 1};
-    pa.inputShape = {1, 32, 1};
-    pa.outputShape = {1, 16, 1};
-    pa.componentArea = 36e-12;
-    d.addAnalogArray(AnalogArray(pa, makeAps4T(aps)),
-                     AnalogRole::Sensing);
-
-    AnalogArrayParams aa;
-    aa.name = "AdcArray";
-    aa.numComponents = {16, 1, 1};
-    aa.inputShape = {1, 16, 1};
-    aa.outputShape = {1, 16, 1};
-    aa.componentArea = 1e-9;
-    d.addAnalogArray(AnalogArray(aa, makeColumnAdc({.bits = 10})),
-                     AnalogRole::Adc);
-
-    d.addMemory(makeSramMemory("LineBuffer", Layer::Sensor,
-                               MemoryKind::LineBuffer, 48, 8, 65, 1.0));
-    ComputeUnitParams cu;
-    cu.name = "EdgeUnit";
-    cu.layer = Layer::Sensor;
-    cu.inputPixelsPerCycle = {1, 3, 1};
-    cu.outputPixelsPerCycle = {1, 1, 1};
-    cu.energyPerCycle = 3e-12;
-    cu.numStages = 2;
-    d.addComputeUnit(ComputeUnit(cu));
-    d.setAdcOutput("LineBuffer");
-    d.connectMemoryToUnit("LineBuffer", "EdgeUnit");
-    d.setMipi(makeMipiCsi2());
-
-    d.mapping().map("Input", "PixelArray");
-    d.mapping().map("Binning", "PixelArray");
-    d.mapping().map("Edge", "EdgeUnit");
-    return d;
+    EnergyReport r;
+    r.designName = "fig5";
+    r.fps = 30.0;
+    r.units = {
+        {"PixelArray", EnergyCategory::Sen, Layer::Sensor,
+         0x1.61644f2f3e2abp-30},
+        {"AdcArray", EnergyCategory::Sen, Layer::Sensor,
+         0x1.57ec1ec738ca4p-26},
+        {"EdgeUnit", EnergyCategory::CompD, Layer::Sensor,
+         0x1.4341a4a5abadp-31},
+        {"LineBuffer", EnergyCategory::MemD, Layer::Sensor,
+         0x1.bac5614abae92p-25},
+        {"MIPI-CSI2", EnergyCategory::Mipi, Layer::Sensor,
+         0x1.50b9b62c92d43p-26},
+    };
+    r.frameTime = 0x1.1111111111111p-5;
+    r.digitalLatency = 0x1.48d55be787633p-16;
+    r.analogUnitTime = 0x1.6bdff3321ad58p-7;
+    r.numAnalogSlots = 3;
+    r.mipiBytes = 196;
+    r.tsvBytes = 0;
+    r.sensorLayerArea = 0x1.b627c7395f8dbp-26;
+    r.computeLayerArea = 0.0;
+    r.footprint = 0x1.b627c7395f8dbp-26;
+    return r;
 }
 
 /** The identical design through the DesignBuilder front-end. */
@@ -250,9 +219,9 @@ expectIdenticalReports(const EnergyReport &a, const EnergyReport &b)
 
 TEST(DesignSpec, MaterializedSpecMatchesHandBuiltBitExactly)
 {
-    EnergyReport hand = handBuiltFig5().simulate();
     EnergyReport built = builtFig5Spec().materialize().simulate();
-    expectIdenticalReports(hand, built);
+    expectIdenticalReports(pinnedFig5Report(), built);
+    EXPECT_EQ(built.total(), 0x1.8f983a6858ac3p-24);
 }
 
 TEST(DesignSpec, JsonRoundTripIsBitExact)

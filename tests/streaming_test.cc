@@ -719,6 +719,29 @@ TEST(SweepGrid, ExpansionMatchesACloneAndApplyOracle)
           grid({ren, spares})})
         cases.push_back({base, g});
 
+    // Axes that move stages and hardware while the mapping stays, so
+    // a point's stage targets must follow the indices the names move
+    // to: every stage in reverse order, and the two memories swapped
+    // under a resident Input mapped onto the second.
+    spec::DesignSpec resident = base;
+    resident.stages.push_back({{.name = "Resident",
+                                .op = StageOp::Input,
+                                .outputSize = {4, 4, 1}},
+                               {}});
+    resident.mapping.emplace_back("Resident", "Spare");
+    const json::Value resident_stages =
+        spec::toJsonValue(resident).at("stages");
+    json::Value reversed = json::Value::makeArray();
+    for (auto it = resident_stages.asArray().rbegin();
+         it != resident_stages.asArray().rend(); ++it)
+        reversed.push(*it);
+    json::Value swapped = json::Value::makeArray();
+    swapped.push(spare);
+    swapped.push(actbuf);
+    cases.push_back(
+        {resident, grid({{"order", "stages", {resident_stages, reversed}},
+                         {"swap", "memories", {both_mems, swapped}}})});
+
     for (const auto &[b, g] : cases)
         expectOracleExpansion(b, g);
 

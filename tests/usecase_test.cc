@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/units.h"
 #include "spec/spec.h"
@@ -399,10 +401,14 @@ TEST(Usecases, SensorSideIsVariantInvariant)
 TEST(Usecases, RhythmicOpsBudgetMatchesPaper)
 {
     // ~7.4e6 arithmetic ops per frame.
-    auto d = buildRhythmic(SensorVariant::TwoDIn, 130);
-    const Stage &cs = d->sw().stage(d->sw().findStage("CompareSample"));
-    EXPECT_NEAR(static_cast<double>(cs.opsPerFrame()), 7.4e6,
-                0.05 * 7.4e6);
+    const spec::DesignSpec s = rhythmicSpec(SensorVariant::TwoDIn, 130);
+    const auto cs = std::find_if(
+        s.stages.begin(), s.stages.end(), [](const spec::StageSpec &st) {
+            return st.params.name == "CompareSample";
+        });
+    ASSERT_NE(cs, s.stages.end());
+    EXPECT_NEAR(static_cast<double>(Stage(cs->params).opsPerFrame()),
+                7.4e6, 0.05 * 7.4e6);
 }
 
 } // namespace
