@@ -12,7 +12,8 @@
  * the canonical detector document), designs/sec for a serial sweep
  * vs. a >= 4-thread SweepEngine run over the same spec batch, the
  * streaming pipeline over that batch, a lazily expanded SweepGrid
- * (with the expansion's heap allocations per point), the sharded
+ * (with the expansion's heap allocations per point and those of
+ * building the canonical grid's source), the sharded
  * multi-process pipeline (1 process vs. 4 forked shard workers over
  * the 108-point grid, plus the merge), the statically prefiltered sweep (a
  * widened grid with provably infeasible axis values, pruned by
@@ -851,9 +852,9 @@ writeBenchJson()
     }
 
     // Materialize, in heap allocations: each canonical grid point on
-    // a sweep worker's point path (GridSpecSource::pointAt re-lowers
-    // the point's axis members and rewrites its name in the spec the
-    // worker's SpecPoint keeps, then rebuilds only what those feed in
+    // a sweep worker's point path (GridSpecSource::pointAt stores the
+    // point's axis values and its name in the spec the worker's
+    // SpecPoint keeps, then rebuilds only what those fields feed in
     // its Design), expansion included, since the spec is built in
     // place too; and each paper study through the whole path,
     // validate() and every part. Both counts are exact, so each is
@@ -1090,6 +1091,18 @@ writeBenchJson()
     expansion.find("inPlace")->set("allocsPerPoint",
                                    json::Value(exp_allocs));
     grid.set("expansion", std::move(expansion));
+    // Construction: the canonical source built from its document (the
+    // base tree lowered, each axis path compiled, each value probed,
+    // the base materialized), in heap allocations, which are exact and
+    // the floor, and in microseconds, which are data.
+    const OpCost constructed = measureOp(200, [&](size_t) {
+        const spec::GridSpecSource source = exp_doc.source();
+        benchmark::DoNotOptimize(source.totalPoints());
+    });
+    json::Value construction = json::Value::makeObject();
+    construction.set("allocs", json::Value(constructed.allocsPerOp));
+    construction.set("us", json::Value(constructed.nsPerOp / 1e3));
+    grid.set("construction", std::move(construction));
     doc.set("gridSweep", std::move(grid));
 
     // Incremental sweep: the canonical grid once memo-free (each point

@@ -43,16 +43,24 @@ FLOORS = [
     ("specOps.parse.allocsPerOp", 400, "max"),
     ("specOps.clone.allocsPerOp", 400, "max"),
     # Grid expansion: heap allocations per point over the canonical
-    # grid, built in a pooled workspace with an undo log as a copy of
-    # the lowered base with only the members the axes write re-lowered
-    # (14.0; 23.0 while every point lowered its whole document, 31.0
-    # while member lookups built a std::string per key longer than the
-    # small-string buffer, and a clone per point made 183.0).
-    # Allocations are counted, not timed, so host load cannot flake
-    # the bar. Expansion's bytes are pinned by ctest against a
-    # clone-and-apply oracle
+    # grid, each point a copy of the lowered base (9, its name left
+    # out) with the axis values stored through typed writers and the
+    # name joined from fragments into one buffer (10; 12 while each
+    # point was written into a pooled copy of the base document with
+    # an undo log and its axes' members re-lowered, 23.0 while every
+    # point lowered its whole document, 31.0 while member lookups built
+    # a std::string per key longer than the small-string buffer, and a
+    # clone per point made 183.0). Allocations are counted, not timed,
+    # so host load cannot flake the bar. Expansion's bytes are pinned
+    # by ctest against a clone-and-apply oracle
     # (SweepGrid.ExpansionMatchesACloneAndApplyOracle).
-    ("gridSweep.expansion.inPlace.allocsPerPoint", 14, "max"),
+    ("gridSweep.expansion.inPlace.allocsPerPoint", 10, "max"),
+    # Building the canonical grid's source from its document: the base
+    # tree lowered once, each axis path compiled into a typed writer,
+    # each of the 16 values probed in one reused spec, the base
+    # materialized (286; 600 while the probes and points wrote a pooled
+    # copy of the base document). Exact, so the bar is the count.
+    ("gridSweep.construction.allocs", 286, "max"),
     # The single-point front end: each of the 27 paper studies' one-
     # point documents through sweepDocumentFromJson(text), source()
     # and at(0), in heap allocations per study (234.04; 243.5 while
@@ -70,10 +78,11 @@ FLOORS = [
     # Materialize: each canonical grid point on a sweep worker's point
     # path, whose spec is built in place as well (0: the worker's
     # SpecPoint holds a copy of the grid's lowered and of its
-    # materialized base, and a point re-lowers only its axes' members,
-    # rewrites its name in the spec's own buffer and re-runs only the
-    # checks and parts those feed; 14 while every point copied the
-    # whole spec, all of them expansion's, and 54 more while every
+    # materialized base, and a point stores its axis values through the
+    # typed writers, rewrites its name in the spec's own buffer and
+    # re-runs only the checks and parts those fields feed; 14 while
+    # every point copied the whole spec, all of them expansion's, and
+    # 54 more while every
     # point validated and materialized its whole spec), and each of
     # the 27 paper studies through the whole path (51.56; 58.78 while
     # the Design held its mapping as a std::map of stage and hardware

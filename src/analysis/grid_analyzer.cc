@@ -15,16 +15,13 @@ using spec::SweepDocument;
 
 // --------------------------------------------------------- GridAnalysis
 
-std::vector<size_t>
-GridAnalysis::coords(size_t index) const
+size_t
+GridAnalysis::valueOf(size_t index, size_t axis) const
 {
     // Row-major: first axis outermost, last axis fastest.
-    std::vector<size_t> out(axisSizes_.size(), 0);
-    for (size_t i = axisSizes_.size(); i-- > 0;) {
-        out[i] = index % axisSizes_[i];
+    for (size_t i = axisSizes_.size(); --i > axis;)
         index /= axisSizes_[i];
-    }
-    return out;
+    return index % axisSizes_[axis];
 }
 
 bool
@@ -34,11 +31,8 @@ GridAnalysis::doomed(size_t index) const
         return false;
     if (pointListMode_)
         return doomedPoints_.count(index) > 0;
-    if (axisSizes_.empty())
-        return false;
-    std::vector<size_t> c = coords(index);
-    for (size_t i = 0; i < c.size(); ++i) {
-        if (doomedValues_[i].count(c[i]))
+    for (size_t i = 0; i < axisSizes_.size(); ++i) {
+        if (doomedValues_[i].count(valueOf(index, i)))
             return true;
     }
     return false;
@@ -56,11 +50,8 @@ GridAnalysis::justification(size_t index) const
             out = it->second;
         return out;
     }
-    if (axisSizes_.empty())
-        return out;
-    std::vector<size_t> c = coords(index);
-    for (size_t i = 0; i < c.size(); ++i) {
-        auto it = doomedValues_[i].find(c[i]);
+    for (size_t i = 0; i < axisSizes_.size(); ++i) {
+        auto it = doomedValues_[i].find(valueOf(index, i));
         if (it != doomedValues_[i].end())
             out.insert(out.end(), it->second.begin(),
                        it->second.end());
@@ -71,10 +62,13 @@ GridAnalysis::justification(size_t index) const
 size_t
 GridAnalysis::prunedPoints() const
 {
-    size_t n = 0;
-    for (size_t i = 0; i < total_; ++i)
-        n += doomed(i) ? 1 : 0;
-    return n;
+    if (pointListMode_)
+        return doomedPoints_.size();
+    // A cartesian point survives when each of its values does.
+    size_t surviving = 1;
+    for (size_t i = 0; i < axisSizes_.size(); ++i)
+        surviving *= axisSizes_[i] - doomedValues_[i].size();
+    return total_ - surviving;
 }
 
 std::string
@@ -218,8 +212,7 @@ GridAnalyzer::analyze(const GridSpecSource &source) const
         std::vector<const json::Value *> coords(grid.axes.size(), nullptr);
         std::vector<size_t> depAxes;
         for (size_t a = 0; a < grid.axes.size(); ++a) {
-            const std::string &root = source.axisPaths_[a][0].member;
-            if ((lifted.reads & specMemberBit(root)) != 0)
+            if ((lifted.reads & source.axes_[a].root) != 0)
                 depAxes.push_back(a);
         }
         for (size_t ai = 0; ai < depAxes.size(); ++ai) {

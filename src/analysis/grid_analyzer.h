@@ -42,7 +42,8 @@ class GridAnalysis
     /** Points the grid expands to. */
     size_t totalPoints() const { return total_; }
 
-    /** Points proven infeasible. */
+    /** Points proven infeasible, counted in closed form: a cartesian
+     *  point is pruned when any of its values is doomed. */
     size_t prunedPoints() const;
 
     /** True when point @p index (global grid index, row-major) is
@@ -74,7 +75,8 @@ class GridAnalysis
     /** Point-list mode: doomed point index -> why. */
     std::map<size_t, std::vector<Diagnostic>> doomedPoints_;
 
-    std::vector<size_t> coords(size_t index) const;
+    /** Point @p index's value on axis @p axis. */
+    size_t valueOf(size_t index, size_t axis) const;
 };
 
 /** The grid analyzer: the liftable rules + interval evaluation. */
@@ -156,8 +158,8 @@ struct DocumentLint
     std::optional<spec::SweepDocument> sweep;
     /** The grid source lint built over it (set with sweep), so a
      *  caller that runs the document shards this one instead of
-     *  building and probing the grid again. Shared: a source cannot
-     *  be moved. */
+     *  building and probing the grid again. Shared with the jobs that
+     *  run it. */
     std::shared_ptr<const spec::GridSpecSource> source;
     /** Its grid's infeasibility analysis, valid when sweep is set. */
     GridAnalysis grid;

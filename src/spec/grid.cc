@@ -80,7 +80,7 @@ objectKeys(const Value &node)
 }
 
 /** Call @p visit on every element a segment's selector names within
- *  @p child. @throws ConfigError when it names none. */
+ *  @p child, with its index. @throws ConfigError when it names none. */
 template <typename Visit>
 void
 forEachSelected(Value &child, const SpecPathSegment &seg,
@@ -98,8 +98,8 @@ forEachSelected(Value &child, const SpecPathSegment &seg,
                   "sweepGrid: path '%s': '%s[*]' matches no elements "
                   "(the array is empty)", path.c_str(),
                   seg.member.c_str());
-        for (Value &e : arr)
-            visit(e);
+        for (size_t k = 0; k < arr.size(); ++k)
+            visit(arr[k], k);
     } else if (isIndexSelector(seg.selector)) {
         // Over-long digit strings would overflow stoull; anything
         // past 12 digits can't index a real array anyway.
@@ -113,7 +113,7 @@ forEachSelected(Value &child, const SpecPathSegment &seg,
                   "sweepGrid: path '%s': index %zu out of range "
                   "(array '%s' has %zu elements)", path.c_str(), idx,
                   seg.member.c_str(), arr.size());
-        visit(arr[idx]);
+        visit(arr[idx], idx);
     } else {
         auto nameOf = [](const Value &e) {
             const Value *n = e.find("name");
@@ -121,11 +121,11 @@ forEachSelected(Value &child, const SpecPathSegment &seg,
                                                  : nullptr;
         };
         bool matched = false;
-        for (Value &e : arr) {
-            const std::string *n = nameOf(e);
+        for (size_t k = 0; k < arr.size(); ++k) {
+            const std::string *n = nameOf(arr[k]);
             if (n != nullptr && *n == seg.selector) {
                 matched = true;
-                visit(e);
+                visit(arr[k], k);
             }
         }
         if (!matched) {
@@ -143,13 +143,21 @@ forEachSelected(Value &child, const SpecPathSegment &seg,
     }
 }
 
+/** What a trail entry holds for a segment without a selector. */
+constexpr size_t kWhole = SIZE_MAX;
+
+constexpr SpecMemberMask kName = specMemberBit("name");
+
 /** Call @p visit on every node a parsed path addresses within
- *  @p node, from segment @p i on.
+ *  @p node, from segment @p i on; @p trail, one entry per segment,
+ *  holds the element each selector picked on the way (kWhole for
+ *  none).
  *  @throws ConfigError naming the path and the failing segment. */
 template <typename Visit>
 void
 forEachTarget(Value &node, const std::vector<SpecPathSegment> &segments,
-              size_t i, const std::string &path, Visit &&visit)
+              size_t i, const std::string &path, std::vector<size_t> &trail,
+              Visit &&visit)
 {
     const SpecPathSegment &seg = segments[i];
     if (!node.isObject())
@@ -164,16 +172,17 @@ forEachTarget(Value &node, const std::vector<SpecPathSegment> &segments,
               "first", path.c_str(), seg.member.c_str(),
               objectKeys(node).c_str());
 
-    auto descend = [&](Value &next) {
+    auto descend = [&](Value &next, size_t element) {
+        trail[i] = element;
         if (i + 1 == segments.size())
             visit(next);
         else
-            forEachTarget(next, segments, i + 1, path, visit);
+            forEachTarget(next, segments, i + 1, path, trail, visit);
     };
     if (seg.hasSelector)
         forEachSelected(*child, seg, path, descend);
     else
-        descend(*child);
+        descend(*child, kWhole);
 }
 
 /** A GridSpecSource id no other instance of this process has had. */
@@ -250,6 +259,17 @@ SweepGrid::validate() const
             fatal(Rule::E018, "sweepGrid: axis '%s' has no values",
                   axis.name.c_str());
         parseSpecPath(axis.path); // throws on malformed paths
+    }
+    if (pointList.empty()) {
+        size_t n = 1;
+        for (const GridAxis &axis : axes) {
+            if (axis.values.size() > kMaxPoints / n)
+                fatal(Rule::E018,
+                      "sweepGrid: the axes' value counts multiply past "
+                      "2^53 (%zu) points, the largest point index a "
+                      "JSONL result carries exactly", kMaxPoints);
+            n *= axis.values.size();
+        }
     }
     if (!pointList.empty()) {
         if (axes.empty())
@@ -331,35 +351,63 @@ gridFromJson(const json::Value &block)
 
 // ---------------------------------------------------------- expansion
 
-/** One reusable expansion buffer: a copy of the base document, and the
- *  undo log of the build in progress — every slot a write displaced,
- *  with the value it held. Replaying the log in reverse restores the
- *  base document for any overlap of axis paths: moving a container
- *  Value moves only its pointer, so a slot inside a displaced subtree
- *  is live again by the time its own entry is replayed. */
-struct GridSpecSource::Workspace
+namespace
 {
-    json::Value doc;
-    std::vector<std::pair<json::Value *, json::Value>> undo;
-};
+
+/** The field of @p owner, an object of table @p t, spelled @p key;
+ *  null when neither the table nor the owner's variant has one. */
+const Field *
+fieldNamed(const FieldTable &t, void *owner, std::string_view key)
+{
+    for (const FieldTable *table : {&t, variantOf(t, owner)}) {
+        if (table == nullptr)
+            continue;
+        for (const Field &f : table->fields) {
+            if (f.key == key)
+                return &f;
+        }
+    }
+    return nullptr;
+}
+
+bool
+isScalar(FieldKind kind)
+{
+    return kind != FieldKind::Shape && kind != FieldKind::StringList &&
+           kind != FieldKind::Object && kind != FieldKind::ObjectList;
+}
+
+} // namespace
+
+void *
+GridSpecSource::Hop::into(void *owner) const
+{
+    void *p = field->at(owner);
+    if (element == kWhole)
+        return p;
+    return element < field->nested->size(p)
+               ? field->nested->element(p, element)
+               : nullptr;
+}
 
 GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
     : baseName_(base.name), grid_(std::move(grid)), id_(nextSourceId())
 {
     grid_.validate();
     total_ = grid_.points();
-    if (grid_.pointList.empty()) {
-        size_t stride = total_;
-        for (const GridAxis &axis : grid_.axes) {
-            stride /= axis.values.size();
-            strides_.push_back(stride);
-        }
-    }
     if (grid_.axes.empty()) {
         // The one point is the base spec as given: there is nothing to
         // write into a document, so no document is built.
         baseSpec_ = base;
         return;
+    }
+    const bool listed = !grid_.pointList.empty();
+    if (!listed) {
+        size_t stride = total_;
+        for (const GridAxis &axis : grid_.axes) {
+            stride /= axis.values.size();
+            strides_.push_back(stride);
+        }
     }
     // Axes expand from the canonical tree toJsonValue writes: a path
     // may name a member only that tree carries, such as a nodeNm the
@@ -367,34 +415,85 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
     // tree's lowering, not from the spec given: the tree drops what
     // the serializer drops (an Input stage's inputSize), and a point
     // must be the lowering of its written tree.
-    baseDoc_ = toJsonValue(base);
-    baseSpec_ = fromJsonValue(baseDoc_);
-    axisPaths_.reserve(grid_.axes.size());
-    for (const GridAxis &axis : grid_.axes) {
-        axisPaths_.push_back(parseSpecPath(axis.path));
-        // The path must resolve in the base document.
-        forEachTarget(baseDoc_, axisPaths_.back(), 0, axis.path,
-                      [](Value &) {});
-    }
-    // An axis writes only inside the member its path is rooted at, so
-    // those members are all a point re-lowers.
-    for (const SpecMember &member : specMembers()) {
-        for (const std::vector<SpecPathSegment> &path : axisPaths_) {
-            if (path.front().member == member.key) {
-                axisMembers_.push_back(&member);
-                break;
+    Value doc = toJsonValue(base);
+    baseSpec_ = fromJsonValue(doc);
+    writes_ = kName;
+    SpecMemberMask reshaped = 0;
+    axes_.resize(grid_.axes.size());
+    for (size_t a = 0; a < axes_.size(); ++a) {
+        Axis &axis = axes_[a];
+        axis.path = parseSpecPath(grid_.axes[a].path);
+        // The path must resolve in the base document. Each target it
+        // selects there is a chain of fields of the lowered base, which
+        // the tree mirrors key for key, except the version.
+        std::vector<size_t> trail(axis.path.size());
+        forEachTarget(doc, axis.path, 0, grid_.axes[a].path, trail,
+                      [&](Value &) {
+            const FieldTable *table = &kSpecTable;
+            void *owner = &baseSpec_;
+            for (size_t i = 0; i < trail.size(); ++i) {
+                const Field *f =
+                    fieldNamed(*table, owner, axis.path[i].member);
+                // Writing a unit's kind, which picks the fields its
+                // element has, or a list element whole, is lowering the
+                // element again.
+                if (f == nullptr ||
+                    (!table->variants.empty() && f == table->fields.data()) ||
+                    (i + 1 == trail.size() && trail[i] != kWhole &&
+                     f->kind == FieldKind::ObjectList)) {
+                    axis.viaTree = true;
+                    return;
+                }
+                axis.hops.push_back({f, trail[i]});
+                if (i + 1 < trail.size()) {
+                    owner = axis.hops.back().into(owner);
+                    table = f->nested;
+                }
             }
+        });
+        const Hop *leaf = axis.hops.empty() ? nullptr : &axis.hops.back();
+        axis.root = specMemberBit(axis.path.front().member);
+        // A write to a scalar other than a name leaves the tree's shape
+        // and names as they were, so a later axis resolves as in the
+        // base; after any other write, a later path in the same member
+        // is resolved on the tree.
+        axis.viaTree = axis.viaTree || (reshaped & axis.root) != 0;
+        if (axis.viaTree || leaf->field->key == "name" ||
+            (leaf->element == kWhole && !isScalar(leaf->field->kind)))
+            reshaped |= axis.root;
+        const bool inElement = !axis.viaTree && axis.path.size() > 1 &&
+                               axis.hops.front().element != kWhole;
+        axis.writes = inElement ? specFieldBits(axis.path[0].member,
+                                                axis.path[1].member)
+                                : axis.root;
+        writes_ |= axis.writes;
+        roots_ |= axis.root;
+        // A cartesian axis's name fragments ("rate=30"), spelled once.
+        for (size_t v = 0; !listed && v < grid_.axes[a].values.size(); ++v) {
+            std::string &fragment =
+                axis.fragments.emplace_back(grid_.axes[a].name);
+            fragment += '=';
+            appendAxisValue(fragment, grid_.axes[a].values[v]);
         }
     }
-    // Build every distinct value of every axis, so a value that does
+    // The tree route starts from the axes' members of the base tree,
+    // kept when an axis takes it at every point.
+    for (const Axis &axis : axes_) {
+        if (axis.viaTree) {
+            treeBase_ = toJsonValue(baseSpec_, roots_);
+            break;
+        }
+    }
+    // Build every value of every axis, so a value that does
     // not produce a valid spec (a wrong type, an unknown enum token,
     // a rename a later axis's selector no longer finds) fails here
     // with its axis named — not mid-sweep on a worker. The other axes
     // sit at their front values on a cartesian grid and keep their
-    // base values on a point list; one probe per distinct value keeps
-    // a 100k-point list cheap to open. Cross-axis interactions beyond
-    // that surface at expansion.
-    const bool listed = !grid_.pointList.empty();
+    // base values on a point list, whose values are probed once each
+    // however many points repeat them, so a 100k-point list is cheap
+    // to open. Cross-axis interactions beyond that surface at
+    // expansion.
+    DesignSpec probed;
     std::vector<const Value *> coords(grid_.axes.size(), nullptr);
     if (!listed) {
         for (size_t a = 0; a < grid_.axes.size(); ++a)
@@ -402,18 +501,22 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
     }
     for (size_t a = 0; a < grid_.axes.size(); ++a) {
         const Value *const held = coords[a];
-        // Dedup by hash fast-path + structural equality.
+        // A point list's values, deduplicated by hash fast-path +
+        // structural equality.
         std::unordered_map<uint64_t, std::vector<const Value *>> seen;
         auto tryValue = [&](const Value &v) {
-            auto &bucket = seen[v.hash()];
-            for (const Value *p : bucket) {
-                if (*p == v)
-                    return;
+            if (listed) {
+                auto &bucket = seen[v.hash()];
+                for (const Value *p : bucket) {
+                    if (*p == v)
+                        return;
+                }
+                bucket.push_back(&v);
             }
-            bucket.push_back(&v);
             coords[a] = &v;
             try {
-                probe(coords);
+                probed = baseSpec_; // reuses the last probe's buffers
+                build([&coords](size_t b) { return coords[b]; }, probed);
             } catch (const ConfigError &e) {
                 fatal(e.rule(),
                       "sweepGrid: axis '%s' %s %s does not produce a "
@@ -431,82 +534,89 @@ GridSpecSource::GridSpecSource(const DesignSpec &base, SweepGrid grid)
         }
         coords[a] = held;
     }
-    // Every point is the base with its axes' members and its name
+    // Every point is the base with its axes' fields and its name
     // rewritten, so it is materialized from the base by redoing what
-    // those members feed. A base that does not build leaves every
-    // point on the whole path, which reports the failure per point.
-    pointMembers_ = specMemberBit("name");
-    for (const SpecMember *member : axisMembers_)
-        pointMembers_ |= specMemberBit(member->key);
+    // those feed. A base that does not build leaves every point on the
+    // whole path, which reports the failure per point.
     try {
         baseBuilt_ = std::make_shared<const MaterializedSpec>(baseSpec_);
     } catch (const std::exception &) {
         // baseBuilt_ stays null.
     }
+    // Each point spells its own name, so the base's copies carry none.
+    baseSpec_.name.clear();
 }
 
-GridSpecSource::GridSpecSource(const GridSpecSource &other)
-    : baseSpec_(other.baseSpec_), baseDoc_(other.baseDoc_),
-      baseName_(other.baseName_), grid_(other.grid_),
-      axisPaths_(other.axisPaths_), axisMembers_(other.axisMembers_),
-      baseBuilt_(other.baseBuilt_), pointMembers_(other.pointMembers_),
-      total_(other.total_), strides_(other.strides_), id_(nextSourceId())
+bool
+GridSpecSource::write(const Axis &axis, const Value &v, DesignSpec &spec)
 {
-    // The workspace pool and the id are per-instance: the copy starts
-    // with an empty pool and fills SpecPoints of its own.
-}
-
-GridSpecSource::~GridSpecSource() = default;
-
-std::unique_ptr<GridSpecSource::Workspace>
-GridSpecSource::acquireWorkspace() const
-{
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        if (!pool_.empty()) {
-            std::unique_ptr<Workspace> ws = std::move(pool_.back());
-            pool_.pop_back();
-            return ws;
+    const size_t depth = axis.path.size();
+    for (size_t t = 0; t < axis.hops.size(); t += depth) {
+        void *owner = &spec;
+        for (size_t h = t; owner != nullptr && h + 1 < t + depth; ++h)
+            owner = axis.hops[h].into(owner);
+        if (owner == nullptr)
+            return false;
+        const Hop &leaf = axis.hops[t + depth - 1];
+        void *field = leaf.field->at(owner);
+        if (leaf.element == kWhole) {
+            assignField(*leaf.field, v, owner);
+        } else if (leaf.field->kind == FieldKind::Shape) {
+            Shape &s = *static_cast<Shape *>(field);
+            (leaf.element == 0   ? s.width
+             : leaf.element == 1 ? s.height
+                                 : s.channels) = v.asInt();
+        } else {
+            auto &list = *static_cast<std::vector<std::string> *>(field);
+            if (leaf.element >= list.size())
+                return false;
+            list[leaf.element] = v.asString();
         }
     }
-    auto ws = std::make_unique<Workspace>();
-    ws->doc = baseDoc_;
-    return ws;
-}
-
-void
-GridSpecSource::releaseWorkspace(std::unique_ptr<Workspace> ws) const
-{
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    pool_.push_back(std::move(ws));
+    return true;
 }
 
 template <typename Coord>
-void
+bool
 GridSpecSource::build(Coord coord, DesignSpec &spec) const
 {
-    std::unique_ptr<Workspace> ws = acquireWorkspace();
-    auto write = [&ws](Value &slot, const Value &value) {
-        ws->undo.emplace_back(&slot, std::move(slot));
-        slot = value;
-    };
-    for (size_t a = 0; a < grid_.axes.size(); ++a) {
-        if (const Value *v = coord(a))
-            forEachTarget(ws->doc, axisPaths_[a], 0, grid_.axes[a].path,
-                          [&](Value &slot) { write(slot, *v); });
+    bool typed = true;
+    for (size_t a = 0; a < axes_.size(); ++a)
+        typed = typed && !(axes_[a].viaTree && coord(a) != nullptr);
+    try {
+        for (size_t a = 0; typed && a < axes_.size(); ++a) {
+            if (const Value *v = coord(a))
+                typed = write(axes_[a], *v, spec);
+        }
+        if (typed)
+            return true;
+    } catch (const ConfigError &) {
+        // Which write fails first, and the text it fails with, follow
+        // the tree: the tree route spells it.
     }
-    for (const SpecMember *member : axisMembers_)
-        member->lower(ws->doc, spec);
-    for (auto it = ws->undo.rbegin(); it != ws->undo.rend(); ++it)
-        *it->first = std::move(it->second);
-    ws->undo.clear();
-    releaseWorkspace(std::move(ws));
+    // The tree route: the axes' members of the base tree, written and
+    // lowered over spec's, whose other members are the base's.
+    Value doc = treeBase_.isNull() ? toJsonValue(baseSpec_, roots_)
+                                   : treeBase_;
+    if (Value *name = doc.find("name"))
+        *name = Value(baseName_);
+    std::vector<size_t> trail;
+    for (size_t a = 0; a < axes_.size(); ++a) {
+        if (const Value *v = coord(a)) {
+            trail.resize(axes_[a].path.size());
+            forEachTarget(doc, axes_[a].path, 0, grid_.axes[a].path, trail,
+                          [v](Value &slot) { slot = *v; });
+        }
+    }
+    fromJsonValue(doc, roots_, spec);
+    return false;
 }
 
 DesignSpec
 GridSpecSource::probe(const std::vector<const Value *> &coords) const
 {
     DesignSpec spec = baseSpec_;
+    spec.name = baseName_;
     build([&coords](size_t a) { return coords[a]; }, spec);
     return spec;
 }
@@ -514,9 +624,9 @@ GridSpecSource::probe(const std::vector<const Value *> &coords) const
 const Value *
 GridSpecSource::coord(size_t index, size_t a) const
 {
-    // Row-major for cartesian grids: first axis outermost.
     if (!grid_.pointList.empty())
         return &grid_.pointList[index][a];
+    // Row-major for cartesian grids: first axis outermost.
     const std::vector<Value> &values = grid_.axes[a].values;
     return &values[(index / strides_[a]) % values.size()];
 }
@@ -524,14 +634,26 @@ GridSpecSource::coord(size_t index, size_t a) const
 void
 GridSpecSource::pointName(size_t index, std::string &name) const
 {
+    // A cartesian point's name is joined from fragments, sized first so
+    // that it is allocated once; a point list's is spelled per point.
+    auto fragment = [&](size_t a) -> const std::string & {
+        return axes_[a].fragments[coord(index, a) -
+                                  grid_.axes[a].values.data()];
+    };
+    size_t size = baseName_.size() + axes_.size();
+    for (size_t a = 0; grid_.pointList.empty() && a < axes_.size(); ++a)
+        size += fragment(a).size();
+    name.reserve(size);
     name.assign(baseName_);
-    name += '/';
-    for (size_t a = 0; a < grid_.axes.size(); ++a) {
-        if (a > 0)
-            name += ',';
-        name += grid_.axes[a].name;
-        name += '=';
-        appendAxisValue(name, *coord(index, a));
+    for (size_t a = 0; a < axes_.size(); ++a) {
+        name += a == 0 ? '/' : ',';
+        if (grid_.pointList.empty()) {
+            name += fragment(a);
+        } else {
+            name += grid_.axes[a].name;
+            name += '=';
+            appendAxisValue(name, grid_.pointList[index][a]);
+        }
     }
 }
 
@@ -541,9 +663,9 @@ GridSpecSource::at(size_t index) const
     if (index >= total_)
         fatal("GridSpecSource: point %zu out of range (grid has %zu "
               "points)", index, total_);
-    if (grid_.axes.empty())
-        return baseSpec_;
     DesignSpec spec = baseSpec_;
+    if (axes_.empty())
+        return spec;
     build([&](size_t a) { return coord(index, a); }, spec);
     pointName(index, spec.name);
     return spec;
@@ -555,29 +677,33 @@ GridSpecSource::pointAt(size_t index, SpecPoint &point) const
     if (index >= total_)
         fatal("GridSpecSource: point %zu out of range (grid has %zu "
               "points)", index, total_);
-    // A point this source filled holds the base in every member but
-    // the axes' and the name, which are rewritten below; any other
-    // starts over.
+    // A point this source filled holds the base in every field but the
+    // axes' and the name, which are rewritten below; any other starts
+    // over.
     if (point.sourceId != id_) {
         point.spec = baseSpec_;
         point.built.reset();
         point.error = nullptr;
         point.sourceId = id_;
     }
-    if (grid_.axes.empty())
+    if (axes_.empty())
         return;
-    build([&](size_t a) { return coord(index, a); }, point.spec);
+    // A build that throws leaves the spec half written.
+    point.sourceId = 0;
+    const bool typed =
+        build([&](size_t a) { return coord(index, a); }, point.spec);
+    point.sourceId = id_;
     pointName(index, point.spec.name);
     if (!baseBuilt_)
         return;
-    // Every member outside pointMembers_ is the base's here too.
     if (!point.built)
         point.built = *baseBuilt_;
     // What spec.materialize() would throw is handed over, not thrown:
-    // the evaluator reports it as the whole path does.
+    // the evaluator reports it as the whole path does. A point the tree
+    // built may differ from the last anywhere in the axes' members.
     point.error = nullptr;
     try {
-        point.built->rebuild(point.spec, pointMembers_);
+        point.built->rebuild(point.spec, typed ? writes_ : roots_ | kName);
     } catch (...) {
         point.error = std::current_exception();
     }

@@ -22,7 +22,7 @@
  * selector — `memories[ActBuf]` (element whose "name" is ActBuf),
  * `stages[2]` (index), `memories[*]` (every element). Expansion is
  * LAZY: GridSpecSource builds point i when a sweep asks for it, off a
- * shared parsed base document, so a 10k-point grid never exists as a
+ * shared lowered base, so a 10k-point grid never exists as a
  * vector. Each point's design name is suffixed with its coordinates
  * ("detector/rate=30,node=65"), keeping every point's identity stable
  * and diffable.
@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -109,12 +108,18 @@ struct SweepGrid
 
     /** Total design points: the explicit point count when a point
      *  list is declared, else the product of axis sizes (1 when no
-     *  axes — the base spec itself). */
+     *  axes — the base spec itself). Exact for a grid validate()
+     *  accepts. */
     size_t points() const;
 
+    /** The most points a cartesian grid may have: 2^53, the largest
+     *  point index a JSONL "index" number carries exactly. */
+    static constexpr size_t kMaxPoints = size_t{1} << 53;
+
     /** Structural validation: non-empty unique axis names,
-     *  well-formed paths, non-empty value lists (cartesian mode) or
-     *  axis-arity-matching tuples (point-list mode).
+     *  well-formed paths, non-empty value lists whose sizes multiply
+     *  to at most kMaxPoints (cartesian mode) or axis-arity-matching
+     *  tuples (point-list mode).
      *  @throws ConfigError. */
     void validate() const;
 };
@@ -134,54 +139,46 @@ SweepGrid gridFromJson(const json::Value &block);
  * document built, converted or probed. That is every single-design
  * document (one without "sweepGrid"), evaluated as parsed.
  *
- * A grid with axes expands from the canonical tree toJsonValue
- * writes, because an axis path may name a member only that tree
- * carries (a defaulted nodeNm, say). Construction converts that base
- * document once, lowers it once with fromJsonValue, parses every axis
- * path once and records the member-table entries (specMembers()) the
- * paths are rooted at. Each point is then built in a pooled workspace
- * copy of the document: axes apply in declaration order, each path
- * resolved against the document as the earlier axes left it (so an
- * axis may overlap or rename what a later axis selects), and every
- * value a write displaces goes to the workspace's undo log. The point
- * is a copy of the lowered base with only the recorded members
- * re-lowered from the workspace, in table order; then the log is
- * replayed in reverse. No text re-parse, no per-point document clone
- * or whole-document lowering, no pre-materialized vector.
+ * A point with axes is defined on the canonical tree toJsonValue
+ * writes for the base, since a path may name a member only that tree
+ * carries (a defaulted nodeNm, say): each axis writes its value at
+ * every node its path selects in the tree the earlier axes left, and
+ * the point is the written tree's lowering. Construction lowers the
+ * base tree once, resolves each path in it (refusing one the tree
+ * does not carry) and compiles it into a typed writer: per target, the
+ * chain of Field entries and list elements reaching it in the lowered
+ * base. A point is a copy of the lowered base with each value stored
+ * by assignField, lowering's own reader, and a name joined from
+ * "axis=value" fragments spelled once per value (a point list's is
+ * spelled from its own tuple).
  *
- * That equals fromJsonValue of the point's written tree: an axis
- * writes only inside the member its path is rooted at, and every
- * DesignSpec field is lowered from exactly one member, so a member no
- * axis writes lowers to the base's value. A failing point throws the
- * text fromJsonValue would, because the written members lower in the
- * table's order and the others cannot fail.
+ * Where the tree's shape or names could move under a write (an axis
+ * on a version or a unit's kind, a list element written whole, any
+ * path in a member an earlier axis renamed or wrote whole), and for a
+ * point a write refuses, the axes' members of the base tree are
+ * written and lowered instead (the other members cannot differ or
+ * fail), so a refusal has the whole lowering's text.
  *
- * A grid with axes also validates and materializes its lowered base
- * once, at construction (MaterializedSpec). pointAt() then hands a
- * sweep worker each point built in place: the worker's SpecPoint
- * holds a copy of the lowered base, made once, into which each point
- * re-lowers only its axes' members and rewrites its name, and a copy
- * of the materialized base, in which each point re-runs only the
- * checks and parts that those members and its name feed
- * (MaterializedSpec::rebuild), so the point's spec is at(index) and
- * its Design, or the error it fails with, is the one
- * spec.materialize() gives. A point another source filled starts
- * over from the base (SpecPoint::sourceId). When the base does not
- * validate or materialize, points are handed over unmaterialized and
- * take the whole path; so are the points of a grid without axes,
- * which is materialized once, by its evaluator.
+ * The base is also validated and materialized once (MaterializedSpec).
+ * pointAt() builds each point in the worker's SpecPoint in place: its
+ * spec is a copy of the lowered base, made once, and its Design a copy
+ * of the materialized base in which a point re-runs only the checks
+ * and parts its written fields feed (MaterializedSpec::rebuild), so it
+ * is at(index) and spec.materialize()'s Design or error. A point
+ * another source filled starts over (SpecPoint::sourceId). Without a
+ * materialized base (no axes, or a base that fails) points take the
+ * evaluator's whole path.
  *
- * at() and pointAt() are thread-safe, so sweep workers expand points
- * in parallel: workspaces are handed out under a mutex, and the
- * lowered and materialized bases are read-only after construction.
+ * Everything is read-only after construction, so at() and pointAt()
+ * are thread-safe and sweep workers expand points in parallel.
  */
 class GridSpecSource : public SpecSource
 {
   public:
     /**
      * Validates the grid against the base document up front: every
-     * axis path must resolve in the base document, and every distinct
-     * axis value must build a spec (other axes at their front values
+     * axis path must resolve in the base document, and every axis
+     * value must build a spec (other axes at their front values
      * on a cartesian grid, at their base values on a point list), so a
      * bad grid fails here with its axis named — never thousands of
      * points into a sweep on a worker thread.
@@ -189,12 +186,6 @@ class GridSpecSource : public SpecSource
      * @throws ConfigError.
      */
     GridSpecSource(const DesignSpec &base, SweepGrid grid);
-
-    GridSpecSource(const GridSpecSource &other);
-
-    /** Out-of-line: the workspace pool holds an incomplete type
-     *  here. */
-    ~GridSpecSource() override;
 
     /** The spec of point @p index: a copy of the base built by the
      *  routine pointAt() builds in place with. */
@@ -209,39 +200,57 @@ class GridSpecSource : public SpecSource
      *  probe is exactly the point the sweep builds. */
     friend class analysis::GridAnalyzer;
 
-    /** One reusable expansion buffer: a copy of the base document
-     *  plus the undo log of the build in progress. */
-    struct Workspace;
+    /** One step of a compiled path: a field of the object the step
+     *  before reached, and the list or shape element it selects
+     *  (SIZE_MAX: the field whole). */
+    struct Hop
+    {
+        const Field *field;
+        size_t element;
 
-    /** Every point starts as a copy of this: the base spec as given
-     *  without axes, fromJsonValue(baseDoc_) with axes. */
+        /** The object this step reaches from @p owner; null when the
+         *  list there has no such element. */
+        void *into(void *owner) const;
+    };
+
+    struct Axis
+    {
+        std::vector<SpecPathSegment> path;
+        /** The typed writer: path.size() hops per target. */
+        std::vector<Hop> hops;
+        /** Written on the tree (see the class comment). */
+        bool viaTree = false;
+        /** The member the path is rooted at, and the fields it writes. */
+        SpecMemberMask root = 0;
+        SpecMemberMask writes = 0;
+        /** A cartesian axis's name fragment per value ("rate=30"). */
+        std::vector<std::string> fragments;
+    };
+
+    /** The lowered base; without axes, the base as given. With axes it
+     *  has no name: every point spells its own. */
     DesignSpec baseSpec_;
-    /** The canonical base document axes expand from (null without
-     *  axes). */
-    json::Value baseDoc_;
     std::string baseName_;
     SweepGrid grid_;
-    /** Axis paths parsed once at construction (same order as
-     *  grid_.axes). */
-    std::vector<std::vector<SpecPathSegment>> axisPaths_;
-    /** The specMembers() entries the axis paths are rooted at, in
-     *  table order: the only members a point re-lowers. */
-    std::vector<const SpecMember *> axisMembers_;
+    std::vector<Axis> axes_;
+    /** The base tree's members in roots_, where the tree route
+     *  writes, when an axis is always written there (null else). */
+    json::Value treeBase_;
     /** baseSpec_ materialized, when the grid has axes and the base
      *  validates and materializes; null otherwise. Shared by copies. */
     std::shared_ptr<const MaterializedSpec> baseBuilt_;
-    /** The members a point may differ from baseSpec_ in: the axes'
-     *  root members and the name. */
-    SpecMemberMask pointMembers_ = 0;
+    /** What a point may differ from the last in, besides its name:
+     *  the fields the writers write, or, on the tree, the members the
+     *  axes are rooted at. */
+    SpecMemberMask writes_ = 0;
+    SpecMemberMask roots_ = 0;
     size_t total_ = 0;
     /** Per axis of a cartesian grid, the points between two of its
      *  values in row-major order. */
     std::vector<size_t> strides_;
-    /** This instance's SpecPoint::sourceId, unique in the process
-     *  (a copy gets its own). */
+    /** This source's SpecPoint::sourceId, unique in the process to it
+     *  and its copies. */
     uint64_t id_ = 0;
-    mutable std::mutex poolMutex_;
-    mutable std::vector<std::unique_ptr<Workspace>> pool_;
 
     /** Point @p index's value of axis @p a. */
     const json::Value *coord(size_t index, size_t a) const;
@@ -251,27 +260,30 @@ class GridSpecSource : public SpecSource
     void pointName(size_t index, std::string &name) const;
 
     /**
-     * Set axis a to coord(a) for every axis whose coord(a) is not
-     * null, in declaration order, in @p spec, which holds the lowered
-     * base in every member no axis is rooted at (a copy of baseSpec_,
-     * or a spec this routine wrote before). The one routine behind
-     * every point, construction probe and GridAnalyzer probe: the
-     * axes are written into a workspace document, and axisMembers_
-     * are re-lowered from it into @p spec; the name is left as the
-     * lowering leaves it (the base name unless an axis writes "name",
-     * which only probes read). A throw drops the workspace.
+     * Write axis a's value coord(a), for every axis whose coord(a) is
+     * not null, in declaration order, into @p spec, which holds the
+     * lowered base in every member no axis is rooted at: by the typed
+     * writers, or on the tree. The one routine behind every point,
+     * construction probe and GridAnalyzer probe. The name is left as it
+     * was unless an axis is rooted at it.
      *
-     * @throws ConfigError when a path does not resolve or a written
-     *         member does not convert.
+     * @return Whether the typed writers wrote the point.
+     * @throws ConfigError when the point's tree does not resolve or
+     *         lower.
      */
     template <typename Coord>
-    void build(Coord coord, DesignSpec &spec) const;
+    bool build(Coord coord, DesignSpec &spec) const;
 
-    /** A copy of the base with axis a at *coords[a] where that is not
-     *  null (build()): a construction or GridAnalyzer probe. */
+    /** Write @p v at every target of @p axis in @p spec.
+     *  @return False when a list there is shorter than in the base (a
+     *          later axis wrote it whole).
+     *  @throws ConfigError when the field's reader refuses @p v. */
+    static bool write(const Axis &axis, const json::Value &v,
+                      DesignSpec &spec);
+
+    /** A copy of the base, named, with axis a at *coords[a] where that
+     *  is not null (build()): a GridAnalyzer probe. */
     DesignSpec probe(const std::vector<const json::Value *> &coords) const;
-    std::unique_ptr<Workspace> acquireWorkspace() const;
-    void releaseWorkspace(std::unique_ptr<Workspace> ws) const;
 };
 
 /** Eager expansion, for small grids and tests. @throws ConfigError. */

@@ -50,8 +50,8 @@ struct SpecPoint
      * Set when the source materialized spec: then either error is
      * null and design() is what spec.materialize() returns, or error
      * holds what spec.materialize() throws. Empty: the evaluator
-     * materializes spec itself. The source's workspace: a copy of its
-     * materialized base, rebuilt in place for each point.
+     * materializes spec itself. A grid source keeps a copy of its
+     * materialized base here, rebuilt in place for each point.
      */
     std::optional<MaterializedSpec> built;
     std::exception_ptr error;

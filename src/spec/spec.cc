@@ -661,7 +661,8 @@ enumValue(const void *field)
     return value;
 }
 
-/** The table of @p owner's variant, whose fields follow @p t's. */
+} // namespace
+
 const FieldTable *
 variantOf(const FieldTable &t, void *owner)
 {
@@ -669,6 +670,9 @@ variantOf(const FieldTable &t, void *owner)
         return nullptr;
     return t.variants[static_cast<size_t>(enumValue(t.fields[0].at(owner)))];
 }
+
+namespace
+{
 
 Value writeObject(const FieldTable &t, void *owner);
 
@@ -732,62 +736,72 @@ throwAt(const KeyPath &path, const ConfigError &e)
 void readObject(const FieldTable &t, const Value &obj, void *owner,
                 const KeyPath *path);
 
-/** Read member @p f of @p obj into @p owner, a struct built with its
- *  defaults, which an absent member leaves in place. An error
- *  converting the member names its path; a nested object's fields
- *  name their own. */
+/** Read @p m, the member @p f names, into @p owner, a struct built
+ *  with its defaults. An error converting the member names its path;
+ *  a nested object's fields name their own. */
 void
-readField(const Field &f, const Value &obj, void *owner,
-          const KeyPath *parent)
+readMember(const Field &f, const Value &m, void *owner,
+           const KeyPath *parent)
 {
     const KeyPath path{parent, f.key};
-    const Value *m = obj.find(f.key);
     void *p = f.at(owner);
     try {
-        if (m == nullptr) {
-            if (f.required)
-                obj.at(f.key); // throws, naming what the object has
-            return;
-        }
         switch (f.kind) {
-          case FieldKind::Number: as<double>(p) = m->asNumber(); return;
-          case FieldKind::Int32: as<int>(p) = m->asInt32(); return;
-          case FieldKind::Int64: as<int64_t>(p) = m->asInt(); return;
-          case FieldKind::Bool: as<bool>(p) = m->asBool(); return;
-          case FieldKind::String: as<std::string>(p) = m->asString(); return;
+          case FieldKind::Number: as<double>(p) = m.asNumber(); return;
+          case FieldKind::Int32: as<int>(p) = m.asInt32(); return;
+          case FieldKind::Int64: as<int64_t>(p) = m.asInt(); return;
+          case FieldKind::Bool: as<bool>(p) = m.asBool(); return;
+          case FieldKind::String: as<std::string>(p) = m.asString(); return;
           case FieldKind::Enum: {
-            const int value = tokenValue(*f.tokens, m->asString());
+            const int value = tokenValue(*f.tokens, m.asString());
             std::memcpy(p, &value, sizeof value);
             return;
           }
-          case FieldKind::Shape: as<Shape>(p) = shapeFromJson(*m); return;
+          case FieldKind::Shape: as<Shape>(p) = shapeFromJson(m); return;
           case FieldKind::StringList: {
             auto &list = as<std::vector<std::string>>(p);
             list.clear();
-            list.reserve(m->asArray().size());
-            for (const Value &e : m->asArray())
+            list.reserve(m.asArray().size());
+            for (const Value &e : m.asArray())
                 list.push_back(e.asString());
             return;
           }
           case FieldKind::Object:
             break;
           case FieldKind::ObjectList:
-            f.nested->resize(p, m->asArray().size());
+            f.nested->resize(p, m.asArray().size());
             break;
         }
     } catch (const ConfigError &e) {
         throwAt(path, e);
     }
     if (f.kind == FieldKind::Object) {
-        readObject(*f.nested, *m, p, &path);
+        readObject(*f.nested, m, p, &path);
         if (f.nested->present != nullptr)
             as<bool>(f.nested->present(p)) = true;
         return;
     }
-    const Value::Array &arr = m->asArray();
+    const Value::Array &arr = m.asArray();
     for (size_t i = 0; i < arr.size(); ++i) {
         const KeyPath element{parent, f.key, &arr[i], i};
         readObject(*f.nested, arr[i], f.nested->element(p, i), &element);
+    }
+}
+
+/** Read member @p f of @p obj into @p owner; an absent member leaves
+ *  the default in place. */
+void
+readField(const Field &f, const Value &obj, void *owner,
+          const KeyPath *parent)
+{
+    if (const Value *m = obj.find(f.key)) {
+        readMember(f, *m, owner, parent);
+    } else if (f.required) {
+        try {
+            obj.at(f.key); // throws, naming what the object has
+        } catch (const ConfigError &e) {
+            throwAt({parent, f.key}, e);
+        }
     }
 }
 
@@ -813,7 +827,7 @@ readObject(const FieldTable &t, const Value &obj, void *owner,
 }
 
 void
-lowerVersion(const Value &doc, DesignSpec &)
+checkVersion(const Value &doc)
 {
     int64_t version = 1;
     if (const Value *v = doc.find(kSpecVersionKey)) {
@@ -829,36 +843,30 @@ lowerVersion(const Value &doc, DesignSpec &)
               "reads version 1)", static_cast<long long>(version));
 }
 
-/** Lower top-level member I into @p spec, whatever its field held. */
-template <size_t I>
-void
-lowerField(const Value &doc, DesignSpec &spec)
-{
-    kSpecFields[I].reset(&spec);
-    readField(kSpecFields[I], doc, &spec, nullptr);
-}
-
-template <size_t... I>
-constexpr std::array<SpecMember, 1 + sizeof...(I)>
-memberTable(std::index_sequence<I...>)
-{
-    return {{{kSpecVersionKey.data(), lowerVersion},
-             {kSpecFields[I].key.data(), lowerField<I>}...}};
-}
-
-constexpr std::array kSpecMembers =
-    memberTable(std::make_index_sequence<std::size(kSpecFields)>());
+/** The top-level members: the version, then kSpecFields. */
+constexpr size_t kSpecMembers = 1 + std::size(kSpecFields);
 
 } // namespace
 
+void
+assignField(const Field &f, const Value &value, void *owner)
+{
+    f.reset(owner);
+    readMember(f, value, owner, nullptr);
+}
+
 json::Value
-toJsonValue(const DesignSpec &spec)
+toJsonValue(const DesignSpec &spec, SpecMemberMask members)
 {
     Value o = Value::makeObject();
-    o.reserve(kSpecMembers.size());
-    o.set(std::string(kSpecVersionKey), Value(1));
-    writeFields(kSpecFields, const_cast<DesignSpec *>(&spec),
-                o.mutableObject());
+    o.reserve(kSpecMembers);
+    if ((members & 1) != 0)
+        o.set(std::string(kSpecVersionKey), Value(1));
+    for (size_t i = 0; i < std::size(kSpecFields); ++i) {
+        if ((members & (SpecMemberMask{2} << i)) != 0)
+            writeFields({&kSpecFields[i], 1}, const_cast<DesignSpec *>(&spec),
+                        o.mutableObject());
+    }
     return o;
 }
 
@@ -868,19 +876,25 @@ toJson(const DesignSpec &spec)
     return toJsonValue(spec).dump(2) + "\n";
 }
 
-std::span<const SpecMember>
-specMembers()
-{
-    return kSpecMembers;
-}
-
 DesignSpec
 fromJsonValue(const Value &o)
 {
     DesignSpec spec;
-    for (const SpecMember &member : kSpecMembers)
-        member.lower(o, spec);
+    fromJsonValue(o, ~SpecMemberMask{0}, spec);
     return spec;
+}
+
+void
+fromJsonValue(const Value &o, SpecMemberMask members, DesignSpec &spec)
+{
+    if ((members & 1) != 0)
+        checkVersion(o);
+    for (size_t i = 0; i < std::size(kSpecFields); ++i) {
+        if ((members & (SpecMemberMask{2} << i)) != 0) {
+            kSpecFields[i].reset(&spec);
+            readField(kSpecFields[i], o, &spec, nullptr);
+        }
+    }
 }
 
 // ------------------------------------------------- validate, materialize
@@ -901,14 +915,26 @@ constexpr SpecMemberMask kTsv = specMemberBit("tsv");
 constexpr SpecMemberMask kOutputBytes = specMemberBit("pipelineOutputBytes");
 constexpr SpecMemberMask kMapping = specMemberBit("mapping");
 constexpr SpecMemberMask kEveryMember =
-    (SpecMemberMask{1} << std::size(kSpecMembers)) - 1;
+    (SpecMemberMask{1} << (kSpecMembers + std::size(kRefFields))) - 1;
 
-// The results a later routine reads, one bit each above the members.
+// The element fields the checks read.
+constexpr SpecMemberMask kStageNames = specFieldBits("stages", "name");
+constexpr SpecMemberMask kStageEdges =
+    specFieldBits("stages", "op") | specFieldBits("stages", "inputs");
+constexpr SpecMemberMask kMemoryNames = specFieldBits("memories", "name");
+constexpr SpecMemberMask kHardwareNames =
+    specFieldBits("analogArrays", "name") | kMemoryNames |
+    specFieldBits("units", "name");
+constexpr SpecMemberMask kUnitPorts =
+    specFieldBits("units", "inputMemories") |
+    specFieldBits("units", "outputMemories");
+
+// The results a later routine reads, one bit each above the fields.
 constexpr SpecMemberMask kProducers = kEveryMember + 1;
 constexpr SpecMemberMask kWiring = kProducers << 1;
 constexpr SpecMemberMask kUnitParts = kProducers << 2;
 constexpr SpecMemberMask kTargets = kProducers << 3;
-static_assert(std::size(kSpecMembers) + 4 <= 32);
+static_assert(kSpecMembers + std::size(kRefFields) + 4 <= 32);
 
 /** The hardware names of a spec as one sequence: analog arrays, then
  *  memories, then units (the order validation reports them in). */
@@ -1187,24 +1213,24 @@ constexpr Check kChecks[] = {
      [](const DesignSpec &s, ResolvedNames &) {
          checkClock(s.name, s.digitalClock);
      }},
-    {kStages, 0,
+    {kStageNames, 0,
      [](const DesignSpec &s, ResolvedNames &) {
          checkStageNames(s.name, s.stages);
      }},
-    {kStages, kProducers,
+    {kStageNames | kStageEdges, kProducers,
      [](const DesignSpec &s, ResolvedNames &n) {
          resolveProducers(s.name, s.stages, n.producers);
      }},
-    {kAnalog | kMemories | kUnits, 0,
+    {kHardwareNames, 0,
      [](const DesignSpec &s, ResolvedNames &) {
          checkHardwareNames(s.name,
                             {s.analogArrays, s.memories, s.units});
      }},
-    {kMemories | kUnits | kAdcMemory, kWiring,
+    {kMemoryNames | kUnitPorts | kAdcMemory, kWiring,
      [](const DesignSpec &s, ResolvedNames &n) {
          resolveWiring(s.name, s.memories, s.units, s.adcOutputMemory, n);
      }},
-    {kMapping | kStages | kAnalog | kMemories | kUnits, kTargets,
+    {kMapping | kStageNames | kHardwareNames, kTargets,
      [](const DesignSpec &s, ResolvedNames &n) {
          resolveMapping(s.name, s.mapping, s.stages,
                         {s.analogArrays, s.memories, s.units}, n.targets);

@@ -556,24 +556,54 @@ void appendPath(std::string &out, const KeyPath *path);
 
 // ------------------------------------------------------- materialization
 
-/** One bit per specMembers() entry, in table order: the version, then
- *  kSpecFields. */
+/** What a spec edit changed: one bit per top-level member, in the
+ *  order fromJsonValue reads them (the version, then kSpecFields), then
+ *  one per kRefFields entry. */
 using SpecMemberMask = uint32_t;
 
-/** The bit of the specMembers() entry named @p key; a constant
- *  expression for a key the table has, so a misspelt constant does
- *  not compile.
+/** The fields of list elements that validation reads (names, the
+ *  names they reference, a stage's op), and nothing else of their
+ *  member. Each has a bit of its own after the members'. */
+inline constexpr std::pair<std::string_view, std::string_view>
+    kRefFields[] = {
+        {"stages", "name"},          {"stages", "op"},
+        {"stages", "inputs"},        {"analogArrays", "name"},
+        {"memories", "name"},        {"units", "name"},
+        {"units", "inputMemories"},  {"units", "outputMemories"},
+};
+
+/** The bits of an edit to field @p field of an element of the
+ *  top-level member @p key: the field's own bit when kRefFields lists
+ *  it, else the member's. An empty @p field is the member whole, every
+ *  bit it has. A constant expression for a key the table has, so a
+ *  misspelt constant does not compile.
  *  @throws ConfigError for a key the table lacks. */
 constexpr SpecMemberMask
-specMemberBit(std::string_view key)
+specFieldBits(std::string_view key, std::string_view field)
 {
+    constexpr size_t kRefBit = 1 + std::size(kSpecFields);
+    SpecMemberMask refs = 0;
+    for (size_t i = 0; i < std::size(kRefFields); ++i) {
+        if (kRefFields[i].first != key)
+            continue;
+        if (kRefFields[i].second == field)
+            return SpecMemberMask{1} << (kRefBit + i);
+        refs |= SpecMemberMask{1} << (kRefBit + i);
+    }
     if (key == kSpecVersionKey)
         return 1;
     for (size_t i = 0; i < std::size(kSpecFields); ++i) {
         if (key == kSpecFields[i].key)
-            return SpecMemberMask{2} << i;
+            return (SpecMemberMask{2} << i) | (field.empty() ? refs : 0);
     }
     throw ConfigError("spec: no member table entry for this key");
+}
+
+/** Every bit of the top-level member named @p key. */
+constexpr SpecMemberMask
+specMemberBit(std::string_view key)
+{
+    return specFieldBits(key, {});
 }
 
 /**
@@ -597,15 +627,17 @@ struct ResolvedNames
 
 /**
  * A spec validated and lowered onto a Design, kept so that a spec
- * which differs from it in a few members is materialized by redoing
- * only what those members feed.
+ * which differs from it in a few fields is materialized by redoing
+ * only what those fields feed.
  *
  * validate() and materialize() are two ordered lists of routines:
  * the checks, which also resolve names to indices (ResolvedNames),
  * and then the parts of the Design. Each routine takes only the spec
- * members and earlier results it reads, plus the design name, which
+ * fields and earlier results it reads, plus the design name, which
  * only labels its messages (no verdict depends on it), and its table
- * entry names those reads. The whole path runs every routine.
+ * entry names those reads as SpecMemberMask bits: a check of names
+ * reads only its members' kRefFields bits, a part its whole members.
+ * The whole path runs every routine.
  * rebuild() runs the routines whose reads an edit reaches, in the
  * same order: every other routine reads what it read before, so its
  * check passes again and its part stands, and the first error
@@ -626,8 +658,8 @@ class MaterializedSpec
 
     /**
      * Rebuild in place for @p spec, which differs from every spec
-     * this was built or rebuilt for only in the members of
-     * @p changed: run the routines those members reach, in order.
+     * this was built or rebuilt for only in the fields of
+     * @p changed: run the routines those fields reach, in order.
      * design() then equals spec.materialize(), and a spec that fails
      * throws what spec.materialize() throws. After a throw, design()
      * is unspecified until a rebuild with the same @p changed
@@ -663,45 +695,43 @@ std::string joinNames(const std::vector<std::string> &names);
 // 32-bit integer") and keeps its rule code.
 
 /** Spec -> JSON value tree (the document toJson() renders): the
- *  version, then kSpecTable's fields the writer emits. */
-json::Value toJsonValue(const DesignSpec &spec);
+ *  version, then kSpecTable's fields the writer emits; only the
+ *  top-level members whose bits @p members has. */
+json::Value toJsonValue(const DesignSpec &spec,
+                        SpecMemberMask members = ~SpecMemberMask{0});
 
 /** Spec -> pretty-printed JSON document. */
 std::string toJson(const DesignSpec &spec);
 
 /**
- * One top-level member of a spec document and the routine that lowers
- * it. lower() reads only @p doc's member named key (an absent member
- * lowers to the defaults) and sets every DesignSpec field that member
- * describes, whatever the field held before. Each field is read from
- * exactly one member, so re-lowering one member of an edited document
- * into the spec of the unedited one gives the spec of the edited one.
+ * Set field @p f of @p owner, an object of the table holding @p f, to
+ * @p value as lowering reads the member: whatever the field held, with
+ * the same conversion and the same refusal (a ConfigError naming the
+ * field by its key). Grid axes write their values with it.
+ *
+ * @throws ConfigError.
  */
-struct SpecMember
-{
-    const char *key;
-    void (*lower)(const json::Value &doc, DesignSpec &spec);
-};
+void assignField(const Field &f, const json::Value &value, void *owner);
+
+/** The table of @p owner's variant, whose fields follow @p t's; null
+ *  when @p t has no variants. */
+const FieldTable *variantOf(const FieldTable &t, void *owner);
 
 /**
- * The member table: every top-level member fromJsonValue reads, in
- * the order it lowers them: the version check, then one entry per
- * kSpecFields field, read through its table. Grid expansion
- * re-lowers only the entries its axes write, through the same
- * routines.
- */
-std::span<const SpecMember> specMembers();
-
-/**
- * Parsed JSON document -> spec: every entry of specMembers(), in
- * table order, so the first failing member names the error. The
- * tree-level twin of fromJson(); grid expansion lowers its base
- * document once through it.
+ * Parsed JSON document -> spec: the version, then every kSpecFields
+ * member in table order, so the first failing member names the error.
+ * The tree-level twin of fromJson().
  *
  * @throws ConfigError on unknown enum tokens, missing members, values
  *         of the wrong type or out of their field's range.
  */
 DesignSpec fromJsonValue(const json::Value &doc);
+
+/** The same for the top-level members whose bits @p members has,
+ *  lowered over @p spec's, which keeps every other field (a grid point
+ *  written on its tree). @throws ConfigError as fromJsonValue. */
+void fromJsonValue(const json::Value &doc, SpecMemberMask members,
+                   DesignSpec &spec);
 
 /**
  * JSON document -> spec.

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <random>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -832,6 +833,32 @@ TEST(GridAnalysis, NeverPrunesAFeasiblePoint)
             << "point " << i << " pruned but simulates feasibly:\n"
             << analysis::formatDiagnostics(result.justification(i));
     }
+}
+
+TEST(GridAnalysis, PrunedCountInClosedFormIsTheWalk)
+{
+    // prunedPoints() counts a cartesian grid in closed form; walking
+    // every index must find the same count, on seeded sub-grids of the
+    // widened study with a clock axis whose negative value dooms too.
+    std::mt19937_64 rng(20261020);
+    size_t pruning = 0;
+    for (int k = 0; k < 64; ++k) {
+        spec::SweepDocument doc = widenedStudy();
+        doc.grid.axes.push_back({"clock", "digitalClock",
+                                 {json::Value(2e7), json::Value(-1.0),
+                                  json::Value(5e7)}});
+        for (spec::GridAxis &axis : doc.grid.axes) {
+            std::shuffle(axis.values.begin(), axis.values.end(), rng);
+            axis.values.resize(1 + rng() % axis.values.size());
+        }
+        const GridAnalysis result = GridAnalyzer().analyze(doc.source());
+        size_t walked = 0;
+        for (size_t i = 0; i < result.totalPoints(); ++i)
+            walked += result.doomed(i) ? 1 : 0;
+        EXPECT_EQ(result.prunedPoints(), walked) << result.summary();
+        pruning += walked > 0 && walked < result.totalPoints() ? 1 : 0;
+    }
+    EXPECT_GE(pruning, 16u);
 }
 
 TEST(GridAnalysis, PointListModeEvaluatesEachPoint)

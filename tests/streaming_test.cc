@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/grid_analyzer.h"
 #include "common/logging.h"
 #include "explore/incremental.h"
 #include "explore/jsonl.h"
@@ -162,6 +163,53 @@ TEST(SweepGrid, PointsIsTheCartesianProduct)
 {
     EXPECT_EQ(detectorGrid().points(), 6u);
     EXPECT_EQ(spec::SweepGrid{}.points(), 1u);
+}
+
+TEST(SweepGrid, MoreThan2To53PointsAreRefused)
+{
+    // A JSONL "index" is a double, exact up to 2^53: a grid of 2^53
+    // points is accepted, one axis value more is refused, and so is a
+    // grid whose count wraps a size_t (eight 256-value axes, 2^64).
+    auto rates = [](size_t n) {
+        spec::GridAxis axis{"r", "fps", {}};
+        for (size_t v = 1; v <= n; ++v)
+            axis.values.emplace_back(static_cast<double>(v));
+        return axis;
+    };
+    spec::SweepGrid grid;
+    for (int a = 0; a < 6; ++a) {
+        grid.axes.push_back(rates(256));
+        grid.axes.back().name += std::to_string(a);
+    }
+    grid.axes.push_back(rates(32));
+    EXPECT_NO_THROW(grid.validate());
+    EXPECT_EQ(grid.points(), size_t{1} << 53);
+    const std::string refusal =
+        "fatal: sweepGrid: the axes' value counts multiply past 2^53 "
+        "(9007199254740992) points, the largest point index a JSONL "
+        "result carries exactly";
+    grid.axes.back() = rates(33);
+    grid.axes.back().name = "r6";
+    try {
+        grid.validate();
+        ADD_FAILURE() << "2^53 + 2^48 points validated";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.code(), "CAMJ-E018");
+        EXPECT_EQ(e.what(), refusal);
+    }
+    grid.axes.back() = rates(256);
+    grid.axes.back().name = "r6";
+    grid.axes.push_back(rates(256));
+    grid.axes.back().name = "r7";
+    spec::SweepDocument doc{spec::sampleDetectorSpec(30.0, 65), grid};
+    const analysis::DocumentLint lint =
+        analysis::lintDocument(json::Value::parse(spec::toJson(doc)));
+    ASSERT_EQ(lint.diagnostics.size(), 1u);
+    EXPECT_EQ(lint.diagnostics[0].code, "CAMJ-E018");
+    EXPECT_NE(lint.diagnostics[0].format().find(refusal.substr(7)),
+              std::string::npos)
+        << lint.diagnostics[0].format();
+    EXPECT_FALSE(lint.sweep);
 }
 
 TEST(SweepGrid, LazyExpansionAppliesAxesAndEncodesCoordinates)
@@ -601,9 +649,9 @@ leafMutations(const json::Value &leaf, std::mt19937_64 &rng)
     return {};
 }
 
-/** One axis rooted at each member of the spec member table that
- *  @p base's canonical document carries, each writing values that
- *  change what the member lowers to. */
+/** One axis rooted at each top-level member (the version and
+ *  kSpecFields) that @p base's canonical document carries, each
+ *  writing values that change what the member lowers to. */
 std::vector<spec::GridAxis>
 memberAxes(const spec::DesignSpec &base)
 {
@@ -612,8 +660,10 @@ memberAxes(const spec::DesignSpec &base)
         return !doc.at(key).asArray().empty();
     };
     std::vector<spec::GridAxis> axes;
-    for (const spec::SpecMember &member : spec::specMembers()) {
-        const std::string key = member.key;
+    std::vector<std::string> keys = {std::string(spec::kSpecVersionKey)};
+    for (const spec::Field &field : spec::kSpecFields)
+        keys.emplace_back(field.key);
+    for (const std::string &key : keys) {
         const json::Value *held = doc.find(key);
         if (held == nullptr)
             continue;
@@ -767,7 +817,7 @@ TEST(SweepGrid, ExpansionMatchesACloneAndApplyOracle)
         }
         const std::vector<spec::GridAxis> axes = memberAxes(dropped);
         if (study.key == keys.front()) {
-            EXPECT_EQ(axes.size(), spec::specMembers().size());
+            EXPECT_EQ(axes.size(), 1 + std::size(spec::kSpecFields));
         }
         for (const spec::GridAxis &axis : axes) {
             spec::SweepGrid one;
@@ -862,6 +912,138 @@ TEST(SweepGrid, ExpansionMatchesACloneAndApplyOracle)
     EXPECT_GE(mutated, 40u);
 }
 
+TEST(SweepGrid, TypedWritersKeepTheTreesRules)
+{
+    // Points are written field by field into a copy of the lowered
+    // base, yet each grid below expands exactly as the clone-and-apply
+    // oracle does, or is refused with the text lowering its tree
+    // gives. The base has a second memory, so a rename can widen what
+    // a named selector picks.
+    json::Value two = spec::toJsonValue(spec::sampleDetectorSpec(30.0, 65));
+    json::Value::Array &mems = two.find("memories")->mutableArray();
+    const json::Value actbuf = mems[0];
+    json::Value spare = actbuf;
+    spare.set("name", json::Value("Spare"));
+    mems.push_back(spare);
+    const spec::DesignSpec base = spec::fromJsonValue(two);
+    const spec::DesignSpec one = spec::sampleDetectorSpec(30.0, 65);
+    auto grid = [](std::vector<spec::GridAxis> axes) {
+        spec::SweepGrid g;
+        g.axes = std::move(axes);
+        return g;
+    };
+    const json::Value n65(65), n45(45);
+
+    // Wildcards after a named selector (a unit port moved to a memory
+    // nothing fills deadlocks, so its wiring shows in the line); a
+    // unit's kind, which picks the fields its element reads, with a
+    // later axis on that unit; and a write the field's reader refuses
+    // that a later axis overwrites in the tree. (The oracle test
+    // renames, then selects.)
+    expectOracleExpansion(
+        base, grid({{"port", "units[Classifier].inputMemories[*]",
+                     {json::Value("ActBuf"), json::Value("Spare")}}}));
+    expectOracleExpansion(
+        base, grid({{"k", "stages[Conv].kernel[*]",
+                     {json::Value(3), json::Value(5)}}}));
+    expectOracleExpansion(
+        base, grid({{"kind", "units[Classifier].kind",
+                     {json::Value("systolic"), json::Value("pipeline")}},
+                    {"clk", "units[Classifier].clock",
+                     {json::Value(1e6), json::Value(4e7)}}}));
+    expectOracleExpansion(
+        one, grid({{"all", "memories[*].nodeNm", {json::Value("bad")}},
+                   {"buf", "memories[ActBuf].nodeNm", {n65, n45}}}));
+
+    auto refusal = [](const spec::DesignSpec &b, spec::SweepGrid g) {
+        try {
+            spec::GridSpecSource source(b, std::move(g));
+        } catch (const ConfigError &e) {
+            EXPECT_STREQ(e.code(), "CAMJ-E018") << e.what();
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    // A rename a later selector no longer finds.
+    EXPECT_EQ(refusal(base, grid({{"ren", "memories[0].name",
+                                   {json::Value("ActBuf"),
+                                    json::Value("Other")}},
+                                  {"node", "memories[ActBuf].nodeNm",
+                                   {n65}}})),
+              "fatal: sweepGrid: axis 'ren' value \"Other\" does not "
+              "produce a valid spec: sweepGrid: path "
+              "'memories[ActBuf].nodeNm': no element of 'memories' is "
+              "named 'ActBuf' (elements: Other, Spare)");
+    // A wildcard over an empty list after a named selector.
+    EXPECT_EQ(refusal(base, grid({{"in", "stages[Input].inputs[*]",
+                                   {json::Value("Bin")}}})),
+              "fatal: sweepGrid: path 'stages[Input].inputs[*]': "
+              "'inputs[*]' matches no elements (the array is empty)");
+    // Indices past the end of a list and of a shape.
+    EXPECT_EQ(refusal(base, grid({{"node", "memories[2].nodeNm", {n65}}})),
+              "fatal: sweepGrid: path 'memories[2].nodeNm': index 2 out "
+              "of range (array 'memories' has 2 elements)");
+    EXPECT_EQ(refusal(base, grid({{"dim", "stages[Bin].outputSize[3]",
+                                   {json::Value(4)}}})),
+              "fatal: sweepGrid: path 'stages[Bin].outputSize[3]': index "
+              "3 out of range (array 'outputSize' has 3 elements)");
+    // An element written whole lacks the member a later path names.
+    const json::Value bare = json::Value::parse(
+        R"({"name": "ActBuf", "model": "explicit", "capacityWords": 64})");
+    EXPECT_EQ(refusal(base, grid({{"mem", "memories[ActBuf]", {actbuf, bare}},
+                                  {"node", "memories[ActBuf].nodeNm",
+                                   {n65}}})),
+              "fatal: sweepGrid: axis 'mem' value {\"name\":\"ActBuf\","
+              "\"model\":\"explicit\",\"capacityWords\":64} does not "
+              "produce a valid spec: sweepGrid: path "
+              "'memories[ActBuf].nodeNm': no member 'nodeNm' (object has: "
+              "name, model, capacityWords); to sweep an optional member, "
+              "set it in the base spec first");
+    // A member the writer omits: the base's condition decides.
+    EXPECT_EQ(refusal(base, grid({{"e", "memories[ActBuf].readEnergyPerWord",
+                                   {json::Value(1e-12)}}})),
+              "fatal: sweepGrid: path 'memories[ActBuf].readEnergyPerWord': "
+              "no member 'readEnergyPerWord' (object has: name, layer, "
+              "kind, model, capacityWords, wordBits, activeFraction, "
+              "nodeNm); to sweep an optional member, set it in the base "
+              "spec first");
+    // A top-level member no document has.
+    EXPECT_EQ(refusal(base, grid({{"f", "fpss.rate", {json::Value(30)}}})),
+              "fatal: sweepGrid: path 'fpss.rate': no member 'fpss' (object "
+              "has: camjSpecVersion, name, fps, digitalClock, stages, "
+              "analogArrays, memories, units, adcOutputMemory, mipi, "
+              "pipelineOutputBytes, mapping); to sweep an optional member, "
+              "set it in the base spec first");
+    // Values the field's reader refuses, named as lowering names them:
+    // the oracle's lowering of the refused point (its last) throws the
+    // text the refusal ends with.
+    auto loweringRefusal = [&](spec::SweepGrid g, const std::string &text) {
+        EXPECT_EQ(refusal(base, g), text);
+        try {
+            oraclePoint(base, g, g.points() - 1);
+            ADD_FAILURE() << "the oracle lowered " << g.axes[0].path;
+        } catch (const ConfigError &e) {
+            EXPECT_TRUE(text.ends_with(e.message())) << e.message();
+        }
+    };
+    loweringRefusal(grid({{"node", "memories[ActBuf].nodeNm",
+                           {n65, json::Value("big")}}}),
+                    "fatal: sweepGrid: axis 'node' value \"big\" does not "
+                    "produce a valid spec: memories[ActBuf].nodeNm: json: "
+                    "expected number, got string");
+    loweringRefusal(grid({{"dim", "stages[Bin].outputSize[1]",
+                           {json::Value(60), json::Value(true)}}}),
+                    "fatal: sweepGrid: axis 'dim' value true does not "
+                    "produce a valid spec: stages[Bin].outputSize: json: "
+                    "expected number, got bool");
+    loweringRefusal(grid({{"kind", "units[Classifier].kind",
+                           {json::Value("vector")}}}),
+                    "fatal: sweepGrid: axis 'kind' value \"vector\" does "
+                    "not produce a valid spec: units[Classifier].kind: "
+                    "spec: unknown unit kind 'vector' (known: pipeline, "
+                    "systolic)");
+}
+
 TEST(SweepGrid, PointNamesSpellNumbersAsPercentG)
 {
     // About 10,000 seeded doubles: random finite bit patterns,
@@ -915,6 +1097,23 @@ TEST(SweepGrid, PointNamesSpellNumbersAsPercentG)
         ASSERT_EQ(point.name, base.name + "/rate=" + expected)
             << "value " << values[i].dump(0);
         EXPECT_EQ(point.fps, values[i].asNumber());
+    }
+
+    // A point list spells and writes each point's own value: 0 and -0
+    // compare equal, yet each keeps its sign in the name and the spec.
+    spec::SweepGrid listed;
+    listed.axes = {{"rate", "fps", {}}};
+    for (const double d : {0.0, -0.0, -0.0, 0.0})
+        listed.pointList.push_back({json::Value(d)});
+    expectOracleExpansion(base, listed);
+    spec::GridSpecSource listedSource(base, listed);
+    for (size_t i = 0; i < listed.pointList.size(); ++i) {
+        const double d = listed.pointList[i][0].asNumber();
+        const spec::DesignSpec point = listedSource.at(i);
+        char expected[64];
+        std::snprintf(expected, sizeof expected, "%g", d);
+        EXPECT_EQ(point.name, base.name + "/rate=" + expected);
+        EXPECT_EQ(std::signbit(point.fps), std::signbit(d)) << i;
     }
 }
 
