@@ -1446,31 +1446,59 @@ writeBenchJson()
     doc.set("stridedSweep", std::move(strided));
 
     // Served sweep: the camj_serve service end to end — a loopback
-    // Server (2 in-process shard workers), a Client submitting the
-    // canonical study over TCP and streaming the merged results —
-    // against the same study through a plain in-process runStream.
-    // The streamed bytes must be byte-identical to the local run,
-    // because that identity IS the service contract. The floors are
-    // the end frames' exact counters, summed over the submissions: a
-    // healthy in-process job's monitor never times out of its wait
-    // and restarts no worker; and the entries left in the work dir
-    // the server was given, since in-process workers hand their
-    // lines over in memory. The throughput and the overhead ratio
-    // over the library path are wall clock and ride along as data.
+    // Server (2 in-process shards), a Client submitting the canonical
+    // study over TCP and streaming the merged results — against the
+    // calls admission and a local run make in-process: parse,
+    // lintDocument and runShard on one thread. Each side is the
+    // median of kServedRuns runs. The streamed bytes must be
+    // byte-identical to the local run, because that identity IS the
+    // service contract. The floors are the end frames' exact
+    // counters: summed over the submissions, a healthy in-process
+    // job's monitor never times out of its wait and restarts no
+    // worker; each job starts one attempt thread per shard but the
+    // first (shard 0 runs on the submitter's connection thread), so
+    // 1 here and 0 for a one-point submit; and the submissions leave
+    // no entry in the server's work dir, since in-process workers hand
+    // their lines over in memory. The throughput and the overhead
+    // ratio over the local path are wall clock and ride along as
+    // data.
+    constexpr int kServedRuns = 20;
+    auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
     const spec::SweepDocument served_doc = shardedStudyDocument();
     const size_t n_served = served_doc.grid.points();
+    const std::string served_text = spec::toJson(served_doc);
     std::string served_ref;
-    timeSingleProcessShard(served_doc, nullptr); // warm-up
-    double served_local_seconds = 1e30;
-    for (int rep = 0; rep < 2; ++rep)
-        served_local_seconds = std::min(
-            served_local_seconds,
-            timeSingleProcessShard(served_doc, &served_ref));
+    std::vector<double> local_times;
+    for (int rep = 0; rep <= kServedRuns; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const analysis::DocumentLint lint =
+            analysis::lintDocument(json::Value::parse(served_text));
+        if (!lint.source) {
+            std::fprintf(stderr, "error: the served study fails lint\n");
+            return false;
+        }
+        std::ostringstream out;
+        JsonlSink lines(out);
+        runShard(*lint.source,
+                 spec::planShards(n_served, 1).shards.front(), 1, {},
+                 lines);
+        const auto t1 = std::chrono::steady_clock::now();
+        if (rep == 0)
+            continue; // warm-up
+        local_times.push_back(
+            std::chrono::duration<double>(t1 - t0).count());
+        served_ref = out.str();
+    }
+    const double served_local_seconds = median(local_times);
     const std::string served_work = "BENCH_serve_work";
     std::filesystem::remove_all(served_work);
-    double served_seconds = 1e30;
+    std::vector<double> served_times;
     std::string served_bytes;
     int64_t served_polls = 0, served_restarts = 0, served_entries = 0;
+    int64_t served_threads = -1, one_point_threads = -1;
     try {
         serve::ServerOptions server_options;
         server_options.port = 0;
@@ -1479,17 +1507,15 @@ writeBenchJson()
         server_options.scheduler.workDir = served_work;
         serve::Server server(std::move(server_options));
         std::thread accept_thread([&server] { server.serve(); });
-        const std::string served_text = spec::toJson(served_doc);
         bool served_done = true;
-        for (int rep = 0; rep < 2 && served_done; ++rep) {
+        for (int rep = 0; rep < kServedRuns && served_done; ++rep) {
             std::ostringstream out;
             serve::Client client(server.port());
             const auto t0 = std::chrono::steady_clock::now();
             const serve::Client::SubmitOutcome outcome =
                 client.submitAndStream(served_text, out);
             const auto t1 = std::chrono::steady_clock::now();
-            served_seconds = std::min(
-                served_seconds,
+            served_times.push_back(
                 std::chrono::duration<double>(t1 - t0).count());
             served_bytes = out.str();
             served_done =
@@ -1497,6 +1523,24 @@ writeBenchJson()
             served_polls += outcome.end.getInt("monitorPolls", -1);
             served_restarts +=
                 outcome.end.getInt("workerRestarts", -1);
+            // The count every submission reports; -1 when two differ.
+            const int64_t threads =
+                outcome.end.getInt("attemptThreads", -1);
+            served_threads = rep == 0 || threads == served_threads
+                                 ? threads
+                                 : -1;
+        }
+        if (served_done) {
+            spec::SweepDocument one_point;
+            one_point.base = spec::sampleDetectorSpec(30.0, 65);
+            std::ostringstream out;
+            serve::Client client(server.port());
+            const serve::Client::SubmitOutcome outcome =
+                client.submitAndStream(spec::toJson(one_point), out);
+            served_done =
+                outcome.end.getString("state", "") == "done";
+            one_point_threads =
+                outcome.end.getInt("attemptThreads", -1);
         }
         server.requestStop();
         accept_thread.join();
@@ -1523,19 +1567,24 @@ writeBenchJson()
                      "from the in-process run\n");
         return false;
     }
-    const double served_overhead =
-        served_seconds / served_local_seconds;
+    const double served_seconds = median(served_times);
     json::Value served = json::Value::makeObject();
     served.set("designPoints",
                json::Value(static_cast<int64_t>(n_served)));
     served.set("shards", json::Value(static_cast<int64_t>(2)));
     served.set("threadsPerWorker",
                json::Value(static_cast<int64_t>(1)));
+    served.set("runs", json::Value(static_cast<int64_t>(kServedRuns)));
     setTimedRun(served, "inProcess", n_served, served_local_seconds);
     setTimedRun(served, "served", n_served, served_seconds);
+    const double served_overhead = served_seconds / served_local_seconds;
     served.set("overheadRatio", json::Value(served_overhead));
     served.set("monitorPolls", json::Value(served_polls));
     served.set("workerRestarts", json::Value(served_restarts));
+    served.set("attemptThreads", json::Value(served_threads));
+    json::Value one_point = json::Value::makeObject();
+    one_point.set("attemptThreads", json::Value(one_point_threads));
+    served.set("onePoint", std::move(one_point));
     served.set("workDirEntries", json::Value(served_entries));
     served.set("identicalToInProcess", json::Value(true));
     doc.set("servedSweep", std::move(served));
@@ -1728,11 +1777,13 @@ writeBenchJson()
     std::printf("served sweep: %zu points over loopback TCP, %.1f "
                 "designs/sec served vs %.1f in-process (%.2fx "
                 "overhead), %" PRId64 " monitor poll(s), %" PRId64
-                " worker restart(s), stream byte-identical\n",
+                " worker restart(s), %" PRId64 " attempt thread(s) "
+                "per job, stream byte-identical\n",
                 n_served,
                 static_cast<double>(n_served) / served_seconds,
                 static_cast<double>(n_served) / served_local_seconds,
-                served_overhead, served_polls, served_restarts);
+                served_overhead, served_polls, served_restarts,
+                served_threads);
     std::printf("cycle sim: %" PRId64 " frame cycles, %" PRId64
                 " ticked in %.3fs\n", cs.cycles, cs.stats.cyclesTicked,
                 cs_seconds);

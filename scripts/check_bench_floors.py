@@ -160,6 +160,14 @@ FLOORS = [
     ("servedSweep.identicalToInProcess", None, "true"),
     ("servedSweep.monitorPolls", 0, "eq"),
     ("servedSweep.workerRestarts", 0, "eq"),
+    # A job runs on its submitter's connection thread, with shard 0
+    # evaluated in place: the 2-shard job starts one attempt thread
+    # (three while each job had its own thread and each shard an
+    # attempt thread), and a one-point submit starts none. A job
+    # thread, or a thread for shard 0, back on the served path shows
+    # here.
+    ("servedSweep.attemptThreads", 1, "eq"),
+    ("servedSweep.onePoint.attemptThreads", 0, "eq"),
     # In-process workers hand each result line to the monitor in
     # memory, so the two submissions leave no entry in the work dir
     # the server was given (4 attempt files while every line went

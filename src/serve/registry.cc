@@ -111,6 +111,9 @@ JobRecord::statusFrame() const
     frame.set("monitorPolls",
               static_cast<int64_t>(
                   monitorPolls.load(std::memory_order_relaxed)));
+    frame.set("attemptThreads",
+              static_cast<int64_t>(
+                  attemptThreads.load(std::memory_order_relaxed)));
     frame.set("pruned", static_cast<int64_t>(
                             prunedPoints.load(
                                 std::memory_order_relaxed)));
@@ -151,18 +154,6 @@ JobRegistry::jobs() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return jobs_;
-}
-
-size_t
-JobRegistry::activeCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t n = 0;
-    for (const auto &job : jobs_) {
-        if (!job->terminal())
-            ++n;
-    }
-    return n;
 }
 
 } // namespace camj::serve

@@ -4,11 +4,13 @@
  * sweep, carrying the job's lifecycle state, live progress counters,
  * its cooperative CancelToken, and the STREAM SPOOL — the merged
  * in-global-order result bytes committed so far. The scheduler is the
- * only writer of the spool; any number of connection threads stream
- * it concurrently, each at its own offset, via waitSpool(). The spool
- * holds exactly the bytes a single-process `camj_sweep run` of the
- * same document would have written, so a client that copies it
- * verbatim reproduces the local file byte for byte.
+ * only writer of the spool, on the thread that runs the job and also
+ * writes each commit to the submitter; any number of `stream`
+ * attachers read it concurrently, each at its own offset, via
+ * waitSpool(). The spool holds exactly the bytes a single-process
+ * `camj_sweep run` of the same document would have written, so a
+ * client that copies it verbatim reproduces the local file byte for
+ * byte.
  */
 
 #ifndef CAMJ_SERVE_REGISTRY_H
@@ -74,6 +76,10 @@ class JobRecord
      *  quiet for the heartbeat window; one per poll while a
      *  subprocess attempt runs. */
     std::atomic<size_t> monitorPolls{0};
+    /** Attempt threads the job started: one per in-process attempt of
+     *  shards 1..N-1 (shard 0 runs on the job's own thread, and
+     *  subprocess attempts start none). */
+    std::atomic<size_t> attemptThreads{0};
     /** Points the admission prefilter proved infeasible (they are
      *  still evaluated — pruning would change the output bytes). */
     std::atomic<size_t> prunedPoints{0};
@@ -143,9 +149,6 @@ class JobRegistry
 
     /** Every job, in creation order. */
     std::vector<std::shared_ptr<JobRecord>> jobs() const;
-
-    /** Jobs not yet in a terminal state. */
-    size_t activeCount() const;
 
   private:
     mutable std::mutex mutex_;

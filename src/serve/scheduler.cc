@@ -6,11 +6,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <optional>
+#include <thread>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -40,7 +42,7 @@ constexpr Clock::duration kSubprocessPoll =
     std::chrono::milliseconds(20);
 
 /**
- * The monitor's wake-up and the job's inbox: in-process workers hand
+ * The monitor's wake-up and the job's inbox: attempt threads hand
  * over each result line's merge record (bumping the event count) and
  * bump the count again after publishing their verdict, and the
  * monitor sleeps until the count moves past the value it read BEFORE
@@ -104,7 +106,7 @@ class MonitorWake
     std::vector<JsonlRecord> inbox_; // guarded by mutex_
 };
 
-/** The last sink of an in-process worker: each line's merge record,
+/** The last sink of an attempt thread: each line's merge record,
  *  raw bytes included (sweepResultToJsonl verbatim, identical to
  *  JsonlSink's), goes to the job's inbox. */
 class InboxSink : public ResultSink
@@ -169,6 +171,8 @@ struct MergeState
     std::map<size_t, JsonlRecord> pending;
     size_t next = 0;
     MergeSummary summary;
+    /** The bytes of the last commit, reused from commit to commit. */
+    std::string batch;
 
     void offer(JsonlRecord record)
     {
@@ -182,9 +186,10 @@ struct MergeState
         pending.emplace(record.index, std::move(record));
     }
 
-    void commit(JobRecord &job)
+    /** @return the bytes committed (empty when nothing was). */
+    const std::string &commit(JobRecord &job)
     {
-        std::string batch;
+        batch.clear();
         while (!pending.empty() && pending.begin()->first == next) {
             JsonlRecord r = std::move(pending.begin()->second);
             pending.erase(pending.begin());
@@ -197,6 +202,7 @@ struct MergeState
             job.appendSpool(batch);
             job.pointsDone.store(next, std::memory_order_relaxed);
         }
+        return batch;
     }
 };
 
@@ -210,8 +216,11 @@ struct WorkerSlot
     size_t attempts = 0;
     bool active = false;
     bool done = false;
+    /** The attempt runs in place on the job's thread (shard 0 of an
+     *  in-process job), not on an attempt thread. */
+    bool inPlace = false;
 
-    // In-process attempt: worker hands its records to the inbox,
+    // Attempt thread: the worker hands its records to the inbox,
     // publishes failText, then verdict (release); the monitor reads
     // verdict (acquire), joins, then reads failText.
     std::thread thread;
@@ -231,6 +240,32 @@ constexpr int kRunning = -1;
 constexpr int kOk = 0;
 constexpr int kFailed = 1;
 constexpr int kJobCancelled = 2;
+
+/**
+ * One in-process attempt: the shard `camj_sweep run` evaluates, its
+ * lines handed to @p lines. Fault injection (@p inject) stops it after
+ * half its points, a worker dying mid-shard.
+ *
+ * @return its verdict; kFailed with @p fail_text when it threw.
+ */
+int
+runAttempt(const spec::GridSpecSource &grid, const spec::ShardAssignment &a,
+           int threads, const SimulationOptions &sim, ResultSink &lines,
+           bool inject, const CancelToken &cancel, std::string &fail_text)
+{
+    try {
+        LimitSink limited(lines, std::max<size_t>(a.count() / 2, 1),
+                          inject);
+        const StreamStats stats =
+            runShard(grid, a, threads, sim, limited, &cancel);
+        if (cancel.cancelled())
+            return kJobCancelled;
+        return stats.cancelled ? kFailed : kOk;
+    } catch (const std::exception &e) {
+        fail_text = e.what();
+        return kFailed;
+    }
+}
 
 std::string
 describeExit(int status)
@@ -315,60 +350,49 @@ Scheduler::submit(const json::Value &doc, int frames, int threads)
         adm.reason = std::move(lint.rejection);
         return adm;
     }
-    spec::SweepDocument sweep = std::move(*lint.sweep);
-    std::shared_ptr<const spec::GridSpecSource> grid =
-        std::move(lint.source);
-    adm.points = sweep.grid.points();
+    adm.points = lint.sweep->grid.points();
     adm.pruned = lint.grid.prunedPoints();
-
-    std::lock_guard<std::mutex> lock(threadsMutex_);
-    if (stopped_) {
-        adm.reason = "server is shutting down";
-        return adm;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (stopped_) {
+            adm.reason = "server is shutting down";
+            return adm;
+        }
+        ++admitted_;
     }
-    // Reap the threads of finished jobs, so a long-lived daemon holds
-    // one per running job plus the one started here, not one per job
-    // ever submitted. A terminal job's thread has only its teardown
-    // left, so the join is brief.
-    std::erase_if(threads_, [](JobThread &t) {
-        if (!t.job->terminal())
-            return false;
-        t.thread.join();
-        return true;
-    });
     adm.job = registry_.create();
     adm.job->pointsTotal.store(adm.points, std::memory_order_relaxed);
     adm.job->prunedPoints.store(adm.pruned,
                                 std::memory_order_relaxed);
-    const int f = frames > 0 ? frames : options_.frames;
-    const int t = threads > 0 ? threads : options_.threadsPerWorker;
-    auto job = adm.job;
-    threads_.push_back(
-        {job, std::thread([this, job, d = std::move(sweep),
-                           g = std::move(grid), f, t]() mutable {
-             runJob(job, std::move(d), std::move(g), f, t);
-         })});
+    adm.sweep = std::move(*lint.sweep);
+    adm.grid = std::move(lint.source);
+    adm.frames = frames > 0 ? frames : options_.frames;
+    adm.threads = threads > 0 ? threads : options_.threadsPerWorker;
     return adm;
+}
+
+void
+Scheduler::run(Admission &admission, const LineWriter &write)
+{
+    const std::shared_ptr<const spec::GridSpecSource> grid =
+        std::move(admission.grid);
+    if (grid == nullptr)
+        panic("Scheduler::run: no admitted job to run");
+    runJob(*admission.job, admission.sweep, *grid, admission.frames,
+           admission.threads, write);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        --admitted_;
+    }
+    idle_.notify_all();
 }
 
 void
 Scheduler::drain()
 {
-    std::vector<JobThread> taken;
-    {
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        stopped_ = true;
-        taken.swap(threads_);
-    }
-    for (JobThread &t : taken)
-        t.thread.join();
-}
-
-size_t
-Scheduler::jobThreads() const
-{
-    std::lock_guard<std::mutex> lock(threadsMutex_);
-    return threads_.size();
+    std::unique_lock<std::mutex> lock(mutex_);
+    stopped_ = true;
+    idle_.wait(lock, [this] { return admitted_ == 0; });
 }
 
 void
@@ -381,10 +405,9 @@ Scheduler::cancelAll()
 }
 
 void
-Scheduler::runJob(std::shared_ptr<JobRecord> job,
-                  spec::SweepDocument doc,
-                  std::shared_ptr<const spec::GridSpecSource> grid,
-                  int frames, int threads)
+Scheduler::runJob(JobRecord &job, const spec::SweepDocument &doc,
+                  const spec::GridSpecSource &grid, int frames,
+                  int threads, const LineWriter &write)
 {
     std::string job_error;
     bool cancelled = false;
@@ -393,11 +416,25 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     MergeState merge;
     merge.summary.topKLimit = options_.topK;
     std::vector<JsonlRecord> taken; // the inbox, as of the last take
+    SimulationOptions sim;
+    sim.frames = frames;
 
     auto takeInbox = [&] {
         wake.take(taken);
         for (JsonlRecord &record : taken)
             merge.offer(std::move(record));
+    };
+
+    // Commit the newly contiguous prefix: to the spool, then to the
+    // writer. A writer that fails cancels the job, as the submitter
+    // is gone.
+    bool writing = true;
+    auto commit = [&] {
+        const std::string &bytes = merge.commit(job);
+        if (!bytes.empty() && writing && !write(bytes)) {
+            writing = false;
+            job.cancel.cancel();
+        }
     };
 
     // Tail @p slot's attempt file (subprocess workers): consume the
@@ -432,37 +469,28 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         }
     };
 
-    auto launchInProcess = [&](WorkerSlot &slot, bool inject) {
+    // Fault injection: the listed shards fail their first attempt.
+    auto injects = [&](const WorkerSlot &slot) {
+        return slot.attempts == 1 &&
+               std::find(options_.testFailShards.begin(),
+                         options_.testFailShards.end(),
+                         slot.shardIndex) !=
+                   options_.testFailShards.end();
+    };
+
+    auto launchThread = [&](WorkerSlot &slot, bool inject) {
         auto verdict = std::make_shared<std::atomic<int>>(kRunning);
         auto fail_text = std::make_shared<std::string>();
         slot.verdict = verdict;
         slot.failText = fail_text;
         const spec::ShardAssignment a = slot.current;
-        const spec::GridSpecSource *parent = grid.get();
-        slot.thread = std::thread([parent, &wake, job, a, inject,
-                                   frames, threads, verdict,
-                                   fail_text] {
-            int v = kOk;
-            try {
-                // The shard `camj_sweep run` evaluates, its lines
-                // handed to the job's inbox instead of a file.
-                InboxSink lines(wake);
-                LimitSink limited(
-                    lines, std::max<size_t>(a.count() / 2, 1),
-                    inject);
-                SimulationOptions sim;
-                sim.frames = frames;
-                const StreamStats stats = runShard(
-                    *parent, a, threads, sim, limited, &job->cancel);
-                if (job->cancel.cancelled())
-                    v = kJobCancelled;
-                else if (stats.cancelled)
-                    v = kFailed; // the injected mid-shard death
-            } catch (const std::exception &e) {
-                *fail_text = e.what();
-                v = kFailed;
-            }
-            verdict->store(v, std::memory_order_release);
+        job.attemptThreads.fetch_add(1, std::memory_order_relaxed);
+        slot.thread = std::thread([&grid, &wake, &job, a, inject, sim,
+                                   threads, verdict, fail_text] {
+            InboxSink lines(wake);
+            verdict->store(runAttempt(grid, a, threads, sim, lines,
+                                      inject, job.cancel, *fail_text),
+                           std::memory_order_release);
             wake.signal();
         });
     };
@@ -470,14 +498,14 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     auto launchSubprocess = [&](WorkerSlot &slot, bool inject) {
         slot.attemptPath = strprintf(
             "%s/%s-shard-%zu-attempt-%zu.jsonl",
-            options_.workDir.c_str(), job->id().c_str(),
+            options_.workDir.c_str(), job.id().c_str(),
             slot.shardIndex, slot.attempts);
         slot.consumed = 0;
         slot.tailBytes.clear();
         slot.lastProgress = Clock::now();
         const std::string desc_path = strprintf(
             "%s/%s-shard-%zu-attempt-%zu.json",
-            options_.workDir.c_str(), job->id().c_str(),
+            options_.workDir.c_str(), job.id().c_str(),
             slot.shardIndex, slot.attempts);
         {
             std::ofstream desc(desc_path, std::ios::binary);
@@ -524,19 +552,15 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         slot.pid = pid;
     };
 
+    // An in-place attempt is only marked here: the monitor's pass
+    // runs it (runInPlace).
     auto launch = [&](WorkerSlot &slot) {
         ++slot.attempts;
         slot.active = true;
-        const bool inject =
-            slot.attempts == 1 &&
-            std::find(options_.testFailShards.begin(),
-                      options_.testFailShards.end(),
-                      slot.shardIndex) !=
-                options_.testFailShards.end();
         if (options_.subprocessWorkers)
-            launchSubprocess(slot, inject);
-        else
-            launchInProcess(slot, inject);
+            launchSubprocess(slot, injects(slot));
+        else if (!slot.inPlace)
+            launchThread(slot, injects(slot));
     };
 
     // An attempt ended (worker finished, crashed, was killed, or
@@ -565,17 +589,47 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                   "after %zu attempt(s)%s%s", slot.shardIndex,
                   missing.size(), slot.attempts,
                   fail_text.empty() ? "" : ": ", fail_text.c_str());
-        job->workerRestarts.fetch_add(1, std::memory_order_relaxed);
+        job.workerRestarts.fetch_add(1, std::memory_order_relaxed);
         slot.current =
             spec::explicitShard(merge.total, std::move(missing));
         launch(slot);
+    };
+
+    // Run @p slot's attempt on this thread, and each re-dispatch of
+    // its hole. Each line is offered to the merge and committed as it
+    // renders: the slot is shard 0, the global prefix, so no line of
+    // a later shard can commit before it. A merge error fails the
+    // job, not the attempt.
+    std::string line; // the line being rendered, reused
+    auto runInPlace = [&](WorkerSlot &slot) {
+        while (slot.active) {
+            std::exception_ptr merge_error;
+            CallbackSink lines([&](SweepResult result) {
+                JsonlRecord record = jsonlRecordOf(result, line);
+                try {
+                    merge.offer(std::move(record));
+                } catch (...) {
+                    merge_error = std::current_exception();
+                    return false;
+                }
+                commit();
+                return true;
+            });
+            std::string fail_text;
+            const int v =
+                runAttempt(grid, slot.current, threads, sim, lines,
+                           injects(slot), job.cancel, fail_text);
+            if (merge_error)
+                std::rethrow_exception(merge_error);
+            finalize(slot, v, fail_text);
+        }
     };
 
     auto reapSubprocess = [&](WorkerSlot &slot, int status) {
         slot.pid = -1;
         consume(slot);
         const int verdict =
-            job->cancel.cancelled()
+            job.cancel.cancelled()
                 ? kJobCancelled
                 : (WIFEXITED(status) && WEXITSTATUS(status) == 0
                        ? kOk
@@ -587,6 +641,10 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     auto tick = [&](WorkerSlot &slot) {
         if (!slot.active)
             return;
+        if (slot.inPlace) {
+            runInPlace(slot);
+            return;
+        }
         if (slot.pid > 0) {
             consume(slot);
             int status = 0;
@@ -603,8 +661,8 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 slot.pid = -1;
                 consume(slot);
                 finalize(slot,
-                         job->cancel.cancelled() ? kJobCancelled
-                                                 : kFailed,
+                         job.cancel.cancelled() ? kJobCancelled
+                                                : kFailed,
                          "stalled: no output growth past the "
                          "heartbeat window");
             }
@@ -621,7 +679,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     };
 
     try {
-        job->setState(JobState::Running);
+        job.setState(JobState::Running);
         const size_t total = doc.grid.points();
         merge.total = total;
         merge.seen.assign(total, false);
@@ -634,8 +692,11 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
             slot->owned = plan.shards[k];
             slot->current = plan.shards[k];
             slot->shardIndex = k;
+            slot->inPlace = k == 0 && !options_.subprocessWorkers;
             slots.push_back(std::move(slot));
         }
+        // Shards 1..N-1 start first; the first pass then runs shard 0
+        // in place.
         for (const auto &slot : slots)
             launch(*slot);
 
@@ -650,7 +711,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 std::chrono::duration<double>(
                     options_.heartbeatSeconds)));
         for (;;) {
-            if (job->cancel.cancelled()) {
+            if (job.cancel.cancelled()) {
                 cancelled = true;
                 break;
             }
@@ -665,27 +726,26 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 if (slot->pid > 0)
                     polling = true;
             }
-            // One spool append (and one streamer wake) per pass.
-            merge.commit(*job);
+            // One commit (and one write) per pass.
+            commit();
             if (all_done)
                 break;
             if (!wake.waitPast(seen,
                                polling ? kSubprocessPoll : idle_bound,
-                               job->cancel))
-                job->monitorPolls.fetch_add(1,
-                                            std::memory_order_relaxed);
+                               job.cancel))
+                job.monitorPolls.fetch_add(1, std::memory_order_relaxed);
         }
     } catch (const std::exception &e) {
         job_error = e.what();
         // A failing job still streams the prefix it merged.
-        merge.commit(*job);
+        commit();
     }
 
     // Teardown: stop whatever is still running. In-process workers
     // observe the cancel token between points; subprocess workers
     // are killed outright.
     if (!job_error.empty() || cancelled)
-        job->cancel.cancel();
+        job.cancel.cancel();
     for (const auto &slot : slots) {
         if (slot->pid > 0) {
             ::kill(slot->pid, SIGKILL);
@@ -698,37 +758,40 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
     }
 
     json::Value end = makeFrame("end");
-    end.set("job", job->id());
+    end.set("job", job.id());
     if (job_error.empty() && !cancelled &&
         merge.next != merge.total)
         job_error = strprintf(
             "merge finished with %zu of %zu point(s) — a shard hole "
             "survived re-dispatch", merge.next, merge.total);
     if (job_error.empty() && !cancelled) {
-        job->setState(JobState::Merging);
+        job.setState(JobState::Merging);
         end.set("state", "done");
         end.set("summary", summaryToJson(merge.summary));
     } else if (cancelled && job_error.empty()) {
         end.set("state", "cancelled");
     } else {
-        job->setError(job_error);
+        job.setError(job_error);
         end.set("state", "failed");
         end.set("error", job_error);
     }
     end.set("pointsDone", static_cast<int64_t>(merge.next));
     end.set("workerRestarts",
-            static_cast<int64_t>(job->workerRestarts.load(
+            static_cast<int64_t>(job.workerRestarts.load(
                 std::memory_order_relaxed)));
     end.set("monitorPolls",
-            static_cast<int64_t>(job->monitorPolls.load(
+            static_cast<int64_t>(job.monitorPolls.load(
+                std::memory_order_relaxed)));
+    end.set("attemptThreads",
+            static_cast<int64_t>(job.attemptThreads.load(
                 std::memory_order_relaxed)));
     if (job_error.empty() && !cancelled)
-        job->setState(JobState::Done);
+        job.setState(JobState::Done);
     else
-        job->setState(cancelled && job_error.empty()
-                          ? JobState::Cancelled
-                          : JobState::Failed);
-    job->finishStream(std::move(end));
+        job.setState(cancelled && job_error.empty()
+                         ? JobState::Cancelled
+                         : JobState::Failed);
+    job.finishStream(std::move(end));
 }
 
 } // namespace camj::serve

@@ -17,31 +17,36 @@
  * service's contract is byte-identity with a local `camj_sweep
  * run`.
  *
- * Each admitted job gets its own thread running the dispatch/monitor
- * loop (submit() joins the threads of jobs that have finished, so the
- * scheduler holds one per running job plus the newest): planShards
- * partitions the grid, and every shard runs as either an in-process
- * worker (runShard, the call `camj_sweep run` makes, on a
- * std::thread) or a subprocess worker (fork/exec of `camj_sweep run` over a shard
- * descriptor file). An in-process worker renders each result line
- * and hands its merge record (jsonlRecordOf: the line's bytes plus
- * the fields the summary reduces) to the job's inbox in memory; a
- * subprocess attempt writes an ordinary shard JSONL file, which the
- * monitor tails and parses line by line. Either way the monitor
- * folds the records into the merge state — at-least-once dispatch
- * made exactly-once output by construction: a failed, killed, or
- * stalled attempt is salvaged up to what it handed over (its last
- * record, or its file's last complete line), the shard's
- * still-missing indices are re-dispatched as ONE explicitShard over
- * exactly the hole (the resume-plan shape of `camj_sweep merge`), and
- * any index arriving twice fails the job loudly, mirroring
- * mergeShardFiles's duplicate/overlap errors. Each monitor pass
- * commits the newly contiguous global prefix to the job's spool in
- * one append, so clients stream results while later shards still
- * run, and the end-of-stream MergeSummary is reduced through the
- * same accumulateMergeRecord that batch merges use.
+ * A job runs on the thread that admitted it — the submitter's
+ * connection thread — with no thread of its own: submit() admits,
+ * run() runs the dispatch/monitor loop there until the job is
+ * terminal. planShards partitions the grid, and every shard runs as
+ * either an in-process worker (runShard, the call `camj_sweep run`
+ * makes) or a subprocess worker (fork/exec of `camj_sweep run` over a
+ * shard descriptor file). In-process, shards 1..N-1 each start one
+ * attempt thread, which renders each result line and hands its merge
+ * record (jsonlRecordOf: the line's bytes plus the fields the summary
+ * reduces) to the job's inbox in memory; shard 0 — the global prefix
+ * of contiguous shards — is evaluated in place on the job's thread,
+ * which offers each line to the merge and commits it as it renders,
+ * so no later shard's line can commit before it. A subprocess attempt
+ * writes an ordinary shard JSONL file, which the monitor tails and
+ * parses line by line. Either way the records fold into the merge
+ * state — at-least-once dispatch made exactly-once output by
+ * construction: a failed, killed, or stalled attempt is salvaged up
+ * to what it handed over (its last record, or its file's last
+ * complete line), the shard's still-missing indices are re-dispatched
+ * as ONE explicitShard over exactly the hole (the resume-plan shape
+ * of `camj_sweep merge`; shard 0's hole runs in place again), and any
+ * index arriving twice fails the job loudly, mirroring
+ * mergeShardFiles's duplicate/overlap errors. Each commit appends the
+ * newly contiguous global prefix to the job's spool (which late
+ * `stream` attachers read) and hands the same bytes to run()'s
+ * writer, the submitter's socket, so clients stream results while
+ * later shards still run; the end-of-stream MergeSummary is reduced
+ * through the same accumulateMergeRecord that batch merges use.
  *
- * The monitor runs on events, not a timer: in-process workers bump a
+ * The monitor runs on events, not a timer: attempt threads bump a
  * per-job event count with every record they hand over and after
  * publishing their verdict, and the monitor sleeps until the count
  * moves past the value it read before its last pass over the
@@ -65,11 +70,12 @@
 #ifndef CAMJ_SERVE_SCHEDULER_H
 #define CAMJ_SERVE_SCHEDULER_H
 
+#include <condition_variable>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -116,7 +122,8 @@ struct SchedulerOptions
     std::vector<size_t> testFailShards;
 };
 
-/** The scheduler: one dispatch thread per admitted job. */
+/** The scheduler: admits jobs, and runs each on the thread that
+ *  admitted it. */
 class Scheduler
 {
   public:
@@ -132,26 +139,51 @@ class Scheduler
         std::vector<analysis::Diagnostic> diagnostics;
         size_t points = 0;
         size_t pruned = 0;
+
+      private:
+        friend class Scheduler;
+        /** What run() evaluates: in-process workers shard @c grid,
+         *  the source admission built over @c sweep (null once run);
+         *  subprocess workers are handed descriptors written from
+         *  @c sweep. */
+        spec::SweepDocument sweep;
+        std::shared_ptr<const spec::GridSpecSource> grid;
+        int frames = 0;
+        int threads = 0;
     };
+
+    /** Takes each committed batch of result lines, after the job's
+     *  spool has it; false (the reader is gone) cancels the job, and
+     *  the writer is not called again. */
+    using LineWriter = std::function<bool(const std::string &)>;
 
     Scheduler(SchedulerOptions options, JobRegistry &registry);
 
-    /** Joins every job thread (cancels nothing — call cancelAll()
-     *  first for a fast teardown). */
+    /** Waits for every admitted job to be run (drain()). */
     ~Scheduler();
 
     /**
-     * Admission + dispatch. Lints @p doc, and either rejects
-     * (Admission::job == nullptr, reason + diagnostics filled) or
-     * creates a job and starts its dispatch thread. @p frames /
-     * @p threads override the scheduler defaults when positive.
-     * Never throws on a bad document — that is a rejection.
+     * Admission. Lints @p doc, and either rejects (Admission::job ==
+     * nullptr, reason + diagnostics filled) or creates a Queued job
+     * that the caller must then run(). @p frames / @p threads
+     * override the scheduler defaults when positive. Never throws on
+     * a bad document — that is a rejection.
      */
     Admission submit(const json::Value &doc, int frames = 0,
                      int threads = 0);
 
-    /** Stop admitting (submit() rejects from now on) and wait for
-     *  every running job to reach a terminal state. */
+    /**
+     * Run an admitted job on the calling thread until it is
+     * terminal, every commit handed to @p write. In-process, shard 0
+     * runs in place and shards 1..N-1 on one attempt thread each; in
+     * subprocess mode every shard is a `camj_sweep run` process. A
+     * job cancelled before run() ends cancelled. Its end frame is set
+     * (JobRecord::endFrame) when run() returns.
+     */
+    void run(Admission &admission, const LineWriter &write);
+
+    /** Stop admitting (submit() rejects from now on) and wait until
+     *  every admitted job has been run. */
     void drain();
 
     /** Fire every active job's CancelToken. */
@@ -159,30 +191,18 @@ class Scheduler
 
     const SchedulerOptions &options() const { return options_; }
 
-    /** Job threads not yet joined. submit() joins those of finished
-     *  jobs, so this never exceeds the running jobs plus one. */
-    size_t jobThreads() const;
-
   private:
-    /** A job's dispatch thread, joined once the job is terminal. */
-    struct JobThread
-    {
-        std::shared_ptr<JobRecord> job;
-        std::thread thread;
-    };
-
-    /** Run one admitted job. In-process workers shard @p grid, the
-     *  source admission built over @p doc; subprocess workers are
-     *  handed descriptors written from @p doc. */
-    void runJob(std::shared_ptr<JobRecord> job, spec::SweepDocument doc,
-                std::shared_ptr<const spec::GridSpecSource> grid,
-                int frames, int threads);
+    /** The dispatch/monitor loop of one admitted job. */
+    void runJob(JobRecord &job, const spec::SweepDocument &doc,
+                const spec::GridSpecSource &grid, int frames,
+                int threads, const LineWriter &write);
 
     SchedulerOptions options_;
     JobRegistry &registry_;
-    mutable std::mutex threadsMutex_;
-    std::vector<JobThread> threads_; // guarded by threadsMutex_
-    bool stopped_ = false;           // guarded by threadsMutex_
+    std::mutex mutex_;
+    std::condition_variable idle_;
+    size_t admitted_ = 0; // guarded by mutex_: admitted, not yet run
+    bool stopped_ = false; // guarded by mutex_
 };
 
 } // namespace camj::serve

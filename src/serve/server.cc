@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <thread>
 
@@ -25,9 +26,10 @@ namespace
 {
 
 /**
- * Stream @p job's spool from byte 0, then the terminal end frame.
- * The spool only ever grows and is retained after completion, so a
- * late attacher replays the identical byte sequence.
+ * Stream @p job's spool from byte 0, then the terminal end frame: a
+ * `stream` attacher's view of a job another connection runs. The
+ * spool only ever grows and is retained after completion, so a late
+ * attacher replays the identical byte sequence.
  *
  * @return false when the peer went away mid-stream.
  */
@@ -137,13 +139,7 @@ Server::~Server()
         listenFd_ = -1;
     }
     scheduler_.drain();
-    std::vector<std::thread> taken;
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        taken.swap(connections_);
-    }
-    for (std::thread &t : taken)
-        t.join();
+    joinConnections(false);
     for (int &fd : wakeFds_) {
         ::close(fd);
         fd = -1;
@@ -189,25 +185,50 @@ Server::serve()
         // client's delayed ACK.
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+        // Each connection that has ended since the last accept is
+        // joined here, so a long-lived daemon holds a thread per open
+        // connection, not one per connection it ever accepted.
+        joinConnections(true);
         std::lock_guard<std::mutex> lock(connMutex_);
-        connections_.emplace_back([this, fd] {
+        Connection &conn = connections_.emplace_back();
+        conn.thread = std::thread([this, fd, &conn] {
             handleConnection(fd);
+            conn.done.store(true, std::memory_order_release);
             ::close(fd);
         });
     }
-    // Drain: running jobs finish and flush their streams; new
-    // submits have been rejected since stop_ fired (the scheduler
-    // refuses once drained). Then the connection threads — streamers
-    // complete naturally, idle readers observe stop_ within one poll
-    // slice.
+    // Drain: running jobs finish on their connection threads and
+    // flush their streams; new submits have been rejected since
+    // stop_ fired (the scheduler refuses once drained). Then the
+    // connection threads — streamers complete naturally, idle
+    // readers observe stop_ within one poll slice.
     scheduler_.drain();
-    std::vector<std::thread> taken;
+    joinConnections(false);
+}
+
+void
+Server::joinConnections(bool finished_only)
+{
+    std::list<Connection> taken;
     {
         std::lock_guard<std::mutex> lock(connMutex_);
-        taken.swap(connections_);
+        for (auto it = connections_.begin(); it != connections_.end();) {
+            const auto next = std::next(it);
+            if (!finished_only ||
+                it->done.load(std::memory_order_acquire))
+                taken.splice(taken.end(), connections_, it);
+            it = next;
+        }
     }
-    for (std::thread &t : taken)
-        t.join();
+    for (Connection &conn : taken)
+        conn.thread.join();
+}
+
+size_t
+Server::connectionThreads() const
+{
+    std::lock_guard<std::mutex> lock(connMutex_);
+    return connections_.size();
 }
 
 void
@@ -339,14 +360,17 @@ Server::handleSubmit(int fd, const json::Value &frame)
     acc.set("job", adm.job->id());
     acc.set("points", static_cast<int64_t>(adm.points));
     acc.set("pruned", static_cast<int64_t>(adm.pruned));
-    if (!writeLine(fd, frameLine(acc))) {
+    // The job runs on this thread and writes each commit here. The
+    // submitter going away cancels its job: nobody is left to read
+    // the stream.
+    bool connected = writeLine(fd, frameLine(acc));
+    if (!connected)
         adm.job->cancel.cancel();
-        return;
-    }
-    // The submitter going away cancels its job: nobody is left to
-    // read the stream.
-    if (!streamJob(fd, *adm.job))
-        adm.job->cancel.cancel();
+    scheduler_.run(adm, [fd, &connected](const std::string &bytes) {
+        return connected = writeAll(fd, bytes.data(), bytes.size());
+    });
+    if (connected)
+        writeLine(fd, frameLine(adm.job->endFrame()));
 }
 
 } // namespace camj::serve

@@ -5,12 +5,12 @@
  * serve/protocol.h. Client -> server frames on one connection:
  *
  *   {"type":"submit","doc":{...},"frames":F,"threads":T}
- *       admit the embedded sweep document; on success the SAME
- *       connection streams the job — an "accepted" frame, then every
- *       merged result line verbatim as it commits, then the terminal
- *       "end" frame (summary/top-K or the failure). A rejected
- *       document answers one "rejected" frame carrying its CAMJ-*
- *       diagnostics.
+ *       admit the embedded sweep document; on success the job runs
+ *       on THIS connection's thread, which streams it — an
+ *       "accepted" frame, then every merged result line verbatim as
+ *       it commits, then the terminal "end" frame (summary/top-K or
+ *       the failure). A rejected document answers one "rejected"
+ *       frame carrying its CAMJ-* diagnostics.
  *   {"type":"status","job":"job-1"}   -> one "status" frame
  *   {"type":"cancel","job":"job-1"}   -> fires the job's CancelToken,
  *                                        answers "cancelled"
@@ -33,9 +33,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -82,9 +82,27 @@ class Server
     JobRegistry &registry() { return registry_; }
     Scheduler &scheduler() { return scheduler_; }
 
+    /** Connection threads not yet joined: the open connections plus
+     *  those that ended since the last accept. */
+    size_t connectionThreads() const;
+
   private:
+    /** A connection's thread. done is set just before the thread
+     *  closes its socket, so once a client has seen its connection
+     *  end, the next accept joins the thread. */
+    struct Connection
+    {
+        std::atomic<bool> done{false};
+        std::thread thread;
+    };
+
     void handleConnection(int fd);
+    /** Admit a submit and, when admitted, run its job on this
+     *  connection's thread, streaming each commit to @p fd. */
     void handleSubmit(int fd, const json::Value &frame);
+    /** Join the connection threads (only those done when
+     *  @p finished_only). */
+    void joinConnections(bool finished_only);
 
     ServerOptions options_;
     int listenFd_ = -1;
@@ -95,8 +113,8 @@ class Server
     std::atomic<bool> stop_{false};
     JobRegistry registry_;
     Scheduler scheduler_;
-    std::mutex connMutex_;
-    std::vector<std::thread> connections_; // guarded by connMutex_
+    mutable std::mutex connMutex_;
+    std::list<Connection> connections_; // guarded by connMutex_
 };
 
 } // namespace camj::serve

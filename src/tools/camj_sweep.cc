@@ -52,7 +52,8 @@ usage(std::FILE *to)
     std::fprintf(to,
 "usage:\n"
 "  camj_sweep plan <sweep.json> --shards N [options]\n"
-"      write N self-contained shard descriptor files\n"
+"      lint the document as run does, then write N self-contained\n"
+"      shard descriptor files\n"
 "      --mode contiguous|strided   index partition (default contiguous)\n"
 "      --outdir DIR                where descriptors go (default .)\n"
 "      --prefix NAME               file prefix (default: spec name)\n"
@@ -114,6 +115,52 @@ parseShardSpec(const std::string &text, size_t &k, size_t &n)
     n = parseFlag<size_t>("--shard N", text.substr(slash + 1).c_str());
 }
 
+/** The bytes of @p path. */
+std::string
+readInput(const char *command, const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        fatal("%s: cannot read '%s'", command, path.c_str());
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/**
+ * Parse @p input into @p doc and lint it through lintDocument, as
+ * `camj_sweep lint` does. A refused document prints lint's own
+ * diagnostic lines, then one "error: @p command: ..." line ending in
+ * @p hint.
+ *
+ * @return the lint (its sweep and grid source set), or nullopt when
+ *         the document is refused.
+ */
+std::optional<analysis::DocumentLint>
+lintInput(const char *command, const char *hint, const std::string &input,
+          json::Value &doc)
+{
+    auto refuse = [&](const std::vector<analysis::Diagnostic> &diags) {
+        std::fprintf(stderr,
+                     "%serror: %s: base spec fails static analysis "
+                     "(%s)\n",
+                     analysis::formatDiagnostics(diags, input).c_str(),
+                     command, hint);
+        return std::nullopt;
+    };
+    const std::string text = readInput(command, input);
+    try {
+        doc = json::Value::parse(text);
+    } catch (const ConfigError &e) {
+        // As lintDocument(text) reports it: one coded diagnostic.
+        return refuse({analysis::makeError(e.code(), "", e.what())});
+    }
+    analysis::DocumentLint result = analysis::lintDocument(doc);
+    if (!result.sweep)
+        return refuse(result.diagnostics);
+    return result;
+}
+
 // ------------------------------------------------------------------ plan
 
 int
@@ -147,7 +194,13 @@ cmdPlan(int argc, char **argv)
         return usage(stderr);
     }
 
-    const spec::SweepDocument doc = spec::loadSweepFile(input);
+    // Refuse what `run` refuses, before any descriptor is written.
+    json::Value parsed;
+    const std::optional<analysis::DocumentLint> lint =
+        lintInput("plan", "see camj_sweep lint", input, parsed);
+    if (!lint)
+        return 1;
+    const spec::SweepDocument &doc = *lint->sweep;
     if (prefix.empty())
         prefix = doc.base.name;
     const spec::ShardPlan plan =
@@ -214,35 +267,17 @@ cmdRun(int argc, char **argv)
 
     // Read and parse once. Lint checks the whole document and builds
     // the grid source that runs; --no-lint only lowers and expands.
-    std::ifstream in(input, std::ios::binary);
-    if (!in)
-        fatal("run: cannot read '%s'", input.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto refuse = [&](const std::vector<analysis::Diagnostic> &diags) {
-        std::fprintf(stderr,
-                     "%serror: run: base spec fails static analysis "
-                     "(re-run with --no-lint to force, or see "
-                     "camj_sweep lint)\n",
-                     analysis::formatDiagnostics(diags, input).c_str());
-        return 1;
-    };
     json::Value doc;
-    try {
-        doc = json::Value::parse(text.str());
-    } catch (const ConfigError &e) {
-        if (!lint)
-            throw;
-        // As lintDocument(text) reports it: one coded diagnostic.
-        return refuse({analysis::makeError(e.code(), "", e.what())});
-    }
     std::shared_ptr<const spec::GridSpecSource> grid;
     if (lint) {
-        analysis::DocumentLint result = analysis::lintDocument(doc);
-        if (!result.sweep)
-            return refuse(result.diagnostics);
-        grid = std::move(result.source);
+        std::optional<analysis::DocumentLint> result = lintInput(
+            "run", "re-run with --no-lint to force, or see camj_sweep lint",
+            input, doc);
+        if (!result)
+            return 1;
+        grid = std::move(result->source);
     } else {
+        doc = json::Value::parse(readInput("run", input));
         const spec::SweepDocument sweep =
             spec::sweepDocumentFromJson(doc);
         grid = std::make_shared<const spec::GridSpecSource>(sweep.base,

@@ -148,13 +148,16 @@ inProcessOptions(const fs::path &work_dir, size_t shards = 3)
     return options;
 }
 
-/** A raw loopback connection to @p port, or -1. */
+/** A raw loopback connection to @p port, or -1. A positive
+ *  @p rcvbuf fixes the socket's receive buffer at that size. */
 int
-connectRaw(int port)
+connectRaw(int port, int rcvbuf = 0)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return -1;
+    if (rcvbuf > 0)
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<uint16_t>(port));
@@ -165,6 +168,80 @@ connectRaw(int port)
         return -1;
     }
     return fd;
+}
+
+/**
+ * A study whose stream outgrows any socket buffer: 8,000 points whose
+ * lines each carry a 4,000-character axis name (about 4.3 KB a
+ * line), so shard 0 of two alone streams some 17 MB — four times a
+ * loopback socket's largest default send buffer (tcp_wmem, 4 MB),
+ * plus the small receive buffer of a reader that stops reading. A
+ * job streaming it cannot finish while its submitter reads nothing.
+ */
+spec::SweepDocument
+outgrowingStudy()
+{
+    spec::SweepDocument doc;
+    doc.base = spec::sampleDetectorSpec(30.0, 65);
+    spec::GridAxis rate{std::string(4000, 'r'), "fps", {}};
+    for (int f = 1; f <= 1000; ++f)
+        rate.values.push_back(json::Value(static_cast<double>(f)));
+    spec::GridAxis node{"node", "memories[ActBuf].nodeNm", {}};
+    for (int nm : {180, 130, 110, 90, 65, 45, 32, 28})
+        node.values.push_back(json::Value(nm));
+    doc.grid.axes = {rate, node};
+    return doc;
+}
+
+/** The receive buffer of a submitter that stops reading. */
+constexpr int kSmallRcvbuf = 16 << 10;
+
+/** Submit @p doc on the raw connection @p fd; @return the job id
+ *  from the accepted frame. */
+std::string
+submitRaw(int fd, serve::LineReader &reader,
+          const spec::SweepDocument &doc)
+{
+    json::Value submit = serve::makeFrame("submit");
+    submit.set("doc", documentValue(doc));
+    EXPECT_TRUE(serve::writeLine(fd, serve::frameLine(submit)));
+    const std::optional<std::string> reply = reader.next();
+    EXPECT_TRUE(reply.has_value());
+    if (!reply)
+        return "";
+    const json::Value accepted = serve::parseFrame(*reply);
+    EXPECT_EQ(accepted.getString("type", ""), "accepted") << *reply;
+    return accepted.getString("job", "");
+}
+
+/** Read result lines off @p reader into @p bytes up to the next
+ *  control frame (the end frame of a healthy stream), which is
+ *  returned; null when the stream breaks first. */
+json::Value
+readToEnd(serve::LineReader &reader, std::string &bytes)
+{
+    while (std::optional<std::string> line = reader.next()) {
+        if (serve::isControlFrame(*line))
+            return serve::parseFrame(*line);
+        bytes += *line + "\n";
+    }
+    return json::Value();
+}
+
+/** Attach to job @p id on a fresh connection with a `stream` frame
+ *  and read it to its end frame. */
+json::Value
+restream(int port, const std::string &id, std::string &bytes)
+{
+    const int fd = connectRaw(port);
+    EXPECT_GE(fd, 0);
+    json::Value frame = serve::makeFrame("stream");
+    frame.set("job", id);
+    EXPECT_TRUE(serve::writeLine(fd, serve::frameLine(frame)));
+    serve::LineReader reader(fd);
+    json::Value end = readToEnd(reader, bytes);
+    ::close(fd);
+    return end;
 }
 
 // ------------------------------------------------------------- protocol
@@ -391,26 +468,43 @@ TEST(ServedSweep, StreamedResultsAreByteIdenticalToALocalRun)
                                                  merged)));
     EXPECT_EQ(merged.str(), reference);
     EXPECT_TRUE(absentOrEmpty(dir));
+
+    // With two engine threads per worker (where the host has two
+    // cores), shard 0's lines are committed and written from the
+    // engine's threads: the same bytes.
+    if (std::thread::hardware_concurrency() >= 2) {
+        std::ostringstream threaded;
+        client.submitAndStream(spec::toJson(doc), threaded, 0, 2);
+        EXPECT_EQ(threaded.str(), reference);
+    }
 }
 
 TEST(ServedSweep, KilledWorkerIsRedispatchedAndTheStreamStaysExact)
 {
-    const fs::path dir = scratchDir("serve_redispatch");
     const spec::SweepDocument doc = smallStudy();
     const std::string reference = singleProcessJsonl(doc);
+    // Shard 0 runs in place on the submitter's connection thread,
+    // shards 1 and 2 on one attempt thread each. Shard 0's hole is
+    // re-run in place; shard 1's on a new thread.
+    for (const size_t shard : {0u, 1u}) {
+        SCOPED_TRACE(shard);
+        const fs::path dir =
+            scratchDir(strprintf("serve_redispatch_%zu", shard));
+        serve::SchedulerOptions options = inProcessOptions(dir);
+        options.testFailShards = {shard}; // dies on attempt 1
+        ServerHarness harness(std::move(options));
+        serve::Client client(harness.port());
+        std::ostringstream out;
+        const serve::Client::SubmitOutcome outcome =
+            client.submitAndStream(spec::toJson(doc), out);
 
-    serve::SchedulerOptions options = inProcessOptions(dir);
-    options.testFailShards = {0}; // shard 0 dies on attempt 1
-    ServerHarness harness(std::move(options));
-    serve::Client client(harness.port());
-    std::ostringstream out;
-    const serve::Client::SubmitOutcome outcome =
-        client.submitAndStream(spec::toJson(doc), out);
-
-    EXPECT_EQ(out.str(), reference);
-    EXPECT_EQ(outcome.end.getString("state", ""), "done");
-    EXPECT_GE(outcome.end.getInt("workerRestarts", 0), 1);
-    EXPECT_TRUE(absentOrEmpty(dir));
+        EXPECT_EQ(out.str(), reference);
+        EXPECT_EQ(outcome.end.getString("state", ""), "done");
+        EXPECT_EQ(outcome.end.getInt("workerRestarts", -1), 1);
+        EXPECT_EQ(outcome.end.getInt("attemptThreads", -1),
+                  shard == 0 ? 2 : 3);
+        EXPECT_TRUE(absentOrEmpty(dir));
+    }
 }
 
 TEST(ServedSweep, OverflowingPointStreamsAsOneCodedLineWithoutARestart)
@@ -486,24 +580,8 @@ TEST(ServedSweep, CompletedJobsRestreamFromByteZero)
 
     // A later attacher on a fresh connection replays the retained
     // spool from byte 0, then the end frame.
-    const int fd = connectRaw(harness.port());
-    ASSERT_GE(fd, 0);
-    json::Value frame = serve::makeFrame("stream");
-    frame.set("job", job_id);
-    ASSERT_TRUE(serve::writeLine(fd, serve::frameLine(frame)));
-
-    serve::LineReader reader(fd);
     std::string replayed;
-    json::Value end;
-    while (std::optional<std::string> line = reader.next()) {
-        if (!serve::isControlFrame(*line)) {
-            replayed += *line + "\n";
-            continue;
-        }
-        end = serve::parseFrame(*line);
-        break;
-    }
-    ::close(fd);
+    const json::Value end = restream(harness.port(), job_id, replayed);
     EXPECT_EQ(replayed, reference);
     EXPECT_EQ(end.getString("type", ""), "end");
     EXPECT_EQ(end.getString("state", ""), "done");
@@ -570,19 +648,8 @@ TEST(ServedSweep, OnlyTheNewestFinishedJobsAreKept)
     }
     EXPECT_EQ(client.status(ids[1]).getString("state", ""), "done");
 
-    const int fd = connectRaw(harness.port());
-    ASSERT_GE(fd, 0);
-    json::Value frame = serve::makeFrame("stream");
-    frame.set("job", ids.back());
-    ASSERT_TRUE(serve::writeLine(fd, serve::frameLine(frame)));
-    serve::LineReader reader(fd);
     std::string replayed;
-    while (std::optional<std::string> line = reader.next()) {
-        if (serve::isControlFrame(*line))
-            break;
-        replayed += *line + "\n";
-    }
-    ::close(fd);
+    restream(harness.port(), ids.back(), replayed);
     EXPECT_EQ(replayed, reference);
 }
 
@@ -669,8 +736,7 @@ TEST(ServedSweep, UnknownJobsAnswerAnErrorFrame)
 TEST(ServedSweep, CancelStopsARunningJobBeforeItFinishes)
 {
     const fs::path dir = scratchDir("serve_cancel");
-    // Big enough that the job cannot outrun the cancel: 48 rates x 7
-    // nodes = 336 points on one single-threaded worker.
+    // 48 rates x 7 nodes = 336 points on one single-threaded worker.
     spec::SweepDocument doc;
     doc.base = spec::sampleDetectorSpec(30.0, 65);
     spec::GridAxis rate{"rate", "fps", {}};
@@ -683,15 +749,123 @@ TEST(ServedSweep, CancelStopsARunningJobBeforeItFinishes)
 
     serve::JobRegistry registry;
     serve::Scheduler scheduler(inProcessOptions(dir, 1), registry);
-    const serve::Scheduler::Admission adm =
+    serve::Scheduler::Admission adm =
         scheduler.submit(documentValue(doc));
     ASSERT_NE(adm.job, nullptr);
-    adm.job->cancel.cancel();
-    scheduler.drain();
+    // The job runs on this thread; the cancel fires while it runs,
+    // as its first line commits.
+    size_t writes = 0;
+    scheduler.run(adm, [&](const std::string &) {
+        ++writes;
+        adm.job->cancel.cancel();
+        return true;
+    });
+    EXPECT_EQ(writes, 1u);
     EXPECT_EQ(adm.job->state(), serve::JobState::Cancelled);
     EXPECT_LT(adm.job->pointsDone.load(), doc.grid.points());
     EXPECT_EQ(adm.job->endFrame().getString("state", ""),
               "cancelled");
+}
+
+TEST(ServedSweep, CancelFromAnotherConnectionStopsShardZeroInPlace)
+{
+    // The submitter reads one line and stops reading, so the job
+    // blocks writing shard 0's lines to it; a cancel from a second
+    // connection then ends the job before its last point.
+    const fs::path dir = scratchDir("serve_cancel_remote");
+    const spec::SweepDocument doc = outgrowingStudy();
+    ServerHarness harness(inProcessOptions(dir, 2));
+    const int fd = connectRaw(harness.port(), kSmallRcvbuf);
+    ASSERT_GE(fd, 0);
+    serve::LineReader reader(fd);
+    const std::string id = submitRaw(fd, reader, doc);
+    const std::optional<std::string> first = reader.next();
+    ASSERT_TRUE(first.has_value());
+    ASSERT_FALSE(serve::isControlFrame(*first)) << *first;
+
+    serve::Client control(harness.port());
+    EXPECT_EQ(control.cancel(id).getString("type", ""), "cancelled");
+
+    std::string rest;
+    const json::Value end = readToEnd(reader, rest);
+    ::close(fd);
+    EXPECT_EQ(end.getString("state", ""), "cancelled");
+    const size_t lines =
+        1 + static_cast<size_t>(std::count(rest.begin(), rest.end(), '\n'));
+    EXPECT_LT(lines, doc.grid.points());
+    EXPECT_EQ(end.getInt("pointsDone", -1), static_cast<int64_t>(lines));
+}
+
+TEST(ServedSweep, StreamAttachedMidJobGetsTheSubmittersBytes)
+{
+    // The submitter reads one line and pauses, so the job cannot
+    // finish; a `stream` attacher then replays the spool from byte 0
+    // and follows it to the end.
+    const fs::path dir = scratchDir("serve_attach_mid_job");
+    const spec::SweepDocument doc = outgrowingStudy();
+    ServerHarness harness(inProcessOptions(dir, 2));
+    const int fd = connectRaw(harness.port(), kSmallRcvbuf);
+    ASSERT_GE(fd, 0);
+    serve::LineReader reader(fd);
+    const std::string id = submitRaw(fd, reader, doc);
+    std::optional<std::string> first = reader.next();
+    ASSERT_TRUE(first.has_value());
+
+    std::string attached;
+    json::Value attached_end;
+    std::thread attacher([&] {
+        attached_end = restream(harness.port(), id, attached);
+    });
+    std::string submitted = *first + "\n";
+    const json::Value end = readToEnd(reader, submitted);
+    attacher.join();
+    ::close(fd);
+    EXPECT_EQ(end.getString("state", ""), "done");
+    EXPECT_EQ(attached_end.getString("state", ""), "done");
+    EXPECT_EQ(static_cast<size_t>(std::count(submitted.begin(),
+                                             submitted.end(), '\n')),
+              doc.grid.points());
+    EXPECT_TRUE(attached == submitted);
+}
+
+TEST(ServedSweep, SubmitterClosingMidStreamCancelsItsJob)
+{
+    const fs::path dir = scratchDir("serve_submitter_gone");
+    const spec::SweepDocument doc = outgrowingStudy();
+    ServerHarness harness(inProcessOptions(dir, 2));
+    const int fd = connectRaw(harness.port(), kSmallRcvbuf);
+    ASSERT_GE(fd, 0);
+    serve::LineReader reader(fd);
+    const std::string id = submitRaw(fd, reader, doc);
+    ASSERT_TRUE(reader.next().has_value());
+    ::close(fd);
+
+    // The job's next write to the closed socket fails and cancels it.
+    std::string spooled;
+    const json::Value end = restream(harness.port(), id, spooled);
+    EXPECT_EQ(end.getString("state", ""), "cancelled");
+    EXPECT_LT(end.getInt("pointsDone", -1),
+              static_cast<int64_t>(doc.grid.points()));
+}
+
+TEST(ServedSweep, OnePointJobStartsNoThread)
+{
+    // One point is one shard, evaluated in place on the submitter's
+    // connection thread.
+    const fs::path dir = scratchDir("serve_one_point");
+    spec::SweepDocument doc;
+    doc.base = spec::sampleDetectorSpec(30.0, 65);
+    ServerHarness harness(inProcessOptions(dir));
+    serve::Client client(harness.port());
+    std::ostringstream out;
+    const serve::Client::SubmitOutcome outcome =
+        client.submitAndStream(spec::toJson(doc), out);
+    EXPECT_EQ(out.str(), singleProcessJsonl(doc));
+    EXPECT_EQ(outcome.resultLines, 1u);
+    EXPECT_EQ(outcome.end.getString("state", ""), "done");
+    EXPECT_EQ(outcome.end.getInt("attemptThreads", -1), 0);
+    EXPECT_EQ(client.status(outcome.jobId).getInt("attemptThreads", -1),
+              0);
 }
 
 TEST(ServedSweep, InProcessMonitorWakesOnWorkerEventsNeverOnATimer)
@@ -723,27 +897,54 @@ TEST(ServedSweep, InProcessMonitorWakesOnWorkerEventsNeverOnATimer)
     }
 }
 
-TEST(ServedSweep, FinishedJobThreadsAreReapedOnSubmit)
+TEST(ServedSweep, BackToBackJobsEachStartOneThreadPerShardButTheFirst)
 {
-    const fs::path dir = scratchDir("serve_reap");
+    // A job runs on its submitter's connection thread with shard 0 in
+    // place: each of 32 jobs on one connection starts shards - 1
+    // attempt threads and streams the local bytes.
+    const fs::path dir = scratchDir("serve_back_to_back");
     const spec::SweepDocument doc = smallStudy();
-    const json::Value document = documentValue(doc);
+    const std::string text = spec::toJson(doc);
     const std::string reference = singleProcessJsonl(doc);
-    serve::JobRegistry registry;
-    serve::Scheduler scheduler(inProcessOptions(dir), registry);
+    const serve::SchedulerOptions options = inProcessOptions(dir);
+    const size_t shards = options.shards;
+    ServerHarness harness(options);
+    serve::Client client(harness.port());
     for (int k = 0; k < 32; ++k) {
-        const serve::Scheduler::Admission adm =
-            scheduler.submit(document);
-        ASSERT_NE(adm.job, nullptr);
-        EXPECT_LE(scheduler.jobThreads(), registry.activeCount() + 1)
+        std::ostringstream out;
+        const serve::Client::SubmitOutcome outcome =
+            client.submitAndStream(text, out);
+        EXPECT_EQ(out.str(), reference) << "job " << k;
+        EXPECT_EQ(outcome.end.getInt("attemptThreads", -1),
+                  static_cast<int64_t>(shards - 1))
             << "job " << k;
-        size_t offset = 0;
-        std::string streamed;
-        while (adm.job->waitSpool(offset, streamed)) {
-        }
-        EXPECT_EQ(streamed, reference) << "job " << k;
-        EXPECT_LE(scheduler.jobThreads(), registry.activeCount() + 1)
-            << "job " << k;
+    }
+}
+
+TEST(Server, FinishedConnectionThreadsAreJoinedOnAccept)
+{
+    // Every client command opens a connection. Each accept joins the
+    // threads of the connections that have ended, so however many
+    // came and went, the daemon holds one thread per open connection
+    // plus at most one that ended since the last accept.
+    const fs::path dir = scratchDir("serve_connection_reap");
+    ServerHarness harness(inProcessOptions(dir));
+    for (int k = 0; k < 64; ++k) {
+        const int fd = connectRaw(harness.port());
+        ASSERT_GE(fd, 0);
+        serve::LineReader reader(fd);
+        ASSERT_TRUE(serve::writeLine(
+            fd, serve::frameLine(serve::makeFrame("ping"))));
+        ASSERT_TRUE(reader.next().has_value());
+        EXPECT_LE(harness.server().connectionThreads(), 2u)
+            << "connection " << k << " open";
+        // Hang up, and wait for the daemon to close its end: the
+        // connection's thread is done by then.
+        ::shutdown(fd, SHUT_WR);
+        EXPECT_FALSE(reader.next().has_value());
+        ::close(fd);
+        EXPECT_LE(harness.server().connectionThreads(), 1u)
+            << "connection " << k << " closed";
     }
 }
 

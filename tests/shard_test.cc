@@ -1063,14 +1063,13 @@ lintDiagnosticLines(const fs::path &path, const fs::path &log)
     return lines;
 }
 
-TEST(CamjSweepCli, RunRejectsWhatLintRejects)
+/** Documents lint refuses, written into @p dir: @return their file
+ *  names. The last two hold integers outside int64, which used to
+ *  run as INT64_MIN (analysis_test pins their one E018 naming the
+ *  number). */
+std::vector<std::string>
+writeRefusedDocuments(const fs::path &dir)
 {
-    // `run` lints the whole document through lintDocument, as `lint`
-    // does: each document below fails with lint's own lines, before
-    // the output file is opened. The last two hold integers outside
-    // int64, which used to run as INT64_MIN (analysis_test pins their
-    // one E018 naming the number).
-    const fs::path dir = scratchDir("cli_run_lint");
     const std::string text = spec::toJson(smallStudy());
     writeFile(dir / "truncated.json", text.substr(0, text.size() / 2));
     json::Value unlowered = json::Value::parse(text);
@@ -1091,10 +1090,17 @@ TEST(CamjSweepCli, RunRejectsWhatLintRejects)
     json::Value version = json::Value::parse(text);
     version.set("camjSpecVersion", json::Value(1e308));
     writeFile(dir / "version.json", version.dump(2));
+    return {"truncated.json", "unlowered.json", "dangling.json",
+            "axis.json",      "capacity.json",  "version.json"};
+}
 
-    for (const std::string name :
-         {"truncated.json", "unlowered.json", "dangling.json",
-          "axis.json", "capacity.json", "version.json"}) {
+TEST(CamjSweepCli, RunRejectsWhatLintRejects)
+{
+    // `run` lints the whole document through lintDocument, as `lint`
+    // does: each document below fails with lint's own lines, before
+    // the output file is opened.
+    const fs::path dir = scratchDir("cli_run_lint");
+    for (const std::string &name : writeRefusedDocuments(dir)) {
         SCOPED_TRACE(name);
         const std::vector<std::string> expected =
             lintDiagnosticLines(dir / name, dir / (name + ".lint"));
@@ -1111,6 +1117,53 @@ TEST(CamjSweepCli, RunRejectsWhatLintRejects)
             EXPECT_NE(report.find(line + "\n"), std::string::npos)
                 << line << "\n--- run printed:\n" << report;
         EXPECT_NE(report.find("error: run: "), std::string::npos)
+            << report;
+    }
+}
+
+TEST(CamjSweepCli, PlanRejectsWhatLintRejects)
+{
+    // `plan` refuses what `run` refuses, with lint's own lines, and
+    // writes no shard descriptor. Eight 256-value axes multiply to
+    // 2^64 points, which wrap a size_t: one E018 too.
+    const fs::path dir = scratchDir("cli_plan_lint");
+    std::vector<std::string> names = writeRefusedDocuments(dir);
+    json::Value huge = json::Value::parse(spec::toJson(smallStudy()));
+    json::Value axes = json::Value::makeArray();
+    for (int k = 0; k < 8; ++k) {
+        json::Value axis = json::Value::makeObject();
+        axis.set("name", strprintf("r%d", k));
+        axis.set("path", std::string("fps"));
+        json::Value values = json::Value::makeArray();
+        for (int v = 1; v <= 256; ++v)
+            values.push(json::Value(v));
+        axis.set("values", std::move(values));
+        axes.push(std::move(axis));
+    }
+    json::Value grid = json::Value::makeObject();
+    grid.set("axes", std::move(axes));
+    huge.set("sweepGrid", std::move(grid));
+    writeFile(dir / "huge.json", huge.dump(0));
+    names.push_back("huge.json");
+
+    for (const std::string &name : names) {
+        SCOPED_TRACE(name);
+        const std::vector<std::string> expected =
+            lintDiagnosticLines(dir / name, dir / (name + ".lint"));
+        ASSERT_FALSE(expected.empty());
+        const fs::path outdir = dir / (name + ".plan");
+        fs::create_directories(outdir);
+        const fs::path log = dir / (name + ".log");
+        EXPECT_EQ(cliExit("plan " + (dir / name).string() +
+                              " --shards 2 --outdir " + outdir.string(),
+                          log.string()),
+                  1);
+        EXPECT_TRUE(fs::is_empty(outdir));
+        const std::string report = readFile(log);
+        for (const std::string &line : expected)
+            EXPECT_NE(report.find(line + "\n"), std::string::npos)
+                << line << "\n--- plan printed:\n" << report;
+        EXPECT_NE(report.find("error: plan: "), std::string::npos)
             << report;
     }
 }
